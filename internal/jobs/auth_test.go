@@ -61,11 +61,12 @@ func TestAuthBearerToken(t *testing.T) {
 			}
 			c := *client
 			c.Token = tc.token
-			_, err := c.Submit(context.Background(), JobRequest{Cells: cells})
+			id, err := c.Submit(context.Background(), JobRequest{Cells: cells})
 			if tc.wantErr == nil {
 				if err != nil {
 					t.Fatalf("Submit with valid token: %v", err)
 				}
+				awaitJob(t, &c, id)
 				return
 			}
 			if !errors.Is(err, tc.wantErr) {
@@ -154,11 +155,13 @@ func TestQuotaOverLimit(t *testing.T) {
 	if err != nil || st.State != "done" || st.Failed != 0 {
 		t.Fatalf("blocked job never finished cleanly: %+v, %v", st, err)
 	}
-	if _, err := client.Submit(ctx, JobRequest{Cells: []CellSpec{
+	id, err = client.Submit(ctx, JobRequest{Cells: []CellSpec{
 		detailedCell(config.RECRSRU, []string{"compress"}, 1000),
-	}}); err != nil {
+	}})
+	if err != nil {
 		t.Fatalf("submit after quota release: %v", err)
 	}
+	awaitJob(t, client, id)
 }
 
 // TestRateLimit covers the 429 rate_limited path with a fake clock:

@@ -182,8 +182,9 @@ type Server struct {
 	seq  int
 	jobs map[string]*job
 
-	agg aggregate
-	lat latencies
+	agg   aggregate
+	lat   latencies
+	mixes mixHashes
 
 	jobsSubmitted atomic.Uint64
 	jobsDone      atomic.Uint64
@@ -253,6 +254,51 @@ func (l *latencies) snapshot() ([]string, map[string]obs.Hist) {
 	}
 	sort.Strings(names)
 	return names, out
+}
+
+// mixHashCap bounds the mix-hash memo.  Clients choose the names lists,
+// so the memo is cleared whenever it is full; the few distinct mixes a
+// real sweep uses refill it on their next lookup.
+const mixHashCap = 4096
+
+// mixHashes memoizes store.HashPrograms(workload.MixPrograms(names)) per
+// names list.  Within one binary a program is a pure function of its
+// name (workload.ByName uses fixed seeds), so a list's hash never
+// changes while the process runs, and serving a stored cell need not
+// rebuild and re-hash its programs.  Lists that fail to resolve are
+// never stored, nor is the empty list.
+type mixHashes struct {
+	mu     sync.Mutex
+	hashes map[string]string // names joined by NUL -> workload hash
+}
+
+func (m *mixHashes) hash(names []string) (string, error) {
+	key := strings.Join(names, "\x00")
+	// A name containing the separator would alias another list; such a
+	// name is unknown anyway, so it takes the resolving path and fails.
+	memo := len(names) > 0 && strings.Count(key, "\x00") == len(names)-1
+	if memo {
+		m.mu.Lock()
+		h, ok := m.hashes[key]
+		m.mu.Unlock()
+		if ok {
+			return h, nil
+		}
+	}
+	progs, err := workload.MixPrograms(names)
+	if err != nil {
+		return "", err
+	}
+	h := store.HashPrograms(progs)
+	if memo {
+		m.mu.Lock()
+		if m.hashes == nil || len(m.hashes) >= mixHashCap {
+			m.hashes = make(map[string]string)
+		}
+		m.hashes[key] = h
+		m.mu.Unlock()
+	}
+	return h, nil
 }
 
 // aggregate accumulates every detailed cell the server computes or
@@ -680,16 +726,13 @@ func cellName(c CellSpec) string {
 	return name
 }
 
-// runCell resolves, keys, and executes (or serves) one cell; tc is the
-// cell's span, under which the store phases and compute attempts land.
-func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
-	progs, err := workload.MixPrograms(c.Workloads)
+// cellKey content-addresses one cell with budget insts (already
+// defaulted).  The workload hash comes from the server's mix memo, so
+// the key is the one store.CellKey gives for freshly built programs.
+func (s *Server) cellKey(c CellSpec, insts uint64) (string, error) {
+	wh, err := s.mixes.hash(c.Workloads)
 	if err != nil {
-		return CellResult{Index: idx, Error: err.Error()}
-	}
-	insts := c.Insts
-	if insts == 0 {
-		insts = 200_000
+		return "", err
 	}
 	var sampKey *store.Sampling
 	if c.Sampling != nil {
@@ -700,7 +743,20 @@ func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
 			Confidence:  c.Sampling.Confidence,
 		}
 	}
-	key := store.CellKey(c.Machine, c.Features, store.HashPrograms(progs), insts, sampKey)
+	return store.CellKey(c.Machine, c.Features, wh, insts, sampKey), nil
+}
+
+// runCell resolves, keys, and executes (or serves) one cell; tc is the
+// cell's span, under which the store phases and compute attempts land.
+func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
+	insts := c.Insts
+	if insts == 0 {
+		insts = 200_000
+	}
+	key, err := s.cellKey(c, insts)
+	if err != nil {
+		return CellResult{Index: idx, Error: err.Error()}
+	}
 	rec, cached, err := s.store.GetOrComputeTraced(key, tc, func(cs trace.Ctx) (*store.Record, error) {
 		if s.cfg.Fleet != nil {
 			return s.cfg.Fleet.Compute(s.ctx, fleetSpec(c), key, cs)

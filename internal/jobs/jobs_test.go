@@ -36,6 +36,15 @@ func detailedCell(feat config.Features, names []string, insts uint64) CellSpec {
 	return CellSpec{Machine: config.Big216(), Features: feat, Workloads: names, Insts: insts}
 }
 
+// awaitJob blocks until job id is done, so its records are written
+// before the test's store directory is removed.
+func awaitJob(t *testing.T, c *Client, id string) {
+	t.Helper()
+	if err := c.StreamResults(context.Background(), id, func(CellResult) error { return nil }); err != nil {
+		t.Fatalf("streaming job %s: %v", id, err)
+	}
+}
+
 // collect runs the full client workflow and returns results indexed by
 // the submitted cell slot.
 func collect(t *testing.T, c *Client, jr JobRequest) ([]CellResult, *JobStatus) {

@@ -146,6 +146,7 @@ func TestBadTraceHeaderIgnored(t *testing.T) {
 	if _, ok := trace.ParseID(st.Trace); !ok {
 		t.Errorf("minted trace ID %q does not parse", st.Trace)
 	}
+	awaitJob(t, client, id)
 }
 
 // TestWriteServiceMetrics: completed spans land in the per-stage
@@ -250,6 +251,7 @@ func TestSubmitResponseCarriesTrace(t *testing.T) {
 	if out.ID == "" || out.Trace != "00000000deadbeef" {
 		t.Errorf("submit reply = %+v, want id and trace 00000000deadbeef", out)
 	}
+	awaitJob(t, client, out.ID)
 }
 
 func mustJSON(t *testing.T, v any) string {

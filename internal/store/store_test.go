@@ -99,6 +99,31 @@ func TestCellKeyNormalizesSamplingDefaults(t *testing.T) {
 	}
 }
 
+// TestCellKeyGolden pins the exact keys of one detailed and one sampled
+// cell.  Every stored record is addressed by its key, so any change to
+// the key derivation — keySchema, CellKey's rendering, HashPrograms, or
+// the generated workloads — orphans every existing store.  Such a
+// change must be deliberate: bump keySchema and update these values.
+func TestCellKeyGolden(t *testing.T) {
+	progs, err := workload.MixPrograms([]string{"compress", "gcc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh := HashPrograms(progs)
+	for _, tc := range []struct {
+		name string
+		samp *Sampling
+		want string
+	}{
+		{"detailed", nil, "56545160ae6c3883e7891879eaaca1e4cecdca1b4060ad7e219618702af7bba5"},
+		{"sampled default schedule", &Sampling{}, "112407b53ace20c050b9916d88a19bf60cbc6d8022d75a3c307a9e685a08ef67"},
+	} {
+		if got := CellKey(config.Big216(), config.RECRSRU, wh, 60_000, tc.samp); got != tc.want {
+			t.Errorf("%s key = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestHashProgramsDeterministic: the workload hash is stable across
 // calls (the data image is a map; the hash must sort it).
 func TestHashProgramsDeterministic(t *testing.T) {
