@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,99 +13,141 @@ import (
 
 	"recyclesim"
 	"recyclesim/internal/config"
-	"recyclesim/internal/obs"
-	"recyclesim/internal/stats"
+	"recyclesim/internal/fleet"
+	"recyclesim/internal/store"
 )
 
-// TestCheckpointRoundTrip: record then reload; restored cells carry
-// the exact statistics that were journaled.
+// storeRunner builds a runner over the store at dir with the given
+// cells already collected.
+func storeRunner(t *testing.T, dir string, specs ...fleet.Spec) *runner {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner()
+	r.store = st
+	r.specs = specs
+	return r
+}
+
+// snapshotDir maps every file under dir to its contents.
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func sameDir(a, b map[string]string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
+			return false
+		}
+	}
+	return true
+}
+
+var roundTripCells = []fleet.Spec{
+	{Machine: config.Big216(), Features: config.RECRSRU, Workloads: []string{"compress"}, Insts: 2_000},
+	{Machine: config.Big18(), Features: config.TME, Workloads: []string{"li"}, Insts: 2_000},
+	{Machine: config.Big216(), Features: config.RECRS, Workloads: []string{"gcc"}, Insts: 8_000,
+		Sampling: &store.Sampling{Period: 2_000, IntervalLen: 200, WarmupLen: 200, Confidence: 0.99}},
+}
+
+// recordJSON renders a cell's replayed record for byte comparison.
+func recordJSON(t *testing.T, r *runner, i int) string {
+	t.Helper()
+	b, err := json.Marshal(r.recs[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestCheckpointRoundTrip: detailed and sampled cells stored by one
+// sweep are restored by the next — statistics, telemetry with its
+// histograms, and the sampled estimate all byte-identical — and no
+// cell is simulated twice.
 func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	cp, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	first := storeRunner(t, dir, roundTripCells...)
+	first.computeAll(context.Background(), 2)
+	if n := first.nComputed.Load(); n != int64(len(roundTripCells)) {
+		t.Fatalf("first sweep computed %d cells, want %d (errors %v)", n, len(roundTripCells), first.errs)
 	}
-	s := &stats.Sim{Cycles: 123, Committed: 456, PerProgram: []uint64{456}}
-	m := &obs.Metrics{}
-	m.SlotCycles[obs.CauseIdle] = 99
-	if err := cp.record("k1", s, m); err != nil {
-		t.Fatal(err)
+	if !first.recs[0].Metrics.Hists {
+		t.Error("local cells must record histograms, as service cells do")
 	}
-	if err := cp.record("k2", &stats.Sim{Cycles: 7}, nil); err != nil {
-		t.Fatal(err)
+	second := storeRunner(t, dir, roundTripCells...)
+	second.computeAll(context.Background(), 2)
+	if c, r := second.nComputed.Load(), second.nRestored.Load(); c != 0 || r != int64(len(roundTripCells)) {
+		t.Fatalf("second sweep computed %d and restored %d cells, want 0 and %d", c, r, len(roundTripCells))
 	}
-	cp.Close()
-
-	cp2, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.Close()
-	if cp2.resumed() != 2 {
-		t.Fatalf("resumed %d cells, want 2", cp2.resumed())
-	}
-	rec, ok := cp2.lookup("k1")
-	if !ok {
-		t.Fatal("k1 lost")
-	}
-	if rec.Stats.Cycles != 123 || rec.Stats.Committed != 456 || len(rec.Stats.PerProgram) != 1 {
-		t.Errorf("restored stats %+v", rec.Stats)
-	}
-	if rec.Metrics == nil || rec.Metrics.SlotCycles[obs.CauseIdle] != 99 {
-		t.Errorf("restored metrics %+v", rec.Metrics)
-	}
-	if _, ok := cp2.lookup("k3"); ok {
-		t.Error("phantom cell")
+	for i := range roundTripCells {
+		if a, b := recordJSON(t, first, i), recordJSON(t, second, i); a != b {
+			t.Errorf("cell %d: restored record differs from computed:\n %.300s\n %.300s", i, a, b)
+		}
 	}
 }
 
-// TestCheckpointTornFinalLine: a kill mid-append leaves a truncated
-// last line; loading must keep every complete record and drop only the
-// torn one.
+// TestCheckpointTornFinalLine: a kill mid-write leaves at worst a stray
+// temp file (records land by atomic rename) or, on a damaged disk, a
+// truncated record.  The next sweep keeps every intact record,
+// recomputes only the torn one, and prints the same results.
 func TestCheckpointTornFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	cp, err := loadCheckpoint(path)
+	dir := t.TempDir()
+	first := storeRunner(t, dir, roundTripCells...)
+	first.computeAll(context.Background(), 2)
+	key, err := roundTripCells[1].Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp.record("whole", &stats.Sim{Cycles: 1}, nil)
-	cp.Close()
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	f.WriteString(`{"key":"torn","stats":{"Cyc`)
-	f.Close()
-
-	cp2, err := loadCheckpoint(path)
+	path := filepath.Join(dir, key[:2], key+".json")
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("torn final line rejected: %v", err)
+		t.Fatal(err)
 	}
-	defer cp2.Close()
-	if cp2.resumed() != 1 {
-		t.Errorf("resumed %d, want 1", cp2.resumed())
+	os.WriteFile(path, data[:len(data)/2], 0o644)
+	os.WriteFile(filepath.Join(dir, key[:2], key+".tmp123"), data[:10], 0o644)
+
+	second := storeRunner(t, dir, roundTripCells...)
+	second.computeAll(context.Background(), 2)
+	if c, r := second.nComputed.Load(), second.nRestored.Load(); c != 1 || r != int64(len(roundTripCells)-1) {
+		t.Errorf("computed %d, restored %d; want only the torn cell recomputed", c, r)
 	}
-	if _, ok := cp2.lookup("torn"); ok {
-		t.Error("torn record restored")
+	for i := range roundTripCells {
+		if a, b := recordJSON(t, first, i), recordJSON(t, second, i); a != b {
+			t.Errorf("cell %d differs after recovery", i)
+		}
+	}
+	if rec, ok := second.store.Get(key); !ok || rec.Stats == nil {
+		t.Error("torn record was not rewritten")
 	}
 }
 
-// TestCheckpointCorruptMiddleRejected: corruption anywhere but a torn
-// tail must fail loudly, not silently rerun and duplicate cells.
-func TestCheckpointCorruptMiddleRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	os.WriteFile(path, []byte("not json\n{\"key\":\"k\",\"stats\":{}}\n"), 0o644)
-	if _, err := loadCheckpoint(path); err == nil {
-		t.Fatal("corrupt journal loaded")
-	}
-}
-
-// poisonedRunner builds a runner whose middle job names a workload
-// that does not exist, so its cell fails at program construction.
+// poisonedRunner builds a runner whose middle cell names a workload
+// that does not exist, so it fails at program construction.
 func poisonedRunner(keepGoing bool) *runner {
 	r := newRunner()
 	r.keepGoing = keepGoing
-	job := func(names ...string) simJob {
-		return simJob{mach: config.Big216(), feat: config.SMT, names: names, insts: 2_000}
+	cell := func(names ...string) fleet.Spec {
+		return fleet.Spec{Machine: config.Big216(), Features: config.SMT, Workloads: names, Insts: 2_000}
 	}
-	r.jobs = []simJob{job("compress"), job("nonesuch"), job("li")}
+	r.specs = []fleet.Spec{cell("compress"), cell("nonesuch"), cell("li")}
 	return r
 }
 
@@ -115,15 +159,15 @@ func TestComputeAllKeepGoing(t *testing.T) {
 	if r.errs[1] == nil {
 		t.Fatal("poisoned cell recorded no error")
 	}
-	if r.results[1] == nil || r.results[1].Committed != 0 {
+	if r.recs[1] == nil || r.recs[1].Stats.Committed != 0 {
 		t.Error("poisoned cell must print as zeros")
 	}
 	for _, i := range []int{0, 2} {
 		if r.errs[i] != nil {
 			t.Errorf("healthy cell %d failed: %v", i, r.errs[i])
 		}
-		if r.results[i].Committed < 2_000 {
-			t.Errorf("healthy cell %d committed %d", i, r.results[i].Committed)
+		if r.recs[i].Stats.Committed < 2_000 {
+			t.Errorf("healthy cell %d committed %d", i, r.recs[i].Stats.Committed)
 		}
 	}
 	failed := r.failedCells()
@@ -137,9 +181,9 @@ func TestComputeAllKeepGoing(t *testing.T) {
 // budgets are large enough that every cell crosses the poll cadence).
 func TestComputeAllFailFast(t *testing.T) {
 	r := poisonedRunner(false)
-	r.jobs[0], r.jobs[1] = r.jobs[1], r.jobs[0] // poison first
-	for i := range r.jobs {
-		r.jobs[i].insts = 100_000
+	r.specs[0], r.specs[1] = r.specs[1], r.specs[0] // poison first
+	for i := range r.specs {
+		r.specs[i].Insts = 100_000
 	}
 	r.computeAll(context.Background(), 1)
 	if r.errs[0] == nil {
@@ -153,133 +197,80 @@ func TestComputeAllFailFast(t *testing.T) {
 }
 
 // TestComputeAllRestoresFromCheckpoint: a second sweep over the same
-// cells must restore every result from the journal without
-// simulating, and the restored statistics must be byte-identical.
+// cells must restore every result from the store without simulating,
+// leave the store directory unchanged (same files, same bytes), and
+// replay byte-identical statistics.
 func TestComputeAllRestoresFromCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	run := func() *runner {
-		r := newRunner()
-		cp, err := loadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cp.Close()
-		r.cp = cp
-		r.jobs = []simJob{
-			{mach: config.Big216(), feat: config.RECRSRU, names: []string{"compress"}, insts: 2_000},
-			{mach: config.Big18(), feat: config.TME, names: []string{"li"}, insts: 2_000},
-		}
-		r.computeAll(context.Background(), 2)
-		return r
+	dir := t.TempDir()
+	cells := roundTripCells[:2]
+	first := storeRunner(t, dir, cells...)
+	first.computeAll(context.Background(), 2)
+	before := snapshotDir(t, dir)
+	second := storeRunner(t, dir, cells...)
+	second.computeAll(context.Background(), 2)
+	if second.nComputed.Load() != 0 || second.store.Counters().Computes != 0 {
+		t.Errorf("resumed sweep simulated %d cells", second.nComputed.Load())
 	}
-	first := run()
-	data1, _ := os.ReadFile(path)
-	second := run()
-	data2, _ := os.ReadFile(path)
-	if string(data1) != string(data2) {
-		t.Error("resumed sweep appended to a complete journal")
+	if !sameDir(before, snapshotDir(t, dir)) {
+		t.Error("resumed sweep modified a complete store")
 	}
-	for i := range first.results {
-		a := fmt.Sprintf("%+v", *first.results[i])
-		b := fmt.Sprintf("%+v", *second.results[i])
+	for i := range cells {
+		a := fmt.Sprintf("%+v", *first.recs[i].Stats)
+		b := fmt.Sprintf("%+v", *second.recs[i].Stats)
 		if a != b {
 			t.Errorf("cell %d: restored stats differ from computed:\n %s\n %s", i, a, b)
 		}
 	}
 }
 
-// TestJournalKeysNeverCollideAcrossFlags: the journal key must change
-// whenever any identity-bearing flag changes — sampling schedule,
-// confidence level, or detailed vs. sampled mode — so a checkpoint
-// written under one configuration is never replayed for another.
-// (Regression: sampledCellKey once omitted the confidence level, so
-// resuming a -sampled sweep after changing -confidence replayed stale
-// IPCLo/IPCHi/CPIHalf bounds under the new label.)
-func TestJournalKeysNeverCollideAcrossFlags(t *testing.T) {
-	job := simJob{mach: config.Big216(), feat: config.RECRSRU, names: []string{"compress"}, insts: 20_000}
-	sampledKey := func(s recyclesim.Sampling) string {
-		r := newRunner()
-		r.sampling = s
-		return r.sampledCellKey(job)
-	}
-	sched := recyclesim.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400}
-	variants := []struct {
-		name string
-		key  string
-	}{
-		{"detailed", cellKey(job)},
-		{"sampled default confidence", sampledKey(sched)},
-		{"sampled confidence 0.95", sampledKey(func() recyclesim.Sampling { s := sched; s.Confidence = 0.95; return s }())},
-		{"sampled confidence 0.99", sampledKey(func() recyclesim.Sampling { s := sched; s.Confidence = 0.99; return s }())},
-		{"sampled other period", sampledKey(func() recyclesim.Sampling { s := sched; s.Period = 8_000; return s }())},
-		{"sampled other interval", sampledKey(func() recyclesim.Sampling { s := sched; s.IntervalLen = 800; return s }())},
-		{"sampled other warmup", sampledKey(func() recyclesim.Sampling { s := sched; s.WarmupLen = 800; return s }())},
-	}
-	for i, a := range variants {
-		for _, b := range variants[i+1:] {
-			if a.key == b.key {
-				t.Errorf("%s and %s share journal key %q", a.name, b.name, a.key)
-			}
-		}
-	}
-}
-
-// TestSampledJournalNotReplayedAcrossFlagChanges: a sampled cell
-// journaled under one schedule/confidence must be restored only by a
-// sweep with the identical flags; any change misses and resimulates.
+// TestSampledJournalNotReplayedAcrossFlagChanges: a sampled cell stored
+// under one schedule/confidence must be found only by a sweep with the
+// identical flags; any change gives another Spec.Key, so the cell
+// misses and resimulates.  The detailed cell of the same configuration
+// never sees the sampled record either.
 func TestSampledJournalNotReplayedAcrossFlagChanges(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	job := simJob{mach: config.Big216(), feat: config.RECRSRU, names: []string{"compress"}, insts: 20_000}
-	base := recyclesim.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.95}
-
-	cp, err := loadCheckpoint(path)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbase := newRunner()
-	rbase.sampling = base
-	if err := cp.recordSampled(rbase.sampledCellKey(job), &recyclesim.SampledResult{IPC: 1.5}); err != nil {
+	base := store.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99}
+	spec := func(s *store.Sampling) fleet.Spec {
+		return fleet.Spec{Machine: config.Big216(), Features: config.RECRSRU, Workloads: []string{"compress"},
+			Insts: 20_000, Sampling: s}
+	}
+	key := func(s *store.Sampling) string {
+		k, err := spec(s).Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if err := st.Put(key(&base), &store.Record{Sampled: &recyclesim.SampledResult{IPC: 1.5}}); err != nil {
 		t.Fatal(err)
 	}
-	cp.Close()
 
 	cases := []struct {
 		name       string
-		mutate     func(*recyclesim.Sampling)
+		mutate     func(*store.Sampling)
 		wantReplay bool
 	}{
-		{"identical flags", func(*recyclesim.Sampling) {}, true},
-		{"changed confidence", func(s *recyclesim.Sampling) { s.Confidence = 0.99 }, false},
-		{"default (unset) confidence", func(s *recyclesim.Sampling) { s.Confidence = 0 }, false},
-		{"changed period", func(s *recyclesim.Sampling) { s.Period = 8_000 }, false},
-		{"changed interval", func(s *recyclesim.Sampling) { s.IntervalLen = 800 }, false},
-		{"changed warmup", func(s *recyclesim.Sampling) { s.WarmupLen = 800 }, false},
+		{"identical flags", func(*store.Sampling) {}, true},
+		{"changed confidence", func(s *store.Sampling) { s.Confidence = 0.90 }, false},
+		{"default (unset) confidence", func(s *store.Sampling) { s.Confidence = 0 }, false},
+		{"changed period", func(s *store.Sampling) { s.Period = 8_000 }, false},
+		{"changed interval", func(s *store.Sampling) { s.IntervalLen = 800 }, false},
+		{"changed warmup", func(s *store.Sampling) { s.WarmupLen = 800 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cp2, err := loadCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cp2.Close()
-			r := newRunner()
-			r.sampling = base
-			tc.mutate(&r.sampling)
-			_, ok := cp2.lookup(r.sampledCellKey(job))
-			if ok != tc.wantReplay {
-				t.Errorf("replay = %v, want %v (key %q)", ok, tc.wantReplay, r.sampledCellKey(job))
+			s := base
+			tc.mutate(&s)
+			if _, ok := st.Get(key(&s)); ok != tc.wantReplay {
+				t.Errorf("replay = %v, want %v (schedule %+v)", ok, tc.wantReplay, s)
 			}
 		})
 	}
-
-	// The detailed cell of the same configuration must never see the
-	// sampled record either.
-	cp3, err := loadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp3.Close()
-	if _, ok := cp3.lookup(cellKey(job)); ok {
+	if _, ok := st.Get(key(nil)); ok {
 		t.Error("detailed cell key collides with a sampled record")
 	}
 }

@@ -16,7 +16,10 @@
 // same single-threaded deterministic run a serial loop would perform,
 // results are assembled in input order, and duplicate cells shared
 // between figures are computed once, so the output is byte-identical
-// to the old serial harness.
+// to the old serial harness.  Each cell is a fleet.Spec computed by
+// fleet.Execute — the job service's cell type and executor — so
+// -checkpoint DIR keeps results in the same store format and under the
+// same keys as recycled -store DIR, and either can resume the other.
 //
 // Absolute IPC differs from the paper (synthetic workloads, not Alpha
 // SPEC95 binaries); the comparisons between configurations are the
@@ -26,6 +29,7 @@ package main
 import (
 	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,16 +44,18 @@ import (
 
 	"recyclesim"
 	"recyclesim/internal/config"
+	"recyclesim/internal/fleet"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/obs/server"
 	"recyclesim/internal/stats"
+	"recyclesim/internal/store"
 	"recyclesim/internal/sweep"
 	"recyclesim/internal/workload"
 )
 
 func main() {
 	// SIGINT cancels the sweep cooperatively: in-flight cells stop at
-	// their next poll, completed cells stay journaled in -checkpoint,
+	// their next poll, completed cells stay stored in -checkpoint,
 	// and the harness flushes whatever finished before exiting nonzero.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -77,7 +83,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", false, "print a single-line in-place progress meter to stderr")
 	obsListen := fs.String("obs-listen", "", "serve /metrics, /progress, /healthz and pprof on this address during the sweep (e.g. \":0\")")
 	keepGoing := fs.Bool("keep-going", false, "keep computing remaining cells after a cell fails (failed cells print as zeros; exit stays nonzero)")
-	checkpointPath := fs.String("checkpoint", "", "journal completed cells to this file and resume from it, skipping cells it already holds")
+	checkpointDir := fs.String("checkpoint", "", "store completed cells in this result-store directory (the format recycled -store uses) and resume from it, skipping cells it already holds")
 	remote := fs.String("remote", "", "run the sweep on a recycled job server at this base URL instead of simulating locally (failed cells print as zeros, like -keep-going)")
 	remoteToken := fs.String("remote-token", "", "bearer token for the job server (required when recycled runs with -token)")
 	traceOut := fs.String("trace-out", "", "save the remote job's request trace (Chrome trace_event JSON, for Perfetto) to this file (requires -remote)")
@@ -107,8 +113,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *remote != "" && *checkpointPath != "" {
-		fmt.Fprintln(stderr, "experiments: -remote and -checkpoint are mutually exclusive (the server's durable store already journals every cell)")
+	if *remote != "" && *checkpointDir != "" {
+		fmt.Fprintln(stderr, "experiments: -remote and -checkpoint are mutually exclusive (the server's durable store already keeps every cell)")
 		return 2
 	}
 	if *remote != "" && *crashDir != "" {
@@ -155,10 +161,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// Pass 1: dry-run the print functions against io.Discard to collect
 	// the distinct simulation cells they need.
 	r := newRunner()
-	r.withMetrics = *metrics != ""
 	r.keepGoing = *keepGoing
 	r.crashDir = *crashDir
-	r.sampling = recyclesim.Sampling{
+	r.sampling = &store.Sampling{
 		Period:      *samplePeriod,
 		IntervalLen: *sampleInterval,
 		WarmupLen:   *sampleWarmup,
@@ -169,18 +174,17 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			s.print(io.Discard, r)
 		}
 	}
-	if *checkpointPath != "" {
-		cp, err := loadCheckpoint(*checkpointPath)
+	if *checkpointDir != "" {
+		if fi, err := os.Stat(*checkpointDir); err == nil && !fi.IsDir() {
+			fmt.Fprintf(stderr, "experiments: -checkpoint: %s is a file, not a store directory (JSONL journals are no longer read)\n", *checkpointDir)
+			return 2
+		}
+		st, err := store.Open(*checkpointDir)
 		if err != nil {
 			fmt.Fprintf(stderr, "experiments: -checkpoint: %v\n", err)
 			return 2
 		}
-		defer cp.Close()
-		r.cp = cp
-		if n := cp.resumed(); n > 0 {
-			fmt.Fprintf(stderr, "experiments: resuming from %s (%d completed cell(s) on file)\n",
-				*checkpointPath, n)
-		}
+		r.store = st
 	}
 
 	// Live observation (all writes go to stderr or the HTTP listener,
@@ -196,8 +200,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		defer srv.Close()
 		fmt.Fprintf(stderr, "experiments: observability server on http://%s\n", srv.Addr())
-		agg := &aggregator{}
-		r.publish = func(s *stats.Sim, m *obs.Metrics) { srv.Publish(agg.add(s, m)) }
+		agg := &sweep.Aggregate{Name: "experiments running aggregate"}
+		r.publish = func(s *stats.Sim, m *obs.Metrics) { srv.Publish(agg.Add(s, m)) }
 	}
 
 	// Pass 2: compute every cell once — on the local worker pool, or on
@@ -251,65 +255,51 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	exit := 0
 	if failed := r.failedCells(); len(failed) > 0 {
 		exit = 1
-		fmt.Fprintf(stderr, "experiments: %d of %d cell(s) failed:\n", len(failed), len(r.jobs)+len(r.jobsSamp))
+		fmt.Fprintf(stderr, "experiments: %d of %d cell(s) failed:\n", len(failed), len(r.specs))
 		for _, line := range failed {
 			fmt.Fprintf(stderr, "  %s\n", line)
+		}
+	}
+	if r.store != nil {
+		fmt.Fprintf(stderr, "experiments: -checkpoint %s: %d cell(s) restored, %d computed\n",
+			*checkpointDir, r.nRestored.Load(), r.nComputed.Load())
+		if n := r.store.Counters().PutErrors; n > 0 {
+			exit = 1
+			fmt.Fprintf(stderr, "experiments: -checkpoint: %d computed cell(s) could not be saved; a rerun computes them again\n", n)
 		}
 	}
 	if ctx.Err() != nil {
 		exit = 1
 		fmt.Fprintln(stderr, "experiments: interrupted; results above cover completed cells only")
-		if r.cp != nil {
-			fmt.Fprintln(stderr, "experiments: completed cells are journaled; rerun with the same -checkpoint to resume")
+		if r.store != nil {
+			fmt.Fprintln(stderr, "experiments: completed cells are stored; rerun with the same -checkpoint to resume")
 		}
 	}
 	return exit
 }
 
-// simKey identifies one simulation cell.  config.Features is a flat
-// comparable struct, so the key can embed it directly.
-type simKey struct {
-	mach  string
-	feat  config.Features
-	names string
-	insts uint64
-}
-
-// simJob carries the inputs needed to execute a cell.
-type simJob struct {
-	mach  config.Machine
-	feat  config.Features
-	names []string
-	insts uint64
-}
-
 // runner memoizes simulation cells across a collect pass and a replay
-// pass.  In collect mode sim() records the cell and returns a zero
-// result (the caller is printing to io.Discard); after computeAll,
-// sim() replays the memoized result.
+// pass.  In collect mode cell() records the cell's spec and returns a
+// zero result (the caller is printing to io.Discard); after computeAll
+// or computeRemote, cell() replays the memoized record.
 type runner struct {
-	collect     bool
-	withMetrics bool
-	keepGoing   bool
-	crashDir    string
-	cp          *checkpoint
-	seen        map[simKey]int
-	jobs        []simJob
-	results     []*stats.Sim
-	metrics     []*obs.Metrics
-	errs        []error
+	collect   bool
+	keepGoing bool
+	crashDir  string
+	// sampling is the schedule every sampled cell of this run carries.
+	sampling *store.Sampling
+	// store, when non-nil (-checkpoint), caches every local cell under
+	// its Spec.Key, the key a recycled daemon's store uses.
+	store *store.Store
 
-	// Sampled cells are memoized separately: same identity space plus
-	// the sampling schedule (fixed per invocation, carried in sampling).
-	sampling    recyclesim.Sampling
-	seenSamp    map[simKey]int
-	jobsSamp    []simJob
-	resultsSamp []*recyclesim.SampledResult
-	errsSamp    []error
+	seen  map[cellID]int
+	specs []fleet.Spec
+	recs  []*store.Record
+	errs  []error
 
 	// nComputed/nRestored split the completed cells for the meter's
 	// final accounting line: simulated here versus served from the
-	// checkpoint journal (local) or the server's store (remote).
+	// -checkpoint store (local) or the server's store (remote).
 	nComputed atomic.Int64
 	nRestored atomic.Int64
 
@@ -317,190 +307,138 @@ type runner struct {
 	// (feeding both the -progress meter and the /progress endpoint).
 	prog *sweep.Progress
 	// publish, when non-nil, is called by each worker with its finished
-	// cell (feeding the /metrics endpoint).  Must be safe for
+	// detailed cell (feeding the /metrics endpoint).  Must be safe for
 	// concurrent use.
 	publish func(*stats.Sim, *obs.Metrics)
 }
 
+// cellID is a cell's memo identity within one run.  Machines are
+// presets, so their name stands for them; config.Features is a flat
+// comparable struct, embedded whole because custom knob combinations
+// share a figure-legend name; the sampling schedule is fixed per run.
+type cellID struct {
+	mach    string
+	feat    config.Features
+	names   string
+	insts   uint64
+	sampled bool
+}
+
 func newRunner() *runner {
-	return &runner{collect: true, seen: make(map[simKey]int), seenSamp: make(map[simKey]int)}
+	return &runner{collect: true, seen: make(map[cellID]int)}
+}
+
+// zeroRecord is what a collected-but-not-computed or failed cell
+// prints: zeros in every column, detailed or sampled.
+func zeroRecord() *store.Record {
+	return &store.Record{Stats: &stats.Sim{}, Metrics: &obs.Metrics{}, Sampled: &recyclesim.SampledResult{}}
+}
+
+func (r *runner) cell(mach config.Machine, feat config.Features, names []string, insts uint64, sampled bool) *store.Record {
+	id := cellID{mach: mach.Name, feat: feat, names: strings.Join(names, "+"), insts: insts, sampled: sampled}
+	i, ok := r.seen[id]
+	if r.collect {
+		if !ok {
+			spec := fleet.Spec{Machine: mach, Features: feat, Workloads: names, Insts: insts}
+			if sampled {
+				spec.Sampling = r.sampling
+			}
+			r.seen[id] = len(r.specs)
+			r.specs = append(r.specs, spec)
+		}
+		return zeroRecord()
+	}
+	if !ok {
+		panic(fmt.Sprintf("experiments: cell %+v not collected", id))
+	}
+	return r.recs[i]
 }
 
 func (r *runner) sim(mach config.Machine, feat config.Features, names []string, insts uint64) *stats.Sim {
-	k := simKey{mach: mach.Name, feat: feat, names: strings.Join(names, "+"), insts: insts}
-	i, ok := r.seen[k]
-	if r.collect {
-		if !ok {
-			r.seen[k] = len(r.jobs)
-			r.jobs = append(r.jobs, simJob{mach: mach, feat: feat, names: names, insts: insts})
-		}
-		return &stats.Sim{}
-	}
-	if !ok {
-		panic(fmt.Sprintf("experiments: cell %+v not collected", k))
-	}
-	return r.results[i]
+	return r.cell(mach, feat, names, insts, false).Stats
 }
 
-// simSampled is sim() for sampled cells: collect mode records the cell
-// and returns a zero estimate, replay mode returns the memoized result.
 func (r *runner) simSampled(mach config.Machine, feat config.Features, names []string, insts uint64) *recyclesim.SampledResult {
-	k := simKey{mach: mach.Name, feat: feat, names: strings.Join(names, "+"), insts: insts}
-	i, ok := r.seenSamp[k]
-	if r.collect {
-		if !ok {
-			r.seenSamp[k] = len(r.jobsSamp)
-			r.jobsSamp = append(r.jobsSamp, simJob{mach: mach, feat: feat, names: names, insts: insts})
-		}
-		return &recyclesim.SampledResult{}
-	}
-	if !ok {
-		panic(fmt.Sprintf("experiments: sampled cell %+v not collected", k))
-	}
-	return r.resultsSamp[i]
+	return r.cell(mach, feat, names, insts, true).Sampled
 }
 
-// cellKey renders a cell's full identity (the %+v of the flat Features
-// struct covers custom knob combinations that share a figure-legend
-// name) for the checkpoint journal.
-func cellKey(j simJob) string {
-	return fmt.Sprintf("%s|%+v|%s|%d", j.mach.Name, j.feat, strings.Join(j.names, "+"), j.insts)
-}
-
-// sampledCellKey is cellKey for sampled cells: the sampling schedule
-// *and confidence level* join the identity so a sampled cell never
-// collides with the full detailed cell of the same configuration, with
-// a sampled cell run under a different schedule, or with one whose
-// bounds were computed at a different confidence.  (Confidence was
-// missing from the key until journal schema v2; see EXPERIMENTS.md —
-// without it, resuming after changing -confidence replayed stale
-// IPCLo/IPCHi/CPIHalf bounds under the new label.)
-func (r *runner) sampledCellKey(j simJob) string {
-	return fmt.Sprintf("sampled|%d-%d-%d|c%g|%s",
-		r.sampling.Period, r.sampling.IntervalLen, r.sampling.WarmupLen,
-		r.sampling.Confidence, cellKey(j))
+// begin sizes the result slots and the progress total for one compute
+// pass.
+func (r *runner) begin() {
+	r.recs = make([]*store.Record, len(r.specs))
+	r.errs = make([]error, len(r.specs))
+	if r.prog != nil {
+		r.prog.SetTotal(len(r.specs))
+	}
 }
 
 // computeAll executes every collected cell across the worker pool with
 // per-cell fault containment: a failed cell records its error and a
 // zero result (so the replay pass still prints), and unless keepGoing
 // is set the first failure cancels the cells still queued or running.
-// Cells found in the checkpoint journal are restored instead of
-// simulated; fresh completions are journaled as they land.
+// With -checkpoint, cells already in the store are restored instead of
+// simulated, and fresh results are stored as they land.
 func (r *runner) computeAll(ctx context.Context, workers int) {
-	r.results = make([]*stats.Sim, len(r.jobs))
-	r.metrics = make([]*obs.Metrics, len(r.jobs))
-	r.errs = make([]error, len(r.jobs))
-	r.resultsSamp = make([]*recyclesim.SampledResult, len(r.jobsSamp))
-	r.errsSamp = make([]error, len(r.jobsSamp))
-	if r.prog != nil {
-		r.prog.SetTotal(len(r.jobs) + len(r.jobsSamp))
-	}
+	r.begin()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sweep.Run(len(r.jobs), workers, func(i int) {
-		j := r.jobs[i]
-		if r.cp != nil {
-			if rec, ok := r.cp.lookup(cellKey(j)); ok {
-				r.results[i], r.metrics[i] = rec.Stats, rec.Metrics
-				if r.metrics[i] == nil {
-					r.metrics[i] = &obs.Metrics{}
-				}
-				if r.prog != nil {
-					r.prog.StartCell(j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
-					r.prog.FinishCell(rec.Stats.Committed)
-				}
-				if r.publish != nil {
-					r.publish(r.results[i], r.metrics[i])
-				}
-				r.nRestored.Add(1)
-				return
-			}
-		}
+	sweep.Run(len(r.specs), workers, func(i int) {
 		if r.prog != nil {
-			r.prog.StartCell(j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
+			r.prog.StartCell(r.specs[i].Name())
 		}
-		s, m, err := runSim(ctx, j, r.withMetrics, r.crashDir)
-		if err != nil {
-			r.errs[i] = err
-			r.results[i], r.metrics[i] = &stats.Sim{}, &obs.Metrics{}
-			if !r.keepGoing {
-				cancel()
-			}
-			if r.prog != nil {
-				r.prog.FinishCell(0)
-			}
-			return
+		rec, cached, err := r.local(ctx, r.specs[i])
+		if err != nil && !r.keepGoing {
+			cancel()
 		}
-		r.results[i], r.metrics[i] = s, m
-		r.nComputed.Add(1)
-		if r.cp != nil {
-			if werr := r.cp.record(cellKey(j), s, m); werr != nil {
-				// The in-memory result is intact; only resumability of
-				// this one cell is lost.
-				r.errs[i] = fmt.Errorf("checkpoint append: %w", werr)
-			}
-		}
-		if r.prog != nil {
-			r.prog.FinishCell(s.Committed)
-		}
-		if r.publish != nil {
-			r.publish(s, m)
-		}
-	})
-	// Sampled cells run on the same pool; each cell's interval fan-out
-	// stays single-threaded (Workers: 1) so parallelism lives at the
-	// cell level and the pool is never oversubscribed.  Results are
-	// worker-count invariant either way.
-	sweep.Run(len(r.jobsSamp), workers, func(i int) {
-		j := r.jobsSamp[i]
-		key := r.sampledCellKey(j)
-		if r.cp != nil {
-			if rec, ok := r.cp.lookup(key); ok && rec.Sampled != nil {
-				r.resultsSamp[i] = rec.Sampled
-				if r.prog != nil {
-					r.prog.StartCell("sampled/" + j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
-					r.prog.FinishCell(rec.Sampled.MeasuredInsts)
-				}
-				r.nRestored.Add(1)
-				return
-			}
-		}
-		if r.prog != nil {
-			r.prog.StartCell("sampled/" + j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
-		}
-		samp := r.sampling
-		samp.Workers = 1
-		res, err := recyclesim.RunSampledContext(ctx, recyclesim.Options{
-			Machine:   j.mach,
-			Features:  j.feat,
-			Workloads: j.names,
-			MaxInsts:  j.insts,
-			Sampling:  &samp,
-		})
-		if err != nil {
-			r.errsSamp[i] = err
-			r.resultsSamp[i] = &recyclesim.SampledResult{}
-			if !r.keepGoing {
-				cancel()
-			}
-			if r.prog != nil {
-				r.prog.FinishCell(0)
-			}
-			return
-		}
-		r.resultsSamp[i] = res
-		r.nComputed.Add(1)
-		if r.cp != nil {
-			if werr := r.cp.recordSampled(key, res); werr != nil {
-				r.errsSamp[i] = fmt.Errorf("checkpoint append: %w", werr)
-			}
-		}
-		if r.prog != nil {
-			r.prog.FinishCell(res.MeasuredInsts)
-		}
+		r.finish(i, rec, cached, err)
 	})
 	r.collect = false
+}
+
+// local computes one cell with the fleet's executor, through the
+// -checkpoint store when one is open.
+func (r *runner) local(ctx context.Context, spec fleet.Spec) (*store.Record, bool, error) {
+	compute := func() (*store.Record, error) { return fleet.ExecuteWithCrashDir(ctx, spec, r.crashDir) }
+	if r.store == nil {
+		rec, err := compute()
+		return rec, false, err
+	}
+	key, err := spec.Key()
+	if err != nil {
+		return nil, false, err
+	}
+	return r.store.GetOrCompute(key, compute)
+}
+
+// finish lands cell i's outcome in its slot: the one per-cell path of
+// local and remote sweeps.  It feeds the progress meter, the /metrics
+// aggregate, and the computed/restored accounting; a failed cell keeps
+// its error and prints as zeros.
+func (r *runner) finish(i int, rec *store.Record, cached bool, err error) {
+	sampled := r.specs[i].Sampling != nil
+	if err == nil && (sampled && rec.Sampled == nil || !sampled && (rec.Stats == nil || rec.Metrics == nil)) {
+		err = errors.New("result record lacks the cell's payload")
+	}
+	switch {
+	case err != nil:
+		r.errs[i] = err
+		rec = zeroRecord()
+	case cached:
+		r.nRestored.Add(1)
+	default:
+		r.nComputed.Add(1)
+	}
+	r.recs[i] = rec
+	if r.prog != nil {
+		if sampled {
+			r.prog.FinishCell(rec.Sampled.MeasuredInsts)
+		} else {
+			r.prog.FinishCell(rec.Stats.Committed)
+		}
+	}
+	if r.publish != nil && err == nil && !sampled {
+		r.publish(rec.Stats, rec.Metrics)
+	}
 }
 
 // failedCells renders one line per failed cell for the stderr summary.
@@ -508,12 +446,7 @@ func (r *runner) failedCells() []string {
 	var out []string
 	for i, err := range r.errs {
 		if err != nil {
-			out = append(out, fmt.Sprintf("cell %s: %v", cellKey(r.jobs[i]), firstLine(err.Error())))
-		}
-	}
-	for i, err := range r.errsSamp {
-		if err != nil {
-			out = append(out, fmt.Sprintf("cell %s: %v", r.sampledCellKey(r.jobsSamp[i]), firstLine(err.Error())))
+			out = append(out, fmt.Sprintf("cell %s: %v", r.specs[i].Name(), firstLine(err.Error())))
 		}
 	}
 	return out
@@ -526,31 +459,6 @@ func firstLine(s string) string {
 		return s[:i] + " [...]"
 	}
 	return s
-}
-
-// aggregator accumulates finished cells under a lock and builds the
-// immutable running-total snapshots the observability server publishes.
-type aggregator struct {
-	mu  sync.Mutex
-	agg stats.Sim
-	tel obs.Metrics
-	n   int
-}
-
-func (a *aggregator) add(s *stats.Sim, m *obs.Metrics) *obs.Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.agg.Add(s)
-	a.tel.Add(m)
-	a.n++
-	st := a.agg
-	st.PerProgram = append([]uint64(nil), a.agg.PerProgram...)
-	tel := a.tel
-	return &obs.Snapshot{
-		Name:    fmt.Sprintf("experiments running aggregate (%d cells)", a.n),
-		Stats:   &st,
-		Metrics: &tel,
-	}
 }
 
 // runWithMeter wraps one compute pass (local or remote) with a stderr
@@ -624,41 +532,22 @@ func formatProgressDone(done, total int64, elapsed time.Duration, computes, hits
 		done, total, pct, elapsed.Round(time.Second), computes, hits, state)
 }
 
-// runSim executes one cell through the library facade, inheriting its
-// fault containment: panics, livelocks, and cancellation come back as
-// typed errors instead of killing the worker pool.  MaxCycles is set
-// explicitly to the harness's historical 40x budget (the facade's own
-// default is 4x), so results are byte-identical to the pre-facade
-// harness.
-func runSim(ctx context.Context, j simJob, hists bool, crashDir string) (*stats.Sim, *obs.Metrics, error) {
-	tel := &obs.Metrics{Hists: hists}
-	res, err := recyclesim.RunContext(ctx, recyclesim.Options{
-		Machine:   j.mach,
-		Features:  j.feat,
-		Workloads: j.names,
-		MaxInsts:  j.insts,
-		MaxCycles: 40 * j.insts,
-		Telemetry: tel,
-		CrashDir:  crashDir,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tel, nil
-}
-
-// writeMetrics exports one aggregate snapshot over every computed cell:
+// writeMetrics exports one aggregate snapshot over every detailed cell:
 // summed counters, summed stall attribution, merged histograms.  Cells
 // are visited in collection order, so the document is deterministic.
 func writeMetrics(path string, stdout io.Writer, r *runner) error {
 	agg := &stats.Sim{}
 	tel := &obs.Metrics{Hists: true}
-	for i := range r.results {
-		agg.Add(r.results[i])
-		tel.Add(r.metrics[i])
+	n := 0
+	for i, spec := range r.specs {
+		if spec.Sampling == nil {
+			agg.Add(r.recs[i].Stats)
+			tel.Add(r.recs[i].Metrics)
+			n++
+		}
 	}
 	snap := &obs.Snapshot{
-		Name:    fmt.Sprintf("experiments aggregate (%d cells)", len(r.results)),
+		Name:    fmt.Sprintf("experiments aggregate (%d cells)", n),
 		Stats:   agg,
 		Metrics: tel,
 	}

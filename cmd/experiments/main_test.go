@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,20 +156,23 @@ func TestObservabilityDoesNotPerturbOutput(t *testing.T) {
 }
 
 // TestCheckpointResumeCLI: the same invocation run twice against one
-// checkpoint file must print byte-identical output, report the resume
-// on stderr, and leave the journal unchanged (nothing resimulated,
-// nothing re-appended).
+// -checkpoint store must print byte-identical output, report on stderr
+// that every cell was restored and none computed, and leave the store
+// unchanged (same files, same bytes).
 func TestCheckpointResumeCLI(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "cells.jsonl")
-	args := []string{"-fig", "3", "-insts", "300", "-checkpoint", cp}
+	dir := filepath.Join(t.TempDir(), "cells")
+	args := []string{"-fig", "3", "-insts", "300", "-checkpoint", dir}
 
 	var out1, err1 strings.Builder
 	if got := run(args, &out1, &err1); got != 0 {
 		t.Fatalf("first run exited %d:\n%s", got, err1.String())
 	}
-	data1, err := os.ReadFile(cp)
-	if err != nil || len(data1) == 0 {
-		t.Fatalf("no journal written: %v", err)
+	if !strings.Contains(err1.String(), ": 0 cell(s) restored, 48 computed") {
+		t.Errorf("first run accounting missing: %q", err1.String())
+	}
+	before := snapshotDir(t, dir)
+	if len(before) != 48 {
+		t.Fatalf("store holds %d records, want one per Figure 3 cell (48)", len(before))
 	}
 
 	var out2, err2 strings.Builder
@@ -177,22 +182,21 @@ func TestCheckpointResumeCLI(t *testing.T) {
 	if out1.String() != out2.String() {
 		t.Error("resumed run's stdout differs from the original")
 	}
-	if !strings.Contains(err2.String(), "resuming from") {
-		t.Errorf("resume not announced on stderr: %q", err2.String())
+	if !strings.Contains(err2.String(), ": 48 cell(s) restored, 0 computed") {
+		t.Errorf("resume not reported on stderr: %q", err2.String())
 	}
-	data2, _ := os.ReadFile(cp)
-	if string(data1) != string(data2) {
-		t.Error("resumed run modified a complete journal")
+	if !sameDir(before, snapshotDir(t, dir)) {
+		t.Error("resumed run modified a complete store")
 	}
 }
 
 // TestSampledSweepCLI: the opt-in sampled sweep prints the CI report,
-// journals its cells under schedule-qualified keys that never collide
-// with full-detail cells, and resumes byte-identically.
+// stores its cells under sampled keys that never collide with
+// full-detail cells, and resumes byte-identically.
 func TestSampledSweepCLI(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "cells.jsonl")
+	dir := t.TempDir()
 	args := []string{"-sampled", "-insts", "20000", "-sample-period", "4000",
-		"-sample-interval", "400", "-sample-warmup", "400", "-checkpoint", cp}
+		"-sample-interval", "400", "-sample-warmup", "400", "-checkpoint", dir}
 
 	var out1, err1 strings.Builder
 	if got := run(args, &out1, &err1); got != 0 {
@@ -204,12 +208,14 @@ func TestSampledSweepCLI(t *testing.T) {
 	if !strings.Contains(out1.String(), "schedule: period=4000 interval=400 warmup=400") {
 		t.Errorf("schedule line missing:\n%s", out1.String())
 	}
-	data1, err := os.ReadFile(cp)
-	if err != nil || len(data1) == 0 {
-		t.Fatalf("no journal written: %v", err)
+	before := snapshotDir(t, dir)
+	if len(before) != 40 {
+		t.Fatalf("store holds %d records, want 40 sampled cells", len(before))
 	}
-	if !strings.Contains(string(data1), `"key":"sampled|4000-400-400|`) {
-		t.Errorf("journal keys not schedule-qualified:\n%.200s", data1)
+	for path, data := range before {
+		if !strings.Contains(data, `"sampled":{`) || strings.Contains(data, `"stats":{`) {
+			t.Errorf("%s is not a sampled record: %.200s", path, data)
+		}
 	}
 
 	var out2, err2 strings.Builder
@@ -219,22 +225,88 @@ func TestSampledSweepCLI(t *testing.T) {
 	if out1.String() != out2.String() {
 		t.Error("resumed sampled run's stdout differs from the original")
 	}
-	data2, _ := os.ReadFile(cp)
-	if string(data1) != string(data2) {
-		t.Error("resumed run modified a complete journal")
+	if !sameDir(before, snapshotDir(t, dir)) {
+		t.Error("resumed run modified a complete store")
 	}
 }
 
-// TestCheckpointCorruptCLI: a corrupt journal is a flag-level error
-// (exit 2), before any simulation runs.
+// TestCheckpointCorruptCLI: a corrupt record is a miss, not an error —
+// the cell is recomputed and its record overwritten, stdout is
+// unchanged, and the next run restores every cell again.
 func TestCheckpointCorruptCLI(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "cells.jsonl")
-	os.WriteFile(cp, []byte("garbage\n{\"key\":\"k\",\"stats\":{}}\n"), 0o644)
+	dir := t.TempDir()
+	args := []string{"-fig", "3", "-insts", "300", "-checkpoint", dir}
+	var out1, err1 strings.Builder
+	if got := run(args, &out1, &err1); got != 0 {
+		t.Fatalf("first run exited %d:\n%s", got, err1.String())
+	}
+	var victim string
+	for path := range snapshotDir(t, dir) {
+		victim = path
+		break
+	}
+	os.WriteFile(victim, []byte("garbage\n"), 0o644)
+
+	var out2, err2 strings.Builder
+	if got := run(args, &out2, &err2); got != 0 {
+		t.Fatalf("run over a corrupt record exited %d:\n%s", got, err2.String())
+	}
+	if out1.String() != out2.String() {
+		t.Error("stdout changed after recomputing a corrupt record")
+	}
+	if !strings.Contains(err2.String(), ": 47 cell(s) restored, 1 computed") {
+		t.Errorf("want exactly the corrupt cell recomputed: %q", err2.String())
+	}
+	var out3, err3 strings.Builder
+	if got := run(args, &out3, &err3); got != 0 || !strings.Contains(err3.String(), ": 48 cell(s) restored, 0 computed") {
+		t.Errorf("corrupt record was not overwritten: exit %d, %q", got, err3.String())
+	}
+}
+
+// TestCheckpointCorruptMiddleRejected: -checkpoint takes a store
+// directory.  A plain file — such as a JSONL journal from an older
+// harness, here one with a corrupt middle line — is refused with exit 2
+// before any simulation runs, and left untouched.
+func TestCheckpointCorruptMiddleRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	journal := "not json\n{\"key\":\"k\",\"stats\":{}}\n"
+	os.WriteFile(path, []byte(journal), 0o644)
 	var out, errb strings.Builder
-	if got := run([]string{"-fig", "3", "-insts", "300", "-checkpoint", cp}, &out, &errb); got != 2 {
+	if got := run([]string{"-fig", "3", "-insts", "300", "-checkpoint", path}, &out, &errb); got != 2 {
 		t.Fatalf("exit %d, want 2", got)
 	}
-	if !strings.Contains(errb.String(), "-checkpoint") {
+	if !strings.Contains(errb.String(), "-checkpoint") || !strings.Contains(errb.String(), "not a store directory") {
+		t.Errorf("stderr %q", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused run printed %q", out.String())
+	}
+	if data, _ := os.ReadFile(path); string(data) != journal {
+		t.Error("refused journal was modified")
+	}
+}
+
+// TestCheckpointUnsavableCellsExit1: results that cannot be saved are
+// still printed, but the run reports them and exits 1, because the
+// store no longer resumes the sweep.  Every record shard directory name
+// is taken by a plain file, so every Put fails.
+func TestCheckpointUnsavableCellsExit1(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 256; i++ {
+		os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02x", i)), nil, 0o644)
+	}
+	var plain strings.Builder
+	if got := run([]string{"-fig", "3", "-insts", "300"}, &plain, io.Discard); got != 0 {
+		t.Fatalf("plain run exited %d", got)
+	}
+	var out, errb strings.Builder
+	if got := run([]string{"-fig", "3", "-insts", "300", "-checkpoint", dir}, &out, &errb); got != 1 {
+		t.Fatalf("exit %d, want 1\n%s", got, errb.String())
+	}
+	if out.String() != plain.String() {
+		t.Error("stdout differs from a run without -checkpoint")
+	}
+	if !strings.Contains(errb.String(), "48 computed cell(s) could not be saved") {
 		t.Errorf("stderr %q", errb.String())
 	}
 }

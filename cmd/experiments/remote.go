@@ -6,121 +6,46 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"recyclesim"
-	"recyclesim/internal/config"
 	"recyclesim/internal/jobs"
-	"recyclesim/internal/obs"
-	"recyclesim/internal/stats"
+	"recyclesim/internal/store"
 )
 
-// computeRemote is computeAll for -remote mode: every collected cell is
-// submitted as one sweep to a recycled job server, and the streamed
-// results land in the same memoized slots the replay pass reads, so
-// stdout is byte-identical to a local run.  The server computes with
-// the same budgets and policies as runSim (40x cycle budget, sampled
-// cells at Workers 1), keys every cell by content, and serves repeats
-// from its durable store — so a rerun of the same figure costs zero
-// simulation.  Fault containment is per cell, like -keep-going: a
-// failed cell comes back as an error record and prints as zeros while
-// the rest of the sweep completes.
+// computeRemote is computeAll for -remote mode: the collected specs are
+// submitted as they are, as one sweep, to a recycled job server, and
+// each streamed result lands through the same per-cell finish the
+// local path uses, so stdout is byte-identical to a local run.  The
+// server keys and computes cells with the same Spec.Key and
+// fleet.Execute, and serves repeats from its durable store — so a
+// rerun of the same figure costs zero simulation.  Fault containment
+// is per cell, like -keep-going: a failed cell comes back as an error
+// record and prints as zeros while the rest of the sweep completes.
 // traceOut, when non-empty, saves the job's Chrome trace_event JSON
 // there after the sweep; the trace URL prints on stderr either way.
 // token, when non-empty, authenticates against a server running with
 // -token.
 func computeRemote(ctx context.Context, r *runner, baseURL, token, traceOut string, stderr io.Writer) error {
-	r.results = make([]*stats.Sim, len(r.jobs))
-	r.metrics = make([]*obs.Metrics, len(r.jobs))
-	r.errs = make([]error, len(r.jobs))
-	r.resultsSamp = make([]*recyclesim.SampledResult, len(r.jobsSamp))
-	r.errsSamp = make([]error, len(r.jobsSamp))
-
-	specs := make([]jobs.CellSpec, 0, len(r.jobs)+len(r.jobsSamp))
-	for _, j := range r.jobs {
-		specs = append(specs, jobs.CellSpec{
-			Machine:   j.mach,
-			Features:  j.feat,
-			Workloads: j.names,
-			Insts:     j.insts,
-		})
-	}
-	// The sampling schedule travels raw (zeros meaning defaults), exactly
-	// as the local path hands it to RunSampledContext.
-	var samp *jobs.SamplingSpec
-	if len(r.jobsSamp) > 0 {
-		samp = &jobs.SamplingSpec{
-			Period:      r.sampling.Period,
-			IntervalLen: r.sampling.IntervalLen,
-			WarmupLen:   r.sampling.WarmupLen,
-			Confidence:  r.sampling.Confidence,
-		}
-	}
-	for _, j := range r.jobsSamp {
-		specs = append(specs, jobs.CellSpec{
-			Machine:   j.mach,
-			Features:  j.feat,
-			Workloads: j.names,
-			Insts:     j.insts,
-			Sampling:  samp,
-		})
-	}
-	if r.prog != nil {
-		r.prog.SetTotal(len(specs))
-	}
-
-	n := len(r.jobs)
+	r.begin()
 	client := jobs.NewClient(baseURL)
 	client.Token = token
-	st, err := client.Run(ctx, jobs.JobRequest{Cells: specs}, func(res jobs.CellResult) error {
+	st, err := client.Run(ctx, jobs.JobRequest{Cells: r.specs}, func(res jobs.CellResult) error {
 		i := res.Index
-		switch {
-		case i < 0 || i >= len(specs):
-			return fmt.Errorf("server sent cell index %d of %d", i, len(specs))
-		case i < n:
-			j := r.jobs[i]
-			if res.Error != "" {
-				r.errs[i] = errors.New(res.Error)
-				r.results[i], r.metrics[i] = &stats.Sim{}, &obs.Metrics{}
-			} else {
-				r.results[i], r.metrics[i] = res.Stats, res.Metrics
-				if r.results[i] == nil {
-					r.results[i] = &stats.Sim{}
-				}
-				if r.metrics[i] == nil {
-					r.metrics[i] = &obs.Metrics{}
-				}
-				if r.publish != nil {
-					r.publish(r.results[i], r.metrics[i])
-				}
-			}
-			if r.prog != nil {
-				r.prog.StartCell(j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
-				r.prog.FinishCell(r.results[i].Committed)
-			}
-		default:
-			j := r.jobsSamp[i-n]
-			if res.Error != "" {
-				r.errsSamp[i-n] = errors.New(res.Error)
-				r.resultsSamp[i-n] = &recyclesim.SampledResult{}
-			} else {
-				r.resultsSamp[i-n] = res.Sampled
-				if r.resultsSamp[i-n] == nil {
-					r.resultsSamp[i-n] = &recyclesim.SampledResult{}
-				}
-			}
-			if r.prog != nil {
-				r.prog.StartCell("sampled/" + j.mach.Name + "/" + config.FeatureName(j.feat) + "/" + strings.Join(j.names, "+"))
-				r.prog.FinishCell(r.resultsSamp[i-n].MeasuredInsts)
-			}
+		if i < 0 || i >= len(r.specs) {
+			return fmt.Errorf("server sent cell index %d of %d", i, len(r.specs))
 		}
+		var err error
+		if res.Error != "" {
+			err = errors.New(res.Error)
+		}
+		if r.prog != nil {
+			r.prog.StartCell(r.specs[i].Name())
+		}
+		r.finish(i, &store.Record{Stats: res.Stats, Metrics: res.Metrics, Sampled: res.Sampled}, res.Cached, err)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	r.nComputed.Store(int64(st.Computes))
-	r.nRestored.Store(int64(st.Hits))
 	// One accounting line on stderr (stdout must stay byte-identical to
 	// a local run); a rerun of an unchanged sweep shows computes=0.
 	fmt.Fprintf(stderr, "experiments: remote: job=%s cells=%d hits=%d computes=%d failed=%d\n",

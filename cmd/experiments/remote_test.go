@@ -95,6 +95,63 @@ func TestRemoteMatchesLocalSampled(t *testing.T) {
 	}
 }
 
+// TestCheckpointSharedWithService: a local -checkpoint directory and a
+// job server's store are one cache under one key.  A local sweep's
+// directory served by a job server computes nothing; a server's store
+// read back by a local sweep computes nothing; both print the same
+// stdout, detailed and sampled under a non-default schedule.
+func TestCheckpointSharedWithService(t *testing.T) {
+	sampledArgs := []string{"-sampled", "-insts", "4000",
+		"-sample-period", "2000", "-sample-interval", "200", "-sample-warmup", "300",
+		"-confidence", "0.90"}
+	for _, tc := range []struct {
+		name        string
+		args        []string
+		remoteFirst bool
+	}{
+		{"local then remote", []string{"-fig", "3", "-insts", "300"}, false},
+		{"remote then local", []string{"-fig", "3", "-insts", "300"}, true},
+		{"sampled local then remote", sampledArgs, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			local := func() (string, string) {
+				var out, errb bytes.Buffer
+				if code := run(append(tc.args, "-checkpoint", dir), &out, &errb); code != 0 {
+					t.Fatalf("local run exit %d: %s", code, errb.String())
+				}
+				return out.String(), errb.String()
+			}
+			remote := func() (string, string) {
+				var out, errb bytes.Buffer
+				if code := run(append(tc.args, "-remote", startService(t, dir)), &out, &errb); code != 0 {
+					t.Fatalf("remote run exit %d: %s", code, errb.String())
+				}
+				return out.String(), errb.String()
+			}
+			if tc.remoteFirst {
+				remOut, _ := remote()
+				locOut, locErr := local()
+				if !strings.Contains(locErr, " 0 computed") {
+					t.Errorf("local run over the server's store computed cells: %s", locErr)
+				}
+				if locOut != remOut {
+					t.Errorf("stdout differs:\nremote:\n%s\nlocal:\n%s", remOut, locOut)
+				}
+				return
+			}
+			locOut, _ := local()
+			remOut, remErr := remote()
+			if !strings.Contains(remErr, " computes=0 ") {
+				t.Errorf("server over the local store computed cells: %s", remErr)
+			}
+			if locOut != remOut {
+				t.Errorf("stdout differs:\nlocal:\n%s\nremote:\n%s", locOut, remOut)
+			}
+		})
+	}
+}
+
 // TestRemoteTraceOut: -trace-out saves the job's request trace as
 // Chrome trace_event JSON that a trace viewer would accept — complete
 // spans ("X" events) including one per cell.
@@ -133,9 +190,9 @@ func TestRemoteTraceOut(t *testing.T) {
 	}
 }
 
-// TestRemoteFlagConflicts: the client-side journal and crash capture
-// stay local-only concerns, and -trace-out is meaningless without a
-// service to trace.
+// TestRemoteFlagConflicts: the client-side -checkpoint store and crash
+// capture stay local-only concerns, and -trace-out is meaningless
+// without a service to trace.
 func TestRemoteFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
 	for _, extra := range [][]string{

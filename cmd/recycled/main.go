@@ -137,15 +137,12 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	js := jobs.NewServer(ctx, st, jobs.Config{
-		Workers:       *workers,
-		Retries:       *retries,
-		RetryDelay:    *retryDelay,
-		RetryDelayMax: *retryDelayMax,
-		Fleet:         disp,
-		Auth:          auth,
-		Progress:      prog,
-		Publish:       obsSrv.Publish,
-		Log:           log,
+		Workers:  *workers,
+		Fleet:    disp,
+		Auth:     auth,
+		Progress: prog,
+		Publish:  obsSrv.Publish,
+		Log:      log,
 	})
 	js.Register(obsSrv)
 	disp.Register(obsSrv, *workerToken)

@@ -1,6 +1,7 @@
 // Package backoff is the retry-delay policy shared by every per-cell
-// retry path in the service stack (recyclesim.RunBatchContext, the
-// internal/jobs compute loops, and the internal/fleet dispatcher):
+// retry path in the service stack (recyclesim.RunBatchContext and the
+// internal/fleet dispatcher, which every job-server compute goes
+// through):
 // capped exponential growth with equal jitter, built so tests stay
 // reproducible — the jitter source is an explicit injectable function
 // (a fixed-seed SplitMix64 by default, never the global math/rand),

@@ -128,7 +128,6 @@ func New(dir string, opts Options) (*Harness, error) {
 	})
 	js := jobs.NewServer(context.Background(), st, jobs.Config{
 		Workers: opts.JobWorkers,
-		Retries: opts.Retries,
 		Fleet:   disp,
 		Auth:    opts.Auth,
 	})

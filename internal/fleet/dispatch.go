@@ -260,6 +260,10 @@ func (d *Dispatcher) Counters() Counters {
 	}
 }
 
+// RetryBudget returns Config.Retries, the extra attempts Compute gives
+// a cell whose compute failed.
+func (d *Dispatcher) RetryBudget() int { return d.cfg.Retries }
+
 // Workers lists the registered workers for diagnostics.
 func (d *Dispatcher) Workers() []WorkerStatus {
 	d.mu.Lock()

@@ -1,21 +1,28 @@
-// Package fleet is the distributed execution layer behind the
-// recycled job service: worker processes (cmd/recycleworker) register
-// with the daemon, heartbeat, and pull simulation cells under
-// time-bounded leases; the Dispatcher requeues cells whose lease
-// expires or whose worker dies mid-compute, retries failed computes
-// with capped exponential backoff + jitter, and degrades gracefully to
-// local in-process compute when no workers are attached.
+// Package fleet is the one definition of a simulation cell and the
+// distributed execution layer behind the recycled job service.
+//
+// Spec is the only cell type: cmd/experiments builds its sweeps from
+// it, the job API carries it on the wire (jobs.CellSpec is an alias),
+// and workers receive it under leases.  Spec.Key is the only cell key
+// (store.CellKey), and Execute is the only executor, so a cell's record
+// is the same bytes whether the CLI, the daemon, or a worker computed
+// it, and every one of them can share one store directory.
+//
+// Worker processes (cmd/recycleworker) register with the daemon,
+// heartbeat, and pull cells under time-bounded leases; the Dispatcher
+// requeues cells whose lease expires or whose worker dies mid-compute,
+// retries failed computes with capped exponential backoff + jitter, and
+// degrades gracefully to local in-process compute when no workers are
+// attached.
 //
 // The determinism contract is the same one every layer above keeps: a
-// cell's result record is a pure function of its Spec, computed by
-// Execute with the exact budgets and policies the local paths use
-// (cmd/experiments' 40x cycle budget, sampled cells at Workers 1), so
-// a sweep's output is byte-identical whether it ran on 0, 1, or N
-// worker hosts — witnessed by the chaos tests in fleet/chaos.  The
-// durable store above the dispatcher still guarantees each distinct
-// cell is computed exactly once per store, no matter how many workers
-// race, die, or resurrect: a requeued cell's late result from the
-// original (stale) lease is dropped, never double-stored.
+// cell's result record is a pure function of its Spec, so a sweep's
+// output is byte-identical whether it ran on 0, 1, or N worker hosts —
+// witnessed by the chaos tests in fleet/chaos.  The durable store above
+// the dispatcher still guarantees each distinct cell is computed
+// exactly once per store, no matter how many workers race, die, or
+// resurrect: a requeued cell's late result from the original (stale)
+// lease is dropped, never double-stored.
 //
 // This package is host-side service code (goroutines, wall clock,
 // HTTP) and lives outside the simulator's determinism scope
@@ -26,27 +33,21 @@ package fleet
 import (
 	"context"
 	"strings"
+	"sync"
 
 	"recyclesim"
 	"recyclesim/internal/config"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/store"
+	"recyclesim/internal/workload"
 )
 
-// Sampling is the sampled-mode schedule of a cell, travelling raw
-// (zero fields select the simulator defaults) exactly like the job
-// API's SamplingSpec.
-type Sampling struct {
-	Period      uint64  `json:"period,omitempty"`
-	IntervalLen uint64  `json:"interval,omitempty"`
-	WarmupLen   uint64  `json:"warmup,omitempty"`
-	Confidence  float64 `json:"confidence,omitempty"`
-}
-
 // Spec identifies one simulation cell: the full machine and feature
-// configuration (by content, not by name), the workload mix, the
+// configuration (by content, not by name, so custom knob combinations
+// sweep exactly like presets), the workload mix, the
 // committed-instruction budget, and the sampling schedule for sampled
-// cells.  It is the unit of work the dispatcher hands to workers.
+// cells.  It is also the wire format of the job API and the worker
+// protocol.
 type Spec struct {
 	Machine   config.Machine  `json:"machine"`
 	Features  config.Features `json:"features"`
@@ -55,7 +56,7 @@ type Spec struct {
 	// cycle budget is fixed at the harness's 40x policy.
 	Insts uint64 `json:"insts,omitempty"`
 	// Sampling, when non-nil, makes this a sampled cell.
-	Sampling *Sampling `json:"sampling,omitempty"`
+	Sampling *store.Sampling `json:"sampling,omitempty"`
 }
 
 // Name renders the spec for logs and progress displays.
@@ -67,34 +68,108 @@ func (s Spec) Name() string {
 	return name
 }
 
-// Execute computes one cell in-process: the canonical Spec→Record
-// executor shared by the dispatcher's zero-worker fallback, the
-// in-process path of the job server, and cmd/recycleworker.  One call
-// is one attempt — retries, backoff, and fault attribution live in the
-// callers — but faults are already contained: a panic or livelock
-// comes back as an error, never takes the process down.
-func Execute(ctx context.Context, spec Spec) (*store.Record, error) {
-	insts := spec.Insts
-	if insts == 0 {
-		insts = 200_000
+// budget is the committed-instruction budget with the default applied.
+func (s Spec) budget() uint64 {
+	if s.Insts == 0 {
+		return 200_000
 	}
-	if spec.Sampling != nil {
+	return s.Insts
+}
+
+// Key returns the cell's store key, store.CellKey over the resolved
+// configuration.  The workload hash comes from a process-wide memo, so
+// keying a cell whose mix was keyed before does not rebuild and
+// re-hash its programs.  An unknown workload name is an error.
+func (s Spec) Key() (string, error) {
+	wh, err := mixes.hash(s.Workloads)
+	if err != nil {
+		return "", err
+	}
+	return store.CellKey(s.Machine, s.Features, wh, s.budget(), s.Sampling), nil
+}
+
+// mixHashCap bounds the mix-hash memo.  Clients choose the names lists,
+// so the memo is cleared whenever it is full; the few distinct mixes a
+// real sweep uses refill it on their next lookup.
+const mixHashCap = 4096
+
+// mixes is the process-wide memo behind Spec.Key.
+var mixes mixHashes
+
+// mixHashes memoizes store.HashPrograms(workload.MixPrograms(names)) per
+// names list.  Within one binary a program is a pure function of its
+// name (workload.ByName uses fixed seeds), so a list's hash never
+// changes while the process runs, and serving a stored cell need not
+// rebuild and re-hash its programs.  Lists that fail to resolve are
+// never stored, nor is the empty list.
+type mixHashes struct {
+	mu     sync.Mutex
+	hashes map[string]string // names joined by NUL -> workload hash
+}
+
+func (m *mixHashes) hash(names []string) (string, error) {
+	key := strings.Join(names, "\x00")
+	// A name containing the separator would alias another list; such a
+	// name is unknown anyway, so it takes the resolving path and fails.
+	memo := len(names) > 0 && strings.Count(key, "\x00") == len(names)-1
+	if memo {
+		m.mu.Lock()
+		h, ok := m.hashes[key]
+		m.mu.Unlock()
+		if ok {
+			return h, nil
+		}
+	}
+	progs, err := workload.MixPrograms(names)
+	if err != nil {
+		return "", err
+	}
+	h := store.HashPrograms(progs)
+	if memo {
+		m.mu.Lock()
+		if m.hashes == nil || len(m.hashes) >= mixHashCap {
+			m.hashes = make(map[string]string)
+		}
+		m.hashes[key] = h
+		m.mu.Unlock()
+	}
+	return h, nil
+}
+
+// Execute computes one cell in-process: the canonical Spec→Record
+// executor behind every compute — the dispatcher's zero-worker
+// fallback, cmd/recycleworker, and cmd/experiments' local sweeps.  One
+// call is one attempt — retries, backoff, and fault attribution live
+// in Dispatcher.Compute — but faults are already contained: a panic or
+// livelock comes back as an error, never takes the process down.
+func Execute(ctx context.Context, spec Spec) (*store.Record, error) {
+	return ExecuteWithCrashDir(ctx, spec, "")
+}
+
+// ExecuteWithCrashDir is Execute that also persists a crash bundle
+// under crashDir (recyclesim.Options.CrashDir) when a detailed cell
+// panics or livelocks.  The directory is where the caller keeps its
+// diagnostics, not part of the cell's identity, so it is not a Spec
+// field.
+func ExecuteWithCrashDir(ctx context.Context, spec Spec, crashDir string) (*store.Record, error) {
+	o := recyclesim.Options{
+		Machine:   spec.Machine,
+		Features:  spec.Features,
+		Workloads: spec.Workloads,
+		MaxInsts:  spec.budget(),
+		CrashDir:  crashDir,
+	}
+	if s := spec.Sampling; s != nil {
 		// Cell-level Workers is pinned to 1 so sampled estimates are
-		// worker-count invariant (the cmd/experiments policy); the
-		// sweep above already fans cells out.
-		res, err := recyclesim.RunSampledContext(ctx, recyclesim.Options{
-			Machine:   spec.Machine,
-			Features:  spec.Features,
-			Workloads: spec.Workloads,
-			MaxInsts:  insts,
-			Sampling: &recyclesim.Sampling{
-				Workers:     1,
-				Period:      spec.Sampling.Period,
-				IntervalLen: spec.Sampling.IntervalLen,
-				WarmupLen:   spec.Sampling.WarmupLen,
-				Confidence:  spec.Sampling.Confidence,
-			},
-		})
+		// worker-count invariant; the sweep above already fans cells out.
+		o.Sampling = &recyclesim.Sampling{
+			Workers:     1,
+			Period:      s.Period,
+			IntervalLen: s.IntervalLen,
+			WarmupLen:   s.WarmupLen,
+			Confidence:  s.Confidence,
+		}
+		res, err := recyclesim.RunSampledContext(ctx, o)
 		if err != nil {
 			return nil, err
 		}
@@ -102,17 +177,11 @@ func Execute(ctx context.Context, spec Spec) (*store.Record, error) {
 	}
 	// Fresh telemetry per attempt, so a partially accumulated failed
 	// attempt never leaks into the stored record.
-	tel := &obs.Metrics{Hists: true}
-	res, err := recyclesim.RunBatchContext(ctx, []recyclesim.Options{{
-		Machine:   spec.Machine,
-		Features:  spec.Features,
-		Workloads: spec.Workloads,
-		MaxInsts:  insts,
-		MaxCycles: 40 * insts,
-		Telemetry: tel,
-	}}, recyclesim.BatchConfig{Workers: 1})
+	o.MaxCycles = 40 * o.MaxInsts
+	o.Telemetry = &obs.Metrics{Hists: true}
+	res, err := recyclesim.RunContext(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	return &store.Record{Stats: res[0], Metrics: tel}, nil
+	return &store.Record{Stats: res, Metrics: o.Telemetry}, nil
 }

@@ -2,8 +2,9 @@
 // into a service: clients submit sweeps of simulation cells, poll
 // their status, and stream per-cell results, while the server dedupes
 // identical cells across concurrent clients through the durable
-// content-addressed store (internal/store) and executes misses on the
-// fault-isolated batch runner (recyclesim.RunBatchContext).
+// content-addressed store (internal/store) and executes misses
+// through the fleet dispatcher (internal/fleet), in-process or on
+// attached workers.
 //
 // Endpoints (mounted onto internal/obs/server via Register, so one
 // listener also serves /metrics, /progress, /healthz, and pprof):
@@ -26,32 +27,30 @@
 // the Recycle-Trace-Id header.  Completed spans feed the per-stage
 // latency histograms WriteServiceMetrics appends to /metrics.
 //
-// Results served from the store are byte-identical to a direct
-// RunBatch/RunSampled call with the same configuration — enforced by
-// the witness tests in this package — and each distinct cell is
-// simulated exactly once no matter how many concurrent jobs request
-// it (store single-flight dedupes in-process, the durable record
-// dedupes across time).
+// A cell is a fleet.Spec, keyed by Spec.Key and computed by
+// fleet.Execute — the same type, key, and executor cmd/experiments
+// uses locally, so a CLI -checkpoint directory and a daemon -store
+// directory are one cache.  Results served from the store are
+// byte-identical to a direct library run with the same configuration
+// — enforced by the witness tests in this package — and each distinct
+// cell is simulated exactly once no matter how many concurrent jobs
+// request it (store single-flight dedupes in-process, the durable
+// record dedupes across time).
 package jobs
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"recyclesim"
-	"recyclesim/internal/backoff"
-	"recyclesim/internal/config"
 	"recyclesim/internal/fleet"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/obs/trace"
@@ -59,7 +58,6 @@ import (
 	"recyclesim/internal/stats"
 	"recyclesim/internal/store"
 	"recyclesim/internal/sweep"
-	"recyclesim/internal/workload"
 )
 
 // TraceHeader is the HTTP header a client sets on POST /jobs to
@@ -68,32 +66,12 @@ import (
 // the job status.
 const TraceHeader = "Recycle-Trace-Id"
 
-// SamplingSpec is the sampled-mode schedule of a cell.  Zero fields
-// select the simulator defaults (period 20000, interval 1000, warmup
-// 1000, confidence 0.95); the store key normalizes them, so default
-// and spelled-out schedules share a record.
-type SamplingSpec struct {
-	Period      uint64  `json:"period,omitempty"`
-	IntervalLen uint64  `json:"interval,omitempty"`
-	WarmupLen   uint64  `json:"warmup,omitempty"`
-	Confidence  float64 `json:"confidence,omitempty"`
-}
-
-// CellSpec identifies one simulation cell.  The machine and feature
-// structs travel in full (not by name), so custom knob combinations
-// sweep through the service exactly like presets, and the store key is
-// content-addressed on the actual configuration.
-type CellSpec struct {
-	Machine   config.Machine  `json:"machine"`
-	Features  config.Features `json:"features"`
-	Workloads []string        `json:"workloads"`
-	// Insts is the committed-instruction budget (0 = 200_000).  The
-	// cycle budget is fixed at the harness's 40x policy so service
-	// results are byte-identical to cmd/experiments runs.
-	Insts uint64 `json:"insts,omitempty"`
-	// Sampling, when non-nil, makes this a sampled cell.
-	Sampling *SamplingSpec `json:"sampling,omitempty"`
-}
+// CellSpec identifies one simulation cell on the wire.  It is the
+// fleet's Spec: the machine and feature structs travel in full (not by
+// name), so custom knob combinations sweep through the service exactly
+// like presets, and the store key is content-addressed on the actual
+// configuration.
+type CellSpec = fleet.Spec
 
 // JobRequest is the POST /jobs body.
 type JobRequest struct {
@@ -134,19 +112,11 @@ type JobStatus struct {
 type Config struct {
 	// Workers bounds per-job cell parallelism (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Retries is the number of extra attempts a failed cell gets before
-	// its error is recorded (cancellation is never retried).
-	Retries int
-	// RetryDelay and RetryDelayMax shape the capped exponential
-	// backoff (with equal jitter) between a cell's retry attempts;
-	// zero RetryDelay keeps retries immediate, zero RetryDelayMax
-	// defaults to 64x the base.
-	RetryDelay    time.Duration
-	RetryDelayMax time.Duration
-	// Fleet, when non-nil, routes cell computes through the
-	// distributed dispatcher: workers compute leased cells, and the
-	// dispatcher falls back to in-process execution when none are
-	// attached.  Store-level dedupe is unchanged — the dispatcher sits
+	// Fleet computes every cell the store misses: workers compute
+	// leased cells, and the dispatcher falls back to in-process
+	// execution when none are attached.  Its Config also holds the
+	// retry policy.  nil builds a dispatcher with no workers and no
+	// retries.  Store-level dedupe is unchanged — the dispatcher sits
 	// inside the single-flight compute callback.
 	Fleet *fleet.Dispatcher
 	// Auth, when non-nil, guards the job API with bearer-token
@@ -162,12 +132,6 @@ type Config struct {
 	// Log receives the server's structured records (job lifecycle, cell
 	// failures, stream disconnects).  nil discards them.
 	Log *slog.Logger
-
-	// retrySleep and retryRand inject the backoff timing and jitter
-	// source for deterministic tests; nil selects backoff.Sleep and a
-	// fixed-seed backoff.Rand per compute.
-	retrySleep func(context.Context, time.Duration) error
-	retryRand  func() float64
 }
 
 // Server owns the job table and executes submitted sweeps.
@@ -182,9 +146,8 @@ type Server struct {
 	seq  int
 	jobs map[string]*job
 
-	agg   aggregate
-	lat   latencies
-	mixes mixHashes
+	agg sweep.Aggregate
+	lat latencies
 
 	jobsSubmitted atomic.Uint64
 	jobsDone      atomic.Uint64
@@ -256,76 +219,6 @@ func (l *latencies) snapshot() ([]string, map[string]obs.Hist) {
 	return names, out
 }
 
-// mixHashCap bounds the mix-hash memo.  Clients choose the names lists,
-// so the memo is cleared whenever it is full; the few distinct mixes a
-// real sweep uses refill it on their next lookup.
-const mixHashCap = 4096
-
-// mixHashes memoizes store.HashPrograms(workload.MixPrograms(names)) per
-// names list.  Within one binary a program is a pure function of its
-// name (workload.ByName uses fixed seeds), so a list's hash never
-// changes while the process runs, and serving a stored cell need not
-// rebuild and re-hash its programs.  Lists that fail to resolve are
-// never stored, nor is the empty list.
-type mixHashes struct {
-	mu     sync.Mutex
-	hashes map[string]string // names joined by NUL -> workload hash
-}
-
-func (m *mixHashes) hash(names []string) (string, error) {
-	key := strings.Join(names, "\x00")
-	// A name containing the separator would alias another list; such a
-	// name is unknown anyway, so it takes the resolving path and fails.
-	memo := len(names) > 0 && strings.Count(key, "\x00") == len(names)-1
-	if memo {
-		m.mu.Lock()
-		h, ok := m.hashes[key]
-		m.mu.Unlock()
-		if ok {
-			return h, nil
-		}
-	}
-	progs, err := workload.MixPrograms(names)
-	if err != nil {
-		return "", err
-	}
-	h := store.HashPrograms(progs)
-	if memo {
-		m.mu.Lock()
-		if m.hashes == nil || len(m.hashes) >= mixHashCap {
-			m.hashes = make(map[string]string)
-		}
-		m.hashes[key] = h
-		m.mu.Unlock()
-	}
-	return h, nil
-}
-
-// aggregate accumulates every detailed cell the server computes or
-// serves, building the immutable snapshots /metrics exposes.
-type aggregate struct {
-	mu    sync.Mutex
-	stats stats.Sim
-	tel   obs.Metrics
-	cells int
-}
-
-func (a *aggregate) add(s *stats.Sim, m *obs.Metrics) *obs.Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.stats.Add(s)
-	a.tel.Add(m)
-	a.cells++
-	st := a.stats
-	st.PerProgram = append([]uint64(nil), a.stats.PerProgram...)
-	tel := a.tel
-	return &obs.Snapshot{
-		Name:    fmt.Sprintf("recycled running aggregate (%d cells)", a.cells),
-		Stats:   &st,
-		Metrics: &tel,
-	}
-}
-
 // NewServer builds a job server over st.  ctx bounds every simulation
 // the server runs: canceling it (shutdown) stops in-flight cells at
 // their next poll and fails their jobs' remaining cells as canceled.
@@ -337,7 +230,11 @@ func NewServer(ctx context.Context, st *store.Store, cfg Config) *Server {
 	if log == nil {
 		log = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
-	s := &Server{ctx: ctx, store: st, cfg: cfg, log: log, jobs: make(map[string]*job)}
+	if cfg.Fleet == nil {
+		cfg.Fleet = fleet.NewDispatcher(fleet.Config{})
+	}
+	s := &Server{ctx: ctx, store: st, cfg: cfg, log: log, jobs: make(map[string]*job),
+		agg: sweep.Aggregate{Name: "recycled running aggregate"}}
 	if cfg.Auth != nil {
 		s.gate = newGate(*cfg.Auth)
 	}
@@ -416,9 +313,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) newJob(cells []CellSpec, tid trace.ID) *job {
 	j := &job{cells: cells, state: "running"}
 	j.cond = sync.NewCond(&j.mu)
-	// Worst case per cell adds a backoff span per retry, and the fleet
-	// path adds lease/requeue spans per requeue round.
-	j.trace = trace.New(tid, 2+len(cells)*(12+2*s.cfg.Retries))
+	// Worst case per cell adds an attempt and a backoff span per retry
+	// the dispatcher may make, and lease/requeue spans per requeue round.
+	j.trace = trace.New(tid, 2+len(cells)*(12+2*s.cfg.Fleet.RetryBudget()))
 	j.trace.SetOnEnd(s.lat.observe)
 	s.mu.Lock()
 	s.seq++
@@ -614,7 +511,7 @@ func (s *Server) runJob(j *job) {
 	sweep.Run(len(j.cells), s.cfg.Workers, func(i int) {
 		j.queueCtx[i].End() // worker picked the cell up: queue wait over
 		if s.cfg.Progress != nil {
-			s.cfg.Progress.StartCell(cellName(j.cells[i]))
+			s.cfg.Progress.StartCell(j.cells[i].Name())
 		}
 		res := s.runCell(j.cells[i], i, j.cellCtx[i])
 		if s.cfg.Progress != nil {
@@ -627,7 +524,7 @@ func (s *Server) runJob(j *job) {
 			s.cfg.Progress.FinishCell(insts)
 		}
 		if s.cfg.Publish != nil && res.Error == "" && res.Stats != nil {
-			s.cfg.Publish(s.agg.add(res.Stats, res.Metrics))
+			s.cfg.Publish(s.agg.Add(res.Stats, res.Metrics))
 		}
 		cc := j.cellCtx[i]
 		if res.Cached {
@@ -636,14 +533,14 @@ func (s *Server) runJob(j *job) {
 		if res.Error != "" {
 			cc.Str("error", res.Error)
 			s.log.Warn("cell failed", "job", j.id, "trace", j.trace.ID().String(),
-				"cell", res.Index, "name", cellName(j.cells[i]), "error", res.Error)
+				"cell", res.Index, "name", j.cells[i].Name(), "error", res.Error)
 		}
 		j.mu.Lock()
 		j.results = append(j.results, res)
 		switch {
 		case res.Error != "":
 			j.failed++
-			j.errs = append(j.errs, fmt.Sprintf("cell %d (%s): %s", res.Index, cellName(j.cells[i]), res.Error))
+			j.errs = append(j.errs, fmt.Sprintf("cell %d (%s): %s", res.Index, j.cells[i].Name(), res.Error))
 		case res.Cached:
 			j.hits++
 		default:
@@ -668,103 +565,16 @@ func (s *Server) runJob(j *job) {
 		"elapsed", j.trace.Elapsed().String())
 }
 
-// fleetSpec converts the wire cell spec into the dispatcher's unit of
-// work (the shapes are intentionally identical; insts defaulting and
-// the 40x cycle policy live in fleet.Execute so local and remote
-// computes share one canonical executor).
-func fleetSpec(c CellSpec) fleet.Spec {
-	s := fleet.Spec{
-		Machine:   c.Machine,
-		Features:  c.Features,
-		Workloads: c.Workloads,
-		Insts:     c.Insts,
-	}
-	if c.Sampling != nil {
-		s.Sampling = &fleet.Sampling{
-			Period:      c.Sampling.Period,
-			IntervalLen: c.Sampling.IntervalLen,
-			WarmupLen:   c.Sampling.WarmupLen,
-			Confidence:  c.Sampling.Confidence,
-		}
-	}
-	return s
-}
-
-// backoffWait sleeps the capped exponential backoff before retry
-// attempt (0-based), under a "backoff" span.  Zero RetryDelay is a
-// no-op, preserving the historical immediate-retry behavior.
-func (s *Server) backoffWait(attempt int, rnd func() float64, cs trace.Ctx) {
-	if s.cfg.RetryDelay <= 0 {
-		return
-	}
-	sleep := s.cfg.retrySleep
-	if sleep == nil {
-		sleep = backoff.Sleep
-	}
-	bs := cs.Start("backoff").Uint("attempt", uint64(attempt))
-	_ = sleep(s.ctx, backoff.Delay(s.cfg.RetryDelay, s.cfg.RetryDelayMax, attempt, rnd))
-	bs.End()
-}
-
-// retryJitter returns the jitter source for one cell's retry backoff.
-func (s *Server) retryJitter() func() float64 {
-	if s.cfg.retryRand != nil {
-		return s.cfg.retryRand
-	}
-	if s.cfg.RetryDelay <= 0 {
-		return nil
-	}
-	return backoff.Rand(0x9e3779b97f4a7c15)
-}
-
-// cellName renders a cell for progress display and error reports.
-func cellName(c CellSpec) string {
-	name := c.Machine.Name + "/" + config.FeatureName(c.Features) + "/" + strings.Join(c.Workloads, "+")
-	if c.Sampling != nil {
-		name = "sampled/" + name
-	}
-	return name
-}
-
-// cellKey content-addresses one cell with budget insts (already
-// defaulted).  The workload hash comes from the server's mix memo, so
-// the key is the one store.CellKey gives for freshly built programs.
-func (s *Server) cellKey(c CellSpec, insts uint64) (string, error) {
-	wh, err := s.mixes.hash(c.Workloads)
-	if err != nil {
-		return "", err
-	}
-	var sampKey *store.Sampling
-	if c.Sampling != nil {
-		sampKey = &store.Sampling{
-			Period:      c.Sampling.Period,
-			IntervalLen: c.Sampling.IntervalLen,
-			WarmupLen:   c.Sampling.WarmupLen,
-			Confidence:  c.Sampling.Confidence,
-		}
-	}
-	return store.CellKey(c.Machine, c.Features, wh, insts, sampKey), nil
-}
-
-// runCell resolves, keys, and executes (or serves) one cell; tc is the
-// cell's span, under which the store phases and compute attempts land.
+// runCell keys one cell and serves it from the store or computes it
+// through the dispatcher; tc is the cell's span, under which the store
+// phases and compute attempts land.
 func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
-	insts := c.Insts
-	if insts == 0 {
-		insts = 200_000
-	}
-	key, err := s.cellKey(c, insts)
+	key, err := c.Key()
 	if err != nil {
 		return CellResult{Index: idx, Error: err.Error()}
 	}
 	rec, cached, err := s.store.GetOrComputeTraced(key, tc, func(cs trace.Ctx) (*store.Record, error) {
-		if s.cfg.Fleet != nil {
-			return s.cfg.Fleet.Compute(s.ctx, fleetSpec(c), key, cs)
-		}
-		if c.Sampling != nil {
-			return s.computeSampled(c, insts, cs)
-		}
-		return s.computeDetailed(c, insts, cs)
+		return s.cfg.Fleet.Compute(s.ctx, c, key, cs)
 	})
 	if err != nil {
 		return CellResult{Index: idx, Key: key, Error: err.Error()}
@@ -776,69 +586,5 @@ func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
 		Stats:   rec.Stats,
 		Metrics: rec.Metrics,
 		Sampled: rec.Sampled,
-	}
-}
-
-// computeDetailed runs one detailed cell on the fault-isolated batch
-// runner: panics and livelocks come back as errors, never take the
-// server down, and transient hook failures get cfg.Retries fresh
-// attempts (with fresh telemetry each time, so a partially accumulated
-// failed attempt never leaks into the stored record).
-func (s *Server) computeDetailed(c CellSpec, insts uint64, cs trace.Ctx) (*store.Record, error) {
-	rnd := s.retryJitter()
-	for attempt := 0; ; attempt++ {
-		at := cs.Start("attempt").Uint("attempt", uint64(attempt))
-		tel := &obs.Metrics{Hists: true}
-		res, err := recyclesim.RunBatchContext(s.ctx, []recyclesim.Options{{
-			Machine:   c.Machine,
-			Features:  c.Features,
-			Workloads: c.Workloads,
-			MaxInsts:  insts,
-			MaxCycles: 40 * insts,
-			Telemetry: tel,
-		}}, recyclesim.BatchConfig{Workers: 1})
-		if err == nil {
-			at.End()
-			return &store.Record{Stats: res[0], Metrics: tel}, nil
-		}
-		at.Error(err).End()
-		if attempt >= s.cfg.Retries || errors.Is(err, recyclesim.ErrCanceled) || errors.Is(err, recyclesim.ErrDeadline) {
-			return nil, err
-		}
-		s.backoffWait(attempt, rnd, cs)
-	}
-}
-
-// computeSampled runs one sampled cell.  Workers is pinned to 1: the
-// job's cells already fan out across the pool, and cell-level
-// parallelism keeps results worker-count invariant (matching the
-// cmd/experiments policy).
-func (s *Server) computeSampled(c CellSpec, insts uint64, cs trace.Ctx) (*store.Record, error) {
-	samp := recyclesim.Sampling{Workers: 1}
-	if c.Sampling != nil {
-		samp.Period = c.Sampling.Period
-		samp.IntervalLen = c.Sampling.IntervalLen
-		samp.WarmupLen = c.Sampling.WarmupLen
-		samp.Confidence = c.Sampling.Confidence
-	}
-	rnd := s.retryJitter()
-	for attempt := 0; ; attempt++ {
-		at := cs.Start("attempt").Uint("attempt", uint64(attempt))
-		res, err := recyclesim.RunSampledContext(s.ctx, recyclesim.Options{
-			Machine:   c.Machine,
-			Features:  c.Features,
-			Workloads: c.Workloads,
-			MaxInsts:  insts,
-			Sampling:  &samp,
-		})
-		if err == nil {
-			at.End()
-			return &store.Record{Sampled: res}, nil
-		}
-		at.Error(err).End()
-		if attempt >= s.cfg.Retries || errors.Is(err, recyclesim.ErrCanceled) || errors.Is(err, recyclesim.ErrDeadline) {
-			return nil, err
-		}
-		s.backoffWait(attempt, rnd, cs)
 	}
 }

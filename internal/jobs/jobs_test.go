@@ -161,7 +161,7 @@ func TestSampledCellWitness(t *testing.T) {
 		Features:  config.RECRSRU,
 		Workloads: []string{"compress"},
 		Insts:     20_000,
-		Sampling:  &SamplingSpec{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99},
+		Sampling:  &store.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99},
 	}
 	srv, client := newTestService(t, t.TempDir(), Config{Workers: 1})
 

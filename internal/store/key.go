@@ -18,17 +18,20 @@ import (
 // garbage rather than wrong answers).
 const keySchema = "recyclesim-cell-v1"
 
-// Sampling is the sampled-schedule part of a cell's identity.  The
-// confidence level is part of the key from day one: it changes the
-// IPCLo/IPCHi/CPIHalf bounds a record serves, not just their label
-// (the sampled-journal key in cmd/experiments once omitted it — a
+// Sampling is the sampled-mode schedule of a cell, and so part of its
+// identity.  It travels raw: zero fields select the simulator defaults
+// (period 20000, interval 1000, warmup 1000, confidence 0.95), and
+// CellKey normalizes them, so default and spelled-out schedules share a
+// record.  The confidence level is part of the key from day one: it
+// changes the IPCLo/IPCHi/CPIHalf bounds a record serves, not just
+// their label (the old cmd/experiments journal key once omitted it — a
 // cache must never repeat that bug, because a durable store would
 // serve the stale bounds forever).
 type Sampling struct {
-	Period      uint64  `json:"period"`
-	IntervalLen uint64  `json:"interval"`
-	WarmupLen   uint64  `json:"warmup"`
-	Confidence  float64 `json:"confidence"`
+	Period      uint64  `json:"period,omitempty"`
+	IntervalLen uint64  `json:"interval,omitempty"`
+	WarmupLen   uint64  `json:"warmup,omitempty"`
+	Confidence  float64 `json:"confidence,omitempty"`
 }
 
 // normalized applies the simulator's schedule defaults, so a cell

@@ -61,6 +61,12 @@ func TestCellKeyDistinctAcrossIdentity(t *testing.T) {
 		"sampled other schedule": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
 			*samp = &Sampling{Period: 40_000}
 		}),
+		"sampled other interval": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
+			*samp = &Sampling{IntervalLen: 400}
+		}),
+		"sampled other warmup": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
+			*samp = &Sampling{WarmupLen: 400}
+		}),
 		"sampled 99% confidence": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
 			*samp = &Sampling{Confidence: 0.99}
 		}),
