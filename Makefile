@@ -7,8 +7,9 @@
 #   make lint        the simulator-specific static analyzers (cmd/recyclelint)
 #   make test        full test suite under the race detector
 #   make fuzz        10s coverage-guided smoke of each fuzz target
-#                    (assembler and config validation), seeded from the
-#                    checked-in corpora under testdata/fuzz
+#                    (assembler, config validation, store records and
+#                    sampling checkpoints), seeded from the checked-in
+#                    corpora under testdata/fuzz and the targets' seeds
 #   make smoke       one short instrumented run through both telemetry
 #                    exporters (-metrics / -metrics-text), output discarded
 #   make invariant   cosim suite with the runtime invariant checker forced on
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/config/ -fuzz FuzzMachineValidate -fuzztime 10s
 	$(GO) test ./internal/config/ -fuzz FuzzFeaturesValidate -fuzztime 10s
 	$(GO) test ./internal/store/ -fuzz FuzzStoreDecode -fuzztime 10s
+	$(GO) test ./internal/sample/ -fuzz FuzzCheckpointDecode -fuzztime 10s
 
 smoke:
 	$(GO) run ./cmd/recyclesim -workloads compress -insts 20000 -flightrec 256 -metrics - >/dev/null

@@ -79,16 +79,28 @@ func New(cfg Config) *Predictor {
 // functionally warmed predictor at each measurement point so parallel
 // intervals can train private copies without perturbing one another.
 func (p *Predictor) Clone() *Predictor {
-	q := *p
-	q.pht = append([]uint8(nil), p.pht...)
-	q.btb = append([]btbEntry(nil), p.btb...)
-	q.hist = append([]uint64(nil), p.hist...)
-	q.rasTop = append([]int(nil), p.rasTop...)
-	q.ras = make([][]uint64, len(p.ras))
-	for c := range p.ras {
-		q.ras[c] = append([]uint64(nil), p.ras[c]...)
+	q := &Predictor{}
+	q.CopyFrom(p)
+	return q
+}
+
+// CopyFrom overwrites p with a deep copy of src, reusing p's tables and
+// return stacks when they are large enough, so a buffer refilled from
+// the same configuration allocates nothing.
+func (p *Predictor) CopyFrom(src *Predictor) {
+	pht, btb, hist, ras, rasTop := p.pht, p.btb, p.hist, p.ras, p.rasTop
+	*p = *src
+	p.pht = append(pht[:0], src.pht...)
+	p.btb = append(btb[:0], src.btb...)
+	p.hist = append(hist[:0], src.hist...)
+	p.rasTop = append(rasTop[:0], src.rasTop...)
+	if cap(ras) < len(src.ras) {
+		ras = make([][]uint64, len(src.ras))
 	}
-	return &q
+	p.ras = ras[:len(src.ras)]
+	for c := range src.ras {
+		p.ras[c] = append(p.ras[c][:0], src.ras[c]...)
+	}
 }
 
 // Pred is a prediction plus the recovery state the pipeline must carry

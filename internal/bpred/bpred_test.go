@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"reflect"
 	"testing"
 
 	"recyclesim/internal/isa"
@@ -176,5 +177,58 @@ func TestCopyContext(t *testing.T) {
 	prr := p.Lookup(1, 0x3000, ret)
 	if prr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("copied return stack target = 0x%x", prr.Target)
+	}
+}
+
+// drive trains a predictor on a pseudo-random stream of conditional
+// branches, calls, returns and indirect jumps over every context,
+// seeded by seed, so the tables, histories and return stacks all
+// diverge from a fresh predictor.
+func drive(p *Predictor, seed uint64, n int) {
+	x := seed
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		ctx := int(x>>8) % p.cfg.Contexts
+		pc := (x >> 16 % 512) * isa.InstBytes
+		var in isa.Inst
+		switch x >> 40 % 4 {
+		case 0:
+			in = beq(pc + 64)
+		case 1:
+			in = isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: pc + 256}
+		case 2:
+			in = isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
+		default:
+			in = isa.Inst{Op: isa.OpJr, Rs1: isa.Reg(5)}
+		}
+		taken := x>>50&1 == 1 || !in.IsCondBranch()
+		pr := p.Lookup(ctx, pc, in)
+		p.SpecUpdate(ctx, in, pc, pr)
+		if pr.Taken != taken {
+			p.Restore(ctx, in, pr, taken)
+		}
+		p.Commit(pc, in, pr, taken, x>>32%4096*isa.InstBytes)
+	}
+}
+
+// CopyFrom into a dirty destination — trained on another stream, or
+// built for fewer contexts — equals a Clone of the source, and the copy
+// shares nothing with the source.
+func TestCopyFromMatchesClone(t *testing.T) {
+	// src and want see the same stream, so want is an independent
+	// witness of src's state.
+	src, want := New(Default(4)), New(Default(4))
+	drive(src, 1, 5_000)
+	drive(want, 1, 5_000)
+	for _, dst := range []*Predictor{New(Default(4)), New(Default(1))} {
+		drive(dst, 2, 1_000)
+		dst.CopyFrom(src)
+		if !reflect.DeepEqual(dst, src.Clone()) {
+			t.Fatalf("CopyFrom into a %d-context predictor differs from Clone", len(dst.hist))
+		}
+		drive(dst, 3, 1_000)
+		if !reflect.DeepEqual(src, want) {
+			t.Fatal("training the copy changed the source predictor")
+		}
 	}
 }

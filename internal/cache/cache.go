@@ -72,11 +72,20 @@ func New(p Params) *Cache {
 // statistics.  Sampled simulation snapshots functionally warmed caches
 // so parallel measurement intervals each mutate a private copy.
 func (c *Cache) Clone() *Cache {
-	q := *c
-	q.lines = append([]line(nil), c.lines...)
-	q.bankCyc = append([]uint64(nil), c.bankCyc...)
-	q.bankCnt = append([]int(nil), c.bankCnt...)
-	return &q
+	q := &Cache{}
+	q.CopyFrom(c)
+	return q
+}
+
+// CopyFrom overwrites c with a deep copy of src, reusing c's arrays
+// when they are large enough, so a buffer refilled from the same
+// geometry allocates nothing.
+func (c *Cache) CopyFrom(src *Cache) {
+	lines, bankCyc, bankCnt := c.lines, c.bankCyc, c.bankCnt
+	*c = *src
+	c.lines = append(lines[:0], src.lines...)
+	c.bankCyc = append(bankCyc[:0], src.bankCyc...)
+	c.bankCnt = append(bankCnt[:0], src.bankCnt...)
 }
 
 // Sets returns the number of sets (exported for tests).
@@ -206,13 +215,26 @@ func NewHierarchy(p HierarchyParams) *Hierarchy {
 
 // Clone returns a deep copy of the whole hierarchy.
 func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{
-		p:   h.p,
-		IL1: h.IL1.Clone(),
-		DL1: h.DL1.Clone(),
-		L2:  h.L2.Clone(),
-		L3:  h.L3.Clone(),
+	q := &Hierarchy{}
+	q.CopyFrom(h)
+	return q
+}
+
+// CopyFrom overwrites h with a deep copy of src, reusing the levels'
+// arrays (see Cache.CopyFrom); a nil level gets a fresh cache.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	h.p = src.p
+	copyLevel(&h.IL1, src.IL1)
+	copyLevel(&h.DL1, src.DL1)
+	copyLevel(&h.L2, src.L2)
+	copyLevel(&h.L3, src.L3)
+}
+
+func copyLevel(dst **Cache, src *Cache) {
+	if *dst == nil {
+		*dst = &Cache{}
 	}
+	(*dst).CopyFrom(src)
 }
 
 // fill walks the lower levels after an L1 miss and returns the added

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -173,4 +174,65 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(Params{Name: "bad"})
+}
+
+// train drives a cache hierarchy with a pseudo-random stream of
+// instruction and data accesses seeded by seed, several per cycle so
+// the bank state is busy.
+func train(h *Hierarchy, seed, n uint64) {
+	x := seed
+	for i := uint64(0); i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		now := 100*seed + i/3
+		if x&1 == 0 {
+			h.AccessI(now, x>>20)
+		} else {
+			h.AccessD(now, x>>20)
+		}
+	}
+}
+
+// CopyFrom into a dirty destination — trained on another stream, with
+// stale bank state, or built with a smaller geometry — equals a Clone
+// of the source, and the copy shares nothing with the source.
+func TestCopyFromMatchesClone(t *testing.T) {
+	// src and want see the same stream, so want is an independent
+	// witness of src's state.
+	src, want := NewHierarchy(DefaultHierarchy(1)), NewHierarchy(DefaultHierarchy(1))
+	train(src, 1, 20_000)
+	train(want, 1, 20_000)
+	for _, dst := range []*Hierarchy{
+		NewHierarchy(DefaultHierarchy(1)),
+		NewHierarchy(DefaultHierarchy(4)),
+	} {
+		train(dst, 2, 5_000)
+		dst.CopyFrom(src)
+		if !reflect.DeepEqual(dst, src.Clone()) {
+			t.Fatal("Hierarchy.CopyFrom differs from Clone")
+		}
+		train(dst, 3, 5_000)
+		if !reflect.DeepEqual(src, want) {
+			t.Fatal("training the copy changed the source hierarchy")
+		}
+	}
+
+	fill := func(c *Cache) *Cache {
+		for i := uint64(0); i < 200; i++ {
+			c.Lookup(i/4, i*40)
+		}
+		return c
+	}
+	c, cWant := fill(New(small())), fill(New(small()))
+	d := New(small())
+	d.Lookup(1_000, 0x40)
+	d.Lookup(1_000, 0xc0) // same bank, same cycle: a stale bank count
+	d.CopyFrom(c)
+	if !reflect.DeepEqual(d, c.Clone()) {
+		t.Fatal("Cache.CopyFrom differs from Clone")
+	}
+	d.Lookup(2_000, 0x9000)
+	d.Lookup(2_000, 0x9080)
+	if !reflect.DeepEqual(c, cWant) {
+		t.Fatal("training the copy changed the source cache")
+	}
 }

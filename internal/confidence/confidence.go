@@ -47,9 +47,17 @@ func New(cfg Config) *Estimator {
 // Clone returns a deep copy of the estimator (for sampled simulation's
 // per-interval model snapshots).
 func (e *Estimator) Clone() *Estimator {
-	q := *e
-	q.ctr = append([]uint8(nil), e.ctr...)
-	return &q
+	q := &Estimator{}
+	q.CopyFrom(e)
+	return q
+}
+
+// CopyFrom overwrites e with a deep copy of src, reusing e's counter
+// table when it is large enough.
+func (e *Estimator) CopyFrom(src *Estimator) {
+	ctr := e.ctr
+	*e = *src
+	e.ctr = append(ctr[:0], src.ctr...)
 }
 
 func (e *Estimator) index(pc uint64) int {

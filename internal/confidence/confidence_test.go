@@ -1,6 +1,9 @@
 package confidence
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestColdIsLowConfidence(t *testing.T) {
 	e := New(Default())
@@ -72,5 +75,33 @@ func TestTableAliasing(t *testing.T) {
 	alias := uint64(0x1000 + 4*4)
 	if !e.HighConfidence(alias, 0) {
 		t.Error("aliasing PCs share a counter in a tiny table")
+	}
+}
+
+// CopyFrom into a dirty destination — trained on another stream —
+// equals a Clone of the source, and the copy shares nothing with the
+// source.
+func TestCopyFromMatchesClone(t *testing.T) {
+	train := func(e *Estimator, seed uint64, n int) {
+		x := seed
+		for i := 0; i < n; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			e.Update(x>>20%8192, 0, x>>60 != 0)
+		}
+	}
+	// src and want see the same stream, so want is an independent
+	// witness of src's state.
+	src, want := New(Default()), New(Default())
+	train(src, 1, 20_000)
+	train(want, 1, 20_000)
+	dst := New(Default())
+	train(dst, 2, 5_000)
+	dst.CopyFrom(src)
+	if !reflect.DeepEqual(dst, src.Clone()) {
+		t.Fatal("CopyFrom differs from Clone")
+	}
+	train(dst, 3, 5_000)
+	if !reflect.DeepEqual(src, want) {
+		t.Fatal("training the copy changed the source estimator")
 	}
 }

@@ -152,13 +152,15 @@ type Core struct {
 // The number of programs must divide the context count evenly enough
 // that every program gets at least one context.
 func New(mach config.Machine, feat config.Features, progs []*program.Program) (*Core, error) {
-	return newCore(mach, feat, progs, nil)
+	return newCore(mach, feat, progs, nil, Models{})
 }
 
-// newCore is the shared constructor behind New and NewSeeded; seeds is
-// nil (every program starts at its entry) or pre-validated to match
-// progs element-wise, with nil entries meaning "fresh start".
-func newCore(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState) (*Core, error) {
+// newCore is the shared constructor behind New and the seeded
+// constructors; seeds is nil (every program starts at its entry) or
+// pre-validated to match progs element-wise, with nil entries meaning
+// "fresh start".  The core adopts the non-nil models in m and builds
+// the machine's defaults for the rest.
+func newCore(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
 	if err := mach.Validate(); err != nil {
 		return nil, err
 	}
@@ -174,14 +176,23 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 
 	intRegs := isa.NumIntRegs*mach.Contexts + mach.ExtraRegs
 	fpRegs := isa.NumFPRegs*mach.Contexts + mach.ExtraRegs
+	if m.Pred == nil {
+		m.Pred = bpred.New(bpred.Default(mach.Contexts))
+	}
+	if m.Conf == nil {
+		m.Conf = confidence.New(confidence.Default())
+	}
+	if m.Mem == nil {
+		m.Mem = cache.NewHierarchy(cache.DefaultHierarchy(mach.CacheScale))
+	}
 
 	c := &Core{
 		mach:    mach,
 		feat:    feat,
 		rf:      regfile.New(intRegs, fpRegs),
-		pred:    bpred.New(bpred.Default(mach.Contexts)),
-		conf:    confidence.New(confidence.Default()),
-		mem:     cache.NewHierarchy(cache.DefaultHierarchy(mach.CacheScale)),
+		pred:    m.Pred,
+		conf:    m.Conf,
+		mem:     m.Mem,
 		iqInt:   iq.New(mach.IQInt),
 		iqFP:    iq.New(mach.IQFP),
 		fus:     fu.New(fu.Config{IntUnits: mach.IntUnits, LSUnits: mach.LSUnits, FPUnits: mach.FPUnits}),
@@ -222,9 +233,12 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 		if pi < len(seeds) {
 			seed = seeds[pi]
 		}
-		lp := &loadedProgram{idx: pi, prog: p, mem: program.NewMemory(p)}
-		if seed != nil && seed.Mem != nil {
+		lp := &loadedProgram{idx: pi, prog: p}
+		if seed != nil {
 			lp.mem = seed.Mem
+		}
+		if lp.mem == nil {
+			lp.mem = program.NewMemory(p)
 		}
 		c.progs = append(c.progs, lp)
 		n := per

@@ -31,13 +31,36 @@ type ArchState struct {
 	Mem *program.Memory
 }
 
+// Models are the long-lived microarchitectural models a core is built
+// around: branch predictor, confidence estimator, and cache hierarchy.
+// A nil field means the core builds the fresh default for the machine.
+// Non-nil models must be built with the same configurations New uses —
+// bpred.Default for the machine's context count, confidence.Default,
+// and the machine's DefaultHierarchy — or the model diverges from the
+// configured machine.  The core adopts them (no copy) and mutates them
+// as it runs.
+type Models struct {
+	Pred *bpred.Predictor
+	Conf *confidence.Estimator
+	Mem  *cache.Hierarchy
+}
+
 // NewSeeded is New with per-program architectural seeds: seeds[i], when
 // non-nil, starts progs[i]'s primary context at the given mid-program
 // PC with the given register values and memory image instead of the
 // program entry.  A nil seeds slice or nil entry means a fresh start.
-// Microarchitectural state (predictor, caches, recycle tables) still
-// starts cold; use SeedMicroarch to inject pre-warmed models.
+// Microarchitectural state (predictor, caches, recycle tables) starts
+// cold; NewSeededWith starts the core on pre-warmed models instead.
 func NewSeeded(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState) (*Core, error) {
+	return NewSeededWith(mach, feat, progs, seeds, Models{})
+}
+
+// NewSeededWith is NewSeeded on pre-warmed models: the core adopts the
+// non-nil fields of m at construction, so no cold model is built only
+// to be replaced.  Sampled simulation seeds every measurement interval
+// this way.  The recycle tables (written bits, MDB, active-list traces)
+// still start cold.
+func NewSeededWith(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
 	if len(seeds) != 0 && len(seeds) != len(progs) {
 		return nil, fmt.Errorf("core: %d seeds for %d programs", len(seeds), len(progs))
 	}
@@ -52,16 +75,15 @@ func NewSeeded(mach config.Machine, feat config.Features, progs []*program.Progr
 			return nil, fmt.Errorf("core: seed %d: nonzero zero register", i)
 		}
 	}
-	return newCore(mach, feat, progs, seeds)
+	return newCore(mach, feat, progs, seeds, m)
 }
 
 // SeedMicroarch replaces the core's branch predictor, confidence
 // estimator, and/or cache hierarchy with externally warmed instances
-// (nil arguments keep the fresh defaults).  The replacements must be
-// built with the same configurations New uses — bpred.Default for the
-// machine's context count, confidence.Default, and the machine's
-// DefaultHierarchy — or the model diverges from the configured
-// machine.  Seeding is only legal before the first cycle.
+// (nil arguments keep the current models).  The replacements follow
+// the rules of Models.  It is the after-the-fact form of
+// NewSeededWith, which avoids building the cold models this discards.
+// Seeding is only legal before the first cycle.
 func (c *Core) SeedMicroarch(pred *bpred.Predictor, conf *confidence.Estimator, mem *cache.Hierarchy) {
 	if c.cycle != 0 {
 		panic("core: SeedMicroarch called after the first cycle")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"recyclesim/internal/bpred"
@@ -170,4 +171,53 @@ func TestSeedMicroarch(t *testing.T) {
 		}
 	}()
 	c.SeedMicroarch(nil, nil, nil)
+}
+
+// NewSeededWith adopts the given models and seed memory at
+// construction, and runs exactly as NewSeeded followed by SeedMicroarch
+// with equal copies of the same warm models.
+func TestNewSeededWithMatchesSeedMicroarch(t *testing.T) {
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := config.Big216()
+	progs := []*program.Program{p}
+	warm, err := New(mach, config.RECRSRU, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Run(20_000, 40*20_000); err != nil {
+		t.Fatal(err)
+	}
+	e := emu.New(p)
+	e.Run(25_000)
+	seed := func() *ArchState { return &ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem.Clone()} }
+	run := func(c *Core) *Core {
+		if _, err := c.Run(5_000, 40*5_000); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	m := Models{Pred: warm.pred.Clone(), Conf: warm.conf.Clone(), Mem: warm.mem.Clone()}
+	s := seed()
+	a, err := NewSeededWith(mach, config.RECRSRU, progs, []*ArchState{s}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.pred != m.Pred || a.conf != m.Conf || a.mem != m.Mem || a.progs[0].mem != s.Mem {
+		t.Fatal("NewSeededWith copied its models or seed memory instead of adopting them")
+	}
+	run(a)
+
+	b, err := NewSeeded(mach, config.RECRSRU, progs, []*ArchState{seed()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SeedMicroarch(warm.pred.Clone(), warm.conf.Clone(), warm.mem.Clone())
+	run(b)
+	if !reflect.DeepEqual(a.Stats, b.Stats) {
+		t.Errorf("NewSeededWith run differs from NewSeeded + SeedMicroarch:\n%+v\n%+v", a.Stats, b.Stats)
+	}
 }

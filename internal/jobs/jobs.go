@@ -553,16 +553,21 @@ func (s *Server) runJob(j *job) {
 		}
 		cc.End()
 	})
+	// Every cell has finished, so the counts are final.  The job is
+	// logged and counted before waiters see it done, so a client that
+	// saw it finish and then shut the server down finds the record.
 	j.mu.Lock()
-	j.state = "done"
 	hits, computes, failed := j.hits, j.computes, j.failed
-	j.cond.Broadcast()
 	j.mu.Unlock()
 	j.root.End()
 	s.jobsDone.Add(1)
 	s.log.Info("job done", "job", j.id, "trace", j.trace.ID().String(),
 		"cells", len(j.cells), "hits", hits, "computes", computes, "failed", failed,
 		"elapsed", j.trace.Elapsed().String())
+	j.mu.Lock()
+	j.state = "done"
+	j.cond.Broadcast()
+	j.mu.Unlock()
 }
 
 // runCell keys one cell and serves it from the store or computes it

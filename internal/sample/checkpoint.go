@@ -75,9 +75,14 @@ func (cp *Checkpoint) Restore(p *program.Program) (*emu.Emulator, error) {
 // ckptMagic versions the binary encoding.
 const ckptMagic = "RSCKPT1\n"
 
-// maxCkptWords bounds decoded delta sizes so a corrupt or hostile
-// length field cannot drive a giant allocation.
-const maxCkptWords = 1 << 28
+// maxCkptWords bounds decoded delta sizes.  DecodeBinary preallocates
+// at most ckptPrealloc words and grows the delta only as words arrive,
+// so a corrupt or hostile length field makes a short stream fail at
+// its end instead of driving a giant allocation.
+const (
+	maxCkptWords = 1 << 28
+	ckptPrealloc = 4096
+)
 
 // EncodeBinary writes the checkpoint in the deterministic binary
 // format: magic, name (length-prefixed), fixed-width little-endian
@@ -151,7 +156,10 @@ func DecodeBinary(r io.Reader) (*Checkpoint, error) {
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return nil, fmt.Errorf("sample: checkpoint halted: %w", err)
 	}
-	cp.Halted = h[0] != 0
+	if h[0] > 1 {
+		return nil, fmt.Errorf("sample: checkpoint halted flag %d", h[0])
+	}
+	cp.Halted = h[0] == 1
 	nRegs, err := get()
 	if err != nil {
 		return nil, fmt.Errorf("sample: checkpoint register count: %w", err)
@@ -172,14 +180,16 @@ func DecodeBinary(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sample: checkpoint delta count %d too large", nMem)
 	}
 	if nMem > 0 {
-		cp.Mem = make([]program.Word, nMem)
-		for i := range cp.Mem {
-			if cp.Mem[i].Addr, err = get(); err != nil {
+		cp.Mem = make([]program.Word, 0, min(nMem, ckptPrealloc))
+		for i := uint64(0); i < nMem; i++ {
+			var w program.Word
+			if w.Addr, err = get(); err != nil {
 				return nil, fmt.Errorf("sample: checkpoint word %d: %w", i, err)
 			}
-			if cp.Mem[i].Val, err = get(); err != nil {
+			if w.Val, err = get(); err != nil {
 				return nil, fmt.Errorf("sample: checkpoint word %d: %w", i, err)
 			}
+			cp.Mem = append(cp.Mem, w)
 		}
 	}
 	return cp, nil

@@ -31,20 +31,30 @@ type Config struct {
 
 	// Workers bounds interval-simulation parallelism (<= 0 selects
 	// GOMAXPROCS).  Intervals are fully independent — each owns its
-	// checkpoint and a private clone of the warmed models — so results
-	// are byte-identical for every worker count.
+	// checkpoint and a private copy of the warmed models — so results
+	// are byte-identical for every worker count.  With more than one
+	// worker the checkpoint pass runs alongside them on the calling
+	// goroutine.
 	Workers int
 
 	// Poll, when non-nil, is the cooperative-cancellation hook: it is
 	// consulted between periods of the checkpoint pass and threaded
-	// into each interval's detailed core (core.SetPoll).  A non-nil
-	// return abandons the run with that error.
+	// into each interval's detailed core (core.SetPoll), so with more
+	// than one worker it is called concurrently.  A non-nil return
+	// abandons the run with that error.
 	Poll func() error
 }
 
-// seedChunk bounds how many interval seeds (architectural checkpoint +
-// warmed-model clone) exist at once; see the chunked loop in Run.
-const seedChunk = 64
+// seedsPerWorker and maxSeeds size Run's pool of interval seeds
+// (architectural checkpoint + warmed-model buffer, ~1.7 MB, mostly L3
+// tags): each resolved worker gets one seed to simulate and one queued
+// behind it, up to maxSeeds in all, so the pool grows with the
+// parallelism that consumes it, never with the run's length, and never
+// past 64 model copies however many workers there are.
+const (
+	seedsPerWorker = 2
+	maxSeeds       = 64
+)
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Period == 0 {
@@ -157,74 +167,85 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	// instruction, so at each measurement point the models carry the
 	// state they would have accumulated since program start (SMARTS
 	// functional warming).  At each measurement start the pass captures
-	// an architectural checkpoint plus a deep clone of the warm models;
-	// the detailed intervals consume those snapshots in parallel without
-	// re-executing any fast-forward work.
+	// an architectural checkpoint and copies the warm models into a
+	// pooled buffer; the detailed intervals consume those snapshots in
+	// parallel without re-executing any fast-forward work, each core
+	// adopting its buffer's models as its own.
 	//
-	// Seeds are produced and consumed in chunks of seedChunk so at most
-	// that many model clones are alive at once (a clone is a couple of
-	// MB of tag arrays, and a long run can have thousands of intervals).
-	// Chunking does not affect the estimate: the pass is sequential,
-	// chunk boundaries depend only on the schedule, and every interval
-	// writes its own slot.
+	// The pass and the intervals run as a pipeline over a pool of
+	// seedsPerWorker seeds per resolved worker (sweep.Pipeline): the
+	// pass fills a free seed, copying the master into its model buffer
+	// in place (Warmup.CloneInto), and moves on while a worker simulates
+	// the interval; the seed returns to the pool when its interval
+	// ends.  A run thus holds a fixed handful of model copies however
+	// many intervals it has, and the sequential pass overlaps the
+	// parallel intervals instead of waiting for them.  None of this
+	// affects the estimate: the pass is sequential, every interval
+	// starts from an exact copy of the master, and every interval
+	// writes its own result slot.
 	type seedpoint struct {
+		k  int // interval index
 		cp *Checkpoint
-		w  *Warmup
+		w  Warmup
 	}
 	nMax := int(maxInsts / cfg.Period)
+	seeds := make([]seedpoint, min(seedsPerWorker*sweep.Workers(cfg.Workers), maxSeeds))
 	base := program.NewMemory(prog)
 	e := emu.New(prog)
 	master := NewWarmup(mach)
 	ff := cfg.Period - cfg.IntervalLen - cfg.WarmupLen
-	ivals := make([]Interval, 0, nMax)
-	errs := make([]error, 0, nMax)
+	ivals := make([]Interval, nMax)
+	errs := make([]error, nMax)
+	n := 0 // intervals produced by the pass
+	var passErr error
 	var si emu.StepInfo
-	for done := 0; done < nMax && !e.Halted; {
-		seeds := make([]seedpoint, 0, seedChunk)
-		for k := done; k < nMax && len(seeds) < seedChunk && !e.Halted; k++ {
-			if cfg.Poll != nil {
-				if err := cfg.Poll(); err != nil {
-					return nil, err
-				}
-			}
-			for i := uint64(0); i < ff && !e.Halted; i++ {
-				e.StepInto(&si)
-				master.Observe(&si)
-			}
-			if e.Halted {
-				break
-			}
-			seeds = append(seeds, seedpoint{cp: Capture(e, base), w: master.Clone()})
-			for i := uint64(0); i < cfg.WarmupLen+cfg.IntervalLen && !e.Halted; i++ {
-				e.StepInto(&si)
-				master.Observe(&si)
-			}
-			if e.Halted {
-				// The program ended inside the measured tail of period
-				// k: that interval is truncated, so drop it.
-				seeds = seeds[:len(seeds)-1]
+	produce := func(s int) bool {
+		if n == nMax || e.Halted {
+			return false
+		}
+		if cfg.Poll != nil {
+			if passErr = cfg.Poll(); passErr != nil {
+				return false
 			}
 		}
-		m := len(seeds)
-		if m == 0 {
-			break
+		for i := uint64(0); i < ff && !e.Halted; i++ {
+			e.StepInto(&si)
+			master.Observe(&si)
 		}
-		ivals = ivals[:done+m]
-		errs = errs[:done+m]
-		sweep.Run(m, cfg.Workers, func(j int) {
-			k := done + j
-			if cfg.Poll != nil {
-				if err := cfg.Poll(); err != nil {
-					errs[k] = err
-					return
-				}
-			}
-			ivals[k], errs[k] = runInterval(mach, feat, prog, seeds[j].cp, seeds[j].w, cfg)
-			ivals[k].Index = k
-		})
-		done += m
+		if e.Halted {
+			return false
+		}
+		sp := &seeds[s]
+		sp.k, sp.cp = n, Capture(e, base)
+		master.CloneInto(&sp.w)
+		for i := uint64(0); i < cfg.WarmupLen+cfg.IntervalLen && !e.Halted; i++ {
+			e.StepInto(&si)
+			master.Observe(&si)
+		}
+		if e.Halted {
+			// The program ended inside the measured tail of this
+			// period: the interval is truncated, so drop it.
+			return false
+		}
+		n++
+		return true
 	}
-	n := len(ivals)
+	consume := func(s int) {
+		sp := &seeds[s]
+		if cfg.Poll != nil {
+			if err := cfg.Poll(); err != nil {
+				errs[sp.k] = err
+				return
+			}
+		}
+		ivals[sp.k], errs[sp.k] = runInterval(mach, feat, prog, sp.cp, &sp.w, cfg)
+		ivals[sp.k].Index = sp.k
+	}
+	sweep.Pipeline(len(seeds), cfg.Workers, produce, consume)
+	if passErr != nil {
+		return nil, passErr
+	}
+	ivals, errs = ivals[:n], errs[:n]
 	if n == 0 {
 		return nil, fmt.Errorf("sample: %s halts before one full period (%d insts); use a full detailed run",
 			prog.Name, cfg.Period)
@@ -268,11 +289,12 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	return res, nil
 }
 
-// runInterval restores one measurement-start checkpoint, seeds a
-// detailed core with the interval's private clone of the continuously
-// warmed models, runs the detached warmup, and measures the interval.
-// A panic inside the core is contained into the interval's error so one
-// bad interval cannot take down a parallel sampled sweep.
+// runInterval restores one measurement-start checkpoint, builds a
+// detailed core that adopts the interval's private copy of the
+// continuously warmed models (the core trains them in place, so w is
+// spent once this returns), runs the detached warmup, and measures the
+// interval.  A panic inside the core is contained into the interval's
+// error so one bad interval cannot take down a parallel sampled sweep.
 func runInterval(mach config.Machine, feat config.Features, prog *program.Program, cp *Checkpoint, w *Warmup, cfg Config) (iv Interval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -285,11 +307,11 @@ func runInterval(mach config.Machine, feat config.Features, prog *program.Progra
 		return iv, err
 	}
 	seed := &core.ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem}
-	c, err := core.NewSeeded(mach, feat, []*program.Program{prog}, []*core.ArchState{seed})
+	c, err := core.NewSeededWith(mach, feat, []*program.Program{prog}, []*core.ArchState{seed},
+		core.Models{Pred: w.Pred, Conf: w.Conf, Mem: w.Mem})
 	if err != nil {
 		return iv, err
 	}
-	c.SeedMicroarch(w.Pred, w.Conf, w.Mem)
 	if cfg.Poll != nil {
 		c.SetPoll(0, cfg.Poll)
 	}

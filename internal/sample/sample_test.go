@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"recyclesim/internal/asm"
@@ -101,9 +103,9 @@ func TestSampledDeterminism(t *testing.T) {
 	feat, _ := config.PresetByName("REC/RS/RU")
 	const maxInsts = 100_000
 
-	run := func(workers int) (*Result, string) {
+	runProg := func(p *program.Program, budget uint64, workers int) (*Result, string) {
 		cfg := Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500, Workers: workers}
-		r, err := Run(mach, feat, p, maxInsts, cfg)
+		r, err := Run(mach, feat, p, budget, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,6 +115,7 @@ func TestSampledDeterminism(t *testing.T) {
 		}
 		return r, buf.String()
 	}
+	run := func(workers int) (*Result, string) { return runProg(p, maxInsts, workers) }
 
 	ref, refText := run(1)
 	if len(ref.Intervals) != int(maxInsts/5_000) {
@@ -134,7 +137,7 @@ func TestSampledDeterminism(t *testing.T) {
 		t.Fatalf("inconsistent CI: IPC %.4f in [%.4f, %.4f]", ref.IPC, ref.IPCLo, ref.IPCHi)
 	}
 
-	for _, workers := range []int{4, 16, 0} {
+	for _, workers := range []int{2, 3, 4, 16, 0} {
 		got, gotText := run(workers)
 		if gotText != refText {
 			t.Errorf("workers=%d report differs:\n%s\nvs workers=1:\n%s", workers, gotText, refText)
@@ -145,6 +148,77 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 	if _, again := run(1); again != refText {
 		t.Error("repeated identical run produced different report bytes")
+	}
+
+	// Run recycles a pool of seeds, seedsPerWorker per worker and at
+	// most maxSeeds, while earlier intervals are still running.  Cover
+	// an odd interval count, which is never a multiple of the (even)
+	// pool, a program that halts in the measured tail of period 7,
+	// after that period's seed was already filled, and a worker count
+	// whose pool is capped at maxSeeds.
+	for _, tc := range []struct {
+		name   string
+		prog   *program.Program
+		budget uint64
+		want   int
+	}{
+		{"gcc/19-intervals", p, 95_000, 19},
+		{"halts-in-tail", haltingLoop(t, 9_870), maxInsts, 7}, // 39482 insts
+	} {
+		ref, refText := runProg(tc.prog, tc.budget, 1)
+		if len(ref.Intervals) != tc.want {
+			t.Fatalf("%s: expected %d intervals, got %d", tc.name, tc.want, len(ref.Intervals))
+		}
+		for _, workers := range []int{2, 3, 0, maxSeeds/seedsPerWorker + 8} {
+			got, gotText := runProg(tc.prog, tc.budget, workers)
+			if gotText != refText {
+				t.Errorf("%s: workers=%d report differs:\n%s\nvs workers=1:\n%s", tc.name, workers, gotText, refText)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: workers=%d result differs from workers=1", tc.name, workers)
+			}
+		}
+	}
+}
+
+// The allocation guard: a sampled interval allocates the core it
+// simulates and its restored memory image (about 460 KB for gcc on
+// Big216), not a copy of the warmed models.  The marginal cost per
+// interval is measured between a 24- and a 48-interval run, so the
+// fixed costs (the master models and the seed pool) cancel.  Each
+// regression it guards against adds at least ~150 KB per interval: a
+// model clone or a cold hierarchy (1.7 MB each), or the
+// program.NewMemory image a seeded core would build and discard
+// (~613 KB per interval in all).  The bound sits about midway between
+// that smallest regression and the ~466 KB measured, so the test
+// tolerates drift in what the core itself allocates.
+func TestSampledIntervalAllocs(t *testing.T) {
+	const bound = 540_000 // bytes per interval
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := config.Big216()
+	feat, _ := config.PresetByName("REC/RS/RU")
+	cfg := Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500, Workers: 1}
+	allocs := func(intervals uint64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := Run(mach, feat, p, intervals*cfg.Period, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(r.Intervals)) != intervals {
+			t.Fatalf("%d intervals, want %d", len(r.Intervals), intervals)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := allocs(24), allocs(48)
+	perInterval := (long - short) / 24
+	t.Logf("%d bytes per interval (%d for 24 intervals, %d for 48)", perInterval, short, long)
+	if perInterval > bound {
+		t.Errorf("a sampled interval allocates %d bytes, over the %d-byte bound", perInterval, bound)
 	}
 }
 
@@ -171,7 +245,7 @@ func TestSampledConfigValidation(t *testing.T) {
 	}
 }
 
-// haltingLoop builds a program that retires ~6*n+4 instructions and
+// haltingLoop builds a program that retires 4*n+2 instructions and
 // then halts, so sampled runs can hit the end of a program mid-pass.
 func haltingLoop(t *testing.T, n int64) *program.Program {
 	t.Helper()
@@ -204,7 +278,7 @@ func TestSampledHaltingProgram(t *testing.T) {
 
 	// Halts mid-run: the schedule truncates to fully covered periods
 	// and still produces an estimate.
-	longer := haltingLoop(t, 4_000) // ~24k insts
+	longer := haltingLoop(t, 4_000) // 16k insts
 	r, err := Run(mach, feat, longer, 100_000, Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500})
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +298,9 @@ func TestSampledPollCancellation(t *testing.T) {
 	}
 	mach := config.Big216()
 	feat, _ := config.PresetByName("SMT")
-	calls := 0
+	var calls atomic.Int32 // the pass and the intervals poll concurrently
 	cancel := func() error {
-		calls++
-		if calls > 3 {
+		if calls.Add(1) > 3 {
 			return errCancelled
 		}
 		return nil

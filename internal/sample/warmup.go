@@ -21,10 +21,11 @@ const warmupLine = 64
 // measurement interval starts with the state those structures would
 // have accumulated over the whole run.  One Warmup instance observes
 // the entire instruction stream (warming is continuous from program
-// start, as in SMARTS functional warming); Clone snapshots it at each
-// measurement point.  The models are built with the same default
-// configurations core.New uses and are meant to be handed to
-// Core.SeedMicroarch afterwards.
+// start, as in SMARTS functional warming); CloneInto snapshots it into
+// a reused buffer at each measurement point.  The models are built with
+// the same default configurations core.New uses and are meant to be
+// adopted by a seeded core (core.NewSeededWith, or Core.SeedMicroarch
+// on an already built one).
 //
 // The warmup mirrors the core's primary-path training exactly: Lookup,
 // speculative history update, history repair on a mispredict, and
@@ -58,12 +59,29 @@ func NewWarmup(mach config.Machine) *Warmup {
 // measurement interval can hand a private snapshot of the continuously
 // warmed models to its detailed core while the master warmup keeps
 // advancing.
-func (w *Warmup) Clone() *Warmup {
-	q := *w
-	q.Pred = w.Pred.Clone()
-	q.Conf = w.Conf.Clone()
-	q.Mem = w.Mem.Clone()
-	return &q
+func (w *Warmup) Clone() *Warmup { return w.CloneInto(&Warmup{}) }
+
+// CloneInto is Clone into a reused buffer: it overwrites dst with a
+// deep copy of w through the models' CopyFrom, so a dst filled before
+// from the same machine allocates nothing.  Nil models in dst are
+// built fresh.  It returns dst.
+func (w *Warmup) CloneInto(dst *Warmup) *Warmup {
+	pred, conf, mem := dst.Pred, dst.Conf, dst.Mem
+	if pred == nil {
+		pred = &bpred.Predictor{}
+	}
+	if conf == nil {
+		conf = &confidence.Estimator{}
+	}
+	if mem == nil {
+		mem = &cache.Hierarchy{}
+	}
+	pred.CopyFrom(w.Pred)
+	conf.CopyFrom(w.Conf)
+	mem.CopyFrom(w.Mem)
+	*dst = *w
+	dst.Pred, dst.Conf, dst.Mem = pred, conf, mem
+	return dst
 }
 
 // Observe feeds one architecturally executed instruction into the

@@ -24,19 +24,26 @@ import (
 	"sync/atomic"
 )
 
-// Run executes job(0) … job(n-1) across min(workers, n) goroutines and
-// returns when all have finished.  workers <= 0 selects GOMAXPROCS.
-// Jobs are handed out in index order from a shared counter, but may
-// complete in any order; with workers == 1 (or n <= 1) the jobs run
-// serially on the calling goroutine, which is also the fallback
-// callers can use to bisect any suspected isolation bug.
+// Workers resolves a requested worker count the way Run does: a
+// positive count stands, and workers <= 0 selects GOMAXPROCS.
+func Workers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// Run executes job(0) … job(n-1) across min(Workers(workers), n)
+// goroutines and returns when all have finished.  Jobs are handed out
+// in index order from a shared counter, but may complete in any order;
+// with one worker (or n <= 1) the jobs run serially on the calling
+// goroutine, which is also the fallback callers can use to bisect any
+// suspected isolation bug.
 func Run(n, workers int, job func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = Workers(workers)
 	if workers > n {
 		workers = n
 	}
@@ -61,5 +68,51 @@ func Run(n, workers int, job func(i int)) {
 			}
 		}()
 	}
+	wg.Wait()
+}
+
+// Pipeline overlaps a sequential producer with parallel consumers that
+// share a fixed set of caller-owned buffers, named by slot indices
+// 0 … slots-1.  produce(s) fills free slot s and reports whether it
+// produced anything; it runs on the calling goroutine, one call at a
+// time, so whatever it computes in sequence stays deterministic.
+// consume(s) runs on one of min(Workers(workers), slots) goroutines,
+// and slot s is offered to produce again only after consume(s) has
+// returned, so a slot never has two owners.  Pipeline returns once
+// produce reports false and every produced slot has been consumed.
+// With one worker, production and consumption alternate on the calling
+// goroutine through slot 0.
+func Pipeline(slots, workers int, produce func(slot int) bool, consume func(slot int)) {
+	slots = max(slots, 1)
+	workers = min(Workers(workers), slots)
+	if workers == 1 {
+		for produce(0) {
+			consume(0)
+		}
+		return
+	}
+	free := make(chan int, slots)
+	for s := 0; s < slots; s++ {
+		free <- s
+	}
+	full := make(chan int, slots)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range full {
+				consume(s)
+				free <- s
+			}
+		}()
+	}
+	for s := range free {
+		if !produce(s) {
+			break
+		}
+		full <- s
+	}
+	close(full)
 	wg.Wait()
 }

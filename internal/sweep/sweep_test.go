@@ -23,6 +23,56 @@ func TestRunEmpty(t *testing.T) {
 	Run(-3, 4, func(int) { t.Error("job called for n<0") })
 }
 
+// Every produced item is consumed exactly once, from the slot it was
+// produced into, and no slot is refilled while its consumer runs.
+func TestPipelineConsumesEachItemOnce(t *testing.T) {
+	for _, tc := range []struct{ slots, workers int }{
+		{1, 4}, {2, 1}, {4, 0}, {4, 2}, {6, 3}, {8, 64},
+	} {
+		const n = 200
+		var hits [n]atomic.Int32
+		item := make([]int, tc.slots)
+		busy := make([]atomic.Bool, tc.slots)
+		produced := 0
+		Pipeline(tc.slots, tc.workers, func(s int) bool {
+			if busy[s].Load() {
+				t.Errorf("slots=%d workers=%d: slot %d refilled while consumed", tc.slots, tc.workers, s)
+			}
+			if produced == n {
+				return false
+			}
+			item[s] = produced
+			produced++
+			return true
+		}, func(s int) {
+			busy[s].Store(true)
+			hits[item[s]].Add(1)
+			busy[s].Store(false)
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Errorf("slots=%d workers=%d: item %d consumed %d times", tc.slots, tc.workers, i, got)
+			}
+		}
+	}
+}
+
+func TestPipelineSerialUsesSlotZero(t *testing.T) {
+	produced := 0
+	Pipeline(4, 1, func(s int) bool {
+		if s != 0 {
+			t.Errorf("serial pipeline produced into slot %d", s)
+		}
+		produced++
+		return produced <= 3
+	}, func(s int) {
+		if s != 0 {
+			t.Errorf("serial pipeline consumed slot %d", s)
+		}
+	})
+	Pipeline(4, 3, func(int) bool { return false }, func(int) { t.Error("consume called with nothing produced") })
+}
+
 func TestRunResultsMatchSerial(t *testing.T) {
 	const n = 50
 	want := make([]int, n)
