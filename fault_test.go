@@ -368,37 +368,6 @@ func TestInvariantPanicSurfacesAsSimError(t *testing.T) {
 	}
 }
 
-// TestBatchRetryRecoversFlakyHook: with Retries set, a job whose hook
-// fails only on the first attempt succeeds on the retry; without
-// retries the same job fails the batch.
-func TestBatchRetryRecoversFlakyHook(t *testing.T) {
-	flaky := func() Options {
-		attempt := 0
-		o := healthyOption(10_000)
-		o.hookCore = func(*core.Core) { attempt++ }
-		n := 0
-		o.CommitHook = func(CommitInfo) {
-			n++
-			if attempt == 1 && n == 50 {
-				panic("transient hook failure")
-			}
-		}
-		return o
-	}
-
-	results, err := RunBatchContext(context.Background(), []Options{flaky()}, BatchConfig{Workers: 1, Retries: 1})
-	if err != nil {
-		t.Fatalf("retry did not recover the flaky job: %v", err)
-	}
-	if results[0] == nil || results[0].Committed < 10_000 {
-		t.Fatal("retried job result missing or short")
-	}
-
-	if _, err := RunBatchContext(context.Background(), []Options{flaky()}, BatchConfig{Workers: 1}); !errors.Is(err, ErrPanic) {
-		t.Fatalf("without retries: err = %v, want ErrPanic", err)
-	}
-}
-
 // TestBatchContextCancelPreventsStart: a batch handed an already
 // canceled context runs nothing and reports ErrCanceled per job.
 func TestBatchContextCancelPreventsStart(t *testing.T) {
@@ -407,7 +376,7 @@ func TestBatchContextCancelPreventsStart(t *testing.T) {
 	ran := false
 	o := healthyOption(10_000)
 	o.hookCore = func(*core.Core) { ran = true }
-	results, err := RunBatchContext(ctx, []Options{o, o}, BatchConfig{Workers: 2})
+	results, err := RunBatchContext(ctx, []Options{o, o}, 2)
 	if ran {
 		t.Error("canceled batch still constructed a core")
 	}
@@ -422,89 +391,5 @@ func TestBatchContextCancelPreventsStart(t *testing.T) {
 	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("err = %v, want ErrCanceled", err)
-	}
-}
-
-// TestBatchRetryBackoff: with RetryDelay set, every retry is preceded
-// by a sleep following the capped exponential policy; the clock and
-// jitter are injected, so the asserted delays are exact.
-func TestBatchRetryBackoff(t *testing.T) {
-	alwaysPanics := func() Options {
-		o := healthyOption(10_000)
-		n := 0
-		o.CommitHook = func(CommitInfo) {
-			n++
-			if n%50 == 0 {
-				panic("persistent hook failure")
-			}
-		}
-		return o
-	}
-
-	var slept []time.Duration
-	cfg := BatchConfig{
-		Workers:       1,
-		Retries:       3,
-		RetryDelay:    100 * time.Millisecond,
-		RetryDelayMax: 250 * time.Millisecond,
-		retrySleep: func(_ context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-		retryRand: func() float64 { return 0 }, // jitter floor: exactly half of each delay
-	}
-	if _, err := RunBatchContext(context.Background(), []Options{alwaysPanics()}, cfg); !errors.Is(err, ErrPanic) {
-		t.Fatalf("err = %v, want ErrPanic", err)
-	}
-	// Retries happen after attempts 0, 1, 2; the raw delay doubles
-	// from RetryDelay and caps at RetryDelayMax, and the injected
-	// zero-rand pins the equal jitter to its lower bound (half).
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 125 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %d times (%v), want %d", len(slept), slept, len(want))
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Errorf("sleep %d = %v, want %v", i, slept[i], want[i])
-		}
-	}
-
-	// Zero RetryDelay preserves the historical immediate retry.
-	slept = nil
-	cfg.RetryDelay, cfg.RetryDelayMax = 0, 0
-	if _, err := RunBatchContext(context.Background(), []Options{alwaysPanics()}, cfg); !errors.Is(err, ErrPanic) {
-		t.Fatalf("err = %v, want ErrPanic", err)
-	}
-	for _, d := range slept {
-		if d != 0 {
-			t.Errorf("RetryDelay=0 slept %v, want 0", d)
-		}
-	}
-}
-
-// TestBatchBackoffCancelMidWait: a cancellation landing during a
-// backoff wait fails the job as canceled instead of retrying.
-func TestBatchBackoffCancelMidWait(t *testing.T) {
-	alwaysPanics := healthyOption(10_000)
-	n := 0
-	alwaysPanics.CommitHook = func(CommitInfo) {
-		n++
-		if n%50 == 0 {
-			panic("persistent hook failure")
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := BatchConfig{
-		Workers:    1,
-		Retries:    5,
-		RetryDelay: time.Hour,
-		retrySleep: func(ctx context.Context, d time.Duration) error {
-			cancel() // the cancellation arrives mid-wait
-			return ctx.Err()
-		},
-	}
-	_, err := RunBatchContext(ctx, []Options{alwaysPanics}, cfg)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled (no further retries after cancel)", err)
 	}
 }

@@ -1,18 +1,14 @@
-// Package backoff is the retry-delay policy shared by every per-cell
-// retry path in the service stack (recyclesim.RunBatchContext and the
-// internal/fleet dispatcher, which every job-server compute goes
-// through):
-// capped exponential growth with equal jitter, built so tests stay
-// reproducible — the jitter source is an explicit injectable function
-// (a fixed-seed SplitMix64 by default, never the global math/rand),
-// and the sleep itself is injectable and context-aware.
+// Package backoff is the retry-delay policy of the internal/fleet
+// dispatcher and worker, the one per-cell retry path (every job-server
+// compute goes through it): capped exponential growth with equal
+// jitter, built so tests stay reproducible — the jitter source is an
+// explicit injectable function (a fixed-seed SplitMix64 by default,
+// never the global math/rand), and the sleep itself is injectable and
+// context-aware.
 //
-// The package deliberately contains no wall-clock reads: delays are
-// pure arithmetic over the attempt number, and Sleep waits on a timer
-// it is handed the duration for.  It therefore stays inside the
-// simulator's per-package determinism scope except for the concurrency
-// constructs in Sleep, which the lint allowlist
-// (lint.ConcurrencyAllowed) sanctions explicitly.
+// Only host-side fleet code imports it, so it sits on the lint opt-out
+// list (lint.NonSimPackages) with the fleet; its delays are still pure
+// arithmetic over the attempt number, with no wall-clock reads.
 package backoff
 
 import (

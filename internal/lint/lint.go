@@ -202,6 +202,7 @@ func Run(prog *Program, analyzers []Analyzer) []Diagnostic {
 // this list: they reason from entry points and annotations over every
 // loaded package, including cmd/* and the module root.
 var NonSimPackages = []string{
+	"internal/backoff",        // fleet retry delays: timer + ctx select by design
 	"internal/fleet",          // distributed execution: HTTP + leases + wall clock by design
 	"internal/fleet/chaos",    // fault-injection harness for the fleet tests
 	"internal/jobs",           // job service: HTTP server + goroutines by design
@@ -263,11 +264,6 @@ func SimPackages(modRoot string) []string {
 // and the non-concurrency determinism rules (map ranges, wall clock,
 // global RNG) still apply to allowlisted packages.
 var ConcurrencyAllowed = []string{
-	// backoff.Sleep waits on a timer/ctx select; its delay arithmetic
-	// and jitter stay under the full determinism rules (no wall-clock
-	// reads, no global RNG — the jitter source is an injected
-	// SplitMix64).
-	"internal/backoff",
 	"internal/sweep",
 }
 

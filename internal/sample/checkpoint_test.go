@@ -2,6 +2,8 @@ package sample
 
 import (
 	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -11,46 +13,25 @@ import (
 	"recyclesim/internal/workload"
 )
 
-// roundTrip pushes a checkpoint through one encode/decode cycle.
-func roundTrip(t *testing.T, cp *Checkpoint, encode func(*Checkpoint, *bytes.Buffer) error, decode func(*bytes.Buffer) (*Checkpoint, error)) *Checkpoint {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := encode(cp, &buf); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	// Determinism: encoding the same checkpoint twice is byte-identical.
-	var buf2 bytes.Buffer
-	if err := encode(cp, &buf2); err != nil {
-		t.Fatalf("encode (2nd): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("encoding is not deterministic")
-	}
-	got, err := decode(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	return got
-}
-
-// The master checkpoint invariant, for every workload and both
-// encodings: Checkpoint -> encode -> decode -> Restore -> continue
-// must produce a commit stream byte-identical to the uninterrupted
-// emulator.
+// The master checkpoint invariant, for every workload: Capture ->
+// Restore -> continue must produce a commit stream identical to the
+// uninterrupted emulator.  Each checkpoint first goes through a
+// standard-library binary (gob) or JSON round trip: a Checkpoint is
+// plain exported data that shares nothing with the live emulator, so
+// a caller can persist one without a package-specific codec.
 func TestCheckpointRoundTripEveryWorkload(t *testing.T) {
 	codecs := []struct {
 		name   string
 		encode func(*Checkpoint, *bytes.Buffer) error
-		decode func(*bytes.Buffer) (*Checkpoint, error)
+		decode func(*bytes.Buffer, *Checkpoint) error
 	}{
-		{"binary", func(cp *Checkpoint, b *bytes.Buffer) error { return cp.EncodeBinary(b) },
-			func(b *bytes.Buffer) (*Checkpoint, error) { return DecodeBinary(b) }},
-		{"json", func(cp *Checkpoint, b *bytes.Buffer) error { return cp.EncodeJSON(b) },
-			func(b *bytes.Buffer) (*Checkpoint, error) { return DecodeJSON(b) }},
+		{"binary", func(cp *Checkpoint, b *bytes.Buffer) error { return gob.NewEncoder(b).Encode(cp) },
+			func(b *bytes.Buffer, cp *Checkpoint) error { return gob.NewDecoder(b).Decode(cp) }},
+		{"json", func(cp *Checkpoint, b *bytes.Buffer) error { return json.NewEncoder(b).Encode(cp) },
+			func(b *bytes.Buffer, cp *Checkpoint) error { return json.NewDecoder(b).Decode(cp) }},
 	}
 	for _, bench := range workload.Names {
 		for _, codec := range codecs {
-			bench, codec := bench, codec
 			t.Run(bench+"/"+codec.name, func(t *testing.T) {
 				p, err := workload.ByName(bench)
 				if err != nil {
@@ -60,7 +41,14 @@ func TestCheckpointRoundTripEveryWorkload(t *testing.T) {
 				ref := emu.New(p)
 				ref.Run(30_000)
 
-				cp := roundTrip(t, Capture(ref, base), codec.encode, codec.decode)
+				var buf bytes.Buffer
+				if err := codec.encode(Capture(ref, base), &buf); err != nil {
+					t.Fatalf("encode: %v", err)
+				}
+				var cp Checkpoint
+				if err := codec.decode(&buf, &cp); err != nil {
+					t.Fatalf("decode: %v", err)
+				}
 				e, err := cp.Restore(p)
 				if err != nil {
 					t.Fatal(err)
@@ -96,16 +84,7 @@ func TestCheckpointHalted(t *testing.T) {
 	if !e.Halted {
 		t.Fatal("program did not halt")
 	}
-	cp := Capture(e, base)
-	var buf bytes.Buffer
-	if err := cp.EncodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := got.Restore(p)
+	r, err := Capture(e, base).Restore(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,47 +116,5 @@ func TestCheckpointRestoreValidation(t *testing.T) {
 	bad.Regs[0] = 7
 	if _, err := bad.Restore(p); err == nil {
 		t.Error("nonzero zero-register restore accepted")
-	}
-}
-
-func TestDecodeBinaryRejectsCorrupt(t *testing.T) {
-	p, err := workload.ByName("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := emu.New(p)
-	e.Run(1_000)
-	var buf bytes.Buffer
-	if err := Capture(e, program.NewMemory(p)).EncodeBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-
-	// Bad magic.
-	if _, err := DecodeBinary(bytes.NewReader([]byte("NOTACKPT________"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Truncations at every structural boundary.
-	for _, cut := range []int{4, len(ckptMagic) + 3, len(full) / 2, len(full) - 1} {
-		if cut >= len(full) {
-			continue
-		}
-		if _, err := DecodeBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-	// Absurd delta count: encode an empty-delta checkpoint (the count
-	// is then the final 8 bytes) and patch it to a huge value.
-	empty := &Checkpoint{Program: p.Name, PC: p.Entry}
-	var eb bytes.Buffer
-	if err := empty.EncodeBinary(&eb); err != nil {
-		t.Fatal(err)
-	}
-	bad := eb.Bytes()
-	for i := len(bad) - 8; i < len(bad); i++ {
-		bad[i] = 0xff
-	}
-	if _, err := DecodeBinary(bytes.NewReader(bad)); err == nil {
-		t.Error("absurd delta count accepted")
 	}
 }

@@ -37,9 +37,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"time"
 
-	"recyclesim/internal/backoff"
 	"recyclesim/internal/config"
 	"recyclesim/internal/core"
 	"recyclesim/internal/obs"
@@ -426,34 +424,6 @@ func coreSnapshot(c *core.Core) *Snapshot {
 	return &Snapshot{Stats: &st, Metrics: &m}
 }
 
-// BatchConfig tunes RunBatchContext.
-type BatchConfig struct {
-	// Workers sizes the pool (<= 0 selects GOMAXPROCS).
-	Workers int
-	// Retries is the number of extra attempts given to a failed job
-	// before its error is recorded.  Cancellation and deadline
-	// failures are never retried — the whole batch is going down.
-	// Deterministic faults (a livelock, a simulator panic) will fail
-	// identically on retry; the knob exists for user hooks with
-	// external effects.
-	Retries int
-	// RetryDelay, when positive, waits before each retry: the delay
-	// doubles per attempt (with equal jitter, so concurrent retriers
-	// spread out) and is capped at RetryDelayMax (default
-	// 64*RetryDelay).  Zero keeps the historical immediate retry.
-	// The wait is context-aware: cancellation during a backoff wait
-	// fails the job as canceled instead of sleeping it out.
-	RetryDelay    time.Duration
-	RetryDelayMax time.Duration
-
-	// retrySleep and retryRand are the deterministic injection points
-	// the backoff tests use; nil selects backoff.Sleep and a
-	// fixed-seed backoff.Rand.  (Fields are unexported: external
-	// callers get the production behavior.)
-	retrySleep func(context.Context, time.Duration) error
-	retryRand  func() float64
-}
-
 // RunBatch executes the given simulations concurrently on a worker
 // pool (workers <= 0 selects GOMAXPROCS) and returns their results in
 // input order: results[i] belongs to opts[i].
@@ -475,49 +445,30 @@ type BatchConfig struct {
 // (cancellation, livelock) — pair it with the error list before
 // trusting it.
 func RunBatch(opts []Options, workers int) ([]*Result, error) {
-	return RunBatchContext(context.Background(), opts, BatchConfig{Workers: workers})
+	return RunBatchContext(context.Background(), opts, workers)
 }
 
-// RunBatchContext is RunBatch with cooperative cancellation and
-// per-job retry.  Canceling ctx stops every in-flight simulation at
-// its next poll (each reporting ErrCanceled with partial results) and
-// prevents queued jobs from starting.
-func RunBatchContext(ctx context.Context, opts []Options, cfg BatchConfig) ([]*Result, error) {
+// RunBatchContext is RunBatch with cooperative cancellation.  Canceling
+// ctx stops every in-flight simulation at its next poll (each reporting
+// ErrCanceled with partial results) and prevents queued jobs from
+// starting.  A failed job is not retried: its faults are deterministic
+// and would recur.
+func RunBatchContext(ctx context.Context, opts []Options, workers int) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sleep := cfg.retrySleep
-	if sleep == nil {
-		sleep = backoff.Sleep
-	}
 	results := make([]*Result, len(opts))
 	errs := make([]error, len(opts))
-	sweep.Run(len(opts), cfg.Workers, func(i int) {
-		// Each job gets its own jitter stream (the shared injection
-		// point is honored when set): seeded by index so reruns of the
-		// same batch draw the same delays.
-		rnd := cfg.retryRand
-		if rnd == nil && cfg.RetryDelay > 0 {
-			rnd = backoff.Rand(uint64(i) + 1)
-		}
-		for attempt := 0; ; attempt++ {
-			if cerr := ctx.Err(); cerr != nil {
-				kind := ErrCanceled
-				if errors.Is(cerr, context.DeadlineExceeded) {
-					kind = ErrDeadline
-				}
-				results[i], errs[i] = nil, &SimError{Kind: kind, Err: cerr, Fingerprint: fingerprint(opts[i])}
-				return
+	sweep.Run(len(opts), workers, func(i int) {
+		if cerr := ctx.Err(); cerr != nil {
+			kind := ErrCanceled
+			if errors.Is(cerr, context.DeadlineExceeded) {
+				kind = ErrDeadline
 			}
-			results[i], errs[i] = RunContext(ctx, opts[i])
-			if errs[i] == nil || attempt >= cfg.Retries ||
-				errors.Is(errs[i], ErrCanceled) || errors.Is(errs[i], ErrDeadline) {
-				return
-			}
-			// Back off before the retry; a cancellation that lands
-			// mid-wait is caught by the ctx check at the top.
-			_ = sleep(ctx, backoff.Delay(cfg.RetryDelay, cfg.RetryDelayMax, attempt, rnd))
+			errs[i] = &SimError{Kind: kind, Err: cerr, Fingerprint: fingerprint(opts[i])}
+			return
 		}
+		results[i], errs[i] = RunContext(ctx, opts[i])
 	})
 	var joined []error
 	for i, err := range errs {
