@@ -7,7 +7,8 @@
 #   make lint        the simulator-specific static analyzers (cmd/recyclelint)
 #   make test        full test suite under the race detector
 #   make fuzz        10s coverage-guided smoke of each fuzz target
-#                    (assembler, config validation and store records),
+#                    (assembler, config validation, store records and
+#                    the paged data memory),
 #                    seeded from the checked-in corpora under
 #                    testdata/fuzz and the targets' seeds
 #   make smoke       one short instrumented run through both telemetry
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/config/ -fuzz FuzzMachineValidate -fuzztime 10s
 	$(GO) test ./internal/config/ -fuzz FuzzFeaturesValidate -fuzztime 10s
 	$(GO) test ./internal/store/ -fuzz FuzzStoreDecode -fuzztime 10s
+	$(GO) test ./internal/program/ -fuzz FuzzMemory -fuzztime 10s
 
 smoke:
 	$(GO) run ./cmd/recyclesim -workloads compress -insts 20000 -flightrec 256 -metrics - >/dev/null

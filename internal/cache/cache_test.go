@@ -192,6 +192,18 @@ func train(h *Hierarchy, seed, n uint64) {
 	}
 }
 
+// sweep touches n consecutive lines from base on both sides, one
+// access per cycle from cycle now, and returns the latencies seen, so
+// two hierarchies can be compared access by access.
+func sweep(h *Hierarchy, now, base, n uint64) []int {
+	var lats []int
+	for i := uint64(0); i < n; i++ {
+		lat, _ := h.AccessI(now+i, base+64*i)
+		lats = append(lats, lat, h.AccessD(now+i, base+64*i+32))
+	}
+	return lats
+}
+
 // CopyFrom into a dirty destination — trained on another stream, with
 // stale bank state, or built with a smaller geometry — equals a Clone
 // of the source, and the copy shares nothing with the source.
@@ -214,6 +226,23 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		if !reflect.DeepEqual(src, want) {
 			t.Fatal("training the copy changed the source hierarchy")
 		}
+	}
+
+	// A same-geometry destination trained on addresses the source never
+	// saw holds lines in sets the source never filled (in the L3 at
+	// least): the copy must clear those too, and then behave exactly
+	// like a clone, hit for hit.
+	src = NewHierarchy(DefaultHierarchy(1))
+	sweep(src, 1, 0, 1_000)
+	dst := NewHierarchy(DefaultHierarchy(1))
+	sweep(dst, 1, 1<<20, 1_000)
+	dst.CopyFrom(src)
+	clone := src.Clone()
+	if !reflect.DeepEqual(dst, clone) {
+		t.Fatal("CopyFrom over a disjointly trained hierarchy differs from Clone")
+	}
+	if got, want := sweep(dst, 5_000, 1<<20, 2_000), sweep(clone, 5_000, 1<<20, 2_000); !reflect.DeepEqual(got, want) {
+		t.Fatal("a copy over a disjointly trained hierarchy hits and misses unlike a clone")
 	}
 
 	fill := func(c *Cache) *Cache {

@@ -58,9 +58,9 @@ func (e *Emulator) Step() StepInfo {
 // field is overwritten.
 //
 // The doc directive below roots the hotalloc analyzer here: StepInto
-// and everything it transitively calls must stay allocation-free (the
-// sparse-memory map assignment on the store path amortizes growth and
-// is not an allocating construct).
+// and everything it transitively calls must stay allocation-free.  The
+// one exception is the first store to a 4 KB page, which allocates the
+// page; a program's pages are few and allocated once.
 //
 //recycle:hotpath
 func (e *Emulator) StepInto(info *StepInfo) {

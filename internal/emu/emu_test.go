@@ -190,15 +190,15 @@ func TestTraceIntoReusesBuffer(t *testing.T) {
 // TestStepIntoAllocBudget pins the fast-forward loop at zero
 // steady-state allocations: sampled simulation executes tens of
 // millions of emulator instructions, so even one allocation per step
-// would dominate its profile.  The only allowed events are rare sparse-
-// memory map growths, which the budget absorbs.
+// would dominate its profile.  The only allowed events are first
+// stores to a memory page, which the budget absorbs.
 func TestStepIntoAllocBudget(t *testing.T) {
 	p, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New(p)
-	// Warm up: grow the sparse memory to its steady-state footprint.
+	// Warm up: allocate the pages the program's stores reach.
 	e.Run(100_000)
 	var info StepInfo
 	const stepsPerRun = 10_000

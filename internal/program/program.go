@@ -1,5 +1,5 @@
 // Package program holds loaded program images: code, initialized data,
-// and the sparse data memory a running context reads and writes.  Each
+// and the paged data memory a running context reads and writes.  Each
 // program occupies its own address space; when several programs share a
 // simulated machine, the memory system tags addresses with an address
 // space identifier so the physically-shared caches keep them distinct.
@@ -7,7 +7,7 @@ package program
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"recyclesim/internal/isa"
 )
@@ -74,41 +74,88 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Memory is a sparse 64-bit-word data memory.  Addresses are byte
+// Memory is a paged 64-bit-word data memory.  Addresses are byte
 // addresses; accesses are 8-byte, 8-byte-aligned words (the workloads
 // and assembler only generate aligned traffic; unaligned addresses are
 // truncated to alignment, which keeps wrong-path garbage harmless).
+//
+// Words live in 4 KB pages, allocated on the first write to each; a
+// read of a page never written returns zero and allocates nothing.
+// Clone and Delta cost one page copy or compare per page, and the
+// built-in workloads' data images span one to ten pages.  Read and
+// Write remember the last page they touched, so a Memory is not safe
+// for concurrent use, not even by readers only.
 type Memory struct {
-	words map[uint64]uint64
+	pages map[uint64]*page // by page number, addr >> pageShift
+	order []uint64         // the keys of pages, ascending
+
+	lastNum uint64 // page number of last; meaningful only when last != nil
+	last    *page
 }
+
+const (
+	pageShift = 12                   // 4 KB pages
+	pageWords = 1 << (pageShift - 3) // 512 words
+)
+
+type page [pageWords]uint64
+
+// zeroPage stands in for a page a memory has never written; it is
+// never modified.
+var zeroPage page
 
 // NewMemory creates a memory initialized from the program's data image.
 func NewMemory(p *Program) *Memory {
-	m := &Memory{words: make(map[uint64]uint64, len(p.Data)+64)}
-	//simlint:ignore determinism puresim -- keys land in a map again; align maps distinct keys to distinct slots, so insertion order is immaterial
+	m := &Memory{pages: make(map[uint64]*page)}
+	//simlint:ignore determinism puresim -- Data keys are aligned, so each lands in its own word, and pages are kept sorted by number: visit order is immaterial
 	for a, v := range p.Data {
-		m.words[align(a)] = v
+		m.Write(a, v)
 	}
 	return m
 }
 
-func align(addr uint64) uint64 { return addr &^ 7 }
-
 // Read returns the word at addr (zero if never written).
-func (m *Memory) Read(addr uint64) uint64 { return m.words[align(addr)] }
+func (m *Memory) Read(addr uint64) uint64 {
+	pn := addr >> pageShift
+	if m.last == nil || m.lastNum != pn {
+		pg := m.pages[pn]
+		if pg == nil {
+			return 0
+		}
+		m.last, m.lastNum = pg, pn
+	}
+	return m.last[addr>>3&(pageWords-1)]
+}
 
 // Write stores the word at addr.
-func (m *Memory) Write(addr, val uint64) { m.words[align(addr)] = val }
+func (m *Memory) Write(addr, val uint64) {
+	pn := addr >> pageShift
+	if m.last == nil || m.lastNum != pn {
+		m.last, m.lastNum = m.pageFor(pn), pn
+	}
+	m.last[addr>>3&(pageWords-1)] = val
+}
 
-// Footprint returns the number of distinct words touched.
-func (m *Memory) Footprint() int { return len(m.words) }
+// pageFor returns page pn, allocating it on first use.
+func (m *Memory) pageFor(pn uint64) *page {
+	pg := m.pages[pn]
+	if pg == nil {
+		pg = new(page)
+		m.pages[pn] = pg
+		i, _ := slices.BinarySearch(m.order, pn)
+		m.order = slices.Insert(m.order, i, pn)
+	}
+	return pg
+}
 
 // Clone returns an independent copy of the memory (used by the golden
 // emulator when co-simulating against the core).
 func (m *Memory) Clone() *Memory {
-	c := &Memory{words: make(map[uint64]uint64, len(m.words))}
-	for a, v := range m.words {
-		c.words[a] = v
+	c := &Memory{pages: make(map[uint64]*page, len(m.order)), order: slices.Clone(m.order)}
+	pages := make([]page, len(m.order))
+	for i, pn := range m.order {
+		pages[i] = *m.pages[pn]
+		c.pages[pn] = &pages[i]
 	}
 	return c
 }
@@ -121,25 +168,32 @@ type Word struct {
 }
 
 // Delta returns the words of m whose values differ from base, sorted
-// by address.  m must derive from base by writes only (memories only
-// grow and writes never remove words, so m's key set is a superset of
-// the keys it shares with base); the result applied to a clone of base
-// with Apply reproduces m exactly.
+// by address.  m must derive from base by writes only (writes never
+// remove a page, so m holds every page base holds); the result applied
+// to a clone of base with Apply reproduces m exactly.  Pages are
+// compared whole first, so an unchanged page costs one block compare.
 func (m *Memory) Delta(base *Memory) []Word {
 	var out []Word
-	//simlint:ignore determinism puresim -- the delta is sorted by address immediately below
-	for a, v := range m.words {
-		if base.words[a] != v {
-			out = append(out, Word{Addr: a, Val: v})
+	for _, pn := range m.order {
+		pg, bp := m.pages[pn], base.pages[pn]
+		if bp == nil {
+			bp = &zeroPage
+		}
+		if *pg == *bp {
+			continue
+		}
+		for i, v := range pg {
+			if v != bp[i] {
+				out = append(out, Word{Addr: pn<<pageShift | uint64(i)<<3, Val: v})
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
 // Apply writes the delta words into m.
 func (m *Memory) Apply(delta []Word) {
 	for _, w := range delta {
-		m.words[align(w.Addr)] = w.Val
+		m.Write(w.Addr, w.Val)
 	}
 }

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -69,15 +70,20 @@ func TestMemoryReadWrite(t *testing.T) {
 	if m.Read(DataBase+16) != 9 {
 		t.Error("write lost")
 	}
-	// Unaligned accesses truncate to the containing word.
+	// Unaligned accesses truncate to the containing word, and leave
+	// its neighbours alone.
 	m.Write(DataBase+17, 11)
 	if m.Read(DataBase+16) != 11 || m.Read(DataBase+23) != 11 {
 		t.Error("alignment truncation broken")
 	}
-	// Two distinct words touched: DataBase (init) and DataBase+16
-	// (the +17 write aliases the +16 word).
-	if m.Footprint() != 2 {
-		t.Errorf("footprint = %d", m.Footprint())
+	if m.Read(DataBase+8) != 0 || m.Read(DataBase+24) != 0 || m.Read(DataBase) != 7 {
+		t.Error("an unaligned write reached a neighbouring word")
+	}
+	// Words on either side of a page edge are distinct.
+	m.Write(0xff8, 1)
+	m.Write(0x1000, 2)
+	if m.Read(0xff8) != 1 || m.Read(0x1000) != 2 || m.Read(0xff0) != 0 || m.Read(0x1008) != 0 {
+		t.Error("page edge words alias")
 	}
 }
 
@@ -133,9 +139,6 @@ func TestMemoryDeltaApplyRoundTrip(t *testing.T) {
 			t.Errorf("addr 0x%x: restored %d != original %d", a, r.Read(a), m.Read(a))
 		}
 	}
-	if r.Footprint() != m.Footprint() {
-		t.Errorf("footprint %d != %d", r.Footprint(), m.Footprint())
-	}
 }
 
 // An unchanged memory has an empty delta.
@@ -145,4 +148,104 @@ func TestMemoryDeltaEmpty(t *testing.T) {
 	if d := NewMemory(p).Delta(NewMemory(p)); len(d) != 0 {
 		t.Errorf("fresh memory delta = %v, want empty", d)
 	}
+}
+
+// Reading a page never written and writing to a page already held
+// allocate nothing: the emulator and the core do both on every load
+// and committed store.
+func TestMemoryAllocs(t *testing.T) {
+	m := NewMemory(prog2())
+	m.Write(DataBase, 1)
+	addr := DataBase
+	if n := testing.AllocsPerRun(100, func() { _ = m.Read(0xffff_ffff_ffff_fff8) }); n != 0 {
+		t.Errorf("Read of an absent page: %v allocs", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Write(addr, 2); addr ^= 0x10 }); n != 0 {
+		t.Errorf("Write to an existing page: %v allocs", n)
+	}
+}
+
+// fuzzBases are the neighbourhoods FuzzMemory draws addresses from,
+// each extended by a byte offset: the first page edge (0xff8 | 0x1000),
+// the data segment and its first page edge, the stack, and the top of
+// the address space, where wrong-path garbage lands.
+var fuzzBases = [...]uint64{0, 0xf80, DataBase, DataBase + 0xf80, StackBase - 0x80, 0xffff_ffff_ffff_ff00}
+
+// FuzzMemory checks Memory against a reference map of aligned words.
+// Each 4-byte op is (kind, base, offset, value): Write, Read, Clone
+// (independent in both directions; the clone may carry on as the
+// memory under test), Delta against the current base followed by Apply
+// onto a clone of it (sorted and exact), and taking a new base.  Clone
+// and Delta check every word written so far, so inputs are cut to 256
+// ops to keep one run cheap.
+func FuzzMemory(f *testing.F) {
+	f.Add([]byte{0, 1, 0x78, 5, 0, 1, 0x80, 6, 1, 1, 0x7f, 0, 3, 0, 0, 0})
+	f.Add([]byte{0, 5, 0xf8, 9, 0, 5, 0xff, 1, 1, 5, 0xf9, 0, 2, 5, 0xf8, 3, 3, 2, 0, 0})
+	f.Add([]byte{0, 2, 0, 0, 0, 3, 0x80, 4, 4, 0, 0, 0, 0, 3, 0x88, 7, 3, 0, 0, 0, 2, 4, 0x10, 8})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), 4*256)]
+		p := prog2()
+		p.Data = map[uint64]uint64{DataBase: 7, DataBase + 8: 9, DataBase + 0x1000: 3}
+		m, base := NewMemory(p), NewMemory(p)
+		ref, baseRef := maps.Clone(p.Data), maps.Clone(p.Data)
+		check := func(what string, m *Memory, ref map[uint64]uint64) {
+			t.Helper()
+			for a, v := range ref {
+				if got := m.Read(a); got != v {
+					t.Fatalf("%s: Read(0x%x) = %d, want %d", what, a, got, v)
+				}
+			}
+		}
+		for ; len(ops) >= 4; ops = ops[4:] {
+			a := fuzzBases[int(ops[1])%len(fuzzBases)] + uint64(ops[2])
+			val := uint64(ops[3]) * 0x0101_0101_0101_0101
+			switch ops[0] % 5 {
+			case 0:
+				m.Write(a, val)
+				ref[a&^7] = val
+			case 1:
+				if got := m.Read(a); got != ref[a&^7] {
+					t.Fatalf("Read(0x%x) = %d, want %d", a, got, ref[a&^7])
+				}
+			case 2:
+				c, cRef := m.Clone(), maps.Clone(ref)
+				c.Write(a, ^val)
+				cRef[a&^7] = ^val
+				check("original after a write to its clone", m, ref)
+				m.Write(a, val)
+				ref[a&^7] = val
+				check("clone after a write to its original", c, cRef)
+				if val&1 != 0 {
+					m, ref = c, cRef
+				}
+			case 3:
+				d := m.Delta(base)
+				// ref derives from baseRef by writes, so it holds
+				// every address baseRef does.
+				changed := 0
+				for k, v := range ref {
+					if v != baseRef[k] {
+						changed++
+					}
+				}
+				if len(d) != changed {
+					t.Fatalf("delta has %d words, want %d: %v", len(d), changed, d)
+				}
+				for i, w := range d {
+					if w.Addr&7 != 0 || (i > 0 && w.Addr <= d[i-1].Addr) {
+						t.Fatalf("delta not aligned and address-sorted: %v", d)
+					}
+					if w.Val != ref[w.Addr] || w.Val == baseRef[w.Addr] {
+						t.Fatalf("delta word %+v: memory has %d, base %d", w, ref[w.Addr], baseRef[w.Addr])
+					}
+				}
+				r := base.Clone()
+				r.Apply(d)
+				check("base+delta", r, ref)
+			case 4:
+				base, baseRef = m.Clone(), maps.Clone(ref)
+			}
+		}
+		check("end", m, ref)
+	})
 }

@@ -182,18 +182,19 @@ func TestSampledDeterminism(t *testing.T) {
 }
 
 // The allocation guard: a sampled interval allocates the core it
-// simulates and its restored memory image (about 460 KB for gcc on
-// Big216), not a copy of the warmed models.  The marginal cost per
-// interval is measured between a 24- and a 48-interval run, so the
-// fixed costs (the master models and the seed pool) cancel.  Each
-// regression it guards against adds at least ~150 KB per interval: a
-// model clone or a cold hierarchy (1.7 MB each), or the
-// program.NewMemory image a seeded core would build and discard
-// (~613 KB per interval in all).  The bound sits about midway between
-// that smallest regression and the ~466 KB measured, so the test
-// tolerates drift in what the core itself allocates.
+// simulates, its checkpoint's memory delta and the pages of its
+// restored memory (gcc's data image alone spans nine 4 KB pages):
+// about 355 KB for gcc on Big216 in all, and no copy of the warmed
+// models.  The marginal cost per interval is measured between a 24-
+// and a 48-interval run, so the fixed costs (the master models and the
+// seed pool) cancel.  Each regression it guards against adds at least
+// ~110 KB per interval: a model clone or a cold hierarchy (1.7 MB
+// each), or a memory image held as one map entry per word rather than
+// in pages (~465 KB per interval in all).  The bound sits about midway
+// between that smallest regression and the ~355 KB measured, so the
+// test tolerates drift in what the core itself allocates.
 func TestSampledIntervalAllocs(t *testing.T) {
-	const bound = 540_000 // bytes per interval
+	const bound = 410_000 // bytes per interval
 	p, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
