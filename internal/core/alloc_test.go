@@ -47,10 +47,12 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 	perCycle := avg / cyclesPerRun
 	t.Logf("steady state: %.1f allocs per %d cycles (%.4f/cycle)", avg, cyclesPerRun, perCycle)
-	// Budget: one allocation per 100 cycles.  The pre-optimization loop
-	// allocated tens of objects per cycle, so the margin between "reuses
-	// its buffers" and "regressed" is three orders of magnitude.
-	if perCycle > 0.01 {
-		t.Errorf("steady-state allocation rate %.4f/cycle exceeds budget 0.01/cycle", perCycle)
+	// Budget: one allocation per 1,000 cycles.  About one per 2,000 is
+	// measured, a completion-wheel slot growing past its largest batch
+	// so far.  The MDB's FIFO as a resliced, appended slice reallocated
+	// every 64 loads, about eight times per 2,000 cycles, and the
+	// pre-optimization loop allocated tens of objects per cycle.
+	if perCycle > 0.001 {
+		t.Errorf("steady-state allocation rate %.4f/cycle exceeds budget 0.001/cycle", perCycle)
 	}
 }

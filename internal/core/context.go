@@ -254,18 +254,26 @@ type Context struct {
 	lruTick uint64
 }
 
+// newContext allocates a context's rings; Core.reset gives it its
+// starting state.
 func newContext(id int, alSize int) *Context {
-	c := &Context{
+	return &Context{
 		id:        id,
 		al:        alist.New(alSize),
-		parentCtx: -1,
 		sq:        newStoreQueue(alSize),
 		streamBuf: make([]streamItem, 0, alSize),
 	}
-	for i := range c.mapTab {
-		c.mapTab[i] = regfile.NoReg
+}
+
+// reset returns the context to idle with no partition, keeping its
+// active list, store queue and stream buffer storage.
+func (t *Context) reset() {
+	t.al.Reset()
+	t.sq.clear()
+	*t = Context{id: t.id, al: t.al, sq: t.sq, streamBuf: t.streamBuf[:0], parentCtx: -1}
+	for i := range t.mapTab {
+		t.mapTab[i] = regfile.NoReg
 	}
-	return c
 }
 
 // mapOf returns the physical mapping of a logical register (NoReg for

@@ -158,8 +158,9 @@ func New(mach config.Machine, feat config.Features, progs []*program.Program) (*
 // newCore is the shared constructor behind New and the seeded
 // constructors; seeds is nil (every program starts at its entry) or
 // pre-validated to match progs element-wise, with nil entries meaning
-// "fresh start".  The core adopts the non-nil models in m and builds
-// the machine's defaults for the rest.
+// "fresh start".  It allocates the core's buffers and fixes the
+// context partitioning, then hands over to reset, the one path that
+// puts a core into its starting state (Reseed takes it too).
 func newCore(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
 	if err := mach.Validate(); err != nil {
 		return nil, err
@@ -173,38 +174,30 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 	if err := feat.Validate(); err != nil {
 		return nil, err
 	}
+	for _, p := range progs {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+	}
 
 	intRegs := isa.NumIntRegs*mach.Contexts + mach.ExtraRegs
 	fpRegs := isa.NumFPRegs*mach.Contexts + mach.ExtraRegs
-	if m.Pred == nil {
-		m.Pred = bpred.New(bpred.Default(mach.Contexts))
-	}
-	if m.Conf == nil {
-		m.Conf = confidence.New(confidence.Default())
-	}
-	if m.Mem == nil {
-		m.Mem = cache.NewHierarchy(cache.DefaultHierarchy(mach.CacheScale))
-	}
-
 	c := &Core{
-		mach:    mach,
-		feat:    feat,
-		rf:      regfile.New(intRegs, fpRegs),
-		pred:    m.Pred,
-		conf:    m.Conf,
-		mem:     m.Mem,
-		iqInt:   iq.New(mach.IQInt),
-		iqFP:    iq.New(mach.IQFP),
-		fus:     fu.New(fu.Config{IntUnits: mach.IntUnits, LSUnits: mach.LSUnits, FPUnits: mach.FPUnits}),
-		written: recycle.NewWrittenBits(mach.Contexts),
-		mdb:     recycle.NewMDB(mdbCapacity),
-		exec:    wheel.New(wheelHorizon),
-		Stats:   &stats.Sim{},
-		Obs:     &obs.Metrics{},
+		mach:      mach,
+		feat:      feat,
+		rf:        regfile.New(intRegs, fpRegs),
+		iqInt:     iq.New(mach.IQInt),
+		iqFP:      iq.New(mach.IQFP),
+		fus:       fu.New(fu.Config{IntUnits: mach.IntUnits, LSUnits: mach.LSUnits, FPUnits: mach.FPUnits}),
+		written:   recycle.NewWrittenBits(mach.Contexts),
+		mdb:       recycle.NewMDB(mdbCapacity),
+		exec:      wheel.New(wheelHorizon),
+		pendingSt: make([]*alist.Entry, 0, mach.Contexts*4),
+		due:       make([]*alist.Entry, 0, 64),
+		cands:     make([]ctxCand, 0, mach.Contexts),
+		Stats:     &stats.Sim{PerProgram: make([]uint64, len(progs))},
+		Obs:       &obs.Metrics{},
 	}
-	c.pendingSt = make([]*alist.Entry, 0, mach.Contexts*4)
-	c.due = make([]*alist.Entry, 0, 64)
-	c.cands = make([]ctxCand, 0, mach.Contexts)
 	c.invariantEvery = feat.InvariantEvery
 	if c.invariantEvery == 0 {
 		c.invariantEvery = defaultInvariantEvery
@@ -226,41 +219,91 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 	extra := mach.Contexts % len(progs)
 	next := 0
 	for pi, p := range progs {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		var seed *ArchState
-		if pi < len(seeds) {
-			seed = seeds[pi]
-		}
 		lp := &loadedProgram{idx: pi, prog: p}
-		if seed != nil {
-			lp.mem = seed.Mem
-		}
-		if lp.mem == nil {
-			lp.mem = program.NewMemory(p)
-		}
 		c.progs = append(c.progs, lp)
 		n := per
 		if pi < extra {
 			n++
 		}
-		part := &Partition{id: pi, prog: lp, primary: next}
+		part := &Partition{id: pi, prog: lp}
 		for k := 0; k < n; k++ {
 			part.ctxIDs = append(part.ctxIDs, next)
 			part.mask |= 1 << uint(next)
-			c.ctxs[next].part = part
 			next++
 		}
 		c.parts = append(c.parts, part)
+	}
+	c.reset(seeds, m)
+	return c, nil
+}
+
+// reset puts the core into its starting state on the given seeds and
+// models (see newCore for both).  It keeps the configuration and every
+// buffer the core owns — register file, queues, completion wheel,
+// recycle tables, contexts, partitions, scratch slices — emptied in
+// place; every other field starts from its zero value, so the cycle
+// count, hooks and attached recorders start over, and Stats and Obs
+// are cleared in place.  The core adopts the non-nil models in m and
+// builds the machine's defaults for the rest.
+func (c *Core) reset(seeds []*ArchState, m Models) {
+	if m.Pred == nil {
+		m.Pred = bpred.New(bpred.Default(c.mach.Contexts))
+	}
+	if m.Conf == nil {
+		m.Conf = confidence.New(confidence.Default())
+	}
+	if m.Mem == nil {
+		m.Mem = cache.NewHierarchy(cache.DefaultHierarchy(c.mach.CacheScale))
+	}
+	clear(c.pendingSt)
+	clear(c.due)
+	*c = Core{
+		mach: c.mach, feat: c.feat,
+		invariantEvery: c.invariantEvery, watchdogCycles: c.watchdogCycles,
+		rf: c.rf, pred: m.Pred, conf: m.Conf, mem: m.Mem,
+		iqInt: c.iqInt, iqFP: c.iqFP, fus: c.fus, written: c.written, mdb: c.mdb,
+		ctxs: c.ctxs, parts: c.parts, progs: c.progs,
+		exec: c.exec, pendingSt: c.pendingSt[:0], due: c.due[:0], cands: c.cands[:0],
+		Stats: c.Stats, Obs: c.Obs,
+	}
+	c.rf.Reset()
+	c.iqInt.Reset()
+	c.iqFP.Reset()
+	c.fus.Reset()
+	c.written.Reset()
+	c.mdb.Reset()
+	c.exec.Reset()
+	perProg := c.Stats.PerProgram
+	clear(perProg)
+	*c.Stats = stats.Sim{PerProgram: perProg}
+	*c.Obs = obs.Metrics{}
+
+	for _, t := range c.ctxs {
+		t.reset()
+	}
+	for pi, part := range c.parts {
+		var seed *ArchState
+		if pi < len(seeds) {
+			seed = seeds[pi]
+		}
+		lp := part.prog
+		*lp = loadedProgram{idx: lp.idx, prog: lp.prog}
+		if seed != nil {
+			lp.mem = seed.Mem
+		}
+		if lp.mem == nil {
+			lp.mem = program.NewMemory(lp.prog)
+		}
+		*part = Partition{id: part.id, prog: lp, primary: part.ctxIDs[0], ctxIDs: part.ctxIDs, mask: part.mask}
+		for _, id := range part.ctxIDs {
+			c.ctxs[id].part = part
+		}
 		if seed != nil {
 			c.startPrimary(c.ctxs[part.primary], seed.PC, &seed.Regs)
 		} else {
-			c.startPrimary(c.ctxs[part.primary], p.Entry, nil)
+			c.startPrimary(c.ctxs[part.primary], lp.prog.Entry, nil)
 		}
 	}
-	c.Stats.PerProgram = make([]uint64, len(progs))
-	return c, nil
 }
 
 // startPrimary initializes a context as a program's primary thread

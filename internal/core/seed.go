@@ -58,24 +58,53 @@ func NewSeeded(mach config.Machine, feat config.Features, progs []*program.Progr
 // NewSeededWith is NewSeeded on pre-warmed models: the core adopts the
 // non-nil fields of m at construction, so no cold model is built only
 // to be replaced.  Sampled simulation seeds every measurement interval
-// this way.  The recycle tables (written bits, MDB, active-list traces)
-// still start cold.
+// this way, building each seed slot's core once and calling Reseed for
+// its later intervals.  The recycle tables (written bits, MDB,
+// active-list traces) still start cold.
 func NewSeededWith(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
-	if len(seeds) != 0 && len(seeds) != len(progs) {
-		return nil, fmt.Errorf("core: %d seeds for %d programs", len(seeds), len(progs))
+	if err := checkSeeds(seeds, len(progs), func(i int) *program.Program { return progs[i] }); err != nil {
+		return nil, err
+	}
+	return newCore(mach, feat, progs, seeds, m)
+}
+
+// Reseed puts c into exactly the state NewSeededWith builds for c's
+// machine, features and programs on the given seeds and models, and
+// validates the seeds the same way.  It reuses c's buffers (active
+// lists, store queues, register file, queues, completion wheel, recycle
+// tables), so a core reseeded per sampled interval allocates only what
+// nil models and nil seed memories ask for.  The cycle count, Stats,
+// Obs, the commit hook, the poll hook and any attached recorders start
+// over; Stats and Obs are cleared in place, so values read from them
+// earlier must be copied first.  On error c is unchanged.
+func (c *Core) Reseed(seeds []*ArchState, m Models) error {
+	if err := checkSeeds(seeds, len(c.progs), func(i int) *program.Program { return c.progs[i].prog }); err != nil {
+		return err
+	}
+	c.reset(seeds, m)
+	return nil
+}
+
+// checkSeeds validates seeds for nprogs programs, prog(i) being the
+// i-th: an empty list or one seed per program, each nil or starting
+// inside its program's text with a zero zero-register.
+func checkSeeds(seeds []*ArchState, nprogs int, prog func(int) *program.Program) error {
+	if len(seeds) != 0 && len(seeds) != nprogs {
+		return fmt.Errorf("core: %d seeds for %d programs", len(seeds), nprogs)
 	}
 	for i, s := range seeds {
 		if s == nil {
 			continue
 		}
-		if _, ok := progs[i].PCToIndex(s.PC); !ok {
-			return nil, fmt.Errorf("core: seed %d: pc 0x%x outside %s text", i, s.PC, progs[i].Name)
+		p := prog(i)
+		if _, ok := p.PCToIndex(s.PC); !ok {
+			return fmt.Errorf("core: seed %d: pc 0x%x outside %s text", i, s.PC, p.Name)
 		}
 		if s.Regs[isa.RegZero] != 0 {
-			return nil, fmt.Errorf("core: seed %d: nonzero zero register", i)
+			return fmt.Errorf("core: seed %d: nonzero zero register", i)
 		}
 	}
-	return newCore(mach, feat, progs, seeds, m)
+	return nil
 }
 
 // SeedMicroarch replaces the core's branch predictor, confidence

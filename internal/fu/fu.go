@@ -39,6 +39,13 @@ func New(cfg Config) *Pool {
 	}
 }
 
+// Reset idles every unit, as New leaves them.
+func (p *Pool) Reset() {
+	p.BeginCycle(0)
+	clear(p.intDivBusy)
+	clear(p.fpDivBusy)
+}
+
 // Config returns the pool's configuration.
 func (p *Pool) Config() Config { return p.cfg }
 

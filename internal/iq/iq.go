@@ -26,6 +26,13 @@ func New(capacity int) *Queue {
 	return &Queue{cap: capacity, ents: make([]*alist.Entry, 0, capacity)}
 }
 
+// Reset empties the queue, keeping its storage.
+func (q *Queue) Reset() {
+	clear(q.ents)
+	q.ents = q.ents[:0]
+	clear(q.counts)
+}
+
 func (q *Queue) bump(ctx, delta int) {
 	for ctx >= len(q.counts) {
 		q.counts = append(q.counts, 0)

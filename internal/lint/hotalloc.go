@@ -32,7 +32,8 @@ import (
 // escape analysis: composite literals whose address is taken, map
 // literals, closures that escape (stored in fields or structs,
 // returned, sent), `append` that grows a slice other than the pooled
-// `x = append(x, ...)` self-append shape, arguments boxed into
+// `x = append(x, ...)` self-append shape, front reslices `x = x[i:]`
+// that leave such a self-append nothing to grow into, arguments boxed into
 // interface parameters, string concatenation, fmt calls, and defer
 // inside loops.  Arguments to panic are exempt everywhere: a panicking
 // simulation is off the budget by definition.
@@ -162,6 +163,8 @@ func (w *hotWalker) walk(n ast.Node) {
 				w.diag(x.Pos(), "&%s composite literal escapes to the heap", litType(w.pkg, cl))
 			}
 		}
+	case *ast.AssignStmt:
+		w.checkFrontReslice(x)
 	case *ast.CompositeLit:
 		if tv, ok := w.pkg.Info.Types[x]; ok && !w.inPanic {
 			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
@@ -246,6 +249,22 @@ func (w *hotWalker) checkAppend(call *ast.CallExpr) {
 		}
 	}
 	w.diag(call.Pos(), "append without capacity evidence; grow a pooled buffer (x = append(x, ...)) or reslice x[:0]")
+}
+
+// checkFrontReslice flags `x = x[i:]` (any non-zero low bound): the
+// slice loses the capacity in front of i for good, so the pooled
+// self-append that usually follows a queue pop reallocates once per
+// capacity's worth of pops.  A ring with a head index pops in place.
+func (w *hotWalker) checkFrontReslice(as *ast.AssignStmt) {
+	if as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) || w.inPanic {
+		return
+	}
+	for i, rhs := range as.Rhs {
+		sl, ok := ast.Unparen(rhs).(*ast.SliceExpr)
+		if ok && sl.Low != nil && !isZeroLit(sl.Low) && exprEqual(as.Lhs[i], sl.X) {
+			w.diag(sl.Pos(), "front reslice drops capacity a later self-append must reallocate; pop from a ring with a head index")
+		}
+	}
 }
 
 // checkBoxing flags arguments whose concrete type is implicitly

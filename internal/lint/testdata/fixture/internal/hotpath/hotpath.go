@@ -53,6 +53,11 @@ func (b *buf) Step(names []string, dbg func(string)) int {
 	}
 	b.recs = append(b.recs, 1) // pooled self-append: clean
 	b.recs = append(b.recs[:0], 2)
+	// A queue popped by reslicing its front loses that capacity, so the
+	// self-append above reallocates once per capacity's worth of pops.
+	b.recs = b.recs[1:]             // want:hotalloc
+	b.recs = b.recs[:len(b.recs)-1] // back reslice keeps the capacity: clean
+	rest := b.recs[1:]              // a view into the buffer, not a pop: clean
 	// Regression for the event wheel's ring-slot pooling: a self-append
 	// through an index built from a binary expression is still a
 	// self-append.
@@ -75,5 +80,5 @@ func (b *buf) Step(names []string, dbg func(string)) int {
 	//simlint:ignore determinism hotalloc -- multi-rule suppression fixture: one directive, two analyzers
 	legend := fmt.Sprint(time.Now()) // checked:determinism // checked:hotalloc
 	_ = legend
-	return len(helper(names[0], "suffix")) + len(b.recs)
+	return len(helper(names[0], "suffix")) + len(b.recs) + len(rest)
 }

@@ -81,13 +81,18 @@ func (p *Program) Validate() error {
 //
 // Words live in 4 KB pages, allocated on the first write to each; a
 // read of a page never written returns zero and allocates nothing.
-// Clone and Delta cost one page copy or compare per page, and the
-// built-in workloads' data images span one to ten pages.  Read and
+// Clone, CopyFrom and Delta cost one page copy or compare per page, and
+// the built-in workloads' data images span one to ten pages.  Read and
 // Write remember the last page they touched, so a Memory is not safe
-// for concurrent use, not even by readers only.
+// for concurrent use, not even by readers only; CopyFrom and Delta only
+// read their argument's pages, so any number of them may share one
+// source that nothing writes.
+//
+// The zero Memory is empty and ready to use.
 type Memory struct {
 	pages map[uint64]*page // by page number, addr >> pageShift
 	order []uint64         // the keys of pages, ascending
+	spare []*page          // pages CopyFrom retired, reused before allocating
 
 	lastNum uint64 // page number of last; meaningful only when last != nil
 	last    *page
@@ -106,7 +111,7 @@ var zeroPage page
 
 // NewMemory creates a memory initialized from the program's data image.
 func NewMemory(p *Program) *Memory {
-	m := &Memory{pages: make(map[uint64]*page)}
+	m := &Memory{}
 	//simlint:ignore determinism puresim -- Data keys are aligned, so each lands in its own word, and pages are kept sorted by number: visit order is immaterial
 	for a, v := range p.Data {
 		m.Write(a, v)
@@ -136,11 +141,15 @@ func (m *Memory) Write(addr, val uint64) {
 	m.last[addr>>3&(pageWords-1)] = val
 }
 
-// pageFor returns page pn, allocating it on first use.
+// pageFor returns page pn, adding a zeroed page on first use.
 func (m *Memory) pageFor(pn uint64) *page {
 	pg := m.pages[pn]
 	if pg == nil {
-		pg = new(page)
+		pg = m.newPage()
+		*pg = page{}
+		if m.pages == nil {
+			m.pages = make(map[uint64]*page)
+		}
 		m.pages[pn] = pg
 		i, _ := slices.BinarySearch(m.order, pn)
 		m.order = slices.Insert(m.order, i, pn)
@@ -148,15 +157,49 @@ func (m *Memory) pageFor(pn uint64) *page {
 	return pg
 }
 
+// newPage takes a spare page, or allocates one; a spare keeps its old
+// contents.
+func (m *Memory) newPage() *page {
+	if n := len(m.spare); n > 0 {
+		pg := m.spare[n-1]
+		m.spare = m.spare[:n-1]
+		return pg
+	}
+	return new(page)
+}
+
+// CopyFrom makes m an exact copy of src, reusing m's pages: a page
+// number both hold is copied in place, one only src holds takes a spare
+// page if m has one, and one only m holds moves to the spare list.  A
+// copy between memories holding the same page numbers allocates
+// nothing.  src is only read.
+func (m *Memory) CopyFrom(src *Memory) {
+	if m.pages == nil {
+		m.pages = make(map[uint64]*page, len(src.order))
+	}
+	for _, pn := range m.order {
+		if src.pages[pn] == nil {
+			m.spare = append(m.spare, m.pages[pn])
+			delete(m.pages, pn)
+		}
+	}
+	for _, pn := range src.order {
+		pg := m.pages[pn]
+		if pg == nil {
+			pg = m.newPage()
+			m.pages[pn] = pg
+		}
+		*pg = *src.pages[pn]
+	}
+	m.order = append(m.order[:0], src.order...)
+	m.last = nil
+}
+
 // Clone returns an independent copy of the memory (used by the golden
 // emulator when co-simulating against the core).
 func (m *Memory) Clone() *Memory {
-	c := &Memory{pages: make(map[uint64]*page, len(m.order)), order: slices.Clone(m.order)}
-	pages := make([]page, len(m.order))
-	for i, pn := range m.order {
-		pages[i] = *m.pages[pn]
-		c.pages[pn] = &pages[i]
-	}
+	c := &Memory{}
+	c.CopyFrom(m)
 	return c
 }
 
@@ -167,13 +210,14 @@ type Word struct {
 	Val  uint64
 }
 
-// Delta returns the words of m whose values differ from base, sorted
-// by address.  m must derive from base by writes only (writes never
-// remove a page, so m holds every page base holds); the result applied
-// to a clone of base with Apply reproduces m exactly.  Pages are
-// compared whole first, so an unchanged page costs one block compare.
-func (m *Memory) Delta(base *Memory) []Word {
-	var out []Word
+// Delta appends to out the words of m whose values differ from base,
+// sorted by address, and returns the extended slice; passing a reused
+// buffer's out[:0] keeps the capture allocation-free.  m must derive
+// from base by writes only (writes never remove a page, so m holds
+// every page base holds); the words applied to a copy of base with
+// Apply reproduce m exactly.  Pages are compared whole first, so an
+// unchanged page costs one block compare.
+func (m *Memory) Delta(base *Memory, out []Word) []Word {
 	for _, pn := range m.order {
 		pg, bp := m.pages[pn], base.pages[pn]
 		if bp == nil {

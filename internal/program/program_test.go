@@ -2,6 +2,7 @@ package program
 
 import (
 	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,7 +123,7 @@ func TestMemoryDeltaApplyRoundTrip(t *testing.T) {
 	m.Write(DataBase+8, 9)   // written back to its initial value: not in the delta
 	m.Write(StackBase-16, 5) // new word
 	m.Write(0x4000, 1)       // new word, lower address
-	delta := m.Delta(base)
+	delta := m.Delta(base, nil)
 	want := []Word{{0x4000, 1}, {DataBase, 100}, {StackBase - 16, 5}}
 	if len(delta) != len(want) {
 		t.Fatalf("delta %v, want %v", delta, want)
@@ -145,7 +146,7 @@ func TestMemoryDeltaApplyRoundTrip(t *testing.T) {
 func TestMemoryDeltaEmpty(t *testing.T) {
 	p := prog2()
 	p.Data = map[uint64]uint64{DataBase: 3}
-	if d := NewMemory(p).Delta(NewMemory(p)); len(d) != 0 {
+	if d := NewMemory(p).Delta(NewMemory(p), nil); len(d) != 0 {
 		t.Errorf("fresh memory delta = %v, want empty", d)
 	}
 }
@@ -163,6 +164,44 @@ func TestMemoryAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { m.Write(addr, 2); addr ^= 0x10 }); n != 0 {
 		t.Errorf("Write to an existing page: %v allocs", n)
 	}
+	// A sampled interval restores its memory with CopyFrom from the
+	// initial image into the memory the previous interval left: the
+	// same page set, so the copy must reuse every page.
+	p := prog2()
+	p.Data = map[uint64]uint64{DataBase: 7, DataBase + 0x1000: 3, StackBase - 8: 1}
+	base, dst := NewMemory(p), NewMemory(p)
+	dst.Write(DataBase+8, 5)
+	if n := testing.AllocsPerRun(100, func() { dst.CopyFrom(base); dst.Write(DataBase+8, 5) }); n != 0 {
+		t.Errorf("CopyFrom between memories with the same pages: %v allocs", n)
+	}
+	if dst.Read(DataBase) != 7 || dst.Read(StackBase-8) != 1 {
+		t.Error("CopyFrom lost the source's words")
+	}
+}
+
+// CopyFrom onto a zero Memory, and onto one holding pages the source
+// lacks, yields an exact copy; the retired pages come back zeroed.
+func TestMemoryCopyFrom(t *testing.T) {
+	p := prog2()
+	p.Data = map[uint64]uint64{DataBase: 7}
+	src := NewMemory(p)
+	var m Memory
+	m.CopyFrom(src)
+	if m.Read(DataBase) != 7 || m.Read(DataBase+8) != 0 {
+		t.Error("copy onto a zero Memory differs from its source")
+	}
+	m.Write(StackBase-8, 9) // a page src lacks
+	m.CopyFrom(src)
+	if m.Read(StackBase-8) != 0 || len(m.spare) != 1 {
+		t.Errorf("page src lacks: reads %d, %d spare pages", m.Read(StackBase-8), len(m.spare))
+	}
+	m.Write(0x4000, 1) // takes the spare page, which held 9 at StackBase-8's offset
+	if len(m.spare) != 0 || m.Read(0x4000+(StackBase-8)&0xfff) != 0 {
+		t.Error("a reused spare page was not zeroed")
+	}
+	if src.Read(0x4000) != 0 || src.Read(StackBase-8) != 0 {
+		t.Error("writes to the copy reached its source")
+	}
 }
 
 // fuzzBases are the neighbourhoods FuzzMemory draws addresses from,
@@ -175,19 +214,24 @@ var fuzzBases = [...]uint64{0, 0xf80, DataBase, DataBase + 0xf80, StackBase - 0x
 // Each 4-byte op is (kind, base, offset, value): Write, Read, Clone
 // (independent in both directions; the clone may carry on as the
 // memory under test), Delta against the current base followed by Apply
-// onto a clone of it (sorted and exact), and taking a new base.  Clone
-// and Delta check every word written so far, so inputs are cut to 256
-// ops to keep one run cheap.
+// onto a clone of it (sorted and exact), taking a new base, CopyFrom an
+// independently written source after writing a page the source may
+// lack (exact, and a spare page taken afterwards reads zero), and Delta
+// appended to the reused buffer of earlier deltas behind a kept prefix.
+// Clone, CopyFrom and Delta check every word written so far, so inputs
+// are cut to 256 ops to keep one run cheap.
 func FuzzMemory(f *testing.F) {
 	f.Add([]byte{0, 1, 0x78, 5, 0, 1, 0x80, 6, 1, 1, 0x7f, 0, 3, 0, 0, 0})
 	f.Add([]byte{0, 5, 0xf8, 9, 0, 5, 0xff, 1, 1, 5, 0xf9, 0, 2, 5, 0xf8, 3, 3, 2, 0, 0})
 	f.Add([]byte{0, 2, 0, 0, 0, 3, 0x80, 4, 4, 0, 0, 0, 0, 3, 0x88, 7, 3, 0, 0, 0, 2, 4, 0x10, 8})
+	f.Add([]byte{0, 4, 0x10, 3, 5, 1, 0x20, 6, 0, 4, 0x18, 2, 5, 0, 0x08, 7, 6, 2, 3, 0, 6, 3, 1, 0, 1, 4, 0x10, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), 4*256)]
 		p := prog2()
 		p.Data = map[uint64]uint64{DataBase: 7, DataBase + 8: 9, DataBase + 0x1000: 3}
 		m, base := NewMemory(p), NewMemory(p)
 		ref, baseRef := maps.Clone(p.Data), maps.Clone(p.Data)
+		var buf []Word // reused by the appending Delta op
 		check := func(what string, m *Memory, ref map[uint64]uint64) {
 			t.Helper()
 			for a, v := range ref {
@@ -196,10 +240,38 @@ func FuzzMemory(f *testing.F) {
 				}
 			}
 		}
+		// checkDelta checks d against m's delta from base: exactly the
+		// changed words, aligned and address-sorted, and base plus d
+		// reads as m.
+		checkDelta := func(d []Word) {
+			t.Helper()
+			// ref derives from baseRef by writes, so it holds every
+			// address baseRef does.
+			changed := 0
+			for k, v := range ref {
+				if v != baseRef[k] {
+					changed++
+				}
+			}
+			if len(d) != changed {
+				t.Fatalf("delta has %d words, want %d: %v", len(d), changed, d)
+			}
+			for i, w := range d {
+				if w.Addr&7 != 0 || (i > 0 && w.Addr <= d[i-1].Addr) {
+					t.Fatalf("delta not aligned and address-sorted: %v", d)
+				}
+				if w.Val != ref[w.Addr] || w.Val == baseRef[w.Addr] {
+					t.Fatalf("delta word %+v: memory has %d, base %d", w, ref[w.Addr], baseRef[w.Addr])
+				}
+			}
+			r := base.Clone()
+			r.Apply(d)
+			check("base+delta", r, ref)
+		}
 		for ; len(ops) >= 4; ops = ops[4:] {
 			a := fuzzBases[int(ops[1])%len(fuzzBases)] + uint64(ops[2])
 			val := uint64(ops[3]) * 0x0101_0101_0101_0101
-			switch ops[0] % 5 {
+			switch ops[0] % 7 {
 			case 0:
 				m.Write(a, val)
 				ref[a&^7] = val
@@ -219,31 +291,51 @@ func FuzzMemory(f *testing.F) {
 					m, ref = c, cRef
 				}
 			case 3:
-				d := m.Delta(base)
-				// ref derives from baseRef by writes, so it holds
-				// every address baseRef does.
-				changed := 0
-				for k, v := range ref {
-					if v != baseRef[k] {
-						changed++
-					}
-				}
-				if len(d) != changed {
-					t.Fatalf("delta has %d words, want %d: %v", len(d), changed, d)
-				}
-				for i, w := range d {
-					if w.Addr&7 != 0 || (i > 0 && w.Addr <= d[i-1].Addr) {
-						t.Fatalf("delta not aligned and address-sorted: %v", d)
-					}
-					if w.Val != ref[w.Addr] || w.Val == baseRef[w.Addr] {
-						t.Fatalf("delta word %+v: memory has %d, base %d", w, ref[w.Addr], baseRef[w.Addr])
-					}
-				}
-				r := base.Clone()
-				r.Apply(d)
-				check("base+delta", r, ref)
+				checkDelta(m.Delta(base, nil))
 			case 4:
 				base, baseRef = m.Clone(), maps.Clone(ref)
+			case 5:
+				// The source starts from the program image and takes
+				// one write; m first writes b, on whatever page the
+				// next neighbourhood gives, which the source lacks
+				// unless the two coincide.
+				src, srcRef := NewMemory(p), maps.Clone(p.Data)
+				src.Write(a, val)
+				srcRef[a&^7] = val
+				b := fuzzBases[(int(ops[1])+1)%len(fuzzBases)] + uint64(ops[3])
+				m.Write(b, ^val)
+				m.CopyFrom(src)
+				ref = maps.Clone(srcRef)
+				check("copy", m, ref)
+				if got := m.Read(b); got != ref[b&^7] {
+					t.Fatalf("copy: Read(0x%x) = %d, want %d", b, got, ref[b&^7])
+				}
+				// When the source lacks b's page, writing b's neighbour
+				// maps a page taken off the spare list (b's old one,
+				// unless m retired several): it must come back zeroed.
+				m.Write(b^8, val)
+				ref[(b^8)&^7] = val
+				if got := m.Read(b); got != ref[b&^7] {
+					t.Fatalf("spare page reuse: Read(0x%x) = %d, want %d", b, got, ref[b&^7])
+				}
+				check("copy after a write", m, ref)
+				check("source after writes to its copy", src, srcRef)
+				// m now derives from the program image by writes.
+				base, baseRef = NewMemory(p), maps.Clone(p.Data)
+			case 6:
+				// Keep a prefix of the previous buffer (or one marker
+				// word when it is empty) and append the delta behind it.
+				if len(buf) == 0 {
+					buf = append(buf, Word{Addr: a, Val: val})
+				}
+				keep := 1 + int(ops[2])%len(buf)
+				prefix := slices.Clone(buf[:keep])
+				d := m.Delta(base, buf[:keep])
+				if !slices.Equal(d[:keep], prefix) {
+					t.Fatalf("Delta rewrote the buffer's prefix: %v, want %v", d[:keep], prefix)
+				}
+				checkDelta(d[keep:])
+				buf = d
 			}
 		}
 		check("end", m, ref)

@@ -10,9 +10,17 @@ package recycle
 // entry merely forfeits a reuse opportunity (never correctness).
 // Addresses are tagged with the address-space identifier by the caller,
 // so programs sharing the machine never alias.
+//
+// The FIFO is a fixed ring: inserting and evicting move head and n, and
+// nothing is ever resliced or appended, so a buffer in use allocates
+// nothing but the index map's occasional rehash.  Slots outside the
+// live window [head, head+n) never hold a valid entry (eviction frees a
+// slot only to refill it at once), so StoreTo and Len scan the whole
+// ring without consulting the window.
 type MDB struct {
-	cap   int
-	fifo  []mdbEntry
+	ring  []mdbEntry     // capacity slots; the oldest live entry is ring[head]
+	head  int            // slot of the oldest entry
+	n     int            // entries in the ring, valid or invalidated
 	index map[uint64]int // (pc,addr) key -> position count (presence)
 }
 
@@ -27,13 +35,23 @@ func mdbKey(pc, addr uint64) uint64 {
 	return pc*0x9E3779B97F4A7C15 ^ addr
 }
 
-// NewMDB builds a buffer holding up to capacity load entries.
+// NewMDB builds a buffer holding up to capacity (at least one) load
+// entries.
 func NewMDB(capacity int) *MDB {
+	if capacity < 1 {
+		panic("recycle: MDB capacity must be positive")
+	}
 	return &MDB{
-		cap:   capacity,
-		fifo:  make([]mdbEntry, 0, capacity),
+		ring:  make([]mdbEntry, capacity),
 		index: make(map[uint64]int, capacity),
 	}
+}
+
+// Reset empties the buffer, keeping its ring and index storage.
+func (m *MDB) Reset() {
+	clear(m.ring)
+	clear(m.index)
+	m.head, m.n = 0, 0
 }
 
 // InsertLoad records an executed load.  Re-inserting the same (pc,
@@ -43,32 +61,35 @@ func (m *MDB) InsertLoad(pc, addr uint64) {
 	if m.index[key] > 0 {
 		return
 	}
-	if len(m.fifo) >= m.cap {
-		old := m.fifo[0]
-		m.fifo = m.fifo[1:]
+	if m.n == len(m.ring) {
+		old := &m.ring[m.head]
 		if old.valid {
-			k := mdbKey(old.pc, old.addr)
-			if m.index[k]--; m.index[k] <= 0 {
-				delete(m.index, k)
-			}
+			m.unindex(old)
 		}
+		m.head = (m.head + 1) % len(m.ring)
+		m.n--
 	}
-	m.fifo = append(m.fifo, mdbEntry{pc: pc, addr: addr, valid: true})
+	m.ring[(m.head+m.n)%len(m.ring)] = mdbEntry{pc: pc, addr: addr, valid: true}
+	m.n++
 	m.index[key]++
+}
+
+// unindex drops e's presence count and marks it invalid.
+func (m *MDB) unindex(e *mdbEntry) {
+	k := mdbKey(e.pc, e.addr)
+	if m.index[k]--; m.index[k] <= 0 {
+		delete(m.index, k)
+	}
+	e.valid = false
 }
 
 // StoreTo invalidates every load entry whose address matches: "If the
 // store finds its address in the MDB, the load PC and address are
 // removed."
 func (m *MDB) StoreTo(addr uint64) {
-	for i := range m.fifo {
-		e := &m.fifo[i]
-		if e.valid && e.addr == addr {
-			k := mdbKey(e.pc, e.addr)
-			if m.index[k]--; m.index[k] <= 0 {
-				delete(m.index, k)
-			}
-			e.valid = false
+	for i := range m.ring {
+		if e := &m.ring[i]; e.valid && e.addr == addr {
+			m.unindex(e)
 		}
 	}
 }
@@ -82,7 +103,7 @@ func (m *MDB) Reusable(pc, addr uint64) bool {
 // Len returns the number of live entries (tests).
 func (m *MDB) Len() int {
 	n := 0
-	for _, e := range m.fifo {
+	for _, e := range m.ring {
 		if e.valid {
 			n++
 		}

@@ -176,6 +176,113 @@ func TestMDBSafetyProperty(t *testing.T) {
 	}
 }
 
+// refMDB is the buffer as a plain slice FIFO: evict from the front,
+// append at the back, invalidate in place.  The ring must agree with it
+// on every query.
+type refMDB struct {
+	cap  int
+	fifo []mdbEntry
+}
+
+func (r *refMDB) insert(pc, addr uint64) {
+	if r.reusable(pc, addr) {
+		return
+	}
+	if len(r.fifo) == r.cap {
+		r.fifo = r.fifo[1:]
+	}
+	r.fifo = append(r.fifo, mdbEntry{pc: pc, addr: addr, valid: true})
+}
+
+func (r *refMDB) storeTo(addr uint64) {
+	for i := range r.fifo {
+		if r.fifo[i].addr == addr {
+			r.fifo[i].valid = false
+		}
+	}
+}
+
+func (r *refMDB) reusable(pc, addr uint64) bool {
+	for _, e := range r.fifo {
+		if e.valid && e.pc == pc && e.addr == addr {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refMDB) len() int {
+	n := 0
+	for _, e := range r.fifo {
+		if e.valid {
+			n++
+		}
+	}
+	return n
+}
+
+// The ring wraps several times: more than three capacities of loads
+// with stores interleaved, so evictions meet both live and invalidated
+// heads.  After every operation each (pc, addr) pair in play must be
+// reusable exactly when the reference FIFO says so, and Len must agree.
+// A Reset midway must leave a buffer equal to a fresh one.
+func TestMDBRingMatchesFIFO(t *testing.T) {
+	const capacity = 8
+	m, ref := NewMDB(capacity), &refMDB{cap: capacity}
+	x := uint32(12345)
+	next := func(n uint32) uint64 { // a fixed LCG stream: reproducible
+		x = x*1664525 + 1013904223
+		return uint64(x>>16) % uint64(n)
+	}
+	const pcs, addrs = 6, 10
+	for i := 0; i < 40*capacity; i++ {
+		if i == 20*capacity {
+			m.Reset()
+			ref = &refMDB{cap: capacity}
+		}
+		if next(4) == 0 {
+			addr := 8 * next(addrs)
+			m.StoreTo(addr)
+			ref.storeTo(addr)
+		} else {
+			pc, addr := 4*next(pcs), 8*next(addrs)
+			m.InsertLoad(pc, addr)
+			ref.insert(pc, addr)
+		}
+		if m.Len() != ref.len() {
+			t.Fatalf("op %d: Len %d, reference %d", i, m.Len(), ref.len())
+		}
+		for pc := uint64(0); pc < 4*pcs; pc += 4 {
+			for addr := uint64(0); addr < 8*addrs; addr += 8 {
+				if got, want := m.Reusable(pc, addr), ref.reusable(pc, addr); got != want {
+					t.Fatalf("op %d: Reusable(%#x, %#x) = %v, reference %v", i, pc, addr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A buffer in use allocates nothing once its index has grown: the ring
+// never reslices or appends.  (A slice FIFO that evicts by reslicing
+// the front reallocates once per capacity's worth of inserts.)
+func TestMDBSteadyStateAllocs(t *testing.T) {
+	m := NewMDB(64)
+	i := uint64(0)
+	steps := func() {
+		for range 1_000 {
+			m.InsertLoad(0x1000+4*(i%96), 0x8000+8*(i%80))
+			if i%5 == 0 {
+				m.StoreTo(0x8000 + 8*(i%80))
+			}
+			i++
+		}
+	}
+	steps()
+	if n := testing.AllocsPerRun(20, steps); n != 0 {
+		t.Errorf("MDB: %v allocs per 1,000 inserts", n)
+	}
+}
+
 func TestMergePoints(t *testing.T) {
 	var m MergePoints
 	if _, _, ok := m.Match(0x1000); ok {

@@ -25,6 +25,9 @@ func NewWrittenBits(contexts int) *WrittenBits {
 	return &WrittenBits{contexts: contexts, bits: make([]uint16, isa.NumRegs)}
 }
 
+// Reset clears every bit, as NewWrittenBits leaves them.
+func (w *WrittenBits) Reset() { clear(w.bits) }
+
 // ResetContext clears the column for ctx: "when a new path is started
 // on a context, the column of register bits for that context is reset."
 func (w *WrittenBits) ResetContext(ctx int) {

@@ -40,22 +40,34 @@ type File struct {
 // New builds a register file with all registers free.
 func New(numInt, numFP int) *File {
 	f := &File{
-		NumInt: numInt,
-		NumFP:  numFP,
-		vals:   make([]uint64, numInt+numFP),
-		ready:  make([]bool, numInt+numFP),
-		refs:   make([]int32, numInt+numFP),
+		NumInt:  numInt,
+		NumFP:   numFP,
+		vals:    make([]uint64, numInt+numFP),
+		ready:   make([]bool, numInt+numFP),
+		refs:    make([]int32, numInt+numFP),
+		freeInt: make([]PhysReg, 0, numInt),
+		freeFP:  make([]PhysReg, 0, numFP),
 	}
-	f.freeInt = make([]PhysReg, 0, numInt)
-	f.freeFP = make([]PhysReg, 0, numFP)
-	for r := numInt + numFP - 1; r >= 0; r-- {
-		if r >= numInt {
+	f.Reset()
+	return f
+}
+
+// Reset frees every register and clears the values and AllocFailures,
+// keeping the storage: the file is then exactly as New built it, free
+// lists in the same order.
+func (f *File) Reset() {
+	clear(f.vals)
+	clear(f.ready)
+	clear(f.refs)
+	f.freeInt, f.freeFP = f.freeInt[:0], f.freeFP[:0]
+	for r := f.NumInt + f.NumFP - 1; r >= 0; r-- {
+		if r >= f.NumInt {
 			f.freeFP = append(f.freeFP, PhysReg(r))
 		} else {
 			f.freeInt = append(f.freeInt, PhysReg(r))
 		}
 	}
-	return f
+	f.AllocFailures = 0
 }
 
 // IsFP reports which pool the register belongs to.

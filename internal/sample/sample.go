@@ -45,12 +45,13 @@ type Config struct {
 	Poll func() error
 }
 
-// seedsPerWorker and maxSeeds size Run's pool of interval seeds
-// (architectural checkpoint + warmed-model buffer, ~1.7 MB, mostly L3
-// tags): each resolved worker gets one seed to simulate and one queued
-// behind it, up to maxSeeds in all, so the pool grows with the
-// parallelism that consumes it, never with the run's length, and never
-// past 64 model copies however many workers there are.
+// seedsPerWorker and maxSeeds size Run's pool of seed slots (checkpoint,
+// warmed-model buffer of ~1.7 MB, mostly L3 tags, data memory and
+// detailed core; see seedSlot): each resolved worker gets one slot to
+// simulate and one queued behind it, up to maxSeeds in all, so the pool
+// grows with the parallelism that consumes it, never with the run's
+// length, and never past 64 model copies however many workers there
+// are.
 const (
 	seedsPerWorker = 2
 	maxSeeds       = 64
@@ -173,23 +174,20 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	// adopting its buffer's models as its own.
 	//
 	// The pass and the intervals run as a pipeline over a pool of
-	// seedsPerWorker seeds per resolved worker (sweep.Pipeline): the
-	// pass fills a free seed, copying the master into its model buffer
-	// in place (Warmup.CloneInto), and moves on while a worker simulates
-	// the interval; the seed returns to the pool when its interval
-	// ends.  A run thus holds a fixed handful of model copies however
-	// many intervals it has, and the sequential pass overlaps the
-	// parallel intervals instead of waiting for them.  None of this
-	// affects the estimate: the pass is sequential, every interval
-	// starts from an exact copy of the master, and every interval
-	// writes its own result slot.
-	type seedpoint struct {
-		k  int // interval index
-		cp *Checkpoint
-		w  Warmup
-	}
+	// seedsPerWorker seed slots per resolved worker (sweep.Pipeline):
+	// the pass fills a free slot, capturing the checkpoint into the
+	// slot's reused delta buffer and copying the master into its model
+	// buffer in place (Warmup.CloneInto), and moves on while a worker
+	// simulates the interval; the slot returns to the pool when its
+	// interval ends.  A run thus holds a fixed handful of model copies,
+	// data memories and detailed cores however many intervals it has,
+	// and the sequential pass overlaps the parallel intervals instead of
+	// waiting for them.  None of this affects the estimate: the pass is
+	// sequential, every interval starts from an exact copy of the master
+	// on a core in exactly its freshly built state (core.Reseed), and
+	// every interval writes its own result slot.
 	nMax := int(maxInsts / cfg.Period)
-	seeds := make([]seedpoint, min(seedsPerWorker*sweep.Workers(cfg.Workers), maxSeeds))
+	seeds := make([]seedSlot, min(seedsPerWorker*sweep.Workers(cfg.Workers), maxSeeds))
 	base := program.NewMemory(prog)
 	e := emu.New(prog)
 	master := NewWarmup(mach)
@@ -216,7 +214,8 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 			return false
 		}
 		sp := &seeds[s]
-		sp.k, sp.cp = n, Capture(e, base)
+		sp.k = n
+		sp.cp.capture(e, base)
 		master.CloneInto(&sp.w)
 		for i := uint64(0); i < cfg.WarmupLen+cfg.IntervalLen && !e.Halted; i++ {
 			e.StepInto(&si)
@@ -238,7 +237,7 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 				return
 			}
 		}
-		ivals[sp.k], errs[sp.k] = runInterval(mach, feat, prog, sp.cp, &sp.w, cfg)
+		ivals[sp.k], errs[sp.k] = sp.runInterval(mach, feat, prog, base, cfg)
 		ivals[sp.k].Index = sp.k
 	}
 	sweep.Pipeline(len(seeds), cfg.Workers, produce, consume)
@@ -289,29 +288,54 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	return res, nil
 }
 
-// runInterval restores one measurement-start checkpoint, builds a
-// detailed core that adopts the interval's private copy of the
+// seedSlot is one buffer of Run's seed pool: what the checkpoint pass
+// fills for an interval, and what the interval builds from it.  Every
+// part is reused by the slot's next interval.
+type seedSlot struct {
+	k  int        // interval index
+	cp Checkpoint // measurement-start state; its delta buffer is reused
+	w  Warmup     // copy of the master models, adopted by the core
+
+	mem  program.Memory // the interval's data memory: base plus cp's delta
+	arch core.ArchState // the core's seed, on mem
+	c    *core.Core     // built by the slot's first interval, reseeded after
+}
+
+// runInterval restores the slot's checkpoint into its data memory,
+// seeds its detailed core — built on the slot's first interval,
+// reseeded in place after — on the slot's private copy of the
 // continuously warmed models (the core trains them in place, so w is
 // spent once this returns), runs the detached warmup, and measures the
 // interval.  A panic inside the core is contained into the interval's
-// error so one bad interval cannot take down a parallel sampled sweep.
-func runInterval(mach config.Machine, feat config.Features, prog *program.Program, cp *Checkpoint, w *Warmup, cfg Config) (iv Interval, err error) {
+// error so one bad interval cannot take down a parallel sampled sweep;
+// a failed interval drops the slot's core, so the next one builds
+// afresh.
+func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *program.Program, base *program.Memory, cfg Config) (iv Interval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic in detailed interval: %v", r)
 		}
+		if err != nil {
+			s.c = nil
+		}
 	}()
 
-	e, err := cp.Restore(prog)
+	s.mem.CopyFrom(base)
+	if err := s.cp.restore(prog, &s.mem); err != nil {
+		return iv, err
+	}
+	s.arch = core.ArchState{PC: s.cp.PC, Regs: s.cp.Regs, Mem: &s.mem}
+	seeds := []*core.ArchState{&s.arch}
+	m := core.Models{Pred: s.w.Pred, Conf: s.w.Conf, Mem: s.w.Mem}
+	if s.c == nil {
+		s.c, err = core.NewSeededWith(mach, feat, []*program.Program{prog}, seeds, m)
+	} else {
+		err = s.c.Reseed(seeds, m)
+	}
 	if err != nil {
 		return iv, err
 	}
-	seed := &core.ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem}
-	c, err := core.NewSeededWith(mach, feat, []*program.Program{prog}, []*core.ArchState{seed},
-		core.Models{Pred: w.Pred, Conf: w.Conf, Mem: w.Mem})
-	if err != nil {
-		return iv, err
-	}
+	c := s.c
 	if cfg.Poll != nil {
 		c.SetPoll(0, cfg.Poll)
 	}
@@ -334,7 +358,7 @@ func runInterval(mach config.Machine, feat config.Features, prog *program.Progra
 	if delta.Committed == 0 {
 		return iv, fmt.Errorf("nothing committed in measured region (cycles %d..%d)", snap.Cycles, c.Stats.Cycles)
 	}
-	iv.StartInst = cp.Retired + snap.Committed
+	iv.StartInst = s.cp.Retired + snap.Committed
 	iv.Insts = delta.Committed
 	iv.Cycles = delta.Cycles
 	iv.CPI = float64(delta.Cycles) / float64(delta.Committed)

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -181,45 +182,67 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 }
 
-// The allocation guard: a sampled interval allocates the core it
-// simulates, its checkpoint's memory delta and the pages of its
-// restored memory (gcc's data image alone spans nine 4 KB pages):
-// about 355 KB for gcc on Big216 in all, and no copy of the warmed
-// models.  The marginal cost per interval is measured between a 24-
-// and a 48-interval run, so the fixed costs (the master models and the
-// seed pool) cancel.  Each regression it guards against adds at least
-// ~110 KB per interval: a model clone or a cold hierarchy (1.7 MB
-// each), or a memory image held as one map entry per word rather than
-// in pages (~465 KB per interval in all).  The bound sits about midway
-// between that smallest regression and the ~355 KB measured, so the
-// test tolerates drift in what the core itself allocates.
+// The allocation guard: a sampled interval allocates next to nothing.
+// Each seed slot keeps its checkpoint's delta buffer, its data memory
+// and its detailed core, and reseeds them in place (core.Reseed), so
+// what is left is the interval's result (its Stats' per-program
+// counts) and the slots' buffers growing to the program's footprint:
+// about 400 bytes for gcc on Big216 with one worker, and 2.3 KB with
+// four, whose eight slots each grow their own.  The marginal cost per
+// interval is measured between a 48- and a 96-interval run, so the
+// fixed costs (the master models and each slot's first core, memory
+// and model copy) cancel.  The smallest regression it guards against
+// is a restored memory built afresh (gcc's data image spans nine 4 KB
+// pages, ~37 KB); a fresh core is ~300 KB and a model copy 1.7 MB.
+// The bound of two pages leaves room for drift in the growth.
+//
+// With four workers the slots' cores change hands between goroutines;
+// under the race detector (make test) that races per-slot reuse, and
+// its result must still equal the one-worker run's.
 func TestSampledIntervalAllocs(t *testing.T) {
-	const bound = 410_000 // bytes per interval
+	const (
+		bound       = 8_192 // bytes per interval
+		short, long = 48, 96
+	)
+	if invariantEnabled {
+		t.Skip("siminvariant build: the periodic checker allocates by design")
+	}
 	p, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := config.Big216()
 	feat, _ := config.PresetByName("REC/RS/RU")
-	cfg := Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500, Workers: 1}
-	allocs := func(intervals uint64) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r, err := Run(mach, feat, p, intervals*cfg.Period, cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uint64(len(r.Intervals)) != intervals {
-			t.Fatalf("%d intervals, want %d", len(r.Intervals), intervals)
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	short, long := allocs(24), allocs(48)
-	perInterval := (long - short) / 24
-	t.Logf("%d bytes per interval (%d for 24 intervals, %d for 48)", perInterval, short, long)
-	if perInterval > bound {
-		t.Errorf("a sampled interval allocates %d bytes, over the %d-byte bound", perInterval, bound)
+	var ref *Result
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500, Workers: workers}
+			allocs := func(intervals uint64) (*Result, uint64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				r, err := Run(mach, feat, p, intervals*cfg.Period, cfg)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if uint64(len(r.Intervals)) != intervals {
+					t.Fatalf("%d intervals, want %d", len(r.Intervals), intervals)
+				}
+				return r, after.TotalAlloc - before.TotalAlloc
+			}
+			_, a := allocs(short)
+			r, b := allocs(long)
+			perInterval := (b - a) / (long - short)
+			t.Logf("%d bytes per interval (%d for %d intervals, %d for %d)", perInterval, a, short, b, long)
+			if perInterval > bound {
+				t.Errorf("a sampled interval allocates %d bytes, over the %d-byte bound", perInterval, bound)
+			}
+			if ref == nil {
+				ref = r
+			} else if !reflect.DeepEqual(r, ref) {
+				t.Error("result differs from the one-worker run's")
+			}
+		})
 	}
 }
 

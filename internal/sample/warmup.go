@@ -24,8 +24,8 @@ const warmupLine = 64
 // start, as in SMARTS functional warming); CloneInto snapshots it into
 // a reused buffer at each measurement point.  The models are built with
 // the same default configurations core.New uses and are meant to be
-// adopted by a seeded core (core.NewSeededWith, or Core.SeedMicroarch
-// on an already built one).
+// adopted by a seeded core (core.NewSeededWith or Core.Reseed, or
+// Core.SeedMicroarch on an already built one).
 //
 // The warmup mirrors the core's primary-path training exactly: Lookup,
 // speculative history update, history repair on a mispredict, and
