@@ -13,7 +13,8 @@
 #                    testdata/fuzz and the targets' seeds
 #   make smoke       one short instrumented run through both telemetry
 #                    exporters (-metrics / -metrics-text), output discarded
-#   make invariant   cosim suite with the runtime invariant checker forced on
+#   make invariant   core and sampled-mode suites with the runtime
+#                    invariant checker forced on (every 256 cycles)
 #
 # The benchmark is bench/ (bash bench/run.sh); see bench/README.md.
 
@@ -55,5 +56,5 @@ smoke:
 	$(GO) run ./cmd/recyclesim -workloads compress -insts 20000 -flightrec 256 -metrics-text - >/dev/null
 
 invariant:
-	$(GO) test -tags siminvariant ./internal/core/
+	$(GO) test -tags siminvariant ./internal/core/ ./internal/sample/
 

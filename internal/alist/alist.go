@@ -91,9 +91,15 @@ func (e *Entry) TraceTaken() bool {
 //	start  — oldest retained entry (committed entries linger here)
 //	commit — oldest uncommitted entry
 //	tail   — next sequence number to be allocated
+//
+// The ring's storage is rounded up to a power of two so a sequence
+// number maps to its slot with a mask instead of a division.  At most
+// Capacity entries are retained, so they occupy distinct slots, and the
+// spare slots only delay when a slot is reused.
 type List struct {
 	cap   int
 	ents  []Entry
+	mask  uint64 // len(ents)-1
 	start uint64
 	cmt   uint64
 	tail  uint64
@@ -101,7 +107,11 @@ type List struct {
 
 // New returns an empty active list with the given capacity.
 func New(capacity int) *List {
-	return &List{cap: capacity, ents: make([]Entry, capacity)}
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	return &List{cap: capacity, ents: make([]Entry, n), mask: uint64(n - 1)}
 }
 
 // Capacity returns the ring size.
@@ -112,7 +122,7 @@ func (l *List) Reset() {
 	l.start, l.cmt, l.tail = 0, 0, 0
 }
 
-func (l *List) slot(seq uint64) *Entry { return &l.ents[seq%uint64(l.cap)] }
+func (l *List) slot(seq uint64) *Entry { return &l.ents[seq&l.mask] }
 
 // Push allocates the next entry, evicting the oldest retained-committed
 // entry if the ring is full of history.  It fails (nil, false) when the

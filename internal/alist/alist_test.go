@@ -1,6 +1,7 @@
 package alist
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -191,5 +192,125 @@ func TestRingInvariants(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The ring stores Capacity entries in a power-of-two array indexed by
+// mask.  Driven side by side with a plain slice FIFO through many
+// wraparounds, it reports the same retained entries, evictions, squash
+// order and PC searches for capacities below, at and above a power of
+// two.
+func TestRingMatchesReferenceFIFO(t *testing.T) {
+	type rec struct {
+		seq, pc   uint64
+		committed bool
+	}
+	for _, capacity := range []int{5, 8, 48} {
+		l := New(capacity)
+		var ref []rec // retained entries, oldest first
+		var tail uint64
+		x := uint64(capacity)
+		rnd := func(n uint64) uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return x >> 33 % n
+		}
+		inFlight := func() int {
+			n := 0
+			for _, r := range ref {
+				if !r.committed {
+					n++
+				}
+			}
+			return n
+		}
+		for step := 0; step < 20_000; step++ {
+			switch op := rnd(16); {
+			case op < 7:
+				e, evicted, ok := l.Push()
+				wantEvicted := ^uint64(0)
+				if len(ref) == capacity {
+					if inFlight() == capacity {
+						if ok {
+							t.Fatalf("cap %d step %d: push into a window full of live entries succeeded", capacity, step)
+						}
+						continue
+					}
+					wantEvicted = ref[0].seq
+					ref = ref[1:]
+				}
+				if !ok || evicted != wantEvicted || e.Seq != tail {
+					t.Fatalf("cap %d step %d: Push = seq %d evicted %d ok %v, want seq %d evicted %d",
+						capacity, step, e.Seq, evicted, ok, tail, wantEvicted)
+				}
+				e.PC = rnd(12) * isa.InstBytes
+				ref = append(ref, rec{seq: tail, pc: e.PC})
+				tail++
+			case op < 13:
+				if inFlight() > 0 {
+					l.CommitHead()
+					ref[len(ref)-inFlight()].committed = true
+				}
+			case op < 15:
+				// Committed entries survive: the squash starts at the
+				// later of from and the commit point.
+				from := tail - rnd(uint64(len(ref))+1)
+				newTail := max(from, tail-uint64(inFlight()))
+				var undone, want []uint64
+				l.SquashFrom(from, func(e *Entry) { undone = append(undone, e.Seq) })
+				for len(ref) > 0 && ref[len(ref)-1].seq >= newTail {
+					want = append(want, ref[len(ref)-1].seq)
+					ref = ref[:len(ref)-1]
+				}
+				tail = newTail
+				if !reflect.DeepEqual(undone, want) {
+					t.Fatalf("cap %d step %d: SquashFrom(%d) undid %v, want %v", capacity, step, from, undone, want)
+				}
+			default:
+				n := 0
+				l.SquashAll(func(*Entry) { n++ })
+				if n != inFlight() {
+					t.Fatalf("cap %d step %d: SquashAll undid %d, want %d", capacity, step, n, inFlight())
+				}
+				tail -= uint64(n)
+				ref = ref[:0]
+			}
+
+			if l.TailSeq() != tail || l.Len() != len(ref) || l.InFlight() != inFlight() {
+				t.Fatalf("cap %d step %d: tail %d len %d inflight %d, want %d %d %d",
+					capacity, step, l.TailSeq(), l.Len(), l.InFlight(), tail, len(ref), inFlight())
+			}
+			first := tail
+			if len(ref) > 0 {
+				first = ref[0].seq
+			}
+			for s := first - min(first, 2); s < tail+2; s++ {
+				e, ok := l.At(s)
+				if ok != (s >= first && s < tail) {
+					t.Fatalf("cap %d step %d: At(%d) ok=%v with window [%d,%d)", capacity, step, s, ok, first, tail)
+				}
+				if ok && (e.Seq != s || e.PC != ref[s-first].pc || e.Committed != ref[s-first].committed) {
+					t.Fatalf("cap %d step %d: At(%d) = seq %d pc %d committed %v, want %+v",
+						capacity, step, s, e.Seq, e.PC, e.Committed, ref[s-first])
+				}
+			}
+			if pc, ok := l.FirstPC(); ok != (len(ref) > 0) || ok && pc != ref[0].pc {
+				t.Fatalf("cap %d step %d: FirstPC = %d, %v", capacity, step, pc, ok)
+			}
+			pc := rnd(12) * isa.InstBytes
+			seq, ok := l.FindPC(pc)
+			want := -1
+			for i, r := range ref {
+				if r.pc == pc {
+					want = i
+					break
+				}
+			}
+			if ok != (want >= 0) || ok && seq != ref[want].seq {
+				t.Fatalf("cap %d step %d: FindPC(%d) = %d, %v, want index %d", capacity, step, pc, seq, ok, want)
+			}
+		}
+		if tail < uint64(8*capacity) {
+			t.Fatalf("cap %d: only %d pushes, too few wraparounds", capacity, tail)
+		}
 	}
 }

@@ -8,7 +8,12 @@
 // 12-entry return stack per context.
 package bpred
 
-import "recyclesim/internal/isa"
+import (
+	"fmt"
+	"math/bits"
+
+	"recyclesim/internal/isa"
+)
 
 // Config sizes the predictor structures.
 type Config struct {
@@ -46,24 +51,42 @@ type Predictor struct {
 	cfg      Config
 	pht      []uint8 // 2-bit saturating counters
 	btb      []btbEntry
-	btbSets  int
 	lruClock uint64
+
+	// The PHT size and the BTB set count are powers of two, so indexing
+	// masks and shifts the instruction address instead of dividing.
+	phtMask     uint64
+	btbSetMask  uint64
+	btbTagShift uint
 
 	hist   []uint64   // per-context global history
 	ras    [][]uint64 // per-context return stacks
 	rasTop []int      // per-context stack pointer (index of next push)
 }
 
-// New builds a predictor with weakly-taken counters.
+// New builds a predictor with weakly-taken counters.  It panics when
+// the PHT size or the BTB set count (BTBEntries / BTBAssoc) is not a
+// power of two: configurations are static, and a bad one is a
+// programming error.
 func New(cfg Config) *Predictor {
+	sets := 0
+	if cfg.BTBAssoc > 0 {
+		sets = cfg.BTBEntries / cfg.BTBAssoc
+	}
+	if !pow2(cfg.PHTEntries) || !pow2(sets) || sets*cfg.BTBAssoc != cfg.BTBEntries {
+		panic(fmt.Sprintf("bpred: PHT entries (%d) and BTB sets (%d entries / %d ways) must be powers of two",
+			cfg.PHTEntries, cfg.BTBEntries, cfg.BTBAssoc))
+	}
 	p := &Predictor{
-		cfg:     cfg,
-		pht:     make([]uint8, cfg.PHTEntries),
-		btb:     make([]btbEntry, cfg.BTBEntries),
-		btbSets: cfg.BTBEntries / cfg.BTBAssoc,
-		hist:    make([]uint64, cfg.Contexts),
-		ras:     make([][]uint64, cfg.Contexts),
-		rasTop:  make([]int, cfg.Contexts),
+		cfg:         cfg,
+		pht:         make([]uint8, cfg.PHTEntries),
+		btb:         make([]btbEntry, cfg.BTBEntries),
+		phtMask:     uint64(cfg.PHTEntries - 1),
+		btbSetMask:  uint64(sets - 1),
+		btbTagShift: uint(bits.TrailingZeros(uint(sets))),
+		hist:        make([]uint64, cfg.Contexts),
+		ras:         make([][]uint64, cfg.Contexts),
+		rasTop:      make([]int, cfg.Contexts),
 	}
 	for i := range p.pht {
 		p.pht[i] = 1 // weakly not-taken
@@ -114,44 +137,61 @@ type Pred struct {
 	BTBMiss bool   // indirect jump found no BTB entry (fell through)
 }
 
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
 func (p *Predictor) phtIndex(pc, hist uint64) int {
-	return int((pc/isa.InstBytes ^ hist) % uint64(len(p.pht)))
+	return int((pc/isa.InstBytes ^ hist) & p.phtMask)
+}
+
+// btbSet returns the index of the first way of pc's BTB set and pc's
+// tag within the set.
+func (p *Predictor) btbSet(pc uint64) (base int, tag uint64) {
+	word := pc / isa.InstBytes
+	return int(word&p.btbSetMask) * p.cfg.BTBAssoc, word >> p.btbTagShift
 }
 
 // Lookup predicts the direction and target of a control transfer at pc
-// in context ctx.  The decoded instruction supplies direct targets (the
-// simulator's instruction store plays the role of a perfect decoder);
-// indirect non-return jumps consult the BTB, returns consult the RAS.
-// Lookup does not change any predictor state.
-func (p *Predictor) Lookup(ctx int, pc uint64, in isa.Inst) Pred {
-	pr := Pred{GHist: p.hist[ctx], RASTop: p.rasTop[ctx]}
+// in context ctx into pr.  The decoded instruction supplies direct
+// targets (the simulator's instruction store plays the role of a
+// perfect decoder); indirect non-return jumps consult the BTB, returns
+// consult the RAS.  Every field of pr is overwritten, one store each: a
+// returned Pred is too wide to travel in registers, and assembling it
+// on the stack and copying it out reloads narrow stores with wide
+// loads, which stalls.
+//
+// Lookup changes no direction or history state; its one side effect is
+// on BTB replacement: a BTB hit on an indirect jump refreshes that
+// entry's LRU stamp, exactly as a hardware BTB read would, so the hit
+// way becomes the last one btbInsert evicts from its set.
+func (p *Predictor) Lookup(ctx int, pc uint64, in *isa.Inst, pr *Pred) {
+	hist := p.hist[ctx]
+	taken, target, miss := false, uint64(0), false
 	switch {
 	case in.IsCondBranch():
-		ctr := p.pht[p.phtIndex(pc, pr.GHist)]
-		pr.Taken = ctr >= 2
-		pr.Target = in.Target
+		taken = p.pht[p.phtIndex(pc, hist)] >= 2
+		target = in.Target
 	case in.IsReturn():
-		pr.Taken = true
-		pr.Target = p.rasPeek(ctx)
+		taken, target = true, p.rasPeek(ctx)
 	case in.IsIndirect():
-		pr.Taken = true
-		if t, ok := p.btbLookup(pc); ok {
-			pr.Target = t
-		} else {
-			pr.Target = pc + isa.InstBytes // no target known: fall through
-			pr.BTBMiss = true
+		taken = true
+		var hit bool
+		if target, hit = p.btbLookup(pc); !hit {
+			target, miss = pc+isa.InstBytes, true // no target known: fall through
 		}
 	case in.IsBranch(): // direct jump or call
-		pr.Taken = true
-		pr.Target = in.Target
+		taken, target = true, in.Target
 	}
-	return pr
+	pr.Taken = taken
+	pr.Target = target
+	pr.GHist = hist
+	pr.RASTop = p.rasTop[ctx]
+	pr.BTBMiss = miss
 }
 
 // SpecUpdate applies the speculative effects of fetching a control
 // transfer: the predicted direction is shifted into the context's
 // global history and calls/returns adjust the return stack.
-func (p *Predictor) SpecUpdate(ctx int, in isa.Inst, pc uint64, pr Pred) {
+func (p *Predictor) SpecUpdate(ctx int, in *isa.Inst, pc uint64, pr *Pred) {
 	if in.IsCondBranch() {
 		p.pushHist(ctx, pr.Taken)
 	}
@@ -177,7 +217,7 @@ func (p *Predictor) PushHist(ctx int, taken bool) { p.pushHist(ctx, taken) }
 // Restore rewinds a context's speculative history and return stack to
 // the recovery state captured with a mispredicted branch, then shifts
 // in the branch's true outcome when it was conditional.
-func (p *Predictor) Restore(ctx int, in isa.Inst, pr Pred, actualTaken bool) {
+func (p *Predictor) Restore(ctx int, in *isa.Inst, pr *Pred, actualTaken bool) {
 	p.hist[ctx] = pr.GHist
 	p.rasTop[ctx] = pr.RASTop
 	if in.IsCondBranch() {
@@ -202,7 +242,7 @@ func (p *Predictor) CopyContext(dst, src int) {
 }
 
 // Commit trains the PHT and BTB with a resolved, committed branch.
-func (p *Predictor) Commit(pc uint64, in isa.Inst, pr Pred, taken bool, target uint64) {
+func (p *Predictor) Commit(pc uint64, in *isa.Inst, pr *Pred, taken bool, target uint64) {
 	if in.IsCondBranch() {
 		idx := p.phtIndex(pc, pr.GHist)
 		if taken {
@@ -247,9 +287,7 @@ func (p *Predictor) rasPeek(ctx int) uint64 {
 }
 
 func (p *Predictor) btbLookup(pc uint64) (uint64, bool) {
-	set := int(pc / isa.InstBytes % uint64(p.btbSets))
-	tag := pc / isa.InstBytes / uint64(p.btbSets)
-	base := set * p.cfg.BTBAssoc
+	base, tag := p.btbSet(pc)
 	for w := 0; w < p.cfg.BTBAssoc; w++ {
 		e := &p.btb[base+w]
 		if e.valid && e.tag == tag {
@@ -262,9 +300,7 @@ func (p *Predictor) btbLookup(pc uint64) (uint64, bool) {
 }
 
 func (p *Predictor) btbInsert(pc, target uint64) {
-	set := int(pc / isa.InstBytes % uint64(p.btbSets))
-	tag := pc / isa.InstBytes / uint64(p.btbSets)
-	base := set * p.cfg.BTBAssoc
+	base, tag := p.btbSet(pc)
 	victim := base
 	for w := 0; w < p.cfg.BTBAssoc; w++ {
 		e := &p.btb[base+w]

@@ -9,6 +9,12 @@ import (
 
 func beq(target uint64) isa.Inst { return isa.Inst{Op: isa.OpBeq, Target: target} }
 
+func lookup(p *Predictor, ctx int, pc uint64, in *isa.Inst) Pred {
+	var pr Pred
+	p.Lookup(ctx, pc, in, &pr)
+	return pr
+}
+
 func TestPHTLearnsBias(t *testing.T) {
 	p := New(Default(1))
 	pc := uint64(0x1000)
@@ -17,12 +23,12 @@ func TestPHTLearnsBias(t *testing.T) {
 	// ones after HistBits iterations, after which the same PHT entry
 	// trains repeatedly.
 	for i := 0; i < 40; i++ {
-		pr := p.Lookup(0, pc, in)
-		p.SpecUpdate(0, in, pc, pr)
-		p.Commit(pc, in, pr, true, 0x2000)
-		p.Restore(0, in, pr, true) // keep history consistent with outcome
+		pr := lookup(p, 0, pc, &in)
+		p.SpecUpdate(0, &in, pc, &pr)
+		p.Commit(pc, &in, &pr, true, 0x2000)
+		p.Restore(0, &in, &pr, true) // keep history consistent with outcome
 	}
-	pr := p.Lookup(0, pc, in)
+	pr := lookup(p, 0, pc, &in)
 	if !pr.Taken {
 		t.Error("predictor failed to learn a strongly-taken branch")
 	}
@@ -40,13 +46,13 @@ func TestPHTAlternatingWithHistory(t *testing.T) {
 	correct := 0
 	taken := false
 	for i := 0; i < 200; i++ {
-		pr := p.Lookup(0, pc, in)
+		pr := lookup(p, 0, pc, &in)
 		if pr.Taken == taken && i > 100 {
 			correct++
 		}
-		p.SpecUpdate(0, in, pc, pr)
-		p.Restore(0, in, pr, taken)
-		p.Commit(pc, in, pr, taken, 0x2000)
+		p.SpecUpdate(0, &in, pc, &pr)
+		p.Restore(0, &in, &pr, taken)
+		p.Commit(pc, &in, &pr, taken, 0x2000)
 		taken = !taken
 	}
 	if correct < 90 {
@@ -59,22 +65,22 @@ func TestRASPushPop(t *testing.T) {
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
 	ret := isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
 
-	pr := p.Lookup(0, 0x1000, call)
-	p.SpecUpdate(0, call, 0x1000, pr)
-	pr = p.Lookup(0, 0x1100, call)
-	p.SpecUpdate(0, call, 0x1100, pr)
+	pr := lookup(p, 0, 0x1000, &call)
+	p.SpecUpdate(0, &call, 0x1000, &pr)
+	pr = lookup(p, 0, 0x1100, &call)
+	p.SpecUpdate(0, &call, 0x1100, &pr)
 
-	pr = p.Lookup(0, 0x3000, ret)
+	pr = lookup(p, 0, 0x3000, &ret)
 	if pr.Target != 0x1100+isa.InstBytes {
 		t.Errorf("return target = 0x%x, want 0x%x", pr.Target, 0x1100+isa.InstBytes)
 	}
-	p.SpecUpdate(0, ret, 0x3000, pr)
-	pr = p.Lookup(0, 0x3000, ret)
+	p.SpecUpdate(0, &ret, 0x3000, &pr)
+	pr = lookup(p, 0, 0x3000, &ret)
 	if pr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("second return target = 0x%x", pr.Target)
 	}
 	// Context 1's stack is independent.
-	pr = p.Lookup(1, 0x3000, ret)
+	pr = lookup(p, 1, 0x3000, &ret)
 	if pr.Target != 0 {
 		t.Errorf("context 1 should have an empty return stack, got 0x%x", pr.Target)
 	}
@@ -85,21 +91,21 @@ func TestRASRecovery(t *testing.T) {
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
 	cond := beq(0x2000)
 
-	pr0 := p.Lookup(0, 0x1000, call)
-	p.SpecUpdate(0, call, 0x1000, pr0)
+	pr0 := lookup(p, 0, 0x1000, &call)
+	p.SpecUpdate(0, &call, 0x1000, &pr0)
 
 	// A conditional branch checkpoints the stack depth.
-	prB := p.Lookup(0, 0x3000, cond)
-	p.SpecUpdate(0, cond, 0x3000, prB)
+	prB := lookup(p, 0, 0x3000, &cond)
+	p.SpecUpdate(0, &cond, 0x3000, &prB)
 
 	// Wrong path pushes another frame.
-	prC := p.Lookup(0, 0x2000, call)
-	p.SpecUpdate(0, call, 0x2000, prC)
+	prC := lookup(p, 0, 0x2000, &call)
+	p.SpecUpdate(0, &call, 0x2000, &prC)
 
 	// Mispredict recovery must restore the stack depth.
-	p.Restore(0, cond, prB, !prB.Taken)
+	p.Restore(0, &cond, &prB, !prB.Taken)
 	ret := isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
-	pr := p.Lookup(0, 0x4000, ret)
+	pr := lookup(p, 0, 0x4000, &ret)
 	if pr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("post-recovery return target = 0x%x", pr.Target)
 	}
@@ -109,9 +115,9 @@ func TestHistoryRecovery(t *testing.T) {
 	p := New(Default(1))
 	in := beq(0x2000)
 	p.ForceHist(0, 0b101)
-	pr := p.Lookup(0, 0x1000, in)
+	pr := lookup(p, 0, 0x1000, &in)
 	h0 := p.Hist(0)
-	p.SpecUpdate(0, in, 0x1000, pr)
+	p.SpecUpdate(0, &in, 0x1000, &pr)
 	want0 := h0 << 1
 	if pr.Taken {
 		want0 |= 1
@@ -119,7 +125,7 @@ func TestHistoryRecovery(t *testing.T) {
 	if p.Hist(0) != want0&0x7FF {
 		t.Errorf("speculative history = %b, want %b", p.Hist(0), want0&0x7FF)
 	}
-	p.Restore(0, in, pr, true)
+	p.Restore(0, &in, &pr, true)
 	want := (pr.GHist << 1) | 1
 	if p.Hist(0) != want&0x7FF {
 		t.Errorf("restored history = %b, want %b", p.Hist(0), want&0x7FF)
@@ -129,12 +135,12 @@ func TestHistoryRecovery(t *testing.T) {
 func TestBTBIndirect(t *testing.T) {
 	p := New(Default(1))
 	jr := isa.Inst{Op: isa.OpJr, Rs1: 5} // indirect, not a return
-	pr := p.Lookup(0, 0x1000, jr)
+	pr := lookup(p, 0, 0x1000, &jr)
 	if pr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("cold BTB should predict fallthrough, got 0x%x", pr.Target)
 	}
-	p.Commit(0x1000, jr, pr, true, 0x5000)
-	pr = p.Lookup(0, 0x1000, jr)
+	p.Commit(0x1000, &jr, &pr, true, 0x5000)
+	pr = lookup(p, 0, 0x1000, &jr)
 	if pr.Target != 0x5000 {
 		t.Errorf("BTB target after training = 0x%x", pr.Target)
 	}
@@ -152,11 +158,11 @@ func TestBTBReplacement(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		pc := uint64(0x1000 + i*2*int(isa.InstBytes)*2) // same-set stride (2 sets)
 		pcs = append(pcs, pc)
-		pr := p.Lookup(0, pc, jr)
-		p.Commit(pc, jr, pr, true, 0x7000+uint64(i))
+		pr := lookup(p, 0, pc, &jr)
+		p.Commit(pc, &jr, &pr, true, 0x7000+uint64(i))
 	}
 	last := pcs[len(pcs)-1]
-	pr := p.Lookup(0, last, jr)
+	pr := lookup(p, 0, last, &jr)
 	if pr.Target != 0x7000+uint64(len(pcs)-1) {
 		t.Errorf("most recent BTB entry evicted: got 0x%x", pr.Target)
 	}
@@ -165,8 +171,8 @@ func TestBTBReplacement(t *testing.T) {
 func TestCopyContext(t *testing.T) {
 	p := New(Default(2))
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
-	pr := p.Lookup(0, 0x1000, call)
-	p.SpecUpdate(0, call, 0x1000, pr)
+	pr := lookup(p, 0, 0x1000, &call)
+	p.SpecUpdate(0, &call, 0x1000, &pr)
 	p.ForceHist(0, 0b1011)
 
 	p.CopyContext(1, 0)
@@ -174,7 +180,7 @@ func TestCopyContext(t *testing.T) {
 		t.Errorf("copied history = %b", p.Hist(1))
 	}
 	ret := isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
-	prr := p.Lookup(1, 0x3000, ret)
+	prr := lookup(p, 1, 0x3000, &ret)
 	if prr.Target != 0x1000+isa.InstBytes {
 		t.Errorf("copied return stack target = 0x%x", prr.Target)
 	}
@@ -202,12 +208,12 @@ func drive(p *Predictor, seed uint64, n int) {
 			in = isa.Inst{Op: isa.OpJr, Rs1: isa.Reg(5)}
 		}
 		taken := x>>50&1 == 1 || !in.IsCondBranch()
-		pr := p.Lookup(ctx, pc, in)
-		p.SpecUpdate(ctx, in, pc, pr)
+		pr := lookup(p, ctx, pc, &in)
+		p.SpecUpdate(ctx, &in, pc, &pr)
 		if pr.Taken != taken {
-			p.Restore(ctx, in, pr, taken)
+			p.Restore(ctx, &in, &pr, taken)
 		}
-		p.Commit(pc, in, pr, taken, x>>32%4096*isa.InstBytes)
+		p.Commit(pc, &in, &pr, taken, x>>32%4096*isa.InstBytes)
 	}
 }
 
@@ -230,5 +236,79 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		if !reflect.DeepEqual(src, want) {
 			t.Fatal("training the copy changed the source predictor")
 		}
+	}
+}
+
+// New masks its PHT and BTB indexes, so it refuses a PHT size or a BTB
+// set count that is not a power of two.
+func TestNewRejectsNonPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edit  func(*Config)
+		panic bool
+	}{
+		{"paper sizes", func(*Config) {}, false},
+		{"fully associative BTB", func(c *Config) { c.BTBAssoc = 256 }, false},
+		{"3-way BTB of 4 sets", func(c *Config) { c.BTBEntries, c.BTBAssoc = 12, 3 }, false},
+		{"PHT 1000", func(c *Config) { c.PHTEntries = 1000 }, true},
+		{"PHT 0", func(c *Config) { c.PHTEntries = 0 }, true},
+		{"BTB of 48 sets", func(c *Config) { c.BTBEntries = 192 }, true},
+		{"BTB ways do not divide entries", func(c *Config) { c.BTBEntries = 258 }, true},
+		{"no BTB ways", func(c *Config) { c.BTBAssoc = 0 }, true},
+	} {
+		cfg := Default(2)
+		tc.edit(&cfg)
+		got := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			New(cfg)
+			return false
+		}()
+		if got != tc.panic {
+			t.Errorf("%s: New panicked = %v, want %v", tc.name, got, tc.panic)
+		}
+	}
+}
+
+// Lookup is not free of side effects: a BTB hit on an indirect jump
+// refreshes that entry's LRU stamp, so the way it hit is no longer the
+// one btbInsert evicts next.
+func TestLookupHitRefreshesBTBReplacement(t *testing.T) {
+	cfg := Default(1)
+	cfg.BTBEntries, cfg.BTBAssoc = 4, 4 // one set of four ways
+	jr := isa.Inst{Op: isa.OpJr, Rs1: 5}
+	fill := func(p *Predictor) {
+		for i := uint64(0); i < 4; i++ {
+			pc := 0x1000 + i*isa.InstBytes
+			pr := lookup(p, 0, pc, &jr)
+			p.Commit(pc, &jr, &pr, true, 0x8000+i)
+		}
+	}
+	target := func(p *Predictor, pc uint64) uint64 {
+		pr := lookup(p, 0, pc, &jr)
+		return pr.Target
+	}
+
+	// Without a lookup, the oldest insert (pc 0x1000) is the victim.
+	p := New(cfg)
+	fill(p)
+	pr := lookup(p, 0, 0x2000, &jr)
+	p.Commit(0x2000, &jr, &pr, true, 0x9000)
+	if got := target(p, 0x1000); got != 0x1000+isa.InstBytes {
+		t.Fatalf("untouched oldest entry survived: target 0x%x", got)
+	}
+
+	// A lookup hit on 0x1000 moves the victim to the next oldest, 0x1004.
+	p = New(cfg)
+	fill(p)
+	if got := target(p, 0x1000); got != 0x8000 {
+		t.Fatalf("lookup of 0x1000 missed: target 0x%x", got)
+	}
+	pr = lookup(p, 0, 0x2000, &jr)
+	p.Commit(0x2000, &jr, &pr, true, 0x9000)
+	if got := target(p, 0x1000); got != 0x8000 {
+		t.Errorf("entry refreshed by Lookup was evicted: target 0x%x", got)
+	}
+	if got := target(p, 0x1004); got != 0x1004+isa.InstBytes {
+		t.Errorf("next-oldest entry survived: target 0x%x", got)
 	}
 }

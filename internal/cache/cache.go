@@ -11,7 +11,10 @@
 //	and another 62 to memory.
 package cache
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Params configures one cache level.
 type Params struct {
@@ -46,10 +49,18 @@ type Cache struct {
 	bankCnt []int    // accesses to the bank in that cycle
 	clock   uint64
 	Stats   Stats
+
+	// Every size is a power of two, so the per-access index arithmetic
+	// is shifts and masks: line address = addr >> lineShift, set = line
+	// & setMask, tag = line >> setShift, bank = line & bankMask.
+	lineShift, setShift uint
+	setMask, bankMask   uint64
 }
 
-// New builds a cache from params; it panics on non-positive geometry
-// since configurations are static and a bad one is a programming error.
+// New builds a cache from params.  It panics on non-positive geometry,
+// and on a line size, set count or bank count that is not a power of
+// two, since configurations are static and a bad one is a programming
+// error.
 func New(p Params) *Cache {
 	if p.SizeBytes <= 0 || p.LineBytes <= 0 || p.Assoc <= 0 {
 		panic("cache: bad geometry for " + p.Name)
@@ -62,15 +73,25 @@ func New(p Params) *Cache {
 	if banks <= 0 {
 		banks = 1
 	}
+	if !pow2(p.LineBytes) || !pow2(sets) || !pow2(banks) {
+		panic(fmt.Sprintf("cache: %s needs power-of-two line size, set count and bank count (have %d, %d, %d)",
+			p.Name, p.LineBytes, sets, banks))
+	}
 	return &Cache{
-		p:       p,
-		sets:    sets,
-		lines:   make([]line, sets*p.Assoc),
-		touched: make([]uint64, (sets+63)/64),
-		bankCyc: make([]uint64, banks),
-		bankCnt: make([]int, banks),
+		p:         p,
+		sets:      sets,
+		lines:     make([]line, sets*p.Assoc),
+		touched:   make([]uint64, (sets+63)/64),
+		bankCyc:   make([]uint64, banks),
+		bankCnt:   make([]int, banks),
+		lineShift: uint(bits.TrailingZeros(uint(p.LineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		bankMask:  uint64(banks - 1),
 	}
 }
+
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Clone returns a deep copy of the cache: tag array, bank state, and
 // statistics.  Sampled simulation snapshots functionally warmed caches
@@ -118,8 +139,8 @@ func (c *Cache) CopyFrom(src *Cache) {
 func (c *Cache) Sets() int { return c.sets }
 
 func (c *Cache) setAndTag(addr uint64) (int, uint64) {
-	lineAddr := addr / uint64(c.p.LineBytes)
-	return int(lineAddr % uint64(c.sets)), lineAddr / uint64(c.sets)
+	lineAddr := addr >> c.lineShift
+	return int(lineAddr & c.setMask), lineAddr >> c.setShift
 }
 
 // Lookup probes the cache at cycle `now`.  It returns whether the line
@@ -134,7 +155,7 @@ func (c *Cache) Lookup(now uint64, addr uint64) (hit bool, bankDelay uint64) {
 	// same-cycle access to a bank is delayed k cycles.  Delayed
 	// accesses are assumed not to re-contend (the conflict window is a
 	// cycle, so queues cannot build up across cycles).
-	bank := int(addr / uint64(c.p.LineBytes) % uint64(len(c.bankCyc)))
+	bank := int((addr >> c.lineShift) & c.bankMask)
 	if c.bankCyc[bank] != now {
 		c.bankCyc[bank] = now
 		c.bankCnt[bank] = 0
@@ -165,7 +186,7 @@ func (c *Cache) Lookup(now uint64, addr uint64) (hit bool, bankDelay uint64) {
 		}
 	}
 	c.lines[victim] = line{valid: true, tag: tag, lru: c.clock}
-	c.touched[set/64] |= 1 << (set % 64)
+	c.touched[uint(set)/64] |= 1 << (uint(set) % 64)
 	return false, bankDelay
 }
 

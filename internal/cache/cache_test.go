@@ -265,3 +265,33 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		t.Fatal("training the copy changed the source cache")
 	}
 }
+
+// New indexes with shifts and masks, so it refuses a line size, set
+// count or bank count that is not a power of two.
+func TestNewRejectsNonPowerOfTwo(t *testing.T) {
+	ok := Params{Name: "t", SizeBytes: 4096, LineBytes: 64, Assoc: 2, Banks: 4}
+	for _, tc := range []struct {
+		name  string
+		edit  func(*Params)
+		panic bool
+	}{
+		{"power-of-two geometry", func(*Params) {}, false},
+		{"banking off", func(p *Params) { p.Banks = 0 }, false},
+		{"one set", func(p *Params) { p.SizeBytes = 128 }, false},
+		{"line 48 bytes", func(p *Params) { p.LineBytes = 48 }, true},
+		{"24 sets", func(p *Params) { p.SizeBytes = 24 * 64 * 2 }, true},
+		{"3 ways, 21 sets", func(p *Params) { p.Assoc = 3 }, true},
+		{"6 banks", func(p *Params) { p.Banks = 6 }, true},
+	} {
+		p := ok
+		tc.edit(&p)
+		got := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			New(p)
+			return false
+		}()
+		if got != tc.panic {
+			t.Errorf("%s: New panicked = %v, want %v", tc.name, got, tc.panic)
+		}
+	}
+}

@@ -18,7 +18,11 @@
 // look low-confidence forever.
 package confidence
 
-import "recyclesim/internal/isa"
+import (
+	"fmt"
+
+	"recyclesim/internal/isa"
+)
 
 // Config sizes the estimator.
 type Config struct {
@@ -34,14 +38,20 @@ func Default() Config { return Config{Entries: 1024, Max: 15, Threshold: 4} }
 
 // Estimator is the confidence table, shared across contexts.
 type Estimator struct {
-	cfg Config
-	ctr []uint8
+	cfg  Config
+	ctr  []uint8
+	mask uint64 // Entries-1: the table index masks instead of dividing
 }
 
 // New builds an estimator; all counters start at zero (low confidence),
 // so cold branches are fork candidates until they prove predictable.
+// It panics when Entries is not a power of two: configurations are
+// static, and a bad one is a programming error.
 func New(cfg Config) *Estimator {
-	return &Estimator{cfg: cfg, ctr: make([]uint8, cfg.Entries)}
+	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
+		panic(fmt.Sprintf("confidence: table entries (%d) must be a power of two", cfg.Entries))
+	}
+	return &Estimator{cfg: cfg, ctr: make([]uint8, cfg.Entries), mask: uint64(cfg.Entries - 1)}
 }
 
 // Clone returns a deep copy of the estimator (for sampled simulation's
@@ -61,7 +71,7 @@ func (e *Estimator) CopyFrom(src *Estimator) {
 }
 
 func (e *Estimator) index(pc uint64) int {
-	return int(pc / isa.InstBytes % uint64(len(e.ctr)))
+	return int((pc / isa.InstBytes) & e.mask)
 }
 
 // HighConfidence reports whether the branch at pc is currently

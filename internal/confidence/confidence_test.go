@@ -105,3 +105,24 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		t.Fatal("training the copy changed the source estimator")
 	}
 }
+
+// New masks its table index, so it refuses a table size that is not a
+// power of two.
+func TestNewRejectsNonPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct {
+		entries int
+		panic   bool
+	}{
+		{1, false}, {4, false}, {1024, false},
+		{0, true}, {-4, true}, {3, true}, {1000, true},
+	} {
+		got := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			New(Config{Entries: tc.entries, Max: 15, Threshold: 4})
+			return false
+		}()
+		if got != tc.panic {
+			t.Errorf("Entries %d: New panicked = %v, want %v", tc.entries, got, tc.panic)
+		}
+	}
+}

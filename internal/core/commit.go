@@ -53,7 +53,7 @@ func (c *Core) commitOne(t *Context) bool {
 		return false
 	}
 
-	in := e.Inst
+	in := &e.Inst
 	lp := t.part.prog
 
 	switch {
@@ -72,7 +72,7 @@ func (c *Core) commitOne(t *Context) bool {
 		// is part of the modelled hardware (the confidence table is
 		// tagged because forking the wrong program's branch would
 		// corrupt the fork statistics rather than just a prediction).
-		c.pred.Commit(e.PC, in, e.Pred, e.Taken, e.NextPC)
+		c.pred.Commit(e.PC, in, &e.Pred, e.Taken, e.NextPC)
 		if in.IsCondBranch() {
 			c.conf.Update(c.tagAddr(lp.idx, e.PC), e.Pred.GHist, e.Taken == e.PredTaken)
 		}
@@ -107,7 +107,7 @@ func (c *Core) commitOne(t *Context) bool {
 			Program: lp.idx,
 			Ctx:     t.id,
 			PC:      e.PC,
-			Inst:    in,
+			Inst:    *in,
 			Result:  e.Result,
 			Addr:    e.Addr,
 			Taken:   e.Taken,

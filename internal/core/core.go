@@ -422,7 +422,7 @@ func (c *Core) tagAddr(progIdx int, addr uint64) uint64 {
 
 // entrySources returns the physical source registers for inst renamed
 // in context t.
-func (t *Context) entrySources(inst isa.Inst) (s1, s2 regfile.PhysReg) {
+func (t *Context) entrySources(inst *isa.Inst) (s1, s2 regfile.PhysReg) {
 	s1, s2 = regfile.NoReg, regfile.NoReg
 	switch inst.Op {
 	case isa.OpNop, isa.OpHalt, isa.OpLi, isa.OpJ, isa.OpJal:

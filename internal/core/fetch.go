@@ -1,6 +1,7 @@
 package core
 
 import (
+	"recyclesim/internal/bpred"
 	"recyclesim/internal/config"
 	"recyclesim/internal/isa"
 	"recyclesim/internal/obs"
@@ -13,16 +14,27 @@ type ctxCand struct {
 	key int
 }
 
-// sortCandsStable insertion-sorts cands[lo:hi] by ascending key,
-// preserving the relative order of equal keys.  Candidate counts are
-// bounded by the context count, and unlike sort.SliceStable this
-// allocates nothing.
-func sortCandsStable(cands []ctxCand, lo, hi int) {
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && cands[j].key < cands[j-1].key; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
+// addCand inserts t with priority key into a thread ordering whose
+// first nPrim candidates are primaries, and returns the ordering and
+// the new primary count.  Primaries go ahead of alternates, each class
+// in ascending key order, with ties in insertion order: contexts added
+// in id order come out as a stable sort on (not primary, key) would
+// leave them.  Candidate counts are bounded by the context count, so
+// the insertion is cheap, and it allocates nothing.
+func addCand(cands []ctxCand, nPrim int, t *Context, key int) ([]ctxCand, int) {
+	lo, hi := nPrim, len(cands)
+	if t.isPrimary {
+		lo, hi = 0, nPrim
+		nPrim++
 	}
+	i := hi
+	for i > lo && cands[i-1].key > key {
+		i--
+	}
+	cands = append(cands, ctxCand{})
+	copy(cands[i+1:], cands[i:])
+	cands[i] = ctxCand{t: t, key: key}
+	return cands, nPrim
 }
 
 // fetch implements the ICOUNT.X.Y fetch stage with TME's primary-first
@@ -93,28 +105,26 @@ func (c *Core) fetch() {
 			if c.altLimited(t, n) {
 				break
 			}
-			if in.IsBranch() {
-				pr := c.pred.Lookup(t.id, pc, in)
-				if pr.BTBMiss {
-					c.Stats.BTBMisses++
-				}
-				c.pred.SpecUpdate(t.id, in, pc, pr)
-				fe := t.pushFetch(c.cycle, pc, in, readyAt)
-				fe.pred = pr
-				fe.predTaken = pr.Taken
-				fe.predTgt = pr.Target
-				n++
-				width--
-				if pr.Taken {
-					pc = pr.Target
-					break // a taken branch ends the fetch block
-				}
+			fe := t.pushFetch(c.cycle, pc, in, readyAt)
+			n++
+			width--
+			if !in.IsBranch() {
 				pc += isa.InstBytes
 				continue
 			}
-			t.pushFetch(c.cycle, pc, in, readyAt)
-			n++
-			width--
+			// Predict straight into the queued entry.
+			pr := &fe.pred
+			c.pred.Lookup(t.id, pc, &fe.inst, pr)
+			if pr.BTBMiss {
+				c.Stats.BTBMisses++
+			}
+			c.pred.SpecUpdate(t.id, &fe.inst, pc, pr)
+			fe.predTaken = pr.Taken
+			fe.predTgt = pr.Target
+			if pr.Taken {
+				pc = pr.Target
+				break // a taken branch ends the fetch block
+			}
 			pc += isa.InstBytes
 		}
 		if c.ring != nil && n > 0 {
@@ -137,16 +147,20 @@ func (c *Core) fetch() {
 }
 
 // pushFetch appends one decoded instruction to the context's fetch
-// queue; cycle stamps when it entered (the pipetrace fetch stage).
+// queue; cycle stamps when it entered (the pipetrace fetch stage).  The
+// entry is written field by field, in place: a composite literal would
+// be built on the stack and then copied over.  Its prediction starts
+// zero; the fetch stage fills it in for branches.
 func (t *Context) pushFetch(cycle, pc uint64, in isa.Inst, readyAt uint64) *fqEntry {
 	fe := t.fqPush()
-	*fe = fqEntry{
-		pc:         pc,
-		inst:       in,
-		fetchCycle: cycle,
-		readyAt:    readyAt,
-		postMerge:  t.stream != nil,
-	}
+	fe.pc = pc
+	fe.inst = in
+	fe.pred = bpred.Pred{}
+	fe.predTaken = false
+	fe.predTgt = 0
+	fe.fetchCycle = cycle
+	fe.readyAt = readyAt
+	fe.postMerge = t.stream != nil
 	return fe
 }
 
@@ -178,27 +192,12 @@ func (c *Core) altPathCap(t *Context) {
 // of [18] referenced in §3.3.  The result lives in the core's reusable
 // candidate scratch (valid until the next ordering is built).
 func (c *Core) fetchCandidates() []ctxCand {
-	cands := c.cands[:0]
-	// Primaries first, then alternates, each segment in context order;
-	// the stable per-segment sort below preserves those ties.
-	nPrim := 0
+	cands, nPrim := c.cands[:0], 0
 	for _, t := range c.ctxs {
-		if t.isPrimary && c.canFetch(t) {
-			cands = append(cands, ctxCand{t: t})
-			nPrim++
+		if c.canFetch(t) {
+			cands, nPrim = addCand(cands, nPrim, t, t.icount(c.iqInt.CountCtx(t.id)+c.iqFP.CountCtx(t.id)))
 		}
 	}
-	for _, t := range c.ctxs {
-		if !t.isPrimary && c.canFetch(t) {
-			cands = append(cands, ctxCand{t: t})
-		}
-	}
-	for i := range cands {
-		t := cands[i].t
-		cands[i].key = t.icount(c.iqInt.CountCtx(t.id) + c.iqFP.CountCtx(t.id))
-	}
-	sortCandsStable(cands, 0, nPrim)
-	sortCandsStable(cands, nPrim, len(cands))
 	c.cands = cands
 	return cands
 }
@@ -330,13 +329,14 @@ func (c *Core) startStream(t, src *Context, seq uint64, back bool) bool {
 // newly predicted path.  The returned stream is the consumer's reused
 // streamStore (a context consumes at most one stream at a time).
 func (c *Core) buildStream(t *Context, items []streamItem, srcCtx int, back bool) *recycleStream {
-	nextPC := traceNext(items[len(items)-1])
+	nextPC := traceNext(&items[len(items)-1])
 	for i := range items {
 		it := &items[i]
 		if !it.inst.IsBranch() {
 			continue
 		}
-		pr := c.pred.Lookup(t.id, it.pc, it.inst)
+		pr := &it.pred
+		c.pred.Lookup(t.id, it.pc, &it.inst, pr)
 		if c.feat.TrustTrace {
 			// §3.4's former method: "the branch prediction previously
 			// used for the recycled instructions can be used" — follow
@@ -346,18 +346,16 @@ func (c *Core) buildStream(t *Context, items []streamItem, srcCtx int, back bool
 			if it.traceTaken {
 				pr.Target = it.traceTgt
 			}
-			it.pred = pr
-			c.pred.SpecUpdate(t.id, it.inst, it.pc, pr)
+			c.pred.SpecUpdate(t.id, &it.inst, it.pc, pr)
 			continue
 		}
-		it.pred = pr
 		mismatch := false
 		if it.inst.IsCondBranch() {
 			mismatch = pr.Taken != it.traceTaken
 		} else if pr.Target != it.traceTgt {
 			mismatch = true
 		}
-		c.pred.SpecUpdate(t.id, it.inst, it.pc, pr)
+		c.pred.SpecUpdate(t.id, &it.inst, it.pc, pr)
 		if mismatch {
 			items = items[:i+1]
 			if pr.Taken {
@@ -390,7 +388,11 @@ func (c *Core) snapshotTrace(dst, src *Context, seq uint64) []streamItem {
 		if !ok {
 			continue
 		}
-		it := streamItem{pc: e.PC, inst: e.Inst, srcSeq: e.Seq}
+		// Append a zero item and fill it in place rather than copying a
+		// stack-built one.
+		items = append(items, streamItem{})
+		it := &items[len(items)-1]
+		it.pc, it.inst, it.srcSeq = e.PC, e.Inst, e.Seq
 		if e.Inst.IsBranch() {
 			it.traceTaken = e.TraceTaken()
 			if e.Executed {
@@ -404,14 +406,13 @@ func (c *Core) snapshotTrace(dst, src *Context, seq uint64) []streamItem {
 				it.traceTgt = e.PC + isa.InstBytes
 			}
 		}
-		items = append(items, it)
 	}
 	dst.streamBuf = items[:0] // retain the buffer if append ever grew it
 	return items
 }
 
 // traceNext computes the PC following the last instruction of a trace.
-func traceNext(last streamItem) uint64 {
+func traceNext(last *streamItem) uint64 {
 	if last.inst.IsBranch() && last.traceTaken {
 		return last.traceTgt
 	}

@@ -216,9 +216,9 @@ func (c *Core) checkQueues(r *invariant.Report) {
 				r.Failf("iq", "%s holds stale entry ctx=%d seq=%d (squashed or recycled slot)", name, e.Ctx, e.Seq)
 			case e.Committed:
 				r.Failf("iq", "%s holds committed entry ctx=%d seq=%d", name, e.Ctx, e.Seq)
-			case !e.Dispatched || e.Issued || e.Executed:
-				r.Failf("iq", "%s entry ctx=%d seq=%d has inconsistent flags (disp=%v issued=%v exec=%v)",
-					name, e.Ctx, e.Seq, e.Dispatched, e.Issued, e.Executed)
+			case !e.Dispatched || e.Issued || e.Executed || e.NoIssue:
+				r.Failf("iq", "%s entry ctx=%d seq=%d has inconsistent flags (disp=%v issued=%v exec=%v noissue=%v)",
+					name, e.Ctx, e.Seq, e.Dispatched, e.Issued, e.Executed, e.NoIssue)
 			}
 		})
 	}

@@ -20,29 +20,33 @@ func (c *Core) issue() {
 }
 
 func (c *Core) issueQueue(q *iq.Queue) {
-	q.Scan(func(e *alist.Entry) bool {
-		if e.NoIssue {
-			return true // cancelled by an alternate-path policy
-		}
-		in := e.Inst
-		// Stores issue on address readiness alone (two-phase issue);
-		// everything else needs all operands.
-		if !c.srcReady(e.Src1) {
-			return false
-		}
-		if !in.IsStore() && !c.srcReady(e.Src2) {
-			return false
-		}
-		t := c.ctxs[e.Ctx]
-		if in.IsLoad() && !c.loadMayIssue(t, e) {
-			return false
-		}
-		if !c.fus.TryIssue(in.Class(), in.Latency()) {
-			return false
-		}
-		c.execute(t, e)
-		return true
-	})
+	q.Issue(c.rf.ReadyBits(), c.tryIssue)
+}
+
+// tryIssue issues e when its operands, memory disambiguation and a
+// functional unit allow.  When it keeps e because a source register is
+// not ready, it returns that register as wait, and it checks the
+// source registers before anything else, so iq.Queue.Issue may skip e
+// until the register is ready.
+func (c *Core) tryIssue(e *alist.Entry) (issued bool, wait regfile.PhysReg) {
+	in := &e.Inst
+	// Stores issue on address readiness alone (two-phase issue);
+	// everything else needs all operands.
+	if !c.srcReady(e.Src1) {
+		return false, e.Src1
+	}
+	if !in.IsStore() && !c.srcReady(e.Src2) {
+		return false, e.Src2
+	}
+	t := c.ctxs[e.Ctx]
+	if in.IsLoad() && !c.loadMayIssue(t, e) {
+		return false, regfile.NoReg
+	}
+	if !c.fus.TryIssue(in.Class(), in.Latency()) {
+		return false, regfile.NoReg
+	}
+	c.execute(t, e)
+	return true, regfile.NoReg
 }
 
 func (c *Core) srcReady(r regfile.PhysReg) bool {
@@ -128,7 +132,7 @@ func (c *Core) loadValue(t *Context, seq uint64, addr uint64) (uint64, bool) {
 // execute computes an issued instruction functionally and schedules its
 // completion.
 func (c *Core) execute(t *Context, e *alist.Entry) {
-	in := e.Inst
+	in := &e.Inst
 	s1 := c.srcValue(e.Src1)
 	s2 := c.srcValue(e.Src2)
 	lat := in.Latency()
@@ -143,7 +147,7 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 
 	switch {
 	case in.IsLoad():
-		e.Addr = isa.EffAddr(in, s1)
+		e.Addr = isa.EffAddr(*in, s1)
 		v, forwarded := c.loadValue(t, e.Seq, e.Addr)
 		e.Result = v
 		if !forwarded {
@@ -153,7 +157,7 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 		// Phase one: address generation.  The MDB is invalidated here
 		// (as soon as the address is known) so no reuse can slip in
 		// between address generation and data arrival.
-		e.Addr = isa.EffAddr(in, s1)
+		e.Addr = isa.EffAddr(*in, s1)
 		if s := t.sq.find(e.Seq); s != nil {
 			s.addr = e.Addr &^ 7
 			s.addrOK = true
@@ -174,18 +178,18 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 		e.Result = s2
 		c.storeCaptureData(t, e)
 	case in.IsBranch():
-		e.Taken = isa.BranchTaken(in, s1, s2)
+		e.Taken = isa.BranchTaken(*in, s1, s2)
 		if e.Taken {
-			e.NextPC = isa.BranchTarget(in, s1)
+			e.NextPC = isa.BranchTarget(*in, s1)
 		} else {
 			e.NextPC = e.PC + isa.InstBytes
 		}
 		if in.WritesReg() {
-			e.Result = isa.Eval(in, e.PC, s1, s2)
+			e.Result = isa.Eval(*in, e.PC, s1, s2)
 		}
 		lat += redirectPenalty // register-read depth before resolution
 	default:
-		e.Result = isa.Eval(in, e.PC, s1, s2)
+		e.Result = isa.Eval(*in, e.PC, s1, s2)
 	}
 
 	e.ReadyAt = c.cycle + uint64(lat)
@@ -286,7 +290,7 @@ func dueLess(a, b *alist.Entry) bool {
 
 func (c *Core) completeEntry(t *Context, e *alist.Entry) {
 	e.Executed = true
-	in := e.Inst
+	in := &e.Inst
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StageComplete,
 			Ctx: int16(e.Ctx), Seq: e.Seq, PC: e.PC, Arg: e.Result})

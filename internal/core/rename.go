@@ -76,37 +76,16 @@ func (c *Core) rename() {
 // active stream qualify.  The result lives in the core's reusable
 // candidate scratch (valid until the next ordering is built).
 func (c *Core) renameOrder(recycleRound bool) []ctxCand {
-	out := c.cands[:0]
-	eligible := func(t *Context) bool {
+	out, nPrim := c.cands[:0], 0
+	for _, t := range c.ctxs {
 		if t.state == CtxIdle || t.state == CtxRetiring || t.state == CtxInactive {
-			return false
+			continue
 		}
-		if recycleRound {
-			return t.stream != nil
+		if recycleRound && t.stream == nil || !recycleRound && t.fqLen() == 0 {
+			continue
 		}
-		return t.fqLen() > 0
+		out, nPrim = addCand(out, nPrim, t, c.iqInt.CountCtx(t.id)+c.iqFP.CountCtx(t.id))
 	}
-	// Primaries first, then alternates: the original single stable sort
-	// keyed on (isPrimary, icount) is equivalent to collecting the two
-	// classes separately and stable-sorting each by icount.
-	nPrim := 0
-	for _, t := range c.ctxs {
-		if t.isPrimary && eligible(t) {
-			out = append(out, ctxCand{t: t})
-			nPrim++
-		}
-	}
-	for _, t := range c.ctxs {
-		if !t.isPrimary && eligible(t) {
-			out = append(out, ctxCand{t: t})
-		}
-	}
-	for i := range out {
-		t := out[i].t
-		out[i].key = c.iqInt.CountCtx(t.id) + c.iqFP.CountCtx(t.id)
-	}
-	sortCandsStable(out, 0, nPrim)
-	sortCandsStable(out, nPrim, len(out))
 	c.cands = out
 	return out
 }
@@ -140,7 +119,7 @@ func (t *Context) popFetched() {
 // allocEntry performs the structural work shared by fetched and
 // recycled rename: active-list slot, physical register, sources, and
 // merge-point bookkeeping.  It returns nil when the thread must stall.
-func (c *Core) allocEntry(t *Context, pc uint64, in isa.Inst) *alist.Entry {
+func (c *Core) allocEntry(t *Context, pc uint64, in *isa.Inst) *alist.Entry {
 	// Reserve queue space before allocating anything.
 	needsIQ := in.Class() != isa.ClassNop && !in.IsHalt() && in.Op != isa.OpJ
 	if needsIQ {
@@ -188,7 +167,7 @@ func (c *Core) allocEntry(t *Context, pc uint64, in isa.Inst) *alist.Entry {
 	}
 	e.Ctx = t.id
 	e.PC = pc
-	e.Inst = in
+	e.Inst = *in
 	e.ReuseSrc = -1
 	e.AltCtx = -1
 	e.Src1, e.Src2 = t.entrySources(in)
@@ -220,7 +199,7 @@ func (c *Core) allocEntry(t *Context, pc uint64, in isa.Inst) *alist.Entry {
 // dispatch sends a renamed entry to its instruction queue (or marks it
 // immediately executed when it needs no execution).
 func (c *Core) dispatch(t *Context, e *alist.Entry) {
-	in := e.Inst
+	in := &e.Inst
 	switch {
 	case in.IsHalt(), in.Class() == isa.ClassNop, in.Op == isa.OpJ:
 		// No execution required; direct jumps were fully resolved at
@@ -255,7 +234,7 @@ func (c *Core) dispatch(t *Context, e *alist.Entry) {
 
 // renameFetched renames one fetched instruction; false means stall.
 func (c *Core) renameFetched(t *Context, fe *fqEntry) bool {
-	e := c.allocEntry(t, fe.pc, fe.inst)
+	e := c.allocEntry(t, fe.pc, &fe.inst)
 	if e == nil {
 		return false
 	}
@@ -306,7 +285,7 @@ func (c *Core) markWritten(t *Context, e *alist.Entry, reuseSrc int) {
 func (c *Core) renameRecycled(t *Context, it *streamItem) (proceed, stall bool) {
 	st := t.stream
 
-	e := c.allocEntry(t, it.pc, it.inst)
+	e := c.allocEntry(t, it.pc, &it.inst)
 	if e == nil {
 		return true, true
 	}
@@ -357,7 +336,7 @@ func (c *Core) tryReuse(t *Context, e *alist.Entry, srcCtx int, it *streamItem) 
 	if !ok || se.PC != it.pc || !se.Executed || se.NoIssue {
 		return false
 	}
-	in := e.Inst
+	in := &e.Inst
 	if in.IsStore() {
 		return false // stores must re-enter the store queue
 	}

@@ -217,7 +217,7 @@ func (c *Core) reclaimForRegs() {
 // recovery, TME promotion, and the transition of alternates to
 // inactive.
 func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
-	in := e.Inst
+	in := &e.Inst
 	correct := e.Taken == e.PredTaken && (!e.Taken || e.NextPC == e.PredTarget)
 	if in.IsCondBranch() {
 		correct = e.Taken == e.PredTaken
@@ -262,7 +262,7 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 	if !correct {
 		// Conventional misprediction recovery within this context.
 		c.squashFrom(t.id, e.Seq+1)
-		c.pred.Restore(t.id, in, e.Pred, e.Taken)
+		c.pred.Restore(t.id, in, &e.Pred, e.Taken)
 		t.fetchPC = e.NextPC
 		t.fetchStallUntil = c.cycle + redirectPenalty
 		t.fetchHalted = false

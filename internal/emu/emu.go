@@ -64,14 +64,19 @@ func (e *Emulator) Step() StepInfo {
 //
 //recycle:hotpath
 func (e *Emulator) StepInto(info *StepInfo) {
+	// The record is written field by field: building it as a composite
+	// literal and copying it over reloads the just-stored bytes with
+	// wider loads than the stores that wrote them, which stalls.
 	in := e.Prog.FetchInst(e.PC)
-	*info = StepInfo{PC: e.PC, Inst: in}
+	info.PC = e.PC
+	info.Result, info.Addr, info.Taken = 0, 0, false
 	if e.Halted || in.IsHalt() {
 		e.Halted = true
 		info.Inst = isa.Inst{Op: isa.OpHalt}
 		info.Next = e.PC
 		return
 	}
+	info.Inst = in
 
 	// The zero register is never written (WritesReg and the load path
 	// both exclude it), so Regs[RegZero] reads as the architectural 0.
@@ -130,9 +135,8 @@ func (e *Emulator) Trace(max uint64) []StepInfo {
 func (e *Emulator) TraceInto(buf []StepInfo, max uint64) []StepInfo {
 	buf = buf[:0]
 	for uint64(len(buf)) < max && !e.Halted {
-		var info StepInfo
-		e.StepInto(&info)
-		buf = append(buf, info)
+		buf = append(buf, StepInfo{})
+		e.StepInto(&buf[len(buf)-1])
 	}
 	return buf
 }

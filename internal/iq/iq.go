@@ -8,12 +8,21 @@ package iq
 import (
 	"recyclesim/internal/alist"
 	"recyclesim/internal/isa"
+	"recyclesim/internal/regfile"
 )
+
+// slot is one queued entry plus the source register its last issue
+// visit found not ready (NoReg when it waited on nothing, or on
+// something other than a register).
+type slot struct {
+	e    *alist.Entry
+	wait regfile.PhysReg
+}
 
 // Queue is one instruction queue.
 type Queue struct {
-	cap  int
-	ents []*alist.Entry
+	cap   int
+	slots []slot
 
 	// counts caches per-context occupancy so the ICOUNT fetch and
 	// rename priority policies read it in O(1) instead of scanning the
@@ -23,13 +32,13 @@ type Queue struct {
 
 // New returns an empty queue with the given capacity.
 func New(capacity int) *Queue {
-	return &Queue{cap: capacity, ents: make([]*alist.Entry, 0, capacity)}
+	return &Queue{cap: capacity, slots: make([]slot, 0, capacity)}
 }
 
 // Reset empties the queue, keeping its storage.
 func (q *Queue) Reset() {
-	clear(q.ents)
-	q.ents = q.ents[:0]
+	clear(q.slots)
+	q.slots = q.slots[:0]
 	clear(q.counts)
 }
 
@@ -44,58 +53,82 @@ func (q *Queue) bump(ctx, delta int) {
 func (q *Queue) Capacity() int { return q.cap }
 
 // Len returns the current occupancy.
-func (q *Queue) Len() int { return len(q.ents) }
+func (q *Queue) Len() int { return len(q.slots) }
 
 // Full reports whether dispatch must stall.
-func (q *Queue) Full() bool { return len(q.ents) >= q.cap }
+func (q *Queue) Full() bool { return len(q.slots) >= q.cap }
 
 // Push inserts a dispatched entry; it reports false when full.
 func (q *Queue) Push(e *alist.Entry) bool {
 	if q.Full() {
 		return false
 	}
-	q.ents = append(q.ents, e)
+	q.slots = append(q.slots, slot{e: e, wait: regfile.NoReg})
 	q.bump(e.Ctx, 1)
 	return true
 }
 
-// Scan visits entries oldest-first.  The visitor returns true to
-// remove the entry (it issued or was cancelled).  Scan preserves the
-// relative order of retained entries.
-func (q *Queue) Scan(visit func(e *alist.Entry) (remove bool)) {
-	out := q.ents[:0]
-	for _, e := range q.ents {
-		if !visit(e) {
-			out = append(out, e)
-		} else {
-			q.bump(e.Ctx, -1)
+// Issue visits entries oldest-first and removes those the visitor
+// issues.  A visitor that keeps an entry because a source register is
+// not ready returns that register as wait, and later passes skip the
+// entry with one load of ready[wait] for as long as that bit stays
+// false.  The skip is exact when the visitor checks that register's
+// ready bit before anything else that could change state: while the
+// bit is false, a visit would have kept the entry at that check.  An
+// entry kept for any other reason (wait == NoReg) is visited every
+// pass.  The queue compacts in the same pass, moving entries only once
+// one has issued; retained entries keep their relative order.  The
+// visitor must not push to or remove from the queue.
+func (q *Queue) Issue(ready []bool, visit func(e *alist.Entry) (issued bool, wait regfile.PhysReg)) {
+	w := 0
+	for i := range q.slots {
+		s := &q.slots[i]
+		if s.wait == regfile.NoReg || ready[s.wait] {
+			ok, wait := visit(s.e)
+			if ok {
+				q.bump(s.e.Ctx, -1)
+				continue
+			}
+			s.wait = wait
 		}
+		if w != i {
+			q.slots[w] = *s
+		}
+		w++
 	}
-	// Clear the tail so removed entries don't pin memory.
-	for i := len(out); i < len(q.ents); i++ {
-		q.ents[i] = nil
-	}
-	q.ents = out
+	q.truncate(w)
+}
+
+// truncate drops the slots from n on, clearing them so removed entries
+// don't pin memory.
+func (q *Queue) truncate(n int) {
+	clear(q.slots[n:])
+	q.slots = q.slots[:n]
 }
 
 // RemoveIf deletes all entries matching the predicate (squash support).
 func (q *Queue) RemoveIf(match func(e *alist.Entry) bool) int {
-	removed := 0
-	q.Scan(func(e *alist.Entry) bool {
-		if match(e) {
-			removed++
-			return true
+	w := 0
+	for i, s := range q.slots {
+		if match(s.e) {
+			q.bump(s.e.Ctx, -1)
+			continue
 		}
-		return false
-	})
+		if w != i {
+			q.slots[w] = s
+		}
+		w++
+	}
+	removed := len(q.slots) - w
+	q.truncate(w)
 	return removed
 }
 
 // Each visits every queued entry oldest-first without removing any;
 // the runtime invariant checker uses it to audit queue membership.
 func (q *Queue) Each(visit func(e *alist.Entry)) {
-	for _, e := range q.ents {
-		visit(e)
+	for _, s := range q.slots {
+		visit(s.e)
 	}
 }
 

@@ -115,6 +115,11 @@ const NumOps = int(numOps)
 // decoded form everywhere (fetch buffers, active lists, recycle paths),
 // mirroring the paper's observation that the active list keeps "the
 // decoded opcode and physical and logical register operands".
+//
+// Its predicates take pointer receivers: an Inst has too many fields
+// for the compiler to keep in registers, so a value receiver copies the
+// instruction through the stack at every call, inlined or not.  String
+// keeps a value receiver so fmt prints Inst values.
 type Inst struct {
 	Op     Op
 	Rd     Reg    // destination (ignored if !WritesReg)
@@ -164,14 +169,14 @@ var opClass = [NumOps]Class{
 }
 
 // Class returns the functional-unit class of the instruction.
-func (i Inst) Class() Class { return opClass[i.Op] }
+func (i *Inst) Class() Class { return opClass[i.Op] }
 
 // IsBranch reports whether the instruction is any control transfer.
-func (i Inst) IsBranch() bool { return i.Class() == ClassBranch }
+func (i *Inst) IsBranch() bool { return i.Class() == ClassBranch }
 
 // IsCondBranch reports whether the instruction is a conditional branch
 // (the only kind TME forks on).
-func (i Inst) IsCondBranch() bool {
+func (i *Inst) IsCondBranch() bool {
 	switch i.Op {
 	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
 		return true
@@ -181,32 +186,32 @@ func (i Inst) IsCondBranch() bool {
 
 // IsIndirect reports whether the control transfer target comes from a
 // register rather than the instruction encoding.
-func (i Inst) IsIndirect() bool { return i.Op == OpJr }
+func (i *Inst) IsIndirect() bool { return i.Op == OpJr }
 
 // IsCall reports whether the instruction is a call (pushes the return
 // address predictor stack).
-func (i Inst) IsCall() bool { return i.Op == OpJal }
+func (i *Inst) IsCall() bool { return i.Op == OpJal }
 
 // IsReturn reports whether the instruction is a conventional return.
-func (i Inst) IsReturn() bool { return i.Op == OpJr && i.Rs1 == RegRA }
+func (i *Inst) IsReturn() bool { return i.Op == OpJr && i.Rs1 == RegRA }
 
 // IsLoad reports whether the instruction reads memory.
-func (i Inst) IsLoad() bool { return i.Op == OpLd || i.Op == OpFld }
+func (i *Inst) IsLoad() bool { return i.Op == OpLd || i.Op == OpFld }
 
 // IsStore reports whether the instruction writes memory.
-func (i Inst) IsStore() bool { return i.Op == OpSt || i.Op == OpFst }
+func (i *Inst) IsStore() bool { return i.Op == OpSt || i.Op == OpFst }
 
 // IsMem reports whether the instruction accesses memory.
-func (i Inst) IsMem() bool { return i.IsLoad() || i.IsStore() }
+func (i *Inst) IsMem() bool { return i.IsLoad() || i.IsStore() }
 
 // IsHalt reports whether the instruction terminates the program.
-func (i Inst) IsHalt() bool { return i.Op == OpHalt }
+func (i *Inst) IsHalt() bool { return i.Op == OpHalt }
 
 // WritesReg reports whether the instruction produces a register result.
 // Writes to the hardwired zero register are discarded but still rename
 // (they allocate and immediately deadlock nothing; the assembler never
 // emits them, and the core treats Rd==RegZero as no destination).
-func (i Inst) WritesReg() bool {
+func (i *Inst) WritesReg() bool {
 	switch i.Op {
 	case OpNop, OpHalt, OpSt, OpFst, OpBeq, OpBne, OpBlt, OpBge,
 		OpBltu, OpBgeu, OpJ, OpJr:
@@ -221,7 +226,7 @@ func (i Inst) WritesReg() bool {
 // A register appears at most once even if read twice; RegZero is
 // omitted (it is constant).  The two-element return keeps this
 // allocation free; n is the number of valid entries.
-func (i Inst) SrcRegs() (srcs [2]Reg, n int) {
+func (i *Inst) SrcRegs() (srcs [2]Reg, n int) {
 	add := func(r Reg) {
 		if r == RegZero {
 			return
@@ -249,7 +254,7 @@ func (i Inst) SrcRegs() (srcs [2]Reg, n int) {
 }
 
 // ReadsRs2 reports whether Rs2 is a live source operand.
-func (i Inst) ReadsRs2() bool {
+func (i *Inst) ReadsRs2() bool {
 	switch i.Op {
 	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
 		OpSll, OpSrl, OpSra, OpSlt, OpSltu,

@@ -55,13 +55,13 @@ func TestPredicates(t *testing.T) {
 }
 
 func TestReturnDetection(t *testing.T) {
-	if !(Inst{Op: OpJr, Rs1: RegRA}).IsReturn() {
+	if !(&Inst{Op: OpJr, Rs1: RegRA}).IsReturn() {
 		t.Error("jr ra should be a return")
 	}
-	if (Inst{Op: OpJr, Rs1: 5}).IsReturn() {
+	if (&Inst{Op: OpJr, Rs1: 5}).IsReturn() {
 		t.Error("jr r5 should not be a return")
 	}
-	if !(Inst{Op: OpJal}).IsCall() {
+	if !(&Inst{Op: OpJal}).IsCall() {
 		t.Error("jal should be a call")
 	}
 }
@@ -207,23 +207,23 @@ func TestEvalIdentities(t *testing.T) {
 }
 
 func TestSrcRegs(t *testing.T) {
-	srcs, n := (Inst{Op: OpAdd, Rs1: 1, Rs2: 2}).SrcRegs()
+	srcs, n := (&Inst{Op: OpAdd, Rs1: 1, Rs2: 2}).SrcRegs()
 	if n != 2 || srcs[0] != 1 || srcs[1] != 2 {
 		t.Errorf("add srcs = %v[%d]", srcs, n)
 	}
-	_, n = (Inst{Op: OpAdd, Rs1: 3, Rs2: 3}).SrcRegs()
+	_, n = (&Inst{Op: OpAdd, Rs1: 3, Rs2: 3}).SrcRegs()
 	if n != 1 {
 		t.Errorf("duplicate source should dedup, n=%d", n)
 	}
-	_, n = (Inst{Op: OpAdd, Rs1: RegZero, Rs2: RegZero}).SrcRegs()
+	_, n = (&Inst{Op: OpAdd, Rs1: RegZero, Rs2: RegZero}).SrcRegs()
 	if n != 0 {
 		t.Errorf("zero-register sources should be omitted, n=%d", n)
 	}
-	_, n = (Inst{Op: OpLi, Rs1: 7}).SrcRegs()
+	_, n = (&Inst{Op: OpLi, Rs1: 7}).SrcRegs()
 	if n != 0 {
 		t.Errorf("li has no sources, n=%d", n)
 	}
-	_, n = (Inst{Op: OpLd, Rs1: 4}).SrcRegs()
+	_, n = (&Inst{Op: OpLd, Rs1: 4}).SrcRegs()
 	if n != 1 {
 		t.Errorf("ld has one source, n=%d", n)
 	}

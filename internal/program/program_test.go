@@ -38,7 +38,7 @@ func TestPCToIndex(t *testing.T) {
 
 func TestFetchOutsideTextIsHalt(t *testing.T) {
 	p := prog2()
-	if !p.FetchInst(0xDEAD00).IsHalt() {
+	if in := p.FetchInst(0xDEAD00); !in.IsHalt() {
 		t.Error("wrong-path fetch outside text must be a halt")
 	}
 	if p.EndPC() != CodeBase+2*isa.InstBytes {

@@ -146,6 +146,12 @@ func (f *File) Value(r PhysReg) uint64 { return f.vals[r] }
 // Ready reports whether the register's value has been produced.
 func (f *File) Ready(r PhysReg) bool { return f.ready[r] }
 
+// ReadyBits returns the ready bits indexed by register, read-only and
+// live: the slice is the file's own, so it reflects every later
+// SetValue and Alloc.  The issue stage scans it to skip queue entries
+// still waiting on a register (iq.Queue.Issue).
+func (f *File) ReadyBits() []bool { return f.ready }
+
 // CheckConservation verifies that every register is either free or
 // referenced, and none is both; tests call this after stress runs.
 func (f *File) CheckConservation() error {

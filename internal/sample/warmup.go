@@ -99,15 +99,16 @@ func (w *Warmup) Observe(si *emu.StepInfo) {
 		w.haveLine = true
 	}
 
-	in := si.Inst
+	in := &si.Inst
 	if in.IsBranch() {
-		pr := w.Pred.Lookup(0, si.PC, in)
-		w.Pred.SpecUpdate(0, in, si.PC, pr)
+		var pr bpred.Pred
+		w.Pred.Lookup(0, si.PC, in, &pr)
+		w.Pred.SpecUpdate(0, in, si.PC, &pr)
 		correct := pr.Taken == si.Taken && (!si.Taken || pr.Target == si.Next)
 		if !correct {
-			w.Pred.Restore(0, in, pr, si.Taken)
+			w.Pred.Restore(0, in, &pr, si.Taken)
 		}
-		w.Pred.Commit(si.PC, in, pr, si.Taken, si.Next)
+		w.Pred.Commit(si.PC, in, &pr, si.Taken, si.Next)
 		if in.IsCondBranch() {
 			w.Conf.Update(core.TagAddr(w.progIdx, si.PC), pr.GHist, pr.Taken == si.Taken)
 		}
