@@ -1,14 +1,15 @@
 package recyclesim
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"strings"
 	"testing"
+
+	"recyclesim/internal/sweep"
 )
 
 // batchOptions builds a mixed bag of configurations exercising every
-// feature preset, so the batch runner is compared against the serial
+// feature preset, so the worker pool is compared against the serial
 // path on more than one machine shape.
 func batchOptions(hooks []func(CommitInfo)) []Options {
 	var opts []Options
@@ -48,10 +49,28 @@ func commitRecorder(sink *[]string) func(CommitInfo) {
 	}
 }
 
+// runPool runs each option through RunContext on a sweep.Run worker
+// pool — the path every sweep cell takes — and returns results and
+// errors by input index.  ctxs[i], when present and non-nil, is
+// option i's context.
+func runPool(opts []Options, ctxs []context.Context, workers int) ([]*Result, []error) {
+	results := make([]*Result, len(opts))
+	errs := make([]error, len(opts))
+	sweep.Run(len(opts), workers, func(i int) {
+		ctx := context.Background()
+		if ctxs != nil && ctxs[i] != nil {
+			ctx = ctxs[i]
+		}
+		results[i], errs[i] = RunContext(ctx, opts[i])
+	})
+	return results, errs
+}
+
 // TestRunBatchMatchesSerial is the parallelism-boundary witness: a
-// worker-pool batch must produce byte-identical statistics AND commit
-// streams to a serial loop over Run.  Running this test under -race
-// (make check does) also checks the pool for data races.
+// batch run concurrently on a worker pool must produce byte-identical
+// statistics AND commit streams to a serial loop over Run.  Running
+// this test under -race (make check does) also checks the pool for
+// data races.
 func TestRunBatchMatchesSerial(t *testing.T) {
 	n := len(batchOptions(nil))
 
@@ -75,9 +94,11 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	for i := range batchHooks {
 		batchHooks[i] = commitRecorder(&batchStreams[i])
 	}
-	batch, err := RunBatch(batchOptions(batchHooks), 4)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
+	batch, errs := runPool(batchOptions(batchHooks), nil, 4)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent run %d: %v", i, err)
+		}
 	}
 
 	for i := range serial {
@@ -95,58 +116,6 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 					i, j, batchStreams[i][j], serialStreams[i][j])
 				break
 			}
-		}
-	}
-}
-
-// TestRunBatchErrorReporting checks that a bad option surfaces its
-// error while the rest of the batch still runs.
-func TestRunBatchErrorReporting(t *testing.T) {
-	opts := []Options{
-		{Machine: MachineByName("big.2.16"), Features: SMT, Workloads: []string{"compress"}, MaxInsts: 5_000},
-		{Machine: MachineByName("big.2.16"), Features: SMT}, // no workloads: error
-	}
-	results, err := RunBatch(opts, 2)
-	if err == nil {
-		t.Fatal("RunBatch accepted an option with no workloads")
-	}
-	if results[0] == nil {
-		t.Error("good option's result missing after a sibling error")
-	}
-	if results[1] != nil {
-		t.Error("failed option produced a result")
-	}
-}
-
-// TestRunBatchJoinsAllFailures: every failed job is reported, not just
-// the first — the joined error names each failing input index with its
-// configuration fingerprint, and each sub-error keeps its own cause.
-func TestRunBatchJoinsAllFailures(t *testing.T) {
-	opts := []Options{
-		{Machine: MachineByName("big.2.16"), Features: SMT, Workloads: []string{"compress"}, MaxInsts: 5_000},
-		{Machine: MachineByName("big.2.16"), Features: SMT},                                 // no workloads
-		{Machine: MachineByName("big.1.8"), Features: TME, Workloads: []string{"nonesuch"}}, // unknown workload
-		{Machine: MachineByName("big.2.16"), Features: SMT, Workloads: []string{"li"}, MaxInsts: 5_000},
-	}
-	results, err := RunBatch(opts, 2)
-	if err == nil {
-		t.Fatal("batch with two bad jobs reported no error")
-	}
-	for _, i := range []int{0, 3} {
-		if results[i] == nil {
-			t.Errorf("good job %d lost its result", i)
-		}
-	}
-	var joined interface{ Unwrap() []error }
-	if !errors.As(err, &joined) {
-		t.Fatalf("batch error %T does not unwrap to a list", err)
-	}
-	if n := len(joined.Unwrap()); n != 2 {
-		t.Fatalf("%d joined errors, want 2: %v", n, err)
-	}
-	for _, want := range []string{"batch job 1 (big.2.16/SMT//max", "batch job 2 (big.1.8/TME/nonesuch/max"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error %q missing %q", err, want)
 		}
 	}
 }

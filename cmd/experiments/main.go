@@ -47,6 +47,7 @@ import (
 	"recyclesim/internal/fleet"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/obs/server"
+	"recyclesim/internal/obs/trace"
 	"recyclesim/internal/stats"
 	"recyclesim/internal/store"
 	"recyclesim/internal/sweep"
@@ -398,16 +399,16 @@ func (r *runner) computeAll(ctx context.Context, workers int) {
 // local computes one cell with the fleet's executor, through the
 // -checkpoint store when one is open.
 func (r *runner) local(ctx context.Context, spec fleet.Spec) (*store.Record, bool, error) {
-	compute := func() (*store.Record, error) { return fleet.ExecuteWithCrashDir(ctx, spec, r.crashDir) }
+	compute := func(trace.Ctx) (*store.Record, error) { return fleet.ExecuteWithCrashDir(ctx, spec, r.crashDir) }
 	if r.store == nil {
-		rec, err := compute()
+		rec, err := compute(trace.Ctx{})
 		return rec, false, err
 	}
 	key, err := spec.Key()
 	if err != nil {
 		return nil, false, err
 	}
-	return r.store.GetOrCompute(key, compute)
+	return r.store.GetOrCompute(key, trace.Ctx{}, compute)
 }
 
 // finish lands cell i's outcome in its slot: the one per-cell path of

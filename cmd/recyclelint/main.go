@@ -4,30 +4,23 @@
 //
 // Usage:
 //
-//	recyclelint [-rules determinism,deadstat,...] [-list] [-json]
-//	            [-baseline file [-write-baseline]] [dir]
+//	recyclelint [-rules determinism,deadstat,...] [-list] [-json] [dir]
 //
 // dir defaults to the current directory; the whole enclosing module is
 // always loaded (the analyzers reason across packages).  Findings can
 // be suppressed with `//simlint:ignore <rule> [<rule>...] [-- reason]`
-// on or above the offending line, or — for landing a new analyzer
-// strict without blocking unrelated work — collectively via a
-// committed baseline file: `-baseline lint.baseline -write-baseline`
-// records today's findings, and later runs with `-baseline
-// lint.baseline` fail only on findings not in the file.
+// on or above the offending line.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or load error.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"recyclesim/internal/lint"
@@ -43,13 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := fs.Bool("list", false, "list available rules and exit")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON diagnostics on stdout")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this file")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the -baseline file with the current findings and exit 0")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *writeBaseline && *baseline == "" {
-		fmt.Fprintln(stderr, "recyclelint: -write-baseline requires -baseline <file>")
 		return 2
 	}
 
@@ -73,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			dir = "."
 		}
 	default:
-		fmt.Fprintln(stderr, "usage: recyclelint [-rules r1,r2] [-list] [-json] [-baseline file] [dir]")
+		fmt.Fprintln(stderr, "usage: recyclelint [-rules r1,r2] [-list] [-json] [dir]")
 		return 2
 	}
 
@@ -102,30 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	diags := lint.Run(prog, analyzers)
-
-	if *writeBaseline {
-		if err := writeBaselineFile(*baseline, prog, diags); err != nil {
-			fmt.Fprintln(stderr, "recyclelint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "recyclelint: wrote %d finding(s) to %s\n", len(diags), *baseline)
-		return 0
-	}
-	if *baseline != "" {
-		known, err := readBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "recyclelint:", err)
-			return 2
-		}
-		var fresh []lint.Diagnostic
-		for _, d := range diags {
-			if !known[baselineKey(prog, d)] {
-				fresh = append(fresh, d)
-			}
-		}
-		diags = fresh
-	}
-
 	if *jsonOut {
 		if err := emitJSON(stdout, prog, diags); err != nil {
 			fmt.Fprintln(stderr, "recyclelint:", err)
@@ -166,14 +129,6 @@ func emitJSON(w io.Writer, prog *lint.Program, diags []lint.Diagnostic) error {
 	return enc.Encode(out)
 }
 
-// baselineKey identifies a finding without its line number, so
-// unrelated edits that shift code do not invalidate the baseline: a
-// suppressed finding stays suppressed until its file, rule, or message
-// changes.
-func baselineKey(prog *lint.Program, d lint.Diagnostic) string {
-	return relPath(prog, d.Pos.Filename) + "\t" + d.Rule + "\t" + d.Msg
-}
-
 func relPath(prog *lint.Program, filename string) string {
 	if prog.ModRoot != "" {
 		if rel, err := filepath.Rel(prog.ModRoot, filename); err == nil && !strings.HasPrefix(rel, "..") {
@@ -181,44 +136,4 @@ func relPath(prog *lint.Program, filename string) string {
 		}
 	}
 	return filepath.ToSlash(filename)
-}
-
-func writeBaselineFile(path string, prog *lint.Program, diags []lint.Diagnostic) error {
-	keys := make([]string, 0, len(diags))
-	seen := map[string]bool{}
-	for _, d := range diags {
-		k := baselineKey(prog, d)
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("# recyclelint baseline: findings accepted as pre-existing.\n")
-	b.WriteString("# One finding per line: file<TAB>rule<TAB>message.  Regenerate with\n")
-	b.WriteString("#   recyclelint -baseline <this file> -write-baseline\n")
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-func readBaseline(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		out[sc.Text()] = true
-	}
-	return out, sc.Err()
 }

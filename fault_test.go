@@ -36,10 +36,11 @@ func healthyOption(insts uint64) Options {
 }
 
 // TestBatchContainsPoisonedCells is the containment acceptance test: a
-// batch with one panicking cell, one livelocked cell, and one canceled
-// cell must still complete every healthy cell, report one typed error
-// per poisoned cell (mapped back to its input index), and persist a
-// crash bundle carrying the flight-recorder dump for the panic.
+// batch run concurrently on a worker pool with one panicking cell, one
+// livelocked cell, and one canceled cell must still complete every
+// healthy cell, report one typed error per poisoned cell at its input
+// index, and persist a crash bundle carrying the flight-recorder dump
+// for the panic.
 func TestBatchContainsPoisonedCells(t *testing.T) {
 	crashDir := t.TempDir()
 
@@ -65,7 +66,6 @@ func TestBatchContainsPoisonedCells(t *testing.T) {
 	livelockCell.CrashDir = crashDir
 
 	cancelCell := healthyOption(20_000)
-	cancelCell.Context = canceled
 	cancelCell.PollEveryCycles = 64
 
 	opts := []Options{
@@ -76,13 +76,15 @@ func TestBatchContainsPoisonedCells(t *testing.T) {
 		cancelCell,            // 4
 		healthyOption(20_000), // 5
 	}
-	results, err := RunBatch(opts, 3)
-	if err == nil {
-		t.Fatal("poisoned batch reported no error")
-	}
+	ctxs := make([]context.Context, len(opts))
+	ctxs[4] = canceled
+	results, errs := runPool(opts, ctxs, 3)
 
 	// Healthy cells: complete results, untouched by their siblings.
 	for _, i := range []int{0, 2, 5} {
+		if errs[i] != nil {
+			t.Errorf("healthy cell %d failed: %v", i, errs[i])
+		}
 		if results[i] == nil {
 			t.Fatalf("healthy cell %d lost its result", i)
 		}
@@ -91,44 +93,21 @@ func TestBatchContainsPoisonedCells(t *testing.T) {
 		}
 	}
 
-	// Poisoned cells: typed errors, mapped to their indices.
+	// Poisoned cells: typed errors at their own indices.
 	wantKinds := map[int]error{1: ErrPanic, 3: ErrLivelock, 4: ErrCanceled}
-	var joined interface{ Unwrap() []error }
-	if !errors.As(err, &joined) {
-		t.Fatalf("batch error %T does not unwrap to a list", err)
-	}
-	subs := joined.Unwrap()
-	if len(subs) != len(wantKinds) {
-		t.Fatalf("%d joined errors, want %d: %v", len(subs), len(wantKinds), err)
-	}
 	for idx, kind := range wantKinds {
-		found := false
-		for _, sub := range subs {
-			if strings.Contains(sub.Error(), fmt.Sprintf("batch job %d (", idx)) {
-				found = true
-				if !errors.Is(sub, kind) {
-					t.Errorf("job %d error %v, want kind %v", idx, sub, kind)
-				}
-				var se *SimError
-				if !errors.As(sub, &se) {
-					t.Errorf("job %d error is not a *SimError: %v", idx, sub)
-				}
-			}
+		if !errors.Is(errs[idx], kind) {
+			t.Errorf("cell %d error %v, want kind %v", idx, errs[idx], kind)
 		}
-		if !found {
-			t.Errorf("no joined error names batch job %d: %v", idx, err)
+		var se *SimError
+		if !errors.As(errs[idx], &se) {
+			t.Errorf("cell %d error is not a *SimError: %v", idx, errs[idx])
 		}
 	}
 
 	// The panic cell wrote a crash bundle with the flight-recorder dump.
 	var se *SimError
-	for _, sub := range subs {
-		var cand *SimError
-		if errors.As(sub, &cand) && errors.Is(cand.Kind, ErrPanic) {
-			se = cand
-		}
-	}
-	if se == nil {
+	if !errors.As(errs[1], &se) {
 		t.Fatal("panic cell produced no *SimError")
 	}
 	if se.FlightDump == "" {
@@ -284,7 +263,7 @@ func TestDeadlineClassified(t *testing.T) {
 // explicit window, with the watchdog disabled, and with an uncancelled
 // context attached at an aggressive poll cadence.
 func TestWatchdogByteIdentity(t *testing.T) {
-	witness := func(mutate func(*Options)) (string, string, string) {
+	witness := func(mutate func(*Options) context.Context) (string, string, string) {
 		var commits strings.Builder
 		tel := &Telemetry{}
 		o := healthyOption(20_000)
@@ -293,27 +272,31 @@ func TestWatchdogByteIdentity(t *testing.T) {
 				ci.Program, ci.Ctx, ci.PC, ci.Inst, ci.Result, ci.Addr, ci.Taken, ci.Reused)
 		}
 		o.Telemetry = tel
-		mutate(&o)
-		res, err := Run(o)
+		res, err := RunContext(mutate(&o), o)
 		if err != nil {
 			t.Fatalf("healthy run failed: %v", err)
 		}
 		return commits.String(), fmt.Sprintf("%+v", *res), fmt.Sprintf("%+v", *tel)
 	}
 
-	baseC, baseS, baseT := witness(func(o *Options) {})
+	baseC, baseS, baseT := witness(func(*Options) context.Context { return context.Background() })
 	if baseC == "" {
 		t.Fatal("no commits recorded")
 	}
-	variants := map[string]func(*Options){
-		"explicit window": func(o *Options) { o.Features.WatchdogCycles = 10_000 },
-		"watchdog off":    func(o *Options) { o.Features.WatchdogCycles = config.WatchdogOff },
-		"uncancelled context": func(o *Options) {
-			o.Context = context.Background()
+	variants := map[string]func(*Options) context.Context{
+		"explicit window": func(o *Options) context.Context {
+			o.Features.WatchdogCycles = 10_000
+			return context.Background()
+		},
+		"watchdog off": func(o *Options) context.Context {
+			o.Features.WatchdogCycles = config.WatchdogOff
+			return context.Background()
+		},
+		"uncancelled context": func(o *Options) context.Context {
 			ctx, cancel := context.WithCancel(context.Background())
 			t.Cleanup(cancel)
-			o.Context = ctx
 			o.PollEveryCycles = 64
+			return ctx
 		},
 	}
 	for name, mutate := range variants {
@@ -365,31 +348,5 @@ func TestInvariantPanicSurfacesAsSimError(t *testing.T) {
 	}
 	if se.BundlePath == "" {
 		t.Error("invariant fire wrote no crash bundle")
-	}
-}
-
-// TestBatchContextCancelPreventsStart: a batch handed an already
-// canceled context runs nothing and reports ErrCanceled per job.
-func TestBatchContextCancelPreventsStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	o := healthyOption(10_000)
-	o.hookCore = func(*core.Core) { ran = true }
-	results, err := RunBatchContext(ctx, []Options{o, o}, 2)
-	if ran {
-		t.Error("canceled batch still constructed a core")
-	}
-	for i, r := range results {
-		if r != nil {
-			t.Errorf("job %d produced a result under a dead context", i)
-		}
-	}
-	var joined interface{ Unwrap() []error }
-	if !errors.As(err, &joined) || len(joined.Unwrap()) != 2 {
-		t.Fatalf("want 2 joined cancellation errors, got %v", err)
-	}
-	if !errors.Is(err, ErrCanceled) {
-		t.Errorf("err = %v, want ErrCanceled", err)
 	}
 }

@@ -29,26 +29,23 @@ func sweepCells() []jobs.CellSpec {
 }
 
 // directStats runs the reference computation the service must match
-// byte for byte.
+// byte for byte: a serial loop over recyclesim.Run, independent of the
+// fleet's executor.
 func directStats(t *testing.T, cells []jobs.CellSpec) []string {
 	t.Helper()
-	opts := make([]recyclesim.Options, len(cells))
+	out := make([]string, len(cells))
 	for i, c := range cells {
-		opts[i] = recyclesim.Options{
+		res, err := recyclesim.Run(recyclesim.Options{
 			Machine:   c.Machine,
 			Features:  c.Features,
 			Workloads: c.Workloads,
 			MaxInsts:  c.Insts,
 			MaxCycles: 40 * c.Insts,
+		})
+		if err != nil {
+			t.Fatalf("direct run %d: %v", i, err)
 		}
-	}
-	res, err := recyclesim.RunBatch(opts, 2)
-	if err != nil {
-		t.Fatalf("direct RunBatch: %v", err)
-	}
-	out := make([]string, len(res))
-	for i := range res {
-		b, _ := json.Marshal(res[i])
+		b, _ := json.Marshal(res)
 		out[i] = string(b)
 	}
 	return out

@@ -10,8 +10,9 @@ import (
 	"recyclesim/internal/store"
 )
 
-// Registrar is the handler-mounting surface (net/http's ServeMux
-// satisfies it), mirroring the jobs package.
+// Registrar is the handler-mounting surface the fleet dispatcher and
+// the job server mount onto; *http.ServeMux and
+// *internal/obs/server.Server both satisfy it.
 type Registrar interface {
 	Handle(pattern string, handler http.Handler)
 }

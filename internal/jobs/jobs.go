@@ -241,15 +241,9 @@ func NewServer(ctx context.Context, st *store.Store, cfg Config) *Server {
 	return s
 }
 
-// Registrar is the mux surface Register needs; *http.ServeMux and
-// *internal/obs/server.Server both satisfy it.
-type Registrar interface {
-	Handle(pattern string, h http.Handler)
-}
-
 // Register mounts the job API onto mux, guarded by the admission gate
 // when Config.Auth is set.
-func (s *Server) Register(mux Registrar) {
+func (s *Server) Register(mux fleet.Registrar) {
 	wrap := func(h http.HandlerFunc) http.Handler {
 		if s.gate == nil {
 			return h
@@ -578,7 +572,7 @@ func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
 	if err != nil {
 		return CellResult{Index: idx, Error: err.Error()}
 	}
-	rec, cached, err := s.store.GetOrComputeTraced(key, tc, func(cs trace.Ctx) (*store.Record, error) {
+	rec, cached, err := s.store.GetOrCompute(key, tc, func(cs trace.Ctx) (*store.Record, error) {
 		return s.cfg.Fleet.Compute(s.ctx, c, key, cs)
 	})
 	if err != nil {

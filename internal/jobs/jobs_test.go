@@ -72,7 +72,7 @@ func collect(t *testing.T, c *Client, jr JobRequest) ([]CellResult, *JobStatus) 
 
 // TestConcurrentClientsShareCells is the acceptance witness: two
 // concurrent clients submit overlapping sweeps; every per-cell result
-// must be byte-identical to a direct RunBatch of the same options, and
+// must be byte-identical to a direct serial run of the same options, and
 // each shared cell must have been simulated exactly once (the store's
 // compute counter is the proof).
 func TestConcurrentClientsShareCells(t *testing.T) {
@@ -113,23 +113,19 @@ func TestConcurrentClientsShareCells(t *testing.T) {
 		t.Errorf("job hits sum to %d, want 2 (statuses %+v / %+v)", got, stA, stB)
 	}
 
-	// Byte-identity against a direct RunBatch with the same options.
-	opts := make([]recyclesim.Options, len(cells))
+	// Byte-identity against a direct serial run of the same options.
 	for i, cell := range cells {
-		opts[i] = recyclesim.Options{
+		direct, err := recyclesim.Run(recyclesim.Options{
 			Machine:   cell.Machine,
 			Features:  cell.Features,
 			Workloads: cell.Workloads,
 			MaxInsts:  cell.Insts,
 			MaxCycles: 40 * cell.Insts,
+		})
+		if err != nil {
+			t.Fatalf("direct run %d: %v", i, err)
 		}
-	}
-	direct, err := recyclesim.RunBatch(opts, 2)
-	if err != nil {
-		t.Fatalf("direct RunBatch: %v", err)
-	}
-	for i := range cells {
-		want, _ := json.Marshal(direct[i])
+		want, _ := json.Marshal(direct)
 		got, _ := json.Marshal(resA[i].Stats)
 		if string(got) != string(want) {
 			t.Errorf("cell %d served stats differ from direct run:\n got %s\nwant %s", i, got, want)

@@ -38,7 +38,7 @@ func TestStoredCellHitAllocs(t *testing.T) {
 		wh := store.HashPrograms(progs)
 		key := store.CellKey(c.Machine, c.Features, wh, 1_000, nil)
 		lookup := testing.AllocsPerRun(50, func() {
-			s.store.GetOrComputeTraced(key, trace.Ctx{}, nil)
+			s.store.GetOrCompute(key, trace.Ctx{}, nil)
 		})
 		keying := testing.AllocsPerRun(50, func() {
 			store.CellKey(c.Machine, c.Features, wh, 1_000, nil)

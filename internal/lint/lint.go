@@ -302,18 +302,28 @@ func AllScope(string) bool { return true }
 
 // PureSimRoots names the simulation entry points, as callgraph FuncIDs
 // relative to the module path: everything transitively reachable from
-// these must stay deterministic.
+// these must stay deterministic.  TestRepoIsClean checks that every
+// entry resolves, since puresim skips roots it cannot find.
 var PureSimRoots = []string{
 	"internal/core.(Core).Run",
-	"internal/core.(Core).RunContext",
 	"internal/core.(Core).Cycle",
 	".Run",
 	".RunContext",
-	".RunBatch",
-	".RunBatchContext",
 	".RunSampled",
 	".RunSampledContext",
 	"internal/sample.Run",
+}
+
+// pureSimRootIDs resolves PureSimRoots to absolute callgraph FuncIDs.
+func pureSimRootIDs(modPath string) []string {
+	roots := make([]string, len(PureSimRoots))
+	for i, r := range PureSimRoots {
+		roots[i] = modPath + r
+		if !strings.HasPrefix(r, ".") {
+			roots[i] = modPath + "/" + r
+		}
+	}
+	return roots
 }
 
 // Default returns the full analyzer suite with the canonical scopes for
@@ -323,13 +333,6 @@ func Default(prog *Program) []Analyzer {
 	scope := DefaultScope(modPath, prog.ModRoot)
 	det := NewDeterminism(scope)
 	det.ConcurrencyOK = ConcurrencyScope(modPath)
-	roots := make([]string, len(PureSimRoots))
-	for i, r := range PureSimRoots {
-		roots[i] = modPath + r
-		if !strings.HasPrefix(r, ".") {
-			roots[i] = modPath + "/" + r
-		}
-	}
 	return []Analyzer{
 		det,
 		NewFloatCmp(scope),
@@ -342,7 +345,7 @@ func Default(prog *Program) []Analyzer {
 			{RecvType: modPath + "/internal/core.Core", Method: "pipeTrace", GuardField: "ptrace"},
 			{RecvType: modPath + "/internal/obs/pipetrace.Recorder", Method: "*"},
 		}),
-		NewPureSim(roots, ConcurrencyScope(modPath)),
+		NewPureSim(pureSimRootIDs(modPath), ConcurrencyScope(modPath)),
 		NewHotAlloc(),
 		NewAtomicPlain(),
 	}

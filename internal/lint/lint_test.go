@@ -144,7 +144,9 @@ func TestSuppression(t *testing.T) {
 
 // TestRepoIsClean encodes the acceptance criterion that the shipped
 // tree lints clean: the default suite over this module itself must
-// report nothing.
+// report nothing, and every PureSimRoots entry must name a function
+// that exists (puresim skips unresolved roots, so a renamed entry
+// point would otherwise shrink the analysed set silently).
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")
@@ -152,6 +154,12 @@ func TestRepoIsClean(t *testing.T) {
 	prog, err := Load(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
+	}
+	g := prog.Callgraph()
+	for _, id := range pureSimRootIDs(prog.ModPath) {
+		if g.Lookup(id) == nil {
+			t.Errorf("PureSimRoots entry %s does not resolve in the call graph", id)
+		}
 	}
 	if diags := Run(prog, Default(prog)); len(diags) > 0 {
 		msgs := make([]string, len(diags))

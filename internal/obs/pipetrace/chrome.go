@@ -1,10 +1,10 @@
 package pipetrace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"recyclesim/internal/obs"
 )
 
 // WriteChrome renders the trace in Chrome trace_event JSON (the
@@ -21,32 +21,26 @@ import (
 // finalCycle closes spans still open at the end of the run (an
 // instruction in flight when the simulation stopped).  Output is
 // deterministic: records are written in allocation order with fixed
-// field order, so identical runs produce byte-identical files.
+// field order through obs.ChromeWriter, so identical runs produce
+// byte-identical files.
 func (r *Recorder) WriteChrome(w io.Writer, finalCycle uint64) error {
-	bw := bufio.NewWriter(w)
-	cw := &chromeWriter{bw: bw}
-	bw.WriteString("{\"traceEvents\":[")
+	cw := obs.NewChromeWriter(w)
 
 	for _, ctx := range r.usedCtxs() {
-		cw.emit(chromeEvent{Name: "process_name", Ph: "M", Pid: ctx,
+		cw.Emit(chromeEvent{Name: "process_name", Ph: "M", Pid: ctx,
 			Args: &chromeArgs{Name: fmt.Sprintf("ctx %d", ctx)}})
 	}
 
 	for i := range r.recs {
-		cw.record(&r.recs[i], finalCycle)
+		chromeRecord(cw, &r.recs[i], finalCycle)
 	}
 	for i := range r.inst {
 		in := &r.inst[i]
-		cw.emit(chromeEvent{Name: in.Stage.String(), Cat: "lifecycle", Ph: "i",
+		cw.Emit(chromeEvent{Name: in.Stage.String(), Cat: "lifecycle", Ph: "i",
 			Ts: in.Cycle, Pid: int(in.Ctx), S: "p",
 			Args: &chromeArgs{PC: hex(in.PC), Arg: &in.Arg}})
 	}
-
-	bw.WriteString("]}\n")
-	if cw.err != nil {
-		return cw.err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
 
 // chromeEvent is one trace_event object.  Field order is the emission
@@ -74,33 +68,9 @@ type chromeArgs struct {
 	Squashed  *bool   `json:"squashed,omitempty"`
 }
 
-type chromeWriter struct {
-	bw    *bufio.Writer
-	first bool
-	err   error
-}
-
-func (cw *chromeWriter) emit(ev chromeEvent) {
-	if cw.err != nil {
-		return
-	}
-	raw, err := json.Marshal(ev)
-	if err != nil {
-		cw.err = err
-		return
-	}
-	if cw.first {
-		cw.bw.WriteString(",\n")
-	} else {
-		cw.bw.WriteString("\n")
-		cw.first = true
-	}
-	cw.bw.Write(raw)
-}
-
-// record emits one traced instruction: the outer async lifetime span
+// chromeRecord emits one traced instruction: the outer async lifetime span
 // and the nested stage spans/instants between its rename and its end.
-func (cw *chromeWriter) record(rec *Record, finalCycle uint64) {
+func chromeRecord(cw *obs.ChromeWriter, rec *Record, finalCycle uint64) {
 	pid := int(rec.Ctx)
 	id := rec.ID
 	start := rec.Rename
@@ -119,17 +89,17 @@ func (cw *chromeWriter) record(rec *Record, finalCycle uint64) {
 	}
 
 	label := fmt.Sprintf("%#x %s", rec.PC, rec.Inst.String())
-	cw.emit(chromeEvent{Name: label, Cat: "inst", Ph: "b", Ts: start, Pid: pid, ID: &id,
+	cw.Emit(chromeEvent{Name: label, Cat: "inst", Ph: "b", Ts: start, Pid: pid, ID: &id,
 		Args: &chromeArgs{PC: hex(rec.PC), Seq: &rec.Seq,
 			Recycled: &rec.Recycled, Reused: &rec.Reused,
 			Committed: &rec.Committed, Squashed: &rec.Squashed}})
 
 	span := func(name string, from, to uint64) {
-		cw.emit(chromeEvent{Name: name, Cat: "inst", Ph: "b", Ts: from, Pid: pid, ID: &id})
-		cw.emit(chromeEvent{Name: name, Cat: "inst", Ph: "e", Ts: to, Pid: pid, ID: &id})
+		cw.Emit(chromeEvent{Name: name, Cat: "inst", Ph: "b", Ts: from, Pid: pid, ID: &id})
+		cw.Emit(chromeEvent{Name: name, Cat: "inst", Ph: "e", Ts: to, Pid: pid, ID: &id})
 	}
 	instant := func(name string, ts uint64) {
-		cw.emit(chromeEvent{Name: name, Cat: "inst", Ph: "n", Ts: ts, Pid: pid, ID: &id})
+		cw.Emit(chromeEvent{Name: name, Cat: "inst", Ph: "n", Ts: ts, Pid: pid, ID: &id})
 	}
 
 	if rec.Fetch != 0 {
@@ -165,7 +135,7 @@ func (cw *chromeWriter) record(rec *Record, finalCycle uint64) {
 	if rec.Squash != 0 {
 		instant("squash", rec.Squash)
 	}
-	cw.emit(chromeEvent{Name: label, Cat: "inst", Ph: "e", Ts: end, Pid: pid, ID: &id})
+	cw.Emit(chromeEvent{Name: label, Cat: "inst", Ph: "e", Ts: end, Pid: pid, ID: &id})
 }
 
 // usedCtxs returns the sorted set of context ids appearing in records

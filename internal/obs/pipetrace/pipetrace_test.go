@@ -2,7 +2,9 @@ package pipetrace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -219,6 +221,20 @@ func TestWriteChromeShapesAndDeterminism(t *testing.T) {
 	}
 	if got := count(obs.StageFork.String(), "i"); got != 1 {
 		t.Errorf("%d fork lifecycle instants, want 1", got)
+	}
+}
+
+// TestWriteChromeGolden pins the SHA-256 of committedRecorder's Chrome
+// export at final cycle 25, so event order, field order and
+// separators stay byte-identical across commits.
+func TestWriteChromeGolden(t *testing.T) {
+	const want = "7e3b8e1bc1461e8f53d5945b4444c60f3dbe8e82d5504e8f2f238754270f7b8a"
+	var buf bytes.Buffer
+	if err := committedRecorder().WriteChrome(&buf, 25); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("Chrome export digest %s, want %s", got, want)
 	}
 }
 

@@ -1,19 +1,18 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"recyclesim/internal/obs"
 )
 
-// WriteChrome renders the trace in Chrome trace_event JSON (the
-// "traceEvents" envelope, loadable in Perfetto and chrome://tracing),
-// following the emission conventions of internal/obs/pipetrace's
-// Chrome writer: one bufio pass, fixed field order, events in
-// allocation order, so a settled trace renders byte-identically on
-// every export.
+// WriteChrome renders the trace in Chrome trace_event JSON through
+// obs.ChromeWriter, the envelope internal/obs/pipetrace's export shares:
+// fixed field order, events in allocation order, so a settled trace
+// renders byte-identically on every export.
 //
 // Every span becomes one complete ("X") event with microsecond
 // timestamps.  All events share pid 0 ("recycled"); the track (tid)
@@ -27,25 +26,12 @@ import (
 func (t *Trace) WriteChrome(w io.Writer) error {
 	spans := t.Spans()
 	now := t.Elapsed()
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[")
-
-	first := true
-	emit := func(raw []byte) {
-		if first {
-			bw.WriteString("\n")
-			first = false
-		} else {
-			bw.WriteString(",\n")
-		}
-		bw.Write(raw)
-	}
+	cw := obs.NewChromeWriter(w)
 	meta := func(name string, tid int64, label string) {
-		raw, _ := json.Marshal(chromeMeta{
+		cw.Emit(chromeMeta{
 			Name: name, Ph: "M", Pid: 0, Tid: tid,
 			Args: chromeMetaArgs{Name: label},
 		})
-		emit(raw)
 	}
 
 	meta("process_name", 0, fmt.Sprintf("recycled trace %s (drops %d)", t.id, t.Drops()))
@@ -76,22 +62,14 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 				dur = 0
 			}
 		}
-		ev := chromeEvent{
+		cw.Emit(&chromeEvent{
 			Name: sp.Name, Cat: "svc", Ph: "X",
 			Ts: sp.Start.Microseconds(), Dur: dur.Microseconds(),
 			Pid: 0, Tid: tracks[sp.ID],
 			Args: spanArgs(sp, open),
-		}
-		raw, err := json.Marshal(&ev)
-		if err != nil {
-			bw.Flush()
-			return err
-		}
-		emit(raw)
+		})
 	}
-
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	return cw.Close()
 }
 
 // chromeEvent is one complete-span event; field order is emission

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -296,6 +298,39 @@ func TestWriteChrome(t *testing.T) {
 	}
 	if !foundOpen {
 		t.Error("open span not exported with args.open = true")
+	}
+}
+
+// TestWriteChromeGolden pins the SHA-256 of the Chrome export of a
+// trace with fixed span starts and durations, so the envelope,
+// separators, track layout and args rendering stay byte-identical
+// across commits.  The open span starts after "now", so its duration
+// clamps to zero whatever the wall clock says.
+func TestWriteChromeGolden(t *testing.T) {
+	const want = "395b8221f8aee04773d1c154d1fef36bcfad7116e86561f5cc9941a54d779726"
+	tr := New(0xabc, 16)
+	tr.drops = 3
+	sp := func(id, parent SpanID, name string, start, dur time.Duration, attrs ...Attr) Span {
+		s := Span{ID: id, Parent: parent, Name: name, Start: start, Dur: dur}
+		s.NAttrs = uint8(copy(s.Attrs[:], attrs))
+		return s
+	}
+	tr.spans = append(tr.spans,
+		sp(1, 0, "job", 0, 9500*time.Microsecond, Attr{Key: "cells", U: 2}),
+		sp(2, 1, "cell", 100*time.Microsecond, 4*time.Millisecond, Attr{Key: "index", U: 0}),
+		sp(3, 2, "lookup", 150*time.Microsecond, 1234*time.Nanosecond, Attr{Key: "hit", U: 0}),
+		sp(4, 2, "compute", 300*time.Microsecond, 3*time.Millisecond,
+			Attr{Key: "key", Str: "ab\"cd", IsStr: true}, Attr{Key: "error", Str: "boom\n", IsStr: true}),
+		sp(5, 1, "cell", 4200*time.Microsecond, 5*time.Millisecond, Attr{Key: "index", U: 1}),
+		sp(6, 5, "lookup", 4300*time.Microsecond, 20*time.Microsecond, Attr{Key: "hit", U: 1}),
+		sp(7, 1, "stream", time.Hour, -1),
+	)
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("Chrome export digest %s, want %s\n%s", got, want, buf.String())
 	}
 }
 

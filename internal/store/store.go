@@ -217,22 +217,16 @@ func (s *Store) Put(key string, rec *Record) error {
 // only durability is lost, and the PutErrors counter records it; a
 // compute that itself fails propagates its error to every waiter and
 // leaves no record behind.
-func (s *Store) GetOrCompute(key string, compute func() (*Record, error)) (rec *Record, cached bool, err error) {
-	return s.GetOrComputeTraced(key, trace.Ctx{}, func(trace.Ctx) (*Record, error) {
-		return compute()
-	})
-}
-
-// GetOrComputeTraced is GetOrCompute with request-scoped span
-// attribution: every phase the request actually passes through —
-// "lookup" (disk read, with hit/corrupt/recheck attributes),
-// "flight-wait" (blocking on another caller's in-progress
-// computation), "compute" (the caller's compute body, which receives
-// its span handle so it can record per-attempt children), and "put"
-// (persisting the fresh record) — lands as a distinct span under tc.
-// With the zero Ctx the hit path costs zero extra allocations over
-// GetOrCompute (witnessed by TestTracedHitPathAllocParity).
-func (s *Store) GetOrComputeTraced(key string, tc trace.Ctx, compute func(trace.Ctx) (*Record, error)) (rec *Record, cached bool, err error) {
+//
+// Every phase the request actually passes through — "lookup" (disk
+// read, with hit/corrupt/recheck attributes), "flight-wait" (blocking
+// on another caller's in-progress computation), "compute" (the
+// caller's compute body, which receives its span handle so it can
+// record per-attempt children), and "put" (persisting the fresh
+// record) — lands as a distinct span under tc.  With the zero Ctx the
+// hit path costs zero extra allocations over Get (witnessed by
+// TestTracedHitPathAllocParity).
+func (s *Store) GetOrCompute(key string, tc trace.Ctx, compute func(trace.Ctx) (*Record, error)) (rec *Record, cached bool, err error) {
 	lk := tc.Start("lookup")
 	rec, ok, corrupt := s.get(key)
 	if corrupt {

@@ -2,6 +2,7 @@ package recyclesim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -166,6 +167,13 @@ func TestPipetraceAcceptance(t *testing.T) {
 	}
 	if tracer.TruncatedRecords() != 0 {
 		t.Logf("note: %d records truncated at the cap", tracer.TruncatedRecords())
+	}
+
+	// The digest pins the export across commits, not just across two
+	// runs in one process.
+	const wantChrome = "731a7af84edad05acc18661f26b0b71363511ded5cb9635548bc5ca2efa4a463"
+	if got := fmt.Sprintf("%x", sha256.Sum256(chrome)); got != wantChrome {
+		t.Errorf("Chrome trace digest %s, want %s", got, wantChrome)
 	}
 
 	_, chrome2, konata2, _ := runTrace()

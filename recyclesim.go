@@ -44,7 +44,6 @@ import (
 	"recyclesim/internal/obs/pipetrace"
 	"recyclesim/internal/program"
 	"recyclesim/internal/stats"
-	"recyclesim/internal/sweep"
 	"recyclesim/internal/workload"
 )
 
@@ -204,16 +203,13 @@ type Options struct {
 	MaxCycles uint64
 
 	// CommitHook, when non-nil, observes every committed instruction
-	// in commit order.  Under RunBatch the hook is called from the
-	// worker goroutine running this option's simulation, so a hook
-	// shared between options must be written accordingly (or, better,
-	// each option should get its own hook and sink).
+	// in commit order, on the goroutine running the simulation.
 	CommitHook func(CommitInfo)
 
 	// Telemetry, when non-nil, receives the run's stall attribution
 	// and (if Telemetry.Hists is set on entry) histograms, accumulated
-	// via Add so one Telemetry can aggregate a batch.  Do not share a
-	// Telemetry between concurrent RunBatch options.
+	// via Add so one Telemetry can aggregate many runs.  Do not share a
+	// Telemetry between concurrent runs.
 	Telemetry *Telemetry
 
 	// FlightRecorder, when non-nil, records typed pipeline events
@@ -221,8 +217,7 @@ type Options struct {
 	FlightRecorder *FlightRecorder
 
 	// PipeTrace, when non-nil, records per-instruction stage timelines
-	// during the run.  Do not share a tracer between concurrent
-	// RunBatch options.
+	// during the run.  Do not share a tracer between concurrent runs.
 	PipeTrace *PipeTracer
 
 	// SnapshotHook, when non-nil, receives an immutable copy of the
@@ -233,23 +228,15 @@ type Options struct {
 	SnapshotHook  func(*Snapshot)
 	SnapshotEvery uint64
 
-	// Context, when non-nil, is polled for cancellation every
-	// PollEveryCycles simulated cycles; when it reports done, the run
-	// stops at that cycle boundary and returns the partial Result plus
-	// a *SimError wrapping ErrCanceled or ErrDeadline.  RunContext sets
-	// this field; set it directly only when threading Options through
-	// code that cannot change call signatures.
-	Context context.Context
-
-	// PollEveryCycles is the cancellation-poll cadence in simulated
-	// cycles (default 4096).  The cadence is counted in cycles, not
+	// PollEveryCycles is RunContext's cancellation-poll cadence in
+	// simulated cycles (default 4096).  The cadence is counted in cycles, not
 	// wall time, so enabling cancellation never perturbs simulation
 	// results — an uncancelled run is byte-identical with or without a
 	// context attached.
 	PollEveryCycles uint64
 
 	// Sampling, when non-nil, supplies the schedule for RunSampled;
-	// the detailed Run/RunContext/RunBatch entry points ignore it.  A
+	// the detailed Run/RunContext entry points ignore it.  A
 	// nil Sampling makes RunSampled use the default schedule.
 	Sampling *Sampling
 
@@ -275,11 +262,7 @@ type Options struct {
 // still accumulated; after a contained panic the Result is nil and
 // telemetry is discarded, because mid-cycle state cannot be trusted.
 func Run(o Options) (*Result, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return RunContext(ctx, o)
+	return RunContext(context.Background(), o)
 }
 
 // RunContext is Run with cooperative cancellation: the simulation
@@ -339,27 +322,8 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 	}
 	c.SetRing(o.FlightRecorder)
 	c.SetPipeTrace(o.PipeTrace)
-	// Poll the RunContext argument and, when distinct, the per-option
-	// context too (a batch-level cancel and a per-job cancel must both
-	// reach the run).
-	var polls []func() error
 	if ctx != nil && ctx.Done() != nil {
-		polls = append(polls, ctx.Err)
-	}
-	if o.Context != nil && o.Context != ctx && o.Context.Done() != nil {
-		polls = append(polls, o.Context.Err)
-	}
-	switch len(polls) {
-	case 1:
-		c.SetPoll(o.PollEveryCycles, polls[0])
-	case 2:
-		first, second := polls[0], polls[1]
-		c.SetPoll(o.PollEveryCycles, func() error {
-			if err := first(); err != nil {
-				return err
-			}
-			return second()
-		})
+		c.SetPoll(o.PollEveryCycles, ctx.Err)
 	}
 	if o.hookCore != nil {
 		o.hookCore(c)
@@ -402,8 +366,8 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 // runCore drives the core with panic containment: a panic anywhere in
 // the cycle loop — simulator bug, invariant-checker fire, user hook —
 // is recovered here with its stack, instead of unwinding through the
-// caller (and, under RunBatch, killing the whole process from a
-// worker goroutine).
+// caller (and, on a sweep worker goroutine, killing the whole
+// process).
 func runCore(c *core.Core, maxInsts, maxCycles uint64) (res *Result, err error, panicVal any, stack []byte) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -422,61 +386,6 @@ func coreSnapshot(c *core.Core) *Snapshot {
 	st.PerProgram = append([]uint64(nil), c.Stats.PerProgram...)
 	m := *c.Obs
 	return &Snapshot{Stats: &st, Metrics: &m}
-}
-
-// RunBatch executes the given simulations concurrently on a worker
-// pool (workers <= 0 selects GOMAXPROCS) and returns their results in
-// input order: results[i] belongs to opts[i].
-//
-// Each simulation is exactly the single-threaded, deterministic run
-// that Run(opts[i]) performs — parallelism exists only *between*
-// simulations, which share no mutable state — so the results are
-// byte-identical to a serial loop over Run (the determinism test in
-// batch_test.go holds this to the commit stream, not just the stats).
-//
-// Faults are contained per job: a panic or livelock in opts[i] costs
-// only results[i]; every other simulation still runs to completion.
-// The returned error is the errors.Join of every failure, each
-// wrapped as "batch job i (fingerprint): ..." so errors map back to
-// their input index; match individual causes with errors.Is /
-// errors.As against the package sentinels.  results[i] is nil when
-// job i produced no usable state (configuration error, panic) and
-// holds the partial statistics when it stopped cleanly mid-run
-// (cancellation, livelock) — pair it with the error list before
-// trusting it.
-func RunBatch(opts []Options, workers int) ([]*Result, error) {
-	return RunBatchContext(context.Background(), opts, workers)
-}
-
-// RunBatchContext is RunBatch with cooperative cancellation.  Canceling
-// ctx stops every in-flight simulation at its next poll (each reporting
-// ErrCanceled with partial results) and prevents queued jobs from
-// starting.  A failed job is not retried: its faults are deterministic
-// and would recur.
-func RunBatchContext(ctx context.Context, opts []Options, workers int) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]*Result, len(opts))
-	errs := make([]error, len(opts))
-	sweep.Run(len(opts), workers, func(i int) {
-		if cerr := ctx.Err(); cerr != nil {
-			kind := ErrCanceled
-			if errors.Is(cerr, context.DeadlineExceeded) {
-				kind = ErrDeadline
-			}
-			errs[i] = &SimError{Kind: kind, Err: cerr, Fingerprint: fingerprint(opts[i])}
-			return
-		}
-		results[i], errs[i] = RunContext(ctx, opts[i])
-	})
-	var joined []error
-	for i, err := range errs {
-		if err != nil {
-			joined = append(joined, fmt.Errorf("batch job %d (%s): %w", i, fingerprint(opts[i]), err))
-		}
-	}
-	return results, errors.Join(joined...)
 }
 
 // NewCore builds a core directly for callers that need cycle-stepping,

@@ -45,17 +45,13 @@ type SampledResult = sample.Result
 type SampledInterval = sample.Interval
 
 // RunSampled executes one sampled simulation and returns the IPC
-// estimate.  It honours Options.Machine, Features, Workloads/Programs,
-// MaxInsts, and Context; sampled mode simulates exactly one program
+// estimate.  It honours Options.Machine, Features, Workloads/Programs
+// and MaxInsts; sampled mode simulates exactly one program
 // (interval seeding restores a single architectural state).  The
 // Options.Sampling field supplies the schedule; a nil Sampling uses
 // the defaults.
 func RunSampled(o Options) (*SampledResult, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return RunSampledContext(ctx, o)
+	return RunSampledContext(context.Background(), o)
 }
 
 // RunSampledContext is RunSampled with cooperative cancellation: the
