@@ -13,8 +13,11 @@
 #                    testdata/fuzz and the targets' seeds
 #   make smoke       one short instrumented run through both telemetry
 #                    exporters (-metrics / -metrics-text), output discarded
-#   make invariant   core and sampled-mode suites with the runtime
-#                    invariant checker forced on (every 256 cycles)
+#   make invariant   core, sampled-mode and root-package suites with
+#                    the runtime invariant checker forced on (every
+#                    256 cycles); the root package adds the
+#                    multi-program facade runs and the batch and fault
+#                    witnesses
 #
 # The benchmark is bench/ (bash bench/run.sh); see bench/README.md.
 
@@ -56,5 +59,5 @@ smoke:
 	$(GO) run ./cmd/recyclesim -workloads compress -insts 20000 -flightrec 256 -metrics-text - >/dev/null
 
 invariant:
-	$(GO) test -tags siminvariant ./internal/core/ ./internal/sample/
+	$(GO) test -tags siminvariant ./internal/core/ ./internal/sample/ .
 

@@ -210,3 +210,49 @@ func TestFetchStarvationSensitivity(t *testing.T) {
 		t.Errorf("big.1.8 multiprogram gain too small: %.3f", g18)
 	}
 }
+
+// A core builds only the recycle structures its features read: with
+// Reuse off there is no MDB and no written bit-array, before and after
+// a run and a Reseed, and with Recycle off no context ever records a
+// merge point.  REC, which keeps merge points but not the reuse
+// tables, shows the merge-point check can fail.
+func TestFeatureGatedRecycleState(t *testing.T) {
+	for _, preset := range []string{"SMT", "TME", "REC", "REC/RS", "REC/RS/RU"} {
+		t.Run(preset, func(t *testing.T) {
+			feat, ok := config.PresetByName(preset)
+			if !ok {
+				t.Fatalf("no preset %q", preset)
+			}
+			progs, err := workload.MixPrograms([]string{"gcc"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := New(config.Big216(), feat, progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := func(when string) {
+				if has := c.mdb != nil || c.written != nil; has != feat.Reuse {
+					t.Errorf("%s: Reuse=%v but MDB present=%v, written bits present=%v",
+						when, feat.Reuse, c.mdb != nil, c.written != nil)
+				}
+			}
+			tables("new")
+			sawMerge := false
+			for i := 0; i < 20_000 && !c.Done(); i++ {
+				c.Cycle()
+				for _, ctx := range c.ctxs {
+					sawMerge = sawMerge || ctx.mp.FirstValid || ctx.mp.BackValid
+				}
+			}
+			if sawMerge != feat.Recycle {
+				t.Errorf("Recycle=%v but a merge point was recorded: %v", feat.Recycle, sawMerge)
+			}
+			tables("after a run")
+			if err := c.Reseed(nil, Models{}); err != nil {
+				t.Fatal(err)
+			}
+			tables("after Reseed")
+		})
+	}
+}

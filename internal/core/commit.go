@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"recyclesim/internal/obs"
 	"recyclesim/internal/regfile"
 )
@@ -19,14 +21,16 @@ func (c *Core) commit() {
 	n := len(c.ctxs)
 	stuck := 0
 	for budget > 0 && stuck < n {
-		t := c.ctxs[c.rrCommit%n]
-		if c.commitOne(t) {
+		// An idle context cannot commit: skip it without the call.
+		if c.live&(1<<uint(c.rrCommit)) != 0 && c.commitOne(c.ctxs[c.rrCommit]) {
 			budget--
 			stuck = 0
-		} else {
-			c.rrCommit++
-			stuck++
+			continue
 		}
+		if c.rrCommit++; c.rrCommit == n {
+			c.rrCommit = 0
+		}
+		stuck++
 	}
 }
 
@@ -116,8 +120,9 @@ func (c *Core) commitOne(t *Context) bool {
 	}
 
 	// Release children gated on this entry.
-	for _, cc := range c.ctxs {
-		if cc != t && cc.state != CtxIdle && cc.parentCtx == t.id && cc.parentSeq < t.al.CommitSeq() {
+	for m := c.live &^ (1 << uint(t.id)); m != 0; m &= m - 1 {
+		cc := c.ctxs[bits.TrailingZeros16(m)]
+		if cc.state != CtxIdle && cc.parentCtx == t.id && cc.parentSeq < t.al.CommitSeq() {
 			cc.parentCtx = -1
 		}
 	}

@@ -79,26 +79,34 @@ type sqEntry struct {
 // front at commit, and squash from the back.  The ring never grows —
 // uncommitted stores are bounded by the active-list capacity — so
 // steady-state operation is allocation-free and commit is O(1) instead
-// of the tail memmove a slice delete costs.
+// of the tail memmove a slice delete costs.  Its storage is rounded up
+// to a power of two, as the active list's is, so a position maps to
+// its slot with a mask instead of a division.
 type storeQueue struct {
 	ents []sqEntry
+	mask int // len(ents)-1
 	head int
 	n    int
 }
 
 func newStoreQueue(capacity int) storeQueue {
-	return storeQueue{ents: make([]sqEntry, capacity)}
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	return storeQueue{ents: make([]sqEntry, n), mask: n - 1}
 }
 
 func (q *storeQueue) len() int { return q.n }
 
 // at returns the i-th store in program order (0 = oldest).
 func (q *storeQueue) at(i int) *sqEntry {
-	return &q.ents[(q.head+i)%len(q.ents)]
+	return &q.ents[(q.head+i)&q.mask]
 }
 
 // push appends a renamed store.  Rename allocates an active-list slot
-// first, so the ring (sized to the active list) cannot be full here.
+// first, so the ring (at least the active list's size) cannot be full
+// here.
 func (q *storeQueue) push(seq uint64) {
 	if q.n == len(q.ents) {
 		panic("core: store queue overflow")
@@ -112,7 +120,7 @@ func (q *storeQueue) popFront() {
 	if q.n == 0 {
 		panic("core: popFront on empty store queue")
 	}
-	q.head = (q.head + 1) % len(q.ents)
+	q.head = (q.head + 1) & q.mask
 	q.n--
 }
 

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"recyclesim/internal/alist"
 	"recyclesim/internal/bpred"
@@ -69,12 +70,19 @@ type Core struct {
 	iqInt   *iq.Queue
 	iqFP    *iq.Queue
 	fus     *fu.Pool
-	written *recycle.WrittenBits
-	mdb     *recycle.MDB
+	written *recycle.WrittenBits // nil unless Features.Reuse (see mdb)
+	mdb     *recycle.MDB         // nil unless Features.Reuse; uses outside tryReuse test for nil
 
 	ctxs  []*Context
 	parts []*Partition
 	progs []*loadedProgram
+
+	// live has bit i set while ctxs[i] is not CtxIdle.  Per-cycle scans
+	// walk its set bits in ascending id instead of every context (on
+	// SMT all but one context per program stay idle).  startPrimary and
+	// activateAlternate set bits, killContext clears them, and
+	// CheckInvariants audits the mask against the states.
+	live uint16
 
 	// In-flight executions awaiting completion, filed on a completion
 	// wheel keyed by the cycle their result arrives.  Deletion is lazy:
@@ -86,7 +94,7 @@ type Core struct {
 	// not arrived yet (second issue phase).
 	pendingSt []*alist.Entry
 
-	rrCommit int // round-robin pointer for commit bandwidth
+	rrCommit int // round-robin pointer for commit bandwidth, in [0, len(ctxs))
 
 	// Per-cycle scratch buffers, reused so the steady-state cycle loop
 	// does not allocate: due collects the completions drained from the
@@ -189,14 +197,16 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 		iqInt:     iq.New(mach.IQInt),
 		iqFP:      iq.New(mach.IQFP),
 		fus:       fu.New(fu.Config{IntUnits: mach.IntUnits, LSUnits: mach.LSUnits, FPUnits: mach.FPUnits}),
-		written:   recycle.NewWrittenBits(mach.Contexts),
-		mdb:       recycle.NewMDB(mdbCapacity),
 		exec:      wheel.New(wheelHorizon),
 		pendingSt: make([]*alist.Entry, 0, mach.Contexts*4),
 		due:       make([]*alist.Entry, 0, 64),
 		cands:     make([]ctxCand, 0, mach.Contexts),
 		Stats:     &stats.Sim{PerProgram: make([]uint64, len(progs))},
 		Obs:       &obs.Metrics{},
+	}
+	if feat.Reuse {
+		c.written = recycle.NewWrittenBits(mach.Contexts)
+		c.mdb = recycle.NewMDB(mdbCapacity)
 	}
 	c.invariantEvery = feat.InvariantEvery
 	if c.invariantEvery == 0 {
@@ -270,8 +280,10 @@ func (c *Core) reset(seeds []*ArchState, m Models) {
 	c.iqInt.Reset()
 	c.iqFP.Reset()
 	c.fus.Reset()
-	c.written.Reset()
-	c.mdb.Reset()
+	if c.written != nil {
+		c.written.Reset()
+		c.mdb.Reset()
+	}
 	c.exec.Reset()
 	perProg := c.Stats.PerProgram
 	clear(perProg)
@@ -312,6 +324,7 @@ func (c *Core) reset(seeds []*ArchState, m Models) {
 // state of all zeros with the stack pointer at its base.
 func (c *Core) startPrimary(t *Context, pc uint64, regs *[isa.NumRegs]uint64) {
 	t.state = CtxActive
+	c.live |= 1 << uint(t.id)
 	t.isPrimary = true
 	t.fetchPC = pc
 	t.hasMap = true
@@ -447,7 +460,9 @@ func (c *Core) undoEntry(t *Context, e *alist.Entry) {
 		// cleared the bit), the trace's view and the primary's mapping
 		// no longer agree, so future reuse of this register from this
 		// trace must be blocked.
-		c.written.MarkWritten(e.Inst.Rd, 1<<uint(t.id))
+		if c.written != nil {
+			c.written.MarkWritten(e.Inst.Rd, 1<<uint(t.id))
+		}
 	}
 	if e.Reused && e.ReuseSrc >= 0 && e.ReuseSrc < len(c.ctxs) {
 		if c.ctxs[e.ReuseSrc].outstandingReuse > 0 {
@@ -498,14 +513,19 @@ func (c *Core) squashFrom(ctx int, seq uint64) {
 			Ctx: int16(ctx), Seq: seq, Arg: c.ctxs[ctx].al.TailSeq()})
 	}
 	t := c.ctxs[ctx]
-	// Children forked off squashed branches die entirely.
-	for _, cc := range c.ctxs {
-		if cc.state != CtxIdle && cc != t && cc.parentCtx == ctx && cc.parentSeq >= seq {
+	// Children forked off squashed branches die entirely.  A recursive
+	// kill can idle a context still in the snapshot, hence the state
+	// test.
+	for m := c.live &^ (1 << uint(ctx)); m != 0; m &= m - 1 {
+		cc := c.ctxs[bits.TrailingZeros16(m)]
+		if cc.state != CtxIdle && cc.parentCtx == ctx && cc.parentSeq >= seq {
 			c.killContext(cc)
 		}
 	}
 	t.al.SquashFrom(seq, func(e *alist.Entry) { c.undoEntry(t, e) })
-	t.mp.DropFrom(seq)
+	if c.feat.Recycle {
+		t.mp.DropFrom(seq)
+	}
 	c.removeFromBack(ctx, seq)
 	// Any in-progress recycle stream and queued fetches are stale.
 	t.stream = nil
@@ -562,8 +582,9 @@ func (c *Core) killContext(t *Context) {
 			Ctx: int16(t.id), Seq: t.parentSeq, PC: t.fetchPC, Arg: uint64(t.state)})
 	}
 	// Recursively kill this context's own children first.
-	for _, cc := range c.ctxs {
-		if cc != t && cc.state != CtxIdle && cc.parentCtx == t.id {
+	for m := c.live &^ (1 << uint(t.id)); m != 0; m &= m - 1 {
+		cc := c.ctxs[bits.TrailingZeros16(m)]
+		if cc.state != CtxIdle && cc.parentCtx == t.id {
 			c.killContext(cc)
 		}
 	}
@@ -572,11 +593,14 @@ func (c *Core) killContext(t *Context) {
 	c.releaseMapRefs(t)
 	c.finishPath(t)
 	t.al.Reset()
-	t.mp.Invalidate()
+	if c.feat.Recycle {
+		t.mp.Invalidate()
+	}
 	t.fqClear()
 	t.sq.clear()
 	t.stream = nil
 	t.state = CtxIdle
+	c.live &^= 1 << uint(t.id)
 	t.isPrimary = false
 	t.parentCtx = -1
 	t.fetchHalted = false

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"recyclesim/internal/bpred"
 	"recyclesim/internal/config"
 	"recyclesim/internal/isa"
@@ -193,8 +195,8 @@ func (c *Core) altPathCap(t *Context) {
 // candidate scratch (valid until the next ordering is built).
 func (c *Core) fetchCandidates() []ctxCand {
 	cands, nPrim := c.cands[:0], 0
-	for _, t := range c.ctxs {
-		if c.canFetch(t) {
+	for m := c.live; m != 0; m &= m - 1 {
+		if t := c.ctxs[bits.TrailingZeros16(m)]; c.canFetch(t) {
 			cands, nPrim = addCand(cands, nPrim, t, t.icount(c.iqInt.CountCtx(t.id)+c.iqFP.CountCtx(t.id)))
 		}
 	}

@@ -35,6 +35,8 @@ var defaultInvariantEvery uint64 = 0
 //   - active-list structure: sequence pointers ordered, ring slots
 //     self-consistent, committed flags matching the commit pointer;
 //   - idle contexts hold no resources;
+//   - the live-context mask has bit i set exactly while context i is
+//     not idle, and no bit beyond the last context;
 //   - instruction queue membership, both directions: everything queued
 //     is a live un-issued entry, and every dispatched un-issued entry
 //     is queued exactly once;
@@ -45,7 +47,8 @@ var defaultInvariantEvery uint64 = 0
 //   - store-queue consistency with the active list;
 //   - outstanding-reuse conservation: each context's pin count equals
 //     the number of uncommitted reused entries naming it as source;
-//   - written-bit coherence: a clear bit promises an unchanged mapping
+//   - written-bit coherence, whenever the core keeps the bit-array
+//     (Features.Reuse): a clear bit promises an unchanged mapping
 //     (checked where the trace itself did not write the register);
 //   - telemetry conservation: the rename slot-cycle attribution sums to
 //     cycles × rename width with nothing charged to the null cause;
@@ -66,7 +69,9 @@ func (c *Core) CheckInvariants() *invariant.Report {
 	c.checkContexts(r)
 	c.checkQueues(r)
 	c.checkReuse(r)
-	c.checkWrittenBits(r)
+	if c.written != nil {
+		c.checkWrittenBits(r)
+	}
 	c.checkTelemetry(r)
 	c.checkPipeTrace(r)
 	return r
@@ -115,9 +120,16 @@ func leakKind(got, want int) string {
 }
 
 // checkContexts verifies active-list structure, idle-context hygiene,
-// store-queue consistency, and partition primary sanity.
+// the live-context mask, store-queue consistency, and partition
+// primary sanity.
 func (c *Core) checkContexts(r *invariant.Report) {
+	if extra := c.live >> uint(len(c.ctxs)); extra != 0 {
+		r.Failf("live", "live mask %016b has bits beyond the %d contexts", c.live, len(c.ctxs))
+	}
 	for _, t := range c.ctxs {
+		if bit := c.live&(1<<uint(t.id)) != 0; bit != (t.state != CtxIdle) {
+			r.Failf("live", "ctx=%d in state %v but its live-mask bit is %v", t.id, t.state, bit)
+		}
 		al := t.al
 		if !(al.FirstSeq() <= al.CommitSeq() && al.CommitSeq() <= al.TailSeq()) {
 			r.Failf("alist", "ctx=%d sequence pointers disordered: first=%d commit=%d tail=%d",

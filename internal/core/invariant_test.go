@@ -116,6 +116,42 @@ func TestInvariantDetectsIdleResidue(t *testing.T) {
 	expectViolation(t, c, "idle")
 }
 
+// TestInvariantDetectsLiveMaskDrift: the live-context mask steers every
+// per-cycle scan, so a bit that disagrees with its context's state, in
+// either direction, must be caught.
+func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
+	t.Run("live context missing", func(t *testing.T) {
+		c := invariantCore(t)
+		c.live &^= 1 << uint(c.parts[0].primary)
+		expectViolation(t, c, "live")
+	})
+	t.Run("idle context present", func(t *testing.T) {
+		c := invariantCore(t)
+		for _, ctx := range c.ctxs {
+			if ctx.state == CtxIdle {
+				c.live |= 1 << uint(ctx.id)
+				expectViolation(t, c, "live")
+				return
+			}
+		}
+		t.Skip("no idle context after warm-up")
+	})
+	t.Run("beyond the last context", func(t *testing.T) {
+		p, err := workload.ByName("compress")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mach := config.Big216()
+		mach.Contexts = 4
+		c, err := New(mach, config.RECRSRU, []*program.Program{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.live |= 1 << 4
+		expectViolation(t, c, "live")
+	})
+}
+
 // TestInvariantDetectsCommitDrift: an entry marked committed ahead of
 // the commit pointer corrupts the active-list structure.
 func TestInvariantDetectsCommitDrift(t *testing.T) {

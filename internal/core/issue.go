@@ -162,7 +162,9 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 			s.addr = e.Addr &^ 7
 			s.addrOK = true
 		}
-		c.mdb.StoreTo(c.tagAddr(t.part.prog.idx, e.Addr&^7))
+		if c.mdb != nil {
+			c.mdb.StoreTo(c.tagAddr(t.part.prog.idx, e.Addr&^7))
+		}
 		// Stores probe the data cache for timing (write allocate).
 		lat += c.mem.AccessD(c.cycle, c.tagAddr(t.part.prog.idx, e.Addr))
 		if !c.srcReady(e.Src2) {
@@ -301,10 +303,12 @@ func (c *Core) completeEntry(t *Context, e *alist.Entry) {
 	if in.WritesReg() && e.NewMap != regfile.NoReg {
 		c.rf.SetValue(e.NewMap, e.Result)
 	}
-	asid := t.part.prog.idx
 	switch {
 	case in.IsLoad():
-		c.mdb.InsertLoad(c.tagAddr(asid, e.PC), c.tagAddr(asid, e.Addr&^7))
+		if c.mdb != nil {
+			asid := t.part.prog.idx
+			c.mdb.InsertLoad(c.tagAddr(asid, e.PC), c.tagAddr(asid, e.Addr&^7))
+		}
 	case in.IsStore():
 		// MDB invalidation already happened at address generation.
 	case in.IsBranch():

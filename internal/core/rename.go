@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"recyclesim/internal/alist"
 	"recyclesim/internal/config"
 	"recyclesim/internal/iq"
@@ -77,7 +79,8 @@ func (c *Core) rename() {
 // candidate scratch (valid until the next ordering is built).
 func (c *Core) renameOrder(recycleRound bool) []ctxCand {
 	out, nPrim := c.cands[:0], 0
-	for _, t := range c.ctxs {
+	for m := c.live; m != 0; m &= m - 1 {
+		t := c.ctxs[bits.TrailingZeros16(m)]
 		if t.state == CtxIdle || t.state == CtxRetiring || t.state == CtxInactive {
 			continue
 		}
@@ -153,7 +156,7 @@ func (c *Core) allocEntry(t *Context, pc uint64, in *isa.Inst) *alist.Entry {
 		c.noteStall(t, obs.CauseRenameAL, pc)
 		return nil
 	}
-	if evicted != ^uint64(0) {
+	if evicted != ^uint64(0) && c.feat.Recycle {
 		t.mp.DropSeq(evicted)
 		// Re-anchor the first-PC merge point at the new oldest entry.
 		if fpc, ok := t.al.FirstPC(); ok {
@@ -178,17 +181,20 @@ func (c *Core) allocEntry(t *Context, pc uint64, in *isa.Inst) *alist.Entry {
 		t.mapTab[in.Rd] = newMap
 	}
 
-	// Merge-point bookkeeping (§3.2).
-	if e.Seq == t.al.FirstSeq() {
-		t.mp.SetFirst(pc, e.Seq)
-	}
-	// Backward control transfers (loop-closing branches and jumps)
-	// establish the context's backward merge point when the loop head
-	// is still retained: "only loops smaller than the current active
-	// lists are able to benefit from the backward branch recycling."
-	if (in.IsCondBranch() || in.Op == isa.OpJ) && in.Target < pc {
-		if seq, found := t.al.FindPC(in.Target); found {
-			t.mp.SetBack(in.Target, seq)
+	// Merge-point bookkeeping (§3.2); only recycling reads the points.
+	if c.feat.Recycle {
+		if e.Seq == t.al.FirstSeq() {
+			t.mp.SetFirst(pc, e.Seq)
+		}
+		// Backward control transfers (loop-closing branches and jumps)
+		// establish the context's backward merge point when the loop
+		// head is still retained: "only loops smaller than the current
+		// active lists are able to benefit from the backward branch
+		// recycling."
+		if (in.IsCondBranch() || in.Op == isa.OpJ) && in.Target < pc {
+			if seq, found := t.al.FindPC(in.Target); found {
+				t.mp.SetBack(in.Target, seq)
+			}
 		}
 	}
 
@@ -263,10 +269,11 @@ func (c *Core) renameFetched(t *Context, fe *fqEntry) bool {
 }
 
 // markWritten records a new register instance by the primary in the
-// written bit-array.  reuseSrc >= 0 marks the reuse case, where the
-// source context's own column stays clear (§3.5 discussion).
+// written bit-array, when reuse keeps one.  reuseSrc >= 0 marks the
+// reuse case, where the source context's own column stays clear (§3.5
+// discussion).
 func (c *Core) markWritten(t *Context, e *alist.Entry, reuseSrc int) {
-	if !e.Inst.WritesReg() || !t.isPrimary {
+	if c.written == nil || !e.Inst.WritesReg() || !t.isPrimary {
 		return
 	}
 	if reuseSrc >= 0 {

@@ -1,6 +1,10 @@
 package core
 
-import "recyclesim/internal/obs"
+import (
+	"math/bits"
+
+	"recyclesim/internal/obs"
+)
 
 // attributeSlots closes one cycle's rename slot-cycle accounting:
 // every one of the machine's RenameWidth rename slots is charged to
@@ -65,7 +69,8 @@ func (c *Core) noteStall(t *Context, cause obs.Cause, pc uint64) {
 // be fetching is waiting out an instruction-cache fill this cycle (the
 // I-cache-miss attribution predicate).
 func (c *Core) fetchBlockedOnICache() bool {
-	for _, t := range c.ctxs {
+	for m := c.live; m != 0; m &= m - 1 {
+		t := c.ctxs[bits.TrailingZeros16(m)]
 		if t.fetchStallUntil <= c.cycle {
 			continue
 		}

@@ -115,6 +115,7 @@ func (c *Core) allocSpare(t *Context) *Context {
 // the recycle datapath instead of fetching.
 func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC uint64, stream *recycleStream) {
 	a.state = CtxActive
+	c.live |= 1 << uint(a.id)
 	a.isPrimary = false
 	a.parentCtx = t.id
 	a.parentSeq = e.Seq
@@ -149,7 +150,9 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 	c.pred.ForceHist(a.id, hist&0x7FF)
 
 	// A fresh path resets the written-bit column (§3.5).
-	c.written.ResetContext(a.id)
+	if c.written != nil {
+		c.written.ResetContext(a.id)
+	}
 
 	e.Forked = true
 	e.AltCtx = a.id
@@ -281,7 +284,9 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 			t.state = CtxActive
 			t.isPrimary = true
 			t.part.primary = t.id
-			c.written.SetAll(t.part.mask)
+			if c.written != nil {
+				c.written.SetAll(t.part.mask)
+			}
 			if c.ring != nil {
 				c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StageReinstate,
 					Ctx: int16(t.id), Seq: e.Seq, PC: e.PC})
@@ -388,7 +393,9 @@ func (c *Core) promote(t *Context, e *alist.Entry, a *Context) {
 	// The promoted thread's alternate-path writes were never recorded
 	// in the written bit-array (only primaries set bits), so every
 	// retained trace in the partition must be treated as stale.
-	c.written.SetAll(t.part.mask)
+	if c.written != nil {
+		c.written.SetAll(t.part.mask)
+	}
 
 	// Correct-path history for the promoted thread was already seeded
 	// at fork time.  The branch predictor trains at commit.

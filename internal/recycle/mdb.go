@@ -15,13 +15,18 @@ package recycle
 // nothing is ever resliced or appended, so a buffer in use allocates
 // nothing but the index map's occasional rehash.  Slots outside the
 // live window [head, head+n) never hold a valid entry (eviction frees a
-// slot only to refill it at once), so StoreTo and Len scan the whole
-// ring without consulting the window.
+// slot only to refill it at once), so StoreTo, Reusable and Len scan
+// the whole ring without consulting the window.
+//
+// The index holds the folded keys of the valid entries.  Distinct
+// pairs can fold to one key, so it is a filter, not proof: Reusable
+// confirms a hit against the stored pair, and InsertLoad drops a pair
+// whose key is already present.
 type MDB struct {
-	ring  []mdbEntry     // capacity slots; the oldest live entry is ring[head]
-	head  int            // slot of the oldest entry
-	n     int            // entries in the ring, valid or invalidated
-	index map[uint64]int // (pc,addr) key -> position count (presence)
+	ring  []mdbEntry          // capacity slots; the oldest live entry is ring[head]
+	head  int                 // slot of the oldest entry
+	n     int                 // entries in the ring, valid or invalidated
+	index map[uint64]struct{} // folded (pc,addr) keys of the valid entries
 }
 
 type mdbEntry struct {
@@ -43,7 +48,7 @@ func NewMDB(capacity int) *MDB {
 	}
 	return &MDB{
 		ring:  make([]mdbEntry, capacity),
-		index: make(map[uint64]int, capacity),
+		index: make(map[uint64]struct{}, capacity),
 	}
 }
 
@@ -54,11 +59,11 @@ func (m *MDB) Reset() {
 	m.head, m.n = 0, 0
 }
 
-// InsertLoad records an executed load.  Re-inserting the same (pc,
-// addr) refreshes the entry.
+// InsertLoad records an executed load.  Re-inserting a present (pc,
+// addr) is a no-op: the entry keeps its place in the FIFO.
 func (m *MDB) InsertLoad(pc, addr uint64) {
 	key := mdbKey(pc, addr)
-	if m.index[key] > 0 {
+	if _, ok := m.index[key]; ok {
 		return
 	}
 	if m.n == len(m.ring) {
@@ -71,15 +76,12 @@ func (m *MDB) InsertLoad(pc, addr uint64) {
 	}
 	m.ring[(m.head+m.n)%len(m.ring)] = mdbEntry{pc: pc, addr: addr, valid: true}
 	m.n++
-	m.index[key]++
+	m.index[key] = struct{}{}
 }
 
-// unindex drops e's presence count and marks it invalid.
+// unindex drops e's key from the index and marks it invalid.
 func (m *MDB) unindex(e *mdbEntry) {
-	k := mdbKey(e.pc, e.addr)
-	if m.index[k]--; m.index[k] <= 0 {
-		delete(m.index, k)
-	}
+	delete(m.index, mdbKey(e.pc, e.addr))
 	e.valid = false
 }
 
@@ -95,9 +97,19 @@ func (m *MDB) StoreTo(addr uint64) {
 }
 
 // Reusable reports whether the load at pc with the given address is
-// still present, i.e. its old value may be reused.
+// still present, i.e. its old value may be reused.  A key hit is
+// confirmed against the stored pair, since another pair may share the
+// key.
 func (m *MDB) Reusable(pc, addr uint64) bool {
-	return m.index[mdbKey(pc, addr)] > 0
+	if _, ok := m.index[mdbKey(pc, addr)]; !ok {
+		return false
+	}
+	for i := range m.ring {
+		if e := &m.ring[i]; e.valid && e.pc == pc && e.addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the number of live entries (tests).

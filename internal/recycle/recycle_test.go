@@ -126,16 +126,50 @@ func TestMDBCapacityFIFO(t *testing.T) {
 	}
 }
 
-func TestMDBReinsertRefreshes(t *testing.T) {
+// Re-inserting a present pair adds no entry and leaves its FIFO age
+// alone: the oldest pair, inserted again, is still evicted first.
+func TestMDBReinsertKeepsAge(t *testing.T) {
 	m := NewMDB(4)
 	m.InsertLoad(0x100, 0x8000)
 	m.InsertLoad(0x100, 0x8000) // duplicate: no double entry
 	if m.Len() != 1 {
 		t.Errorf("len = %d, want 1", m.Len())
 	}
-	m.StoreTo(0x8000)
+	for i := uint64(1); i < 4; i++ {
+		m.InsertLoad(0x100+4*i, 0x8000+8*i)
+	}
+	m.InsertLoad(0x100, 0x8000) // the oldest again: still the oldest
+	m.InsertLoad(0x200, 0x9000) // full: evicts the oldest
 	if m.Reusable(0x100, 0x8000) {
+		t.Error("re-inserted oldest pair survived an eviction")
+	}
+	for i := uint64(1); i < 4; i++ {
+		if !m.Reusable(0x100+4*i, 0x8000+8*i) {
+			t.Errorf("pair %d evicted ahead of the oldest", i)
+		}
+	}
+	m.StoreTo(0x8008)
+	if m.Reusable(0x104, 0x8008) {
 		t.Error("invalidated after store")
+	}
+}
+
+// Presence is exact: a pair that was never inserted is not reusable
+// even when its folded key equals a live pair's.
+func TestMDBKeyCollisionNotReusable(t *testing.T) {
+	const k = 0x9E3779B97F4A7C15 // mdbKey's multiplier
+	var pc1, addr1, pc2 uint64 = 0x1040, 0x8000, 0x2088
+	addr2 := pc1*k ^ addr1 ^ pc2*k
+	if mdbKey(pc1, addr1) != mdbKey(pc2, addr2) {
+		t.Fatal("constructed pair does not collide")
+	}
+	m := NewMDB(8)
+	m.InsertLoad(pc1, addr1)
+	if !m.Reusable(pc1, addr1) {
+		t.Error("inserted pair not reusable")
+	}
+	if m.Reusable(pc2, addr2) {
+		t.Errorf("Reusable(%#x, %#x) = true for a pair never inserted", pc2, addr2)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // goldenDigests pins the SHA-256 of fmt.Sprintf("%+v", stats) for a
-// matrix of detailed runs and one sampled run.  TestDeterminism only
+// matrix of detailed runs and two sampled runs.  TestDeterminism only
 // compares two runs inside one process; these digests are fixed across
 // commits, so a host-speed change that alters one simulated bit (issue
 // order, a predictor index, a cache set) fails here.  A deliberate
@@ -43,7 +43,11 @@ var goldenDigests = map[string]string{
 	"REC/RS/RU tomcatv":     "ac599191b2a7975df2457a6200e17502ce131bd4bc6639f74da075eb7b1148f4",
 	"REC/RS/RU vortex":      "4692faf2023f11ee2815330b0dddc42e5ff51f4cfefc24528b7ad7bd2234a216",
 	"REC/RS/RU go+li":       "228243bcfea7ab066d0fb596b5949bb47a6d433b21f98005963497643b02093d",
+	"SMT go+li":             "85a7c80ea0120598a55ce9e3e5f1b03c1bcedd4a91ba2fe56fdabf7916775823",
+	"SMT small.2.8 mix4":    "9fc749270d5f87c3b76fdff09f58f86f700f59da75b8af0afd5539298111193c",
+	"TME small.2.8 mix4":    "5a7a835982952d7b45e462d22e30704990e7de1719d716420612d7039a2b24f6",
 	"sampled REC/RS/RU gcc": "eacfd849fd9fa2d4fbb8cfba0c578c559c71d8700239e9b38f4c836c525faf9d",
+	"sampled SMT gcc":       "5e8129b4e01da0a91fb9d81d1abf08e511e8715a67345aec225a8ad7fdae5160",
 }
 
 func digest(v any) string {
@@ -60,13 +64,13 @@ func checkGolden(t *testing.T, name, got string) {
 
 func TestGoldenDigests(t *testing.T) {
 	const insts = 20_000
-	detailed := func(t *testing.T, feat config.Features, names []string) string {
+	detailed := func(t *testing.T, mach config.Machine, feat config.Features, names []string) string {
 		t.Helper()
 		progs, err := workload.MixPrograms(names)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.New(config.Big216(), feat, progs)
+		c, err := core.New(mach, feat, progs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,21 +83,32 @@ func TestGoldenDigests(t *testing.T) {
 	for _, feat := range []config.Features{config.SMT, config.TME, config.RECRSRU} {
 		for _, w := range workload.Names {
 			name := config.FeatureName(feat) + " " + w
-			checkGolden(t, name, detailed(t, feat, []string{w}))
+			checkGolden(t, name, detailed(t, config.Big216(), feat, []string{w}))
 		}
 	}
-	checkGolden(t, "REC/RS/RU go+li", detailed(t, config.RECRSRU, []string{"go", "li"}))
+	// Multi-program cells: several live primaries share the round-robin
+	// commit, and on small.2.8 four of them compete for a commit width
+	// of eight.
+	checkGolden(t, "REC/RS/RU go+li", detailed(t, config.Big216(), config.RECRSRU, []string{"go", "li"}))
+	checkGolden(t, "SMT go+li", detailed(t, config.Big216(), config.SMT, []string{"go", "li"}))
+	mix4 := workload.Mixes(4)[0]
+	for _, feat := range []config.Features{config.SMT, config.TME} {
+		name := config.FeatureName(feat) + " small.2.8 mix4"
+		checkGolden(t, name, detailed(t, config.Small28(), feat, mix4))
+	}
 
 	prog, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(config.Big216(), config.RECRSRU, prog, 200_000, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, feat := range []config.Features{config.RECRSRU, config.SMT} {
+		res, err := Run(config.Big216(), feat, prog, 200_000, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The per-interval counters and CPIs, not the Student-t summary:
+		// its variance sum may fuse into FMA instructions on some
+		// architectures, which would make the digest platform-dependent.
+		checkGolden(t, "sampled "+config.FeatureName(feat)+" gcc", digest([]any{res.Intervals, res.Measured}))
 	}
-	// The per-interval counters and CPIs, not the Student-t summary:
-	// its variance sum may fuse into FMA instructions on some
-	// architectures, which would make the digest platform-dependent.
-	checkGolden(t, "sampled REC/RS/RU gcc", digest([]any{res.Intervals, res.Measured}))
 }

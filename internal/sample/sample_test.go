@@ -38,7 +38,8 @@ func fullIPC(t *testing.T, mach config.Machine, feat config.Features, p *program
 //
 // Under the race detector each cell is ~15x slower, so the matrix is
 // trimmed to one representative cell per preset; the full 8x5 matrix
-// runs in normal builds.
+// runs in normal builds.  The cells share no state and run in
+// parallel.
 func TestSampledAccuracy(t *testing.T) {
 	const (
 		maxInsts = 400_000
@@ -66,6 +67,7 @@ func TestSampledAccuracy(t *testing.T) {
 	for _, cell := range cells {
 		bench, preset := cell[0], cell[1]
 		t.Run(bench+"/"+preset, func(t *testing.T) {
+			t.Parallel()
 			p, err := workload.ByName(bench)
 			if err != nil {
 				t.Fatal(err)
