@@ -64,29 +64,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// Reject an unknown rule before the module load, which type-checks
+	// everything; like -list, the names need no loaded module.
+	if _, err := selectRules(lint.Default(&lint.Program{}), *rules); err != nil {
+		fmt.Fprintf(stderr, "recyclelint: %v\n", err)
+		return 2
+	}
+
 	prog, err := lint.Load(dir)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	analyzers := lint.Default(prog)
-	if *rules != "" {
-		byName := map[string]lint.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name()] = a
-		}
-		var sel []lint.Analyzer
-		for _, r := range strings.Split(*rules, ",") {
-			a, ok := byName[strings.TrimSpace(r)]
-			if !ok {
-				fmt.Fprintf(stderr, "recyclelint: unknown rule %q\n", strings.TrimSpace(r))
-				return 2
-			}
-			sel = append(sel, a)
-		}
-		analyzers = sel
-	}
+	analyzers, _ := selectRules(lint.Default(prog), *rules)
 
 	diags := lint.Run(prog, analyzers)
 	if *jsonOut {
@@ -104,6 +95,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// selectRules returns the analyzers named by the comma-separated rules
+// list, in list order, or all of them when the list is empty.
+func selectRules(all []lint.Analyzer, rules string) ([]lint.Analyzer, error) {
+	if rules == "" {
+		return all, nil
+	}
+	byName := map[string]lint.Analyzer{}
+	for _, a := range all {
+		byName[a.Name()] = a
+	}
+	var sel []lint.Analyzer
+	for _, r := range strings.Split(rules, ",") {
+		a, ok := byName[strings.TrimSpace(r)]
+		if !ok {
+			return nil, fmt.Errorf("unknown rule %q", strings.TrimSpace(r))
+		}
+		sel = append(sel, a)
+	}
+	return sel, nil
 }
 
 // jsonDiag is the machine-readable diagnostic shape.

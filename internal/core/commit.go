@@ -21,8 +21,10 @@ func (c *Core) commit() {
 	n := len(c.ctxs)
 	stuck := 0
 	for budget > 0 && stuck < n {
-		// An idle context cannot commit: skip it without the call.
-		if c.live&(1<<uint(c.rrCommit)) != 0 && c.commitOne(c.ctxs[c.rrCommit]) {
+		// Only an active primary or a retiring ex-primary can commit:
+		// skip every other context without the call.
+		can := c.inState[CtxActive]&c.primary | c.inState[CtxRetiring]
+		if can&(1<<uint(c.rrCommit)) != 0 && c.commitOne(c.ctxs[c.rrCommit]) {
 			budget--
 			stuck = 0
 			continue
@@ -34,23 +36,16 @@ func (c *Core) commit() {
 	}
 }
 
-// commitOne tries to retire the oldest instruction of context t.
+// commitOne tries to retire the oldest instruction of context t, an
+// active primary or a retiring ex-primary (commit's mask picks them:
+// speculative alternates never commit).
 func (c *Core) commitOne(t *Context) bool {
-	if t.state != CtxActive && t.state != CtxRetiring {
-		return false
-	}
-	if !t.isPrimary && t.state != CtxRetiring {
-		return false // speculative alternates never commit
-	}
 	if t.parentCtx >= 0 {
 		p := c.ctxs[t.parentCtx]
-		if p.state == CtxIdle {
-			t.parentCtx = -1 // parent fully drained earlier
-		} else if p.al.CommitSeq() <= t.parentSeq {
+		if p.state != CtxIdle && p.al.CommitSeq() <= t.parentSeq {
 			return false // wait for the fork branch to retire
-		} else {
-			t.parentCtx = -1
 		}
+		c.unlinkParent(t) // the branch retired, or the parent drained earlier
 	}
 	e, ok := t.al.Head()
 	if !ok || !e.Executed || e.ReadyAt > c.cycle {
@@ -120,10 +115,10 @@ func (c *Core) commitOne(t *Context) bool {
 	}
 
 	// Release children gated on this entry.
-	for m := c.live &^ (1 << uint(t.id)); m != 0; m &= m - 1 {
+	for m := t.kids; m != 0; m &= m - 1 {
 		cc := c.ctxs[bits.TrailingZeros16(m)]
-		if cc.state != CtxIdle && cc.parentCtx == t.id && cc.parentSeq < t.al.CommitSeq() {
-			cc.parentCtx = -1
+		if cc.state != CtxIdle && cc.parentSeq < t.al.CommitSeq() {
+			c.unlinkParent(cc)
 		}
 	}
 

@@ -30,6 +30,8 @@ const (
 	// CtxRetiring: ex-primary draining its pre-fork instructions after
 	// a mispredict promoted its alternate; no fetch, commits only.
 	CtxRetiring
+
+	numCtxStates = iota
 )
 
 // String names the state for diagnostics.
@@ -238,9 +240,12 @@ type Context struct {
 
 	// Speculative ancestry: this context's first instruction follows
 	// parent's entry parentSeq (the forking branch).  Commit is gated
-	// until the parent commits that entry.
+	// until the parent commits that entry.  kids is the reverse link:
+	// bit c is set while ctxs[c].parentCtx is this context
+	// (activateAlternate sets it, unlinkParent clears it).
 	parentCtx int
 	parentSeq uint64
+	kids      uint16
 
 	// Alternate-path bookkeeping.
 	pathLen  int    // instructions fetched down this alternate path

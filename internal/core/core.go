@@ -77,12 +77,16 @@ type Core struct {
 	parts []*Partition
 	progs []*loadedProgram
 
-	// live has bit i set while ctxs[i] is not CtxIdle.  Per-cycle scans
-	// walk its set bits in ascending id instead of every context (on
-	// SMT all but one context per program stay idle).  startPrimary and
-	// activateAlternate set bits, killContext clears them, and
-	// CheckInvariants audits the mask against the states.
-	live uint16
+	// inState[s] has bit i set while ctxs[i].state is s, and primary
+	// has bit i set while ctxs[i].isPrimary.  Per-cycle scans walk the
+	// set bits of the states they can act on, in ascending id, instead
+	// of every context: on SMT all but one context per program stay
+	// idle, and under recycling most of the rest are parked inactive
+	// traces that fetch, rename and commit nothing.  setState and
+	// setPrimary are the only writers, and CheckInvariants audits the
+	// masks against the contexts.
+	inState [numCtxStates]uint16
+	primary uint16
 
 	// In-flight executions awaiting completion, filed on a completion
 	// wheel keyed by the cycle their result arrives.  Deletion is lazy:
@@ -293,6 +297,7 @@ func (c *Core) reset(seeds []*ArchState, m Models) {
 	for _, t := range c.ctxs {
 		t.reset()
 	}
+	c.inState[CtxIdle] = 1<<uint(len(c.ctxs)) - 1
 	for pi, part := range c.parts {
 		var seed *ArchState
 		if pi < len(seeds) {
@@ -323,9 +328,8 @@ func (c *Core) reset(seeds []*ArchState, m Models) {
 // regs is non-nil (a seeded mid-program start), else the fresh-start
 // state of all zeros with the stack pointer at its base.
 func (c *Core) startPrimary(t *Context, pc uint64, regs *[isa.NumRegs]uint64) {
-	t.state = CtxActive
-	c.live |= 1 << uint(t.id)
-	t.isPrimary = true
+	c.setState(t, CtxActive)
+	c.setPrimary(t, true)
 	t.fetchPC = pc
 	t.hasMap = true
 	for l := 1; l < isa.NumRegs; l++ {
@@ -342,6 +346,35 @@ func (c *Core) startPrimary(t *Context, pc uint64, regs *[isa.NumRegs]uint64) {
 		}
 		c.rf.SetValue(r, v)
 		t.mapTab[l] = r
+	}
+}
+
+// setState moves t to state s, keeping the per-state masks in step.
+func (c *Core) setState(t *Context, s CtxState) {
+	bit := uint16(1) << uint(t.id)
+	c.inState[t.state] &^= bit
+	c.inState[s] |= bit
+	t.state = s
+}
+
+// setPrimary marks t as its partition's primary thread or not, keeping
+// the primary mask in step.
+func (c *Core) setPrimary(t *Context, p bool) {
+	bit := uint16(1) << uint(t.id)
+	if p {
+		c.primary |= bit
+	} else {
+		c.primary &^= bit
+	}
+	t.isPrimary = p
+}
+
+// unlinkParent ends t's commit gate on its parent, clearing t's bit in
+// the parent's kids.
+func (c *Core) unlinkParent(t *Context) {
+	if t.parentCtx >= 0 {
+		c.ctxs[t.parentCtx].kids &^= 1 << uint(t.id)
+		t.parentCtx = -1
 	}
 }
 
@@ -481,8 +514,12 @@ func (c *Core) undoEntry(t *Context, e *alist.Entry) {
 // when their slot drains, so squashed entries simply fall out then.
 func (c *Core) removeFromBack(ctx int, fromSeq uint64) {
 	match := func(e *alist.Entry) bool { return e.Ctx == ctx && e.Seq >= fromSeq }
-	c.iqInt.RemoveIf(match)
-	c.iqFP.RemoveIf(match)
+	if c.iqInt.CountCtx(ctx) != 0 {
+		c.iqInt.RemoveIf(match)
+	}
+	if c.iqFP.CountCtx(ctx) != 0 {
+		c.iqFP.RemoveIf(match)
+	}
 	ps := c.pendingSt[:0]
 	for _, e := range c.pendingSt {
 		if !match(e) {
@@ -516,9 +553,9 @@ func (c *Core) squashFrom(ctx int, seq uint64) {
 	// Children forked off squashed branches die entirely.  A recursive
 	// kill can idle a context still in the snapshot, hence the state
 	// test.
-	for m := c.live &^ (1 << uint(ctx)); m != 0; m &= m - 1 {
+	for m := t.kids; m != 0; m &= m - 1 {
 		cc := c.ctxs[bits.TrailingZeros16(m)]
-		if cc.state != CtxIdle && cc.parentCtx == ctx && cc.parentSeq >= seq {
+		if cc.state != CtxIdle && cc.parentSeq >= seq {
 			c.killContext(cc)
 		}
 	}
@@ -539,11 +576,9 @@ func (c *Core) releaseMapRefs(t *Context) {
 	if !t.hasMap {
 		return
 	}
-	for l := 1; l < isa.NumRegs; l++ {
-		if t.mapTab[l] != regfile.NoReg {
-			c.rf.Release(t.mapTab[l])
-			t.mapTab[l] = regfile.NoReg
-		}
+	c.rf.ReleaseAll(t.mapTab[1:])
+	for l := range t.mapTab {
+		t.mapTab[l] = regfile.NoReg
 	}
 	t.hasMap = false
 }
@@ -582,9 +617,8 @@ func (c *Core) killContext(t *Context) {
 			Ctx: int16(t.id), Seq: t.parentSeq, PC: t.fetchPC, Arg: uint64(t.state)})
 	}
 	// Recursively kill this context's own children first.
-	for m := c.live &^ (1 << uint(t.id)); m != 0; m &= m - 1 {
-		cc := c.ctxs[bits.TrailingZeros16(m)]
-		if cc.state != CtxIdle && cc.parentCtx == t.id {
+	for m := t.kids; m != 0; m &= m - 1 {
+		if cc := c.ctxs[bits.TrailingZeros16(m)]; cc.state != CtxIdle {
 			c.killContext(cc)
 		}
 	}
@@ -599,10 +633,9 @@ func (c *Core) killContext(t *Context) {
 	t.fqClear()
 	t.sq.clear()
 	t.stream = nil
-	t.state = CtxIdle
-	c.live &^= 1 << uint(t.id)
-	t.isPrimary = false
-	t.parentCtx = -1
+	c.setState(t, CtxIdle)
+	c.setPrimary(t, false)
+	c.unlinkParent(t)
 	t.fetchHalted = false
 	t.altCapped = false
 	t.resolved = false

@@ -9,11 +9,12 @@ import (
 	"recyclesim/internal/obs"
 )
 
-// ctxCand pairs a context with its precomputed priority key for the
-// per-cycle fetch and rename thread orderings.
+// ctxCand pairs a context id with its precomputed priority key for the
+// per-cycle fetch and rename thread orderings.  It holds no pointer, so
+// addCand's insertion is a plain memory move.
 type ctxCand struct {
-	t   *Context
-	key int
+	id  int32
+	key int32
 }
 
 // addCand inserts t with priority key into a thread ordering whose
@@ -23,7 +24,7 @@ type ctxCand struct {
 // in id order come out as a stable sort on (not primary, key) would
 // leave them.  Candidate counts are bounded by the context count, so
 // the insertion is cheap, and it allocates nothing.
-func addCand(cands []ctxCand, nPrim int, t *Context, key int) ([]ctxCand, int) {
+func addCand(cands []ctxCand, nPrim int, t *Context, key int32) ([]ctxCand, int) {
 	lo, hi := nPrim, len(cands)
 	if t.isPrimary {
 		lo, hi = 0, nPrim
@@ -35,7 +36,7 @@ func addCand(cands []ctxCand, nPrim int, t *Context, key int) ([]ctxCand, int) {
 	}
 	cands = append(cands, ctxCand{})
 	copy(cands[i+1:], cands[i:])
-	cands[i] = ctxCand{t: t, key: key}
+	cands[i] = ctxCand{id: int32(t.id), key: key}
 	return cands, nPrim
 }
 
@@ -53,7 +54,7 @@ func (c *Core) fetch() {
 	lineBytes := uint64(64)
 
 	for _, cand := range cands {
-		t := cand.t
+		t := c.ctxs[cand.id]
 		if threads >= c.mach.FetchThreads || width <= 0 {
 			break
 		}
@@ -195,9 +196,9 @@ func (c *Core) altPathCap(t *Context) {
 // candidate scratch (valid until the next ordering is built).
 func (c *Core) fetchCandidates() []ctxCand {
 	cands, nPrim := c.cands[:0], 0
-	for m := c.live; m != 0; m &= m - 1 {
+	for m := c.inState[CtxActive] | c.inState[CtxDraining]; m != 0; m &= m - 1 {
 		if t := c.ctxs[bits.TrailingZeros16(m)]; c.canFetch(t) {
-			cands, nPrim = addCand(cands, nPrim, t, t.icount(c.iqInt.CountCtx(t.id)+c.iqFP.CountCtx(t.id)))
+			cands, nPrim = addCand(cands, nPrim, t, int32(t.icount(c.iqInt.CountCtx(t.id)+c.iqFP.CountCtx(t.id))))
 		}
 	}
 	c.cands = cands
@@ -236,14 +237,9 @@ func (c *Core) tryMerge(t *Context, pc uint64) bool {
 	}
 	// Spare contexts' traces (alternate or inactive), primaries only.
 	if t.isPrimary {
-		for _, id := range t.part.ctxIDs {
-			src := c.ctxs[id]
-			if src == t {
-				continue
-			}
-			if src.state != CtxActive && src.state != CtxDraining && src.state != CtxInactive {
-				continue
-			}
+		spares := (c.inState[CtxActive] | c.inState[CtxDraining] | c.inState[CtxInactive]) & t.part.mask &^ (1 << uint(t.id))
+		for m := spares; m != 0; m &= m - 1 {
+			src := c.ctxs[bits.TrailingZeros16(m)]
 			if seq, back, ok := src.mp.Match(pc); ok && !back {
 				return c.startStream(t, src, seq, false)
 			}

@@ -35,8 +35,11 @@ var defaultInvariantEvery uint64 = 0
 //   - active-list structure: sequence pointers ordered, ring slots
 //     self-consistent, committed flags matching the commit pointer;
 //   - idle contexts hold no resources;
-//   - the live-context mask has bit i set exactly while context i is
-//     not idle, and no bit beyond the last context;
+//   - context masks: each context is in exactly its state's mask, the
+//     primary mask matches isPrimary, and no mask has a bit beyond the
+//     last context;
+//   - child links: each context's kids has bit c set exactly while
+//     context c names it as parentCtx;
 //   - instruction queue membership, both directions: everything queued
 //     is a live un-issued entry, and every dispatched un-issued entry
 //     is queued exactly once;
@@ -66,6 +69,7 @@ var defaultInvariantEvery uint64 = 0
 func (c *Core) CheckInvariants() *invariant.Report {
 	r := invariant.NewReport(c.cycle)
 	c.checkRegfile(r)
+	c.checkMasks(r)
 	c.checkContexts(r)
 	c.checkQueues(r)
 	c.checkReuse(r)
@@ -119,17 +123,44 @@ func leakKind(got, want int) string {
 	return "premature release pending"
 }
 
-// checkContexts verifies active-list structure, idle-context hygiene,
-// the live-context mask, store-queue consistency, and partition
-// primary sanity.
-func (c *Core) checkContexts(r *invariant.Report) {
-	if extra := c.live >> uint(len(c.ctxs)); extra != 0 {
-		r.Failf("live", "live mask %016b has bits beyond the %d contexts", c.live, len(c.ctxs))
+// checkMasks verifies the per-state and primary context masks and the
+// kids links against the contexts' own fields.
+func (c *Core) checkMasks(r *invariant.Report) {
+	all := uint16(1)<<uint(len(c.ctxs)) - 1
+	for s := CtxState(0); s < numCtxStates; s++ {
+		if extra := c.inState[s] &^ all; extra != 0 {
+			r.Failf("ctxmask", "%v mask %016b has bits beyond the %d contexts", s, c.inState[s], len(c.ctxs))
+		}
+	}
+	if extra := c.primary &^ all; extra != 0 {
+		r.Failf("ctxmask", "primary mask %016b has bits beyond the %d contexts", c.primary, len(c.ctxs))
 	}
 	for _, t := range c.ctxs {
-		if bit := c.live&(1<<uint(t.id)) != 0; bit != (t.state != CtxIdle) {
-			r.Failf("live", "ctx=%d in state %v but its live-mask bit is %v", t.id, t.state, bit)
+		bit := uint16(1) << uint(t.id)
+		for s := CtxState(0); s < numCtxStates; s++ {
+			if in := c.inState[s]&bit != 0; in != (t.state == s) {
+				r.Failf("ctxmask", "ctx=%d in state %v but its %v-mask bit is %v", t.id, t.state, s, in)
+			}
 		}
+		if in := c.primary&bit != 0; in != t.isPrimary {
+			r.Failf("ctxmask", "ctx=%d isPrimary=%v but its primary-mask bit is %v", t.id, t.isPrimary, in)
+		}
+		var kids uint16
+		for _, k := range c.ctxs {
+			if k.parentCtx == t.id {
+				kids |= 1 << uint(k.id)
+			}
+		}
+		if t.kids != kids {
+			r.Failf("kids", "ctx=%d has kids %016b but contexts %016b name it as parent", t.id, t.kids, kids)
+		}
+	}
+}
+
+// checkContexts verifies active-list structure, idle-context hygiene,
+// store-queue consistency, and partition primary sanity.
+func (c *Core) checkContexts(r *invariant.Report) {
+	for _, t := range c.ctxs {
 		al := t.al
 		if !(al.FirstSeq() <= al.CommitSeq() && al.CommitSeq() <= al.TailSeq()) {
 			r.Failf("alist", "ctx=%d sequence pointers disordered: first=%d commit=%d tail=%d",

@@ -116,25 +116,50 @@ func TestInvariantDetectsIdleResidue(t *testing.T) {
 	expectViolation(t, c, "idle")
 }
 
-// TestInvariantDetectsLiveMaskDrift: the live-context mask steers every
-// per-cycle scan, so a bit that disagrees with its context's state, in
-// either direction, must be caught.
+// TestInvariantDetectsLiveMaskDrift: the per-state context masks, the
+// primary mask and the kids links steer every per-cycle scan, so a bit
+// that disagrees with its context, in either direction, must be
+// caught.
 func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 	t.Run("live context missing", func(t *testing.T) {
 		c := invariantCore(t)
-		c.live &^= 1 << uint(c.parts[0].primary)
-		expectViolation(t, c, "live")
+		c.inState[CtxActive] &^= 1 << uint(c.parts[0].primary)
+		expectViolation(t, c, "ctxmask")
 	})
 	t.Run("idle context present", func(t *testing.T) {
 		c := invariantCore(t)
 		for _, ctx := range c.ctxs {
 			if ctx.state == CtxIdle {
-				c.live |= 1 << uint(ctx.id)
-				expectViolation(t, c, "live")
+				c.inState[CtxInactive] |= 1 << uint(ctx.id)
+				expectViolation(t, c, "ctxmask")
 				return
 			}
 		}
 		t.Skip("no idle context after warm-up")
+	})
+	t.Run("primary missing", func(t *testing.T) {
+		c := invariantCore(t)
+		c.primary &^= 1 << uint(c.parts[0].primary)
+		expectViolation(t, c, "ctxmask")
+	})
+	t.Run("alternate marked primary", func(t *testing.T) {
+		c := invariantCore(t)
+		c.primary |= 1 << uint((c.parts[0].primary+1)%len(c.ctxs))
+		expectViolation(t, c, "ctxmask")
+	})
+	t.Run("kid missing", func(t *testing.T) {
+		c := invariantCore(t)
+		prim := c.parts[0].primary
+		k := c.ctxs[(prim+1)%len(c.ctxs)]
+		c.ctxs[prim].kids &^= 1 << uint(k.id)
+		k.parentCtx = prim
+		expectViolation(t, c, "kids")
+	})
+	t.Run("stray kid", func(t *testing.T) {
+		c := invariantCore(t)
+		prim := c.ctxs[c.parts[0].primary]
+		prim.kids |= 1 << uint(prim.id)
+		expectViolation(t, c, "kids")
 	})
 	t.Run("beyond the last context", func(t *testing.T) {
 		p, err := workload.ByName("compress")
@@ -147,8 +172,8 @@ func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.live |= 1 << 4
-		expectViolation(t, c, "live")
+		c.inState[CtxIdle] |= 1 << 4
+		expectViolation(t, c, "ctxmask")
 	})
 }
 

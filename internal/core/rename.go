@@ -24,7 +24,7 @@ func (c *Core) rename() {
 	// occupancy (lower first).
 	order := c.renameOrder(false)
 	for _, cand := range order {
-		t := cand.t
+		t := c.ctxs[cand.id]
 		for slots > 0 {
 			fe, ok := t.nextFetched()
 			if !ok || fe.readyAt > c.cycle {
@@ -44,7 +44,7 @@ func (c *Core) rename() {
 	// priority of those threads for insertion into the rename stage."
 	order = c.renameOrder(true)
 	for _, cand := range order {
-		t := cand.t
+		t := c.ctxs[cand.id]
 		for slots > 0 && t.stream != nil && t.stream.preDrain == 0 {
 			st := t.stream
 			if st.done() {
@@ -79,15 +79,12 @@ func (c *Core) rename() {
 // candidate scratch (valid until the next ordering is built).
 func (c *Core) renameOrder(recycleRound bool) []ctxCand {
 	out, nPrim := c.cands[:0], 0
-	for m := c.live; m != 0; m &= m - 1 {
+	for m := c.inState[CtxActive] | c.inState[CtxDraining]; m != 0; m &= m - 1 {
 		t := c.ctxs[bits.TrailingZeros16(m)]
-		if t.state == CtxIdle || t.state == CtxRetiring || t.state == CtxInactive {
-			continue
-		}
 		if recycleRound && t.stream == nil || !recycleRound && t.fqLen() == 0 {
 			continue
 		}
-		out, nPrim = addCand(out, nPrim, t, c.iqInt.CountCtx(t.id)+c.iqFP.CountCtx(t.id))
+		out, nPrim = addCand(out, nPrim, t, int32(c.iqInt.CountCtx(t.id)+c.iqFP.CountCtx(t.id)))
 	}
 	c.cands = out
 	return out

@@ -69,14 +69,9 @@ func (c *Core) noteStall(t *Context, cause obs.Cause, pc uint64) {
 // be fetching is waiting out an instruction-cache fill this cycle (the
 // I-cache-miss attribution predicate).
 func (c *Core) fetchBlockedOnICache() bool {
-	for m := c.live; m != 0; m &= m - 1 {
+	for m := c.inState[CtxActive] | c.inState[CtxDraining]; m != 0; m &= m - 1 {
 		t := c.ctxs[bits.TrailingZeros16(m)]
 		if t.fetchStallUntil <= c.cycle {
-			continue
-		}
-		switch t.state {
-		case CtxActive, CtxDraining:
-		default:
 			continue
 		}
 		if t.part.done || t.fetchHalted || t.altCapped {

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"math/bits"
+
 	"recyclesim/internal/alist"
 	"recyclesim/internal/config"
 	"recyclesim/internal/isa"
 	"recyclesim/internal/obs"
-	"recyclesim/internal/regfile"
 )
 
 // tryFork spawns an alternate path for a low-confidence conditional
@@ -49,9 +50,9 @@ func (c *Core) tryFork(t *Context, e *alist.Entry) {
 // findInactiveAt locates an inactive context in t's partition whose
 // stored trace starts at pc.
 func (c *Core) findInactiveAt(t *Context, pc uint64) *Context {
-	for _, id := range t.part.ctxIDs {
-		a := c.ctxs[id]
-		if a.state != CtxInactive || !a.mp.FirstValid || a.mp.FirstPC != pc {
+	for m := c.inState[CtxInactive] & t.part.mask; m != 0; m &= m - 1 {
+		a := c.ctxs[bits.TrailingZeros16(m)]
+		if !a.mp.FirstValid || a.mp.FirstPC != pc {
 			continue
 		}
 		// §3.5's reclaim constraint applies to re-spawning too: the
@@ -73,21 +74,15 @@ func (c *Core) findInactiveAt(t *Context, pc uint64) *Context {
 // inactive context and reclaims it, squashing the instructions in the
 // active list and freeing the registers").
 func (c *Core) allocSpare(t *Context) *Context {
-	for _, id := range t.part.ctxIDs {
-		a := c.ctxs[id]
-		if a.state == CtxIdle {
-			return a
-		}
+	if m := c.inState[CtxIdle] & t.part.mask; m != 0 {
+		return c.ctxs[bits.TrailingZeros16(m)]
 	}
 	var lru *Context
-	for _, id := range t.part.ctxIDs {
-		a := c.ctxs[id]
-		// Inactive traces are the normal victims; a draining context
-		// (resolved wrong path still extending its trace) is also fair
-		// game — a new fork is worth more than the tail of a trace.
-		if a.state != CtxInactive && a.state != CtxDraining {
-			continue
-		}
+	// Inactive traces are the normal victims; a draining context
+	// (resolved wrong path still extending its trace) is also fair
+	// game — a new fork is worth more than the tail of a trace.
+	for m := (c.inState[CtxInactive] | c.inState[CtxDraining]) & t.part.mask; m != 0; m &= m - 1 {
+		a := c.ctxs[bits.TrailingZeros16(m)]
 		// §3.5: do not reclaim while the primary still has uncommitted
 		// reuses of this trace's registers.
 		if a.outstandingReuse > 0 {
@@ -114,11 +109,11 @@ func (c *Core) allocSpare(t *Context) *Context {
 // in primary t.  stream, when non-nil, re-spawns the context through
 // the recycle datapath instead of fetching.
 func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC uint64, stream *recycleStream) {
-	a.state = CtxActive
-	c.live |= 1 << uint(a.id)
-	a.isPrimary = false
+	c.setState(a, CtxActive)
+	c.setPrimary(a, false)
 	a.parentCtx = t.id
 	a.parentSeq = e.Seq
+	t.kids |= 1 << uint(a.id)
 	a.fetchPC = altPC
 	a.spawnPC = altPC
 	a.pathLen = 0
@@ -132,12 +127,8 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 	// Duplicate the register map (the MSB makes this free in hardware:
 	// "we can duplicate register state simply by duplicating the first
 	// context's register map").
-	for l := 1; l < isa.NumRegs; l++ {
-		a.mapTab[l] = t.mapTab[l]
-		if a.mapTab[l] != regfile.NoReg {
-			c.rf.AddRef(a.mapTab[l])
-		}
-	}
+	a.mapTab = t.mapTab
+	c.rf.AddRefs(a.mapTab[1:])
 	a.hasMap = true
 
 	// Branch prediction state follows the primary, with the forked
@@ -198,8 +189,9 @@ func (c *Core) respawn(t *Context, e *alist.Entry, a *Context, altPC uint64) {
 // and this is the pressure valve.
 func (c *Core) reclaimForRegs() {
 	var lru *Context
-	for _, a := range c.ctxs {
-		if a.state != CtxInactive || a.outstandingReuse > 0 {
+	for m := c.inState[CtxInactive]; m != 0; m &= m - 1 {
+		a := c.ctxs[bits.TrailingZeros16(m)]
+		if a.outstandingReuse > 0 {
 			continue
 		}
 		if lru == nil || a.lruTick < lru.lruTick {
@@ -281,8 +273,8 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 			// wrong-path fork (just squashed, killing the promoted
 			// thread), so this context is the correct path again and
 			// resumes as the primary.
-			t.state = CtxActive
-			t.isPrimary = true
+			c.setState(t, CtxActive)
+			c.setPrimary(t, true)
 			t.part.primary = t.id
 			if c.written != nil {
 				c.written.SetAll(t.part.mask)
@@ -310,13 +302,13 @@ func (c *Core) resolveAlternate(a *Context) {
 		if a.pathLen >= c.feat.AltLimit || a.altCapped || a.fetchHalted {
 			c.makeInactive(a)
 		} else {
-			a.state = CtxDraining
+			c.setState(a, CtxDraining)
 		}
 	case config.AltNoStop:
 		if a.pathLen >= c.feat.AltLimit || a.altCapped || a.fetchHalted {
 			c.makeInactive(a)
 		} else {
-			a.state = CtxDraining
+			c.setState(a, CtxDraining)
 		}
 	}
 }
@@ -351,7 +343,7 @@ func (c *Core) makeInactive(a *Context) {
 	if a.state == CtxInactive {
 		return
 	}
-	a.state = CtxInactive
+	c.setState(a, CtxInactive)
 	a.lruTick = c.cycle
 	a.fqClear()
 	a.stream = nil
@@ -371,16 +363,16 @@ func (c *Core) promote(t *Context, e *alist.Entry, a *Context) {
 	// the squashed wrong-path region.
 	c.squashFrom(t.id, e.Seq+1)
 
-	t.isPrimary = false
-	t.state = CtxRetiring
+	c.setPrimary(t, false)
+	c.setState(t, CtxRetiring)
 	t.fetchHalted = true
 	c.finishPath(t) // no-op unless t itself was once an alternate
 
-	a.isPrimary = true
+	c.setPrimary(a, true)
 	a.altCapped = false
 	a.resolved = true
 	if a.state == CtxDraining || a.state == CtxInactive {
-		a.state = CtxActive
+		c.setState(a, CtxActive)
 	}
 	a.path.usedTME = true
 	c.finishPath(a)

@@ -131,6 +131,48 @@ func (f *File) Release(r PhysReg) {
 	}
 }
 
+// AddRefs adds one reference to every register in rs, skipping NoReg:
+// a context duplicating another's whole map table (a fork) in one call
+// instead of one AddRef per entry.  It panics on a free register, as
+// AddRef does.
+func (f *File) AddRefs(rs []PhysReg) {
+	refs := f.refs
+	for _, r := range rs {
+		if r == NoReg {
+			continue
+		}
+		if refs[r] <= 0 {
+			panic(fmt.Sprintf("regfile: AddRef on free register p%d", r))
+		}
+		refs[r]++
+	}
+}
+
+// ReleaseAll drops one reference from every register in rs, skipping
+// NoReg, in slice order: registers reaching zero join their free list
+// in that order, which decides every later Alloc, so the result is
+// exactly that of one Release per entry.  It panics on a free register,
+// as Release does.
+func (f *File) ReleaseAll(rs []PhysReg) {
+	refs := f.refs
+	for _, r := range rs {
+		if r == NoReg {
+			continue
+		}
+		if refs[r] <= 0 {
+			panic(fmt.Sprintf("regfile: Release on free register p%d", r))
+		}
+		if refs[r]--; refs[r] != 0 {
+			continue
+		}
+		if f.IsFP(r) {
+			f.freeFP = append(f.freeFP, r)
+		} else {
+			f.freeInt = append(f.freeInt, r)
+		}
+	}
+}
+
 // Refs returns the current reference count (tests, invariant checks).
 func (f *File) Refs(r PhysReg) int { return int(f.refs[r]) }
 

@@ -147,3 +147,92 @@ func TestConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: AddRefs and ReleaseAll over a map-table-like slice (NoReg
+// holes, both pools, repeated registers) leave the same refcounts as
+// one AddRef or Release per entry, and the same later Alloc sequence:
+// ReleaseAll must free registers in slice order.
+func TestBatchMatchesPerRegister(t *testing.T) {
+	fn := func(picks []uint8) bool {
+		batch, loop := New(8, 6), New(8, 6)
+		var held []PhysReg
+		for _, f := range []*File{batch, loop} {
+			held = held[:0]
+			for i := 0; i < 5; i++ {
+				ri, _ := f.Alloc(false)
+				rf, _ := f.Alloc(true)
+				held = append(held, ri, rf)
+			}
+		}
+		tab := []PhysReg{}
+		for _, p := range picks {
+			if p%4 == 0 {
+				tab = append(tab, NoReg)
+			} else {
+				tab = append(tab, held[int(p)%len(held)])
+			}
+		}
+		batch.AddRefs(tab)
+		for _, r := range tab {
+			loop.AddRef(r)
+		}
+		// Releasing the table drops the copy's references; releasing
+		// every allocation once more, in the table's first-appearance
+		// order, frees them all in an order the picks decide.
+		last := []PhysReg{NoReg}
+		seen := map[PhysReg]bool{NoReg: true}
+		for _, r := range append(tab, held...) {
+			if !seen[r] {
+				seen[r] = true
+				last = append(last, r)
+			}
+		}
+		for _, rs := range [][]PhysReg{tab, last} {
+			batch.ReleaseAll(rs)
+			for _, r := range rs {
+				loop.Release(r)
+			}
+		}
+		for r := 0; r < 14; r++ {
+			if batch.Refs(PhysReg(r)) != loop.Refs(PhysReg(r)) {
+				return false
+			}
+		}
+		for _, fp := range []bool{false, true} {
+			for {
+				rb, okb := batch.Alloc(fp)
+				rl, okl := loop.Alloc(fp)
+				if rb != rl || okb != okl {
+					return false
+				}
+				if !okb {
+					break
+				}
+			}
+		}
+		return batch.CheckConservation() == nil
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestBatchFreePanics(t *testing.T) {
+	for name, call := range map[string]func(f *File, rs []PhysReg){
+		"AddRefs":    (*File).AddRefs,
+		"ReleaseAll": (*File).ReleaseAll,
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := New(2, 0)
+			r0, _ := f.Alloc(false)
+			r1, _ := f.Alloc(false)
+			f.Release(r1)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s over a free register should panic", name)
+				}
+			}()
+			call(f, []PhysReg{NoReg, r0, r1})
+		})
+	}
+}
