@@ -7,8 +7,8 @@
 #   make lint        the simulator-specific static analyzers (cmd/recyclelint)
 #   make test        full test suite under the race detector
 #   make fuzz        10s coverage-guided smoke of each fuzz target
-#                    (assembler, config validation, store records and
-#                    the paged data memory),
+#                    (assembler, config validation, store records,
+#                    the paged data memory and sampled fast-forward),
 #                    seeded from the checked-in corpora under
 #                    testdata/fuzz and the targets' seeds
 #   make smoke       one short instrumented run through both telemetry
@@ -46,13 +46,16 @@ test:
 	$(GO) test -race ./...
 
 # One -fuzz pattern per invocation: the Go fuzzer only accepts a single
-# matching target when fuzzing (not just running seeds).
+# matching target when fuzzing (not just running seeds).  The sample
+# target's -run skips that package's slow sampled-accuracy tests, which
+# make test already ran.
 fuzz:
 	$(GO) test ./internal/asm/ -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/config/ -fuzz FuzzMachineValidate -fuzztime 10s
 	$(GO) test ./internal/config/ -fuzz FuzzFeaturesValidate -fuzztime 10s
 	$(GO) test ./internal/store/ -fuzz FuzzStoreDecode -fuzztime 10s
 	$(GO) test ./internal/program/ -fuzz FuzzMemory -fuzztime 10s
+	$(GO) test ./internal/sample/ -run '^FuzzFastForward$$' -fuzz FuzzFastForward -fuzztime 10s
 
 smoke:
 	$(GO) run ./cmd/recyclesim -workloads compress -insts 20000 -flightrec 256 -metrics - >/dev/null

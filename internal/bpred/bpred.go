@@ -258,6 +258,50 @@ func (p *Predictor) Commit(pc uint64, in *isa.Inst, pr *Pred, taken bool, target
 	}
 }
 
+// Train applies one architecturally resolved control transfer in (a
+// branch, jump, call or return) at pc in context ctx in a single call,
+// leaving the predictor exactly as Lookup, SpecUpdate, Restore (on a
+// mispredict) and Commit together would: on a resolved stream the
+// speculative and repaired histories coincide, so only their net effect
+// is applied.  It returns the predicted direction and the history the
+// PHT was indexed with (Pred's Taken and GHist), which confidence
+// training consumes.  Sampled fast-forward trains the warmed predictor
+// through it.
+func (p *Predictor) Train(ctx int, pc uint64, in *isa.Inst, taken bool, next uint64) (predTaken bool, hist uint64) {
+	hist = p.hist[ctx]
+	switch {
+	case in.IsCondBranch():
+		// Right or wrong, the history ends up with the true outcome.
+		idx := p.phtIndex(pc, hist)
+		ctr := p.pht[idx]
+		predTaken = ctr >= 2
+		if taken {
+			if ctr < 3 {
+				p.pht[idx] = ctr + 1
+			}
+		} else if ctr > 0 {
+			p.pht[idx] = ctr - 1
+		}
+		p.pushHist(ctx, taken)
+		return predTaken, hist
+	case in.IsReturn():
+		p.rasPop(ctx)
+	case in.IsIndirect():
+		p.btbLookup(pc) // refreshes a hit's LRU stamp, as Lookup does
+		if taken {
+			p.btbInsert(pc, next)
+		}
+	case in.IsCall():
+		// A mispredicted call's repair re-pushes a placeholder address.
+		ret := pc + isa.InstBytes
+		if !taken || next != in.Target {
+			ret = 0
+		}
+		p.rasPush(ctx, ret)
+	}
+	return true, hist
+}
+
 func (p *Predictor) pushHist(ctx int, taken bool) {
 	h := p.hist[ctx] << 1
 	if taken {

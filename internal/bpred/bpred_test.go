@@ -312,3 +312,123 @@ func TestLookupHitRefreshesBTBReplacement(t *testing.T) {
 		t.Errorf("next-oldest entry survived: target 0x%x", got)
 	}
 }
+
+// Train is the one-call form of the four-call training sequence the
+// core applies to a committed branch.  Two predictors see one resolved
+// branch stream, one through Train and one through Lookup, SpecUpdate,
+// Restore on a mispredict, and Commit; after every branch Train must
+// return the reference's predicted direction and PHT history, and the
+// predictors must be deep-equal.  The stream covers what the workloads
+// never reach: calls nested deeper than the return stack, returns on an
+// empty stack and mispredicted returns, and indirect jumps cycling more
+// targets through one BTB set than it has ways, so LRU replacement
+// (including the stamp a lookup hit refreshes) decides the victims.
+func TestTrainMatchesLookupSequence(t *testing.T) {
+	type branch struct {
+		ctx   int
+		pc    uint64
+		in    isa.Inst
+		taken bool
+		next  uint64
+	}
+	cfg := Default(2)
+	sets := uint64(cfg.BTBEntries / cfg.BTBAssoc)
+	var stream []branch
+	add := func(ctx int, pc uint64, in isa.Inst, taken bool, next uint64) {
+		stream = append(stream, branch{ctx, pc, in, taken, next})
+	}
+	x := uint64(1)
+	rnd := func(n uint64) uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return x >> 33 % n
+	}
+	ret := isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
+	jr := isa.Inst{Op: isa.OpJr, Rs1: 5}
+	for ctx := 0; ctx < 2; ctx++ {
+		add(ctx, 0x9000, ret, true, 0x1234) // return on an empty stack
+	}
+	maxDepth := 0
+	for round := 0; round < 400; round++ {
+		ctx := round % 2
+		for i := uint64(0); i < 6; i++ {
+			pc := 0x1000 + 0x40*i
+			taken := rnd(4) != 0 || round%3 == 0
+			next := pc + isa.InstBytes
+			if taken {
+				next = pc + 0x800
+			}
+			add(ctx, pc, beq(pc+0x800), taken, next)
+		}
+		add(ctx, 0x1800, isa.Inst{Op: isa.OpJ, Target: 0x1c00}, true, 0x1c00)
+
+		// Nested calls, up to RASEntries+4 deep, then their returns
+		// and, every fifth round, one return too many.
+		depth := int(1 + rnd(uint64(cfg.RASEntries+4)))
+		maxDepth = max(maxDepth, depth)
+		for d := 0; d < depth; d++ {
+			pc := 0x2000 + 0x40*uint64(d)
+			add(ctx, pc, isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: pc + 0x1000}, true, pc+0x1000)
+		}
+		for d := depth - 1; d >= 0; d-- {
+			add(ctx, 0x3010+0x40*uint64(d), ret, true, 0x2000+0x40*uint64(d)+isa.InstBytes)
+		}
+		if round%5 == 0 {
+			add(ctx, 0x3ff0, ret, true, 0x5000)
+		}
+
+		// Six indirect jumps in one four-way BTB set, each with one of
+		// three targets.
+		for i := rnd(6); i < 6; i++ {
+			pc := 0x6000 + i*sets*isa.InstBytes
+			add(ctx, pc, jr, true, 0x7000+rnd(3)*isa.InstBytes)
+		}
+	}
+	if maxDepth <= cfg.RASEntries {
+		t.Fatalf("calls nest only %d deep, not past the %d-entry return stack", maxDepth, cfg.RASEntries)
+	}
+
+	got, want := New(cfg), New(cfg)
+	var condMiss, retMiss, btbHit, btbMiss int
+	for i := range stream {
+		b := &stream[i]
+		predTaken, hist := got.Train(b.ctx, b.pc, &b.in, b.taken, b.next)
+
+		var pr Pred
+		want.Lookup(b.ctx, b.pc, &b.in, &pr)
+		want.SpecUpdate(b.ctx, &b.in, b.pc, &pr)
+		mispredict := pr.Taken != b.taken || b.taken && pr.Target != b.next
+		if mispredict {
+			want.Restore(b.ctx, &b.in, &pr, b.taken)
+		}
+		want.Commit(b.pc, &b.in, &pr, b.taken, b.next)
+
+		if predTaken != pr.Taken || hist != pr.GHist {
+			t.Fatalf("branch %d (%v at 0x%x): Train returned (%v, %#x), want (%v, %#x)",
+				i, b.in, b.pc, predTaken, hist, pr.Taken, pr.GHist)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("branch %d (%v at 0x%x): predictor state differs after Train", i, b.in, b.pc)
+		}
+		switch {
+		case b.in.IsCondBranch():
+			if mispredict {
+				condMiss++
+			}
+		case b.in.IsReturn():
+			if mispredict {
+				retMiss++
+			}
+		case b.in.IsIndirect():
+			if pr.BTBMiss {
+				btbMiss++
+			} else {
+				btbHit++
+			}
+		}
+	}
+	t.Logf("%d branches: %d conditional and %d return mispredicts, %d BTB hits and %d misses",
+		len(stream), condMiss, retMiss, btbHit, btbMiss)
+	if condMiss == 0 || retMiss == 0 || btbHit == 0 || btbMiss == 0 {
+		t.Error("the stream misses a case it is meant to cover")
+	}
+}

@@ -52,10 +52,11 @@ func (e *Emulator) Step() StepInfo {
 	return info
 }
 
-// StepInto is Step writing into a caller-owned record, so the
-// fast-forward loop of sampled simulation (internal/sample) executes
-// tens of millions of instructions without allocating.  Every StepInfo
-// field is overwritten.
+// StepInto is Step writing into a caller-owned record, so tracing
+// (TraceInto) executes millions of instructions without allocating.
+// Every StepInfo field is overwritten.  Sampled fast-forward does not
+// call it: internal/sample executes and warms in one loop over the same
+// isa helpers, and its differential test holds that loop to StepInto.
 //
 // The doc directive below roots the hotalloc analyzer here: StepInto
 // and everything it transitively calls must stay allocation-free.  The

@@ -26,7 +26,8 @@ type Config struct {
 	WarmupLen   uint64 // W: detailed detached-warmup instructions (default 1_000)
 
 	// Confidence selects the Student-t level for the IPC interval:
-	// 0.90, 0.95 (default, also chosen for 0), or 0.99.
+	// 0.90, 0.95 (default, also chosen for 0), or 0.99, matched to the
+	// nearest percent; Run rejects any other level.
 	Confidence float64
 
 	// Workers bounds interval-simulation parallelism (<= 0 selects
@@ -149,6 +150,11 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 		return nil, fmt.Errorf("sample: interval %d + warmup %d exceed period %d",
 			cfg.IntervalLen, cfg.WarmupLen, cfg.Period)
 	}
+	switch int(cfg.Confidence*100 + 0.5) { // stats.TCritical's rounding
+	case 90, 95, 99:
+	default:
+		return nil, fmt.Errorf("sample: confidence %v is not one of 0.90, 0.95 and 0.99", cfg.Confidence)
+	}
 	if maxInsts < cfg.Period {
 		return nil, fmt.Errorf("sample: budget %d smaller than one period %d; use a full detailed run",
 			maxInsts, cfg.Period)
@@ -196,7 +202,6 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	errs := make([]error, nMax)
 	n := 0 // intervals produced by the pass
 	var passErr error
-	var si emu.StepInfo
 	produce := func(s int) bool {
 		if n == nMax || e.Halted {
 			return false
@@ -206,10 +211,7 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 				return false
 			}
 		}
-		for i := uint64(0); i < ff && !e.Halted; i++ {
-			e.StepInto(&si)
-			master.Observe(&si)
-		}
+		master.fastForward(e, ff)
 		if e.Halted {
 			return false
 		}
@@ -217,10 +219,7 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 		sp.k = n
 		sp.cp.capture(e, base)
 		master.CloneInto(&sp.w)
-		for i := uint64(0); i < cfg.WarmupLen+cfg.IntervalLen && !e.Halted; i++ {
-			e.StepInto(&si)
-			master.Observe(&si)
-		}
+		master.fastForward(e, cfg.WarmupLen+cfg.IntervalLen)
 		if e.Halted {
 			// The program ended inside the measured tail of this
 			// period: the interval is truncated, so drop it.

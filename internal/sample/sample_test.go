@@ -264,6 +264,12 @@ func TestSampledConfigValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "smaller than one period") {
 		t.Errorf("sub-period budget accepted: %v", err)
 	}
+	for _, level := range []float64{0.8, 0.5, 1, -0.95} {
+		if _, err := Run(mach, feat, p, 100_000, Config{Confidence: level}); err == nil ||
+			!strings.Contains(err.Error(), "confidence") {
+			t.Errorf("confidence %v accepted: %v", level, err)
+		}
+	}
 	bad := mach
 	bad.Contexts = -1
 	if _, err := Run(bad, feat, p, 100_000, Config{}); err == nil {

@@ -7,6 +7,7 @@ import (
 	"recyclesim/internal/config"
 	"recyclesim/internal/core"
 	"recyclesim/internal/emu"
+	"recyclesim/internal/isa"
 )
 
 // warmupLine is the I-side granularity of functional warmup: one
@@ -31,9 +32,12 @@ const warmupLine = 64
 // speculative history update, history repair on a mispredict, and
 // commit-time PHT/BTB/confidence training — driven by the
 // architectural stream, which is precisely the primary path's commit
-// stream.  Wrong-path pollution and the recycle/reuse tables (written
-// bits, MDB, active-list traces) are not modelled; those stay cold at
-// interval entry, which is the documented bias of sampled mode.
+// stream.  Observe spells those four predictor calls out; fastForward,
+// which sampled runs use, trains through bpred.Predictor.Train, one
+// call per branch with the same net effect.  Wrong-path pollution and
+// the recycle/reuse tables (written bits, MDB, active-list traces) are
+// not modelled; those stay cold at interval entry, which is the
+// documented bias of sampled mode.
 type Warmup struct {
 	Pred *bpred.Predictor
 	Conf *confidence.Estimator
@@ -87,7 +91,9 @@ func (w *Warmup) CloneInto(dst *Warmup) *Warmup {
 // Observe feeds one architecturally executed instruction into the
 // models.  Context 0 is warmed (the seeded core's primary context);
 // addresses are tagged exactly as the core tags them so the shared
-// structures see the same index/tag streams.
+// structures see the same index/tag streams.  Sampled runs warm
+// through fastForward instead; Observe is the reference its tests
+// compare against, one StepInfo at a time.
 //
 //recycle:hotpath
 func (w *Warmup) Observe(si *emu.StepInfo) {
@@ -117,4 +123,67 @@ func (w *Warmup) Observe(si *emu.StepInfo) {
 	if in.IsMem() {
 		w.Mem.AccessD(w.now, core.TagAddr(w.progIdx, si.Addr))
 	}
+}
+
+// fastForward executes up to n instructions of e, stopping early at a
+// halt, and warms the models with each one as it goes: one loop body
+// does what emu.StepInto followed by Observe does, through the same isa
+// helpers, without writing a StepInfo between the two.  The
+// differential test pins it to that pair, halting step included: the
+// halt touches its I-line but retires nothing.
+//
+//recycle:hotpath
+func (w *Warmup) fastForward(e *emu.Emulator, n uint64) {
+	if e.Halted {
+		return
+	}
+	code, mem, regs := e.Prog.Code, e.Mem, &e.Regs
+	pc, retired := e.PC, e.Retired
+	for ; n > 0; n-- {
+		w.now++
+		if line := pc / warmupLine; !w.haveLine || line != w.lastLine {
+			w.Mem.AccessI(w.now, core.TagAddr(w.progIdx, pc))
+			w.lastLine, w.haveLine = line, true
+		}
+		i, ok := e.Prog.PCToIndex(pc)
+		if !ok || code[i].IsHalt() {
+			e.Halted = true
+			break
+		}
+		in := &code[i]
+
+		s1, s2 := regs[in.Rs1], regs[in.Rs2]
+		next := pc + isa.InstBytes
+		switch in.Class() {
+		case isa.ClassLoad:
+			addr := isa.EffAddr(*in, s1)
+			if v := mem.Read(addr); in.Rd != isa.RegZero {
+				regs[in.Rd] = v
+			}
+			w.Mem.AccessD(w.now, core.TagAddr(w.progIdx, addr))
+		case isa.ClassStore:
+			addr := isa.EffAddr(*in, s1)
+			mem.Write(addr, s2)
+			w.Mem.AccessD(w.now, core.TagAddr(w.progIdx, addr))
+		case isa.ClassBranch:
+			taken := isa.BranchTaken(*in, s1, s2)
+			if in.WritesReg() {
+				regs[in.Rd] = isa.Eval(*in, pc, s1, s2)
+			}
+			if taken {
+				next = isa.BranchTarget(*in, s1)
+			}
+			predTaken, hist := w.Pred.Train(0, pc, in, taken, next)
+			if in.IsCondBranch() {
+				w.Conf.Update(core.TagAddr(w.progIdx, pc), hist, predTaken == taken)
+			}
+		default:
+			if in.WritesReg() {
+				regs[in.Rd] = isa.Eval(*in, pc, s1, s2)
+			}
+		}
+		pc = next
+		retired++
+	}
+	e.PC, e.Retired = pc, retired
 }

@@ -28,7 +28,7 @@ type Sampling struct {
 	// measured region (default 1_000).
 	WarmupLen uint64
 	// Confidence selects the Student-t level for the IPC interval:
-	// 0.90, 0.95 (default), or 0.99.
+	// 0.90, 0.95 (default), or 0.99; any other level is an error.
 	Confidence float64
 	// Workers bounds interval-simulation parallelism (<= 0 selects
 	// GOMAXPROCS).
