@@ -18,12 +18,16 @@
 #                    256 cycles); the root package adds the
 #                    multi-program facade runs and the batch and fault
 #                    witnesses
+#   make results     regenerate results.txt: every detailed figure and
+#                    table at 200k instructions per cell, a blank line,
+#                    then the sampled Figure 3 at 2M (not part of check;
+#                    CI reruns it and fails if the file changes)
 #
 # The benchmark is bench/ (bash bench/run.sh); see bench/README.md.
 
 GO ?= go
 
-.PHONY: check fmt vet build lint test fuzz smoke invariant
+.PHONY: check fmt vet build lint test fuzz smoke invariant results
 
 check: fmt vet build lint test fuzz smoke
 
@@ -64,3 +68,7 @@ smoke:
 invariant:
 	$(GO) test -tags siminvariant ./internal/core/ ./internal/sample/ .
 
+results:
+	{ $(GO) run ./cmd/experiments -all -insts 200000 && echo && \
+	  $(GO) run ./cmd/experiments -sampled -insts 2000000; } > results.txt.tmp
+	mv results.txt.tmp results.txt

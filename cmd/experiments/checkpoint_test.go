@@ -14,6 +14,7 @@ import (
 	"recyclesim"
 	"recyclesim/internal/config"
 	"recyclesim/internal/fleet"
+	"recyclesim/internal/sample"
 	"recyclesim/internal/store"
 )
 
@@ -65,7 +66,7 @@ var roundTripCells = []fleet.Spec{
 	{Machine: config.Big216(), Features: config.RECRSRU, Workloads: []string{"compress"}, Insts: 2_000},
 	{Machine: config.Big18(), Features: config.TME, Workloads: []string{"li"}, Insts: 2_000},
 	{Machine: config.Big216(), Features: config.RECRS, Workloads: []string{"gcc"}, Insts: 8_000,
-		Sampling: &store.Sampling{Period: 2_000, IntervalLen: 200, WarmupLen: 200, Confidence: 0.99}},
+		Sampling: &sample.Config{Period: 2_000, IntervalLen: 200, WarmupLen: 200, Confidence: 0.99}},
 }
 
 // recordJSON renders a cell's replayed record for byte comparison.
@@ -233,12 +234,12 @@ func TestSampledJournalNotReplayedAcrossFlagChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := store.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99}
-	spec := func(s *store.Sampling) fleet.Spec {
+	base := sample.Config{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99}
+	spec := func(s *sample.Config) fleet.Spec {
 		return fleet.Spec{Machine: config.Big216(), Features: config.RECRSRU, Workloads: []string{"compress"},
 			Insts: 20_000, Sampling: s}
 	}
-	key := func(s *store.Sampling) string {
+	key := func(s *sample.Config) string {
 		k, err := spec(s).Key()
 		if err != nil {
 			t.Fatal(err)
@@ -251,15 +252,15 @@ func TestSampledJournalNotReplayedAcrossFlagChanges(t *testing.T) {
 
 	cases := []struct {
 		name       string
-		mutate     func(*store.Sampling)
+		mutate     func(*sample.Config)
 		wantReplay bool
 	}{
-		{"identical flags", func(*store.Sampling) {}, true},
-		{"changed confidence", func(s *store.Sampling) { s.Confidence = 0.90 }, false},
-		{"default (unset) confidence", func(s *store.Sampling) { s.Confidence = 0 }, false},
-		{"changed period", func(s *store.Sampling) { s.Period = 8_000 }, false},
-		{"changed interval", func(s *store.Sampling) { s.IntervalLen = 800 }, false},
-		{"changed warmup", func(s *store.Sampling) { s.WarmupLen = 800 }, false},
+		{"identical flags", func(*sample.Config) {}, true},
+		{"changed confidence", func(s *sample.Config) { s.Confidence = 0.90 }, false},
+		{"default (unset) confidence", func(s *sample.Config) { s.Confidence = 0 }, false},
+		{"changed period", func(s *sample.Config) { s.Period = 8_000 }, false},
+		{"changed interval", func(s *sample.Config) { s.IntervalLen = 800 }, false},
+		{"changed warmup", func(s *sample.Config) { s.WarmupLen = 800 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

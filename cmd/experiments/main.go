@@ -9,7 +9,9 @@
 //	experiments -all       everything
 //
 // Exit status is 0 on success and 2 on bad flags or figure/table
-// numbers the paper does not have.
+// numbers the paper does not have.  The -sample-* and -confidence flags
+// without -sampled, and a schedule sampled mode would reject, are bad
+// flags.
 //
 // The independent simulation cells behind the figures run concurrently
 // on a worker pool (-workers, default GOMAXPROCS); each cell is the
@@ -27,7 +29,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -48,6 +49,7 @@ import (
 	"recyclesim/internal/obs"
 	"recyclesim/internal/obs/server"
 	"recyclesim/internal/obs/trace"
+	"recyclesim/internal/sample"
 	"recyclesim/internal/stats"
 	"recyclesim/internal/store"
 	"recyclesim/internal/sweep"
@@ -130,6 +132,29 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "experiments: -remote-token requires -remote")
 		return 2
 	}
+	sampling := &sample.Config{
+		Period:      *samplePeriod,
+		IntervalLen: *sampleInterval,
+		WarmupLen:   *sampleWarmup,
+		Confidence:  *confidence,
+	}
+	if *sampled {
+		if err := sampling.Validate(); err != nil {
+			fmt.Fprintf(stderr, "experiments: bad sampling schedule: %v\n", err)
+			return 2
+		}
+	} else {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "sample-") || f.Name == "confidence" {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			fmt.Fprintf(stderr, "experiments: -sampled is not set, so %s would be ignored\n", strings.Join(stray, ", "))
+			return 2
+		}
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -164,12 +189,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	r := newRunner()
 	r.keepGoing = *keepGoing
 	r.crashDir = *crashDir
-	r.sampling = &store.Sampling{
-		Period:      *samplePeriod,
-		IntervalLen: *sampleInterval,
-		WarmupLen:   *sampleWarmup,
-		Confidence:  *confidence,
-	}
+	r.sampling = sampling
 	for _, s := range sections {
 		if s.want {
 			s.print(io.Discard, r)
@@ -288,7 +308,7 @@ type runner struct {
 	keepGoing bool
 	crashDir  string
 	// sampling is the schedule every sampled cell of this run carries.
-	sampling *store.Sampling
+	sampling *sample.Config
 	// store, when non-nil (-checkpoint), caches every local cell under
 	// its Spec.Key, the key a recycled daemon's store uses.
 	store *store.Store
@@ -604,11 +624,10 @@ var sampledPresets = []string{"SMT", "TME", "REC", "REC/RS", "REC/RS/RU"}
 // per-benchmark estimated IPC with its Student-t confidence interval,
 // one program on the baseline big.2.16 machine.
 func figure3Sampled(w io.Writer, r *runner, insts uint64) {
-	s := r.sampling
+	s := r.sampling.WithDefaults()
 	fmt.Fprintf(w, "Figure 3 (sampled): per-benchmark IPC with %.0f%% CI, 1 program, big.2.16\n",
-		100*cmp.Or(s.Confidence, 0.95))
-	fmt.Fprintf(w, "schedule: period=%d interval=%d warmup=%d\n",
-		cmp.Or(s.Period, 20_000), cmp.Or(s.IntervalLen, 1_000), cmp.Or(s.WarmupLen, 1_000))
+		100*s.Confidence)
+	fmt.Fprintf(w, "schedule: period=%d interval=%d warmup=%d\n", s.Period, s.IntervalLen, s.WarmupLen)
 	fmt.Fprintf(w, "%-10s", "program")
 	for _, p := range sampledPresets {
 		fmt.Fprintf(w, " %22s", p)

@@ -62,6 +62,37 @@ func TestRunArgs(t *testing.T) {
 			want:    2,
 			wantErr: "unexpected argument",
 		},
+		{
+			name:    "sampling flags without -sampled",
+			args:    []string{"-fig", "3", "-insts", "2000", "-confidence", "0.8", "-sample-period", "7"},
+			want:    2,
+			wantErr: "-confidence, -sample-period would be ignored",
+		},
+		{
+			name:    "sample warmup without -sampled",
+			args:    []string{"-all", "-sample-interval", "500", "-sample-warmup", "500"},
+			want:    2,
+			wantErr: "-sample-interval, -sample-warmup would be ignored",
+		},
+		{
+			name:    "oversized schedule is a flag error",
+			args:    []string{"-sampled", "-insts", "2000", "-sample-period", "1000", "-sample-interval", "900", "-sample-warmup", "900"},
+			want:    2,
+			wantErr: "exceed period",
+		},
+		{
+			name:    "unsupported confidence is a flag error",
+			args:    []string{"-sampled", "-insts", "2000", "-confidence", "0.8"},
+			want:    2,
+			wantErr: "confidence 0.8 is not one of",
+		},
+		{
+			name: "bad schedule is refused before a remote submit",
+			args: []string{"-sampled", "-insts", "2000", "-remote", "http://127.0.0.1:1",
+				"-sample-period", "1000", "-sample-interval", "900", "-sample-warmup", "900"},
+			want:    2,
+			wantErr: "bad sampling schedule",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

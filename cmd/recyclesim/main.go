@@ -13,7 +13,10 @@
 //	recyclesim -sample -features REC/RS/RU -workloads gcc -insts 2000000
 //
 // Exit status is 0 on success, 1 when the simulation itself fails, and
-// 2 on bad flags or unknown machine/feature/workload names.
+// 2 on bad flags or unknown machine/feature/workload names.  A flag the
+// chosen mode would ignore (-metrics or -pipetrace with -sample,
+// -sample-period without it) and a schedule sampled mode would reject
+// are bad flags.
 package main
 
 import (
@@ -54,6 +57,23 @@ func parseRange(s string) (lo, hi uint64, err error) {
 		return 0, 0, fmt.Errorf("range %q is empty (hi < lo)", s)
 	}
 	return lo, hi, nil
+}
+
+// writeHeapProfile writes a heap profile to path, when one was asked for.
+func writeHeapProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func main() {
@@ -110,6 +130,39 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, n)
 		}
 		return 0
+	}
+
+	// Each mode rejects the flags only the other mode reads, so a
+	// requested output is never silently not written.
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		detailedOnly := strings.HasPrefix(f.Name, "pipetrace")
+		switch f.Name {
+		case "metrics", "metrics-text", "flightrec", "obs-listen", "crash-dir":
+			detailedOnly = true
+		}
+		if *sampleMode && detailedOnly || !*sampleMode && strings.HasPrefix(f.Name, "sample-") {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		mode := "a detailed run (no -sample)"
+		if *sampleMode {
+			mode = "-sample mode"
+		}
+		fmt.Fprintf(stderr, "recyclesim: %s would be ignored in %s\n", strings.Join(ignored, ", "), mode)
+		return 2
+	}
+	sampling := &recyclesim.Sampling{
+		Period:      *samplePeriod,
+		IntervalLen: *sampleInterval,
+		WarmupLen:   *sampleWarmup,
+	}
+	if *sampleMode {
+		if err := sampling.Validate(); err != nil {
+			fmt.Fprintf(stderr, "recyclesim: bad sampling schedule: %v\n", err)
+			return 2
+		}
 	}
 
 	mach, ok := recyclesim.LookupMachine(*machine)
@@ -187,11 +240,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Features:  feat,
 			Workloads: names,
 			MaxInsts:  *insts,
-			Sampling: &recyclesim.Sampling{
-				Period:      *samplePeriod,
-				IntervalLen: *sampleInterval,
-				WarmupLen:   *sampleWarmup,
-			},
+			Sampling:  sampling,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -203,6 +252,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err := res.WriteText(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
+		}
+		if err := writeHeapProfile(*memprofile); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		return 0
 	}
@@ -347,18 +400,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
+	if err := writeHeapProfile(*memprofile); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *metricsJSON == "-" || *metricsText == "-" || *pipetraceOut == "-" || *pipetraceKonata == "-" {

@@ -68,8 +68,29 @@ func TestRunArgs(t *testing.T) {
 		{
 			name:    "sampled schedule must fit the period",
 			args:    []string{"-sample", "-workloads", "gcc", "-insts", "50000", "-sample-period", "1000", "-sample-interval", "800", "-sample-warmup", "800"},
-			want:    1,
+			want:    2,
 			wantErr: "exceed",
+		},
+		{
+			name:    "sampled mode rejects detailed-run outputs",
+			args:    []string{"-sample", "-workloads", "compress", "-insts", "100000", "-metrics", "m.json", "-pipetrace", "p.json", "-crash-dir", "d"},
+			want:    2,
+			wantErr: "-crash-dir, -metrics, -pipetrace would be ignored in -sample mode",
+		},
+		{
+			name: "sampled mode rejects telemetry and pipetrace knobs",
+			args: []string{"-sample", "-workloads", "gcc", "-flightrec", "64", "-metrics-text", "-",
+				"-obs-listen", "127.0.0.1:0", "-pipetrace-konata", "-", "-pipetrace-sample", "4", "-pipetrace-pc", "0:64",
+				"-pipetrace-cycles", "0:9", "-pipetrace-max", "8"},
+			want: 2,
+			wantErr: "-flightrec, -metrics-text, -obs-listen, -pipetrace-cycles, -pipetrace-konata, -pipetrace-max, " +
+				"-pipetrace-pc, -pipetrace-sample would be ignored",
+		},
+		{
+			name:    "detailed run rejects the sampling schedule",
+			args:    []string{"-workloads", "gcc", "-insts", "2000", "-sample-period", "5000"},
+			want:    2,
+			wantErr: "-sample-period would be ignored in a detailed run",
 		},
 		{
 			name: "bad flag",

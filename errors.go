@@ -101,9 +101,10 @@ func (e *SimError) Unwrap() []error {
 	return []error{e.Kind}
 }
 
-// fingerprint renders the configuration identity used in error
-// messages, crash bundle names, and sweep checkpoints.  It depends
-// only on the option fields that determine the simulation's outcome.
+// fingerprint renders the configuration identity of a detailed run,
+// used in error messages and crash bundle names.  It depends only on
+// the option fields that determine the simulation's outcome; only
+// RunContext builds a SimError, and it ignores Sampling.
 func fingerprint(o Options) string {
 	names := strings.Join(o.Workloads, "+")
 	if len(o.Programs) > 0 {
@@ -113,15 +114,7 @@ func fingerprint(o Options) string {
 	if feat == "" {
 		feat = "custom"
 	}
-	fp := fmt.Sprintf("%s/%s/%s/max%d", o.Machine.Name, feat, names, o.MaxInsts)
-	if s := o.Sampling; s != nil {
-		// Sampled and full runs of the same cell are different
-		// simulations; memoization and crash bundles must not conflate
-		// them.  The confidence level joins the schedule because it
-		// changes the reported bounds, not just the label.
-		fp += fmt.Sprintf("/samp%d-%d-%d-c%g", s.Period, s.IntervalLen, s.WarmupLen, s.Confidence)
-	}
-	return fp
+	return fmt.Sprintf("%s/%s/%s/max%d", o.Machine.Name, feat, names, o.MaxInsts)
 }
 
 // simError builds the typed failure report for a run that stopped with

@@ -31,6 +31,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"strings"
 	"sync"
@@ -38,6 +39,7 @@ import (
 	"recyclesim"
 	"recyclesim/internal/config"
 	"recyclesim/internal/obs"
+	"recyclesim/internal/sample"
 	"recyclesim/internal/store"
 	"recyclesim/internal/workload"
 )
@@ -52,11 +54,14 @@ type Spec struct {
 	Machine   config.Machine  `json:"machine"`
 	Features  config.Features `json:"features"`
 	Workloads []string        `json:"workloads"`
-	// Insts is the committed-instruction budget (0 = 200_000); the
-	// cycle budget is fixed at the harness's 40x policy.
+	// Insts is the committed-instruction budget (0 =
+	// recyclesim.DefaultMaxInsts); the cycle budget is fixed at the
+	// harness's 40x policy.
 	Insts uint64 `json:"insts,omitempty"`
-	// Sampling, when non-nil, makes this a sampled cell.
-	Sampling *store.Sampling `json:"sampling,omitempty"`
+	// Sampling, when non-nil, makes this a sampled cell.  Its Workers
+	// and Poll stay off the wire and out of the key; Execute pins
+	// Workers to 1.
+	Sampling *sample.Config `json:"sampling,omitempty"`
 }
 
 // Name renders the spec for logs and progress displays.
@@ -70,10 +75,7 @@ func (s Spec) Name() string {
 
 // budget is the committed-instruction budget with the default applied.
 func (s Spec) budget() uint64 {
-	if s.Insts == 0 {
-		return 200_000
-	}
-	return s.Insts
+	return cmp.Or(s.Insts, recyclesim.DefaultMaxInsts)
 }
 
 // Key returns the cell's store key, store.CellKey over the resolved
@@ -159,16 +161,12 @@ func ExecuteWithCrashDir(ctx context.Context, spec Spec, crashDir string) (*stor
 		MaxInsts:  spec.budget(),
 		CrashDir:  crashDir,
 	}
-	if s := spec.Sampling; s != nil {
+	if spec.Sampling != nil {
 		// Cell-level Workers is pinned to 1 so sampled estimates are
 		// worker-count invariant; the sweep above already fans cells out.
-		o.Sampling = &recyclesim.Sampling{
-			Workers:     1,
-			Period:      s.Period,
-			IntervalLen: s.IntervalLen,
-			WarmupLen:   s.WarmupLen,
-			Confidence:  s.Confidence,
-		}
+		s := *spec.Sampling
+		s.Workers = 1
+		o.Sampling = &s
 		res, err := recyclesim.RunSampledContext(ctx, o)
 		if err != nil {
 			return nil, err

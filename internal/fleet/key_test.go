@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"recyclesim/internal/config"
+	"recyclesim/internal/sample"
 	"recyclesim/internal/store"
 	"recyclesim/internal/workload"
 )
@@ -39,9 +40,9 @@ func freshKey(t *testing.T, c Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var samp *store.Sampling
+	var samp *sample.Config
 	if c.Sampling != nil {
-		samp = &store.Sampling{}
+		samp = &sample.Config{}
 	}
 	return store.CellKey(c.Machine, c.Features, store.HashPrograms(progs), c.budget(), samp)
 }
@@ -59,7 +60,7 @@ func TestMixMemoKeysMatchFresh(t *testing.T) {
 		for _, names := range workload.Mixes(n) {
 			c := keyCell(config.RECRSRU, names, insts)
 			cells = append(cells, c)
-			c.Sampling = &store.Sampling{}
+			c.Sampling = &sample.Config{}
 			cells = append(cells, c)
 			distinct[strings.Join(names, "+")] = true
 		}

@@ -12,6 +12,7 @@ import (
 
 	"recyclesim"
 	"recyclesim/internal/config"
+	"recyclesim/internal/sample"
 	"recyclesim/internal/store"
 	"recyclesim/internal/sweep"
 )
@@ -157,7 +158,7 @@ func TestSampledCellWitness(t *testing.T) {
 		Features:  config.RECRSRU,
 		Workloads: []string{"compress"},
 		Insts:     20_000,
-		Sampling:  &store.Sampling{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99},
+		Sampling:  &sample.Config{Period: 4_000, IntervalLen: 400, WarmupLen: 400, Confidence: 0.99},
 	}
 	srv, client := newTestService(t, t.TempDir(), Config{Workers: 1})
 
@@ -169,18 +170,14 @@ func TestSampledCellWitness(t *testing.T) {
 		t.Fatalf("sampled cell failed: %+v", res1[0])
 	}
 
+	samp := *spec.Sampling
+	samp.Workers = 1
 	direct, err := recyclesim.RunSampledContext(context.Background(), recyclesim.Options{
 		Machine:   spec.Machine,
 		Features:  spec.Features,
 		Workloads: spec.Workloads,
 		MaxInsts:  spec.Insts,
-		Sampling: &recyclesim.Sampling{
-			Period:      spec.Sampling.Period,
-			IntervalLen: spec.Sampling.IntervalLen,
-			WarmupLen:   spec.Sampling.WarmupLen,
-			Confidence:  spec.Sampling.Confidence,
-			Workers:     1,
-		},
+		Sampling:  &samp,
 	})
 	if err != nil {
 		t.Fatalf("direct RunSampled: %v", err)

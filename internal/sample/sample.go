@@ -20,15 +20,23 @@ import (
 // detached-warmup instructions, and the final L instructions measured.
 // Measuring the tail of each period maximizes the functional +
 // detailed warmup behind every measurement.
+//
+// Config is the only declaration of a schedule: the facade's Sampling
+// is an alias, and the job API and result store carry it as it is.
+// The JSON form holds the schedule alone — zero fields are omitted and
+// select the defaults of WithDefaults — while Workers and Poll are
+// host-side knobs that never reach the wire or a store key.
 type Config struct {
-	Period      uint64 // P: sampling period in instructions (default 20_000)
-	IntervalLen uint64 // L: measured instructions per interval (default 1_000)
-	WarmupLen   uint64 // W: detailed detached-warmup instructions (default 1_000)
+	Period      uint64 `json:"period,omitempty"`   // P: sampling period in instructions (default 20_000)
+	IntervalLen uint64 `json:"interval,omitempty"` // L: measured instructions per interval (default 1_000)
+	WarmupLen   uint64 `json:"warmup,omitempty"`   // W: detailed detached-warmup instructions (default 1_000)
 
 	// Confidence selects the Student-t level for the IPC interval:
 	// 0.90, 0.95 (default, also chosen for 0), or 0.99, matched to the
-	// nearest percent; Run rejects any other level.
-	Confidence float64
+	// nearest percent; Validate rejects any other level.  It is part of
+	// a sampled cell's identity, not just a label, because it changes
+	// the bounds a result reports.
+	Confidence float64 `json:"confidence,omitempty"`
 
 	// Workers bounds interval-simulation parallelism (<= 0 selects
 	// GOMAXPROCS).  Intervals are fully independent — each owns its
@@ -36,14 +44,14 @@ type Config struct {
 	// are byte-identical for every worker count.  With more than one
 	// worker the checkpoint pass runs alongside them on the calling
 	// goroutine.
-	Workers int
+	Workers int `json:"-"`
 
 	// Poll, when non-nil, is the cooperative-cancellation hook: it is
 	// consulted between periods of the checkpoint pass and threaded
 	// into each interval's detailed core (core.SetPoll), so with more
 	// than one worker it is called concurrently.  A non-nil return
 	// abandons the run with that error.
-	Poll func() error
+	Poll func() error `json:"-"`
 }
 
 // seedsPerWorker and maxSeeds size Run's pool of seed slots (checkpoint,
@@ -58,7 +66,12 @@ const (
 	maxSeeds       = 64
 )
 
-func (cfg Config) withDefaults() Config {
+// WithDefaults returns cfg with every zero schedule field replaced by
+// its default (period 20_000, interval 1_000, warmup 1_000, confidence
+// 0.95).  It is the one default table: Run simulates the schedule it
+// returns and store.CellKey keys it, so a schedule with zero fields
+// and the same schedule spelled out share a stored record.
+func (cfg Config) WithDefaults() Config {
 	if cfg.Period == 0 {
 		cfg.Period = 20_000
 	}
@@ -73,6 +86,23 @@ func (cfg Config) withDefaults() Config {
 		cfg.Confidence = 0.95
 	}
 	return cfg
+}
+
+// Validate reports whether Run accepts the schedule, with zero fields
+// standing for their defaults: interval plus warmup must fit in the
+// period, and the confidence level must round to 90, 95 or 99 percent.
+// Command-line front ends call it before any cell runs.
+func (cfg Config) Validate() error {
+	cfg = cfg.WithDefaults()
+	if cfg.IntervalLen+cfg.WarmupLen > cfg.Period {
+		return fmt.Errorf("sample: interval %d + warmup %d exceed period %d",
+			cfg.IntervalLen, cfg.WarmupLen, cfg.Period)
+	}
+	switch int(cfg.Confidence*100 + 0.5) { // stats.TCritical's rounding
+	case 90, 95, 99:
+		return nil
+	}
+	return fmt.Errorf("sample: confidence %v is not one of 0.90, 0.95 and 0.99", cfg.Confidence)
 }
 
 // Interval is one detailed measurement interval's result.
@@ -145,15 +175,9 @@ func (r *Result) WriteText(w io.Writer) error {
 // simulation.  The run is deterministic: the same inputs produce
 // byte-identical Results for every worker count.
 func Run(mach config.Machine, feat config.Features, prog *program.Program, maxInsts uint64, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.IntervalLen+cfg.WarmupLen > cfg.Period {
-		return nil, fmt.Errorf("sample: interval %d + warmup %d exceed period %d",
-			cfg.IntervalLen, cfg.WarmupLen, cfg.Period)
-	}
-	switch int(cfg.Confidence*100 + 0.5) { // stats.TCritical's rounding
-	case 90, 95, 99:
-	default:
-		return nil, fmt.Errorf("sample: confidence %v is not one of 0.90, 0.95 and 0.99", cfg.Confidence)
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if maxInsts < cfg.Period {
 		return nil, fmt.Errorf("sample: budget %d smaller than one period %d; use a full detailed run",
@@ -339,8 +363,9 @@ func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *
 		c.SetPoll(0, cfg.Poll)
 	}
 
-	// The cycle budget covers warmup plus interval at the worst
-	// plausible CPI, mirroring the facade's detailed-run budget.
+	// The cycle budget allows a CPI of 40 over warmup plus interval,
+	// plus 10_000 cycles of slack: the harness's detailed-cell budget
+	// (fleet.Execute's 40x), not the facade's 4x default.
 	budget := 40*(cfg.WarmupLen+cfg.IntervalLen) + 10_000
 	if _, err := c.Run(cfg.WarmupLen, budget); err != nil {
 		return iv, fmt.Errorf("detached warmup: %w", err)

@@ -9,6 +9,7 @@ import (
 
 	"recyclesim/internal/config"
 	"recyclesim/internal/program"
+	"recyclesim/internal/sample"
 )
 
 // keySchema versions the cell-key derivation.  Bump it whenever the
@@ -17,42 +18,6 @@ import (
 // schema bump re-keys the store cleanly (old records become unreachable
 // garbage rather than wrong answers).
 const keySchema = "recyclesim-cell-v1"
-
-// Sampling is the sampled-mode schedule of a cell, and so part of its
-// identity.  It travels raw: zero fields select the simulator defaults
-// (period 20000, interval 1000, warmup 1000, confidence 0.95), and
-// CellKey normalizes them, so default and spelled-out schedules share a
-// record.  The confidence level is part of the key from day one: it
-// changes the IPCLo/IPCHi/CPIHalf bounds a record serves, not just
-// their label (the old cmd/experiments journal key once omitted it — a
-// cache must never repeat that bug, because a durable store would
-// serve the stale bounds forever).
-type Sampling struct {
-	Period      uint64  `json:"period,omitempty"`
-	IntervalLen uint64  `json:"interval,omitempty"`
-	WarmupLen   uint64  `json:"warmup,omitempty"`
-	Confidence  float64 `json:"confidence,omitempty"`
-}
-
-// normalized applies the simulator's schedule defaults, so a cell
-// submitted with zero (default) fields shares its record with the same
-// cell submitted with the defaults spelled out.
-func (s Sampling) normalized() Sampling {
-	if s.Period == 0 {
-		s.Period = 20_000
-	}
-	if s.IntervalLen == 0 {
-		s.IntervalLen = 1_000
-	}
-	if s.WarmupLen == 0 {
-		s.WarmupLen = 1_000
-	}
-	//simlint:ignore floatcmp -- exact zero means "unset", selects the default
-	if s.Confidence == 0 {
-		s.Confidence = 0.95
-	}
-	return s
-}
 
 // HashPrograms returns the content hash of a resolved workload: every
 // instruction, the initialized data image (sorted by address), and the
@@ -83,15 +48,19 @@ func HashPrograms(progs []*program.Program) string {
 // CellKey derives the content address of one simulation cell: the
 // SHA-256 of a canonical rendering of machine config, feature knobs,
 // workload content hash, instruction budget, and (for sampled cells)
-// the normalized sampling schedule including the confidence level.
-// Detailed and sampled cells of the same configuration always get
-// distinct keys (samp == nil vs. non-nil).
-func CellKey(m config.Machine, f config.Features, workloadHash string, insts uint64, samp *Sampling) string {
+// the sampling schedule with sample.Config.WithDefaults applied, so a
+// cell submitted with zero (default) fields shares its record with the
+// same cell submitted with the defaults spelled out.  The confidence
+// level is part of the key because it changes the bounds a record
+// serves, not just their label; Workers and Poll are not, because they
+// never change a result.  Detailed and sampled cells of the same
+// configuration always get distinct keys (samp == nil vs. non-nil).
+func CellKey(m config.Machine, f config.Features, workloadHash string, insts uint64, samp *sample.Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|machine=%+v|features=%+v|workload=%s|insts=%d",
 		keySchema, m, f, workloadHash, insts)
 	if samp != nil {
-		n := samp.normalized()
+		n := samp.WithDefaults()
 		fmt.Fprintf(&b, "|sampled=%d-%d-%d|confidence=%g",
 			n.Period, n.IntervalLen, n.WarmupLen, n.Confidence)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"recyclesim/internal/config"
 	"recyclesim/internal/obs/trace"
+	"recyclesim/internal/sample"
 	"recyclesim/internal/stats"
 	"recyclesim/internal/workload"
 )
@@ -24,12 +25,12 @@ func testStore(t *testing.T) *Store {
 	return s
 }
 
-func testKey(t *testing.T, mutate func(*config.Machine, *config.Features, *uint64, **Sampling)) string {
+func testKey(t *testing.T, mutate func(*config.Machine, *config.Features, *uint64, **sample.Config)) string {
 	t.Helper()
 	m := config.Big216()
 	f := config.RECRSRU
 	insts := uint64(20_000)
-	var samp *Sampling
+	var samp *sample.Config
 	if mutate != nil {
 		mutate(&m, &f, &insts, &samp)
 	}
@@ -46,29 +47,29 @@ func testKey(t *testing.T, mutate func(*config.Machine, *config.Features, *uint6
 func TestCellKeyDistinctAcrossIdentity(t *testing.T) {
 	variants := map[string]string{
 		"base": testKey(t, nil),
-		"other machine": testKey(t, func(m *config.Machine, _ *config.Features, _ *uint64, _ **Sampling) {
+		"other machine": testKey(t, func(m *config.Machine, _ *config.Features, _ *uint64, _ **sample.Config) {
 			*m = config.Small18()
 		}),
-		"other features": testKey(t, func(_ *config.Machine, f *config.Features, _ *uint64, _ **Sampling) {
+		"other features": testKey(t, func(_ *config.Machine, f *config.Features, _ *uint64, _ **sample.Config) {
 			*f = config.SMT
 		}),
-		"other budget": testKey(t, func(_ *config.Machine, _ *config.Features, insts *uint64, _ **Sampling) {
+		"other budget": testKey(t, func(_ *config.Machine, _ *config.Features, insts *uint64, _ **sample.Config) {
 			*insts = 40_000
 		}),
-		"sampled default": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
-			*samp = &Sampling{}
+		"sampled default": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **sample.Config) {
+			*samp = &sample.Config{}
 		}),
-		"sampled other schedule": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
-			*samp = &Sampling{Period: 40_000}
+		"sampled other schedule": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **sample.Config) {
+			*samp = &sample.Config{Period: 40_000}
 		}),
-		"sampled other interval": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
-			*samp = &Sampling{IntervalLen: 400}
+		"sampled other interval": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **sample.Config) {
+			*samp = &sample.Config{IntervalLen: 400}
 		}),
-		"sampled other warmup": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
-			*samp = &Sampling{WarmupLen: 400}
+		"sampled other warmup": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **sample.Config) {
+			*samp = &sample.Config{WarmupLen: 400}
 		}),
-		"sampled 99% confidence": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
-			*samp = &Sampling{Confidence: 0.99}
+		"sampled 99% confidence": testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **sample.Config) {
+			*samp = &sample.Config{Confidence: 0.99}
 		}),
 	}
 	seen := map[string]string{}
@@ -92,21 +93,28 @@ func TestCellKeyDistinctAcrossIdentity(t *testing.T) {
 
 // TestCellKeyNormalizesSamplingDefaults: a zero (default) schedule and
 // the same schedule spelled out explicitly address the same record —
-// including the 0.95 default confidence.
+// including the 0.95 default confidence — and the host-side Workers
+// and Poll knobs never reach the key.
 func TestCellKeyNormalizesSamplingDefaults(t *testing.T) {
-	zero := testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
-		*samp = &Sampling{}
+	zero := testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **sample.Config) {
+		*samp = &sample.Config{}
 	})
-	explicit := testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **Sampling) {
-		*samp = &Sampling{Period: 20_000, IntervalLen: 1_000, WarmupLen: 1_000, Confidence: 0.95}
+	explicit := testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **sample.Config) {
+		*samp = &sample.Config{Period: 20_000, IntervalLen: 1_000, WarmupLen: 1_000, Confidence: 0.95}
 	})
 	if zero != explicit {
 		t.Errorf("default-equivalent schedules keyed apart:\n %s\n %s", zero, explicit)
 	}
+	host := testKey(t, func(_ *config.Machine, _ *config.Features, _ *uint64, samp **sample.Config) {
+		*samp = &sample.Config{Workers: 4, Poll: func() error { return nil }}
+	})
+	if host != zero {
+		t.Errorf("Workers/Poll changed the key:\n %s\n %s", zero, host)
+	}
 }
 
-// TestCellKeyGolden pins the exact keys of one detailed and one sampled
-// cell.  Every stored record is addressed by its key, so any change to
+// TestCellKeyGolden pins the exact keys of one detailed and two sampled
+// cells.  Every stored record is addressed by its key, so any change to
 // the key derivation — keySchema, CellKey's rendering, HashPrograms, or
 // the generated workloads — orphans every existing store.  Such a
 // change must be deliberate: bump keySchema and update these values.
@@ -118,11 +126,12 @@ func TestCellKeyGolden(t *testing.T) {
 	wh := HashPrograms(progs)
 	for _, tc := range []struct {
 		name string
-		samp *Sampling
+		samp *sample.Config
 		want string
 	}{
 		{"detailed", nil, "56545160ae6c3883e7891879eaaca1e4cecdca1b4060ad7e219618702af7bba5"},
-		{"sampled default schedule", &Sampling{}, "112407b53ace20c050b9916d88a19bf60cbc6d8022d75a3c307a9e685a08ef67"},
+		{"sampled default schedule", &sample.Config{}, "112407b53ace20c050b9916d88a19bf60cbc6d8022d75a3c307a9e685a08ef67"},
+		{"sampled full schedule", &sample.Config{Period: 4000, IntervalLen: 400, WarmupLen: 300, Confidence: 0.9}, "0ed689cdeef6c11eba13c4127c01f65f31c283ee7e086c6c760916fc903cbc53"},
 	} {
 		if got := CellKey(config.Big216(), config.RECRSRU, wh, 60_000, tc.samp); got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.name, got, tc.want)

@@ -197,7 +197,8 @@ type Options struct {
 	Workloads []string
 	Programs  []*Program
 
-	// MaxInsts bounds total committed instructions (default 200k).
+	// MaxInsts bounds total committed instructions (default
+	// DefaultMaxInsts).
 	MaxInsts uint64
 	// MaxCycles bounds simulated cycles (default 4*MaxInsts).
 	MaxCycles uint64
@@ -272,19 +273,9 @@ func Run(o Options) (*Result, error) {
 // done.  Polling is cycle-counted, so an uncancelled run commits the
 // identical instruction stream with or without a context.
 func RunContext(ctx context.Context, o Options) (*Result, error) {
-	progs := o.Programs
-	if len(progs) == 0 {
-		if len(o.Workloads) == 0 {
-			return nil, fmt.Errorf("recyclesim: no workloads given")
-		}
-		var err error
-		progs, err = workload.MixPrograms(o.Workloads)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if o.MaxInsts == 0 {
-		o.MaxInsts = 200_000
+	progs, err := prepare(&o)
+	if err != nil {
+		return nil, err
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 4 * o.MaxInsts
@@ -361,6 +352,26 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 		}
 	}
 	return res, se
+}
+
+// DefaultMaxInsts is the committed-instruction budget of a run whose
+// Options.MaxInsts is zero, detailed or sampled; the job service keys
+// a cell submitted without a budget under it.
+const DefaultMaxInsts = 200_000
+
+// prepare is the setup RunContext and RunSampledContext share: it
+// applies the budget default to o and resolves the programs o names.
+func prepare(o *Options) ([]*Program, error) {
+	if o.MaxInsts == 0 {
+		o.MaxInsts = DefaultMaxInsts
+	}
+	if len(o.Programs) > 0 {
+		return o.Programs, nil
+	}
+	if len(o.Workloads) == 0 {
+		return nil, fmt.Errorf("recyclesim: no workloads given")
+	}
+	return workload.MixPrograms(o.Workloads)
 }
 
 // runCore drives the core with panic containment: a panic anywhere in

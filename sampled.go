@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"recyclesim/internal/sample"
-	"recyclesim/internal/workload"
 )
 
 // Sampling configures SMARTS-style sampled simulation: the golden
@@ -17,23 +16,10 @@ import (
 // The schedule is systematic and seedless — with period P, interval
 // length L, and detached warmup W, interval k measures the last L
 // instructions of [k*P, (k+1)*P) — so sampled runs are byte-identically
-// deterministic across repetitions and worker counts.
-type Sampling struct {
-	// Period is the sampling period P in instructions (default 20_000).
-	Period uint64
-	// IntervalLen is the measured instructions per interval L (default
-	// 1_000).
-	IntervalLen uint64
-	// WarmupLen is the detailed detached-warmup length W preceding each
-	// measured region (default 1_000).
-	WarmupLen uint64
-	// Confidence selects the Student-t level for the IPC interval:
-	// 0.90, 0.95 (default), or 0.99; any other level is an error.
-	Confidence float64
-	// Workers bounds interval-simulation parallelism (<= 0 selects
-	// GOMAXPROCS).
-	Workers int
-}
+// deterministic across repetitions and worker counts.  See sample.Config
+// for the fields and their defaults.  RunSampledContext sets Poll to its
+// context's Err when the context can be cancelled.
+type Sampling = sample.Config
 
 // SampledResult is a sampled run's estimate: per-interval CPI samples,
 // the mean IPC with its confidence interval, coverage accounting, and
@@ -59,31 +45,16 @@ func RunSampled(o Options) (*SampledResult, error) {
 // polls on the core's cycle-counted cadence.  An uncancelled sampled
 // run is byte-identical with or without a context attached.
 func RunSampledContext(ctx context.Context, o Options) (*SampledResult, error) {
-	progs := o.Programs
-	if len(progs) == 0 {
-		if len(o.Workloads) == 0 {
-			return nil, fmt.Errorf("recyclesim: no workloads given")
-		}
-		var err error
-		progs, err = workload.MixPrograms(o.Workloads)
-		if err != nil {
-			return nil, err
-		}
+	progs, err := prepare(&o)
+	if err != nil {
+		return nil, err
 	}
 	if len(progs) != 1 {
 		return nil, fmt.Errorf("recyclesim: sampled mode simulates one program, got %d", len(progs))
 	}
-	if o.MaxInsts == 0 {
-		o.MaxInsts = 200_000
-	}
-
-	cfg := sample.Config{}
+	var cfg sample.Config
 	if o.Sampling != nil {
-		cfg.Period = o.Sampling.Period
-		cfg.IntervalLen = o.Sampling.IntervalLen
-		cfg.WarmupLen = o.Sampling.WarmupLen
-		cfg.Confidence = o.Sampling.Confidence
-		cfg.Workers = o.Sampling.Workers
+		cfg = *o.Sampling
 	}
 	if ctx != nil && ctx.Done() != nil {
 		cfg.Poll = ctx.Err
