@@ -10,8 +10,9 @@
 //
 // Exit status is 0 on success and 2 on bad flags or figure/table
 // numbers the paper does not have.  The -sample-* and -confidence flags
-// without -sampled, and a schedule sampled mode would reject, are bad
-// flags.
+// without -sampled, and a schedule sampled mode would reject (one that
+// does not fit its period, or an -insts budget smaller than one
+// period), are bad flags.
 //
 // The independent simulation cells behind the figures run concurrently
 // on a worker pool (-workers, default GOMAXPROCS); each cell is the
@@ -29,6 +30,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -139,7 +141,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Confidence:  *confidence,
 	}
 	if *sampled {
-		if err := sampling.Validate(); err != nil {
+		if err := sampling.Validate(cmp.Or(*insts, recyclesim.DefaultMaxInsts)); err != nil {
 			fmt.Fprintf(stderr, "experiments: bad sampling schedule: %v\n", err)
 			return 2
 		}

@@ -87,6 +87,12 @@ func TestRunArgs(t *testing.T) {
 			wantErr: "confidence 0.8 is not one of",
 		},
 		{
+			name:    "sampled budget smaller than one period is a flag error",
+			args:    []string{"-sampled", "-insts", "10000"},
+			want:    2,
+			wantErr: "budget 10000 smaller than one period 20000",
+		},
+		{
 			name: "bad schedule is refused before a remote submit",
 			args: []string{"-sampled", "-insts", "2000", "-remote", "http://127.0.0.1:1",
 				"-sample-period", "1000", "-sample-interval", "900", "-sample-warmup", "900"},

@@ -69,9 +69,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", ":8347", "address to serve the job and observability API on (\":0\" for an ephemeral port)")
 	storeDir := fs.String("store", "", "directory for the durable result store (required; created if missing)")
 	workers := fs.Int("workers", 0, "per-job cell parallelism (0 = GOMAXPROCS)")
-	retries := fs.Int("retries", 0, "extra attempts a failed cell gets before its error is recorded")
-	retryDelay := fs.Duration("retry-delay", 250*time.Millisecond, "base delay of the capped exponential backoff between cell retries (0 = retry immediately)")
-	retryDelayMax := fs.Duration("retry-delay-max", 10*time.Second, "backoff delay cap")
 	token := fs.String("token", "", "bearer token(s) clients must present on the job API, comma-separated (empty = open)")
 	workerToken := fs.String("worker-token", "", "bearer token workers must present on the fleet API (empty = open)")
 	maxInflight := fs.Int("max-inflight-cells", 0, "per-client in-flight cell quota (0 = unlimited)")
@@ -111,13 +108,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// degrades to in-process compute through the same canonical
 	// executor, so attaching workers later changes throughput, never
 	// results.
-	disp := fleet.NewDispatcher(fleet.Config{
-		LeaseTTL:      *leaseTTL,
-		Retries:       *retries,
-		RetryDelay:    *retryDelay,
-		RetryDelayMax: *retryDelayMax,
-		Log:           log,
-	})
+	disp := fleet.NewDispatcher(fleet.Config{LeaseTTL: *leaseTTL, Log: log})
 	disp.StartReaper(ctx, 0)
 
 	var auth *jobs.AuthConfig
@@ -158,7 +149,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// scripts parse the address out of it (required with -listen :0).
 	fmt.Fprintf(stdout, "recycled: serving on http://%s (store %s)\n", obsSrv.Addr(), *storeDir)
 	log.Info("recycled serving", "addr", obsSrv.Addr(), "store", *storeDir,
-		"workers", *workers, "retries", *retries,
+		"workers", *workers,
 		"auth", auth != nil, "worker_auth", *workerToken != "", "lease_ttl", leaseTTL.String())
 
 	<-ctx.Done()

@@ -41,6 +41,7 @@ func TestBadFlags(t *testing.T) {
 		{"-store", "x", "extra"},              // positional argument
 		{"-nonesuch"},                         // unknown flag
 		{"-store", "x", "-log-level", "loud"}, // unknown log level
+		{"-store", "x", "-retries", "1"},      // a compute error is final
 	} {
 		if got := runCtx(context.Background(), args, &out, &errb); got != 2 {
 			t.Errorf("runCtx(%q) = %d, want 2", args, got)

@@ -15,11 +15,13 @@
 // Exit status is 0 on success, 1 when the simulation itself fails, and
 // 2 on bad flags or unknown machine/feature/workload names.  A flag the
 // chosen mode would ignore (-metrics or -pipetrace with -sample,
-// -sample-period without it) and a schedule sampled mode would reject
-// are bad flags.
+// -sample-period without it), and a sampled run it would refuse (a
+// schedule that does not fit its period, a budget smaller than one
+// period, more than one workload), are bad flags.
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -159,7 +161,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		WarmupLen:   *sampleWarmup,
 	}
 	if *sampleMode {
-		if err := sampling.Validate(); err != nil {
+		if err := sampling.Validate(cmp.Or(*insts, recyclesim.DefaultMaxInsts)); err != nil {
 			fmt.Fprintf(stderr, "recyclesim: bad sampling schedule: %v\n", err)
 			return 2
 		}
@@ -213,6 +215,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				n, strings.Join(recyclesim.Workloads(), ", "))
 			return 2
 		}
+	}
+	if *sampleMode && len(names) != 1 {
+		fmt.Fprintf(stderr, "recyclesim: -sample simulates one program, got %d workloads\n", len(names))
+		return 2
 	}
 
 	if *cpuprofile != "" {

@@ -62,8 +62,14 @@ func TestRunArgs(t *testing.T) {
 		{
 			name:    "sampled mode wants one workload",
 			args:    []string{"-sample", "-workloads", "compress,gcc", "-insts", "50000"},
-			want:    1,
+			want:    2,
 			wantErr: "one program",
+		},
+		{
+			name:    "sampled budget must cover one period",
+			args:    []string{"-sample", "-workloads", "gcc", "-insts", "10000"},
+			want:    2,
+			wantErr: "budget 10000 smaller than one period 20000",
 		},
 		{
 			name:    "sampled schedule must fit the period",

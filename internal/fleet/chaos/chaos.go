@@ -69,17 +69,11 @@ func (n *network) RoundTrip(req *http.Request) (*http.Response, error) {
 	return n.base.RoundTrip(req)
 }
 
-// Options tunes the harness service.  Zero values pick defaults sized
-// for fast tests (short TTLs; the fake clock makes them symbolic).
+// Options tunes the harness service.  The rest is fixed for fast
+// tests: a 10s lease TTL (fake-clock seconds, so symbolic), 2 job
+// workers per job, and open job and fleet APIs.
 type Options struct {
-	LeaseTTL         time.Duration // default 10s (fake-clock seconds)
-	MaxLeaseLifetime time.Duration // default 40s
-	ExpireAfter      time.Duration // default 20s
-	MaxRequeues      int           // default 3
-	Retries          int           // extra compute attempts per cell
-	JobWorkers       int           // per-job cell parallelism (default 2)
-	WorkerToken      string        // fleet API bearer token ("" = open)
-	Auth             *jobs.AuthConfig
+	MaxRequeues int // fleet.Config.MaxRequeues (default 3)
 }
 
 // Harness is one in-process service instance under test control.
@@ -91,8 +85,7 @@ type Harness struct {
 	Client     *jobs.Client
 	URL        string
 
-	opts Options
-	ts   *httptest.Server
+	ts *httptest.Server
 
 	mu      sync.Mutex
 	workers []*WorkerHandle
@@ -101,39 +94,20 @@ type Harness struct {
 
 // New boots the service over a store rooted at dir.
 func New(dir string, opts Options) (*Harness, error) {
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 10 * time.Second
-	}
-	if opts.MaxLeaseLifetime <= 0 {
-		opts.MaxLeaseLifetime = 4 * opts.LeaseTTL
-	}
-	if opts.ExpireAfter <= 0 {
-		opts.ExpireAfter = 2 * opts.LeaseTTL
-	}
-	if opts.JobWorkers <= 0 {
-		opts.JobWorkers = 2
-	}
 	st, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
 	clk := NewClock()
 	disp := fleet.NewDispatcher(fleet.Config{
-		LeaseTTL:         opts.LeaseTTL,
-		MaxLeaseLifetime: opts.MaxLeaseLifetime,
-		ExpireAfter:      opts.ExpireAfter,
-		MaxRequeues:      opts.MaxRequeues,
-		Retries:          opts.Retries,
-		Now:              clk.Now,
+		LeaseTTL:    10 * time.Second,
+		MaxRequeues: opts.MaxRequeues,
+		Now:         clk.Now,
 	})
-	js := jobs.NewServer(context.Background(), st, jobs.Config{
-		Workers: opts.JobWorkers,
-		Fleet:   disp,
-		Auth:    opts.Auth,
-	})
+	js := jobs.NewServer(context.Background(), st, jobs.Config{Workers: 2, Fleet: disp})
 	mux := http.NewServeMux()
 	js.Register(mux)
-	disp.Register(mux, opts.WorkerToken)
+	disp.Register(mux, "")
 	ts := httptest.NewServer(mux)
 	return &Harness{
 		Clock:      clk,
@@ -142,7 +116,6 @@ func New(dir string, opts Options) (*Harness, error) {
 		Store:      st,
 		Client:     jobs.NewClient(ts.URL),
 		URL:        ts.URL,
-		opts:       opts,
 		ts:         ts,
 	}, nil
 }
@@ -230,7 +203,6 @@ func (h *Harness) StartWorker(parallel int) *WorkerHandle {
 	wh.worker = fleet.NewWorker(fleet.WorkerConfig{
 		BaseURL:  h.URL,
 		Name:     name,
-		Token:    h.opts.WorkerToken,
 		Parallel: parallel,
 		PollWait: 50 * time.Millisecond,
 		HTTP:     &http.Client{Transport: wh.net},
@@ -242,7 +214,7 @@ func (h *Harness) StartWorker(parallel int) *WorkerHandle {
 			if wh.stalled.Load() {
 				// A stalled compute hangs until the worker dies or the
 				// test resumes it — the hung-compute scenario the
-				// MaxLeaseLifetime cap exists for.
+				// lease lifetime cap (20x the TTL) exists for.
 				select {
 				case <-wh.resumeGate():
 				case <-ctx.Done():

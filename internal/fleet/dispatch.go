@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recyclesim"
-	"recyclesim/internal/backoff"
 	"recyclesim/internal/obs/trace"
 	"recyclesim/internal/store"
 )
@@ -24,6 +22,10 @@ var ErrUnknownWorker = errors.New("fleet: unknown worker")
 
 // Config tunes a Dispatcher.  The zero value works: defaults are
 // filled in by NewDispatcher.
+//
+// The failure policy is one sentence: a lost lease requeues, and a
+// compute error is final.  A cell's record is a pure function of its
+// Spec, so computing a failed cell again would fail the same way.
 type Config struct {
 	// Local computes a cell in-process: the fallback when no workers
 	// are attached (or a cell has exhausted its requeue budget).
@@ -32,41 +34,23 @@ type Config struct {
 
 	// LeaseTTL bounds the time between heartbeat renewals of one
 	// remote compute (default 30s).  A lease not renewed within it is
-	// expired and its cell requeued.
+	// expired and its cell requeued.  It also sets the two derived
+	// limits: renewals never extend one lease past 20*LeaseTTL from its
+	// grant, so a hung compute on a healthily-heartbeating worker still
+	// gets requeued; and a worker not heard from (lease, heartbeat,
+	// complete) for 2*LeaseTTL is declared dead, its leases requeued
+	// and its later results dropped as stale.
 	LeaseTTL time.Duration
-	// MaxLeaseLifetime caps the total life of one lease across
-	// renewals (default 20*LeaseTTL), so a hung compute on a
-	// healthily-heartbeating worker still gets requeued eventually.
-	MaxLeaseLifetime time.Duration
-	// ExpireAfter declares a worker dead when it has not been heard
-	// from (lease, heartbeat, complete) for this long (default
-	// 2*LeaseTTL); its leases are requeued and its later results
-	// dropped as stale.
-	ExpireAfter time.Duration
 	// MaxRequeues bounds how many times one cell survives
 	// infrastructure failures (lease expiry, worker death or
 	// departure) before the dispatcher stops trusting the fleet with
 	// it and computes it locally (default 3).
 	MaxRequeues int
 
-	// Retries is the number of extra attempts a cell whose *compute*
-	// failed gets (locally or on a worker) before the error is
-	// returned; cancellation and deadline errors are never retried.
-	Retries int
-	// RetryDelay/RetryDelayMax shape the capped exponential backoff
-	// (with equal jitter) between compute retries; zero RetryDelay
-	// retries immediately.
-	RetryDelay    time.Duration
-	RetryDelayMax time.Duration
-
-	// Now, Rand, and Sleep are the deterministic injection points for
-	// tests (fleet/chaos drives lease expiry with a fake clock and
-	// pins jitter).  Defaults: time.Now, a fixed-seed backoff.Rand
-	// per compute, backoff.Sleep.  Injected functions must be safe
-	// for concurrent use.
-	Now   func() time.Time
-	Rand  func() float64
-	Sleep func(context.Context, time.Duration) error
+	// Now is the deterministic clock injection point for tests
+	// (fleet/chaos drives lease expiry with a fake clock); it must be
+	// safe for concurrent use.  Defaults to time.Now.
+	Now func() time.Time
 
 	// Log receives dispatcher lifecycle records; nil discards them.
 	Log *slog.Logger
@@ -87,7 +71,6 @@ type Counters struct {
 	RemoteErrors   uint64 `json:"remote_errors"`
 	LocalComputes  uint64 `json:"local_computes"`
 	LocalFallbacks uint64 `json:"local_fallbacks"`
-	Retries        uint64 `json:"retries"`
 }
 
 // roundKind classifies the outcome of one remote round of a cell.
@@ -199,7 +182,6 @@ type Dispatcher struct {
 	remoteErrors   atomic.Uint64
 	localComputes  atomic.Uint64
 	localFallbacks atomic.Uint64
-	retries        atomic.Uint64
 }
 
 // NewDispatcher builds a dispatcher; zero cfg fields get defaults.
@@ -210,20 +192,11 @@ func NewDispatcher(cfg Config) *Dispatcher {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
 	}
-	if cfg.MaxLeaseLifetime <= 0 {
-		cfg.MaxLeaseLifetime = 20 * cfg.LeaseTTL
-	}
-	if cfg.ExpireAfter <= 0 {
-		cfg.ExpireAfter = 2 * cfg.LeaseTTL
-	}
 	if cfg.MaxRequeues <= 0 {
 		cfg.MaxRequeues = 3
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = backoff.Sleep
 	}
 	log := cfg.Log
 	if log == nil {
@@ -256,13 +229,13 @@ func (d *Dispatcher) Counters() Counters {
 		RemoteErrors:   d.remoteErrors.Load(),
 		LocalComputes:  d.localComputes.Load(),
 		LocalFallbacks: d.localFallbacks.Load(),
-		Retries:        d.retries.Load(),
 	}
 }
 
-// RetryBudget returns Config.Retries, the extra attempts Compute gives
-// a cell whose compute failed.
-func (d *Dispatcher) RetryBudget() int { return d.cfg.Retries }
+// MaxComputeSpans returns the most trace spans one Compute can add
+// under its cell's span: a lease and a requeue per round over
+// MaxRequeues+1 rounds, plus one local "attempt".
+func (d *Dispatcher) MaxComputeSpans() int { return 2*(d.cfg.MaxRequeues+1) + 1 }
 
 // Workers lists the registered workers for diagnostics.
 func (d *Dispatcher) Workers() []WorkerStatus {
@@ -323,8 +296,9 @@ func (d *Dispatcher) Deregister(workerID string) error {
 }
 
 // Heartbeat refreshes a worker's liveness and renews the listed
-// leases.  Renewal extends a lease by LeaseTTL but never past its
-// MaxLeaseLifetime, so a hung compute cannot hold a cell forever.
+// leases.  Renewal extends a lease by LeaseTTL but never past
+// 20*LeaseTTL from its grant, so a hung compute cannot hold a cell
+// forever.
 func (d *Dispatcher) Heartbeat(workerID string, leaseIDs []uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -340,7 +314,7 @@ func (d *Dispatcher) Heartbeat(workerID string, leaseIDs []uint64) error {
 			continue // expired and requeued; the worker learns via stale Complete
 		}
 		deadline := now.Add(d.cfg.LeaseTTL)
-		if cap := l.granted.Add(d.cfg.MaxLeaseLifetime); deadline.After(cap) {
+		if cap := l.granted.Add(20 * d.cfg.LeaseTTL); deadline.After(cap) {
 			deadline = cap
 		}
 		l.deadline = deadline
@@ -579,7 +553,7 @@ func (d *Dispatcher) Reap() int {
 	var lost []*worker
 	//simlint:ignore determinism -- requeue order does not affect results (the store dedupes)
 	for _, w := range d.workers {
-		if now.Sub(w.lastSeen) > d.cfg.ExpireAfter {
+		if now.Sub(w.lastSeen) > 2*d.cfg.LeaseTTL {
 			lost = append(lost, w)
 		}
 	}
@@ -669,66 +643,34 @@ func (d *Dispatcher) abandon(t *task) {
 // under a lease when any are attached, computed in-process otherwise.
 // Infrastructure failures (lease expiry, worker death/departure)
 // requeue the cell transparently up to MaxRequeues, then degrade to
-// local compute; compute failures retry with capped exponential
-// backoff + jitter up to Retries, skipping cancellation and deadline
-// errors.  tc is the cell's compute span; lease, requeue, backoff, and
-// attempt children land under it.
+// one local compute.  A compute error, remote or local, is final.  tc
+// is the cell's compute span; lease, requeue, and attempt children
+// land under it.
 func (d *Dispatcher) Compute(ctx context.Context, spec Spec, key string, tc trace.Ctx) (*store.Record, error) {
-	rnd := d.cfg.Rand
-	var attempt int
-	localOnly := false
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !localOnly {
-			if t, ok := d.enqueue(spec, key, tc); ok {
-				var r roundResult
-				select {
-				case r = <-t.ch:
-				case <-ctx.Done():
-					d.abandon(t)
-					return nil, ctx.Err()
-				}
-				switch r.kind {
-				case roundOK:
-					return r.rec, nil
-				case roundFallback:
-					localOnly = true
-					d.log.Info("cell degraded to local compute", "cell", spec.Name(), "reason", r.errMsg)
-					continue
-				case roundErr:
-					if attempt >= d.cfg.Retries {
-						return nil, errors.New(r.errMsg)
-					}
-					attempt++
-					if err := d.backoffWait(ctx, tc, attempt, &rnd); err != nil {
-						return nil, err
-					}
-					continue
-				}
-			}
-			// enqueue refused: zero workers attached right now.
-		}
-		rec, err := d.localAttempt(ctx, spec, tc, attempt)
-		if err == nil {
-			return rec, nil
-		}
-		if errors.Is(err, recyclesim.ErrCanceled) || errors.Is(err, recyclesim.ErrDeadline) || attempt >= d.cfg.Retries {
-			return nil, err
-		}
-		attempt++
-		if werr := d.backoffWait(ctx, tc, attempt, &rnd); werr != nil {
-			return nil, err
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-}
-
-// localAttempt runs one in-process compute attempt under an "attempt"
-// span (the same schema the pre-fleet job server recorded).
-func (d *Dispatcher) localAttempt(ctx context.Context, spec Spec, tc trace.Ctx, attempt int) (*store.Record, error) {
+	if t, ok := d.enqueue(spec, key, tc); ok {
+		var r roundResult
+		select {
+		case r = <-t.ch:
+		case <-ctx.Done():
+			d.abandon(t)
+			return nil, ctx.Err()
+		}
+		switch r.kind {
+		case roundOK:
+			return r.rec, nil
+		case roundErr:
+			return nil, errors.New(r.errMsg)
+		}
+		d.log.Info("cell degraded to local compute", "cell", spec.Name(), "reason", r.errMsg)
+	}
+	// No worker attached, or the fleet gave up on the cell: compute it
+	// here under an "attempt" span (the schema the pre-fleet job server
+	// recorded).
 	d.localComputes.Add(1)
-	at := tc.Start("attempt").Uint("attempt", uint64(attempt))
+	at := tc.Start("attempt").Uint("attempt", 0)
 	rec, err := d.cfg.Local(ctx, spec)
 	if err != nil {
 		at.Error(err).End()
@@ -736,24 +678,6 @@ func (d *Dispatcher) localAttempt(ctx context.Context, spec Spec, tc trace.Ctx, 
 	}
 	at.End()
 	return rec, nil
-}
-
-// backoffWait sleeps the capped exponential backoff before retry
-// attempt (1-based), initializing the per-compute jitter stream on
-// first use.
-func (d *Dispatcher) backoffWait(ctx context.Context, tc trace.Ctx, attempt int, rnd *func() float64) error {
-	d.retries.Add(1)
-	if d.cfg.RetryDelay <= 0 {
-		return ctx.Err()
-	}
-	if *rnd == nil {
-		*rnd = backoff.Rand(uint64(attempt) * 0x9e37)
-	}
-	delay := backoff.Delay(d.cfg.RetryDelay, d.cfg.RetryDelayMax, attempt-1, *rnd)
-	bs := tc.Start("backoff").Uint("attempt", uint64(attempt))
-	err := d.cfg.Sleep(ctx, delay)
-	bs.End()
-	return err
 }
 
 // WriteMetrics appends the dispatcher's Prometheus text exposition
@@ -775,5 +699,4 @@ func (d *Dispatcher) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "svc_fleet_remote_errors_total %d\n", c.RemoteErrors)
 	fmt.Fprintf(w, "svc_fleet_local_computes_total %d\n", c.LocalComputes)
 	fmt.Fprintf(w, "svc_fleet_local_fallbacks_total %d\n", c.LocalFallbacks)
-	fmt.Fprintf(w, "svc_fleet_retries_total %d\n", c.Retries)
 }

@@ -11,13 +11,13 @@
 // Worker processes (cmd/recycleworker) register with the daemon,
 // heartbeat, and pull cells under time-bounded leases; the Dispatcher
 // requeues cells whose lease expires or whose worker dies mid-compute,
-// retries failed computes with capped exponential backoff + jitter, and
-// degrades gracefully to local in-process compute when no workers are
-// attached.
+// and degrades gracefully to local in-process compute when no workers
+// are attached.  A compute error is final: it is not retried.
 //
 // The determinism contract is the same one every layer above keeps: a
-// cell's result record is a pure function of its Spec, so a sweep's
-// output is byte-identical whether it ran on 0, 1, or N worker hosts —
+// cell's result record is a pure function of its Spec, so a failed
+// compute would fail again on retry, and a sweep's output is
+// byte-identical whether it ran on 0, 1, or N worker hosts —
 // witnessed by the chaos tests in fleet/chaos.  The durable store above
 // the dispatcher still guarantees each distinct cell is computed
 // exactly once per store, no matter how many workers race, die, or
@@ -141,8 +141,7 @@ func (m *mixHashes) hash(names []string) (string, error) {
 // Execute computes one cell in-process: the canonical Spec→Record
 // executor behind every compute — the dispatcher's zero-worker
 // fallback, cmd/recycleworker, and cmd/experiments' local sweeps.  One
-// call is one attempt — retries, backoff, and fault attribution live
-// in Dispatcher.Compute — but faults are already contained: a panic or
+// call is the cell's only attempt, and faults are contained: a panic or
 // livelock comes back as an error, never takes the process down.
 func Execute(ctx context.Context, spec Spec) (*store.Record, error) {
 	return ExecuteWithCrashDir(ctx, spec, "")

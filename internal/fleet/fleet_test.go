@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,15 +44,11 @@ func testSpec(name string) Spec {
 
 func testRecord() *store.Record { return &store.Record{Version: 1, Key: "k"} }
 
-// instant makes Sleep a no-op so retry loops run without wall time.
-func instant(context.Context, time.Duration) error { return nil }
-
 func newTestDispatcher(clk *fakeClock, local func(ctx context.Context, spec Spec) (*store.Record, error)) *Dispatcher {
 	cfg := Config{
 		Local:       local,
 		LeaseTTL:    10 * time.Second,
 		MaxRequeues: 2,
-		Sleep:       instant,
 	}
 	if clk != nil {
 		cfg.Now = clk.Now
@@ -181,7 +178,7 @@ func TestWorkerLostRequeuesToSurvivor(t *testing.T) {
 	}()
 
 	g := waitLease(t, d, a.Worker)
-	// a goes silent past ExpireAfter; b stays warm.
+	// a goes silent past 2x the lease TTL; b stays warm.
 	clk.Advance(21 * time.Second)
 	_ = d.Heartbeat(b.Worker, nil)
 	d.Reap()
@@ -245,7 +242,6 @@ func TestMaxRequeuesDegradesToLocal(t *testing.T) {
 		LeaseTTL:    10 * time.Second,
 		MaxRequeues: 2,
 		Now:         clk.Now,
-		Sleep:       instant,
 	})
 	info := d.RegisterWorker("w", 1)
 	go func() {
@@ -271,86 +267,80 @@ func TestMaxRequeuesDegradesToLocal(t *testing.T) {
 
 func TestHeartbeatRenewalCappedByMaxLifetime(t *testing.T) {
 	clk := newFakeClock()
-	d := NewDispatcher(Config{
-		LeaseTTL:         10 * time.Second,
-		MaxLeaseLifetime: 25 * time.Second,
-		ExpireAfter:      time.Hour, // isolate lease expiry from worker death
-		Local: func(ctx context.Context, spec Spec) (*store.Record, error) {
-			return testRecord(), nil
-		},
-		Now:   clk.Now,
-		Sleep: instant,
+	d := newTestDispatcher(clk, func(ctx context.Context, spec Spec) (*store.Record, error) {
+		return testRecord(), nil
 	})
 	info := d.RegisterWorker("w", 1)
 	go func() {
 		_, _ = d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
 	}()
 	g := waitLease(t, d, info.Worker)
-	// Renew forever: past granted+MaxLeaseLifetime the renewals stop
-	// extending the deadline and the reaper takes the lease anyway.
-	for i := 0; i < 4; i++ {
+	// Renew forever, every 8s of a 10s TTL, so the worker never looks
+	// dead: past the 20x TTL lifetime cap (200s after the grant) the
+	// renewals stop extending the deadline and the reaper takes the
+	// lease anyway — on the 26th renewal, at 208s, and not before.
+	for i := 1; i <= 26; i++ {
+		if c := d.Counters(); c.LeasesExpired != 0 {
+			t.Fatalf("lease expired before renewal %d (%ds), ahead of the 200s cap: %+v", i, 8*i, c)
+		}
 		clk.Advance(8 * time.Second)
 		if err := d.Heartbeat(info.Worker, []uint64{g.Lease}); err != nil {
 			t.Fatalf("Heartbeat: %v", err)
 		}
 		d.Reap()
 	}
-	if c := d.Counters(); c.LeasesExpired != 1 {
+	if c := d.Counters(); c.LeasesExpired != 1 || c.WorkersLost != 0 {
 		t.Fatalf("hung compute's lease never expired despite heartbeats: %+v", c)
 	}
 }
 
-func TestRemoteErrorRetriesThenSucceeds(t *testing.T) {
-	var slept []time.Duration
-	d := NewDispatcher(Config{
-		LeaseTTL:   10 * time.Second,
-		Retries:    2,
-		RetryDelay: 100 * time.Millisecond,
-		Rand:       func() float64 { return 0 },
-		Sleep: func(_ context.Context, dur time.Duration) error {
-			slept = append(slept, dur)
-			return nil
-		},
-		Local: func(ctx context.Context, spec Spec) (*store.Record, error) {
-			t.Error("unexpected local compute")
-			return nil, errors.New("unexpected")
-		},
-	})
-	info := d.RegisterWorker("w", 1)
-	done := make(chan error, 1)
-	go func() {
-		_, err := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
-		done <- err
-	}()
-	g := waitLease(t, d, info.Worker)
-	d.Complete(info.Worker, g.Lease, nil, "transient blowup", false)
-	g2 := waitLease(t, d, info.Worker)
-	d.Complete(info.Worker, g2.Lease, testRecord(), "", false)
-	if err := <-done; err != nil {
-		t.Fatalf("Compute after retry: %v", err)
-	}
-	if len(slept) != 1 || slept[0] != 50*time.Millisecond {
-		t.Fatalf("backoff sleeps = %v, want [50ms]", slept)
-	}
-	c := d.Counters()
-	if c.RemoteErrors != 1 || c.RemoteComputes != 1 || c.Retries != 1 {
-		t.Fatalf("counters = %+v", c)
-	}
-}
-
-func TestRemoteErrorExhaustsRetries(t *testing.T) {
-	d := newTestDispatcher(nil, nil) // Retries = 0
-	info := d.RegisterWorker("w", 1)
-	done := make(chan error, 1)
-	go func() {
-		_, err := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
-		done <- err
-	}()
-	g := waitLease(t, d, info.Worker)
-	d.Complete(info.Worker, g.Lease, nil, "sim diverged", false)
-	err := <-done
-	if err == nil || !strings.Contains(err.Error(), "sim diverged") {
-		t.Fatalf("Compute err = %v, want the worker-reported error", err)
+// TestComputeErrorIsFinal: a compute error, reported by a worker or
+// returned by the local executor, fails the cell on its one attempt —
+// no second lease, no second local call, no fallback.
+func TestComputeErrorIsFinal(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remote bool
+	}{
+		{"remote error", true},
+		{"local error", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int32
+			d := newTestDispatcher(nil, func(ctx context.Context, spec Spec) (*store.Record, error) {
+				calls.Add(1)
+				return nil, errors.New("sim diverged")
+			})
+			var worker string
+			if tc.remote {
+				worker = d.RegisterWorker("w", 1).Worker
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+				done <- err
+			}()
+			if tc.remote {
+				g := waitLease(t, d, worker)
+				d.Complete(worker, g.Lease, nil, "sim diverged", false)
+			}
+			err := <-done
+			if err == nil || !strings.Contains(err.Error(), "sim diverged") {
+				t.Fatalf("Compute err = %v, want the compute's error", err)
+			}
+			wantLeases, wantCalls := uint64(0), int32(1)
+			if tc.remote {
+				wantLeases, wantCalls = 1, 0
+				if g, _ := d.Lease(context.Background(), worker, 0); g != nil {
+					t.Fatalf("failed cell leased again: %+v", g)
+				}
+			}
+			c := d.Counters()
+			if c.LeasesGranted != wantLeases || calls.Load() != wantCalls || c.LocalFallbacks != 0 {
+				t.Fatalf("leases %d, local calls %d, counters %+v; want %d leases, %d local calls, no fallback",
+					c.LeasesGranted, calls.Load(), c, wantLeases, wantCalls)
+			}
+		})
 	}
 }
 

@@ -22,9 +22,9 @@
 // Every job carries a request-scoped trace (internal/obs/trace): a
 // span buffer preallocated at admission records the whole service
 // path — per-cell queue wait, store lookup (hit/corrupt/recheck),
-// single-flight waits, compute attempts with retries, and NDJSON
-// stream delivery — and clients propagate their own trace IDs with
-// the Recycle-Trace-Id header.  Completed spans feed the per-stage
+// single-flight waits, the compute with its leases, requeues, and
+// local attempt, and NDJSON stream delivery — and clients propagate
+// their own trace IDs with the Recycle-Trace-Id header.  Completed spans feed the per-stage
 // latency histograms WriteServiceMetrics appends to /metrics.
 //
 // A cell is a fleet.Spec, keyed by Spec.Key and computed by
@@ -114,9 +114,9 @@ type Config struct {
 	Workers int
 	// Fleet computes every cell the store misses: workers compute
 	// leased cells, and the dispatcher falls back to in-process
-	// execution when none are attached.  Its Config also holds the
-	// retry policy.  nil builds a dispatcher with no workers and no
-	// retries.  Store-level dedupe is unchanged — the dispatcher sits
+	// execution when none are attached.  A failed compute fails the
+	// cell once; it is not retried.  nil builds a dispatcher with no
+	// workers.  Store-level dedupe is unchanged — the dispatcher sits
 	// inside the single-flight compute callback.
 	Fleet *fleet.Dispatcher
 	// Auth, when non-nil, guards the job API with bearer-token
@@ -258,10 +258,6 @@ func (s *Server) Register(mux fleet.Registrar) {
 	mux.Handle("GET /storestats", wrap(s.handleStoreStats))
 }
 
-// StoreCounters exposes the underlying store accounting (tests and the
-// CLI use it; HTTP clients use /storestats).
-func (s *Server) StoreCounters() store.Counters { return s.store.Counters() }
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -302,14 +298,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // newJob registers a job and opens its trace: the span buffer is sized
 // once at admission (root + per-cell worst case of cell, queue, two
-// lookups, flight wait, compute with per-attempt children, put, and
-// stream delivery), so tracing never allocates while the job runs.
+// lookups, compute, put, and stream delivery, plus the most spans the
+// dispatcher's Compute adds under compute), so tracing never allocates
+// while the job runs.
 func (s *Server) newJob(cells []CellSpec, tid trace.ID) *job {
 	j := &job{cells: cells, state: "running"}
 	j.cond = sync.NewCond(&j.mu)
-	// Worst case per cell adds an attempt and a backoff span per retry
-	// the dispatcher may make, and lease/requeue spans per requeue round.
-	j.trace = trace.New(tid, 2+len(cells)*(12+2*s.cfg.Fleet.RetryBudget()))
+	j.trace = trace.New(tid, 2+len(cells)*(7+s.cfg.Fleet.MaxComputeSpans()))
 	j.trace.SetOnEnd(s.lat.observe)
 	s.mu.Lock()
 	s.seq++

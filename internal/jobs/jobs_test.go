@@ -99,7 +99,7 @@ func TestConcurrentClientsShareCells(t *testing.T) {
 	}
 
 	// Every distinct cell simulated exactly once, across both jobs.
-	c := srv.StoreCounters()
+	c := srv.store.Counters()
 	if c.Computes != 3 {
 		t.Errorf("store computes = %d, want 3 (each distinct cell exactly once)", c.Computes)
 	}
@@ -214,7 +214,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	if st.Hits != 2 || st.Computes != 0 {
 		t.Errorf("restarted server status %+v, want 2 hits 0 computes", st)
 	}
-	if c := srv2.StoreCounters(); c.Computes != 0 {
+	if c := srv2.store.Counters(); c.Computes != 0 {
 		t.Errorf("restarted store computed %d cells", c.Computes)
 	}
 	for i := range cells {

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"recyclesim/internal/config"
+	"recyclesim/internal/fleet"
 	"recyclesim/internal/obs/trace"
 )
 
@@ -261,4 +263,97 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(raw)
+}
+
+// stepClock is a manually advanced time source for the dispatcher.
+type stepClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *stepClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// TestRequeuedCellTraceFits: a cell whose lease expires on every round
+// of its requeue budget, then computes locally, records a lease and a
+// requeue span per round plus its attempt — and the job's span buffer,
+// sized at admission, holds them all.
+func TestRequeuedCellTraceFits(t *testing.T) {
+	clk := &stepClock{now: time.Unix(1_700_000_000, 0)}
+	d := fleet.NewDispatcher(fleet.Config{LeaseTTL: 10 * time.Second, Now: clk.Now}) // MaxRequeues 3
+	_, client := newTestService(t, t.TempDir(), Config{Fleet: d})
+	worker := d.RegisterWorker("w", 1).Worker
+
+	id, err := client.Submit(context.Background(), JobRequest{Cells: []CellSpec{
+		detailedCell(config.SMT, []string{"compress"}, 1_000),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four lease rounds (the first plus three requeues), each left to
+	// lapse on a live worker; the fourth requeue degrades the cell to
+	// local compute.
+	for round := 1; round <= 4; round++ {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			g, err := d.Lease(context.Background(), worker, 0)
+			if err != nil {
+				t.Fatalf("round %d: Lease: %v", round, err)
+			}
+			if g != nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: no lease granted", round)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		clk.Advance(11 * time.Second)
+		_ = d.Heartbeat(worker, nil) // liveness only; the lease lapses
+		if n := d.Reap(); n != 1 {
+			t.Fatalf("round %d: Reap requeued %d leases, want 1", round, n)
+		}
+	}
+	awaitJob(t, client, id)
+	st, err := client.Status(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Failed != 0 || st.Computes != 1 {
+		t.Fatalf("job status %+v, want one computed cell", st)
+	}
+	if c := d.Counters(); c.Requeues != 4 || c.LocalFallbacks != 1 {
+		t.Fatalf("dispatcher counters %+v, want 4 requeues and 1 local fallback", c)
+	}
+
+	raw, err := client.FetchTrace(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), "(drops 0)") {
+		t.Fatalf("span buffer overflowed on a requeued cell:\n%s", raw)
+	}
+	var doc chromeTraceDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	names := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			names[ev.Name]++
+		}
+	}
+	if names["lease"] != 4 || names["requeue"] != 4 || names["attempt"] != 1 || names["stream"] != 1 {
+		t.Errorf("lease/requeue/attempt/stream spans = %d/%d/%d/%d, want 4/4/1/1",
+			names["lease"], names["requeue"], names["attempt"], names["stream"])
+	}
 }

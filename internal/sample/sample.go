@@ -88,11 +88,13 @@ func (cfg Config) WithDefaults() Config {
 	return cfg
 }
 
-// Validate reports whether Run accepts the schedule, with zero fields
-// standing for their defaults: interval plus warmup must fit in the
-// period, and the confidence level must round to 90, 95 or 99 percent.
-// Command-line front ends call it before any cell runs.
-func (cfg Config) Validate() error {
+// Validate reports whether Run accepts the schedule over a budget of
+// maxInsts instructions, with zero fields standing for their defaults:
+// interval plus warmup must fit in the period, the confidence level
+// must round to 90, 95 or 99 percent, and the budget must cover at
+// least one period.  Run calls it, and command-line front ends call it
+// before any cell runs, so a schedule Run would refuse is a bad flag.
+func (cfg Config) Validate(maxInsts uint64) error {
 	cfg = cfg.WithDefaults()
 	if cfg.IntervalLen+cfg.WarmupLen > cfg.Period {
 		return fmt.Errorf("sample: interval %d + warmup %d exceed period %d",
@@ -100,9 +102,14 @@ func (cfg Config) Validate() error {
 	}
 	switch int(cfg.Confidence*100 + 0.5) { // stats.TCritical's rounding
 	case 90, 95, 99:
-		return nil
+	default:
+		return fmt.Errorf("sample: confidence %v is not one of 0.90, 0.95 and 0.99", cfg.Confidence)
 	}
-	return fmt.Errorf("sample: confidence %v is not one of 0.90, 0.95 and 0.99", cfg.Confidence)
+	if maxInsts < cfg.Period {
+		return fmt.Errorf("sample: budget %d smaller than one period %d; use a full detailed run",
+			maxInsts, cfg.Period)
+	}
+	return nil
 }
 
 // Interval is one detailed measurement interval's result.
@@ -176,12 +183,8 @@ func (r *Result) WriteText(w io.Writer) error {
 // byte-identical Results for every worker count.
 func Run(mach config.Machine, feat config.Features, prog *program.Program, maxInsts uint64, cfg Config) (*Result, error) {
 	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(maxInsts); err != nil {
 		return nil, err
-	}
-	if maxInsts < cfg.Period {
-		return nil, fmt.Errorf("sample: budget %d smaller than one period %d; use a full detailed run",
-			maxInsts, cfg.Period)
 	}
 	if err := mach.Validate(); err != nil {
 		return nil, err

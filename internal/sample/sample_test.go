@@ -264,6 +264,26 @@ func TestSampledConfigValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "smaller than one period") {
 		t.Errorf("sub-period budget accepted: %v", err)
 	}
+	// Validate is the one rule Run applies, so front ends can reject a
+	// schedule before any cell runs: zero fields are defaults, and the
+	// budget must cover one (defaulted) period.
+	for _, tc := range []struct {
+		cfg     Config
+		budget  uint64
+		wantErr string
+	}{
+		{Config{}, 20_000, ""},
+		{Config{}, 10_000, "budget 10000 smaller than one period 20000"},
+		{Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500}, 5_000, ""},
+		{Config{Period: 5_000}, 4_999, "smaller than one period"},
+		{Config{Period: 1_000, IntervalLen: 800, WarmupLen: 800}, 0, "exceed period"},
+		{Config{Confidence: 0.8}, 0, "confidence 0.8"},
+	} {
+		err := tc.cfg.Validate(tc.budget)
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%+v.Validate(%d) = %v, want %q", tc.cfg, tc.budget, err, tc.wantErr)
+		}
+	}
 	for _, level := range []float64{0.8, 0.5, 1, -0.95} {
 		if _, err := Run(mach, feat, p, 100_000, Config{Confidence: level}); err == nil ||
 			!strings.Contains(err.Error(), "confidence") {
