@@ -8,7 +8,8 @@
 #   make test        full test suite under the race detector
 #   make fuzz        10s coverage-guided smoke of each fuzz target
 #                    (assembler, config validation, store records,
-#                    the paged data memory and sampled fast-forward),
+#                    the paged data memory, the cache tag store and
+#                    sampled fast-forward),
 #                    seeded from the checked-in corpora under
 #                    testdata/fuzz and the targets' seeds
 #   make smoke       one short instrumented run through both telemetry
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/config/ -fuzz FuzzFeaturesValidate -fuzztime 10s
 	$(GO) test ./internal/store/ -fuzz FuzzStoreDecode -fuzztime 10s
 	$(GO) test ./internal/program/ -fuzz FuzzMemory -fuzztime 10s
+	$(GO) test ./internal/cache/ -fuzz FuzzCacheLookup -fuzztime 10s
 	$(GO) test ./internal/sample/ -run '^FuzzFastForward$$' -fuzz FuzzFastForward -fuzztime 10s
 
 smoke:

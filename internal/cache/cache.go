@@ -9,11 +9,17 @@
 //	64-byte lines everywhere, 8-way banked on-chip caches, and
 //	conflict-free miss penalties of 6 cycles to L2, another 12 to L3,
 //	and another 62 to memory.
+//
+// A cache's tags live in pages of 512 sets, each allocated when a set
+// in it is first filled.  The built-in workloads fill under 2% of the
+// L3's sets in a million instructions, so a core or a sampled model
+// copy holds a few of the L3's 64 pages rather than all 1 MB of it.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Params configures one cache level.
@@ -33,18 +39,25 @@ type Stats struct {
 	BankStall uint64 // cycles lost to busy banks
 }
 
+// line is one way of a set.  The access clock advances before it
+// stamps a line, so a valid line has lru >= 1 and the zero line is
+// invalid.
 type line struct {
-	valid bool
-	tag   uint64
-	lru   uint64
+	tag uint64
+	lru uint64 // clock of the last access
 }
+
+// pageShift sizes a tag page at 1<<pageShift sets (the whole cache when
+// it has fewer).  With 512 sets an L1 or the L2 holds two pages and the
+// L3 64 pages of 16 KB.  Much smaller pages make first fills frequent
+// enough to show in the cycle loop's steady-state allocation budget.
+const pageShift = 9
 
 // Cache is a single set-associative, banked, timing-only cache.
 type Cache struct {
 	p       Params
 	sets    int
-	lines   []line   // sets*assoc, way-major within a set
-	touched []uint64 // bit s set once set s has been filled; clear sets hold zero lines
+	pages   [][]line // page i holds sets i<<pageShift on, assoc ways each; nil until one is filled
 	bankCyc []uint64 // cycle of the bank's last use
 	bankCnt []int    // accesses to the bank in that cycle
 	clock   uint64
@@ -57,31 +70,18 @@ type Cache struct {
 	setMask, bankMask   uint64
 }
 
-// New builds a cache from params.  It panics on non-positive geometry,
-// and on a line size, set count or bank count that is not a power of
-// two, since configurations are static and a bad one is a programming
-// error.
+// New builds a cache from params.  It panics on a geometry that
+// HierarchyParams.Validate would reject, since configurations are
+// static and a bad one is a programming error.
 func New(p Params) *Cache {
-	if p.SizeBytes <= 0 || p.LineBytes <= 0 || p.Assoc <= 0 {
-		panic("cache: bad geometry for " + p.Name)
-	}
-	sets := p.SizeBytes / (p.LineBytes * p.Assoc)
-	if sets <= 0 {
-		sets = 1
-	}
-	banks := p.Banks
-	if banks <= 0 {
-		banks = 1
-	}
-	if !pow2(p.LineBytes) || !pow2(sets) || !pow2(banks) {
-		panic(fmt.Sprintf("cache: %s needs power-of-two line size, set count and bank count (have %d, %d, %d)",
-			p.Name, p.LineBytes, sets, banks))
+	sets, banks, err := p.geometry()
+	if err != nil {
+		panic(err)
 	}
 	return &Cache{
 		p:         p,
 		sets:      sets,
-		lines:     make([]line, sets*p.Assoc),
-		touched:   make([]uint64, (sets+63)/64),
+		pages:     make([][]line, (sets+1<<pageShift-1)>>pageShift),
 		bankCyc:   make([]uint64, banks),
 		bankCnt:   make([]int, banks),
 		lineShift: uint(bits.TrailingZeros(uint(p.LineBytes))),
@@ -91,9 +91,29 @@ func New(p Params) *Cache {
 	}
 }
 
+// geometry returns p's set and bank counts.  It fails on
+// non-positive geometry, on a size below one full set, and on a line
+// size, set count or bank count that is not a power of two.
+func (p Params) geometry() (sets, banks int, err error) {
+	if p.SizeBytes <= 0 || p.LineBytes <= 0 || p.Assoc <= 0 {
+		return 0, 0, fmt.Errorf("cache: bad geometry for %s", p.Name)
+	}
+	sets = p.SizeBytes / (p.LineBytes * p.Assoc)
+	if sets == 0 {
+		return 0, 0, fmt.Errorf("cache: %s holds %d bytes, less than one set of %d %d-byte lines",
+			p.Name, p.SizeBytes, p.Assoc, p.LineBytes)
+	}
+	banks = max(p.Banks, 1)
+	if !pow2(p.LineBytes) || !pow2(sets) || !pow2(banks) {
+		return 0, 0, fmt.Errorf("cache: %s needs power-of-two line size, set count and bank count (have %d, %d, %d)",
+			p.Name, p.LineBytes, sets, banks)
+	}
+	return sets, banks, nil
+}
+
 func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// Clone returns a deep copy of the cache: tag array, bank state, and
+// Clone returns a deep copy of the cache: tag pages, bank state, and
 // statistics.  Sampled simulation snapshots functionally warmed caches
 // so parallel measurement intervals each mutate a private copy.
 func (c *Cache) Clone() *Cache {
@@ -103,34 +123,20 @@ func (c *Cache) Clone() *Cache {
 }
 
 // CopyFrom overwrites c with a deep copy of src, reusing c's arrays
-// when they are large enough, so a buffer refilled from the same
-// geometry allocates nothing.  With the same geometry only the sets
-// either cache has ever filled are copied: every other set is all
-// invalid zero lines on both sides.  The working sets of the built-in
-// workloads leave most of the L3 untouched, so a refill costs a
-// fraction of the tag array.
+// and tag pages when they are large enough, so a buffer refilled from
+// the same geometry allocates only the pages src holds and c lacks.  A
+// page src lacks is all invalid lines, and c drops its own copy of it.
 func (c *Cache) CopyFrom(src *Cache) {
-	lines, touched, bankCyc, bankCnt := c.lines, c.touched, c.bankCyc, c.bankCnt
-	same := c.p == src.p && len(lines) == len(src.lines)
+	pages, bankCyc, bankCnt := c.pages, c.bankCyc, c.bankCnt
 	*c = *src
-	if same {
-		assoc := src.p.Assoc
-		for i, t := range touched {
-			for m := t | src.touched[i]; m != 0; {
-				// Copy the run of consecutive sets starting at the
-				// lowest set bit of m.
-				lo := bits.TrailingZeros64(m)
-				n := bits.TrailingZeros64(^(m >> lo))
-				first, end := (i*64+lo)*assoc, (i*64+lo+n)*assoc
-				copy(lines[first:end], src.lines[first:end])
-				m &^= (1<<n - 1) << lo
-			}
+	c.pages = slices.Grow(pages[:0], len(src.pages))[:len(src.pages)]
+	for i, pg := range src.pages {
+		if pg == nil {
+			c.pages[i] = nil
+		} else {
+			c.pages[i] = append(c.pages[i][:0], pg...)
 		}
-		c.lines = lines
-	} else {
-		c.lines = append(lines[:0], src.lines...)
 	}
-	c.touched = append(touched[:0], src.touched...)
 	c.bankCyc = append(bankCyc[:0], src.bankCyc...)
 	c.bankCnt = append(bankCnt[:0], src.bankCnt...)
 }
@@ -138,9 +144,12 @@ func (c *Cache) CopyFrom(src *Cache) {
 // Sets returns the number of sets (exported for tests).
 func (c *Cache) Sets() int { return c.sets }
 
-func (c *Cache) setAndTag(addr uint64) (int, uint64) {
+// locate returns the index of the page holding addr's set, the index
+// of the set's first way in that page, and addr's tag.
+func (c *Cache) locate(addr uint64) (page, base int, tag uint64) {
 	lineAddr := addr >> c.lineShift
-	return int(lineAddr & c.setMask), lineAddr >> c.setShift
+	set := int(lineAddr & c.setMask)
+	return set >> pageShift, (set & (1<<pageShift - 1)) * c.p.Assoc, lineAddr >> c.setShift
 }
 
 // Lookup probes the cache at cycle `now`.  It returns whether the line
@@ -164,39 +173,42 @@ func (c *Cache) Lookup(now uint64, addr uint64) (hit bool, bankDelay uint64) {
 	c.bankCnt[bank]++
 	c.Stats.BankStall += bankDelay
 
-	set, tag := c.setAndTag(addr)
-	base := set * c.p.Assoc
-	for w := 0; w < c.p.Assoc; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			ln.lru = c.clock
+	page, base, tag := c.locate(addr)
+	pg := c.pages[page]
+	if pg == nil {
+		// The set's first fill: every line in an absent page is invalid.
+		pg = make([]line, min(c.sets, 1<<pageShift)*c.p.Assoc)
+		c.pages[page] = pg
+	}
+	ways := pg[base : base+c.p.Assoc]
+	for w := range ways {
+		if ways[w].tag == tag && ways[w].lru != 0 {
+			ways[w].lru = c.clock
 			return true, bankDelay
 		}
 	}
 	c.Stats.Misses++
-	victim := base
-	for w := 0; w < c.p.Assoc; w++ {
-		ln := &c.lines[base+w]
-		if !ln.valid {
-			victim = base + w
-			break
-		}
-		if ln.lru < c.lines[victim].lru {
-			victim = base + w
+	// The least recently used way is the first invalid one if any is:
+	// only invalid lines have lru 0.
+	victim := 0
+	for w := range ways {
+		if ways[w].lru < ways[victim].lru {
+			victim = w
 		}
 	}
-	c.lines[victim] = line{valid: true, tag: tag, lru: c.clock}
-	c.touched[uint(set)/64] |= 1 << (uint(set) % 64)
+	ways[victim] = line{tag: tag, lru: c.clock}
 	return false, bankDelay
 }
 
 // Contains probes without side effects (for tests).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.setAndTag(addr)
-	base := set * c.p.Assoc
-	for w := 0; w < c.p.Assoc; w++ {
-		ln := c.lines[base+w]
-		if ln.valid && ln.tag == tag {
+	page, base, tag := c.locate(addr)
+	pg := c.pages[page]
+	if pg == nil {
+		return false
+	}
+	for _, ln := range pg[base : base+c.p.Assoc] {
+		if ln.tag == tag && ln.lru != 0 {
 			return true
 		}
 	}
@@ -239,6 +251,17 @@ func DefaultHierarchy(scale int) HierarchyParams {
 		MissToL3:  12,
 		MissToMem: 62,
 	}
+}
+
+// Validate reports why NewHierarchy would refuse p: a level whose
+// geometry New rejects.
+func (p HierarchyParams) Validate() error {
+	for _, lp := range []Params{p.IL1, p.DL1, p.L2, p.L3} {
+		if _, _, err := lp.geometry(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Hierarchy glues the levels together.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -294,4 +295,24 @@ func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 			t.Errorf("%s: New panicked = %v, want %v", tc.name, got, tc.panic)
 		}
 	}
+}
+
+// Validate refuses a hierarchy with a level smaller than one full set,
+// and New panics on such a level rather than build a one-set cache
+// larger than its stated size.  At scale 2048 the 64 KB direct-mapped
+// L1s hold 32 bytes, half a line.
+func TestHierarchyValidate(t *testing.T) {
+	if err := DefaultHierarchy(1024).Validate(); err != nil {
+		t.Errorf("scale 1024: %v", err)
+	}
+	p := DefaultHierarchy(2048)
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "IL1") {
+		t.Errorf("scale 2048: Validate = %v, want an error naming IL1", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New built a cache smaller than one set")
+		}
+	}()
+	New(p.IL1)
 }

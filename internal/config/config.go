@@ -3,7 +3,11 @@
 // and the alternate-path fetch policies of §5.2).
 package config
 
-import "fmt"
+import (
+	"fmt"
+
+	"recyclesim/internal/cache"
+)
 
 // Machine describes the hardware configuration.
 type Machine struct {
@@ -70,6 +74,11 @@ func (m Machine) Validate() error {
 			m.Name, m.CacheScale)
 	case m.FrontEndLat < 0:
 		return fmt.Errorf("config %s: negative front-end latency (%d)", m.Name, m.FrontEndLat)
+	}
+	// A scale large enough to leave a level less than one set would
+	// make the core's cache.NewHierarchy panic.
+	if err := cache.DefaultHierarchy(m.CacheScale).Validate(); err != nil {
+		return fmt.Errorf("config %s: cache scale %d too large: %w", m.Name, m.CacheScale, err)
 	}
 	return nil
 }

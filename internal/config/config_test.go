@@ -67,6 +67,8 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero cache scale", func(m *Machine) { m.CacheScale = 0 }, "cache scale"},
 		{"negative cache scale", func(m *Machine) { m.CacheScale = -2 }, "cache scale"},
 		{"non-power-of-two cache scale", func(m *Machine) { m.CacheScale = 3 }, "power of two"},
+		{"cache scale leaving L1s under one set", func(m *Machine) { m.CacheScale = 2048 }, "cache scale 2048 too large"},
+		{"cache scale leaving L1s empty", func(m *Machine) { m.CacheScale = 1 << 17 }, "cache scale 131072 too large"},
 		{"negative front-end latency", func(m *Machine) { m.FrontEndLat = -1 }, "front-end latency"},
 	}
 	for _, tc := range cases {
@@ -81,6 +83,17 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// The largest scale that leaves every level of the default hierarchy
+// at least one full set (the 64 KB direct-mapped L1s at one 64-byte
+// line) validates.
+func TestValidateAcceptsLargestCacheScale(t *testing.T) {
+	m := Big216()
+	m.CacheScale = 1024
+	if err := m.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 

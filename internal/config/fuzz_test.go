@@ -1,13 +1,18 @@
 package config
 
-import "testing"
+import (
+	"testing"
+
+	"recyclesim/internal/cache"
+)
 
 // FuzzMachineValidate drives Machine.Validate with arbitrary field
 // values.  The properties: validation never panics, and any machine it
 // accepts satisfies the structural invariants the simulator relies on
 // (positive widths, fetch geometry that fits the contexts, power-of-two
-// cache scaling).  Seed corpus: the four paper design points plus the
-// boundary shapes in testdata/fuzz/FuzzMachineValidate.
+// cache scaling that leaves a default hierarchy the core can build).
+// Seed corpus: the four paper design points plus the boundary shapes in
+// testdata/fuzz/FuzzMachineValidate.
 func FuzzMachineValidate(f *testing.F) {
 	for _, m := range []Machine{Big216(), Big18(), Small18(), Small28()} {
 		f.Add(m.Contexts, m.FetchThreads, m.FetchWidth, m.FetchBlock,
@@ -50,6 +55,9 @@ func FuzzMachineValidate(f *testing.F) {
 		case m.CacheScale < 1 || m.CacheScale&(m.CacheScale-1) != 0:
 			t.Errorf("accepted non-power-of-two cache scale %d", m.CacheScale)
 		}
+		// The core builds this hierarchy; it panics on a geometry it
+		// cannot build.
+		cache.NewHierarchy(cache.DefaultHierarchy(m.CacheScale))
 	})
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"recyclesim/internal/config"
+	"recyclesim/internal/program"
 	"recyclesim/internal/workload"
 )
 
@@ -54,5 +56,29 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	// pre-optimization loop allocated tens of objects per cycle.
 	if perCycle > 0.001 {
 		t.Errorf("steady-state allocation rate %.4f/cycle exceeds budget 0.001/cycle", perCycle)
+	}
+}
+
+// TestNewAllocBudget pins what building a core allocates.  The cache
+// hierarchy allocates a tag page only when a set in it is first filled,
+// so a new core holds none of the L3's 1 MB of tags; with the tags
+// allocated up front New allocated about 1.9 MB.
+func TestNewAllocBudget(t *testing.T) {
+	const budget = 512 << 10
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = New(config.Big216(), config.SMT, []*program.Program{p})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New allocates %d bytes", got)
+	if got > budget {
+		t.Errorf("New allocates %d bytes, over the %d-byte budget", got, budget)
 	}
 }

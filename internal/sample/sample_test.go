@@ -195,7 +195,7 @@ func TestSampledDeterminism(t *testing.T) {
 // fixed costs (the master models and each slot's first core, memory
 // and model copy) cancel.  The smallest regression it guards against
 // is a restored memory built afresh (gcc's data image spans nine 4 KB
-// pages, ~37 KB); a fresh core is ~300 KB and a model copy 1.7 MB.
+// pages, ~37 KB); a fresh core is ~300 KB and a model copy ~150 KB.
 // The bound of two pages leaves room for drift in the growth.
 //
 // With four workers the slots' cores change hands between goroutines;

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"recyclesim/internal/config"
@@ -106,6 +107,39 @@ func TestFastForwardAllocBudget(t *testing.T) {
 	w.fastForward(e, 100_000) // allocate the pages the stores reach
 	if avg := testing.AllocsPerRun(5, func() { w.fastForward(e, 10_000) }); avg != 0 {
 		t.Errorf("fastForward allocates %.1f times per 10,000 instructions, want 0", avg)
+	}
+}
+
+// allocBytes returns the bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWarmupAllocBudget pins what fresh and copied models allocate.
+// Cache tags are allocated a page at a time as sets are first filled,
+// so new models hold no tags and a copy only the pages its source
+// filled; with the tag arrays allocated whole, each took about 1.7 MB.
+func TestWarmupAllocBudget(t *testing.T) {
+	const newBudget, cloneBudget = 64 << 10, 256 << 10
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w *Warmup
+	got := allocBytes(func() { w = NewWarmup(config.Big216()) })
+	t.Logf("NewWarmup allocates %d bytes", got)
+	if got > newBudget {
+		t.Errorf("NewWarmup allocates %d bytes, over the %d-byte budget", got, newBudget)
+	}
+	w.fastForward(emu.New(p), 1_000_000)
+	got = allocBytes(func() { w.CloneInto(&Warmup{}) })
+	t.Logf("CloneInto allocates %d bytes after 1M instructions", got)
+	if got > cloneBudget {
+		t.Errorf("CloneInto an empty Warmup after 1M instructions allocates %d bytes, over the %d-byte budget", got, cloneBudget)
 	}
 }
 

@@ -1,6 +1,7 @@
 package recyclesim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -39,6 +40,17 @@ func TestRunUnknownWorkload(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("expected error")
+	}
+}
+
+// A cache scale that leaves a level under one set is a validation
+// error, not a panic while the core is built.
+func TestRunRejectsUnbuildableCacheScale(t *testing.T) {
+	m := MachineByName("big.2.16")
+	m.CacheScale = 1 << 17
+	_, err := Run(Options{Machine: m, Features: SMT, Workloads: []string{"compress"}, MaxInsts: 1_000})
+	if err == nil || !strings.Contains(err.Error(), "cache scale") {
+		t.Fatalf("Run = %v, want a cache scale validation error", err)
 	}
 }
 
