@@ -3,8 +3,8 @@
 // leases, computes each one with the same canonical executor the
 // daemon uses in-process (so results are byte-identical no matter
 // where a cell runs), and reports records back.  Heartbeats keep its
-// leases renewed while computes run; on SIGINT/SIGTERM it releases the
-// cells it still holds and deregisters, so they requeue immediately.
+// leases renewed while computes run; on SIGINT/SIGTERM it deregisters,
+// and the daemon requeues the cells it still holds immediately.
 //
 // Stdout carries exactly one machine-readable handshake line
 // ("recycleworker: attached to <url> ..."); diagnostics are structured

@@ -20,14 +20,17 @@ func writeCrashBundle(dir string, o Options, se *SimError, res *Result) (string,
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "recyclesim crash bundle\n=======================\n")
-	fmt.Fprintf(&b, "error: %s\n", se.Error())
+	// An invariant fire's panic value spans many lines; the panic
+	// section below holds all of it, so the header keeps the first.
+	head, _, _ := strings.Cut(se.Error(), "\n")
+	fmt.Fprintf(&b, "error: %s\n", head)
 	fmt.Fprintf(&b, "kind: %s\n", se.Kind.Error())
 	fmt.Fprintf(&b, "cycle: %d\ncommitted: %d\n", se.Cycle, se.Committed)
 	fmt.Fprintf(&b, "fingerprint: %s\n\n", se.Fingerprint)
 	fmt.Fprintf(&b, "machine: %+v\n", o.Machine)
 	fmt.Fprintf(&b, "features: %+v\n", o.Features)
-	fmt.Fprintf(&b, "workloads: %v  programs: %d  maxinsts: %d  maxcycles: %d\n\n",
-		o.Workloads, len(o.Programs), o.MaxInsts, o.MaxCycles)
+	fmt.Fprintf(&b, "workloads: %v  programs: %d  maxinsts: %d\n\n",
+		o.Workloads, len(o.Programs), o.MaxInsts)
 	if res != nil {
 		fmt.Fprintf(&b, "partial stats: %+v\n\n", *res)
 	}
@@ -37,7 +40,10 @@ func writeCrashBundle(dir string, o Options, se *SimError, res *Result) (string,
 	if se.Dump != "" {
 		fmt.Fprintf(&b, "%s\n", se.Dump)
 	}
-	if se.FlightDump != "" {
+	// The core's machine dump — a livelock's Dump, an invariant
+	// panic's value — already ends with the flight-recorder section,
+	// rendered by the same obs.Ring.Dump at the same cycle.
+	if se.FlightDump != "" && !strings.Contains(b.String(), se.FlightDump) {
 		fmt.Fprintf(&b, "%s\n", se.FlightDump)
 	}
 	if se.PipeTail != "" {

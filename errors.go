@@ -125,7 +125,7 @@ func simError(c *core.Core, o Options, runErr error, panicVal any, stack []byte)
 		Cycle:       c.CycleCount(),
 		Committed:   c.Stats.Committed,
 		Fingerprint: fingerprint(o),
-		FlightDump:  flightDump(c),
+		FlightDump:  c.FlightRing().Dump(),
 		PipeTail:    pipeTail(o.PipeTrace, 16),
 	}
 	switch {
@@ -151,20 +151,6 @@ func simError(c *core.Core, o Options, runErr error, panicVal any, stack []byte)
 func isLivelock(err error) bool {
 	var ll *core.LivelockError
 	return errors.As(err, &ll)
-}
-
-// flightDump renders the flight recorder attached to the core (nil-safe).
-func flightDump(c *core.Core) string {
-	r := c.FlightRing()
-	if r == nil || r.Len() == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "flight recorder (last %d of %d events):\n", r.Len(), r.Total())
-	for _, e := range r.Events() {
-		fmt.Fprintf(&b, "  %s\n", e.String())
-	}
-	return b.String()
 }
 
 // pipeTail renders the last n pipetrace records (nil-safe).

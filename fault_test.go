@@ -66,7 +66,6 @@ func TestBatchContainsPoisonedCells(t *testing.T) {
 	livelockCell.CrashDir = crashDir
 
 	cancelCell := healthyOption(20_000)
-	cancelCell.PollEveryCycles = 64
 
 	opts := []Options{
 		healthyOption(20_000), // 0
@@ -215,7 +214,6 @@ func TestLivelockSurfacesThroughFacade(t *testing.T) {
 func TestCancelReturnsPartialResult(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	o := healthyOption(100_000)
-	o.PollEveryCycles = 256
 	n := uint64(0)
 	o.CommitHook = func(CommitInfo) {
 		n++
@@ -295,7 +293,6 @@ func TestWatchdogByteIdentity(t *testing.T) {
 		"uncancelled context": func(o *Options) context.Context {
 			ctx, cancel := context.WithCancel(context.Background())
 			t.Cleanup(cancel)
-			o.PollEveryCycles = 64
 			return ctx
 		},
 	}
@@ -348,5 +345,48 @@ func TestInvariantPanicSurfacesAsSimError(t *testing.T) {
 	}
 	if se.BundlePath == "" {
 		t.Error("invariant fire wrote no crash bundle")
+	}
+}
+
+// TestCrashBundleOneFlightRecorderSection: the core's machine dump
+// already carries the flight recorder for a livelock and an invariant
+// fire, and a commit-hook panic carries none, so every crash bundle
+// holds the flight-recorder section exactly once.
+func TestCrashBundleOneFlightRecorderSection(t *testing.T) {
+	cases := map[string]func(*Options){
+		"livelock": func(o *Options) {
+			o.Workloads = []string{"gcc"}
+			o.Features.WatchdogCycles = 5
+		},
+		"invariant panic": func(o *Options) {
+			o.Features.InvariantEvery = 64
+			o.hookCore = func(c *core.Core) { c.Obs.SlotCycles[obs.CauseIdle] += 999 }
+		},
+		"commit-hook panic": func(o *Options) {
+			n := 0
+			o.CommitHook = func(CommitInfo) {
+				if n++; n == 100 {
+					panic("hook exploded")
+				}
+			}
+		},
+	}
+	for name, mutate := range cases {
+		o := healthyOption(20_000)
+		o.FlightRecorder = NewFlightRecorder(64)
+		o.CrashDir = t.TempDir()
+		mutate(&o)
+		_, err := Run(o)
+		var se *SimError
+		if !errors.As(err, &se) || se.BundlePath == "" {
+			t.Fatalf("%s: no crash bundle (err %v)", name, err)
+		}
+		bundle, rerr := os.ReadFile(se.BundlePath)
+		if rerr != nil {
+			t.Fatalf("%s: %v", name, rerr)
+		}
+		if n := strings.Count(string(bundle), "flight recorder (last "); n != 1 {
+			t.Errorf("%s: crash bundle holds %d flight-recorder sections, want 1", name, n)
+		}
 	}
 }

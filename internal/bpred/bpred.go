@@ -263,16 +263,14 @@ func (p *Predictor) Commit(pc uint64, in *isa.Inst, pr *Pred, taken bool, target
 // leaving the predictor exactly as Lookup, SpecUpdate, Restore (on a
 // mispredict) and Commit together would: on a resolved stream the
 // speculative and repaired histories coincide, so only their net effect
-// is applied.  It returns the predicted direction and the history the
-// PHT was indexed with (Pred's Taken and GHist), which confidence
-// training consumes.  Sampled fast-forward trains the warmed predictor
-// through it.
-func (p *Predictor) Train(ctx int, pc uint64, in *isa.Inst, taken bool, next uint64) (predTaken bool, hist uint64) {
-	hist = p.hist[ctx]
+// is applied.  It returns the predicted direction (Pred's Taken),
+// which confidence training consumes.  Sampled fast-forward trains the
+// warmed predictor through it.
+func (p *Predictor) Train(ctx int, pc uint64, in *isa.Inst, taken bool, next uint64) (predTaken bool) {
 	switch {
 	case in.IsCondBranch():
 		// Right or wrong, the history ends up with the true outcome.
-		idx := p.phtIndex(pc, hist)
+		idx := p.phtIndex(pc, p.hist[ctx])
 		ctr := p.pht[idx]
 		predTaken = ctr >= 2
 		if taken {
@@ -283,7 +281,7 @@ func (p *Predictor) Train(ctx int, pc uint64, in *isa.Inst, taken bool, next uin
 			p.pht[idx] = ctr - 1
 		}
 		p.pushHist(ctx, taken)
-		return predTaken, hist
+		return predTaken
 	case in.IsReturn():
 		p.rasPop(ctx)
 	case in.IsIndirect():
@@ -299,7 +297,7 @@ func (p *Predictor) Train(ctx int, pc uint64, in *isa.Inst, taken bool, next uin
 		}
 		p.rasPush(ctx, ret)
 	}
-	return true, hist
+	return true
 }
 
 func (p *Predictor) pushHist(ctx int, taken bool) {

@@ -391,7 +391,7 @@ func TestTrainMatchesLookupSequence(t *testing.T) {
 	var condMiss, retMiss, btbHit, btbMiss int
 	for i := range stream {
 		b := &stream[i]
-		predTaken, hist := got.Train(b.ctx, b.pc, &b.in, b.taken, b.next)
+		predTaken := got.Train(b.ctx, b.pc, &b.in, b.taken, b.next)
 
 		var pr Pred
 		want.Lookup(b.ctx, b.pc, &b.in, &pr)
@@ -402,9 +402,9 @@ func TestTrainMatchesLookupSequence(t *testing.T) {
 		}
 		want.Commit(b.pc, &b.in, &pr, b.taken, b.next)
 
-		if predTaken != pr.Taken || hist != pr.GHist {
-			t.Fatalf("branch %d (%v at 0x%x): Train returned (%v, %#x), want (%v, %#x)",
-				i, b.in, b.pc, predTaken, hist, pr.Taken, pr.GHist)
+		if predTaken != pr.Taken {
+			t.Fatalf("branch %d (%v at 0x%x): Train returned %v, want %v",
+				i, b.in, b.pc, predTaken, pr.Taken)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("branch %d (%v at 0x%x): predictor state differs after Train", i, b.in, b.pc)

@@ -76,17 +76,13 @@ func (e *Estimator) index(pc uint64) int {
 
 // HighConfidence reports whether the branch at pc is currently
 // considered well predicted.  TME forks when this is false and a spare
-// context is available.  The hist argument is accepted for API
-// compatibility with history-indexed variants but unused (see the
-// package comment).
-func (e *Estimator) HighConfidence(pc, hist uint64) bool {
-	_ = hist
+// context is available.
+func (e *Estimator) HighConfidence(pc uint64) bool {
 	return int(e.ctr[e.index(pc)]) >= e.cfg.Threshold
 }
 
 // Update trains the counter with a resolved branch outcome.
-func (e *Estimator) Update(pc, hist uint64, predictedCorrectly bool) {
-	_ = hist
+func (e *Estimator) Update(pc uint64, predictedCorrectly bool) {
 	i := e.index(pc)
 	if predictedCorrectly {
 		if int(e.ctr[i]) < e.cfg.Max {

@@ -7,7 +7,7 @@ import (
 
 func TestColdIsLowConfidence(t *testing.T) {
 	e := New(Default())
-	if e.HighConfidence(0x1000, 0) {
+	if e.HighConfidence(0x1000) {
 		t.Error("cold branches must be low confidence (fork candidates)")
 	}
 }
@@ -16,12 +16,12 @@ func TestWarmsToHighConfidence(t *testing.T) {
 	cfg := Default()
 	e := New(cfg)
 	for i := 0; i < cfg.Threshold; i++ {
-		if e.HighConfidence(0x1000, 0) {
+		if e.HighConfidence(0x1000) {
 			t.Fatalf("high confidence after only %d correct predictions", i)
 		}
-		e.Update(0x1000, 0, true)
+		e.Update(0x1000, true)
 	}
-	if !e.HighConfidence(0x1000, 0) {
+	if !e.HighConfidence(0x1000) {
 		t.Error("threshold correct predictions should reach high confidence")
 	}
 }
@@ -30,13 +30,13 @@ func TestMispredictResets(t *testing.T) {
 	cfg := Default()
 	e := New(cfg)
 	for i := 0; i < cfg.Max; i++ {
-		e.Update(0x1000, 0, true)
+		e.Update(0x1000, true)
 	}
 	if e.Counter(0x1000) != cfg.Max {
 		t.Errorf("counter saturation: %d", e.Counter(0x1000))
 	}
-	e.Update(0x1000, 0, false)
-	if e.Counter(0x1000) != 0 || e.HighConfidence(0x1000, 0) {
+	e.Update(0x1000, false)
+	if e.Counter(0x1000) != 0 || e.HighConfidence(0x1000) {
 		t.Error("a mispredict must reset the counter to low confidence")
 	}
 }
@@ -44,10 +44,10 @@ func TestMispredictResets(t *testing.T) {
 func TestPCIndexedNotHistoryIndexed(t *testing.T) {
 	e := New(Default())
 	for i := 0; i < 10; i++ {
-		e.Update(0x1000, uint64(i), true) // varying history
+		e.Update(0x1000, true)
 	}
 	// All updates must have landed on the same counter.
-	if !e.HighConfidence(0x1000, 0xFFFF) {
+	if !e.HighConfidence(0x1000) {
 		t.Error("confidence must be independent of history")
 	}
 }
@@ -55,11 +55,11 @@ func TestPCIndexedNotHistoryIndexed(t *testing.T) {
 func TestSeparateBranches(t *testing.T) {
 	e := New(Default())
 	for i := 0; i < 10; i++ {
-		e.Update(0x1000, 0, true)
+		e.Update(0x1000, true)
 	}
 	// 0x1004 is the adjacent table entry (0x2000 would alias 0x1000 in
 	// a 1024-entry table).
-	if e.HighConfidence(0x1004, 0) {
+	if e.HighConfidence(0x1004) {
 		t.Error("training one branch must not warm another")
 	}
 }
@@ -70,10 +70,10 @@ func TestTableAliasing(t *testing.T) {
 	// PCs 4 instructions apart land in different entries; PCs
 	// Entries*4 bytes apart alias.
 	for i := 0; i < 10; i++ {
-		e.Update(0x1000, 0, true)
+		e.Update(0x1000, true)
 	}
 	alias := uint64(0x1000 + 4*4)
-	if !e.HighConfidence(alias, 0) {
+	if !e.HighConfidence(alias) {
 		t.Error("aliasing PCs share a counter in a tiny table")
 	}
 }
@@ -86,7 +86,7 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		x := seed
 		for i := 0; i < n; i++ {
 			x = x*6364136223846793005 + 1442695040888963407
-			e.Update(x>>20%8192, 0, x>>60 != 0)
+			e.Update(x>>20%8192, x>>60 != 0)
 		}
 	}
 	// src and want see the same stream, so want is an independent

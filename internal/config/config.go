@@ -200,10 +200,11 @@ type Features struct {
 	// WatchdogCycles is the forward-progress watchdog window: if a run
 	// commits no instruction for this many consecutive cycles while
 	// programs are still live, core.Run fails fast with a livelock
-	// diagnosis instead of burning cycles until MaxCycles.  Zero selects
-	// the default window (the watchdog is on by default); WatchdogOff
-	// disables it.  The window is counted in simulated cycles, never
-	// wall clock, so enabling it cannot perturb determinism.
+	// diagnosis instead of burning cycles until its cycle budget.
+	// Zero selects the default window (the watchdog is on by default);
+	// WatchdogOff disables it.  The window is counted in simulated
+	// cycles, never wall clock, so enabling it cannot perturb
+	// determinism.
 	WatchdogCycles uint64
 }
 

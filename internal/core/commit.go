@@ -73,7 +73,7 @@ func (c *Core) commitOne(t *Context) bool {
 		// corrupt the fork statistics rather than just a prediction).
 		c.pred.Commit(e.PC, in, &e.Pred, e.Taken, e.NextPC)
 		if in.IsCondBranch() {
-			c.conf.Update(c.tagAddr(lp.idx, e.PC), e.Pred.GHist, e.Taken == e.PredTaken)
+			c.conf.Update(c.tagAddr(lp.idx, e.PC), e.Taken == e.PredTaken)
 		}
 	}
 

@@ -121,8 +121,7 @@ type Core struct {
 	// non-nil return stops the run with that error and partial
 	// statistics.  The cadence is counted in simulated cycles, so an
 	// unfired poll cannot perturb determinism.
-	poll      func() error
-	pollEvery uint64
+	poll func() error
 
 	Stats *stats.Sim
 
@@ -434,7 +433,7 @@ func (c *Core) Run(maxCommits, maxCycles uint64) (*stats.Sim, error) {
 				return c.Stats, c.livelockError(c.cycle - lastProgress)
 			}
 		}
-		if c.poll != nil && c.cycle%c.pollEvery == 0 {
+		if c.poll != nil && c.cycle%pollEvery == 0 {
 			if err := c.poll(); err != nil {
 				return c.Stats, err
 			}
@@ -443,16 +442,10 @@ func (c *Core) Run(maxCommits, maxCycles uint64) (*stats.Sim, error) {
 	return c.Stats, nil
 }
 
-// SetPoll installs a cancellation hook consulted every `every` cycles
-// during Run (every <= 0 selects the default cadence).  Install before
-// the run; passing nil detaches the hook.
-func (c *Core) SetPoll(every uint64, poll func() error) {
-	if every == 0 {
-		every = defaultPollEvery
-	}
-	c.poll = poll
-	c.pollEvery = every
-}
+// SetPoll installs a cancellation hook consulted every 4096 simulated
+// cycles during Run.  Install before the run; passing nil detaches the
+// hook.
+func (c *Core) SetPoll(poll func() error) { c.poll = poll }
 
 // CycleCount returns the cycles simulated so far.
 func (c *Core) CycleCount() uint64 { return c.cycle }

@@ -441,11 +441,6 @@ func (c *Core) dumpState() string {
 	for _, p := range c.parts {
 		fmt.Fprintf(&b, "  part=%d primary=%d done=%v mask=%04x\n", p.id, p.primary, p.done, p.mask)
 	}
-	if c.ring != nil && c.ring.Len() > 0 {
-		fmt.Fprintf(&b, "flight recorder (last %d of %d events):\n", c.ring.Len(), c.ring.Total())
-		for _, e := range c.ring.Events() {
-			fmt.Fprintf(&b, "  %s\n", e.String())
-		}
-	}
+	b.WriteString(c.ring.Dump())
 	return b.String()
 }

@@ -13,16 +13,22 @@ const (
 	// behind a full miss chain to memory with bank skew); 50k cycles is
 	// two orders of magnitude above that, so the watchdog cannot
 	// misfire on a healthy run yet still cuts a livelocked one short
-	// long before the MaxCycles backstop.
+	// long before the MaxCPI backstop.
 	defaultWatchdogCycles = 50_000
 
-	// defaultPollEvery is the cancellation-poll cadence used when
-	// SetPoll is given a non-positive period.  Coarse on purpose: one
-	// closure call per 4096 cycles is invisible next to the cycle
-	// loop's work, and cancellation latency of a few thousand simulated
-	// cycles is milliseconds of wall time.
-	defaultPollEvery = 4096
+	// pollEvery is the cancellation-poll cadence in simulated cycles.
+	// Coarse on purpose: one closure call per 4096 cycles is invisible
+	// next to the cycle loop's work, and cancellation latency of a few
+	// thousand simulated cycles is milliseconds of wall time.
+	pollEvery = 4096
 )
+
+// MaxCPI is the one cycle budget of every run: a detailed run of n
+// committed instructions stops after MaxCPI*n cycles, and a sampled
+// interval of W+L instructions after MaxCPI*(W+L) plus a fixed slack.
+// It is a backstop far above any kernel's CPI, so a healthy run never
+// reaches it; the watchdog stops a livelocked one much sooner.
+const MaxCPI = 40
 
 // LivelockError reports a forward-progress watchdog fire: the machine
 // cycled for a full window without committing a single instruction

@@ -89,14 +89,14 @@ func TestWatchdogOffSentinel(t *testing.T) {
 	}
 }
 
-// TestPollStopsRun: an installed poll is called on the configured
-// cycle cadence, its first non-nil error stops the run at exactly that
+// TestPollStopsRun: an installed poll is called on the fixed cycle
+// cadence, its first non-nil error stops the run at exactly that
 // cycle, and the partial statistics survive.
 func TestPollStopsRun(t *testing.T) {
 	errStop := errors.New("stop requested")
 	c := watchdogCore(t, config.RECRSRU)
 	calls := 0
-	c.SetPoll(256, func() error {
+	c.SetPoll(func() error {
 		calls++
 		if calls == 3 {
 			return errStop
@@ -110,27 +110,27 @@ func TestPollStopsRun(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("poll called %d times, want 3", calls)
 	}
-	if c.CycleCount() != 3*256 {
-		t.Errorf("stopped at cycle %d, want %d (poll cadence is simulated cycles)", c.CycleCount(), 3*256)
+	if c.CycleCount() != 3*pollEvery {
+		t.Errorf("stopped at cycle %d, want %d (poll cadence is simulated cycles)", c.CycleCount(), 3*pollEvery)
 	}
 	if s == nil || s.Committed == 0 {
 		t.Error("partial stats missing after poll stop")
 	}
 }
 
-// TestPollDefaultCadence: SetPoll(0, ...) falls back to the package
-// default rather than polling every cycle or never.
+// TestPollDefaultCadence: an unfired poll is called once every
+// pollEvery cycles over a whole run, neither every cycle nor never.
 func TestPollDefaultCadence(t *testing.T) {
 	c := watchdogCore(t, config.RECRSRU)
 	calls := 0
-	c.SetPoll(0, func() error { calls++; return nil })
+	c.SetPoll(func() error { calls++; return nil })
 	if _, err := c.Run(5_000, 300_000); err != nil {
 		t.Fatal(err)
 	}
-	want := int(c.CycleCount() / defaultPollEvery)
+	want := int(c.CycleCount() / pollEvery)
 	if calls != want {
 		t.Errorf("poll called %d times over %d cycles, want %d (every %d)",
-			calls, c.CycleCount(), want, defaultPollEvery)
+			calls, c.CycleCount(), want, pollEvery)
 	}
 }
 

@@ -258,7 +258,7 @@ func (c *Core) renameFetched(t *Context, fe *fqEntry) bool {
 	// TME fork decision (§2): primary threads fork low-confidence
 	// conditional branches onto a spare context.
 	if c.feat.TME && t.isPrimary && fe.inst.IsCondBranch() && !t.part.done {
-		if !c.conf.HighConfidence(c.tagAddr(t.part.prog.idx, fe.pc), fe.pred.GHist) {
+		if !c.conf.HighConfidence(c.tagAddr(t.part.prog.idx, fe.pc)) {
 			c.tryFork(t, e)
 		}
 	}
@@ -323,7 +323,7 @@ func (c *Core) renameRecycled(t *Context, it *streamItem) (proceed, stall bool) 
 	}
 
 	if c.feat.TME && t.isPrimary && it.inst.IsCondBranch() && !t.part.done {
-		if !c.conf.HighConfidence(c.tagAddr(t.part.prog.idx, it.pc), it.pred.GHist) {
+		if !c.conf.HighConfidence(c.tagAddr(t.part.prog.idx, it.pc)) {
 			c.tryFork(t, e)
 		}
 	}

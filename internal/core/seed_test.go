@@ -288,7 +288,7 @@ func TestReseedMatchesFresh(t *testing.T) {
 				// The first interval, with every hook and recorder
 				// Reseed must detach.
 				used.CommitHook = func(CommitInfo) {}
-				used.SetPoll(64, func() error { return nil })
+				used.SetPoll(func() error { return nil })
 				used.SetRing(obs.NewRing(64))
 				used.SetPipeTrace(pipetrace.New(pipetrace.Config{MaxRecords: 1024}))
 				used.Obs.Hists = true

@@ -257,8 +257,8 @@ func (w *WorkerHandle) Resume() {
 func (w *WorkerHandle) Partition(cut bool) { w.net.dropped.Store(cut) }
 
 // Kill hard-kills the worker mid-whatever: the network drops first so
-// the shutdown path cannot release leases or deregister — exactly what
-// a SIGKILL or machine loss looks like to the daemon (silence).
+// the shutdown path cannot deregister — exactly what a SIGKILL or
+// machine loss looks like to the daemon (silence).
 func (w *WorkerHandle) Kill() {
 	w.net.dropped.Store(true)
 	w.cancel()
@@ -266,8 +266,8 @@ func (w *WorkerHandle) Kill() {
 	w.tr.CloseIdleConnections()
 }
 
-// Stop shuts the worker down gracefully: it releases held leases and
-// deregisters, so its cells requeue without waiting for lease expiry.
+// Stop shuts the worker down gracefully: it deregisters, so its cells
+// requeue without waiting for lease expiry.
 func (w *WorkerHandle) Stop() {
 	select {
 	case <-w.done:

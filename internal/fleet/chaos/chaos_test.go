@@ -40,7 +40,6 @@ func directStats(t *testing.T, cells []jobs.CellSpec) []string {
 			Features:  c.Features,
 			Workloads: c.Workloads,
 			MaxInsts:  c.Insts,
-			MaxCycles: 40 * c.Insts,
 		})
 		if err != nil {
 			t.Fatalf("direct run %d: %v", i, err)
@@ -237,6 +236,62 @@ func TestStalledComputeRequeuedAndStaleDropped(t *testing.T) {
 	}
 }
 
+// TestGracefulStopRequeuesAtOnce: a worker stopped mid-compute gives
+// its cell back by deregistering, so the cell requeues to the other
+// worker at once — no lease expiry, no Reap — and the result is still
+// byte-identical to a direct library run.
+func TestGracefulStopRequeuesAtOnce(t *testing.T) {
+	cells := sweepCells()[:1]
+	want := directStats(t, cells)
+	h := newHarness(t, Options{})
+	a := h.StartWorker(1)
+	a.Stall()
+	if !h.WaitWorkers(1, 5*time.Second) {
+		t.Fatal("worker a never registered")
+	}
+
+	done := make(chan []jobs.CellResult, 1)
+	go func() {
+		out := make([]jobs.CellResult, len(cells))
+		_, err := h.Client.Run(context.Background(), jobs.JobRequest{Cells: cells}, func(r jobs.CellResult) error {
+			out[r.Index] = r
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- out
+	}()
+	select {
+	case <-a.Started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stalled worker never picked the cell up")
+	}
+	b := h.StartWorker(1)
+	if !h.WaitWorkers(2, 5*time.Second) {
+		t.Fatal("worker b never registered")
+	}
+
+	a.Stop()
+	c := h.Dispatcher.Counters()
+	if c.Departs != 1 || c.Requeues != 1 {
+		t.Fatalf("after a graceful stop: departs %d, requeues %d, want 1 and 1", c.Departs, c.Requeues)
+	}
+	var res []jobs.CellResult
+	select {
+	case res = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("sweep never completed after the graceful stop")
+	}
+	assertStats(t, res, want, "graceful-stop sweep")
+	if got := b.Computes() + h.Dispatcher.Counters().LocalComputes; got != 1 {
+		t.Errorf("worker b and local computes sum to %d, want 1", got)
+	}
+	if c := h.Dispatcher.Counters(); c.WorkersLost != 0 || c.StaleResults != 0 {
+		t.Errorf("graceful stop looked like a failure: %+v", c)
+	}
+}
+
 // TestPartitionedWorkerRejoins: a partitioned worker is declared lost
 // (sweeps degrade to local compute), and on healing it discovers it
 // was disowned (410) and re-registers, serving cells again.
@@ -332,7 +387,7 @@ func TestNoGoroutineLeakUnderWorkerChurn(t *testing.T) {
 			t.Fatal("churn workers never registered")
 		}
 		a.Kill() // silent death: daemon finds out via the reaper
-		b.Stop() // graceful: releases and deregisters
+		b.Stop() // graceful: deregisters, requeueing its cells
 		h.Reap(21 * time.Second)
 		if !h.WaitWorkers(0, 5*time.Second) {
 			t.Fatal("churned workers never drained")

@@ -94,7 +94,6 @@ type roundResult struct {
 type task struct {
 	seq      uint64
 	spec     Spec
-	key      string
 	tc       trace.Ctx
 	requeues int
 
@@ -131,11 +130,10 @@ type waiter struct {
 }
 
 // Grant is the reply to a successful Lease: one cell under one lease.
+// It is also the /fleet/lease reply body.
 type Grant struct {
-	Lease uint64        `json:"lease"`
-	Key   string        `json:"key"`
-	Spec  Spec          `json:"spec"`
-	TTL   time.Duration `json:"-"`
+	Lease uint64 `json:"lease"`
+	Spec  Spec   `json:"spec"`
 }
 
 // WorkerStatus is one row of the /fleet/workers listing.
@@ -148,11 +146,11 @@ type WorkerStatus struct {
 	IdleSec  int64  `json:"idle_sec"`
 }
 
-// RegisterInfo is the reply to a worker registration.
+// RegisterInfo is the reply to a worker registration, on the wire as
+// it is: the assigned ID and the heartbeat cadence in milliseconds.
 type RegisterInfo struct {
-	Worker         string        `json:"worker"`
-	LeaseTTL       time.Duration `json:"-"`
-	HeartbeatEvery time.Duration `json:"-"`
+	Worker      string `json:"worker"`
+	HeartbeatMS int64  `json:"heartbeat_ms"`
 }
 
 // Dispatcher owns the fleet: registered workers, the queue of
@@ -258,7 +256,7 @@ func (d *Dispatcher) Workers() []WorkerStatus {
 }
 
 // RegisterWorker admits a worker and returns its assigned ID plus the
-// lease/heartbeat timing contract.
+// heartbeat cadence that keeps its leases alive (a third of LeaseTTL).
 func (d *Dispatcher) RegisterWorker(name string, parallel int) RegisterInfo {
 	if parallel <= 0 {
 		parallel = 1
@@ -277,11 +275,12 @@ func (d *Dispatcher) RegisterWorker(name string, parallel int) RegisterInfo {
 	d.mu.Unlock()
 	d.registers.Add(1)
 	d.log.Info("worker registered", "worker", w.id, "name", name, "parallel", parallel)
-	return RegisterInfo{Worker: w.id, LeaseTTL: d.cfg.LeaseTTL, HeartbeatEvery: d.cfg.LeaseTTL / 3}
+	return RegisterInfo{Worker: w.id, HeartbeatMS: (d.cfg.LeaseTTL / 3).Milliseconds()}
 }
 
 // Deregister removes a worker gracefully: its outstanding leases are
-// requeued immediately (no expiry wait) and later results dropped.
+// requeued immediately (no expiry wait) and later results dropped.  It
+// is how a stopping worker gives back the cells it still holds.
 func (d *Dispatcher) Deregister(workerID string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -407,17 +406,16 @@ func (d *Dispatcher) grantLocked(w *worker, t *task) *Grant {
 	d.leases[l.id] = l
 	d.leasesGranted.Add(1)
 	d.log.Debug("lease granted", "worker", w.id, "lease", l.id, "cell", t.spec.Name())
-	return &Grant{Lease: l.id, Key: t.key, Spec: t.spec, TTL: d.cfg.LeaseTTL}
+	return &Grant{Lease: l.id, Spec: t.spec}
 }
 
-// Complete reports one lease's outcome: a record, a compute error, or
-// a release (the worker is giving the cell back, e.g. on shutdown).
-// A completion for a lease the dispatcher no longer tracks — expired,
-// worker declared dead, cell already requeued — is dropped as stale;
-// the caller learns via the return value, and exactly-once storage is
-// preserved because only the current leaseholder's result is
-// delivered.
-func (d *Dispatcher) Complete(workerID string, leaseID uint64, rec *store.Record, errMsg string, release bool) (stale bool) {
+// Complete reports one lease's outcome: a record, or a compute error
+// when errMsg is non-empty.  A completion for a lease the dispatcher
+// no longer tracks — expired, worker declared dead or departed, cell
+// already requeued — is dropped as stale; the caller learns via the
+// return value, and exactly-once storage is preserved because only the
+// current leaseholder's result is delivered.
+func (d *Dispatcher) Complete(workerID string, leaseID uint64, rec *store.Record, errMsg string) (stale bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if w := d.workers[workerID]; w != nil {
@@ -431,19 +429,15 @@ func (d *Dispatcher) Complete(workerID string, leaseID uint64, rec *store.Record
 	}
 	d.detachLeaseLocked(l)
 	t := l.t
-	switch {
-	case release:
-		l.span.Str("end", "released").End()
-		d.requeueLocked(t, "worker-released")
-	case errMsg != "":
+	if errMsg != "" {
 		l.span.Str("error", errMsg).End()
 		d.remoteErrors.Add(1)
 		d.deliverLocked(t, roundResult{kind: roundErr, errMsg: errMsg})
-	default:
-		l.span.End()
-		d.remoteComputes.Add(1)
-		d.deliverLocked(t, roundResult{kind: roundOK, rec: rec})
+		return false
 	}
+	l.span.End()
+	d.remoteComputes.Add(1)
+	d.deliverLocked(t, roundResult{kind: roundOK, rec: rec})
 	return false
 }
 
@@ -602,14 +596,14 @@ func (d *Dispatcher) StartReaper(ctx context.Context, interval time.Duration) {
 // enqueue admits a cell to the fleet, granting it straight to a parked
 // Lease call when one is waiting.  ok is false when no workers are
 // attached (the caller computes locally).
-func (d *Dispatcher) enqueue(spec Spec, key string, tc trace.Ctx) (*task, bool) {
+func (d *Dispatcher) enqueue(spec Spec, tc trace.Ctx) (*task, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.workers) == 0 {
 		return nil, false
 	}
 	d.taskSeq++
-	t := &task{seq: d.taskSeq, spec: spec, key: key, tc: tc, ch: make(chan roundResult, 1)}
+	t := &task{seq: d.taskSeq, spec: spec, tc: tc, ch: make(chan roundResult, 1)}
 	if !d.handToWaiterLocked(t) {
 		d.queue = append(d.queue, t)
 		t.queued = true
@@ -646,11 +640,11 @@ func (d *Dispatcher) abandon(t *task) {
 // one local compute.  A compute error, remote or local, is final.  tc
 // is the cell's compute span; lease, requeue, and attempt children
 // land under it.
-func (d *Dispatcher) Compute(ctx context.Context, spec Spec, key string, tc trace.Ctx) (*store.Record, error) {
+func (d *Dispatcher) Compute(ctx context.Context, spec Spec, tc trace.Ctx) (*store.Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if t, ok := d.enqueue(spec, key, tc); ok {
+	if t, ok := d.enqueue(spec, tc); ok {
 		var r roundResult
 		select {
 		case r = <-t.ch:

@@ -174,7 +174,6 @@ func ExecuteWithCrashDir(ctx context.Context, spec Spec, crashDir string) (*stor
 	}
 	// Fresh telemetry per attempt, so a partially accumulated failed
 	// attempt never leaks into the stored record.
-	o.MaxCycles = 40 * o.MaxInsts
 	o.Telemetry = &obs.Metrics{Hists: true}
 	res, err := recyclesim.RunContext(ctx, o)
 	if err != nil {

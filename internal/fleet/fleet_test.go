@@ -62,7 +62,7 @@ func TestComputeLocalWhenNoWorkers(t *testing.T) {
 		calls++
 		return testRecord(), nil
 	})
-	rec, err := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+	rec, err := d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 	if err != nil || rec == nil {
 		t.Fatalf("Compute = %v, %v", rec, err)
 	}
@@ -84,7 +84,7 @@ func TestComputeRemoteRoundTrip(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		rec, err := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		rec, err := d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 		if err == nil && rec == nil {
 			err = errors.New("nil record")
 		}
@@ -92,10 +92,7 @@ func TestComputeRemoteRoundTrip(t *testing.T) {
 	}()
 
 	g := waitLease(t, d, info.Worker)
-	if g.Key != "key" {
-		t.Fatalf("lease key = %q", g.Key)
-	}
-	if stale := d.Complete(info.Worker, g.Lease, testRecord(), "", false); stale {
+	if stale := d.Complete(info.Worker, g.Lease, testRecord(), ""); stale {
 		t.Fatal("fresh completion flagged stale")
 	}
 	if err := <-done; err != nil {
@@ -131,7 +128,7 @@ func TestLeaseExpiryRequeuesAndDropsStaleResult(t *testing.T) {
 
 	done := make(chan *store.Record, 1)
 	go func() {
-		rec, _ := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		rec, _ := d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 		done <- rec
 	}()
 
@@ -148,12 +145,12 @@ func TestLeaseExpiryRequeuesAndDropsStaleResult(t *testing.T) {
 		t.Fatal("requeued cell reused the expired lease ID")
 	}
 	// The original holder answers late: dropped as stale.
-	if stale := d.Complete(info.Worker, first.Lease, testRecord(), "", false); !stale {
+	if stale := d.Complete(info.Worker, first.Lease, testRecord(), ""); !stale {
 		t.Fatal("expired lease completion not flagged stale")
 	}
 	want := testRecord()
 	want.Key = "fresh"
-	if stale := d.Complete(info.Worker, second.Lease, want, "", false); stale {
+	if stale := d.Complete(info.Worker, second.Lease, want, ""); stale {
 		t.Fatal("current lease completion flagged stale")
 	}
 	if rec := <-done; rec == nil || rec.Key != "fresh" {
@@ -173,7 +170,7 @@ func TestWorkerLostRequeuesToSurvivor(t *testing.T) {
 
 	done := make(chan *store.Record, 1)
 	go func() {
-		rec, _ := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		rec, _ := d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 		done <- rec
 	}()
 
@@ -185,12 +182,12 @@ func TestWorkerLostRequeuesToSurvivor(t *testing.T) {
 	if _, err := d.Lease(context.Background(), a.Worker, 0); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("lost worker Lease err = %v, want ErrUnknownWorker", err)
 	}
-	if stale := d.Complete(a.Worker, g.Lease, testRecord(), "", false); !stale {
+	if stale := d.Complete(a.Worker, g.Lease, testRecord(), ""); !stale {
 		t.Fatal("dead worker's completion not flagged stale")
 	}
 
 	g2 := waitLease(t, d, b.Worker)
-	if stale := d.Complete(b.Worker, g2.Lease, testRecord(), "", false); stale {
+	if stale := d.Complete(b.Worker, g2.Lease, testRecord(), ""); stale {
 		t.Fatal("survivor completion flagged stale")
 	}
 	if rec := <-done; rec == nil {
@@ -211,7 +208,7 @@ func TestLastWorkerLossFallsBackLocal(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		_, err := d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 		done <- err
 	}()
 	waitLease(t, d, info.Worker)
@@ -245,7 +242,7 @@ func TestMaxRequeuesDegradesToLocal(t *testing.T) {
 	})
 	info := d.RegisterWorker("w", 1)
 	go func() {
-		_, _ = d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		_, _ = d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 	}()
 	// Expire the lease MaxRequeues+1 times: the cell stops trusting
 	// the fleet and computes locally.
@@ -272,7 +269,7 @@ func TestHeartbeatRenewalCappedByMaxLifetime(t *testing.T) {
 	})
 	info := d.RegisterWorker("w", 1)
 	go func() {
-		_, _ = d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		_, _ = d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 	}()
 	g := waitLease(t, d, info.Worker)
 	// Renew forever, every 8s of a 10s TTL, so the worker never looks
@@ -317,12 +314,12 @@ func TestComputeErrorIsFinal(t *testing.T) {
 			}
 			done := make(chan error, 1)
 			go func() {
-				_, err := d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+				_, err := d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 				done <- err
 			}()
 			if tc.remote {
 				g := waitLease(t, d, worker)
-				d.Complete(worker, g.Lease, nil, "sim diverged", false)
+				d.Complete(worker, g.Lease, nil, "sim diverged")
 			}
 			err := <-done
 			if err == nil || !strings.Contains(err.Error(), "sim diverged") {
@@ -350,7 +347,7 @@ func TestComputeCancelAbandonsTask(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Compute(ctx, testSpec("m"), "key", trace.Ctx{})
+		_, err := d.Compute(ctx, testSpec("m"), trace.Ctx{})
 		done <- err
 	}()
 	g := waitLease(t, d, info.Worker)
@@ -359,7 +356,7 @@ func TestComputeCancelAbandonsTask(t *testing.T) {
 		t.Fatalf("Compute err = %v, want context.Canceled", err)
 	}
 	// The worker's eventual result lands stale, not delivered.
-	if stale := d.Complete(info.Worker, g.Lease, testRecord(), "", false); !stale {
+	if stale := d.Complete(info.Worker, g.Lease, testRecord(), ""); !stale {
 		t.Fatal("abandoned task's completion not flagged stale")
 	}
 }
@@ -377,14 +374,14 @@ func TestLongPollHandsOffDirectly(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond) // let the poller park
 	go func() {
-		_, _ = d.Compute(context.Background(), testSpec("m"), "key", trace.Ctx{})
+		_, _ = d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
 	}()
 	select {
 	case g := <-leased:
 		if g == nil {
 			t.Fatal("parked poller got nil grant")
 		}
-		d.Complete(info.Worker, g.Lease, testRecord(), "", false)
+		d.Complete(info.Worker, g.Lease, testRecord(), "")
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked poller never woke")
 	}
@@ -441,7 +438,7 @@ func TestWorkerHTTPRoundTrip(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	rec, err := d.Compute(context.Background(), testSpec("remote-cell"), "key", trace.Ctx{})
+	rec, err := d.Compute(context.Background(), testSpec("remote-cell"), trace.Ctx{})
 	if err != nil || rec == nil {
 		t.Fatalf("Compute over HTTP = %v, %v", rec, err)
 	}

@@ -17,30 +17,17 @@ type Registrar interface {
 	Handle(pattern string, handler http.Handler)
 }
 
-// Wire types of the worker protocol.  Durations travel as
-// milliseconds so the protocol has no dependency on Go duration
-// encoding.
+// Wire types of the worker protocol; RegisterInfo and Grant are the
+// register and lease replies.  Durations travel as milliseconds so the
+// protocol has no dependency on Go duration encoding.
 type registerRequest struct {
 	Name     string `json:"name"`
 	Parallel int    `json:"parallel"`
 }
 
-type registerResponse struct {
-	Worker      string `json:"worker"`
-	LeaseTTLMS  int64  `json:"lease_ttl_ms"`
-	HeartbeatMS int64  `json:"heartbeat_ms"`
-}
-
 type leaseRequest struct {
 	Worker string `json:"worker"`
 	WaitMS int64  `json:"wait_ms"`
-}
-
-type leaseResponse struct {
-	Lease uint64 `json:"lease"`
-	Key   string `json:"key"`
-	Spec  Spec   `json:"spec"`
-	TTLMS int64  `json:"ttl_ms"`
 }
 
 type heartbeatRequest struct {
@@ -49,11 +36,10 @@ type heartbeatRequest struct {
 }
 
 type completeRequest struct {
-	Worker  string        `json:"worker"`
-	Lease   uint64        `json:"lease"`
-	Record  *store.Record `json:"record,omitempty"`
-	Error   string        `json:"error,omitempty"`
-	Release bool          `json:"release,omitempty"`
+	Worker string        `json:"worker"`
+	Lease  uint64        `json:"lease"`
+	Record *store.Record `json:"record,omitempty"`
+	Error  string        `json:"error,omitempty"`
 }
 
 type completeResponse struct {
@@ -117,12 +103,7 @@ func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad register body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	info := d.RegisterWorker(req.Name, req.Parallel)
-	writeJSON(w, http.StatusOK, registerResponse{
-		Worker:      info.Worker,
-		LeaseTTLMS:  info.LeaseTTL.Milliseconds(),
-		HeartbeatMS: info.HeartbeatEvery.Milliseconds(),
-	})
+	writeJSON(w, http.StatusOK, d.RegisterWorker(req.Name, req.Parallel))
 }
 
 func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -150,9 +131,7 @@ func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, leaseResponse{
-		Lease: g.Lease, Key: g.Key, Spec: g.Spec, TTLMS: g.TTL.Milliseconds(),
-	})
+	writeJSON(w, http.StatusOK, g)
 }
 
 func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -174,11 +153,11 @@ func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad complete body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Record == nil && req.Error == "" && !req.Release {
-		http.Error(w, "complete needs a record, an error, or release", http.StatusBadRequest)
+	if req.Record == nil && req.Error == "" {
+		http.Error(w, "complete needs a record or an error", http.StatusBadRequest)
 		return
 	}
-	stale := d.Complete(req.Worker, req.Lease, req.Record, req.Error, req.Release)
+	stale := d.Complete(req.Worker, req.Lease, req.Record, req.Error)
 	writeJSON(w, http.StatusOK, completeResponse{Stale: stale})
 }
 

@@ -42,9 +42,9 @@ type WorkerConfig struct {
 // Worker is the worker-side half of the fleet protocol: it registers
 // with the daemon, long-polls for leases on Parallel pullers, keeps
 // its leases renewed from one heartbeat goroutine, and reports each
-// cell's record (or compute error) back.  On shutdown it releases the
-// leases it still holds and deregisters, so its cells requeue
-// immediately instead of waiting out the lease TTL.
+// cell's record (or compute error) back.  On shutdown it deregisters,
+// and the daemon requeues every cell it still holds at once instead of
+// waiting out the lease TTL.
 type Worker struct {
 	cfg  WorkerConfig
 	log  *slog.Logger
@@ -52,7 +52,6 @@ type Worker struct {
 
 	mu       sync.Mutex
 	id       string
-	ttl      time.Duration
 	beat     time.Duration
 	holding  map[uint64]bool
 	computes uint64
@@ -141,19 +140,18 @@ func gone(err error) bool {
 func (w *Worker) register(ctx context.Context) error {
 	rnd := backoff.Rand(1)
 	for attempt := 0; ; attempt++ {
-		var resp registerResponse
+		var resp RegisterInfo
 		err := w.post(ctx, "/fleet/register", registerRequest{Name: w.cfg.Name, Parallel: w.cfg.Parallel}, &resp)
 		if err == nil {
 			w.mu.Lock()
 			w.id = resp.Worker
-			w.ttl = time.Duration(resp.LeaseTTLMS) * time.Millisecond
 			w.beat = time.Duration(resp.HeartbeatMS) * time.Millisecond
 			if w.beat <= 0 {
 				w.beat = time.Second
 			}
 			w.holding = make(map[uint64]bool)
 			w.mu.Unlock()
-			w.log.Info("registered", "worker", resp.Worker, "lease_ttl", w.ttl.String())
+			w.log.Info("registered", "worker", resp.Worker, "heartbeat", w.beat.String())
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -206,9 +204,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context, goneCh chan<- struct{}) {
 
 // Run is the worker main loop: register, then pull-compute-complete on
 // Parallel pullers until ctx is done, re-registering whenever the
-// daemon disowns us.  It returns when ctx is done, after releasing
-// held leases and deregistering (on a short detached timeout, so
-// shutdown still completes when the daemon is unreachable).
+// daemon disowns us.  It returns when ctx is done, after deregistering
+// (on a short detached timeout, so shutdown still completes when the
+// daemon is unreachable), which requeues every cell it still held.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
@@ -237,23 +235,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	wg.Wait()
 
-	// Graceful exit: give back what we hold so the dispatcher requeues
-	// immediately, then deregister.  ctx is already done, so use a
-	// short detached timeout.
+	// Graceful exit: deregistering makes the dispatcher requeue every
+	// lease we hold at once.  ctx is already done, so use a short
+	// detached timeout.
 	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	w.mu.Lock()
-	id := w.id
-	held := make([]uint64, 0, len(w.holding))
-	//simlint:ignore determinism -- release order is irrelevant
-	for l := range w.holding {
-		held = append(held, l)
-	}
-	w.mu.Unlock()
-	for _, l := range held {
-		_ = w.post(dctx, "/fleet/complete", completeRequest{Worker: id, Lease: l, Release: true}, nil)
-	}
-	_ = w.post(dctx, "/fleet/deregister", deregisterRequest{Worker: id}, nil)
+	_ = w.post(dctx, "/fleet/deregister", deregisterRequest{Worker: w.workerID()}, nil)
 	w.log.Info("worker stopped", "computes", w.Computes())
 	return ctx.Err()
 }
@@ -272,8 +259,8 @@ func (w *Worker) pullLoop(ctx context.Context, goneCh <-chan struct{}, reregiste
 		default:
 		}
 		id := w.workerID()
-		var lr leaseResponse
-		err := w.post(ctx, "/fleet/lease", leaseRequest{Worker: id, WaitMS: w.cfg.PollWait.Milliseconds()}, &lr)
+		var g Grant
+		err := w.post(ctx, "/fleet/lease", leaseRequest{Worker: id, WaitMS: w.cfg.PollWait.Milliseconds()}, &g)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -291,34 +278,33 @@ func (w *Worker) pullLoop(ctx context.Context, goneCh <-chan struct{}, reregiste
 			continue
 		}
 		errStreak = 0
-		if lr.Lease == 0 {
+		if g.Lease == 0 {
 			continue // long-poll timeout (204): poll again
 		}
-		w.serve(ctx, id, lr)
+		w.serve(ctx, id, g)
 	}
 }
 
 // serve computes one leased cell and reports the outcome.
-func (w *Worker) serve(ctx context.Context, id string, lr leaseResponse) {
+func (w *Worker) serve(ctx context.Context, id string, g Grant) {
 	w.mu.Lock()
-	w.holding[lr.Lease] = true
+	w.holding[g.Lease] = true
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
-		delete(w.holding, lr.Lease)
+		delete(w.holding, g.Lease)
 		w.mu.Unlock()
 	}()
-	w.log.Debug("leased cell", "lease", lr.Lease, "cell", lr.Spec.Name())
-	rec, err := w.cfg.Compute(ctx, lr.Spec)
-	req := completeRequest{Worker: id, Lease: lr.Lease}
+	w.log.Debug("leased cell", "lease", g.Lease, "cell", g.Spec.Name())
+	rec, err := w.cfg.Compute(ctx, g.Spec)
+	req := completeRequest{Worker: id, Lease: g.Lease}
 	if err != nil {
 		if ctx.Err() != nil {
-			// Shutting down mid-compute: give the cell back rather
-			// than reporting our cancellation as a compute failure.
-			req.Release = true
-		} else {
-			req.Error = err.Error()
+			// Shutting down mid-compute: Run's deregistration gives
+			// the cell back; our cancellation is no compute failure.
+			return
 		}
+		req.Error = err.Error()
 	} else {
 		req.Record = rec
 		w.mu.Lock()
@@ -333,10 +319,10 @@ func (w *Worker) serve(ctx context.Context, id string, lr leaseResponse) {
 	}
 	var cr completeResponse
 	if cerr := w.post(cctx, "/fleet/complete", req, &cr); cerr != nil {
-		w.log.Warn("complete failed", "lease", lr.Lease, "err", cerr.Error())
+		w.log.Warn("complete failed", "lease", g.Lease, "err", cerr.Error())
 		return
 	}
 	if cr.Stale {
-		w.log.Info("completion was stale (lease expired or requeued)", "lease", lr.Lease)
+		w.log.Info("completion was stale (lease expired or requeued)", "lease", g.Lease)
 	}
 }

@@ -568,7 +568,7 @@ func (s *Server) runCell(c CellSpec, idx int, tc trace.Ctx) CellResult {
 		return CellResult{Index: idx, Error: err.Error()}
 	}
 	rec, cached, err := s.store.GetOrCompute(key, tc, func(cs trace.Ctx) (*store.Record, error) {
-		return s.cfg.Fleet.Compute(s.ctx, c, key, cs)
+		return s.cfg.Fleet.Compute(s.ctx, c, cs)
 	})
 	if err != nil {
 		return CellResult{Index: idx, Key: key, Error: err.Error()}

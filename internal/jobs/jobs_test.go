@@ -121,7 +121,6 @@ func TestConcurrentClientsShareCells(t *testing.T) {
 			Features:  cell.Features,
 			Workloads: cell.Workloads,
 			MaxInsts:  cell.Insts,
-			MaxCycles: 40 * cell.Insts,
 		})
 		if err != nil {
 			t.Fatalf("direct run %d: %v", i, err)

@@ -300,3 +300,18 @@ func HistText(bw *bufio.Writer, name, labels string, h *Hist) {
 // formatFloat renders a float deterministically (shortest round-trip
 // form, matching strconv's exact conversion).
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// Dump renders the retained events oldest-first under a "flight
+// recorder" header, one line each: the section both the core's
+// machine dump and a failed run's crash report carry.  A nil or empty
+// ring renders as "".
+func (r *Ring) Dump() string {
+	if r == nil || r.Len() == 0 {
+		return ""
+	}
+	b := []byte("flight recorder (last " + strconv.Itoa(r.Len()) + " of " + strconv.FormatUint(r.Total(), 10) + " events):\n")
+	for _, e := range r.Events() {
+		b = append(b, "  "+e.String()+"\n"...)
+	}
+	return string(b)
+}

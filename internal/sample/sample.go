@@ -363,13 +363,12 @@ func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *
 	}
 	c := s.c
 	if cfg.Poll != nil {
-		c.SetPoll(0, cfg.Poll)
+		c.SetPoll(cfg.Poll)
 	}
 
-	// The cycle budget allows a CPI of 40 over warmup plus interval,
-	// plus 10_000 cycles of slack: the harness's detailed-cell budget
-	// (fleet.Execute's 40x), not the facade's 4x default.
-	budget := 40*(cfg.WarmupLen+cfg.IntervalLen) + 10_000
+	// Every run's cycle budget, core.MaxCPI cycles per instruction,
+	// over warmup plus interval, plus 10_000 cycles of slack.
+	budget := core.MaxCPI*(cfg.WarmupLen+cfg.IntervalLen) + 10_000
 	if _, err := c.Run(cfg.WarmupLen, budget); err != nil {
 		return iv, fmt.Errorf("detached warmup: %w", err)
 	}

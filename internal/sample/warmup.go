@@ -116,7 +116,7 @@ func (w *Warmup) Observe(si *emu.StepInfo) {
 		}
 		w.Pred.Commit(si.PC, in, &pr, si.Taken, si.Next)
 		if in.IsCondBranch() {
-			w.Conf.Update(core.TagAddr(w.progIdx, si.PC), pr.GHist, pr.Taken == si.Taken)
+			w.Conf.Update(core.TagAddr(w.progIdx, si.PC), pr.Taken == si.Taken)
 		}
 	}
 
@@ -173,9 +173,9 @@ func (w *Warmup) fastForward(e *emu.Emulator, n uint64) {
 			if taken {
 				next = isa.BranchTarget(*in, s1)
 			}
-			predTaken, hist := w.Pred.Train(0, pc, in, taken, next)
+			predTaken := w.Pred.Train(0, pc, in, taken, next)
 			if in.IsCondBranch() {
-				w.Conf.Update(core.TagAddr(w.progIdx, pc), hist, predTaken == taken)
+				w.Conf.Update(core.TagAddr(w.progIdx, pc), predTaken == taken)
 			}
 		default:
 			if in.WritesReg() {

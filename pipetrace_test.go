@@ -186,18 +186,17 @@ func TestPipetraceAcceptance(t *testing.T) {
 }
 
 // TestSnapshotHookDelivery pins the live-publication path the
-// observability server feeds from: periodic snapshots arrive at the
-// configured interval, the final snapshot matches the run's result, and
-// the copies never alias each other.
+// observability server feeds from: periodic snapshots arrive every
+// 65,536 commits, the final snapshot matches the run's result, and the
+// copies never alias each other.
 func TestSnapshotHookDelivery(t *testing.T) {
 	var snaps []*Snapshot
 	res, err := Run(Options{
-		Machine:       MachineByName("big.2.16"),
-		Features:      PresetByName("REC/RS/RU"),
-		Workloads:     []string{"compress"},
-		MaxInsts:      20_000,
-		SnapshotHook:  func(sn *Snapshot) { snaps = append(snaps, sn) },
-		SnapshotEvery: 4_096,
+		Machine:      MachineByName("big.2.16"),
+		Features:     PresetByName("REC/RS/RU"),
+		Workloads:    []string{"compress"},
+		MaxInsts:     140_000,
+		SnapshotHook: func(sn *Snapshot) { snaps = append(snaps, sn) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -198,10 +198,9 @@ type Options struct {
 	Programs  []*Program
 
 	// MaxInsts bounds total committed instructions (default
-	// DefaultMaxInsts).
+	// DefaultMaxInsts).  A detailed run also stops after 40*MaxInsts
+	// simulated cycles (core.MaxCPI), the backstop every run shares.
 	MaxInsts uint64
-	// MaxCycles bounds simulated cycles (default 4*MaxInsts).
-	MaxCycles uint64
 
 	// CommitHook, when non-nil, observes every committed instruction
 	// in commit order, on the goroutine running the simulation.
@@ -222,19 +221,11 @@ type Options struct {
 	PipeTrace *PipeTracer
 
 	// SnapshotHook, when non-nil, receives an immutable copy of the
-	// run's statistics and telemetry every SnapshotEvery committed
-	// instructions (default 65536) and once more after the run — the
-	// feed for a live observability server.  The copies never alias
-	// simulator state, so the hook may hand them to other goroutines.
-	SnapshotHook  func(*Snapshot)
-	SnapshotEvery uint64
-
-	// PollEveryCycles is RunContext's cancellation-poll cadence in
-	// simulated cycles (default 4096).  The cadence is counted in cycles, not
-	// wall time, so enabling cancellation never perturbs simulation
-	// results — an uncancelled run is byte-identical with or without a
-	// context attached.
-	PollEveryCycles uint64
+	// run's statistics and telemetry every 65,536 committed
+	// instructions and once more after the run — the feed for a live
+	// observability server.  The copies never alias simulator state,
+	// so the hook may hand them to other goroutines.
+	SnapshotHook func(*Snapshot)
 
 	// Sampling, when non-nil, supplies the schedule for RunSampled;
 	// the detailed Run/RunContext entry points ignore it.  A
@@ -267,18 +258,15 @@ func Run(o Options) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the simulation
-// polls ctx every Options.PollEveryCycles simulated cycles (default
-// 4096) and stops early — returning the partial Result and a
-// *SimError wrapping ErrCanceled or ErrDeadline — when the context is
-// done.  Polling is cycle-counted, so an uncancelled run commits the
-// identical instruction stream with or without a context.
+// polls ctx every 4096 simulated cycles and stops early — returning
+// the partial Result and a *SimError wrapping ErrCanceled or
+// ErrDeadline — when the context is done.  Polling is cycle-counted,
+// so an uncancelled run commits the identical instruction stream with
+// or without a context.
 func RunContext(ctx context.Context, o Options) (*Result, error) {
 	progs, err := prepare(&o)
 	if err != nil {
 		return nil, err
-	}
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 4 * o.MaxInsts
 	}
 	if err := o.Machine.Validate(); err != nil {
 		return nil, err
@@ -292,10 +280,6 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 	}
 	c.CommitHook = o.CommitHook
 	if o.SnapshotHook != nil {
-		every := o.SnapshotEvery
-		if every == 0 {
-			every = 65536
-		}
 		inner := o.CommitHook
 		var committed uint64
 		c.CommitHook = func(ci CommitInfo) {
@@ -303,7 +287,7 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 				inner(ci)
 			}
 			committed++
-			if committed%every == 0 {
+			if committed%snapshotEvery == 0 {
 				o.SnapshotHook(coreSnapshot(c))
 			}
 		}
@@ -314,13 +298,13 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 	c.SetRing(o.FlightRecorder)
 	c.SetPipeTrace(o.PipeTrace)
 	if ctx != nil && ctx.Done() != nil {
-		c.SetPoll(o.PollEveryCycles, ctx.Err)
+		c.SetPoll(ctx.Err)
 	}
 	if o.hookCore != nil {
 		o.hookCore(c)
 	}
 
-	res, runErr, panicVal, stack := runCore(c, o.MaxInsts, o.MaxCycles)
+	res, runErr, panicVal, stack := runCore(c, o.MaxInsts, core.MaxCPI*o.MaxInsts)
 	if runErr == nil && panicVal == nil {
 		if o.Telemetry != nil {
 			o.Telemetry.Add(c.Obs)
@@ -358,6 +342,9 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 // Options.MaxInsts is zero, detailed or sampled; the job service keys
 // a cell submitted without a budget under it.
 const DefaultMaxInsts = 200_000
+
+// snapshotEvery is the SnapshotHook cadence in committed instructions.
+const snapshotEvery = 65536
 
 // prepare is the setup RunContext and RunSampledContext share: it
 // applies the budget default to o and resolves the programs o names.
