@@ -1,40 +1,62 @@
 // Command recycleasm assembles a .ras source file and prints a listing
 // (PC, encoded form, disassembly) plus the data segment, or runs the
-// program on the golden emulator with -run.
+// program on the golden emulator with -run.  The data listing walks
+// the program's dense data image in address order and shows its first
+// 32 words, with their labels.
 //
 //	recycleasm prog.ras
 //	recycleasm -run -steps 10000 prog.ras
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"recyclesim/internal/asm"
 	"recyclesim/internal/emu"
 	"recyclesim/internal/isa"
+	"recyclesim/internal/program"
 )
 
+// listedWords is how many data words the listing shows.
+const listedWords = 32
+
 func main() {
-	run := flag.Bool("run", false, "execute on the functional emulator after assembling")
-	steps := flag.Uint64("steps", 100_000, "emulator step budget with -run")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: recycleasm [-run] [-steps n] file.ras")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams; it
+// returns the exit status: 2 for a usage error, 1 for a file that does
+// not read or assemble.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("recycleasm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exec := fs.Bool("run", false, "execute on the functional emulator after assembling")
+	steps := fs.Uint64("steps", 100_000, "emulator step budget with -run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: recycleasm [-run] [-steps n] file.ras")
+		return 2
 	}
 
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	prog, err := asm.Assemble(flag.Arg(0), string(src))
+	prog, err := asm.Assemble(fs.Arg(0), string(src))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	// Invert the label table for the listing.
@@ -46,44 +68,40 @@ func main() {
 		sort.Strings(names)
 	}
 
-	fmt.Printf("; %s — %d instructions, %d data words\n",
+	fmt.Fprintf(stdout, "; %s — %d instructions, %d data words\n",
 		prog.Name, len(prog.Code), len(prog.Data))
 	for i, in := range prog.Code {
 		pc := prog.Entry + uint64(i*isa.InstBytes)
 		for _, l := range byAddr[pc] {
-			fmt.Printf("%s:\n", l)
+			fmt.Fprintf(stdout, "%s:\n", l)
 		}
-		fmt.Printf("  0x%04x  %v\n", pc, in)
+		fmt.Fprintf(stdout, "  0x%04x  %v\n", pc, in)
 	}
 
 	if len(prog.Data) > 0 {
-		fmt.Println("\n; data")
-		addrs := make([]uint64, 0, len(prog.Data))
-		for a := range prog.Data {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		shown := 0
-		for _, a := range addrs {
+		fmt.Fprintln(stdout, "\n; data")
+		for i, v := range prog.Data {
+			a := program.DataBase + 8*uint64(i)
 			for _, l := range byAddr[a] {
-				fmt.Printf("%s:\n", l)
+				fmt.Fprintf(stdout, "%s:\n", l)
 			}
-			fmt.Printf("  0x%06x  %d\n", a, prog.Data[a])
-			if shown++; shown >= 32 {
-				fmt.Printf("  ... (%d more words)\n", len(addrs)-shown)
+			fmt.Fprintf(stdout, "  0x%06x  %d\n", a, v)
+			if i+1 == listedWords {
+				fmt.Fprintf(stdout, "  ... (%d more words)\n", len(prog.Data)-listedWords)
 				break
 			}
 		}
 	}
 
-	if *run {
+	if *exec {
 		e := emu.New(prog)
 		n := e.Run(*steps)
-		fmt.Printf("\n; ran %d instructions, halted=%v, pc=0x%x\n", n, e.Halted, e.PC)
+		fmt.Fprintf(stdout, "\n; ran %d instructions, halted=%v, pc=0x%x\n", n, e.Halted, e.PC)
 		for r := 1; r < 16; r++ {
 			if e.Regs[r] != 0 {
-				fmt.Printf(";   r%-2d = %d\n", r, int64(e.Regs[r]))
+				fmt.Fprintf(stdout, ";   r%-2d = %d\n", r, int64(e.Regs[r]))
 			}
 		}
 	}
+	return 0
 }

@@ -107,7 +107,7 @@ func (e *SimError) Unwrap() []error {
 // RunContext builds a SimError, and it ignores Sampling.
 func fingerprint(o Options) string {
 	names := strings.Join(o.Workloads, "+")
-	if len(o.Programs) > 0 {
+	if len(o.Workloads) == 0 {
 		names = fmt.Sprintf("%dprogs", len(o.Programs))
 	}
 	feat := FeatureName(o.Features)

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,16 +84,61 @@ func TestBuilderDataSymbols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Data[addr] != 42 {
-		t.Errorf("word init = %d", p.Data[addr])
+	word := func(a uint64) uint64 { return p.Data[(a-program.DataBase)/8] }
+	if word(addr) != 42 {
+		t.Errorf("word init = %d", word(addr))
 	}
-	if p.Data[arr+24] != 0 {
-		t.Errorf("array zero-fill failed: %d", p.Data[arr+24])
+	if word(arr+24) != 0 {
+		t.Errorf("array zero-fill failed: %d", word(arr+24))
+	}
+	if want := []uint64{42, 1, 2, 3, 0}; !slices.Equal(p.Data, want) {
+		t.Errorf("data image %v, want %v", p.Data, want)
 	}
 	e := emu.New(p)
 	e.Run(100)
 	if e.Regs[2] != 42 || e.Regs[4] != 3 {
 		t.Errorf("r2=%d r4=%d", e.Regs[2], e.Regs[4])
+	}
+}
+
+// TestBuilderArrayTooManyValues: more values than words is a builder
+// error, as is a negative count; the values are not silently dropped.
+func TestBuilderArrayTooManyValues(t *testing.T) {
+	for _, n := range []int{2, -1} {
+		b := NewBuilder("extra")
+		b.Array("a", n, 7, 8, 9)
+		b.Halt()
+		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), `array "a": 3 values`) {
+			t.Errorf("count %d: error %v, want one naming the array and its 3 values", n, err)
+		}
+	}
+}
+
+// TestBuilderDataStopsAtStack: the data image may fill the segment up
+// to StackBase, from which the stacks grow down, and not one word more.
+func TestBuilderDataStopsAtStack(t *testing.T) {
+	fits := int((program.StackBase - program.DataBase) / 8)
+	build := func(words int, tail bool) (*program.Program, error) {
+		b := NewBuilder("big")
+		b.Array("big", words)
+		if tail {
+			b.Word("tail", 1)
+		}
+		b.Halt()
+		return b.Build()
+	}
+	p, err := build(fits, false)
+	if err != nil {
+		t.Fatalf("%d words, the last at %#x: %v", fits, program.StackBase-8, err)
+	}
+	if end := program.DataBase + 8*uint64(len(p.Data)); end != program.StackBase {
+		t.Errorf("image ends at %#x, want %#x", end, program.StackBase)
+	}
+	if _, err := build(fits+1, false); err == nil || !strings.Contains(err.Error(), "stack") {
+		t.Errorf("an array of %d words: error %v, want the image refused", fits+1, err)
+	}
+	if _, err := build(fits, true); err == nil || !strings.Contains(err.Error(), "stack") {
+		t.Errorf("a word after %d words: error %v, want the image refused", fits, err)
 	}
 }
 
@@ -187,12 +233,29 @@ func TestAssembleErrors(t *testing.T) {
 		"add r1, r2, 7x",
 		".word onlyname",
 		".array a 0",
+		".array big 1000000",
 		"li r99, 1",
 	}
 	for _, src := range cases {
 		if _, err := Assemble("bad", src); err == nil {
 			t.Errorf("expected error for %q", src)
 		}
+	}
+}
+
+// TestAssembleArrayExtraValues: an .array line with more values than
+// its count is refused with its line number, not assembled short.
+func TestAssembleArrayExtraValues(t *testing.T) {
+	_, err := Assemble("extra", "halt\n.array a 2 7 8 9\n")
+	if err == nil || !strings.HasPrefix(err.Error(), "extra:2:") || !strings.Contains(err.Error(), "3 values for 2 words") {
+		t.Errorf("error %v, want extra:2: ... 3 values for 2 words", err)
+	}
+	p, err := Assemble("exact", ".array a 3 7 8 9\nhalt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(p.Data, []uint64{7, 8, 9}) {
+		t.Errorf("exact count: data %v, want [7 8 9]", p.Data)
 	}
 }
 

@@ -26,9 +26,8 @@ type Builder struct {
 	code   []isa.Inst
 	labels map[string]uint64
 	fixups []fixup
-	data   map[uint64]uint64
+	data   []uint64 // data[i] initializes program.DataBase + 8*i
 	dsyms  map[string]uint64
-	nextDA uint64 // next free data address
 	errs   []error
 }
 
@@ -42,9 +41,7 @@ func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:   name,
 		labels: make(map[string]uint64),
-		data:   make(map[uint64]uint64),
 		dsyms:  make(map[string]uint64),
-		nextDA: program.DataBase,
 	}
 }
 
@@ -81,28 +78,38 @@ func (b *Builder) Label(name string) {
 // Word reserves an 8-byte data word with an initial value and returns
 // its address.  If sym is non-empty the address is also recorded in the
 // program's symbol table.
-func (b *Builder) Word(sym string, val uint64) uint64 {
-	addr := b.nextDA
-	b.nextDA += 8
-	b.data[addr] = val
-	if sym != "" {
-		b.dsyms[sym] = addr
-	}
-	return addr
-}
+func (b *Builder) Word(sym string, val uint64) uint64 { return b.Array(sym, 1, val) }
+
+// maxDataWords is the most data words a program may hold: the image
+// must end at or below StackBase, from which the stacks grow down.
+const maxDataWords = (program.StackBase - program.DataBase) / 8
 
 // Array reserves n consecutive 8-byte words initialized from vals
-// (zero-filled past len(vals)) and returns the base address.
+// (zero-filled past len(vals)) and returns the base address.  More
+// values than words, or an image that would run into the stacks, is
+// an error Build reports.
 func (b *Builder) Array(sym string, n int, vals ...uint64) uint64 {
-	base := b.nextDA
-	for i := 0; i < n; i++ {
-		v := uint64(0)
-		if i < len(vals) {
-			v = vals[i]
-		}
-		b.data[b.nextDA] = v
-		b.nextDA += 8
+	i := len(b.data)
+	base := program.DataBase + 8*uint64(i)
+	switch {
+	case n < 0 || len(vals) > n:
+		b.errs = append(b.errs, fmt.Errorf("array %q: %d values for %d words", sym, len(vals), n))
+		return base
+	case uint64(i+n) > maxDataWords:
+		b.errs = append(b.errs, fmt.Errorf("data %q: image of %d words runs past the stack base %#x",
+			sym, i+n, program.StackBase))
+		return base
 	}
+	if i+n > cap(b.data) {
+		// Grown by hand: slices.Grow also allocates a scratch slice of
+		// n words under the race detector.
+		grown := make([]uint64, i, 2*(i+n))
+		copy(grown, b.data)
+		b.data = grown
+	}
+	b.data = b.data[:i+n]
+	copied := copy(b.data[i:], vals)
+	clear(b.data[i+copied:])
 	if sym != "" {
 		b.dsyms[sym] = base
 	}

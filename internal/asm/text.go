@@ -13,7 +13,7 @@ import (
 //
 //	; comment (also # and //)
 //	.word   name value          ; reserve one initialized data word
-//	.array  name count [v ...]  ; reserve count words
+//	.array  name count [v ...]  ; reserve count words, at most count values
 //	label:
 //	    li   r1, 42
 //	    la   r2, name
@@ -90,6 +90,9 @@ func directive(b *Builder, fields []string) error {
 		n, err := strconv.Atoi(fields[2])
 		if err != nil || n <= 0 {
 			return fmt.Errorf("bad array count %q", fields[2])
+		}
+		if len(fields)-3 > n {
+			return fmt.Errorf(".array %s: %d values for %d words", fields[1], len(fields)-3, n)
 		}
 		vals := make([]uint64, 0, len(fields)-3)
 		for _, f := range fields[3:] {

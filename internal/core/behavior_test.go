@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"recyclesim/internal/asm"
 	"recyclesim/internal/config"
 	"recyclesim/internal/program"
 	"recyclesim/internal/workload"
@@ -254,5 +255,52 @@ func TestFeatureGatedRecycleState(t *testing.T) {
 			}
 			tables("after Reseed")
 		})
+	}
+}
+
+// TestOwnBackMergeShadowedByFirstPC pins a known fidelity gap, not a
+// desired behaviour: when a context's first-PC merge point (its oldest
+// retained entry) has the same PC as its backward (loop) merge point,
+// tryMerge skips the loop merge.  MergePoints.Match prefers the
+// first-PC point, so the `ok && back` test fails.  A fix changes
+// simulated results and must flip this test on purpose (see
+// EXPERIMENTS.md, Table 1).
+func TestOwnBackMergeShadowedByFirstPC(t *testing.T) {
+	b := asm.NewBuilder("tight")
+	b.Li(asm.R(1), 1_000_000)
+	b.Label("loop")
+	b.Addi(asm.R(2), asm.R(2), 1)
+	b.Addi(asm.R(3), asm.R(3), 3)
+	b.Addi(asm.R(1), asm.R(1), -1)
+	b.Bne(asm.R(1), asm.R(0), "loop")
+	b.Halt()
+	c, err := New(config.Big216(), config.REC, []*program.Program{b.MustBuild()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Find a cycle where the primary holds both points on the loop head,
+	// has no live stream, and no other context holds a trace.
+	var ctx *Context
+	for i := 0; i < 20_000 && ctx == nil && !c.Done(); i++ {
+		c.Cycle()
+		for _, x := range c.ctxs {
+			mp := x.mp
+			if x.isPrimary && x.stream == nil && mp.FirstValid && mp.BackValid && mp.FirstPC == mp.BackPC &&
+				x.part.mask&^c.inState[CtxIdle] == 1<<uint(x.id) {
+				ctx = x
+			}
+		}
+	}
+	if ctx == nil {
+		t.Fatal("no cycle put both merge points of a primary on the loop head")
+	}
+	pc := ctx.mp.BackPC
+	if c.tryMerge(ctx, pc) || ctx.stream != nil {
+		t.Fatal("the backward merge was taken: the first-PC shadowing is fixed, so flip this test and update EXPERIMENTS.md")
+	}
+	// The same state without the first-PC point takes the loop merge.
+	ctx.mp.FirstValid = false
+	if !c.tryMerge(ctx, pc) || ctx.stream == nil {
+		t.Error("without a first-PC point the backward merge was still skipped")
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"recyclesim"
 	"recyclesim/internal/config"
 	"recyclesim/internal/obs"
+	"recyclesim/internal/program"
 	"recyclesim/internal/sample"
 	"recyclesim/internal/store"
 	"recyclesim/internal/workload"
@@ -98,12 +99,12 @@ const mixHashCap = 4096
 // mixes is the process-wide memo behind Spec.Key.
 var mixes mixHashes
 
-// mixHashes memoizes store.HashPrograms(workload.MixPrograms(names)) per
-// names list.  Within one binary a program is a pure function of its
-// name (workload.ByName uses fixed seeds), so a list's hash never
+// mixHashes memoizes store.HashPrograms of a names list's built-in
+// programs per list.  Within one binary a program is a pure function of
+// its name (workload.ByName uses fixed seeds), so a list's hash never
 // changes while the process runs, and serving a stored cell need not
-// rebuild and re-hash its programs.  Lists that fail to resolve are
-// never stored, nor is the empty list.
+// re-hash its programs.  Lists that fail to resolve are never stored,
+// nor is the empty list.
 type mixHashes struct {
 	mu     sync.Mutex
 	hashes map[string]string // names joined by NUL -> workload hash
@@ -122,7 +123,7 @@ func (m *mixHashes) hash(names []string) (string, error) {
 			return h, nil
 		}
 	}
-	progs, err := workload.MixPrograms(names)
+	progs, err := builtins.programs(names)
 	if err != nil {
 		return "", err
 	}
@@ -136,6 +137,44 @@ func (m *mixHashes) hash(names []string) (string, error) {
 		m.mu.Unlock()
 	}
 	return h, nil
+}
+
+// builtins is the process-wide memo of built programs behind Execute
+// and Spec.Key.
+var builtins builtinPrograms
+
+// builtinPrograms builds each built-in program once per process and
+// hands every cell the same *program.Program: a built program is never
+// written (each run copies its data into a memory of its own), so
+// concurrent cells share it safely.  Only names workload.ByName
+// resolves are stored, so the memo holds at most len(workload.Names)
+// programs and needs no cap.
+type builtinPrograms struct {
+	mu    sync.Mutex
+	progs map[string]*program.Program
+}
+
+// programs returns the programs of a names list, building each name on
+// its first use.  An unknown name is workload.ByName's error.
+func (b *builtinPrograms) programs(names []string) ([]*program.Program, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]*program.Program, len(names))
+	for i, n := range names {
+		p := b.progs[n]
+		if p == nil {
+			var err error
+			if p, err = workload.ByName(n); err != nil {
+				return nil, err
+			}
+			if b.progs == nil {
+				b.progs = make(map[string]*program.Program, len(workload.Names))
+			}
+			b.progs[n] = p
+		}
+		out[i] = p
+	}
+	return out, nil
 }
 
 // Execute computes one cell in-process: the canonical Spec→Record
@@ -153,10 +192,17 @@ func Execute(ctx context.Context, spec Spec) (*store.Record, error) {
 // diagnostics, not part of the cell's identity, so it is not a Spec
 // field.
 func ExecuteWithCrashDir(ctx context.Context, spec Spec, crashDir string) (*store.Record, error) {
+	// The shared built programs, so no cell rebuilds its mix; Workloads
+	// still names them in fingerprints and crash bundles.
+	progs, err := builtins.programs(spec.Workloads)
+	if err != nil {
+		return nil, err
+	}
 	o := recyclesim.Options{
 		Machine:   spec.Machine,
 		Features:  spec.Features,
 		Workloads: spec.Workloads,
+		Programs:  progs,
 		MaxInsts:  spec.budget(),
 		CrashDir:  crashDir,
 	}

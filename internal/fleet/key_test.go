@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"recyclesim"
 	"recyclesim/internal/config"
+	"recyclesim/internal/obs"
 	"recyclesim/internal/sample"
 	"recyclesim/internal/store"
 	"recyclesim/internal/workload"
@@ -160,5 +164,84 @@ func TestMixMemoBounded(t *testing.T) {
 	}
 	if n := memoLen(); n != 1 {
 		t.Errorf("memo holds %d entries after the reset, want 1", n)
+	}
+}
+
+// TestBuiltinProgramsShared: the program memo hands out one *Program
+// per name, on every call and within one list, and an unknown name
+// fails with the resolver's own error without entering the memo.
+func TestBuiltinProgramsShared(t *testing.T) {
+	first, err := builtins.programs([]string{"gcc", "li", "gcc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first[0] != first[2] {
+		t.Error("one name built twice within a list")
+	}
+	second, err := builtins.programs([]string{"li", "gcc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second[0] != first[1] || second[1] != first[0] {
+		t.Error("a second call rebuilt a memoized program")
+	}
+	for _, names := range [][]string{{"nonesuch"}, {"gcc", "nonesuch"}} {
+		_, want := workload.MixPrograms(names)
+		if _, err := builtins.programs(names); want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%q: error %v, want %v", names, err, want)
+		}
+	}
+	builtins.mu.Lock()
+	_, stored := builtins.progs["nonesuch"]
+	n := len(builtins.progs)
+	builtins.mu.Unlock()
+	if stored || n > len(workload.Names) {
+		t.Errorf("memo holds %d programs (unknown name stored: %v)", n, stored)
+	}
+}
+
+// TestExecuteSharedProgramsRace: goroutines computing the same detailed
+// cell through Execute share one set of built programs, and each record
+// is byte-identical to one computed from freshly built programs.  Under
+// -race this also witnesses that no run writes a shared program.
+func TestExecuteSharedProgramsRace(t *testing.T) {
+	spec := keyCell(config.RECRSRU, []string{"compress", "li"}, 10_000)
+	progs, err := workload.MixPrograms(spec.Workloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := recyclesim.Options{Machine: spec.Machine, Features: spec.Features, Programs: progs,
+		MaxInsts: spec.Insts, Telemetry: &obs.Metrics{Hists: true}}
+	res, err := recyclesim.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&store.Record{Stats: res, Metrics: o.Telemetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 4
+	got := make([][]byte, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec, err := Execute(context.Background(), spec)
+			if err == nil {
+				got[g], err = json.Marshal(rec)
+			}
+			errs[g] = err
+		}()
+	}
+	wg.Wait()
+	for g := range workers {
+		if errs[g] != nil {
+			t.Errorf("goroutine %d: %v", g, errs[g])
+		} else if !bytes.Equal(got[g], want) {
+			t.Errorf("goroutine %d: record differs from a run on fresh programs", g)
+		}
 	}
 }

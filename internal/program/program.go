@@ -22,11 +22,16 @@ const (
 )
 
 // Program is an assembled, relocated program image.
+//
+// A built program is never written afterwards: the core, the golden
+// emulator and sampled mode each copy Data into a Memory of their own
+// (NewMemory), so one Program may be shared by any number of
+// concurrent runs.
 type Program struct {
 	Name   string
 	Code   []isa.Inst        // Code[i] is the instruction at CodeBase + i*InstBytes
 	Entry  uint64            // entry PC
-	Data   map[uint64]uint64 // initial data memory (8-byte words, 8-byte aligned)
+	Data   []uint64          // initial data memory: Data[i] is the word at DataBase + 8*i
 	Labels map[string]uint64 // symbol table (code labels and data symbols)
 }
 
@@ -109,12 +114,14 @@ type page [pageWords]uint64
 // never modified.
 var zeroPage page
 
-// NewMemory creates a memory initialized from the program's data image.
+// NewMemory creates a memory initialized from the program's data
+// image, one page-sized copy at a time.  Every page the image touches
+// is allocated, even one whose words are all zero.
 func NewMemory(p *Program) *Memory {
 	m := &Memory{}
-	//simlint:ignore determinism puresim -- Data keys are aligned, so each lands in its own word, and pages are kept sorted by number: visit order is immaterial
-	for a, v := range p.Data {
-		m.Write(a, v)
+	for i := 0; i < len(p.Data); {
+		addr := DataBase + 8*uint64(i)
+		i += copy(m.pageFor(addr >> pageShift)[addr>>3&(pageWords-1):], p.Data[i:])
 	}
 	return m
 }

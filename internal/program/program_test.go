@@ -59,7 +59,7 @@ func TestValidate(t *testing.T) {
 
 func TestMemoryReadWrite(t *testing.T) {
 	p := prog2()
-	p.Data = map[uint64]uint64{DataBase: 7}
+	p.Data = []uint64{7}
 	m := NewMemory(p)
 	if m.Read(DataBase) != 7 {
 		t.Error("initial data missing")
@@ -116,7 +116,7 @@ func TestMemoryWordSemantics(t *testing.T) {
 // exactly the changed words, and reproduce the memory via Apply.
 func TestMemoryDeltaApplyRoundTrip(t *testing.T) {
 	p := prog2()
-	p.Data = map[uint64]uint64{DataBase: 7, DataBase + 8: 9}
+	p.Data = []uint64{7, 9}
 	base := NewMemory(p)
 	m := NewMemory(p)
 	m.Write(DataBase, 100)   // changed word
@@ -145,7 +145,7 @@ func TestMemoryDeltaApplyRoundTrip(t *testing.T) {
 // An unchanged memory has an empty delta.
 func TestMemoryDeltaEmpty(t *testing.T) {
 	p := prog2()
-	p.Data = map[uint64]uint64{DataBase: 3}
+	p.Data = []uint64{3}
 	if d := NewMemory(p).Delta(NewMemory(p), nil); len(d) != 0 {
 		t.Errorf("fresh memory delta = %v, want empty", d)
 	}
@@ -168,8 +168,11 @@ func TestMemoryAllocs(t *testing.T) {
 	// initial image into the memory the previous interval left: the
 	// same page set, so the copy must reuse every page.
 	p := prog2()
-	p.Data = map[uint64]uint64{DataBase: 7, DataBase + 0x1000: 3, StackBase - 8: 1}
+	p.Data = make([]uint64, pageWords+1)
+	p.Data[0], p.Data[pageWords] = 7, 3
 	base, dst := NewMemory(p), NewMemory(p)
+	base.Write(StackBase-8, 1)
+	dst.Write(StackBase-8, 1)
 	dst.Write(DataBase+8, 5)
 	if n := testing.AllocsPerRun(100, func() { dst.CopyFrom(base); dst.Write(DataBase+8, 5) }); n != 0 {
 		t.Errorf("CopyFrom between memories with the same pages: %v allocs", n)
@@ -183,7 +186,7 @@ func TestMemoryAllocs(t *testing.T) {
 // lacks, yields an exact copy; the retired pages come back zeroed.
 func TestMemoryCopyFrom(t *testing.T) {
 	p := prog2()
-	p.Data = map[uint64]uint64{DataBase: 7}
+	p.Data = []uint64{7}
 	src := NewMemory(p)
 	var m Memory
 	m.CopyFrom(src)
@@ -201,6 +204,53 @@ func TestMemoryCopyFrom(t *testing.T) {
 	}
 	if src.Read(0x4000) != 0 || src.Read(StackBase-8) != 0 {
 		t.Error("writes to the copy reached its source")
+	}
+}
+
+// nonZeroWords returns p's data image as a map of its non-zero words
+// by address: a reference memory, where an absent word reads zero.
+func nonZeroWords(p *Program) map[uint64]uint64 {
+	out := make(map[uint64]uint64)
+	for i, v := range p.Data {
+		if v != 0 {
+			out[DataBase+8*uint64(i)] = v
+		}
+	}
+	return out
+}
+
+// TestNewMemoryMatchesWrites: NewMemory's page copies build the same
+// memory as one Write per image word, zero words included: the same
+// words, the same pages, and an empty Delta either way.  The images end
+// mid-page, fill exactly one page, and cross one or two page edges.
+func TestNewMemoryMatchesWrites(t *testing.T) {
+	for _, n := range []int{0, 1, 100, pageWords - 1, pageWords, pageWords + 1, 2*pageWords + 37} {
+		p := prog2()
+		p.Data = make([]uint64, n)
+		for i := range p.Data {
+			if i%3 != 0 {
+				p.Data[i] = uint64(i)*0x9e37_79b9_7f4a_7c15 + 1
+			}
+		}
+		got, want := NewMemory(p), &Memory{}
+		for i, v := range p.Data {
+			want.Write(DataBase+8*uint64(i), v)
+		}
+		if !slices.Equal(got.order, want.order) {
+			t.Errorf("%d words: pages %v, want %v", n, got.order, want.order)
+		}
+		for i := -1; i <= n; i++ {
+			a := DataBase + 8*uint64(i)
+			if g, w := got.Read(a), want.Read(a); g != w {
+				t.Errorf("%d words: Read(%#x) = %d, want %d", n, a, g, w)
+			}
+		}
+		if d := got.Delta(want, nil); len(d) != 0 {
+			t.Errorf("%d words: Delta from one Write per word = %v, want empty", n, d)
+		}
+		if d := want.Delta(got, nil); len(d) != 0 {
+			t.Errorf("%d words: Delta to one Write per word = %v, want empty", n, d)
+		}
 	}
 }
 
@@ -228,9 +278,11 @@ func FuzzMemory(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), 4*256)]
 		p := prog2()
-		p.Data = map[uint64]uint64{DataBase: 7, DataBase + 8: 9, DataBase + 0x1000: 3}
+		p.Data = make([]uint64, pageWords+1)
+		p.Data[0], p.Data[1], p.Data[pageWords] = 7, 9, 3
+		image := nonZeroWords(p)
 		m, base := NewMemory(p), NewMemory(p)
-		ref, baseRef := maps.Clone(p.Data), maps.Clone(p.Data)
+		ref, baseRef := maps.Clone(image), maps.Clone(image)
 		var buf []Word // reused by the appending Delta op
 		check := func(what string, m *Memory, ref map[uint64]uint64) {
 			t.Helper()
@@ -299,7 +351,7 @@ func FuzzMemory(f *testing.F) {
 				// one write; m first writes b, on whatever page the
 				// next neighbourhood gives, which the source lacks
 				// unless the two coincide.
-				src, srcRef := NewMemory(p), maps.Clone(p.Data)
+				src, srcRef := NewMemory(p), maps.Clone(image)
 				src.Write(a, val)
 				srcRef[a&^7] = val
 				b := fuzzBases[(int(ops[1])+1)%len(fuzzBases)] + uint64(ops[3])
@@ -321,7 +373,7 @@ func FuzzMemory(f *testing.F) {
 				check("copy after a write", m, ref)
 				check("source after writes to its copy", src, srcRef)
 				// m now derives from the program image by writes.
-				base, baseRef = NewMemory(p), maps.Clone(p.Data)
+				base, baseRef = NewMemory(p), maps.Clone(image)
 			case 6:
 				// Keep a prefix of the previous buffer (or one marker
 				// word when it is empty) and append the delta behind it.

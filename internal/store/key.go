@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 
 	"recyclesim/internal/config"
@@ -20,8 +19,9 @@ import (
 const keySchema = "recyclesim-cell-v1"
 
 // HashPrograms returns the content hash of a resolved workload: every
-// instruction, the initialized data image (sorted by address), and the
-// entry point of every program in the mix.  Two workloads with the
+// instruction, the initialized data image (one line per word, in
+// address order, read straight off the dense image), and the entry
+// point of every program in the mix.  Two workloads with the
 // same name but different generated code hash differently, so a store
 // shared across simulator versions can never serve a stale workload's
 // results.
@@ -32,14 +32,8 @@ func HashPrograms(progs []*program.Program) string {
 		for i, in := range p.Code {
 			fmt.Fprintf(h, "%d %+v\n", i, in)
 		}
-		addrs := make([]uint64, 0, len(p.Data))
-		//simlint:ignore determinism -- keys are sorted immediately below
-		for a := range p.Data {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			fmt.Fprintf(h, "data %#x %#x\n", a, p.Data[a])
+		for i, v := range p.Data {
+			fmt.Fprintf(h, "data %#x %#x\n", program.DataBase+8*uint64(i), v)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"recyclesim/internal/emu"
@@ -140,5 +141,28 @@ func TestBenchmarkMispredictCharacter(t *testing.T) {
 	}
 	if benign > 0.10 {
 		t.Errorf("predictable benchmarks mispredict too much: %.3f", benign)
+	}
+}
+
+// TestBuildAllocBudget: building all eight kernels stays within 512 KB
+// of allocation.  Each data image is one dense slice grown once per
+// array; a map entry per word cost about 1.4 MB.
+func TestBuildAllocBudget(t *testing.T) {
+	const budget = 512 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	progs, err := MixPrograms(Names)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := 0
+	for _, p := range progs {
+		words += len(p.Data)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("building %d kernels (%d data words) allocates %d bytes", len(progs), words, got)
+	if got > budget {
+		t.Errorf("building the kernels allocates %d bytes, over the %d-byte budget", got, budget)
 	}
 }

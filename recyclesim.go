@@ -193,7 +193,9 @@ type Options struct {
 	Features Features
 
 	// Workloads names built-in benchmarks (one partition each).
-	// Programs, when non-empty, is used instead.
+	// Programs, when non-empty, is used instead, and Workloads, if
+	// given, only names those programs in fingerprints and crash
+	// bundles.
 	Workloads []string
 	Programs  []*Program
 
