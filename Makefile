@@ -23,12 +23,17 @@
 #                    table at 200k instructions per cell, a blank line,
 #                    then the sampled Figure 3 at 2M (not part of check;
 #                    CI reruns it and fails if the file changes)
+#   make size        non-test, non-blank, non-comment Go lines outside
+#                    bench/ and testdata/, per package directory and in
+#                    total, over the files git tracks or would track
+#                    (so ignored build output such as .bench_build/
+#                    never counts; not part of check)
 #
 # The benchmark is bench/ (bash bench/run.sh); see bench/README.md.
 
 GO ?= go
 
-.PHONY: check fmt vet build lint test fuzz smoke invariant results
+.PHONY: check fmt vet build lint test fuzz smoke invariant results size
 
 check: fmt vet build lint test fuzz smoke
 
@@ -74,3 +79,13 @@ results:
 	{ $(GO) run ./cmd/experiments -all -insts 200000 && echo && \
 	  $(GO) run ./cmd/experiments -sampled -insts 2000000; } > results.txt.tmp
 	mv results.txt.tmp results.txt
+
+size:
+	@git ls-files -co --exclude-standard -- '*.go' | \
+	grep -Ev -e '_test\.go$$' -e '^bench/' -e '(^|/)testdata/' | \
+	awk '{ f = $$0; d = f; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+	       while ((getline line < f) > 0) { sub(/^[ \t]+/, "", line); \
+	         if (line != "" && line !~ /^\/\//) { n[d]++; total++ } } \
+	       close(f) } \
+	     END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; \
+	           close("sort -k2"); printf "%7d  total\n", total }'

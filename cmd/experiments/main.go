@@ -315,7 +315,7 @@ type runner struct {
 	// its Spec.Key, the key a recycled daemon's store uses.
 	store *store.Store
 
-	seen  map[cellID]int
+	seen  map[string]int // Spec.Key -> index into specs
 	specs []fleet.Spec
 	recs  []*store.Record
 	errs  []error
@@ -335,20 +335,8 @@ type runner struct {
 	publish func(*stats.Sim, *obs.Metrics)
 }
 
-// cellID is a cell's memo identity within one run.  Machines are
-// presets, so their name stands for them; config.Features is a flat
-// comparable struct, embedded whole because custom knob combinations
-// share a figure-legend name; the sampling schedule is fixed per run.
-type cellID struct {
-	mach    string
-	feat    config.Features
-	names   string
-	insts   uint64
-	sampled bool
-}
-
 func newRunner() *runner {
-	return &runner{collect: true, seen: make(map[cellID]int)}
+	return &runner{collect: true, seen: make(map[string]int)}
 }
 
 // zeroRecord is what a collected-but-not-computed or failed cell
@@ -358,21 +346,24 @@ func zeroRecord() *store.Record {
 }
 
 func (r *runner) cell(mach config.Machine, feat config.Features, names []string, insts uint64, sampled bool) *store.Record {
-	id := cellID{mach: mach.Name, feat: feat, names: strings.Join(names, "+"), insts: insts, sampled: sampled}
-	i, ok := r.seen[id]
+	spec := fleet.Spec{Machine: mach, Features: feat, Workloads: names, Insts: insts}
+	if sampled {
+		spec.Sampling = r.sampling
+	}
+	key, err := spec.Key()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: cell %s: %v", spec.Name(), err)) // figures name built-in workloads only
+	}
+	i, ok := r.seen[key]
 	if r.collect {
 		if !ok {
-			spec := fleet.Spec{Machine: mach, Features: feat, Workloads: names, Insts: insts}
-			if sampled {
-				spec.Sampling = r.sampling
-			}
-			r.seen[id] = len(r.specs)
+			r.seen[key] = len(r.specs)
 			r.specs = append(r.specs, spec)
 		}
 		return zeroRecord()
 	}
 	if !ok {
-		panic(fmt.Sprintf("experiments: cell %+v not collected", id))
+		panic(fmt.Sprintf("experiments: cell %s not collected", spec.Name()))
 	}
 	return r.recs[i]
 }
@@ -588,29 +579,19 @@ func writeMetrics(path string, stdout io.Writer, r *runner) error {
 	return f.Close()
 }
 
-var presets = []string{"SMT", "TME", "REC", "REC/RU", "REC/RS", "REC/RS/RU"}
-
-func featByName(name string) config.Features {
-	f, ok := config.PresetByName(name)
-	if !ok {
-		panic("unknown preset " + name)
-	}
-	return f
-}
-
 // figure3 regenerates Figure 3: per-benchmark IPC for the six
 // architectures, one program on the baseline big.2.16 machine.
 func figure3(w io.Writer, r *runner, insts uint64) {
 	fmt.Fprintln(w, "Figure 3: per-benchmark IPC, 1 program, big.2.16")
 	fmt.Fprintf(w, "%-10s", "program")
-	for _, p := range presets {
+	for _, p := range config.PresetNames() {
 		fmt.Fprintf(w, " %9s", p)
 	}
 	fmt.Fprintln(w)
 	for _, bench := range workload.Names {
 		fmt.Fprintf(w, "%-10s", bench)
-		for _, p := range presets {
-			s := r.sim(config.Big216(), featByName(p), []string{bench}, insts)
+		for _, p := range config.PresetNames() {
+			s := r.sim(config.Big216(), recyclesim.PresetByName(p), []string{bench}, insts)
 			fmt.Fprintf(w, " %9.3f", s.IPC())
 		}
 		fmt.Fprintln(w)
@@ -638,7 +619,7 @@ func figure3Sampled(w io.Writer, r *runner, insts uint64) {
 	for _, bench := range workload.Names {
 		fmt.Fprintf(w, "%-10s", bench)
 		for _, p := range sampledPresets {
-			res := r.simSampled(config.Big216(), featByName(p), []string{bench}, insts)
+			res := r.simSampled(config.Big216(), recyclesim.PresetByName(p), []string{bench}, insts)
 			fmt.Fprintf(w, " %7.3f [%5.3f,%5.3f]", res.IPC, res.IPCLo, res.IPCHi)
 		}
 		fmt.Fprintln(w)
@@ -649,22 +630,12 @@ func figure3Sampled(w io.Writer, r *runner, insts uint64) {
 // avgIPC averages IPC over the eight permutation mixes of n programs
 // (n=1 averages the eight benchmarks, as the paper does).
 func avgIPC(r *runner, mach config.Machine, feat config.Features, n int, insts uint64) float64 {
+	mixes := workload.Mixes(n)
 	total := 0.0
-	runs := 0
-	if n == 1 {
-		for _, bench := range workload.Names {
-			s := r.sim(mach, feat, []string{bench}, insts)
-			total += s.IPC()
-			runs++
-		}
-	} else {
-		for _, mix := range workload.Mixes(n) {
-			s := r.sim(mach, feat, mix, insts)
-			total += s.IPC()
-			runs++
-		}
+	for _, mix := range mixes {
+		total += r.sim(mach, feat, mix, insts).IPC()
 	}
-	return total / float64(runs)
+	return total / float64(len(mixes))
 }
 
 // figure4 regenerates Figure 4: average IPC for 1, 2 and 4 programs
@@ -672,14 +643,14 @@ func avgIPC(r *runner, mach config.Machine, feat config.Features, n int, insts u
 func figure4(w io.Writer, r *runner, insts uint64) {
 	fmt.Fprintln(w, "Figure 4: average IPC, 1/2/4 programs, big.2.16")
 	fmt.Fprintf(w, "%-10s", "programs")
-	for _, p := range presets {
+	for _, p := range config.PresetNames() {
 		fmt.Fprintf(w, " %9s", p)
 	}
 	fmt.Fprintln(w)
 	for _, n := range []int{1, 2, 4} {
 		fmt.Fprintf(w, "%-10d", n)
-		for _, p := range presets {
-			fmt.Fprintf(w, " %9.3f", avgIPC(r, config.Big216(), featByName(p), n, insts))
+		for _, p := range config.PresetNames() {
+			fmt.Fprintf(w, " %9.3f", avgIPC(r, config.Big216(), recyclesim.PresetByName(p), n, insts))
 		}
 		fmt.Fprintln(w)
 	}
@@ -690,21 +661,15 @@ func figure4(w io.Writer, r *runner, insts uint64) {
 func table1(w io.Writer, r *runner, insts uint64) {
 	fmt.Fprintln(w, "Table 1: recycling statistics (REC/RS/RU, big.2.16)")
 	fmt.Fprintln(w, stats.Table1Header())
-	feat := featByName("REC/RS/RU")
+	feat := recyclesim.PresetByName("REC/RS/RU")
 	for _, bench := range workload.Names {
 		s := r.sim(config.Big216(), feat, []string{bench}, insts)
 		fmt.Fprintln(w, s.Table1Row(bench))
 	}
 	for _, n := range []int{1, 2, 4} {
 		agg := &stats.Sim{}
-		if n == 1 {
-			for _, bench := range workload.Names {
-				agg.Add(r.sim(config.Big216(), feat, []string{bench}, insts))
-			}
-		} else {
-			for _, mix := range workload.Mixes(n) {
-				agg.Add(r.sim(config.Big216(), feat, mix, insts))
-			}
+		for _, mix := range workload.Mixes(n) {
+			agg.Add(r.sim(config.Big216(), feat, mix, insts))
 		}
 		fmt.Fprintln(w, agg.Table1Row(fmt.Sprintf("%d prog avg", n)))
 	}
@@ -732,7 +697,7 @@ func figure5(w io.Writer, r *runner, insts uint64) {
 	for _, n := range []int{1, 2, 4} {
 		fmt.Fprintf(w, "%-10d", n)
 		for _, pl := range pols {
-			feat := featByName("REC/RS/RU")
+			feat := recyclesim.PresetByName("REC/RS/RU")
 			feat.AltPolicy = pl.p
 			feat.AltLimit = pl.n
 			fmt.Fprintf(w, " %10.3f", avgIPC(r, config.Big216(), feat, n, insts))
@@ -760,7 +725,7 @@ func figure6(w io.Writer, r *runner, insts uint64) {
 		fmt.Fprintf(w, "%-10d", n)
 		for _, m := range machines {
 			for _, p := range []string{"SMT", "TME", "REC/RS/RU"} {
-				fmt.Fprintf(w, " %16.3f", avgIPC(r, m, featByName(p), n, insts))
+				fmt.Fprintf(w, " %16.3f", avgIPC(r, m, recyclesim.PresetByName(p), n, insts))
 			}
 		}
 		fmt.Fprintln(w)

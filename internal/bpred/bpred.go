@@ -210,10 +210,6 @@ func (p *Predictor) ForceHist(ctx int, hist uint64) { p.hist[ctx] = hist }
 // Hist returns the context's current speculative global history.
 func (p *Predictor) Hist(ctx int) uint64 { return p.hist[ctx] }
 
-// PushHist shifts one resolved/predicted direction into the context's
-// history (exported for the recycle path, which bypasses Lookup).
-func (p *Predictor) PushHist(ctx int, taken bool) { p.pushHist(ctx, taken) }
-
 // Restore rewinds a context's speculative history and return stack to
 // the recovery state captured with a mispredicted branch, then shifts
 // in the branch's true outcome when it was conditional.

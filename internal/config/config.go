@@ -266,22 +266,27 @@ func FeatureName(f Features) string {
 	}
 }
 
-// PresetByName resolves a figure-legend name ("SMT", "TME", "REC",
-// "REC/RU", "REC/RS", "REC/RS/RU") to its Features.
+// presets lists the named presets in the paper's order.  FeatureName
+// gives each its figure-legend name.
+var presets = []Features{SMT, TME, REC, RECRU, RECRS, RECRSRU}
+
+// PresetNames lists the presets' figure-legend names in the paper's
+// order: "SMT", "TME", "REC", "REC/RU", "REC/RS", "REC/RS/RU".
+func PresetNames() []string {
+	names := make([]string, len(presets))
+	for i, f := range presets {
+		names[i] = FeatureName(f)
+	}
+	return names
+}
+
+// PresetByName resolves a figure-legend name (one of PresetNames) to
+// its Features.
 func PresetByName(name string) (Features, bool) {
-	switch name {
-	case "SMT":
-		return SMT, true
-	case "TME":
-		return TME, true
-	case "REC":
-		return REC, true
-	case "REC/RU":
-		return RECRU, true
-	case "REC/RS":
-		return RECRS, true
-	case "REC/RS/RU":
-		return RECRSRU, true
+	for _, f := range presets {
+		if FeatureName(f) == name {
+			return f, true
+		}
 	}
 	return Features{}, false
 }

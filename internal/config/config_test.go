@@ -1,6 +1,7 @@
 package config
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -156,6 +157,10 @@ func TestPresets(t *testing.T) {
 	}
 	if _, ok := PresetByName("NOPE"); ok {
 		t.Error("bogus preset resolved")
+	}
+	want := []string{"SMT", "TME", "REC", "REC/RU", "REC/RS", "REC/RS/RU"}
+	if got := PresetNames(); !slices.Equal(got, want) {
+		t.Errorf("PresetNames() = %q, want %q", got, want)
 	}
 }
 

@@ -53,11 +53,11 @@ func (c *Core) commitOne(t *Context) bool {
 	}
 
 	in := &e.Inst
-	lp := t.part.prog
+	part := t.part
 
 	switch {
 	case in.IsStore():
-		lp.mem.Write(e.Addr&^7, e.Result)
+		part.mem.Write(e.Addr&^7, e.Result)
 		// Retire the store-queue entry.  Stores commit in program order,
 		// so the match is the ring's front and retirement is O(1); the
 		// scan fallback covers a front dropped early by cancelIssue.
@@ -73,7 +73,7 @@ func (c *Core) commitOne(t *Context) bool {
 		// corrupt the fork statistics rather than just a prediction).
 		c.pred.Commit(e.PC, in, &e.Pred, e.Taken, e.NextPC)
 		if in.IsCondBranch() {
-			c.conf.Update(c.tagAddr(lp.idx, e.PC), e.Taken == e.PredTaken)
+			c.conf.Update(c.tagAddr(part.id, e.PC), e.Taken == e.PredTaken)
 		}
 	}
 
@@ -89,7 +89,7 @@ func (c *Core) commitOne(t *Context) bool {
 
 	t.al.CommitHead()
 	c.Stats.Committed++
-	lp.committed++
+	c.Stats.PerProgram[part.id]++
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StageCommit,
 			Ctx: int16(t.id), Seq: e.Seq, PC: e.PC, Arg: e.Result})
@@ -97,13 +97,9 @@ func (c *Core) commitOne(t *Context) bool {
 	if c.ptrace != nil {
 		c.ptrace.OnCommit(e.Trace, c.cycle)
 	}
-	if lp.idx < len(c.Stats.PerProgram) {
-		c.Stats.PerProgram[lp.idx]++
-	}
-
 	if c.CommitHook != nil {
 		c.CommitHook(CommitInfo{
-			Program: lp.idx,
+			Program: part.id,
 			Ctx:     t.id,
 			PC:      e.PC,
 			Inst:    *in,
@@ -122,8 +118,8 @@ func (c *Core) commitOne(t *Context) bool {
 		}
 	}
 
-	if in.IsHalt() && !lp.halted {
-		c.haltProgram(t.part)
+	if in.IsHalt() && !part.done {
+		c.haltProgram(part)
 	}
 
 	// A retiring ex-primary that has drained becomes a spare.
@@ -135,7 +131,6 @@ func (c *Core) commitOne(t *Context) bool {
 
 // haltProgram stops a partition whose program committed its halt.
 func (c *Core) haltProgram(p *Partition) {
-	p.prog.halted = true
 	p.done = true
 	c.haltedPrograms++
 	if c.ring != nil {

@@ -194,7 +194,6 @@ type recycleStream struct {
 	// list once the prior fetched instructions ... have cleared the
 	// rename stage").
 	preDrain int
-	respawn  bool
 }
 
 func (s *recycleStream) done() bool { return s.pos >= len(s.items) }
@@ -248,10 +247,9 @@ type Context struct {
 	kids      uint16
 
 	// Alternate-path bookkeeping.
-	pathLen  int    // instructions fetched down this alternate path
-	spawnPC  uint64 // first PC of the path
-	path     forkPath
-	resolved bool // forking branch has resolved
+	pathLen int    // instructions fetched down this alternate path
+	spawnPC uint64 // first PC of the path
+	path    forkPath
 
 	// Recycle consumption.  stream points at streamStore when live;
 	// streamBuf is the context-owned scratch the stream's items live in
@@ -334,24 +332,16 @@ func (t *Context) fqPop() {
 // fqClear empties the fetch queue (squash or context reclaim).
 func (t *Context) fqClear() { t.fqHead, t.fqN = 0, 0 }
 
-// Partition is a group of contexts serving one program: one primary
-// thread plus spare contexts for alternate paths (the MSB partitioning
-// of §2).
+// Partition is one program and the group of contexts serving it: one
+// primary thread plus spare contexts for alternate paths (the MSB
+// partitioning of §2).  id is the program's index in the core's
+// program list.
 type Partition struct {
 	id      int
-	prog    *loadedProgram
-	primary int   // context id of the primary thread
-	ctxIDs  []int // all contexts in this partition
+	prog    *program.Program
+	mem     *program.Memory // the program's architectural data memory
+	primary int             // context id of the primary thread
+	ctxIDs  []int           // all contexts in this partition
 	mask    uint16
-	done    bool
-}
-
-// loadedProgram is one program plus its architectural memory and
-// accounting.
-type loadedProgram struct {
-	idx       int
-	prog      *program.Program
-	mem       *program.Memory
-	committed uint64
-	halted    bool
+	done    bool // the program committed its halt
 }

@@ -74,8 +74,7 @@ type Core struct {
 	mdb     *recycle.MDB         // nil unless Features.Reuse; uses outside tryReuse test for nil
 
 	ctxs  []*Context
-	parts []*Partition
-	progs []*loadedProgram
+	parts []*Partition // one per program, in program order
 
 	// inState[s] has bit i set while ctxs[i].state is s, and primary
 	// has bit i set while ctxs[i].isPrimary.  Per-cycle scans walk the
@@ -232,13 +231,11 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 	extra := mach.Contexts % len(progs)
 	next := 0
 	for pi, p := range progs {
-		lp := &loadedProgram{idx: pi, prog: p}
-		c.progs = append(c.progs, lp)
 		n := per
 		if pi < extra {
 			n++
 		}
-		part := &Partition{id: pi, prog: lp}
+		part := &Partition{id: pi, prog: p}
 		for k := 0; k < n; k++ {
 			part.ctxIDs = append(part.ctxIDs, next)
 			part.mask |= 1 << uint(next)
@@ -275,7 +272,7 @@ func (c *Core) reset(seeds []*ArchState, m Models) {
 		invariantEvery: c.invariantEvery, watchdogCycles: c.watchdogCycles,
 		rf: c.rf, pred: m.Pred, conf: m.Conf, mem: m.Mem,
 		iqInt: c.iqInt, iqFP: c.iqFP, fus: c.fus, written: c.written, mdb: c.mdb,
-		ctxs: c.ctxs, parts: c.parts, progs: c.progs,
+		ctxs: c.ctxs, parts: c.parts,
 		exec: c.exec, pendingSt: c.pendingSt[:0], due: c.due[:0], cands: c.cands[:0],
 		Stats: c.Stats, Obs: c.Obs,
 	}
@@ -302,22 +299,20 @@ func (c *Core) reset(seeds []*ArchState, m Models) {
 		if pi < len(seeds) {
 			seed = seeds[pi]
 		}
-		lp := part.prog
-		*lp = loadedProgram{idx: lp.idx, prog: lp.prog}
+		*part = Partition{id: part.id, prog: part.prog, primary: part.ctxIDs[0], ctxIDs: part.ctxIDs, mask: part.mask}
 		if seed != nil {
-			lp.mem = seed.Mem
+			part.mem = seed.Mem
 		}
-		if lp.mem == nil {
-			lp.mem = program.NewMemory(lp.prog)
+		if part.mem == nil {
+			part.mem = program.NewMemory(part.prog)
 		}
-		*part = Partition{id: part.id, prog: lp, primary: part.ctxIDs[0], ctxIDs: part.ctxIDs, mask: part.mask}
 		for _, id := range part.ctxIDs {
 			c.ctxs[id].part = part
 		}
 		if seed != nil {
 			c.startPrimary(c.ctxs[part.primary], seed.PC, &seed.Regs)
 		} else {
-			c.startPrimary(c.ctxs[part.primary], lp.prog.Entry, nil)
+			c.startPrimary(c.ctxs[part.primary], part.prog.Entry, nil)
 		}
 	}
 }
@@ -423,7 +418,7 @@ func (c *Core) Run(maxCommits, maxCycles uint64) (*stats.Sim, error) {
 	lastCommitted := c.Stats.Committed
 	lastProgress := c.cycle
 	for c.Stats.Committed < maxCommits && c.cycle < maxCycles &&
-		c.haltedPrograms < len(c.progs) {
+		c.haltedPrograms < len(c.parts) {
 		c.Cycle()
 		if c.watchdogCycles != 0 {
 			if c.Stats.Committed != lastCommitted {
@@ -451,7 +446,7 @@ func (c *Core) SetPoll(poll func() error) { c.poll = poll }
 func (c *Core) CycleCount() uint64 { return c.cycle }
 
 // Done reports whether all programs have halted.
-func (c *Core) Done() bool { return c.haltedPrograms >= len(c.progs) }
+func (c *Core) Done() bool { return c.haltedPrograms >= len(c.parts) }
 
 // tagAddr disambiguates program address spaces in the shared caches and
 // MDB; see TagAddr (in seed.go) for the scheme.
@@ -631,7 +626,6 @@ func (c *Core) killContext(t *Context) {
 	c.unlinkParent(t)
 	t.fetchHalted = false
 	t.altCapped = false
-	t.resolved = false
 	t.pathLen = 0
 	t.outstandingReuse = 0
 }

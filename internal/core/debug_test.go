@@ -102,8 +102,8 @@ func TestDebugDeadlock(t *testing.T) {
 		}
 		if ct.stream != nil {
 			st := ct.stream
-			t.Logf("   stream: items=%d pos=%d preDrain=%d src=%d back=%v respawn=%v next=0x%x itemPC=0x%x",
-				len(st.items), st.pos, st.preDrain, st.srcCtx, st.back, st.respawn, st.nextPC,
+			t.Logf("   stream: items=%d pos=%d preDrain=%d src=%d back=%v next=0x%x itemPC=0x%x",
+				len(st.items), st.pos, st.preDrain, st.srcCtx, st.back, st.nextPC,
 				func() uint64 {
 					if st.pos < len(st.items) {
 						return st.items[st.pos].pc

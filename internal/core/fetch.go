@@ -64,7 +64,7 @@ func (c *Core) fetch() {
 		}
 
 		threads++
-		asid := t.part.prog.idx
+		asid := t.part.id
 		lat, hit := c.mem.AccessI(c.cycle, c.tagAddr(asid, t.fetchPC))
 		if !hit {
 			// I-cache miss: the thread's fetch stalls until the fill
@@ -92,7 +92,7 @@ func (c *Core) fetch() {
 				merged = true
 				break
 			}
-			in := t.part.prog.prog.FetchInst(pc)
+			in := t.part.prog.FetchInst(pc)
 			if in.IsHalt() {
 				t.pushFetch(c.cycle, pc, in, readyAt)
 				t.fetchHalted = true

@@ -53,6 +53,9 @@ var defaultInvariantEvery uint64 = 0
 //   - written-bit coherence, whenever the core keeps the bit-array
 //     (Features.Reuse): a clear bit promises an unchanged mapping
 //     (checked where the trace itself did not write the register);
+//   - commit accounting: the per-program commit counts sum to the total
+//     committed, and the halted-program count equals the number of
+//     partitions marked done;
 //   - telemetry conservation: the rename slot-cycle attribution sums to
 //     cycles × rename width with nothing charged to the null cause;
 //   - pipetrace stage-sequence legality (when a pipetrace recorder is
@@ -76,6 +79,7 @@ func (c *Core) CheckInvariants() *invariant.Report {
 	if c.written != nil {
 		c.checkWrittenBits(r)
 	}
+	c.checkCommits(r)
 	c.checkTelemetry(r)
 	c.checkPipeTrace(r)
 	return r
@@ -395,6 +399,28 @@ func ctxWroteRegs(t *Context) [isa.NumRegs]bool {
 		}
 	}
 	return wrote
+}
+
+// checkCommits verifies that each commit and each halt is counted once:
+// Stats.PerProgram sums to Stats.Committed, and haltedPrograms counts
+// the done partitions.
+func (c *Core) checkCommits(r *invariant.Report) {
+	var sum uint64
+	for _, n := range c.Stats.PerProgram {
+		sum += n
+	}
+	if sum != c.Stats.Committed {
+		r.Failf("commits", "per-program commits sum to %d but %d committed", sum, c.Stats.Committed)
+	}
+	done := 0
+	for _, p := range c.parts {
+		if p.done {
+			done++
+		}
+	}
+	if done != c.haltedPrograms {
+		r.Failf("commits", "%d partition(s) done but haltedPrograms=%d", done, c.haltedPrograms)
+	}
 }
 
 // checkTelemetry verifies the stall-attribution identity: every rename

@@ -191,6 +191,32 @@ func TestInvariantDetectsCommitDrift(t *testing.T) {
 	expectViolation(t, c, "alist")
 }
 
+// TestInvariantDetectsCommitCountDrift: a commit counted in the total
+// but not against its program, or a halt counted without its partition
+// (or the reverse), breaks the commit accounting.
+func TestInvariantDetectsCommitCountDrift(t *testing.T) {
+	t.Run("per-program count lost", func(t *testing.T) {
+		c := invariantCore(t)
+		c.Stats.PerProgram[0]--
+		expectViolation(t, c, "commits")
+	})
+	t.Run("total count lost", func(t *testing.T) {
+		c := invariantCore(t)
+		c.Stats.Committed--
+		expectViolation(t, c, "commits")
+	})
+	t.Run("halt without partition", func(t *testing.T) {
+		c := invariantCore(t)
+		c.haltedPrograms++
+		expectViolation(t, c, "commits")
+	})
+	t.Run("partition done without halt", func(t *testing.T) {
+		c := invariantCore(t)
+		c.parts[0].done = true
+		expectViolation(t, c, "commits")
+	})
+}
+
 // TestInvariantDetectsQueueDrop: a dispatched, issuable entry missing
 // from both instruction queues would hang forever; the membership
 // check must flag it.

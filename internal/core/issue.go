@@ -126,7 +126,7 @@ func (c *Core) loadValue(t *Context, seq uint64, addr uint64) (uint64, bool) {
 		}
 		ctx, limit = p.parentCtx, p.parentSeq
 	}
-	return t.part.prog.mem.Read(addr), false
+	return t.part.mem.Read(addr), false
 }
 
 // execute computes an issued instruction functionally and schedules its
@@ -151,7 +151,7 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 		v, forwarded := c.loadValue(t, e.Seq, e.Addr)
 		e.Result = v
 		if !forwarded {
-			lat += c.mem.AccessD(c.cycle, c.tagAddr(t.part.prog.idx, e.Addr))
+			lat += c.mem.AccessD(c.cycle, c.tagAddr(t.part.id, e.Addr))
 		}
 	case in.IsStore():
 		// Phase one: address generation.  The MDB is invalidated here
@@ -163,10 +163,10 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 			s.addrOK = true
 		}
 		if c.mdb != nil {
-			c.mdb.StoreTo(c.tagAddr(t.part.prog.idx, e.Addr&^7))
+			c.mdb.StoreTo(c.tagAddr(t.part.id, e.Addr&^7))
 		}
 		// Stores probe the data cache for timing (write allocate).
-		lat += c.mem.AccessD(c.cycle, c.tagAddr(t.part.prog.idx, e.Addr))
+		lat += c.mem.AccessD(c.cycle, c.tagAddr(t.part.id, e.Addr))
 		if !c.srcReady(e.Src2) {
 			// Data pending: park in phase two; complete() re-arms the
 			// store when the data register arrives.  ReadyAt is pushed to
@@ -306,7 +306,7 @@ func (c *Core) completeEntry(t *Context, e *alist.Entry) {
 	switch {
 	case in.IsLoad():
 		if c.mdb != nil {
-			asid := t.part.prog.idx
+			asid := t.part.id
 			c.mdb.InsertLoad(c.tagAddr(asid, e.PC), c.tagAddr(asid, e.Addr&^7))
 		}
 	case in.IsStore():

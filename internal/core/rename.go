@@ -51,17 +51,11 @@ func (c *Core) rename() {
 				c.endStream(t, false)
 				break
 			}
-			proceed, stall := c.renameRecycled(t, &st.items[st.pos])
-			if stall {
-				break
+			if c.renameRecycled(t, &st.items[st.pos]) {
+				break // structural stall: retry next cycle
 			}
 			slots--
 			c.slotRecycled++
-			if !proceed {
-				// Prediction disagreed with the trace: recycling
-				// stops and fetch continues on the new path.
-				break
-			}
 			st.pos++
 			if st.done() {
 				c.endStream(t, false)
@@ -258,7 +252,7 @@ func (c *Core) renameFetched(t *Context, fe *fqEntry) bool {
 	// TME fork decision (§2): primary threads fork low-confidence
 	// conditional branches onto a spare context.
 	if c.feat.TME && t.isPrimary && fe.inst.IsCondBranch() && !t.part.done {
-		if !c.conf.HighConfidence(c.tagAddr(t.part.prog.idx, fe.pc)) {
+		if !c.conf.HighConfidence(c.tagAddr(t.part.id, fe.pc)) {
 			c.tryFork(t, e)
 		}
 	}
@@ -283,15 +277,16 @@ func (c *Core) markWritten(t *Context, e *alist.Entry, reuseSrc int) {
 
 // renameRecycled renames one stream item into t.  Branch predictions
 // were resolved when the stream was built, so this is pure injection:
-// allocate, attempt reuse, dispatch, and consider a TME fork.  Returns
-// proceed=false when the stream ends after this item, stall=true when
-// the thread hit a structural hazard and should retry next cycle.
-func (c *Core) renameRecycled(t *Context, it *streamItem) (proceed, stall bool) {
+// allocate, attempt reuse, dispatch, and consider a TME fork.  (A
+// stream whose trace disagrees with the current prediction was already
+// truncated when it was built.)  It reports whether the thread hit a
+// structural hazard and should retry next cycle.
+func (c *Core) renameRecycled(t *Context, it *streamItem) (stall bool) {
 	st := t.stream
 
 	e := c.allocEntry(t, it.pc, &it.inst)
 	if e == nil {
-		return true, true
+		return true
 	}
 	e.Recycled = true
 	e.Pred = it.pred
@@ -323,11 +318,11 @@ func (c *Core) renameRecycled(t *Context, it *streamItem) (proceed, stall bool) 
 	}
 
 	if c.feat.TME && t.isPrimary && it.inst.IsCondBranch() && !t.part.done {
-		if !c.conf.HighConfidence(c.tagAddr(t.part.prog.idx, it.pc)) {
+		if !c.conf.HighConfidence(c.tagAddr(t.part.id, it.pc)) {
 			c.tryFork(t, e)
 		}
 	}
-	return true, false
+	return false
 }
 
 // tryReuse attempts to reuse the old result of a recycled instruction:
@@ -378,8 +373,8 @@ func (c *Core) tryReuse(t *Context, e *alist.Entry, srcCtx int, it *streamItem) 
 	if in.IsLoad() {
 		// Loads additionally require the MDB to prove no intervening
 		// store touched the address.
-		tagged := c.tagAddr(t.part.prog.idx, se.Addr)
-		if !c.mdb.Reusable(c.tagAddr(t.part.prog.idx, se.PC), tagged) {
+		tagged := c.tagAddr(t.part.id, se.Addr)
+		if !c.mdb.Reusable(c.tagAddr(t.part.id, se.PC), tagged) {
 			return false
 		}
 		e.Addr = se.Addr

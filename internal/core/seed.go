@@ -78,7 +78,7 @@ func NewSeededWith(mach config.Machine, feat config.Features, progs []*program.P
 // over; Stats and Obs are cleared in place, so values read from them
 // earlier must be copied first.  On error c is unchanged.
 func (c *Core) Reseed(seeds []*ArchState, m Models) error {
-	if err := checkSeeds(seeds, len(c.progs), func(i int) *program.Program { return c.progs[i].prog }); err != nil {
+	if err := checkSeeds(seeds, len(c.parts), func(i int) *program.Program { return c.parts[i].prog }); err != nil {
 		return err
 	}
 	c.reset(seeds, m)

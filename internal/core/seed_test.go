@@ -231,7 +231,7 @@ func TestNewSeededWithMatchesSeedMicroarch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.pred != m.Pred || a.conf != m.Conf || a.mem != m.Mem || a.progs[0].mem != s.Mem {
+	if a.pred != m.Pred || a.conf != m.Conf || a.mem != m.Mem || a.parts[0].mem != s.Mem {
 		t.Fatal("NewSeededWith copied its models or seed memory instead of adopting them")
 	}
 	run(a)

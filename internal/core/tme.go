@@ -118,7 +118,6 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 	a.spawnPC = altPC
 	a.pathLen = 0
 	a.altCapped = false
-	a.resolved = false
 	a.fetchHalted = false
 	a.fetchStallUntil = 0
 	a.stream = stream
@@ -167,7 +166,6 @@ func (c *Core) respawn(t *Context, e *alist.Entry, a *Context, altPC uint64) {
 	// predictions, exactly as a fetch-side merge would.
 	c.activateAlternate(t, e, a, altPC, nil)
 	stream := c.buildStream(a, items, -1 /* re-executing its own trace: no reuse */, false)
-	stream.respawn = true
 	a.stream = stream
 	a.fetchPC = stream.nextPC
 	a.path.respawned = true
@@ -290,7 +288,6 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 // resolveAlternate transitions a confirmed-wrong alternate path
 // according to the §5.2 policy.
 func (c *Core) resolveAlternate(a *Context) {
-	a.resolved = true
 	a.lruTick = c.cycle
 	switch c.feat.AltPolicy {
 	case config.AltStop:
@@ -370,7 +367,6 @@ func (c *Core) promote(t *Context, e *alist.Entry, a *Context) {
 
 	c.setPrimary(a, true)
 	a.altCapped = false
-	a.resolved = true
 	if a.state == CtxDraining || a.state == CtxInactive {
 		c.setState(a, CtxActive)
 	}

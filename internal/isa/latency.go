@@ -21,10 +21,3 @@ var classLatency = [NumClasses]int{
 // Latency returns the execution latency of the instruction in cycles,
 // excluding any memory-hierarchy time for loads.
 func (i *Inst) Latency() int { return classLatency[i.Class()] }
-
-// Pipelined reports whether the instruction's functional unit accepts a
-// new operation every cycle.  Divides iterate and occupy their unit.
-func (i *Inst) Pipelined() bool {
-	c := i.Class()
-	return c != ClassIntDiv && c != ClassFPDiv
-}

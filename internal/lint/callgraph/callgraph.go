@@ -140,10 +140,6 @@ type Graph struct {
 // Lookup resolves a node by ID, nil when absent.
 func (g *Graph) Lookup(id string) *Node { return g.byID[id] }
 
-// NodeOf resolves a node by its types object, nil for literals and
-// external functions.
-func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFn[fn] }
-
 // FuncID renders the ID Build assigns to a declared function.
 func FuncID(fn *types.Func) string {
 	sig, _ := fn.Type().(*types.Signature)

@@ -296,10 +296,6 @@ func DefaultScope(modPath, modRoot string) func(pkgPath string) bool {
 	return ScopeFor(modPath, SimPackages(modRoot))
 }
 
-// AllScope includes every loaded package; the analyzer tests use it on
-// fixture modules.
-func AllScope(string) bool { return true }
-
 // PureSimRoots names the simulation entry points, as callgraph FuncIDs
 // relative to the module path: everything transitively reachable from
 // these must stay deterministic.  TestRepoIsClean checks that every

@@ -47,9 +47,13 @@ func HashPrograms(progs []*program.Program) string {
 // same cell submitted with the defaults spelled out.  The confidence
 // level is part of the key because it changes the bounds a record
 // serves, not just their label; Workers and Poll are not, because they
-// never change a result.  Detailed and sampled cells of the same
+// never change a result.  Nor is Features.InvariantEvery: the checker
+// only reads, and a run it fails is never stored.  WatchdogCycles is,
+// because a run with the watchdog off can return a partial result
+// where the default run fails.  Detailed and sampled cells of the same
 // configuration always get distinct keys (samp == nil vs. non-nil).
 func CellKey(m config.Machine, f config.Features, workloadHash string, insts uint64, samp *sample.Config) string {
+	f.InvariantEvery = 0
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|machine=%+v|features=%+v|workload=%s|insts=%d",
 		keySchema, m, f, workloadHash, insts)

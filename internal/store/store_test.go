@@ -113,6 +113,26 @@ func TestCellKeyNormalizesSamplingDefaults(t *testing.T) {
 	}
 }
 
+// TestCellKeyIgnoresInvariantChecker: the invariant checker only reads
+// the machine, so a cell computed with it on shares the default cell's
+// key and record.  The watchdog window stays in the key: a run with the
+// watchdog off can return a partial result where the default run fails.
+func TestCellKeyIgnoresInvariantChecker(t *testing.T) {
+	base := testKey(t, nil)
+	checked := testKey(t, func(_ *config.Machine, f *config.Features, _ *uint64, _ **sample.Config) {
+		f.InvariantEvery = 256
+	})
+	if checked != base {
+		t.Errorf("InvariantEvery changed the key:\n %s\n %s", base, checked)
+	}
+	unwatched := testKey(t, func(_ *config.Machine, f *config.Features, _ *uint64, _ **sample.Config) {
+		f.WatchdogCycles = config.WatchdogOff
+	})
+	if unwatched == base {
+		t.Error("WatchdogCycles did not reach the key")
+	}
+}
+
 // TestCellKeyGolden pins the exact keys of one detailed and two sampled
 // cells.  Every stored record is addressed by its key, so any change to
 // the key derivation — keySchema, CellKey's rendering, HashPrograms, or

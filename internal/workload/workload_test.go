@@ -50,6 +50,17 @@ func TestMixShape(t *testing.T) {
 			seen[b] = true
 		}
 	}
+	// The single-program mixes are the benchmarks themselves, in order:
+	// the figures average n=1 over Mixes(1) as the paper averages over
+	// the eight benchmarks.
+	for k, m := range Mixes(1) {
+		if len(m) != 1 || m[0] != Names[k] {
+			t.Errorf("Mixes(1)[%d] = %q, want [%s]", k, m, Names[k])
+		}
+	}
+	if n := len(Mixes(1)); n != len(Names) {
+		t.Errorf("Mixes(1) has %d mixes, want %d", n, len(Names))
+	}
 }
 
 func TestMixProgramsResolve(t *testing.T) {

@@ -170,9 +170,7 @@ func MachineNames() []string {
 }
 
 // PresetNames lists the feature presets in the paper's order.
-func PresetNames() []string {
-	return []string{"SMT", "TME", "REC", "REC/RU", "REC/RS", "REC/RS/RU"}
-}
+func PresetNames() []string { return config.PresetNames() }
 
 // FeatureName renders a Features value the way the paper labels it.
 func FeatureName(f Features) string { return config.FeatureName(f) }
@@ -268,12 +266,6 @@ func Run(o Options) (*Result, error) {
 func RunContext(ctx context.Context, o Options) (*Result, error) {
 	progs, err := prepare(&o)
 	if err != nil {
-		return nil, err
-	}
-	if err := o.Machine.Validate(); err != nil {
-		return nil, err
-	}
-	if err := o.Features.Validate(); err != nil {
 		return nil, err
 	}
 	c, err := core.New(o.Machine, o.Features, progs)
