@@ -14,11 +14,12 @@
 #                    testdata/fuzz and the targets' seeds
 #   make smoke       one short instrumented run through both telemetry
 #                    exporters (-metrics / -metrics-text), output discarded
-#   make invariant   core, sampled-mode and root-package suites with
-#                    the runtime invariant checker forced on (every
+#   make invariant   core, sampled-mode, fleet and root-package suites
+#                    with the runtime invariant checker forced on (every
 #                    256 cycles); the root package adds the
-#                    multi-program facade runs and the batch and fault
-#                    witnesses
+#                    multi-program facade runs, the batch and fault
+#                    witnesses and the pooled-core matrix, and the
+#                    fleet its shared-program cells on reused cores
 #   make results     regenerate results.txt: every detailed figure and
 #                    table at 200k instructions per cell, a blank line,
 #                    then the sampled Figure 3 at 2M (not part of check;
@@ -73,7 +74,7 @@ smoke:
 	$(GO) run ./cmd/recyclesim -workloads compress -insts 20000 -flightrec 256 -metrics-text - >/dev/null
 
 invariant:
-	$(GO) test -tags siminvariant ./internal/core/ ./internal/sample/ .
+	$(GO) test -tags siminvariant ./internal/core/ ./internal/sample/ ./internal/fleet/ .
 
 results:
 	{ $(GO) run ./cmd/experiments -all -insts 200000 && echo && \

@@ -64,7 +64,7 @@ type Predictor struct {
 	rasTop []int      // per-context stack pointer (index of next push)
 }
 
-// New builds a predictor with weakly-taken counters.  It panics when
+// New builds a predictor with weakly not-taken counters.  It panics when
 // the PHT size or the BTB set count (BTBEntries / BTBAssoc) is not a
 // power of two: configurations are static, and a bad one is a
 // programming error.
@@ -88,13 +88,27 @@ func New(cfg Config) *Predictor {
 		ras:         make([][]uint64, cfg.Contexts),
 		rasTop:      make([]int, cfg.Contexts),
 	}
-	for i := range p.pht {
-		p.pht[i] = 1 // weakly not-taken
-	}
 	for c := range p.ras {
 		p.ras[c] = make([]uint64, cfg.RASEntries)
 	}
+	p.Reset()
 	return p
+}
+
+// Reset puts p back into the state New leaves it in, keeping its
+// tables: weakly not-taken counters, an empty BTB and LRU clock, and
+// cleared histories and return stacks.
+func (p *Predictor) Reset() {
+	for i := range p.pht {
+		p.pht[i] = 1 // weakly not-taken
+	}
+	clear(p.btb)
+	p.lruClock = 0
+	clear(p.hist)
+	for _, r := range p.ras {
+		clear(r)
+	}
+	clear(p.rasTop)
 }
 
 // Clone returns a deep copy of the predictor: tables, per-context

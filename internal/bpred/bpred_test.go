@@ -239,6 +239,20 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 }
 
+// Reset after training leaves exactly what New builds: the counters,
+// BTB, LRU clock, histories and return stacks all start over.
+func TestResetMatchesNew(t *testing.T) {
+	p := New(Default(4))
+	drive(p, 1, 5_000)
+	if reflect.DeepEqual(p, New(Default(4))) {
+		t.Fatal("training left the predictor as New builds it")
+	}
+	p.Reset()
+	if !reflect.DeepEqual(p, New(Default(4))) {
+		t.Error("Reset after training differs from New")
+	}
+}
+
 // New masks its PHT and BTB indexes, so it refuses a PHT size or a BTB
 // set count that is not a power of two.
 func TestNewRejectsNonPowerOfTwo(t *testing.T) {

@@ -141,6 +141,20 @@ func (c *Cache) CopyFrom(src *Cache) {
 	c.bankCnt = append(bankCnt[:0], src.bankCnt...)
 }
 
+// Reset empties c as New leaves it: every line invalid, the banks idle,
+// the clock and statistics zero.  It zeroes the tag pages c holds and
+// keeps them, so a cache reset between runs on the same program
+// allocates none of them again.
+func (c *Cache) Reset() {
+	for _, pg := range c.pages {
+		clear(pg)
+	}
+	clear(c.bankCyc)
+	clear(c.bankCnt)
+	c.clock = 0
+	c.Stats = Stats{}
+}
+
 // Sets returns the number of sets (exported for tests).
 func (c *Cache) Sets() int { return c.sets }
 
@@ -299,6 +313,14 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 	copyLevel(&h.DL1, src.DL1)
 	copyLevel(&h.L2, src.L2)
 	copyLevel(&h.L3, src.L3)
+}
+
+// Reset empties every level in place (see Cache.Reset).
+func (h *Hierarchy) Reset() {
+	h.IL1.Reset()
+	h.DL1.Reset()
+	h.L2.Reset()
+	h.L3.Reset()
 }
 
 func copyLevel(dst **Cache, src *Cache) {

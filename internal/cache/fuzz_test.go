@@ -110,7 +110,9 @@ func fuzzParams(geom uint16) (p Params, addrShift uint) {
 // Midway, a cache of the same geometry trained on a disjoint stream
 // takes a CopyFrom of the one under test, must equal its Clone, and
 // carries on as the cache under test; the source must stay as it was.
-// Streams are cut to 4,096 accesses to keep one run cheap.
+// Three quarters of the way, the cache under test is Reset and must
+// match a fresh reference from cold.  Streams are cut to 4,096
+// accesses to keep one run cheap.
 func FuzzCacheLookup(f *testing.F) {
 	// Geometries read, left to right: shift, banks, line, sets, ways.
 	f.Add(uint16(0b0000_00_01_0011_01), []byte{1, 0, 0, 0, 8, 0, 0, 16, 0, 1, 0, 0, 0, 24, 0, 1, 8, 0})
@@ -140,6 +142,10 @@ func FuzzCacheLookup(f *testing.F) {
 					t.Fatalf("access %d: CopyFrom over a cache trained on another stream differs from Clone", i)
 				}
 				src, srcClone, c = c, c.Clone(), dst
+			}
+			if i == 3*n/4 {
+				c.Reset()
+				ref = newRefCache(p)
 			}
 			step, addr := access(i)
 			now += step

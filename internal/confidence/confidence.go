@@ -70,6 +70,9 @@ func (e *Estimator) CopyFrom(src *Estimator) {
 	e.ctr = append(ctr[:0], src.ctr...)
 }
 
+// Reset zeroes every counter, as New leaves them, keeping the table.
+func (e *Estimator) Reset() { clear(e.ctr) }
+
 func (e *Estimator) index(pc uint64) int {
 	return int((pc / isa.InstBytes) & e.mask)
 }

@@ -106,6 +106,23 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 }
 
+// Reset after training leaves exactly what New builds.
+func TestResetMatchesNew(t *testing.T) {
+	e := New(Default())
+	x := uint64(1)
+	for i := 0; i < 20_000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		e.Update(x>>20%8192, x>>60 != 0)
+	}
+	if reflect.DeepEqual(e, New(Default())) {
+		t.Fatal("training left the estimator as New builds it")
+	}
+	e.Reset()
+	if !reflect.DeepEqual(e, New(Default())) {
+		t.Error("Reset after training differs from New")
+	}
+}
+
 // New masks its table index, so it refuses a table size that is not a
 // power of two.
 func TestNewRejectsNonPowerOfTwo(t *testing.T) {

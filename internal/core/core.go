@@ -73,6 +73,18 @@ type Core struct {
 	written *recycle.WrittenBits // nil unless Features.Reuse (see mdb)
 	mdb     *recycle.MDB         // nil unless Features.Reuse; uses outside tryReuse test for nil
 
+	// own holds what the core built for itself and keeps across resets
+	// to reuse in place: the default models, the reuse tables (kept
+	// aside while a run without Reuse leaves written and mdb nil), and
+	// the data memories by partition.  Adopted models and seed memories
+	// never enter it: their owner reuses them.
+	own struct {
+		models  Models
+		written *recycle.WrittenBits
+		mdb     *recycle.MDB
+		mems    []*program.Memory
+	}
+
 	ctxs  []*Context
 	parts []*Partition // one per program, in program order
 
@@ -107,13 +119,13 @@ type Core struct {
 
 	// invariantEvery, when non-zero, runs CheckInvariants every N
 	// cycles (resolved from Features.InvariantEvery or the
-	// siminvariant build-tag default at construction).
+	// siminvariant build-tag default by reset).
 	invariantEvery uint64
 
 	// watchdogCycles, when non-zero, is the forward-progress window:
 	// Run fails with a *LivelockError after this many consecutive
 	// cycles without a commit (resolved from Features.WatchdogCycles
-	// at construction; config.WatchdogOff disables it).
+	// by reset; config.WatchdogOff disables it).
 	watchdogCycles uint64
 
 	// poll, when non-nil, is consulted every pollEvery cycles by Run; a
@@ -168,33 +180,20 @@ func New(mach config.Machine, feat config.Features, progs []*program.Program) (*
 // newCore is the shared constructor behind New and the seeded
 // constructors; seeds is nil (every program starts at its entry) or
 // pre-validated to match progs element-wise, with nil entries meaning
-// "fresh start".  It allocates the core's buffers and fixes the
-// context partitioning, then hands over to reset, the one path that
-// puts a core into its starting state (Reseed takes it too).
+// "fresh start".  It allocates the machine's buffers, then hands over
+// to reset, the one path that puts a core into its starting state
+// (Reset and Reseed take it too).
 func newCore(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
 	if err := mach.Validate(); err != nil {
 		return nil, err
 	}
-	if len(progs) == 0 {
-		return nil, fmt.Errorf("core: no programs")
-	}
-	if len(progs) > mach.Contexts {
-		return nil, fmt.Errorf("core: %d programs exceed %d contexts", len(progs), mach.Contexts)
-	}
-	if err := feat.Validate(); err != nil {
+	if err := checkRun(mach, feat, progs); err != nil {
 		return nil, err
 	}
-	for _, p := range progs {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-	}
-
 	intRegs := isa.NumIntRegs*mach.Contexts + mach.ExtraRegs
 	fpRegs := isa.NumFPRegs*mach.Contexts + mach.ExtraRegs
 	c := &Core{
 		mach:      mach,
-		feat:      feat,
 		rf:        regfile.New(intRegs, fpRegs),
 		iqInt:     iq.New(mach.IQInt),
 		iqFP:      iq.New(mach.IQFP),
@@ -203,89 +202,133 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 		pendingSt: make([]*alist.Entry, 0, mach.Contexts*4),
 		due:       make([]*alist.Entry, 0, 64),
 		cands:     make([]ctxCand, 0, mach.Contexts),
-		Stats:     &stats.Sim{PerProgram: make([]uint64, len(progs))},
+		Stats:     &stats.Sim{},
 		Obs:       &obs.Metrics{},
 	}
-	if feat.Reuse {
-		c.written = recycle.NewWrittenBits(mach.Contexts)
-		c.mdb = recycle.NewMDB(mdbCapacity)
+	for i := 0; i < mach.Contexts; i++ {
+		c.ctxs = append(c.ctxs, newContext(i, mach.ActiveList))
 	}
-	c.invariantEvery = feat.InvariantEvery
+	c.reset(feat, progs, seeds, m)
+	return c, nil
+}
+
+// checkRun validates what a core's run adds to its validated machine:
+// the features and one to mach.Contexts valid programs.
+func checkRun(mach config.Machine, feat config.Features, progs []*program.Program) error {
+	if len(progs) == 0 {
+		return fmt.Errorf("core: no programs")
+	}
+	if len(progs) > mach.Contexts {
+		return fmt.Errorf("core: %d programs exceed %d contexts", len(progs), mach.Contexts)
+	}
+	if err := feat.Validate(); err != nil {
+		return err
+	}
+	for _, p := range progs {
+		if err := p.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Reset puts c into exactly the state New builds for c's machine and
+// the given features and programs, validating them the same way.  It
+// reuses every buffer c holds — contexts and active lists, register
+// file, queues, completion wheel, and the models, recycle tables and
+// data memories c built for itself, emptied in place — so a core reset
+// for another run on the same programs allocates next to nothing.  The
+// cycle count, hooks and attached recorders start over, and Stats and
+// Obs are cleared in place, so values read from them earlier must be
+// copied first.  On error c is unchanged.
+func (c *Core) Reset(feat config.Features, progs []*program.Program) error {
+	if err := checkRun(c.mach, feat, progs); err != nil {
+		return err
+	}
+	c.reset(feat, progs, nil, Models{})
+	return nil
+}
+
+// reset puts the core into its starting state for feat and progs on
+// the given seeds and models (see newCore for both); nil progs keeps
+// the current programs (Reseed).  It keeps the machine and every
+// buffer the core owns, emptied in place; every other field starts
+// from its zero value, so the cycle count, hooks and attached
+// recorders start over, and Stats and Obs are cleared in place.  The
+// core adopts the non-nil models in m and takes its own for the rest,
+// building them on first use and resetting them in place after.
+func (c *Core) reset(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) {
+	own := &c.own
+	if m.Pred == nil {
+		if own.models.Pred == nil {
+			own.models.Pred = bpred.New(bpred.Default(c.mach.Contexts))
+		} else {
+			own.models.Pred.Reset()
+		}
+		m.Pred = own.models.Pred
+	}
+	if m.Conf == nil {
+		if own.models.Conf == nil {
+			own.models.Conf = confidence.New(confidence.Default())
+		} else {
+			own.models.Conf.Reset()
+		}
+		m.Conf = own.models.Conf
+	}
+	if m.Mem == nil {
+		if own.models.Mem == nil {
+			own.models.Mem = cache.NewHierarchy(cache.DefaultHierarchy(c.mach.CacheScale))
+		} else {
+			own.models.Mem.Reset()
+		}
+		m.Mem = own.models.Mem
+	}
+	// The reuse tables gate the Reuse feature by being non-nil, so a
+	// run without it leaves them nil and keeps their storage aside.
+	var written *recycle.WrittenBits
+	var mdb *recycle.MDB
+	if feat.Reuse {
+		if own.written == nil {
+			own.written = recycle.NewWrittenBits(c.mach.Contexts)
+			own.mdb = recycle.NewMDB(mdbCapacity)
+		} else {
+			own.written.Reset()
+			own.mdb.Reset()
+		}
+		written, mdb = own.written, own.mdb
+	}
+	if progs != nil {
+		c.partition(progs)
+	}
+	clear(c.pendingSt)
+	clear(c.due)
+	*c = Core{
+		mach: c.mach, feat: feat,
+		invariantEvery: feat.InvariantEvery, watchdogCycles: feat.WatchdogCycles,
+		rf: c.rf, pred: m.Pred, conf: m.Conf, mem: m.Mem,
+		iqInt: c.iqInt, iqFP: c.iqFP, fus: c.fus, written: written, mdb: mdb,
+		ctxs: c.ctxs, parts: c.parts, own: c.own,
+		exec: c.exec, pendingSt: c.pendingSt[:0], due: c.due[:0], cands: c.cands[:0],
+		Stats: c.Stats, Obs: c.Obs,
+	}
 	if c.invariantEvery == 0 {
 		c.invariantEvery = defaultInvariantEvery
 	}
-	c.watchdogCycles = feat.WatchdogCycles
 	if c.watchdogCycles == 0 {
 		c.watchdogCycles = defaultWatchdogCycles
 	} else if c.watchdogCycles == config.WatchdogOff {
 		c.watchdogCycles = 0
 	}
-
-	for i := 0; i < mach.Contexts; i++ {
-		c.ctxs = append(c.ctxs, newContext(i, mach.ActiveList))
-	}
-
-	// Partition contexts evenly among programs; leftovers go to the
-	// first partitions.
-	per := mach.Contexts / len(progs)
-	extra := mach.Contexts % len(progs)
-	next := 0
-	for pi, p := range progs {
-		n := per
-		if pi < extra {
-			n++
-		}
-		part := &Partition{id: pi, prog: p}
-		for k := 0; k < n; k++ {
-			part.ctxIDs = append(part.ctxIDs, next)
-			part.mask |= 1 << uint(next)
-			next++
-		}
-		c.parts = append(c.parts, part)
-	}
-	c.reset(seeds, m)
-	return c, nil
-}
-
-// reset puts the core into its starting state on the given seeds and
-// models (see newCore for both).  It keeps the configuration and every
-// buffer the core owns — register file, queues, completion wheel,
-// recycle tables, contexts, partitions, scratch slices — emptied in
-// place; every other field starts from its zero value, so the cycle
-// count, hooks and attached recorders start over, and Stats and Obs
-// are cleared in place.  The core adopts the non-nil models in m and
-// builds the machine's defaults for the rest.
-func (c *Core) reset(seeds []*ArchState, m Models) {
-	if m.Pred == nil {
-		m.Pred = bpred.New(bpred.Default(c.mach.Contexts))
-	}
-	if m.Conf == nil {
-		m.Conf = confidence.New(confidence.Default())
-	}
-	if m.Mem == nil {
-		m.Mem = cache.NewHierarchy(cache.DefaultHierarchy(c.mach.CacheScale))
-	}
-	clear(c.pendingSt)
-	clear(c.due)
-	*c = Core{
-		mach: c.mach, feat: c.feat,
-		invariantEvery: c.invariantEvery, watchdogCycles: c.watchdogCycles,
-		rf: c.rf, pred: m.Pred, conf: m.Conf, mem: m.Mem,
-		iqInt: c.iqInt, iqFP: c.iqFP, fus: c.fus, written: c.written, mdb: c.mdb,
-		ctxs: c.ctxs, parts: c.parts,
-		exec: c.exec, pendingSt: c.pendingSt[:0], due: c.due[:0], cands: c.cands[:0],
-		Stats: c.Stats, Obs: c.Obs,
-	}
 	c.rf.Reset()
 	c.iqInt.Reset()
 	c.iqFP.Reset()
 	c.fus.Reset()
-	if c.written != nil {
-		c.written.Reset()
-		c.mdb.Reset()
-	}
 	c.exec.Reset()
 	perProg := c.Stats.PerProgram
+	if cap(perProg) < len(c.parts) {
+		perProg = make([]uint64, len(c.parts))
+	}
+	perProg = perProg[:len(c.parts)]
 	clear(perProg)
 	*c.Stats = stats.Sim{PerProgram: perProg}
 	*c.Obs = obs.Metrics{}
@@ -300,11 +343,10 @@ func (c *Core) reset(seeds []*ArchState, m Models) {
 			seed = seeds[pi]
 		}
 		*part = Partition{id: part.id, prog: part.prog, primary: part.ctxIDs[0], ctxIDs: part.ctxIDs, mask: part.mask}
-		if seed != nil {
+		if seed != nil && seed.Mem != nil {
 			part.mem = seed.Mem
-		}
-		if part.mem == nil {
-			part.mem = program.NewMemory(part.prog)
+		} else {
+			part.mem = c.ownMemory(pi, part.prog)
 		}
 		for _, id := range part.ctxIDs {
 			c.ctxs[id].part = part
@@ -315,6 +357,46 @@ func (c *Core) reset(seeds []*ArchState, m Models) {
 			c.startPrimary(c.ctxs[part.primary], part.prog.Entry, nil)
 		}
 	}
+}
+
+// partition divides the contexts evenly among progs, one partition
+// each in program order; leftovers go to the first partitions.  It
+// reuses the Partition records and context lists c already holds.
+func (c *Core) partition(progs []*program.Program) {
+	per := len(c.ctxs) / len(progs)
+	extra := len(c.ctxs) % len(progs)
+	next := 0
+	for pi, p := range progs {
+		if pi == len(c.parts) {
+			c.parts = append(c.parts, &Partition{})
+		}
+		part := c.parts[pi]
+		n := per
+		if pi < extra {
+			n++
+		}
+		*part = Partition{id: pi, prog: p, ctxIDs: part.ctxIDs[:0]}
+		for k := 0; k < n; k++ {
+			part.ctxIDs = append(part.ctxIDs, next)
+			part.mask |= 1 << uint(next)
+			next++
+		}
+	}
+	c.parts = c.parts[:len(progs)]
+}
+
+// ownMemory returns the core's own data memory for partition pi, loaded
+// with p's initial image: built on first use, reloaded in place after.
+func (c *Core) ownMemory(pi int, p *program.Program) *program.Memory {
+	if pi >= len(c.own.mems) {
+		c.own.mems = append(c.own.mems, make([]*program.Memory, pi+1-len(c.own.mems))...)
+	}
+	if c.own.mems[pi] == nil {
+		c.own.mems[pi] = program.NewMemory(p)
+	} else {
+		c.own.mems[pi].Load(p)
+	}
+	return c.own.mems[pi]
 }
 
 // startPrimary initializes a context as a program's primary thread

@@ -33,7 +33,8 @@ type ArchState struct {
 
 // Models are the long-lived microarchitectural models a core is built
 // around: branch predictor, confidence estimator, and cache hierarchy.
-// A nil field means the core builds the fresh default for the machine.
+// A nil field means the core uses its own default model for the
+// machine: built on first use, reset in place by later resets.
 // Non-nil models must be built with the same configurations New uses —
 // bpred.Default for the machine's context count, confidence.Default,
 // and the machine's DefaultHierarchy — or the model diverges from the
@@ -72,8 +73,9 @@ func NewSeededWith(mach config.Machine, feat config.Features, progs []*program.P
 // machine, features and programs on the given seeds and models, and
 // validates the seeds the same way.  It reuses c's buffers (active
 // lists, store queues, register file, queues, completion wheel, recycle
-// tables), so a core reseeded per sampled interval allocates only what
-// nil models and nil seed memories ask for.  The cycle count, Stats,
+// tables, and the models and memories c built for itself), so a core
+// reseeded per sampled interval allocates only what nil models and nil
+// seed memories ask for the first time.  The cycle count, Stats,
 // Obs, the commit hook, the poll hook and any attached recorders start
 // over; Stats and Obs are cleared in place, so values read from them
 // earlier must be copied first.  On error c is unchanged.
@@ -81,7 +83,7 @@ func (c *Core) Reseed(seeds []*ArchState, m Models) error {
 	if err := checkSeeds(seeds, len(c.parts), func(i int) *program.Program { return c.parts[i].prog }); err != nil {
 		return err
 	}
-	c.reset(seeds, m)
+	c.reset(c.feat, nil, seeds, m)
 	return nil
 }
 

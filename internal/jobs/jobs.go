@@ -20,7 +20,7 @@
 //	GET  /storestats         the store's Counters (hits/computes/...)
 //
 // Every job carries a request-scoped trace (internal/obs/trace): a
-// span buffer preallocated at admission records the whole service
+// span buffer bounded at admission records the whole service
 // path — per-cell queue wait, store lookup (hit/corrupt/recheck),
 // single-flight waits, the compute with its leases, requeues, and
 // local attempt, and NDJSON stream delivery — and clients propagate
@@ -296,11 +296,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"id": j.id, "trace": tid.String()})
 }
 
-// newJob registers a job and opens its trace: the span buffer is sized
-// once at admission (root + per-cell worst case of cell, queue, two
+// newJob registers a job and opens its trace: the span limit is fixed
+// at admission (root + per-cell worst case of cell, queue, two
 // lookups, compute, put, and stream delivery, plus the most spans the
-// dispatcher's Compute adds under compute), so tracing never allocates
-// while the job runs.
+// dispatcher's Compute adds under compute), so no span a job records
+// is dropped, while the buffer grows only to the spans it records.
 func (s *Server) newJob(cells []CellSpec, tid trace.ID) *job {
 	j := &job{cells: cells, state: "running"}
 	j.cond = sync.NewCond(&j.mu)

@@ -1,6 +1,6 @@
 // Package trace is the service-side request tracing layer: lightweight
 // request-scoped spans (trace ID, span ID, parent links, monotonic
-// start/duration, a few typed attributes) recorded into a preallocated
+// start/duration, a few typed attributes) recorded into a bounded
 // per-request buffer and exported as Chrome trace_event JSON.
 //
 // It is the service twin of internal/obs/pipetrace: pipetrace
@@ -111,10 +111,11 @@ func (s *Span) Attr(key string) (Attr, bool) {
 	return Attr{}, false
 }
 
-// Trace is one request's span collection.  The span buffer is
-// preallocated at New with a fixed capacity: recording never grows it,
-// and spans past the capacity are dropped (counted, never blocking), so
-// a trace's memory footprint is bounded at admission time.
+// Trace is one request's span collection.  The span buffer starts
+// small and grows on demand up to the limit fixed at New; spans past
+// the limit are dropped (counted, never blocking), so a trace's memory
+// footprint is bounded at admission time but a short request pays only
+// for the spans it records.
 //
 // All methods are safe for concurrent use; a job's cells record spans
 // from every worker goroutine at once.
@@ -129,15 +130,15 @@ type Trace struct {
 
 	mu    sync.Mutex
 	spans []Span
+	limit int // most spans recorded
 	drops uint64
 }
 
-// New builds a trace with room for capacity spans (minimum 16).
+// New builds a trace that records up to capacity spans (minimum 16).
+// Room for the first 16 is allocated up front.
 func New(id ID, capacity int) *Trace {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Trace{id: id, begin: time.Now(), spans: make([]Span, 0, capacity)}
+	const initial = 16
+	return &Trace{id: id, begin: time.Now(), spans: make([]Span, 0, initial), limit: max(capacity, initial)}
 }
 
 // ID returns the trace identifier.
@@ -196,7 +197,7 @@ func (c Ctx) Start(name string) Ctx {
 	t := c.t
 	start := time.Since(t.begin)
 	t.mu.Lock()
-	if len(t.spans) == cap(t.spans) {
+	if len(t.spans) == t.limit {
 		t.drops++
 		t.mu.Unlock()
 		return Ctx{}

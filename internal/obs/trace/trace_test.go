@@ -111,19 +111,23 @@ func TestErrorAttr(t *testing.T) {
 }
 
 func TestBufferFullDropsSpans(t *testing.T) {
-	tr := New(1, 16) // capacity clamps to 16
-	root := tr.Root("job")
-	for i := 0; i < 20; i++ {
-		c := root.Start("cell")
-		// Children and attrs of a dropped span must no-op, not panic.
-		c.Uint("index", uint64(i)).Start("lookup").End()
-		c.End()
-	}
-	if got := len(tr.Spans()); got != 16 {
-		t.Errorf("%d spans recorded, want capacity 16", got)
-	}
-	if tr.Drops() == 0 {
-		t.Error("no drops counted on a full buffer")
+	// 16 is the buffer New allocates up front; past it the buffer grows
+	// on demand up to the capacity.
+	for _, capacity := range []int{16, 100} {
+		tr := New(1, capacity)
+		root := tr.Root("job")
+		for i := 0; i < capacity+4; i++ {
+			c := root.Start("cell")
+			// Children and attrs of a dropped span must no-op, not panic.
+			c.Uint("index", uint64(i)).Start("lookup").End()
+			c.End()
+		}
+		if got := len(tr.Spans()); got != capacity {
+			t.Errorf("%d spans recorded, want capacity %d", got, capacity)
+		}
+		if tr.Drops() == 0 {
+			t.Errorf("capacity %d: no drops counted on a full buffer", capacity)
+		}
 	}
 }
 
@@ -158,8 +162,9 @@ func TestDisabledCtxIsFreeAndAllocFree(t *testing.T) {
 	}
 }
 
-// TestEnabledRecordingDoesNotGrowBuffer: recording within capacity
-// never reallocates the preallocated span buffer.
+// TestEnabledRecordingDoesNotGrowBuffer: recording within the first 16
+// spans, the room New allocates up front, never reallocates the span
+// buffer.
 func TestEnabledRecordingDoesNotGrowBuffer(t *testing.T) {
 	tr := New(1, 64)
 	root := tr.Root("job")
@@ -167,7 +172,7 @@ func TestEnabledRecordingDoesNotGrowBuffer(t *testing.T) {
 		root.Start("cell").Uint("index", 1).End()
 	})
 	if allocs != 0 {
-		t.Errorf("recording allocated %.1f per span, want 0 (preallocated buffer)", allocs)
+		t.Errorf("recording allocated %.1f per span, want 0 (initial buffer)", allocs)
 	}
 }
 

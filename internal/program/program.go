@@ -97,7 +97,7 @@ func (p *Program) Validate() error {
 type Memory struct {
 	pages map[uint64]*page // by page number, addr >> pageShift
 	order []uint64         // the keys of pages, ascending
-	spare []*page          // pages CopyFrom retired, reused before allocating
+	spare []*page          // pages CopyFrom and Load retired, reused before allocating
 
 	lastNum uint64 // page number of last; meaningful only when last != nil
 	last    *page
@@ -115,15 +115,28 @@ type page [pageWords]uint64
 var zeroPage page
 
 // NewMemory creates a memory initialized from the program's data
-// image, one page-sized copy at a time.  Every page the image touches
-// is allocated, even one whose words are all zero.
+// image: Load on an empty memory.
 func NewMemory(p *Program) *Memory {
 	m := &Memory{}
+	m.Load(p)
+	return m
+}
+
+// Load makes m exactly what NewMemory(p) builds, reusing m's pages: it
+// moves every page m holds to the spare list, then copies in the
+// data image one page-sized copy at a time.  Every page the image
+// touches is filled, even one whose words are all zero.
+func (m *Memory) Load(p *Program) {
+	for _, pn := range m.order {
+		m.spare = append(m.spare, m.pages[pn])
+	}
+	clear(m.pages)
+	m.order = m.order[:0]
+	m.last = nil
 	for i := 0; i < len(p.Data); {
 		addr := DataBase + 8*uint64(i)
 		i += copy(m.pageFor(addr >> pageShift)[addr>>3&(pageWords-1):], p.Data[i:])
 	}
-	return m
 }
 
 // Read returns the word at addr (zero if never written).

@@ -251,6 +251,19 @@ func TestNewMemoryMatchesWrites(t *testing.T) {
 		if d := want.Delta(got, nil); len(d) != 0 {
 			t.Errorf("%d words: Delta to one Write per word = %v, want empty", n, d)
 		}
+		// Load over a used memory gives the same words and pages.
+		got.Write(StackBase-8, 1)
+		got.Write(DataBase, 99)
+		got.Load(p)
+		if !slices.Equal(got.order, want.order) {
+			t.Errorf("%d words: pages after Load %v, want %v", n, got.order, want.order)
+		}
+		if d := got.Delta(want, nil); len(d) != 0 {
+			t.Errorf("%d words: Delta from Load after use = %v, want empty", n, d)
+		}
+		if d := want.Delta(got, nil); len(d) != 0 {
+			t.Errorf("%d words: Delta to Load after use = %v, want empty", n, d)
+		}
 	}
 }
 
@@ -267,14 +280,17 @@ var fuzzBases = [...]uint64{0, 0xf80, DataBase, DataBase + 0xf80, StackBase - 0x
 // onto a clone of it (sorted and exact), taking a new base, CopyFrom an
 // independently written source after writing a page the source may
 // lack (exact, and a spare page taken afterwards reads zero), and Delta
-// appended to the reused buffer of earlier deltas behind a kept prefix.
-// Clone, CopyFrom and Delta check every word written so far, so inputs
-// are cut to 256 ops to keep one run cheap.
+// appended to the reused buffer of earlier deltas behind a kept prefix,
+// and Load of the program image (the same words and pages as NewMemory,
+// with an empty Delta both ways).  Clone, CopyFrom, Delta and Load
+// check every word written so far, so inputs are cut to 256 ops to
+// keep one run cheap.
 func FuzzMemory(f *testing.F) {
 	f.Add([]byte{0, 1, 0x78, 5, 0, 1, 0x80, 6, 1, 1, 0x7f, 0, 3, 0, 0, 0})
 	f.Add([]byte{0, 5, 0xf8, 9, 0, 5, 0xff, 1, 1, 5, 0xf9, 0, 2, 5, 0xf8, 3, 3, 2, 0, 0})
 	f.Add([]byte{0, 2, 0, 0, 0, 3, 0x80, 4, 4, 0, 0, 0, 0, 3, 0x88, 7, 3, 0, 0, 0, 2, 4, 0x10, 8})
 	f.Add([]byte{0, 4, 0x10, 3, 5, 1, 0x20, 6, 0, 4, 0x18, 2, 5, 0, 0x08, 7, 6, 2, 3, 0, 6, 3, 1, 0, 1, 4, 0x10, 0})
+	f.Add([]byte{0, 4, 0x10, 3, 0, 2, 0x08, 5, 7, 1, 0x30, 4, 1, 2, 0x08, 0, 3, 0, 0, 0, 0, 2, 0x10, 6, 7, 4, 0, 1, 1, 4, 0x10, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), 4*256)]
 		p := prog2()
@@ -323,7 +339,7 @@ func FuzzMemory(f *testing.F) {
 		for ; len(ops) >= 4; ops = ops[4:] {
 			a := fuzzBases[int(ops[1])%len(fuzzBases)] + uint64(ops[2])
 			val := uint64(ops[3]) * 0x0101_0101_0101_0101
-			switch ops[0] % 7 {
+			switch ops[0] % 8 {
 			case 0:
 				m.Write(a, val)
 				ref[a&^7] = val
@@ -388,6 +404,19 @@ func FuzzMemory(f *testing.F) {
 				}
 				checkDelta(d[keep:])
 				buf = d
+			case 7:
+				m.Write(a, val)
+				m.Load(p)
+				ref = maps.Clone(image)
+				check("load", m, ref)
+				fresh := NewMemory(p)
+				if !slices.Equal(m.order, fresh.order) {
+					t.Fatalf("load: pages %v, want %v", m.order, fresh.order)
+				}
+				if d, e := m.Delta(fresh, nil), fresh.Delta(m, nil); len(d) != 0 || len(e) != 0 {
+					t.Fatalf("load: Delta against NewMemory %v and back %v, want both empty", d, e)
+				}
+				base, baseRef = fresh, maps.Clone(image)
 			}
 		}
 		check("end", m, ref)

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"sync"
 
 	"recyclesim/internal/config"
 	"recyclesim/internal/core"
@@ -263,12 +264,17 @@ func Run(o Options) (*Result, error) {
 // ErrDeadline — when the context is done.  Polling is cycle-counted,
 // so an uncancelled run commits the identical instruction stream with
 // or without a context.
+//
+// A run takes an idle core of its machine when one is left from an
+// earlier clean run and resets it in place (see idleCores); the result
+// is byte-identical to a run on a newly built core.
 func RunContext(ctx context.Context, o Options) (*Result, error) {
 	progs, err := prepare(&o)
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.New(o.Machine, o.Features, progs)
+	pool := corePool(o.Machine)
+	c, err := getCore(pool, o.Machine, o.Features, progs)
 	if err != nil {
 		return nil, err
 	}
@@ -306,6 +312,9 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 		if o.SnapshotHook != nil {
 			o.SnapshotHook(coreSnapshot(c))
 		}
+		// res is the core's own Stats, which the next reset clears.
+		res = copyStats(res)
+		putCore(pool, c)
 		return res, nil
 	}
 
@@ -374,15 +383,70 @@ func runCore(c *core.Core, maxInsts, maxCycles uint64) (res *Result, err error, 
 // needs, so SnapshotHook receivers can use them after the simulation
 // has moved on.
 func coreSnapshot(c *core.Core) *Snapshot {
-	st := *c.Stats
-	st.PerProgram = append([]uint64(nil), c.Stats.PerProgram...)
 	m := *c.Obs
-	return &Snapshot{Stats: &st, Metrics: &m}
+	return &Snapshot{Stats: copyStats(c.Stats), Metrics: &m}
+}
+
+// copyStats returns a deep copy of s.
+func copyStats(s *stats.Sim) *stats.Sim {
+	st := *s
+	st.PerProgram = append([]uint64(nil), s.PerProgram...)
+	return &st
+}
+
+// idleCores keeps the cores of finished runs for RunContext to reset
+// in place rather than build anew, one pool per machine (a core's
+// machine is fixed; its features and programs are not).  A sync.Pool
+// needs no size: the garbage collector reclaims idle cores.  Only a
+// core whose run ended cleanly goes back; one stopped by an error or a
+// panic is dropped.  Cores from NewCore and sampled runs never enter.
+var idleCores struct {
+	mu    sync.Mutex
+	pools map[Machine]*sync.Pool
+}
+
+// corePool returns m's pool of idle cores.
+func corePool(m Machine) *sync.Pool {
+	idleCores.mu.Lock()
+	defer idleCores.mu.Unlock()
+	p := idleCores.pools[m]
+	if p == nil {
+		if idleCores.pools == nil {
+			idleCores.pools = make(map[Machine]*sync.Pool)
+		}
+		p = &sync.Pool{}
+		idleCores.pools[m] = p
+	}
+	return p
+}
+
+// getCore returns a core in the state core.New(m, f, progs) builds: an
+// idle one from m's pool reset in place, or a new one.
+func getCore(pool *sync.Pool, m Machine, f Features, progs []*Program) (*core.Core, error) {
+	if c, ok := pool.Get().(*core.Core); ok {
+		if err := c.Reset(f, progs); err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	return core.New(m, f, progs)
+}
+
+// putCore returns the core of a clean run to its machine's pool,
+// detaching the caller's hooks and recorders so an idle core holds on
+// to none of them.
+func putCore(pool *sync.Pool, c *core.Core) {
+	c.CommitHook = nil
+	c.SetPoll(nil)
+	c.SetRing(nil)
+	c.SetPipeTrace(nil)
+	pool.Put(c)
 }
 
 // NewCore builds a core directly for callers that need cycle-stepping,
 // commit hooks, or custom instrumentation (see internal/core for the
-// full surface used by the test suite).
+// full surface used by the test suite).  The core is the caller's: it
+// never enters the pool RunContext reuses.
 func NewCore(m Machine, f Features, progs []*Program) (*core.Core, error) {
 	return core.New(m, f, progs)
 }
