@@ -58,6 +58,7 @@ type Cache struct {
 	p       Params
 	sets    int
 	pages   [][]line // page i holds sets i<<pageShift on, assoc ways each; nil until one is filled
+	spare   [][]line // pages CopyFrom and Reset dropped, reused by first fills before allocating
 	bankCyc []uint64 // cycle of the bank's last use
 	bankCnt []int    // accesses to the bank in that cycle
 	clock   uint64
@@ -123,18 +124,31 @@ func (c *Cache) Clone() *Cache {
 }
 
 // CopyFrom overwrites c with a deep copy of src, reusing c's arrays
-// and tag pages when they are large enough, so a buffer refilled from
-// the same geometry allocates only the pages src holds and c lacks.  A
-// page src lacks is all invalid lines, and c drops its own copy of it.
+// and tag pages: a page both hold is copied in place, one only src
+// holds takes a spare page if c has one, and one only c holds moves to
+// c's spare list (a page src lacks is all invalid lines).  A buffer
+// refilled from the same geometry allocates only the pages src holds
+// beyond those c holds and keeps spare.  src is only read.
 func (c *Cache) CopyFrom(src *Cache) {
-	pages, bankCyc, bankCnt := c.pages, c.bankCyc, c.bankCnt
+	pages, spare, bankCyc, bankCnt := c.pages, c.spare, c.bankCyc, c.bankCnt
+	if c.pageLen() != src.pageLen() {
+		// Another geometry: none of c's pages fits src's.
+		pages, spare = nil, nil
+	}
 	*c = *src
 	c.pages = slices.Grow(pages[:0], len(src.pages))[:len(src.pages)]
+	c.spare = spare
 	for i, pg := range src.pages {
-		if pg == nil {
-			c.pages[i] = nil
-		} else {
-			c.pages[i] = append(c.pages[i][:0], pg...)
+		switch own := c.pages[i]; {
+		case pg == nil:
+			if own != nil {
+				c.spare = append(c.spare, own)
+				c.pages[i] = nil
+			}
+		case own == nil:
+			c.pages[i] = append(c.newPage()[:0], pg...)
+		default:
+			copy(own, pg)
 		}
 	}
 	c.bankCyc = append(bankCyc[:0], src.bankCyc...)
@@ -142,17 +156,35 @@ func (c *Cache) CopyFrom(src *Cache) {
 }
 
 // Reset empties c as New leaves it: every line invalid, the banks idle,
-// the clock and statistics zero.  It zeroes the tag pages c holds and
-// keeps them, so a cache reset between runs on the same program
+// the clock and statistics zero.  It moves the tag pages c holds to the
+// spare list, so a cache reset between runs on the same program
 // allocates none of them again.
 func (c *Cache) Reset() {
-	for _, pg := range c.pages {
-		clear(pg)
+	for i, pg := range c.pages {
+		if pg != nil {
+			c.spare = append(c.spare, pg)
+			c.pages[i] = nil
+		}
 	}
 	clear(c.bankCyc)
 	clear(c.bankCnt)
 	c.clock = 0
 	c.Stats = Stats{}
+}
+
+// pageLen returns the number of lines in one of c's tag pages.
+func (c *Cache) pageLen() int { return min(c.sets, 1<<pageShift) * c.p.Assoc }
+
+// newPage returns a tag page of invalid lines: a spare one, cleared,
+// or a new one.
+func (c *Cache) newPage() []line {
+	if n := len(c.spare); n > 0 {
+		pg := c.spare[n-1]
+		c.spare = c.spare[:n-1]
+		clear(pg)
+		return pg
+	}
+	return make([]line, c.pageLen())
 }
 
 // Sets returns the number of sets (exported for tests).
@@ -191,7 +223,7 @@ func (c *Cache) Lookup(now uint64, addr uint64) (hit bool, bankDelay uint64) {
 	pg := c.pages[page]
 	if pg == nil {
 		// The set's first fill: every line in an absent page is invalid.
-		pg = make([]line, min(c.sets, 1<<pageShift)*c.p.Assoc)
+		pg = c.newPage()
 		c.pages[page] = pg
 	}
 	ways := pg[base : base+c.p.Assoc]

@@ -88,6 +88,24 @@ func (r *refCache) contains(addr uint64) bool {
 	return false
 }
 
+// droppedLines returns an address of every valid line dst holds in a
+// page src lacks: the lines a dst.CopyFrom(src) drops with their pages.
+func droppedLines(dst, src *Cache) []uint64 {
+	var addrs []uint64
+	for pi, pg := range dst.pages {
+		if pg == nil || src.pages[pi] != nil {
+			continue
+		}
+		for k, ln := range pg {
+			if ln.lru != 0 {
+				set := uint64(pi)<<pageShift + uint64(k/dst.p.Assoc)
+				addrs = append(addrs, (ln.tag<<dst.setShift|set)<<dst.lineShift)
+			}
+		}
+	}
+	return addrs
+}
+
 // fuzzParams decodes a power-of-two geometry from geom: bits 0-1 give
 // the associativity (1 to 8), bits 2-5 the set count (1 to 2,048, four
 // tag pages), bits 6-7 the line size (8 to 64 bytes) and bits 8-9 the
@@ -108,11 +126,15 @@ func fuzzParams(geom uint16) (p Params, addrShift uint) {
 // by the geometry's shift.  After every access the hit, bank delay,
 // Stats and Contains on this and the previous address must agree.
 // Midway, a cache of the same geometry trained on a disjoint stream
-// takes a CopyFrom of the one under test, must equal its Clone, and
-// carries on as the cache under test; the source must stay as it was.
-// Three quarters of the way, the cache under test is Reset and must
-// match a fresh reference from cold.  Streams are cut to 4,096
-// accesses to keep one run cheap.
+// takes a CopyFrom of the one under test, must equal its Clone apart
+// from the spare pages (sameState), and carries on as the cache under
+// test; the source must stay as it was.  Right after the copy, every
+// line the destination held in a page the copy dropped is looked up
+// again, so a spare page refilled with its stale lines shows up as a
+// hit the reference does not make.  Three quarters of the way, the
+// cache under test is Reset, must equal a new cache apart from the
+// spare pages, and must match a fresh reference from cold.  Streams
+// are cut to 4,096 accesses to keep one run cheap.
 func FuzzCacheLookup(f *testing.F) {
 	// Geometries read, left to right: shift, banks, line, sets, ways.
 	f.Add(uint16(0b0000_00_01_0011_01), []byte{1, 0, 0, 0, 8, 0, 0, 16, 0, 1, 0, 0, 0, 24, 0, 1, 8, 0})
@@ -137,14 +159,25 @@ func FuzzCacheLookup(f *testing.F) {
 					at += step
 					dst.Lookup(at, addr^0x5555<<addrShift)
 				}
+				dropped := droppedLines(dst, c)
 				dst.CopyFrom(c)
-				if !reflect.DeepEqual(dst, c.Clone()) {
+				if !sameState(dst, c.Clone()) {
 					t.Fatalf("access %d: CopyFrom over a cache trained on another stream differs from Clone", i)
 				}
 				src, srcClone, c = c, c.Clone(), dst
+				for _, a := range dropped {
+					hit, delay := c.Lookup(now, a)
+					wantHit, wantDelay := ref.lookup(now, a)
+					if hit != wantHit || delay != wantDelay {
+						t.Fatalf("access %d: dropped line 0x%x: hit %v delay %d, want %v %d", i, a, hit, delay, wantHit, wantDelay)
+					}
+				}
 			}
 			if i == 3*n/4 {
 				c.Reset()
+				if !sameState(c, New(p)) {
+					t.Fatalf("access %d: a Reset cache differs from a new one", i)
+				}
 				ref = newRefCache(p)
 			}
 			step, addr := access(i)

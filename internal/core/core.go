@@ -250,13 +250,13 @@ func (c *Core) Reset(feat config.Features, progs []*program.Program) error {
 }
 
 // reset puts the core into its starting state for feat and progs on
-// the given seeds and models (see newCore for both); nil progs keeps
-// the current programs (Reseed).  It keeps the machine and every
-// buffer the core owns, emptied in place; every other field starts
-// from its zero value, so the cycle count, hooks and attached
-// recorders start over, and Stats and Obs are cleared in place.  The
-// core adopts the non-nil models in m and takes its own for the rest,
-// building them on first use and resetting them in place after.
+// the given seeds and models (see newCore for both).  It keeps the
+// machine and every buffer the core owns, emptied in place; every
+// other field starts from its zero value, so the cycle count, hooks
+// and attached recorders start over, and Stats and Obs are cleared in
+// place.  The core adopts the non-nil models in m and takes its own
+// for the rest, building them on first use and resetting them in place
+// after.
 func (c *Core) reset(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) {
 	own := &c.own
 	if m.Pred == nil {
@@ -297,9 +297,7 @@ func (c *Core) reset(feat config.Features, progs []*program.Program, seeds []*Ar
 		}
 		written, mdb = own.written, own.mdb
 	}
-	if progs != nil {
-		c.partition(progs)
-	}
+	c.partition(progs)
 	clear(c.pendingSt)
 	clear(c.due)
 	*c = Core{

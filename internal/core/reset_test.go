@@ -14,11 +14,33 @@ import (
 	"recyclesim/internal/workload"
 )
 
+// midProgramSeeds returns a seed per program, each a few thousand
+// instructions into its program on the emulator; every call builds
+// new, equal memories.
+func midProgramSeeds(progs []*program.Program) []*ArchState {
+	seeds := make([]*ArchState, len(progs))
+	for i, p := range progs {
+		e := emu.New(p)
+		e.Run(uint64(2_000 + 700*i))
+		seeds[i] = &ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem}
+	}
+	return seeds
+}
+
 // TestResetMatchesNew: a core that ran one cell and is Reset for
 // another — other features, another number of programs — runs exactly
 // as a core New builds for that cell, with the reuse tables present
-// only when the new features ask for reuse.
+// only when the new features ask for reuse.  Reseed onto other
+// programs and features, mid-program, likewise runs exactly as
+// NewSeededWith builds for them (sampled mode moves a pooled seed core
+// to the next run's program and preset this way).
 func TestResetMatchesNew(t *testing.T) {
+	for _, how := range []string{"Reset", "Reseed"} {
+		t.Run(how, func(t *testing.T) { testResetMatchesNew(t, how == "Reseed") })
+	}
+}
+
+func testResetMatchesNew(t *testing.T, reseed bool) {
 	mixes := [][]string{{"gcc"}, {"compress", "li"}, {"go", "perl", "vortex", "tomcatv"}}
 	presets := []string{"SMT", "TME", "REC", "REC/RS", "REC/RS/RU"}
 	mach := config.Small28()
@@ -44,10 +66,18 @@ func TestResetMatchesNew(t *testing.T) {
 			if _, err := used.Run(3_000, 40*3_000); err != nil {
 				t.Fatal(err)
 			}
-			if err := used.Reset(tf, toProgs); err != nil {
-				t.Fatal(err)
+			var fresh *Core
+			if reseed {
+				if err := used.Reseed(tf, toProgs, midProgramSeeds(toProgs), Models{}); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err = NewSeededWith(mach, tf, toProgs, midProgramSeeds(toProgs), Models{})
+			} else {
+				if err := used.Reset(tf, toProgs); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err = New(mach, tf, toProgs)
 			}
-			fresh, err := New(mach, tf, toProgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +172,7 @@ func TestResetLeavesAdoptedStateAlone(t *testing.T) {
 			t.Errorf("%s: the adopted seed memory changed", when)
 		}
 	}
-	if err := c.Reseed(nil, Models{}); err != nil {
+	if err := c.Reseed(config.RECRSRU, progs, nil, Models{}); err != nil {
 		t.Fatal(err)
 	}
 	unchanged("Reseed")

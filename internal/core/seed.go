@@ -60,45 +60,66 @@ func NewSeeded(mach config.Machine, feat config.Features, progs []*program.Progr
 // non-nil fields of m at construction, so no cold model is built only
 // to be replaced.  Sampled simulation seeds every measurement interval
 // this way, building each seed slot's core once and calling Reseed for
-// its later intervals.  The recycle tables (written bits, MDB,
+// its later intervals and runs.  The recycle tables (written bits, MDB,
 // active-list traces) still start cold.
 func NewSeededWith(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
-	if err := checkSeeds(seeds, len(progs), func(i int) *program.Program { return progs[i] }); err != nil {
+	if err := checkSeeds(seeds, progs); err != nil {
 		return nil, err
 	}
 	return newCore(mach, feat, progs, seeds, m)
 }
 
 // Reseed puts c into exactly the state NewSeededWith builds for c's
-// machine, features and programs on the given seeds and models, and
-// validates the seeds the same way.  It reuses c's buffers (active
-// lists, store queues, register file, queues, completion wheel, recycle
+// machine and the given features, programs, seeds and models, and
+// validates them the same way.  It reuses c's buffers (active lists,
+// store queues, register file, queues, completion wheel, recycle
 // tables, and the models and memories c built for itself), so a core
 // reseeded per sampled interval allocates only what nil models and nil
-// seed memories ask for the first time.  The cycle count, Stats,
-// Obs, the commit hook, the poll hook and any attached recorders start
-// over; Stats and Obs are cleared in place, so values read from them
-// earlier must be copied first.  On error c is unchanged.
-func (c *Core) Reseed(seeds []*ArchState, m Models) error {
-	if err := checkSeeds(seeds, len(c.parts), func(i int) *program.Program { return c.parts[i].prog }); err != nil {
+// seed memories ask for the first time.  Features and programs equal to
+// the ones c runs were validated when c took them and are not walked
+// again, so reseeding the same program for its next interval costs no
+// more than the reset itself.  The cycle count, Stats, Obs, the commit
+// hook, the poll hook and any attached recorders start over; Stats and
+// Obs are cleared in place, so values read from them earlier must be
+// copied first.  On error c is unchanged.
+func (c *Core) Reseed(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) error {
+	if feat != c.feat || !c.runs(progs) {
+		if err := checkRun(c.mach, feat, progs); err != nil {
+			return err
+		}
+	}
+	if err := checkSeeds(seeds, progs); err != nil {
 		return err
 	}
-	c.reset(c.feat, nil, seeds, m)
+	c.reset(feat, progs, seeds, m)
 	return nil
 }
 
-// checkSeeds validates seeds for nprogs programs, prog(i) being the
-// i-th: an empty list or one seed per program, each nil or starting
-// inside its program's text with a zero zero-register.
-func checkSeeds(seeds []*ArchState, nprogs int, prog func(int) *program.Program) error {
-	if len(seeds) != 0 && len(seeds) != nprogs {
-		return fmt.Errorf("core: %d seeds for %d programs", len(seeds), nprogs)
+// runs reports whether progs are the programs c runs, in order.
+func (c *Core) runs(progs []*program.Program) bool {
+	if len(progs) != len(c.parts) {
+		return false
+	}
+	for i, p := range progs {
+		if c.parts[i].prog != p {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSeeds validates seeds for progs: an empty list or one seed per
+// program, each nil or starting inside its program's text with a zero
+// zero-register.
+func checkSeeds(seeds []*ArchState, progs []*program.Program) error {
+	if len(seeds) != 0 && len(seeds) != len(progs) {
+		return fmt.Errorf("core: %d seeds for %d programs", len(seeds), len(progs))
 	}
 	for i, s := range seeds {
 		if s == nil {
 			continue
 		}
-		p := prog(i)
+		p := progs[i]
 		if _, ok := p.PCToIndex(s.PC); !ok {
 			return fmt.Errorf("core: seed %d: pc 0x%x outside %s text", i, s.PC, p.Name)
 		}

@@ -147,9 +147,15 @@ func TestNewSeededValidation(t *testing.T) {
 	}
 	c.Cycle()
 	for _, seeds := range [][]*ArchState{{nil, nil}, {{PC: 0x3}}, {bad}} {
-		if err := c.Reseed(seeds, Models{}); err == nil {
+		if err := c.Reseed(config.SMT, progs, seeds, Models{}); err == nil {
 			t.Errorf("Reseed accepted %+v", seeds)
 		}
+	}
+	if err := c.Reseed(config.Features{Recycle: true}, progs, nil, Models{}); err == nil {
+		t.Error("Reseed accepted Recycle without TME")
+	}
+	if err := c.Reseed(config.SMT, nil, nil, Models{}); err == nil {
+		t.Error("Reseed accepted no programs")
 	}
 	if c.CycleCount() != 1 {
 		t.Error("a refused Reseed reset the core")
@@ -304,7 +310,7 @@ func TestReseedMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := used.Reseed(seed(), modelCopies(warm)); err != nil {
+				if err := used.Reseed(feat, progs, seed(), modelCopies(warm)); err != nil {
 					t.Fatal(err)
 				}
 				if used.CommitHook != nil || used.poll != nil || used.ring != nil || used.ptrace != nil || used.cycle != 0 {

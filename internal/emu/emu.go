@@ -28,9 +28,21 @@ type Emulator struct {
 // New returns an emulator at the program's entry with a fresh memory
 // image and the stack pointer initialized.
 func New(p *program.Program) *Emulator {
-	e := &Emulator{Prog: p, Mem: program.NewMemory(p), PC: p.Entry}
-	e.Regs[isa.RegSP] = program.StackBase
+	e := &Emulator{}
+	e.Reset(p)
 	return e
+}
+
+// Reset puts e into exactly the state New(p) builds, reloading its
+// memory in place (program.Memory.Load) when it has one.
+func (e *Emulator) Reset(p *program.Program) {
+	mem := e.Mem
+	if mem == nil {
+		mem = &program.Memory{}
+	}
+	mem.Load(p)
+	*e = Emulator{Prog: p, Mem: mem, PC: p.Entry}
+	e.Regs[isa.RegSP] = program.StackBase
 }
 
 // StepInfo describes one architecturally executed instruction; the

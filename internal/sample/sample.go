@@ -195,7 +195,34 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
+	st, ok := idleRuns.Get(mach)
+	if ok {
+		st.master.Reset()
+	} else {
+		st = &runState{master: NewWarmup(mach)}
+	}
+	res, err := st.run(mach, feat, prog, maxInsts, cfg)
+	if err != nil {
+		// A poll error, a failed interval, a contained panic, a
+		// program halting before one period: the state may be left
+		// mid-run, so a failed run drops it.
+		return nil, err
+	}
+	// The cores let go of this run's poll hook before the state waits
+	// for the next run on the machine.
+	for _, sp := range st.slots {
+		if sp != nil && sp.c != nil {
+			sp.c.SetPoll(nil)
+		}
+	}
+	idleRuns.Put(mach, st)
+	return res, nil
+}
 
+// run is Run on st, whose master must be cold (NewWarmup's state): it
+// loads prog into st's initial image and emulator, then runs the
+// checkpoint pass and the intervals on st's seed slots.
+func (st *runState) run(mach config.Machine, feat config.Features, prog *program.Program, maxInsts uint64, cfg Config) (*Result, error) {
 	// Checkpoint pass: one functional sweep over the run with
 	// *continuous* warming — a single master Warmup observes every
 	// instruction, so at each measurement point the models carry the
@@ -215,15 +242,18 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	// interval ends.  A run thus holds a fixed handful of model copies,
 	// data memories and detailed cores however many intervals it has,
 	// and the sequential pass overlaps the parallel intervals instead of
-	// waiting for them.  None of this affects the estimate: the pass is
-	// sequential, every interval starts from an exact copy of the master
-	// on a core in exactly its freshly built state (core.Reseed), and
-	// every interval writes its own result slot.
+	// waiting for them.  The machine outlives the run: the master, the
+	// emulator, the initial image and the slots come from the last clean
+	// run on the same machine when one left them (see runState), reset
+	// in place.  None of this affects the estimate: the pass is
+	// sequential and starts from a master and an emulator in exactly
+	// their freshly built state, every interval starts from an exact
+	// copy of the master on a core in exactly its freshly built state
+	// (core.Reseed), and every interval writes its own result slot.
+	st.base.Load(prog)
+	st.e.Reset(prog)
+	base, e, master := &st.base, &st.e, st.master
 	nMax := int(maxInsts / cfg.Period)
-	seeds := make([]seedSlot, min(seedsPerWorker*sweep.Workers(cfg.Workers), maxSeeds))
-	base := program.NewMemory(prog)
-	e := emu.New(prog)
-	master := NewWarmup(mach)
 	ff := cfg.Period - cfg.IntervalLen - cfg.WarmupLen
 	ivals := make([]Interval, nMax)
 	errs := make([]error, nMax)
@@ -242,7 +272,7 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 		if e.Halted {
 			return false
 		}
-		sp := &seeds[s]
+		sp := st.slot(s)
 		sp.k = n
 		sp.cp.capture(e, base)
 		master.CloneInto(&sp.w)
@@ -256,7 +286,7 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 		return true
 	}
 	consume := func(s int) {
-		sp := &seeds[s]
+		sp := st.slots[s]
 		if cfg.Poll != nil {
 			if err := cfg.Poll(); err != nil {
 				errs[sp.k] = err
@@ -266,7 +296,7 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 		ivals[sp.k], errs[sp.k] = sp.runInterval(mach, feat, prog, base, cfg)
 		ivals[sp.k].Index = sp.k
 	}
-	sweep.Pipeline(len(seeds), cfg.Workers, produce, consume)
+	sweep.Pipeline(min(seedsPerWorker*sweep.Workers(cfg.Workers), maxSeeds), cfg.Workers, produce, consume)
 	if passErr != nil {
 		return nil, passErr
 	}
@@ -314,9 +344,39 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	return res, nil
 }
 
+// runState is what a sampled run builds for its machine: the checkpoint
+// pass's master models, the program's initial image, the pass's
+// emulator and the seed slots, each built on first use.  None of it
+// depends on the run's program, features or schedule once reset, so a
+// clean run leaves it in idleRuns and the next run on the same machine
+// resets it in place instead of building it again: the master by
+// Warmup.Reset, the image and the emulator by reloading the program,
+// and each slot's parts by the pass and the interval that use it next
+// (its checkpoint and model copy are overwritten, its data memory
+// copied, its core reseeded onto the new program and features).
+type runState struct {
+	master *Warmup
+	base   program.Memory
+	e      emu.Emulator
+	slots  [maxSeeds]*seedSlot
+}
+
+// idleRuns keeps the state of clean sampled runs for Run to reset in
+// place rather than build anew, by machine.
+var idleRuns sweep.Pools[config.Machine, *runState]
+
+// slot returns seed slot s, adding it on first use.
+func (st *runState) slot(s int) *seedSlot {
+	if st.slots[s] == nil {
+		st.slots[s] = &seedSlot{}
+	}
+	return st.slots[s]
+}
+
 // seedSlot is one buffer of Run's seed pool: what the checkpoint pass
 // fills for an interval, and what the interval builds from it.  Every
-// part is reused by the slot's next interval.
+// part is reused by the slot's next interval, in this run or a later
+// one on the same machine.
 type seedSlot struct {
 	k  int        // interval index
 	cp Checkpoint // measurement-start state; its delta buffer is reused
@@ -329,13 +389,13 @@ type seedSlot struct {
 
 // runInterval restores the slot's checkpoint into its data memory,
 // seeds its detailed core — built on the slot's first interval,
-// reseeded in place after — on the slot's private copy of the
-// continuously warmed models (the core trains them in place, so w is
-// spent once this returns), runs the detached warmup, and measures the
-// interval.  A panic inside the core is contained into the interval's
-// error so one bad interval cannot take down a parallel sampled sweep;
-// a failed interval drops the slot's core, so the next one builds
-// afresh.
+// reseeded in place after, onto this run's program and features — on
+// the slot's private copy of the continuously warmed models (the core
+// trains them in place, so w is spent once this returns), runs the
+// detached warmup, and measures the interval.  A panic inside the core
+// is contained into the interval's error so one bad interval cannot
+// take down a parallel sampled sweep; a failed interval drops the
+// slot's core, so the next one builds afresh.
 func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *program.Program, base *program.Memory, cfg Config) (iv Interval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -351,12 +411,12 @@ func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *
 		return iv, err
 	}
 	s.arch = core.ArchState{PC: s.cp.PC, Regs: s.cp.Regs, Mem: &s.mem}
-	seeds := []*core.ArchState{&s.arch}
+	progs, seeds := []*program.Program{prog}, []*core.ArchState{&s.arch}
 	m := core.Models{Pred: s.w.Pred, Conf: s.w.Conf, Mem: s.w.Mem}
 	if s.c == nil {
-		s.c, err = core.NewSeededWith(mach, feat, []*program.Program{prog}, seeds, m)
+		s.c, err = core.NewSeededWith(mach, feat, progs, seeds, m)
 	} else {
-		err = s.c.Reseed(seeds, m)
+		err = s.c.Reseed(feat, progs, seeds, m)
 	}
 	if err != nil {
 		return iv, err

@@ -189,18 +189,25 @@ func TestSampledDeterminism(t *testing.T) {
 // and its detailed core, and reseeds them in place (core.Reseed), so
 // what is left is the interval's result (its Stats' per-program
 // counts) and the slots' buffers growing to the program's footprint:
-// about 400 bytes for gcc on Big216 with one worker, and 2.3 KB with
-// four, whose eight slots each grow their own.  The marginal cost per
-// interval is measured between a 48- and a 96-interval run, so the
-// fixed costs (the master models and each slot's first core, memory
-// and model copy) cancel.  The smallest regression it guards against
-// is a restored memory built afresh (gcc's data image spans nine 4 KB
-// pages, ~37 KB); a fresh core is ~300 KB and a model copy ~150 KB.
-// The bound of two pages leaves room for drift in the growth.
+// about 340 bytes for gcc on Big216, give or take a few hundred with
+// four workers, whose eight slots each grow their own.  The marginal
+// cost per interval is measured between a 48- and a 96-interval run.
+// Both reuse the state a first 96-interval run left (runState), so
+// their fixed costs cancel; without that run the 48-interval run would
+// pay for building the state and the difference would go negative.
+// The smallest regression it guards against is a restored memory
+// built afresh (gcc's data image spans nine 4 KB pages, ~37 KB); a
+// fresh core is ~300 KB and a model copy ~150 KB.  The bound of two
+// pages leaves room for drift in the growth.
 //
-// With four workers the slots' cores change hands between goroutines;
-// under the race detector (make test) that races per-slot reuse, and
-// its result must still equal the one-worker run's.
+// As in TestPooledSampledRunAllocBudget, a machine value no other test
+// runs has a pool holding only this test's state, and one P keeps
+// sync.Pool from parking it in another P's private slot.  Under the
+// race detector sync.Pool drops a quarter of what it is given, on
+// purpose, so a measured run may build its state afresh and the bound
+// is not checked there.  The four workers still hand the slots' cores
+// between goroutines, which the race detector checks, and the result
+// must still equal the one-worker run's.
 func TestSampledIntervalAllocs(t *testing.T) {
 	const (
 		bound       = 8_192 // bytes per interval
@@ -214,7 +221,9 @@ func TestSampledIntervalAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := config.Big216()
+	mach.Name = "big.2.16 interval allocs"
 	feat, _ := config.PresetByName("REC/RS/RU")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ref *Result
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -232,19 +241,73 @@ func TestSampledIntervalAllocs(t *testing.T) {
 				}
 				return r, after.TotalAlloc - before.TotalAlloc
 			}
+			allocs(long)
 			_, a := allocs(short)
 			r, b := allocs(long)
-			perInterval := (b - a) / (long - short)
-			t.Logf("%d bytes per interval (%d for %d intervals, %d for %d)", perInterval, a, short, b, long)
-			if perInterval > bound {
-				t.Errorf("a sampled interval allocates %d bytes, over the %d-byte bound", perInterval, bound)
-			}
 			if ref == nil {
 				ref = r
 			} else if !reflect.DeepEqual(r, ref) {
 				t.Error("result differs from the one-worker run's")
 			}
+			if raceEnabled {
+				return
+			}
+			// Signed: with four workers the intervals land on the slots
+			// in another order each run, so the slots' growth varies by
+			// a few KB a run either way.
+			perInterval := (int64(b) - int64(a)) / (long - short)
+			t.Logf("%d bytes per interval (%d for %d intervals, %d for %d)", perInterval, a, short, b, long)
+			if perInterval > bound {
+				t.Errorf("a sampled interval allocates %d bytes, over the %d-byte bound", perInterval, bound)
+			}
 		})
+	}
+}
+
+// TestPooledSampledRunAllocBudget: a repeat sampled run on the same
+// machine reuses the first run's state — master models, initial image,
+// emulator, and every seed slot's checkpoint buffer, model copy, data
+// memory and core — so it allocates little beyond its Result: about
+// 400 bytes per interval, 20 KB in all.  Building the state anew costs
+// about 810 KB.
+// A machine value no other test runs has a pool holding only this
+// test's state, and one P keeps sync.Pool from parking it in another
+// P's private slot, out of the second run's reach; the race detector
+// makes sync.Pool drop items at random, so the test skips under it.
+func TestPooledSampledRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	if invariantEnabled {
+		t.Skip("siminvariant build: the periodic checker allocates by design")
+	}
+	const budget = 64 << 10
+	p, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := config.Big216()
+	mach.Name = "big.2.16 sampled alloc budget"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500}
+	run := func() {
+		r, err := Run(mach, config.RECRSRU, p, 50*cfg.Period, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Intervals) != 50 {
+			t.Fatalf("%d intervals, want 50", len(r.Intervals))
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("second run allocates %d bytes", got)
+	if got > budget {
+		t.Errorf("second run allocates %d bytes, over the %d-byte budget", got, budget)
 	}
 }
 

@@ -59,6 +59,18 @@ func NewWarmup(mach config.Machine) *Warmup {
 	}
 }
 
+// Reset puts w back into exactly the state NewWarmup builds for its
+// machine, emptying the models in place (bpred.Predictor.Reset,
+// confidence.Estimator.Reset, cache.Hierarchy.Reset), so a master
+// warmed for one sampled run starts the next run on the machine cold
+// without building its models again.
+func (w *Warmup) Reset() {
+	w.Pred.Reset()
+	w.Conf.Reset()
+	w.Mem.Reset()
+	*w = Warmup{Pred: w.Pred, Conf: w.Conf, Mem: w.Mem}
+}
+
 // Clone deep-copies the warmup state — models and line-tracking — so a
 // measurement interval can hand a private snapshot of the continuously
 // warmed models to its detailed core while the master warmup keeps

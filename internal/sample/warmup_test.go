@@ -143,6 +143,45 @@ func TestWarmupAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWarmupResetMatchesNew: a master trained over one run and Reset
+// is in NewWarmup's state.  The predictor, the estimator and the line
+// tracking are deeply equal, and so is the hierarchy apart from the tag
+// pages it keeps spare for later first fills, which a Clone leaves
+// behind.  Warming the same stream again takes every tag page from the
+// spares, and warming another program afterwards leaves the models as
+// a new Warmup's.
+func TestWarmupResetMatchesNew(t *testing.T) {
+	mach := config.Big216()
+	gcc, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWarmup(mach)
+	w.fastForward(emu.New(gcc), 200_000)
+	w.Reset()
+	if !reflect.DeepEqual(w.Clone(), NewWarmup(mach)) {
+		t.Fatal("a trained Warmup, Reset, differs from NewWarmup")
+	}
+	if !reflect.DeepEqual(w.Pred, NewWarmup(mach).Pred) || !reflect.DeepEqual(w.Conf, NewWarmup(mach).Conf) {
+		t.Fatal("a trained Warmup's predictor or estimator, Reset, differs from NewWarmup's")
+	}
+	e := emu.New(gcc)
+	if got := allocBytes(func() { w.fastForward(e, 200_000) }); got != 0 {
+		t.Errorf("warming the same stream after Reset allocates %d bytes, want 0", got)
+	}
+	w.Reset()
+	fresh := NewWarmup(mach)
+	w.fastForward(emu.New(li), 100_000)
+	fresh.fastForward(emu.New(li), 100_000)
+	if !reflect.DeepEqual(w.Clone(), fresh.Clone()) {
+		t.Error("a Reset Warmup warms another program unlike a new one")
+	}
+}
+
 // BenchmarkFastForward times the checkpoint pass's per-instruction work
 // on gcc: the StepInto+Observe reference against the fused
 // fastForward, each reported in ns per instruction.

@@ -116,3 +116,37 @@ func Pipeline(slots, workers int, produce func(slot int) bool, consume func(slot
 	close(full)
 	wg.Wait()
 }
+
+// Pools keeps idle values for reuse, one sync.Pool per key: Get(k)
+// only hands out a value an earlier Put(k, v) kept, so a value built
+// for one machine is never offered to a run on another.  A sync.Pool
+// needs no size, since the garbage collector reclaims idle values, and
+// the zero Pools is ready to use.
+type Pools[K comparable, V any] struct {
+	mu    sync.Mutex
+	pools map[K]*sync.Pool
+}
+
+// Get takes an idle value kept for k; ok is false when there is none.
+func (p *Pools[K, V]) Get(k K) (v V, ok bool) {
+	v, ok = p.pool(k).Get().(V)
+	return v, ok
+}
+
+// Put keeps v idle for a later Get(k).
+func (p *Pools[K, V]) Put(k K, v V) { p.pool(k).Put(v) }
+
+// pool returns k's pool, adding it on first use.
+func (p *Pools[K, V]) pool(k K) *sync.Pool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sp := p.pools[k]
+	if sp == nil {
+		if p.pools == nil {
+			p.pools = make(map[K]*sync.Pool)
+		}
+		sp = &sync.Pool{}
+		p.pools[k] = sp
+	}
+	return sp
+}

@@ -87,3 +87,21 @@ func TestRunResultsMatchSerial(t *testing.T) {
 		}
 	}
 }
+
+// A value Put under one key is only ever handed out for that key.
+func TestPoolsKeepKeysApart(t *testing.T) {
+	var p Pools[string, *int]
+	if _, ok := p.Get("a"); ok {
+		t.Fatal("an empty Pools handed out a value")
+	}
+	one := new(int)
+	p.Put("a", one)
+	if v, ok := p.Get("b"); ok {
+		t.Fatalf("Get(b) returned %p, kept for a", v)
+	}
+	// sync.Pool may drop a value (the race detector does so on
+	// purpose), so only a hit is checked, never its absence.
+	if v, ok := p.Get("a"); ok && v != one {
+		t.Fatalf("Get(a) returned %p, want %p", v, one)
+	}
+}

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync"
 
 	"recyclesim/internal/config"
 	"recyclesim/internal/core"
@@ -45,6 +44,7 @@ import (
 	"recyclesim/internal/obs/pipetrace"
 	"recyclesim/internal/program"
 	"recyclesim/internal/stats"
+	"recyclesim/internal/sweep"
 	"recyclesim/internal/workload"
 )
 
@@ -273,8 +273,7 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := corePool(o.Machine)
-	c, err := getCore(pool, o.Machine, o.Features, progs)
+	c, err := getCore(o.Machine, o.Features, progs)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +313,7 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 		}
 		// res is the core's own Stats, which the next reset clears.
 		res = copyStats(res)
-		putCore(pool, c)
+		putCore(o.Machine, c)
 		return res, nil
 	}
 
@@ -395,35 +394,17 @@ func copyStats(s *stats.Sim) *stats.Sim {
 }
 
 // idleCores keeps the cores of finished runs for RunContext to reset
-// in place rather than build anew, one pool per machine (a core's
-// machine is fixed; its features and programs are not).  A sync.Pool
-// needs no size: the garbage collector reclaims idle cores.  Only a
-// core whose run ended cleanly goes back; one stopped by an error or a
-// panic is dropped.  Cores from NewCore and sampled runs never enter.
-var idleCores struct {
-	mu    sync.Mutex
-	pools map[Machine]*sync.Pool
-}
-
-// corePool returns m's pool of idle cores.
-func corePool(m Machine) *sync.Pool {
-	idleCores.mu.Lock()
-	defer idleCores.mu.Unlock()
-	p := idleCores.pools[m]
-	if p == nil {
-		if idleCores.pools == nil {
-			idleCores.pools = make(map[Machine]*sync.Pool)
-		}
-		p = &sync.Pool{}
-		idleCores.pools[m] = p
-	}
-	return p
-}
+// in place rather than build anew, by machine (a core's machine is
+// fixed; its features and programs are not).  Only a core whose run
+// ended cleanly goes back; one stopped by an error or a panic is
+// dropped.  Cores from NewCore never enter; sampled runs keep their
+// seed cores in a pool of their own (see sample.Run).
+var idleCores sweep.Pools[Machine, *core.Core]
 
 // getCore returns a core in the state core.New(m, f, progs) builds: an
-// idle one from m's pool reset in place, or a new one.
-func getCore(pool *sync.Pool, m Machine, f Features, progs []*Program) (*core.Core, error) {
-	if c, ok := pool.Get().(*core.Core); ok {
+// idle one of m's reset in place, or a new one.
+func getCore(m Machine, f Features, progs []*Program) (*core.Core, error) {
+	if c, ok := idleCores.Get(m); ok {
 		if err := c.Reset(f, progs); err != nil {
 			return nil, err
 		}
@@ -432,15 +413,15 @@ func getCore(pool *sync.Pool, m Machine, f Features, progs []*Program) (*core.Co
 	return core.New(m, f, progs)
 }
 
-// putCore returns the core of a clean run to its machine's pool,
+// putCore keeps the core of a clean run on m for a later getCore,
 // detaching the caller's hooks and recorders so an idle core holds on
 // to none of them.
-func putCore(pool *sync.Pool, c *core.Core) {
+func putCore(m Machine, c *core.Core) {
 	c.CommitHook = nil
 	c.SetPoll(nil)
 	c.SetRing(nil)
 	c.SetPipeTrace(nil)
-	pool.Put(c)
+	idleCores.Put(m, c)
 }
 
 // NewCore builds a core directly for callers that need cycle-stepping,
