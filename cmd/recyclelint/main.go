@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		// Listing needs only names and docs, not a loaded module.
-		for _, a := range lint.Default(&lint.Program{}) {
+		for _, a := range lint.Default() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name(), a.Doc())
 		}
 		return 0
@@ -66,7 +66,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Reject an unknown rule before the module load, which type-checks
 	// everything; like -list, the names need no loaded module.
-	if _, err := selectRules(lint.Default(&lint.Program{}), *rules); err != nil {
+	analyzers, err := selectRules(lint.Default(), *rules)
+	if err != nil {
 		fmt.Fprintf(stderr, "recyclelint: %v\n", err)
 		return 2
 	}
@@ -76,8 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-
-	analyzers, _ := selectRules(lint.Default(prog), *rules)
 
 	diags := lint.Run(prog, analyzers)
 	if *jsonOut {

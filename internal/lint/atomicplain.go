@@ -1,115 +1,34 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
-// AtomicPlain flags mixed atomic/plain access: once any struct field
-// (or package-level variable) is passed by address to a sync/atomic
-// function anywhere in the program, every access to it must be
-// atomic.  A single plain `p.done++` next to `atomic.AddInt64(&p.done,
-// 1)` is a data race the race detector only sees on the schedules that
-// actually collide; this makes it a review-time finding.
-//
-// Fields of the typed atomic wrappers (atomic.Int64, atomic.Pointer)
-// are safe by construction — they cannot be read or written without
-// going through their methods — so the analyzer only concerns the
-// legacy pattern of raw atomic calls on plain-typed fields.
+// AtomicPlain flags every use of a sync/atomic package function
+// (atomic.AddInt64, atomic.LoadUint32, ...).  A field handed to those
+// by address can still be read or written plainly next to them: a data
+// race the race detector only sees on the schedules that collide.  The
+// typed wrappers (atomic.Int64, atomic.Pointer, ...) cannot be accessed
+// except through their methods, so the mixed access cannot be written
+// at all; the rule requires them.
 type AtomicPlain struct{}
-
-// NewAtomicPlain builds the analyzer.
-func NewAtomicPlain() *AtomicPlain { return &AtomicPlain{} }
 
 // Name implements Analyzer.
 func (*AtomicPlain) Name() string { return "atomicplain" }
 
 // Doc implements Analyzer.
 func (*AtomicPlain) Doc() string {
-	return "flags plain reads/writes of fields that are accessed through sync/atomic elsewhere"
+	return "flags sync/atomic package functions; use the typed atomic wrappers"
 }
 
 // Check implements Analyzer.
 func (ap *AtomicPlain) Check(prog *Program) []Diagnostic {
-	// Pass 1: every `&x` argument of a sync/atomic call records the
-	// variable object it names as atomically-accessed, and the exact
-	// AST node as a sanctioned access site.
-	atomicVars := map[*types.Var]token.Pos{} // object -> first atomic site (for the message)
-	sanctioned := map[ast.Node]bool{}
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pn, ok := pkg.Info.Uses[id].(*types.PkgName)
-				if !ok || pn.Imported().Path() != "sync/atomic" {
-					return true
-				}
-				for _, arg := range call.Args {
-					un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-					if !ok || un.Op != token.AND {
-						continue
-					}
-					target := ast.Unparen(un.X)
-					if v := varOf(pkg.Info, target); v != nil {
-						if _, seen := atomicVars[v]; !seen {
-							atomicVars[v] = un.Pos()
-						}
-						sanctioned[target] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	if len(atomicVars) == 0 {
-		return nil
-	}
-
-	// Pass 2: any other appearance of those variables is a plain
-	// access.  (Taking the address without an atomic call around it is
-	// also flagged: the pointer can then be dereferenced plainly.)
 	var out []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				expr, ok := n.(ast.Expr)
-				if !ok || sanctioned[n] {
-					return true
-				}
-				// Only the outermost expression naming the variable
-				// counts: for `s.done` the SelectorExpr is the access,
-				// and its .Sel must not re-report.
-				switch e := expr.(type) {
-				case *ast.SelectorExpr:
-					v := varOf(pkg.Info, e)
-					if v == nil {
-						return true
-					}
-					if pos, hot := atomicVars[v]; hot {
-						out = append(out, ap.found(prog, e.Pos(), v, pos))
-						return false // do not descend into .Sel
-					}
-				case *ast.Ident:
-					v := varOf(pkg.Info, e)
-					if v == nil || v.IsField() {
-						// A bare field ident is a declaration or a
-						// composite-literal key, not an access.
-						return true
-					}
-					if pos, hot := atomicVars[v]; hot {
-						out = append(out, ap.found(prog, e.Pos(), v, pos))
+				if id, ok := n.(*ast.Ident); ok {
+					if path, name := pkgFunc(pkg.Info, id); path == "sync/atomic" {
+						out = append(out, Diagnostic{Pos: prog.Position(id.Pos()), Rule: ap.Name(),
+							Msg: sprintf("atomic.%s on a plain variable invites plain accesses to it elsewhere; use a typed atomic (atomic.Int64, ...)", name)})
 					}
 				}
 				return true
@@ -117,43 +36,4 @@ func (ap *AtomicPlain) Check(prog *Program) []Diagnostic {
 		}
 	}
 	return out
-}
-
-func (ap *AtomicPlain) found(prog *Program, at token.Pos, v *types.Var, atomicAt token.Pos) Diagnostic {
-	where := prog.Position(atomicAt)
-	return Diagnostic{
-		Pos: prog.Position(at), Rule: ap.Name(),
-		Msg: sprintf("plain access to %s, which is accessed via sync/atomic at %s:%d; all accesses must be atomic (or migrate to a typed atomic)",
-			v.Name(), where.Filename, where.Line),
-	}
-}
-
-// varOf resolves an expression to the struct-field or package-level
-// variable it names, nil otherwise.  Locals are excluded: a local
-// passed to sync/atomic is unusual but cannot be shared across
-// goroutines unless it escapes through one of the tracked shapes.
-func varOf(info *types.Info, e ast.Expr) *types.Var {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			if v, ok := sel.Obj().(*types.Var); ok {
-				return v
-			}
-			return nil
-		}
-		// Qualified package-level variable (pkg.Var).
-		if v, ok := info.Uses[x.Sel].(*types.Var); ok && !v.IsField() && v.Parent() == v.Pkg().Scope() {
-			return v
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[x].(*types.Var); ok {
-			if v.IsField() {
-				return v
-			}
-			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return v
-			}
-		}
-	}
-	return nil
 }

@@ -1,8 +1,8 @@
 // Package callgraph builds an approximate whole-program call graph
 // over the already-typed ASTs produced by internal/lint's loader, using
 // nothing but the standard library.  It is the substrate for the
-// transitive analyzers (puresim, hotalloc): they pick root functions,
-// walk Reach, and inspect each reachable function body.
+// transitive analyzers (determinism, hotalloc): they pick root
+// functions, walk Reach, and inspect each reachable function body.
 //
 // The approximation, precisely:
 //
@@ -27,8 +27,8 @@
 //     them (the runtime witnesses remain the backstop).
 //
 // Calls into packages outside the module (the standard library) have no
-// bodies to traverse; they are recorded per node as ExtUse entries so
-// analyzers can match them against allow/deny lists.
+// bodies to traverse and add no edges; analyzers inspect the reachable
+// bodies for them.
 package callgraph
 
 import (
@@ -64,9 +64,6 @@ type Node struct {
 
 	// Out lists the call edges in source order.
 	Out []Edge
-	// Ext records calls to (and value references of) functions declared
-	// outside the module, in source order.
-	Ext []ExtUse
 }
 
 // Body returns the function body (nil for bodyless declarations, e.g.
@@ -108,21 +105,6 @@ type Edge struct {
 	// `if x != nil` check — the simulator's "optional telemetry"
 	// idiom, which hot-path analysis treats as off the steady-state
 	// path (the traceguard analyzer separately verifies the guards).
-	Guarded bool
-}
-
-// ExtUse is one use of a function from outside the module.
-type ExtUse struct {
-	PkgPath string
-	Name    string
-	// Method marks uses resolved through a selection on an external
-	// receiver type (e.g. (*rand.Rand).Intn) rather than a package-
-	// level function.
-	Method bool
-	// Ref marks value references (the function was not called here,
-	// only taken).
-	Ref     bool
-	Pos     token.Pos
 	Guarded bool
 }
 
@@ -419,40 +401,15 @@ func (w *bodyWalker) handleRef(id *ast.Ident, sel *ast.SelectorExpr) {
 	if w.callees[expr] {
 		return // handled as a call
 	}
-	w.addRefEdge(fn, expr.Pos())
+	w.addFuncEdge(fn, expr.Pos(), true)
 }
 
-// addFuncEdge links a resolved call: module functions get a static
-// edge, external functions an ExtUse.
+// addFuncEdge links a resolved call to a module function; calls out of
+// the module add nothing.
 func (w *bodyWalker) addFuncEdge(fn *types.Func, pos token.Pos, dynamic bool) {
 	if n := w.b.g.byFn[fn]; n != nil {
 		w.owner.Out = append(w.owner.Out, Edge{Callee: n, Pos: pos, Dynamic: dynamic, Guarded: w.guarded()})
-		return
 	}
-	w.addExt(fn, pos, false)
-}
-
-// addRefEdge links a function referenced as a value (dynamic).
-func (w *bodyWalker) addRefEdge(fn *types.Func, pos token.Pos) {
-	if n := w.b.g.byFn[fn]; n != nil {
-		w.owner.Out = append(w.owner.Out, Edge{Callee: n, Pos: pos, Dynamic: true, Guarded: w.guarded()})
-		return
-	}
-	w.addExt(fn, pos, true)
-}
-
-// addExt records a use of an external function.
-func (w *bodyWalker) addExt(fn *types.Func, pos token.Pos, ref bool) {
-	pkgPath := ""
-	if fn.Pkg() != nil {
-		pkgPath = fn.Pkg().Path()
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	method := sig != nil && sig.Recv() != nil
-	w.owner.Ext = append(w.owner.Ext, ExtUse{
-		PkgPath: pkgPath, Name: fn.Name(), Method: method, Ref: ref,
-		Pos: pos, Guarded: w.guarded(),
-	})
 }
 
 // addBoundEdge resolves one bound function expression at a tracked

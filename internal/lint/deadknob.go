@@ -3,23 +3,20 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
+	"strings"
 )
 
-// DeadKnob audits the configuration structs (config.Machine and
-// config.Features in this module): every field must be read by the
-// simulator core or by the config package itself (validation, preset
-// naming).  A knob nothing reads is worse than dead weight — an
-// experiment sweep can "vary" it and silently measure nothing.
-type DeadKnob struct {
-	ConfigPkg  string   // import path of the config package
-	Structs    []string // struct names to audit
-	ReaderPkgs []string // packages whose reads make a knob live
-}
+// DeadKnob audits the configuration structs config.Machine and
+// config.Features: every field must be read by the simulator core or by
+// the config package itself (validation, preset naming).  A knob
+// nothing reads is worse than dead weight — an experiment sweep can
+// "vary" it and silently measure nothing.
+type DeadKnob struct{}
 
-// NewDeadKnob builds the analyzer for the given config structs.
-func NewDeadKnob(configPkg string, structs, readerPkgs []string) *DeadKnob {
-	return &DeadKnob{ConfigPkg: configPkg, Structs: structs, ReaderPkgs: readerPkgs}
-}
+// knobReaders are the module-relative packages whose reads make a knob
+// live.
+var knobReaders = []string{"internal/core", "internal/config"}
 
 // Name implements Analyzer.
 func (*DeadKnob) Name() string { return "deadknob" }
@@ -31,7 +28,7 @@ func (*DeadKnob) Doc() string {
 
 // Check implements Analyzer.
 func (dk *DeadKnob) Check(prog *Program) []Diagnostic {
-	cfgPkg := prog.Lookup(dk.ConfigPkg)
+	cfgPkg := prog.Lookup(prog.ModPath + "/internal/config")
 	if cfgPkg == nil {
 		return nil
 	}
@@ -41,7 +38,7 @@ func (dk *DeadKnob) Check(prog *Program) []Diagnostic {
 	}
 	fields := map[types.Object]field{}
 	var order []field
-	for _, name := range dk.Structs {
+	for _, name := range []string{"Machine", "Features"} {
 		obj := cfgPkg.Pkg.Scope().Lookup(name)
 		if obj == nil {
 			continue
@@ -60,14 +57,9 @@ func (dk *DeadKnob) Check(prog *Program) []Diagnostic {
 		return nil
 	}
 
-	readers := map[string]bool{}
-	for _, p := range dk.ReaderPkgs {
-		readers[p] = true
-	}
-
 	read := map[types.Object]bool{}
 	for _, pkg := range prog.Pkgs {
-		if !readers[pkg.Path] {
+		if !slices.Contains(knobReaders, prog.rel(pkg.Path)) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -108,7 +100,7 @@ func (dk *DeadKnob) Check(prog *Program) []Diagnostic {
 			out = append(out, Diagnostic{
 				Pos:  prog.Position(f.v.Pos()),
 				Rule: dk.Name(),
-				Msg:  sprintf("config knob %s.%s is never read by %v: dead configuration", f.owner, f.v.Name(), dk.ReaderPkgs),
+				Msg:  sprintf("config knob %s.%s is never read by %s: dead configuration", f.owner, f.v.Name(), strings.Join(knobReaders, " or ")),
 			})
 		}
 	}

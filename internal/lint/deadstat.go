@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// DeadStat audits the statistics structure (stats.Sim in this module):
+// DeadStat audits the statistics structure stats.Sim:
 //
 //   - every scalar counter field must be written somewhere outside the
 //     stats package, otherwise it is a dead counter silently reporting
@@ -22,16 +22,7 @@ import (
 // Non-scalar fields (slices such as per-program commit counts) are
 // exempt from the Add rule — aggregation across permutations is
 // intentionally scalar-only — but still must be written externally.
-type DeadStat struct {
-	StatsPkg   string // import path of the stats package
-	StructName string // statistics struct name, e.g. "Sim"
-	ModPath    string // module path (findings are reported at the struct when external)
-}
-
-// NewDeadStat builds the analyzer for the given stats struct.
-func NewDeadStat(statsPkg, structName, modPath string) *DeadStat {
-	return &DeadStat{StatsPkg: statsPkg, StructName: structName, ModPath: modPath}
-}
+type DeadStat struct{}
 
 // Name implements Analyzer.
 func (*DeadStat) Name() string { return "deadstat" }
@@ -43,16 +34,17 @@ func (*DeadStat) Doc() string {
 
 // Check implements Analyzer.
 func (ds *DeadStat) Check(prog *Program) []Diagnostic {
-	statsPkg := prog.Lookup(ds.StatsPkg)
+	statsPath := prog.ModPath + "/internal/stats"
+	statsPkg := prog.Lookup(statsPath)
 	if statsPkg == nil {
 		return nil
 	}
-	obj := statsPkg.Pkg.Scope().Lookup(ds.StructName)
+	obj := statsPkg.Pkg.Scope().Lookup("Sim")
 	if obj == nil {
 		return []Diagnostic{{
 			Pos:  prog.Position(statsPkg.Files[0].Pos()),
 			Rule: ds.Name(),
-			Msg:  sprintf("stats package %s has no struct %s", ds.StatsPkg, ds.StructName),
+			Msg:  sprintf("stats package %s has no struct Sim", statsPath),
 		}}
 	}
 	st, ok := obj.Type().Underlying().(*types.Struct)
@@ -74,7 +66,7 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 	var plainAssigned []Diagnostic     // non-increment writes to scalar fields outside stats
 
 	for _, pkg := range prog.Pkgs {
-		internal := pkg.Path == ds.StatsPkg
+		internal := pkg.Path == statsPath
 		// The stats package's Sub method is the sanctioned snapshot-delta
 		// helper; decrements inside it are its whole point.
 		var subRanges [][2]token.Pos
@@ -122,7 +114,7 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 						decremented = append(decremented, Diagnostic{
 							Pos:  prog.Position(n.Pos()),
 							Rule: ds.Name(),
-							Msg:  sprintf("statistics counter %s.%s is decremented; counters must be monotonic", ds.StructName, fobj.Name()),
+							Msg:  sprintf("statistics counter Sim.%s is decremented; counters must be monotonic", fobj.Name()),
 						})
 					}
 				case *ast.AssignStmt:
@@ -141,7 +133,7 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 								plainAssigned = append(plainAssigned, Diagnostic{
 									Pos:  prog.Position(n.Pos()),
 									Rule: ds.Name(),
-									Msg:  sprintf("statistics counter %s.%s overwritten with =; counters must only grow (annotate intentional snapshots)", ds.StructName, fobj.Name()),
+									Msg:  sprintf("statistics counter Sim.%s overwritten with =; counters must only grow (annotate intentional snapshots)", fobj.Name()),
 								})
 							}
 						default:
@@ -151,7 +143,7 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 							decremented = append(decremented, Diagnostic{
 								Pos:  prog.Position(n.Pos()),
 								Rule: ds.Name(),
-								Msg:  sprintf("statistics counter %s.%s modified with %s; counters must be monotonic", ds.StructName, fobj.Name(), n.Tok),
+								Msg:  sprintf("statistics counter Sim.%s modified with %s; counters must be monotonic", fobj.Name(), n.Tok),
 							})
 						}
 					}
@@ -167,14 +159,14 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 			out = append(out, Diagnostic{
 				Pos:  prog.Position(f.Pos()),
 				Rule: ds.Name(),
-				Msg:  sprintf("statistics field %s.%s is never written by the simulator: dead counter", ds.StructName, f.Name()),
+				Msg:  sprintf("statistics field Sim.%s is never written by the simulator: dead counter", f.Name()),
 			})
 		}
 		if isScalar(f) && !inAdd[f] {
 			out = append(out, Diagnostic{
 				Pos:  prog.Position(f.Pos()),
 				Rule: ds.Name(),
-				Msg:  sprintf("statistics field %s.%s is missing from (*%s).Add: aggregation drops it", ds.StructName, f.Name(), ds.StructName),
+				Msg:  sprintf("statistics field Sim.%s is missing from (*Sim).Add: aggregation drops it", f.Name()),
 			})
 		}
 	}

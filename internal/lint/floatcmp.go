@@ -10,16 +10,11 @@ import (
 func sprintf(format string, args ...interface{}) string { return fmt.Sprintf(format, args...) }
 
 // FloatCmp flags == and != between floating-point operands in the
-// scoped packages.  Exact float equality is almost always a rounding
+// simulator packages.  Exact float equality is almost always a rounding
 // bug waiting to diverge the core from the golden emulator; the few
 // legitimate sites (ISA comparison semantics shared verbatim by both
 // executors) carry an explicit annotation.
-type FloatCmp struct {
-	Scope func(pkgPath string) bool
-}
-
-// NewFloatCmp builds the analyzer with the given package scope.
-func NewFloatCmp(scope func(string) bool) *FloatCmp { return &FloatCmp{Scope: scope} }
+type FloatCmp struct{}
 
 // Name implements Analyzer.
 func (*FloatCmp) Name() string { return "floatcmp" }
@@ -33,7 +28,7 @@ func (*FloatCmp) Doc() string {
 func (fc *FloatCmp) Check(prog *Program) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range prog.Pkgs {
-		if fc.Scope != nil && !fc.Scope(pkg.Path) {
+		if !prog.simPackage(pkg.Path) {
 			continue
 		}
 		for _, f := range pkg.Files {

@@ -39,9 +39,6 @@ import (
 // simulation is off the budget by definition.
 type HotAlloc struct{}
 
-// NewHotAlloc builds the analyzer.
-func NewHotAlloc() *HotAlloc { return &HotAlloc{} }
-
 // Name implements Analyzer.
 func (*HotAlloc) Name() string { return "hotalloc" }
 

@@ -20,10 +20,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"unicode"
 
 	"recyclesim/internal/lint/callgraph"
 )
@@ -70,7 +70,7 @@ type Program struct {
 	suppress map[string]map[int]map[string]bool
 
 	// cg memoizes the whole-program call graph shared by the
-	// transitive analyzers (puresim, hotalloc).
+	// transitive analyzers (determinism, hotalloc).
 	cg *callgraph.Graph
 }
 
@@ -102,17 +102,16 @@ func (p *Program) Lookup(path string) *Package {
 // Position resolves a token.Pos against the program's file set.
 func (p *Program) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
 
-// ignoreDirective parses a "simlint:ignore a b -- reason" comment text
-// (comment markers already stripped) into rule names.
-func ignoreDirective(text string) []string {
-	text = strings.TrimSpace(text)
-	if !strings.HasPrefix(text, "simlint:ignore") {
+// ignoreDirective parses one comment, as go/ast holds it (markers
+// included), into the rule names it silences.  Only a line comment
+// "//simlint:ignore a b -- reason" is a directive, with whitespace or
+// the end of the comment after "ignore".
+func ignoreDirective(comment string) []string {
+	rest, ok := strings.CutPrefix(comment, "//simlint:ignore")
+	if !ok || (rest != "" && !unicode.IsSpace(rune(rest[0]))) {
 		return nil
 	}
-	rest := strings.TrimSpace(strings.TrimPrefix(text, "simlint:ignore"))
-	if i := strings.Index(rest, "--"); i >= 0 {
-		rest = rest[:i]
-	}
+	rest, _, _ = strings.Cut(rest, "--")
 	return strings.Fields(rest)
 }
 
@@ -125,8 +124,7 @@ func (p *Program) buildSuppressions() {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
-					rules := ignoreDirective(text)
+					rules := ignoreDirective(c.Text)
 					if len(rules) == 0 {
 						continue
 					}
@@ -194,13 +192,14 @@ func Run(prog *Program, analyzers []Analyzer) []Diagnostic {
 
 // NonSimPackages is the explicit opt-out list: module-relative package
 // paths under internal/ that are host-side tooling rather than
-// simulation code, and therefore exempt from the per-package simulator
-// scope (determinism, floatcmp, traceguard).  Everything else under
-// internal/ is in scope *by discovery* (see SimPackages), so a newly
-// added package is linted by default instead of silently skipped.
-// The whole-program analyzers (puresim, hotalloc, atomicplain) ignore
-// this list: they reason from entry points and annotations over every
-// loaded package, including cmd/* and the module root.
+// simulation code.  Every other loaded package under internal/ is a
+// simulator package, so a newly added one is linted by default instead
+// of silently skipped.  determinism checks every file of a simulator
+// package, and floatcmp and traceguard check only those; determinism
+// also follows the call graph from SimRoots into any package, these
+// included.  hotalloc and atomicplain ignore the list: they reason
+// from annotations and calls over every loaded package, including
+// cmd/* and the module root.
 var NonSimPackages = []string{
 	"internal/backoff",        // fleet retry delays: timer + ctx select by design
 	"internal/fleet",          // distributed execution: HTTP + leases + wall clock by design
@@ -213,94 +212,42 @@ var NonSimPackages = []string{
 	"internal/store",          // host-side persistence: filesystem + hashing
 }
 
-// SimPackages discovers the module-relative package paths whose code
-// runs during (or feeds) a simulation and therefore must be
-// deterministic: every directory under internal/ holding non-test Go
-// files, minus the NonSimPackages opt-outs.  The host-side tooling
-// (cmd/*, examples/*, the module root) is exempt from the per-package
-// scope but still covered by the whole-program analyzers.
-func SimPackages(modRoot string) []string {
-	var out []string
-	root := filepath.Join(modRoot, "internal")
-	_ = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(modRoot, filepath.Dir(path))
-		if err != nil {
-			return nil
-		}
-		pkg := filepath.ToSlash(rel)
-		for _, skip := range NonSimPackages {
-			if pkg == skip {
-				return nil
-			}
-		}
-		if len(out) == 0 || out[len(out)-1] != pkg {
-			out = append(out, pkg)
-		}
-		return nil
-	})
-	sort.Strings(out)
-	return out
-}
-
-// ConcurrencyAllowed lists the module-relative simulator packages
-// permitted to use goroutines, channels, select, and the sync package.
-// This is the explicit parallelism boundary: internal/sweep runs whole
+// ConcurrencyAllowed lists the module-relative packages permitted to
+// use goroutines, channels, select, and the sync package.  This is the
+// explicit parallelism boundary: internal/sweep runs whole
 // *independent* simulations concurrently and never shares state
 // between them, so concurrency there cannot perturb any single run's
-// determinism.  Every other SimPackages entry stays single-threaded,
+// determinism.  Every other simulator package stays single-threaded,
 // and the non-concurrency determinism rules (map ranges, wall clock,
-// global RNG) still apply to allowlisted packages.
+// global RNG, environment reads) still apply to allowlisted packages.
 var ConcurrencyAllowed = []string{
 	"internal/sweep",
 }
 
-// ConcurrencyScope reports whether a package import path may use
-// concurrency constructs under the determinism analyzer.
-func ConcurrencyScope(modPath string) func(pkgPath string) bool {
-	return func(pkgPath string) bool {
-		for _, s := range ConcurrencyAllowed {
-			if pkgPath == modPath+"/"+s {
-				return true
-			}
-		}
-		return false
-	}
+// rel returns a module package's import path relative to the module
+// path; the module root's own path comes back unchanged.
+func (p *Program) rel(pkgPath string) string {
+	r, _ := strings.CutPrefix(pkgPath, p.ModPath+"/")
+	return r
 }
 
-// ScopeFor builds a scope predicate from an explicit package list.
-func ScopeFor(modPath string, pkgs []string) func(pkgPath string) bool {
-	set := make(map[string]bool, len(pkgs))
-	for _, s := range pkgs {
-		set[modPath+"/"+s] = true
-	}
-	return func(pkgPath string) bool { return set[pkgPath] }
+// simPackage reports whether a loaded package is simulation code: under
+// internal/ and not on NonSimPackages.
+func (p *Program) simPackage(pkgPath string) bool {
+	r := p.rel(pkgPath)
+	return strings.HasPrefix(r, "internal/") && !slices.Contains(NonSimPackages, r)
 }
 
-// DefaultScope reports whether a package import path is one of the
-// module's simulator packages, discovered by walking internal/ under
-// the module root.
-func DefaultScope(modPath, modRoot string) func(pkgPath string) bool {
-	return ScopeFor(modPath, SimPackages(modRoot))
+// concurrencyAllowed reports whether a package is on ConcurrencyAllowed.
+func (p *Program) concurrencyAllowed(pkgPath string) bool {
+	return slices.Contains(ConcurrencyAllowed, p.rel(pkgPath))
 }
 
-// PureSimRoots names the simulation entry points, as callgraph FuncIDs
+// SimRoots names the simulation entry points, as callgraph FuncIDs
 // relative to the module path: everything transitively reachable from
 // these must stay deterministic.  TestRepoIsClean checks that every
-// entry resolves, since puresim skips roots it cannot find.
-var PureSimRoots = []string{
+// entry resolves, since determinism skips roots it cannot find.
+var SimRoots = []string{
 	"internal/core.(Core).Run",
 	"internal/core.(Core).Cycle",
 	".Run",
@@ -310,10 +257,10 @@ var PureSimRoots = []string{
 	"internal/sample.Run",
 }
 
-// pureSimRootIDs resolves PureSimRoots to absolute callgraph FuncIDs.
-func pureSimRootIDs(modPath string) []string {
-	roots := make([]string, len(PureSimRoots))
-	for i, r := range PureSimRoots {
+// simRootIDs resolves SimRoots to absolute callgraph FuncIDs.
+func simRootIDs(modPath string) []string {
+	roots := make([]string, len(SimRoots))
+	for i, r := range SimRoots {
 		roots[i] = modPath + r
 		if !strings.HasPrefix(r, ".") {
 			roots[i] = modPath + "/" + r
@@ -322,27 +269,18 @@ func pureSimRootIDs(modPath string) []string {
 	return roots
 }
 
-// Default returns the full analyzer suite with the canonical scopes for
-// the loaded program.
-func Default(prog *Program) []Analyzer {
-	modPath := prog.ModPath
-	scope := DefaultScope(modPath, prog.ModRoot)
-	det := NewDeterminism(scope)
-	det.ConcurrencyOK = ConcurrencyScope(modPath)
+// Default returns the full analyzer suite.  The analyzers have no
+// settings: each reads its fixed targets (the simulator packages, the
+// stats and config structs, the telemetry hooks, SimRoots) from the
+// Program it checks, relative to the module path.
+func Default() []Analyzer {
 	return []Analyzer{
-		det,
-		NewFloatCmp(scope),
-		NewDeadStat(modPath+"/internal/stats", "Sim", modPath),
-		NewDeadKnob(modPath+"/internal/config", []string{"Machine", "Features"},
-			[]string{modPath + "/internal/core", modPath + "/internal/config"}),
-		NewTraceGuard(scope, []GuardRule{
-			{RecvType: modPath + "/internal/core.Core", Method: "trace", GuardField: "debugTrace"},
-			{RecvType: modPath + "/internal/obs.Ring", Method: "Record"},
-			{RecvType: modPath + "/internal/core.Core", Method: "pipeTrace", GuardField: "ptrace"},
-			{RecvType: modPath + "/internal/obs/pipetrace.Recorder", Method: "*"},
-		}),
-		NewPureSim(pureSimRootIDs(modPath), ConcurrencyScope(modPath)),
-		NewHotAlloc(),
-		NewAtomicPlain(),
+		&Determinism{},
+		&FloatCmp{},
+		&DeadStat{},
+		&DeadKnob{},
+		&TraceGuard{},
+		&HotAlloc{},
+		&AtomicPlain{},
 	}
 }

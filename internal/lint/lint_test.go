@@ -88,7 +88,7 @@ func diagKeys(diags []Diagnostic) []string {
 // including the suppressed site).
 func TestAnalyzersOnFixture(t *testing.T) {
 	prog := loadFixture(t)
-	got := diagKeys(Run(prog, Default(prog)))
+	got := diagKeys(Run(prog, Default()))
 	want := markers(t, "want")
 	if !equal(got, want) {
 		t.Errorf("diagnostic mismatch\n got: %s\nwant: %s", strings.Join(got, "\n      "), strings.Join(want, "\n      "))
@@ -100,7 +100,7 @@ func TestAnalyzersOnFixture(t *testing.T) {
 // lean on another analyzer's findings to pass the combined test.
 func TestAnalyzersIndividually(t *testing.T) {
 	prog := loadFixture(t)
-	for _, a := range Default(prog) {
+	for _, a := range Default() {
 		t.Run(a.Name(), func(t *testing.T) {
 			var want []string
 			for _, k := range markers(t, "want") {
@@ -125,7 +125,7 @@ func TestSuppression(t *testing.T) {
 	prog := loadFixture(t)
 	suppressed := markers(t, "checked")
 	var raw []Diagnostic
-	for _, a := range Default(prog) {
+	for _, a := range Default() {
 		raw = append(raw, a.Check(prog)...)
 	}
 	rawKeys := diagKeys(raw)
@@ -134,7 +134,7 @@ func TestSuppression(t *testing.T) {
 			t.Errorf("raw Check missed suppressed site %s; got %v", want, rawKeys)
 		}
 	}
-	filtered := diagKeys(Run(prog, Default(prog)))
+	filtered := diagKeys(Run(prog, Default()))
 	for _, want := range suppressed {
 		if contains(filtered, want) {
 			t.Errorf("Run failed to suppress %s despite simlint:ignore directive", want)
@@ -144,9 +144,9 @@ func TestSuppression(t *testing.T) {
 
 // TestRepoIsClean encodes the acceptance criterion that the shipped
 // tree lints clean: the default suite over this module itself must
-// report nothing, and every PureSimRoots entry must name a function
-// that exists (puresim skips unresolved roots, so a renamed entry
-// point would otherwise shrink the analysed set silently).
+// report nothing, and every SimRoots entry must name a function that
+// exists (determinism skips unresolved roots, so a renamed entry point
+// would otherwise shrink the analysed set silently).
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")
@@ -156,17 +156,72 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatalf("loading module: %v", err)
 	}
 	g := prog.Callgraph()
-	for _, id := range pureSimRootIDs(prog.ModPath) {
+	for _, id := range simRootIDs(prog.ModPath) {
 		if g.Lookup(id) == nil {
-			t.Errorf("PureSimRoots entry %s does not resolve in the call graph", id)
+			t.Errorf("SimRoots entry %s does not resolve in the call graph", id)
 		}
 	}
-	if diags := Run(prog, Default(prog)); len(diags) > 0 {
+	if diags := Run(prog, Default()); len(diags) > 0 {
 		msgs := make([]string, len(diags))
 		for i, d := range diags {
 			msgs[i] = d.String()
 		}
 		t.Errorf("repository has %d lint finding(s):\n%s", len(diags), strings.Join(msgs, "\n"))
+	}
+}
+
+// TestCatchMatrix runs each analyzer alone over the fixture and fails
+// when one flags no file:line site that every other analyzer misses: a
+// rule whose catches are a subset of the others' has not earned its
+// lines.  determinism's two halves must each earn theirs too: the
+// per-file half catches sites without a call chain, the reachable half
+// sites outside the simulator packages.
+func TestCatchMatrix(t *testing.T) {
+	prog := loadFixture(t)
+	pkgOf := map[string]string{} // filename -> import path
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			pkgOf[prog.Position(f.Pos()).Filename] = pkg.Path
+		}
+	}
+	sites := map[string]map[string]bool{} // analyzer -> file:line set
+	perFile, reachable := 0, 0
+	for _, a := range Default() {
+		sites[a.Name()] = map[string]bool{}
+		for _, d := range Run(prog, []Analyzer{a}) {
+			sites[a.Name()][filepath.Base(d.Pos.Filename)+":"+itoa(d.Pos.Line)] = true
+			if a.Name() != "determinism" {
+				continue
+			}
+			if !strings.Contains(d.Msg, "(reachable via ") {
+				perFile++
+			} else if !prog.simPackage(pkgOf[d.Pos.Filename]) {
+				reachable++
+			}
+		}
+	}
+	var rows []string
+	for _, a := range Default() {
+		var unique []string
+		for site := range sites[a.Name()] {
+			shared := false
+			for other, s := range sites {
+				shared = shared || (other != a.Name() && s[site])
+			}
+			if !shared {
+				unique = append(unique, site)
+			}
+		}
+		sort.Strings(unique)
+		rows = append(rows, sprintf("%-12s %2d unique of %2d: %s", a.Name(), len(unique), len(sites[a.Name()]), strings.Join(unique, " ")))
+		if len(unique) == 0 {
+			t.Errorf("%s flags no site another analyzer misses", a.Name())
+		}
+	}
+	t.Logf("catch matrix (analyzer alone over the fixture):\n%s\ndeterminism: %d per-file-only sites, %d reachable-only sites",
+		strings.Join(rows, "\n"), perFile, reachable)
+	if perFile == 0 || reachable == 0 {
+		t.Errorf("determinism half without a catch of its own: %d per-file-only, %d reachable-only", perFile, reachable)
 	}
 }
 

@@ -110,10 +110,11 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-// TestSimPackagesDiscovery checks the scope-discovery walk: every
-// package directory under internal/ is in scope except testdata,
-// hidden/underscore dirs, and the explicit NonSimPackages opt-outs —
-// so a newly added package is linted by default.
+// TestSimPackagesDiscovery checks the simulator scope: every loaded
+// package under internal/ is in scope except the explicit
+// NonSimPackages opt-outs, and the loader's walk already skips
+// testdata, hidden and underscore directories — so a newly added
+// package is linted by default.
 func TestSimPackagesDiscovery(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod":                        "module m\n",
@@ -134,7 +135,16 @@ func TestSimPackagesDiscovery(t *testing.T) {
 		"internal/epsilon/e_linux.go":   "package epsilon\n",
 		"internal/epsilon/testdata/x/x": "not go\n",
 	})
-	got := SimPackages(root)
+	prog, err := Load(root)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var got []string
+	for _, pkg := range prog.Pkgs {
+		if prog.simPackage(pkg.Path) {
+			got = append(got, prog.rel(pkg.Path))
+		}
+	}
 	want := []string{
 		"internal/alpha",
 		"internal/beta/deep",
@@ -143,23 +153,29 @@ func TestSimPackagesDiscovery(t *testing.T) {
 		"internal/obs",
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SimPackages = %v, want %v", got, want)
+		t.Errorf("simulator packages = %v, want %v", got, want)
 	}
 }
 
-// TestIgnoreDirective pins the directive grammar, including the
-// multi-rule form one line can use to silence several analyzers.
+// TestIgnoreDirective pins the directive grammar on raw comment text,
+// including the multi-rule form one line can use to silence several
+// analyzers.  Only the documented "//simlint:ignore" spelling, followed
+// by whitespace or the end of the comment, is a directive.
 func TestIgnoreDirective(t *testing.T) {
 	cases := []struct {
 		text string
 		want []string
 	}{
-		{"simlint:ignore determinism", []string{"determinism"}},
-		{"simlint:ignore determinism hotalloc -- reason here", []string{"determinism", "hotalloc"}},
-		{"  simlint:ignore a b c", []string{"a", "b", "c"}},
-		{"simlint:ignore -- only a reason", nil},
-		{"lint:ignore determinism", nil}, // wrong prefix
-		{"just a comment", nil},
+		{"//simlint:ignore determinism", []string{"determinism"}},
+		{"//simlint:ignore determinism hotalloc -- reason here", []string{"determinism", "hotalloc"}},
+		{"//simlint:ignore\ta  b c", []string{"a", "b", "c"}},
+		{"//simlint:ignore -- only a reason", nil},
+		{"//simlint:ignore", nil},
+		{"//lint:ignore determinism", nil}, // wrong prefix
+		{"// just a comment", nil},
+		{"//simlint:ignoredeterminism", nil},   // no space: not a directive
+		{"/*simlint:ignore floatcmp*/", nil},   // block comment: not a directive
+		{"// simlint:ignore determinism", nil}, // undocumented spacing
 	}
 	for _, tc := range cases {
 		got := ignoreDirective(tc.text)

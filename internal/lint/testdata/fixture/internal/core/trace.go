@@ -6,17 +6,14 @@ import (
 )
 
 // Core carries the optional telemetry hooks the traceguard analyzer
-// watches: a legacy string-trace closure, a flight-recorder ring, and a
-// per-instruction pipeline tracer.  All are nil when telemetry is off,
-// so every call must sit inside the matching nil check.
+// watches: a flight-recorder ring and a per-instruction pipeline
+// tracer.  Both are nil when telemetry is off, so every call must sit
+// inside the matching nil check.
 type Core struct {
-	debugTrace func(string)
-	ring       *obs.Ring
-	ptrace     *pipetrace.Recorder
-	cycle      uint64
+	ring   *obs.Ring
+	ptrace *pipetrace.Recorder
+	cycle  uint64
 }
-
-func (c *Core) trace(s string) { c.debugTrace(s) }
 
 // pipeTrace is itself guarded internally, but the analyzer still
 // requires the guard at each call site so disabled-path argument
@@ -31,9 +28,6 @@ func (c *Core) pipeTrace(pc uint64) {
 // their nil checks, including a guard conjoined with another condition
 // and a guard spelled nil-first.
 func (c *Core) GuardedSites(n int) {
-	if c.debugTrace != nil {
-		c.trace("renamed")
-	}
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle})
 	}
@@ -62,9 +56,8 @@ func (c *Core) GuardedSites(n int) {
 // wrong hook, a guard that is only one side of ||, and a call in an
 // else branch of the right check.
 func (c *Core) UnguardedSites(n int) {
-	c.trace("fetch")                         // want:traceguard
 	c.ring.Record(obs.Event{Cycle: c.cycle}) // want:traceguard
-	if c.debugTrace != nil {                 // wrong guard for the ring
+	if c.ptrace != nil {                     // wrong guard for the ring
 		c.ring.Record(obs.Event{Cycle: c.cycle}) // want:traceguard
 	}
 	if c.ring != nil || n > 0 {
@@ -77,7 +70,7 @@ func (c *Core) UnguardedSites(n int) {
 	}
 	c.pipeTrace(uint64(n))         // want:traceguard
 	_ = c.ptrace.OnRename(c.cycle) // want:traceguard
-	if c.debugTrace != nil {       // wrong guard for the pipe tracer
+	if c.ring != nil {             // wrong guard for the pipe tracer
 		c.ptrace.OnCommit(1, c.cycle) // want:traceguard
 	}
 }

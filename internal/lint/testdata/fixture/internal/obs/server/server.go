@@ -1,10 +1,10 @@
 // Package server mirrors the real module's live-observability server:
 // it sits under internal/ but on the lint.NonSimPackages opt-out list,
-// so the per-package determinism rules skip it by design.  The puresim
-// analyzer must still flag every impurity below, because core.Run
-// reaches this package — exactly the hole the transitive analysis
-// exists to close (which is why these lines carry only puresim
-// markers, never determinism ones).
+// so determinism's per-file half skips it by design.  Its reachable
+// half must still flag every impurity below, because core.Run reaches
+// this package — exactly the hole the call-graph walk exists to close
+// (which is why each finding below carries the chain from core.Run,
+// and why a new impurity here is only caught that way).
 package server
 
 import (
@@ -15,13 +15,13 @@ import (
 
 // Stamp leaks ambient process state into whatever calls it.
 func Stamp(m map[string]int) int {
-	t := int(time.Now().Unix())  // want:puresim
-	if os.Getenv("SEED") != "" { // want:puresim
-		t += rand.Int() // want:puresim
+	t := int(time.Now().Unix())  // want:determinism
+	if os.Getenv("SEED") != "" { // want:determinism
+		t += rand.Int() // want:determinism
 	}
-	go func() { _ = t }() // want:puresim
+	go func() { _ = t }() // want:determinism
 	total := 0
-	for _, v := range m { // want:puresim
+	for _, v := range m { // want:determinism
 		total += v
 	}
 	return total + t

@@ -7,55 +7,54 @@ import (
 	"strings"
 )
 
-// GuardRule names one telemetry entry point that must be nil-guarded at
-// every call site.  RecvType is the fully qualified receiver type
-// ("pkgpath.Type"), Method the method name — or "*" to cover every
-// method of the type (used for the pipetrace recorder, whose whole
-// surface is hot-path hooks).  GuardField names the field on the
-// receiver whose nil check enables the call ("debugTrace" for c.trace);
-// the empty string means the receiver expression itself is the guard
-// (c.ring for c.ring.Record).
+// guardRule names one telemetry entry point that must be nil-guarded at
+// every call site.  recvType is the receiver type relative to the
+// module path ("internal/obs.Ring"), method the method name — or "*"
+// to cover every method of the type (used for the pipetrace recorder,
+// whose whole surface is hot-path hooks).  guardField names the field
+// on the receiver whose nil check enables the call ("ptrace" for
+// c.pipeTrace); the empty string means the receiver expression itself
+// is the guard (c.ring for c.ring.Record).
 //
 // Wildcard rules exempt call sites inside the receiver type's own
 // package: the recorder's methods calling each other are its
 // implementation, not hot-path hook sites.
-type GuardRule struct {
-	RecvType   string
-	Method     string
-	GuardField string
+type guardRule struct {
+	recvType   string
+	method     string
+	guardField string
 }
 
-// TraceGuard flags telemetry calls not dominated by the corresponding
-// enabled/nil check.  The flight-recorder ring and the legacy trace
-// hook are optional: when disabled they are nil, and the hot loop's
-// zero-alloc budget additionally requires that event arguments are
-// never materialised on the disabled path.  A call site is accepted
-// only when an enclosing if statement's condition contains
+// guardRules are the simulator's optional telemetry hooks.
+var guardRules = []guardRule{
+	{"internal/obs.Ring", "Record", ""},
+	{"internal/core.Core", "pipeTrace", "ptrace"},
+	{"internal/obs/pipetrace.Recorder", "*", ""},
+}
+
+// TraceGuard flags telemetry calls in simulator packages not dominated
+// by the corresponding enabled/nil check.  The flight-recorder ring and
+// the pipeline tracer are optional: when disabled they are nil, and the
+// hot loop's zero-alloc budget additionally requires that event
+// arguments are never materialised on the disabled path.  A call site
+// is accepted only when an enclosing if statement's condition contains
 // "<guard> != nil" (possibly as a conjunct) and the call sits in that
 // if's body.
-type TraceGuard struct {
-	Scope func(pkgPath string) bool
-	Rules []GuardRule
-}
-
-// NewTraceGuard builds the analyzer with the given scope and rules.
-func NewTraceGuard(scope func(string) bool, rules []GuardRule) *TraceGuard {
-	return &TraceGuard{Scope: scope, Rules: rules}
-}
+type TraceGuard struct{}
 
 // Name implements Analyzer.
 func (*TraceGuard) Name() string { return "traceguard" }
 
 // Doc implements Analyzer.
 func (*TraceGuard) Doc() string {
-	return "flags telemetry calls (flight-recorder Record, trace hooks) not dominated by their enabled-nil check"
+	return "flags telemetry calls (flight-recorder Record, pipeline-trace hooks) not dominated by their enabled-nil check"
 }
 
 // Check implements Analyzer.
 func (tg *TraceGuard) Check(prog *Program) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range prog.Pkgs {
-		if tg.Scope != nil && !tg.Scope(pkg.Path) {
+		if !prog.simPackage(pkg.Path) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -92,22 +91,23 @@ func (tg *TraceGuard) checkCall(prog *Program, pkg *Package, call *ast.CallExpr,
 		return nil
 	}
 	recv := recvTypeName(fn)
-	for _, r := range tg.Rules {
-		if recv != r.RecvType {
+	for _, r := range guardRules {
+		recvType := prog.ModPath + "/" + r.recvType
+		if recv != recvType {
 			continue
 		}
-		if r.Method == "*" {
+		if r.method == "*" {
 			// Wildcard rules guard the type's whole surface but exempt
 			// its defining package (implementation, not hook sites).
-			if i := strings.LastIndex(r.RecvType, "."); i >= 0 && pkg.Path == r.RecvType[:i] {
+			if pkg.Path == recvType[:strings.LastIndex(recvType, ".")] {
 				continue
 			}
-		} else if fn.Name() != r.Method {
+		} else if fn.Name() != r.method {
 			continue
 		}
 		guard := exprPath(sel.X)
-		if r.GuardField != "" {
-			guard += "." + r.GuardField
+		if r.guardField != "" {
+			guard += "." + r.guardField
 		}
 		if guardDominates(stack, guard) {
 			return nil
@@ -116,7 +116,7 @@ func (tg *TraceGuard) checkCall(prog *Program, pkg *Package, call *ast.CallExpr,
 			Pos:  prog.Position(call.Lparen),
 			Rule: tg.Name(),
 			Msg: sprintf("call to %s.%s not dominated by an enclosing \"if %s != nil\" guard",
-				r.RecvType, fn.Name(), guard),
+				recvType, fn.Name(), guard),
 		}
 	}
 	return nil
