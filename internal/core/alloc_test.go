@@ -25,7 +25,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(config.Big216(), config.RECRSRU, progs)
+	c, err := newLoaded(config.Big216(), config.RECRSRU, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +59,10 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
-// TestNewAllocBudget pins what building a core allocates.  The cache
-// hierarchy allocates a tag page only when a set in it is first filled,
-// so a new core holds none of the L3's 1 MB of tags; with the tags
-// allocated up front New allocated about 1.9 MB.
+// TestNewAllocBudget pins what building and loading a core allocates.
+// The cache hierarchy allocates a tag page only when a set in it is
+// first filled, so a new core holds none of the L3's 1 MB of tags; with
+// the tags allocated up front building a core allocated about 1.9 MB.
 func TestNewAllocBudget(t *testing.T) {
 	const budget = 512 << 10
 	p, err := workload.ByName("gcc")
@@ -71,14 +71,14 @@ func TestNewAllocBudget(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = New(config.Big216(), config.SMT, []*program.Program{p})
+	_, err = newLoaded(config.Big216(), config.SMT, []*program.Program{p})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("New allocates %d bytes", got)
+	t.Logf("New and Load allocate %d bytes", got)
 	if got > budget {
-		t.Errorf("New allocates %d bytes, over the %d-byte budget", got, budget)
+		t.Errorf("New and Load allocate %d bytes, over the %d-byte budget", got, budget)
 	}
 }

@@ -15,7 +15,7 @@ func mustRun(t *testing.T, mach config.Machine, feat config.Features, names []st
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(mach, feat, progs)
+	c, err := newLoaded(mach, feat, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,24 +170,24 @@ func TestAltPolicyContracts(t *testing.T) {
 // Construction errors.
 func TestNewRejectsBadInputs(t *testing.T) {
 	p, _ := workload.ByName("perl")
-	if _, err := New(config.Big216(), config.SMT, nil); err == nil {
+	if _, err := newLoaded(config.Big216(), config.SMT, nil); err == nil {
 		t.Error("no programs accepted")
 	}
 	many := make([]*program.Program, 9)
 	for i := range many {
 		many[i] = p
 	}
-	if _, err := New(config.Big216(), config.SMT, many); err == nil {
+	if _, err := newLoaded(config.Big216(), config.SMT, many); err == nil {
 		t.Error("too many programs accepted")
 	}
 	bad := config.TME
 	bad.AltLimit = 0
-	if _, err := New(config.Big216(), bad, []*program.Program{p}); err == nil {
+	if _, err := newLoaded(config.Big216(), bad, []*program.Program{p}); err == nil {
 		t.Error("TME without AltLimit accepted")
 	}
 	m := config.Big216()
 	m.Contexts = 0
-	if _, err := New(m, config.SMT, []*program.Program{p}); err == nil {
+	if _, err := newLoaded(m, config.SMT, []*program.Program{p}); err == nil {
 		t.Error("invalid machine accepted")
 	}
 }
@@ -214,7 +214,7 @@ func TestFetchStarvationSensitivity(t *testing.T) {
 
 // A core builds only the recycle structures its features read: with
 // Reuse off there is no MDB and no written bit-array, before and after
-// a run and a Reseed, and with Recycle off no context ever records a
+// a run and a Load, and with Recycle off no context ever records a
 // merge point.  REC, which keeps merge points but not the reuse
 // tables, shows the merge-point check can fail.
 func TestFeatureGatedRecycleState(t *testing.T) {
@@ -228,7 +228,7 @@ func TestFeatureGatedRecycleState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := New(config.Big216(), feat, progs)
+			c, err := newLoaded(config.Big216(), feat, progs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,10 +250,10 @@ func TestFeatureGatedRecycleState(t *testing.T) {
 				t.Errorf("Recycle=%v but a merge point was recorded: %v", feat.Recycle, sawMerge)
 			}
 			tables("after a run")
-			if err := c.Reseed(feat, progs, nil, Models{}); err != nil {
+			if err := c.Load(feat, progs, nil, Models{}); err != nil {
 				t.Fatal(err)
 			}
-			tables("after Reseed")
+			tables("after Load")
 		})
 	}
 }
@@ -274,7 +274,7 @@ func TestOwnBackMergeShadowedByFirstPC(t *testing.T) {
 	b.Addi(asm.R(1), asm.R(1), -1)
 	b.Bne(asm.R(1), asm.R(0), "loop")
 	b.Halt()
-	c, err := New(config.Big216(), config.REC, []*program.Program{b.MustBuild()})
+	c, err := newLoaded(config.Big216(), config.REC, []*program.Program{b.MustBuild()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,7 +265,7 @@ type Context struct {
 	lruTick uint64
 }
 
-// newContext allocates a context's rings; Core.reset gives it its
+// newContext allocates a context's rings; Core.Load gives it its
 // starting state.
 func newContext(id int, alSize int) *Context {
 	return &Context{

@@ -73,7 +73,7 @@ type Core struct {
 	written *recycle.WrittenBits // nil unless Features.Reuse (see mdb)
 	mdb     *recycle.MDB         // nil unless Features.Reuse; uses outside tryReuse test for nil
 
-	// own holds what the core built for itself and keeps across resets
+	// own holds what the core built for itself and keeps across loads
 	// to reuse in place: the default models, the reuse tables (kept
 	// aside while a run without Reuse leaves written and mdb nil), and
 	// the data memories by partition.  Adopted models and seed memories
@@ -119,13 +119,13 @@ type Core struct {
 
 	// invariantEvery, when non-zero, runs CheckInvariants every N
 	// cycles (resolved from Features.InvariantEvery or the
-	// siminvariant build-tag default by reset).
+	// siminvariant build-tag default by Load).
 	invariantEvery uint64
 
 	// watchdogCycles, when non-zero, is the forward-progress window:
 	// Run fails with a *LivelockError after this many consecutive
 	// cycles without a commit (resolved from Features.WatchdogCycles
-	// by reset; config.WatchdogOff disables it).
+	// by Load; config.WatchdogOff disables it).
 	watchdogCycles uint64
 
 	// poll, when non-nil, is consulted every pollEvery cycles by Run; a
@@ -170,24 +170,12 @@ type Core struct {
 	haltedPrograms int
 }
 
-// New builds a core running the given programs (one partition each).
-// The number of programs must divide the context count evenly enough
-// that every program gets at least one context.
-func New(mach config.Machine, feat config.Features, progs []*program.Program) (*Core, error) {
-	return newCore(mach, feat, progs, nil, Models{})
-}
-
-// newCore is the shared constructor behind New and the seeded
-// constructors; seeds is nil (every program starts at its entry) or
-// pre-validated to match progs element-wise, with nil entries meaning
-// "fresh start".  It allocates the machine's buffers, then hands over
-// to reset, the one path that puts a core into its starting state
-// (Reset and Reseed take it too).
-func newCore(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
+// New builds an unloaded core for mach: it validates the machine and
+// allocates the machine's buffers.  An unloaded core runs nothing —
+// Run returns at once, as it does when every program has halted —
+// until Load gives it programs.
+func New(mach config.Machine) (*Core, error) {
 	if err := mach.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkRun(mach, feat, progs); err != nil {
 		return nil, err
 	}
 	intRegs := isa.NumIntRegs*mach.Contexts + mach.ExtraRegs
@@ -208,7 +196,6 @@ func newCore(mach config.Machine, feat config.Features, progs []*program.Program
 	for i := 0; i < mach.Contexts; i++ {
 		c.ctxs = append(c.ctxs, newContext(i, mach.ActiveList))
 	}
-	c.reset(feat, progs, seeds, m)
 	return c, nil
 }
 
@@ -232,32 +219,34 @@ func checkRun(mach config.Machine, feat config.Features, progs []*program.Progra
 	return nil
 }
 
-// Reset puts c into exactly the state New builds for c's machine and
-// the given features and programs, validating them the same way.  It
-// reuses every buffer c holds — contexts and active lists, register
-// file, queues, completion wheel, and the models, recycle tables and
-// data memories c built for itself, emptied in place — so a core reset
-// for another run on the same programs allocates next to nothing.  The
-// cycle count, hooks and attached recorders start over, and Stats and
-// Obs are cleared in place, so values read from them earlier must be
+// Load puts c into its starting state for feat and progs, one
+// partition per program; the programs must number one to the
+// machine's context count.  seeds[i], when non-nil, starts progs[i]'s
+// primary context at a mid-program architectural state instead of the
+// program entry; nil seeds or a nil entry mean a fresh start.  The core
+// adopts the non-nil models in m (see Models) and takes its own for the
+// rest, building them on first use and resetting them in place after.
+//
+// Load is the one way to a starting state, for a new core and for one
+// that has run alike.  It keeps the machine and every buffer c owns —
+// contexts and active lists, register file, queues, completion wheel,
+// recycle tables, and the models and data memories c built for itself
+// — emptied in place, so loading a core that has run allocates next to
+// nothing.  Features and programs equal to the ones c runs were
+// validated when c took them and are not walked again.  Every other
+// field starts from its zero value: the cycle count, the commit hook,
+// the poll hook and attached recorders start over, and Stats and Obs
+// are cleared in place, so values read from them earlier must be
 // copied first.  On error c is unchanged.
-func (c *Core) Reset(feat config.Features, progs []*program.Program) error {
-	if err := checkRun(c.mach, feat, progs); err != nil {
+func (c *Core) Load(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) error {
+	if feat != c.feat || !c.runs(progs) {
+		if err := checkRun(c.mach, feat, progs); err != nil {
+			return err
+		}
+	}
+	if err := checkSeeds(seeds, progs); err != nil {
 		return err
 	}
-	c.reset(feat, progs, nil, Models{})
-	return nil
-}
-
-// reset puts the core into its starting state for feat and progs on
-// the given seeds and models (see newCore for both).  It keeps the
-// machine and every buffer the core owns, emptied in place; every
-// other field starts from its zero value, so the cycle count, hooks
-// and attached recorders start over, and Stats and Obs are cleared in
-// place.  The core adopts the non-nil models in m and takes its own
-// for the rest, building them on first use and resetting them in place
-// after.
-func (c *Core) reset(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) {
 	own := &c.own
 	if m.Pred == nil {
 		if own.models.Pred == nil {
@@ -355,6 +344,7 @@ func (c *Core) reset(feat config.Features, progs []*program.Program, seeds []*Ar
 			c.startPrimary(c.ctxs[part.primary], part.prog.Entry, nil)
 		}
 	}
+	return nil
 }
 
 // partition divides the contexts evenly among progs, one partition

@@ -23,7 +23,7 @@ func cosim(t *testing.T, mach config.Machine, feat config.Features, progs []*pro
 	for i, p := range progs {
 		emus[i] = emu.New(p)
 	}
-	c, err := New(mach, feat, progs)
+	c, err := newLoaded(mach, feat, progs)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := New(config.Big216(), feat, progs)
+		c, err := newLoaded(config.Big216(), feat, progs)
 		if err != nil {
 			t.Fatal(err)
 		}

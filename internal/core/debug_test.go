@@ -18,7 +18,7 @@ func TestDebugDivergence(t *testing.T) {
 	feat := config.REC
 	p, _ := workload.ByName("su2cor")
 	em := newRefEmu(p)
-	c, err := New(config.Big216(), feat, []*program.Program{p})
+	c, err := newLoaded(config.Big216(), feat, []*program.Program{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDebugDivergence(t *testing.T) {
 // commits stop making progress.
 func TestDebugDeadlock(t *testing.T) {
 	p := workload.GenerateTerminating(7, 400)
-	c, err := New(config.Big216(), config.RECRSRU, []*program.Program{p})
+	c, err := newLoaded(config.Big216(), config.RECRSRU, []*program.Program{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDebugMultiprogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(config.Big216(), config.SMT, progs)
+	c, err := newLoaded(config.Big216(), config.SMT, progs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func invariantCore(t *testing.T) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(config.Big216(), config.RECRSRU, []*program.Program{p})
+	c, err := newLoaded(config.Big216(), config.RECRSRU, []*program.Program{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 		}
 		mach := config.Big216()
 		mach.Contexts = 4
-		c, err := New(mach, config.RECRSRU, []*program.Program{p})
+		c, err := newLoaded(mach, config.RECRSRU, []*program.Program{p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ func watchdogCore(t *testing.T, feat config.Features) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(config.Big216(), feat, []*program.Program{p})
+	c, err := newLoaded(config.Big216(), feat, []*program.Program{p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func tracedCore(t *testing.T, feat config.Features, bench string, cycles uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(config.Big216(), feat, []*program.Program{p})
+	c, err := newLoaded(config.Big216(), feat, []*program.Program{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTracedAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(config.Big216(), config.RECRSRU, progs)
+	c, err := newLoaded(config.Big216(), config.RECRSRU, progs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Core seeding: starting a detailed core from a mid-program
 // architectural state instead of the program entry.  Sampled
 // simulation (internal/sample) fast-forwards a program on the golden
-// emulator, then builds a seeded core for each detailed measurement
-// interval; the seeded core's committed instruction stream must match
-// the emulator continuing from the same state (seed_test.go holds the
-// cosimulation invariant over every workload).
+// emulator, then loads a core with the state of each detailed
+// measurement interval (Load with seeds and warm models); the seeded
+// core's committed instruction stream must match the emulator
+// continuing from the same state (seed_test.go holds the cosimulation
+// invariant over every workload).
 package core
 
 import (
@@ -34,8 +35,8 @@ type ArchState struct {
 // Models are the long-lived microarchitectural models a core is built
 // around: branch predictor, confidence estimator, and cache hierarchy.
 // A nil field means the core uses its own default model for the
-// machine: built on first use, reset in place by later resets.
-// Non-nil models must be built with the same configurations New uses —
+// machine: built on first use, reset in place by later loads.
+// Non-nil models must be built with the same configurations Load uses —
 // bpred.Default for the machine's context count, confidence.Default,
 // and the machine's DefaultHierarchy — or the model diverges from the
 // configured machine.  The core adopts them (no copy) and mutates them
@@ -46,58 +47,24 @@ type Models struct {
 	Mem  *cache.Hierarchy
 }
 
-// NewSeeded is New with per-program architectural seeds: seeds[i], when
-// non-nil, starts progs[i]'s primary context at the given mid-program
-// PC with the given register values and memory image instead of the
-// program entry.  A nil seeds slice or nil entry means a fresh start.
-// Microarchitectural state (predictor, caches, recycle tables) starts
-// cold; NewSeededWith starts the core on pre-warmed models instead.
+// NewSeeded is New followed by Load on the core's own models.  It
+// stays only for the benchmark's sampled replay (bench/sampled.go),
+// with SeedMicroarch; every other caller takes New and Load.
 func NewSeeded(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState) (*Core, error) {
-	return NewSeededWith(mach, feat, progs, seeds, Models{})
-}
-
-// NewSeededWith is NewSeeded on pre-warmed models: the core adopts the
-// non-nil fields of m at construction, so no cold model is built only
-// to be replaced.  Sampled simulation seeds every measurement interval
-// this way, building each seed slot's core once and calling Reseed for
-// its later intervals and runs.  The recycle tables (written bits, MDB,
-// active-list traces) still start cold.
-func NewSeededWith(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
-	if err := checkSeeds(seeds, progs); err != nil {
+	c, err := New(mach)
+	if err != nil {
 		return nil, err
 	}
-	return newCore(mach, feat, progs, seeds, m)
+	if err := c.Load(feat, progs, seeds, Models{}); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// Reseed puts c into exactly the state NewSeededWith builds for c's
-// machine and the given features, programs, seeds and models, and
-// validates them the same way.  It reuses c's buffers (active lists,
-// store queues, register file, queues, completion wheel, recycle
-// tables, and the models and memories c built for itself), so a core
-// reseeded per sampled interval allocates only what nil models and nil
-// seed memories ask for the first time.  Features and programs equal to
-// the ones c runs were validated when c took them and are not walked
-// again, so reseeding the same program for its next interval costs no
-// more than the reset itself.  The cycle count, Stats, Obs, the commit
-// hook, the poll hook and any attached recorders start over; Stats and
-// Obs are cleared in place, so values read from them earlier must be
-// copied first.  On error c is unchanged.
-func (c *Core) Reseed(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) error {
-	if feat != c.feat || !c.runs(progs) {
-		if err := checkRun(c.mach, feat, progs); err != nil {
-			return err
-		}
-	}
-	if err := checkSeeds(seeds, progs); err != nil {
-		return err
-	}
-	c.reset(feat, progs, seeds, m)
-	return nil
-}
-
-// runs reports whether progs are the programs c runs, in order.
+// runs reports whether progs are the programs c runs, in order; an
+// unloaded core runs none.
 func (c *Core) runs(progs []*program.Program) bool {
-	if len(progs) != len(c.parts) {
+	if len(progs) == 0 || len(progs) != len(c.parts) {
 		return false
 	}
 	for i, p := range progs {
@@ -133,8 +100,8 @@ func checkSeeds(seeds []*ArchState, progs []*program.Program) error {
 // SeedMicroarch replaces the core's branch predictor, confidence
 // estimator, and/or cache hierarchy with externally warmed instances
 // (nil arguments keep the current models).  The replacements follow
-// the rules of Models.  It is the after-the-fact form of
-// NewSeededWith, which avoids building the cold models this discards.
+// the rules of Models.  It is the after-the-fact form of Load's models
+// and stays only for the benchmark's sampled replay (bench/sampled.go).
 // Seeding is only legal before the first cycle.
 func (c *Core) SeedMicroarch(pred *bpred.Predictor, conf *confidence.Estimator, mem *cache.Hierarchy) {
 	if c.cycle != 0 {

@@ -32,9 +32,9 @@ func seededCosim(t *testing.T, mach config.Machine, feat config.Features, p *pro
 	// the fast-forwarded image.
 	ref := &emu.Emulator{Prog: p, Mem: e.Mem.Clone(), PC: e.PC, Regs: e.Regs, Retired: e.Retired}
 	seed := &ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem}
-	c, err := NewSeeded(mach, feat, []*program.Program{p}, []*ArchState{seed})
+	c, err := loadedWith(mach, feat, []*program.Program{p}, []*ArchState{seed}, Models{})
 	if err != nil {
-		t.Fatalf("NewSeeded: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	c.CommitHook = cosimHook(t, ref, fmt.Sprintf("%s/%s seeded@%d", p.Name, config.FeatureName(feat), ffInsts))
 	if _, err := c.Run(maxInsts, 40*maxInsts+10_000); err != nil {
@@ -96,7 +96,7 @@ func TestSeededCosim(t *testing.T) {
 	}
 }
 
-// A nil-seed NewSeeded must behave exactly like New.
+// A nil-seed NewSeeded must behave exactly like New and Load.
 func TestNewSeededNilSeedsMatchesNew(t *testing.T) {
 	p, err := workload.ByName("compress")
 	if err != nil {
@@ -112,7 +112,7 @@ func TestNewSeededNilSeedsMatchesNew(t *testing.T) {
 		}
 		return c
 	}
-	a := run(func() (*Core, error) { return New(config.Big216(), config.RECRSRU, []*program.Program{p}) })
+	a := run(func() (*Core, error) { return newLoaded(config.Big216(), config.RECRSRU, []*program.Program{p}) })
 	b := run(func() (*Core, error) {
 		return NewSeeded(config.Big216(), config.RECRSRU, []*program.Program{p}, nil)
 	})
@@ -122,43 +122,45 @@ func TestNewSeededNilSeedsMatchesNew(t *testing.T) {
 	}
 }
 
+// Load refuses bad seeds and runs, on a core that has run and on a new
+// one, and leaves a refused core as it was: the used core keeps its
+// cycle count, and the new core stays unloaded and commits nothing.
 func TestNewSeededValidation(t *testing.T) {
 	p, err := workload.ByName("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
 	progs := []*program.Program{p}
-	if _, err := NewSeeded(config.Big216(), config.SMT, progs, []*ArchState{nil, nil}); err == nil {
-		t.Error("seed/program count mismatch accepted")
-	}
-	if _, err := NewSeeded(config.Big216(), config.SMT, progs, []*ArchState{{PC: 0x3}}); err == nil {
-		t.Error("out-of-text seed PC accepted")
-	}
 	bad := &ArchState{PC: p.Entry}
 	bad.Regs[isa.RegZero] = 1
-	if _, err := NewSeeded(config.Big216(), config.SMT, progs, []*ArchState{bad}); err == nil {
-		t.Error("nonzero zero-register seed accepted")
-	}
-
-	// Reseed validates the same way and leaves a refused core as it was.
-	c, err := New(config.Big216(), config.SMT, progs)
+	used, err := newLoaded(config.Big216(), config.SMT, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Cycle()
-	for _, seeds := range [][]*ArchState{{nil, nil}, {{PC: 0x3}}, {bad}} {
-		if err := c.Reseed(config.SMT, progs, seeds, Models{}); err == nil {
-			t.Errorf("Reseed accepted %+v", seeds)
+	used.Cycle()
+	fresh, err := New(config.Big216())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Core{"used": used, "new": fresh} {
+		for _, seeds := range [][]*ArchState{{nil, nil}, {{PC: 0x3}}, {bad}} {
+			if err := c.Load(config.SMT, progs, seeds, Models{}); err == nil {
+				t.Errorf("%s core: Load accepted %+v", name, seeds)
+			}
+		}
+		if err := c.Load(config.Features{Recycle: true}, progs, nil, Models{}); err == nil {
+			t.Errorf("%s core: Load accepted Recycle without TME", name)
+		}
+		if err := c.Load(config.SMT, nil, nil, Models{}); err == nil {
+			t.Errorf("%s core: Load accepted no programs", name)
 		}
 	}
-	if err := c.Reseed(config.Features{Recycle: true}, progs, nil, Models{}); err == nil {
-		t.Error("Reseed accepted Recycle without TME")
+	if used.CycleCount() != 1 {
+		t.Error("a refused Load reset the used core")
 	}
-	if err := c.Reseed(config.SMT, nil, nil, Models{}); err == nil {
-		t.Error("Reseed accepted no programs")
-	}
-	if c.CycleCount() != 1 {
-		t.Error("a refused Reseed reset the core")
+	if st, err := fresh.Run(1_000, 40*1_000); err != nil || st.Committed != 0 || fresh.CycleCount() != 0 {
+		t.Errorf("a refused Load started the new core: %d commits in %d cycles, err %v",
+			st.Committed, fresh.CycleCount(), err)
 	}
 }
 
@@ -171,7 +173,7 @@ func TestSeedMicroarch(t *testing.T) {
 	}
 	mach := config.Big216()
 	run := func(inject bool) *Core {
-		c, err := New(mach, config.RECRSRU, []*program.Program{p})
+		c, err := newLoaded(mach, config.RECRSRU, []*program.Program{p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +193,7 @@ func TestSeedMicroarch(t *testing.T) {
 		t.Errorf("fresh-model injection perturbed the run: %+v vs %+v", a.Stats, b.Stats)
 	}
 
-	c, err := New(mach, config.SMT, []*program.Program{p})
+	c, err := newLoaded(mach, config.SMT, []*program.Program{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,17 +206,18 @@ func TestSeedMicroarch(t *testing.T) {
 	c.SeedMicroarch(nil, nil, nil)
 }
 
-// NewSeededWith adopts the given models and seed memory at
-// construction, and runs exactly as NewSeeded followed by SeedMicroarch
-// with equal copies of the same warm models.
-func TestNewSeededWithMatchesSeedMicroarch(t *testing.T) {
+// Load adopts the given models and seed memory, and runs exactly as
+// NewSeeded followed by SeedMicroarch with equal copies of the same
+// warm models: the benchmark's sampled replay, which seeds that way,
+// measures the state production builds.
+func TestLoadMatchesSeedMicroarch(t *testing.T) {
 	p, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := config.Big216()
 	progs := []*program.Program{p}
-	warm, err := New(mach, config.RECRSRU, progs)
+	warm, err := newLoaded(mach, config.RECRSRU, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +236,12 @@ func TestNewSeededWithMatchesSeedMicroarch(t *testing.T) {
 
 	m := Models{Pred: warm.pred.Clone(), Conf: warm.conf.Clone(), Mem: warm.mem.Clone()}
 	s := seed()
-	a, err := NewSeededWith(mach, config.RECRSRU, progs, []*ArchState{s}, m)
+	a, err := loadedWith(mach, config.RECRSRU, progs, []*ArchState{s}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.pred != m.Pred || a.conf != m.Conf || a.mem != m.Mem || a.parts[0].mem != s.Mem {
-		t.Fatal("NewSeededWith copied its models or seed memory instead of adopting them")
+		t.Fatal("Load copied its models or seed memory instead of adopting them")
 	}
 	run(a)
 
@@ -249,7 +252,7 @@ func TestNewSeededWithMatchesSeedMicroarch(t *testing.T) {
 	b.SeedMicroarch(warm.pred.Clone(), warm.conf.Clone(), warm.mem.Clone())
 	run(b)
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
-		t.Errorf("NewSeededWith run differs from NewSeeded + SeedMicroarch:\n%+v\n%+v", a.Stats, b.Stats)
+		t.Errorf("New + Load run differs from NewSeeded + SeedMicroarch:\n%+v\n%+v", a.Stats, b.Stats)
 	}
 }
 
@@ -258,11 +261,11 @@ func modelCopies(w *Core) Models {
 	return Models{Pred: w.pred.Clone(), Conf: w.conf.Clone(), Mem: w.mem.Clone()}
 }
 
-// The Reseed witness: a core that has run one interval and is then
-// reseeded at a later point runs exactly as a core freshly built there
-// by NewSeededWith on equal copies of the same warm models — the same
-// commit stream, Stats and Obs — and its commits match the emulator
-// continuing from that point.  A buffer Reseed forgot to reset (the
+// The reload witness: a core that has run one interval and is then
+// loaded at a later point runs exactly as a new core loaded there on
+// equal copies of the same warm models — the same commit stream, Stats
+// and Obs — and its commits match the emulator continuing from that
+// point.  A buffer Load forgot to reset (the
 // MDB's entries, the written bits, a ring's pointers) leaks the first
 // interval into the second and shows up here as a timing difference,
 // a reuse the fresh core does not make, or a wrong value.
@@ -277,7 +280,7 @@ func TestReseedMatchesFresh(t *testing.T) {
 				}
 				mach := config.Big216()
 				progs := []*program.Program{p}
-				warm, err := New(mach, feat, progs)
+				warm, err := newLoaded(mach, feat, progs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -286,13 +289,13 @@ func TestReseedMatchesFresh(t *testing.T) {
 				}
 				e := emu.New(p)
 				e.Run(12_000)
-				used, err := NewSeededWith(mach, feat, progs,
+				used, err := loadedWith(mach, feat, progs,
 					[]*ArchState{{PC: e.PC, Regs: e.Regs, Mem: e.Mem.Clone()}}, modelCopies(warm))
 				if err != nil {
 					t.Fatal(err)
 				}
 				// The first interval, with every hook and recorder
-				// Reseed must detach.
+				// Load must detach.
 				used.CommitHook = func(CommitInfo) {}
 				used.SetPoll(func() error { return nil })
 				used.SetRing(obs.NewRing(64))
@@ -306,15 +309,15 @@ func TestReseedMatchesFresh(t *testing.T) {
 				seed := func() []*ArchState {
 					return []*ArchState{{PC: e.PC, Regs: e.Regs, Mem: e.Mem.Clone()}}
 				}
-				fresh, err := NewSeededWith(mach, feat, progs, seed(), modelCopies(warm))
+				fresh, err := loadedWith(mach, feat, progs, seed(), modelCopies(warm))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := used.Reseed(feat, progs, seed(), modelCopies(warm)); err != nil {
+				if err := used.Load(feat, progs, seed(), modelCopies(warm)); err != nil {
 					t.Fatal(err)
 				}
 				if used.CommitHook != nil || used.poll != nil || used.ring != nil || used.ptrace != nil || used.cycle != 0 {
-					t.Fatal("Reseed kept a hook, a recorder or the cycle count")
+					t.Fatal("Load kept a hook, a recorder or the cycle count")
 				}
 				// Stale written bits only block reuse the exact mapping
 				// check would allow, and the columns reuse consults are
@@ -331,13 +334,13 @@ func TestReseedMatchesFresh(t *testing.T) {
 					{"functional units", used.fus, fresh.fus},
 				} {
 					if !reflect.DeepEqual(part.used, part.fresh) {
-						t.Errorf("%s: the reseeded core's differ from a fresh core's", part.name)
+						t.Errorf("%s: the reloaded core's differ from a fresh core's", part.name)
 					}
 				}
 
 				var want, got []CommitInfo
 				fresh.CommitHook = func(ci CommitInfo) { want = append(want, ci) }
-				label := fmt.Sprintf("%s/%s reseeded@%d", p.Name, config.FeatureName(feat), e.Retired)
+				label := fmt.Sprintf("%s/%s reloaded@%d", p.Name, config.FeatureName(feat), e.Retired)
 				cosim := cosimHook(t, &emu.Emulator{Prog: p, Mem: e.Mem.Clone(), PC: e.PC, Regs: e.Regs, Retired: e.Retired}, label)
 				used.CommitHook = func(ci CommitInfo) {
 					got = append(got, ci)
@@ -349,13 +352,13 @@ func TestReseedMatchesFresh(t *testing.T) {
 					}
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("reseeded core's commit stream differs from a fresh core's (%d vs %d commits)", len(got), len(want))
+					t.Errorf("reloaded core's commit stream differs from a fresh core's (%d vs %d commits)", len(got), len(want))
 				}
 				if !reflect.DeepEqual(used.Stats, fresh.Stats) {
-					t.Errorf("Stats differ:\nreseeded %+v\nfresh    %+v", used.Stats, fresh.Stats)
+					t.Errorf("Stats differ:\nreloaded %+v\nfresh    %+v", used.Stats, fresh.Stats)
 				}
 				if !reflect.DeepEqual(used.Obs, fresh.Obs) {
-					t.Errorf("Obs differ:\nreseeded %+v\nfresh    %+v", used.Obs, fresh.Obs)
+					t.Errorf("Obs differ:\nreloaded %+v\nfresh    %+v", used.Obs, fresh.Obs)
 				}
 			})
 		}

@@ -35,7 +35,7 @@ func TestStallAttributionIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := New(config.Big216(), ft.f, []*program.Program{p})
+				c, err := newLoaded(config.Big216(), ft.f, []*program.Program{p})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,7 +67,7 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := New(config.Big216(), config.RECRSRU, []*program.Program{p})
+		c, err := newLoaded(config.Big216(), config.RECRSRU, []*program.Program{p})
 		if err != nil {
 			t.Fatal(err)
 		}

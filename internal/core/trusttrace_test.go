@@ -30,7 +30,7 @@ func TestTrustTraceRecyclesMore(t *testing.T) {
 	run := func(trust bool) *Core {
 		feat := config.RECRSRU
 		feat.TrustTrace = trust
-		c, err := New(config.Big216(), feat, []*program.Program{p})
+		c, err := newLoaded(config.Big216(), feat, []*program.Program{p})
 		if err != nil {
 			t.Fatal(err)
 		}

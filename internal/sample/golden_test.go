@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"recyclesim/internal/config"
-	"recyclesim/internal/core"
 	"recyclesim/internal/workload"
 )
 
@@ -75,7 +74,7 @@ func TestGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.New(mach, feat, progs)
+		c, err := loadedCore(mach, feat, progs)
 		if err != nil {
 			t.Fatal(err)
 		}

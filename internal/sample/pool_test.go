@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -102,8 +101,8 @@ func TestPooledSampledMatchesFreshConcurrent(t *testing.T) {
 // the middle of its checkpoint pass, or by a failed interval (here a
 // watchdog livelock), never leaves its state for the next run on the
 // machine, and that next run equals a run on a fresh state.  A machine
-// value no other test runs has a pool holding only this test's states,
-// and one P lets the test see every state the pool holds.
+// value no other test runs keeps other tests' states out of the check
+// that the machine has none idle.
 func TestFailedSampledRunDropsItsState(t *testing.T) {
 	p, err := workload.ByName("gcc")
 	if err != nil {
@@ -111,7 +110,6 @@ func TestFailedSampledRunDropsItsState(t *testing.T) {
 	}
 	mach := config.Big216()
 	mach.Name = "big.2.16 failed sampled runs"
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := pooledConfig
 	cfg.Workers = 2
 	want := freshRun(t, mach, config.RECRSRU, p, pooledInsts, cfg)

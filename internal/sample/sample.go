@@ -249,7 +249,7 @@ func (st *runState) run(mach config.Machine, feat config.Features, prog *program
 	// sequential and starts from a master and an emulator in exactly
 	// their freshly built state, every interval starts from an exact
 	// copy of the master on a core in exactly its freshly built state
-	// (core.Reseed), and every interval writes its own result slot.
+	// (core.Load), and every interval writes its own result slot.
 	st.base.Load(prog)
 	st.e.Reset(prog)
 	base, e, master := &st.base, &st.e, st.master
@@ -353,7 +353,7 @@ func (st *runState) run(mach config.Machine, feat config.Features, prog *program
 // Warmup.Reset, the image and the emulator by reloading the program,
 // and each slot's parts by the pass and the interval that use it next
 // (its checkpoint and model copy are overwritten, its data memory
-// copied, its core reseeded onto the new program and features).
+// copied, its core loaded with the new program and features).
 type runState struct {
 	master *Warmup
 	base   program.Memory
@@ -362,8 +362,9 @@ type runState struct {
 }
 
 // idleRuns keeps the state of clean sampled runs for Run to reset in
-// place rather than build anew, by machine.
-var idleRuns sweep.Pools[config.Machine, *runState]
+// place rather than build anew, by machine (see sweep.FreeList for how
+// long it keeps them).
+var idleRuns sweep.FreeList[config.Machine, *runState]
 
 // slot returns seed slot s, adding it on first use.
 func (st *runState) slot(s int) *seedSlot {
@@ -384,12 +385,12 @@ type seedSlot struct {
 
 	mem  program.Memory // the interval's data memory: base plus cp's delta
 	arch core.ArchState // the core's seed, on mem
-	c    *core.Core     // built by the slot's first interval, reseeded after
+	c    *core.Core     // built by the slot's first interval, loaded by every one
 }
 
 // runInterval restores the slot's checkpoint into its data memory,
-// seeds its detailed core — built on the slot's first interval,
-// reseeded in place after, onto this run's program and features — on
+// loads its detailed core — built on the slot's first interval, loaded
+// in place by every one, with this run's program and features — on
 // the slot's private copy of the continuously warmed models (the core
 // trains them in place, so w is spent once this returns), runs the
 // detached warmup, and measures the interval.  A panic inside the core
@@ -412,13 +413,12 @@ func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *
 	}
 	s.arch = core.ArchState{PC: s.cp.PC, Regs: s.cp.Regs, Mem: &s.mem}
 	progs, seeds := []*program.Program{prog}, []*core.ArchState{&s.arch}
-	m := core.Models{Pred: s.w.Pred, Conf: s.w.Conf, Mem: s.w.Mem}
 	if s.c == nil {
-		s.c, err = core.NewSeededWith(mach, feat, progs, seeds, m)
-	} else {
-		err = s.c.Reseed(feat, progs, seeds, m)
+		if s.c, err = core.New(mach); err != nil {
+			return iv, err
+		}
 	}
-	if err != nil {
+	if err = s.c.Load(feat, progs, seeds, core.Models{Pred: s.w.Pred, Conf: s.w.Conf, Mem: s.w.Mem}); err != nil {
 		return iv, err
 	}
 	c := s.c

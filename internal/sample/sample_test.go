@@ -17,10 +17,23 @@ import (
 	"recyclesim/internal/workload"
 )
 
+// loadedCore is core.New followed by Load from every program's entry:
+// the core a detailed run starts on.
+func loadedCore(mach config.Machine, feat config.Features, progs []*program.Program) (*core.Core, error) {
+	c, err := core.New(mach)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Load(feat, progs, nil, core.Models{}); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // fullIPC runs the program fully detailed and returns committed/cycles.
 func fullIPC(t *testing.T, mach config.Machine, feat config.Features, p *program.Program, maxInsts uint64) float64 {
 	t.Helper()
-	c, err := core.New(mach, feat, []*program.Program{p})
+	c, err := loadedCore(mach, feat, []*program.Program{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +199,7 @@ func TestSampledDeterminism(t *testing.T) {
 
 // The allocation guard: a sampled interval allocates next to nothing.
 // Each seed slot keeps its checkpoint's delta buffer, its data memory
-// and its detailed core, and reseeds them in place (core.Reseed), so
+// and its detailed core, and reloads them in place (core.Core.Load), so
 // what is left is the interval's result (its Stats' per-program
 // counts) and the slots' buffers growing to the program's footprint:
 // about 340 bytes for gcc on Big216, give or take a few hundred with
@@ -200,14 +213,10 @@ func TestSampledDeterminism(t *testing.T) {
 // fresh core is ~300 KB and a model copy ~150 KB.  The bound of two
 // pages leaves room for drift in the growth.
 //
-// As in TestPooledSampledRunAllocBudget, a machine value no other test
-// runs has a pool holding only this test's state, and one P keeps
-// sync.Pool from parking it in another P's private slot.  Under the
-// race detector sync.Pool drops a quarter of what it is given, on
-// purpose, so a measured run may build its state afresh and the bound
-// is not checked there.  The four workers still hand the slots' cores
-// between goroutines, which the race detector checks, and the result
-// must still equal the one-worker run's.
+// Each run takes the state the run before it left (idleRuns), under the
+// race detector and at any GOMAXPROCS alike.  The four workers hand
+// the slots' cores between goroutines, which the race detector checks,
+// and the result must still equal the one-worker run's.
 func TestSampledIntervalAllocs(t *testing.T) {
 	const (
 		bound       = 8_192 // bytes per interval
@@ -221,9 +230,7 @@ func TestSampledIntervalAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := config.Big216()
-	mach.Name = "big.2.16 interval allocs"
 	feat, _ := config.PresetByName("REC/RS/RU")
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ref *Result
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -249,9 +256,6 @@ func TestSampledIntervalAllocs(t *testing.T) {
 			} else if !reflect.DeepEqual(r, ref) {
 				t.Error("result differs from the one-worker run's")
 			}
-			if raceEnabled {
-				return
-			}
 			// Signed: with four workers the intervals land on the slots
 			// in another order each run, so the slots' growth varies by
 			// a few KB a run either way.
@@ -269,15 +273,11 @@ func TestSampledIntervalAllocs(t *testing.T) {
 // emulator, and every seed slot's checkpoint buffer, model copy, data
 // memory and core — so it allocates little beyond its Result: about
 // 400 bytes per interval, 20 KB in all.  Building the state anew costs
-// about 810 KB.
-// A machine value no other test runs has a pool holding only this
-// test's state, and one P keeps sync.Pool from parking it in another
-// P's private slot, out of the second run's reach; the race detector
-// makes sync.Pool drop items at random, so the test skips under it.
+// about 810 KB.  One worker pins the run, not the host: with more, the
+// intervals land on other seed slots in each run, so the slots' pages
+// grow differently from run to run and the second run's allocations
+// vary with scheduling.
 func TestPooledSampledRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	if invariantEnabled {
 		t.Skip("siminvariant build: the periodic checker allocates by design")
 	}
@@ -287,9 +287,7 @@ func TestPooledSampledRunAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := config.Big216()
-	mach.Name = "big.2.16 sampled alloc budget"
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	cfg := Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500}
+	cfg := Config{Period: 5_000, IntervalLen: 500, WarmupLen: 500, Workers: 1}
 	run := func() {
 		r, err := Run(mach, config.RECRSRU, p, 50*cfg.Period, cfg)
 		if err != nil {

@@ -24,9 +24,9 @@ const warmupLine = 64
 // the entire instruction stream (warming is continuous from program
 // start, as in SMARTS functional warming); CloneInto snapshots it into
 // a reused buffer at each measurement point.  The models are built with
-// the same default configurations core.New uses and are meant to be
-// adopted by a seeded core (core.NewSeededWith or Core.Reseed, or
-// Core.SeedMicroarch on an already built one).
+// the same default configurations a core's own models use and are meant
+// to be adopted by a seeded core: Run hands each interval's copy to
+// core.Core.Load as its Models.
 //
 // The warmup mirrors the core's primary-path training exactly: Lookup,
 // speculative history update, history repair on a mispredict, and
@@ -49,8 +49,8 @@ type Warmup struct {
 	haveLine bool
 }
 
-// NewWarmup builds fresh default models for the machine, matching what
-// core.New constructs.
+// NewWarmup builds fresh default models for the machine, matching the
+// models a core builds for itself.
 func NewWarmup(mach config.Machine) *Warmup {
 	return &Warmup{
 		Pred: bpred.New(bpred.Default(mach.Contexts)),
@@ -74,7 +74,8 @@ func (w *Warmup) Reset() {
 // Clone deep-copies the warmup state — models and line-tracking — so a
 // measurement interval can hand a private snapshot of the continuously
 // warmed models to its detailed core while the master warmup keeps
-// advancing.
+// advancing.  Run copies into reused buffers with CloneInto; Clone
+// stays for the benchmark's sampled replay (bench/sampled.go).
 func (w *Warmup) Clone() *Warmup { return w.CloneInto(&Warmup{}) }
 
 // CloneInto is Clone into a reused buffer: it overwrites dst with a

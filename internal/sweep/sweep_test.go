@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -88,20 +89,91 @@ func TestRunResultsMatchSerial(t *testing.T) {
 	}
 }
 
-// A value Put under one key is only ever handed out for that key.
+// A value Put under one key is only ever handed out for that key, and
+// only once.
 func TestPoolsKeepKeysApart(t *testing.T) {
-	var p Pools[string, *int]
-	if _, ok := p.Get("a"); ok {
-		t.Fatal("an empty Pools handed out a value")
+	var l FreeList[string, *int]
+	if _, ok := l.Get("a"); ok {
+		t.Fatal("an empty FreeList handed out a value")
 	}
 	one := new(int)
-	p.Put("a", one)
-	if v, ok := p.Get("b"); ok {
+	l.Put("a", one)
+	if v, ok := l.Get("b"); ok {
 		t.Fatalf("Get(b) returned %p, kept for a", v)
 	}
-	// sync.Pool may drop a value (the race detector does so on
-	// purpose), so only a hit is checked, never its absence.
-	if v, ok := p.Get("a"); ok && v != one {
-		t.Fatalf("Get(a) returned %p, want %p", v, one)
+	if v, ok := l.Get("a"); !ok || v != one {
+		t.Fatalf("Get(a) returned %p, %v; want %p", v, ok, one)
+	}
+	if v, ok := l.Get("a"); ok {
+		t.Fatalf("Get(a) returned %p twice", v)
+	}
+}
+
+// TestFreeListBound: a FreeList keeps every value through one garbage
+// collection and, after the second, only the newest Workers(0) values
+// over all keys, however many keys it saw; Get returns the newest value
+// kept for a key, and a key never put always misses.
+func TestFreeListBound(t *testing.T) {
+	w := Workers(0)
+	// Counted as armed, so only this test's collected calls count.
+	l := FreeList[int, int]{gcs: 1}
+	// One value under each of 2w keys, then a second under the last.
+	type put struct{ k, v int }
+	var puts []put
+	for k := 0; k < 2*w; k++ {
+		puts = append(puts, put{k, k})
+	}
+	puts = append(puts, put{2*w - 1, -1})
+	for _, p := range puts {
+		l.Put(p.k, p.v)
+	}
+	l.collected()
+	if n := len(l.items); n != len(puts) {
+		t.Fatalf("one collection left %d values, want all %d", n, len(puts))
+	}
+	l.collected()
+	if n := len(l.items); n != w {
+		t.Fatalf("two collections left %d values, want %d", n, w)
+	}
+	kept := puts[len(puts)-w:]
+	for k := 0; k < 2*w; k++ {
+		// The values kept for k come back newest first, then k misses.
+		for i := len(kept) - 1; i >= 0; i-- {
+			if kept[i].k != k {
+				continue
+			}
+			if v, ok := l.Get(k); !ok || v != kept[i].v {
+				t.Errorf("Get(%d) = %d, %v; want %d", k, v, ok, kept[i].v)
+			}
+		}
+		if v, ok := l.Get(k); ok {
+			t.Errorf("Get(%d) = %d, a value not kept", k, v)
+		}
+	}
+	if v, ok := l.Get(-1); ok {
+		t.Errorf("Get of a key never put returned %d", v)
+	}
+}
+
+// TestFreeListWatchesCollections: real garbage collections, not only
+// calls of collected, trim a FreeList to its newest Workers(0) values.
+func TestFreeListWatchesCollections(t *testing.T) {
+	w := Workers(0)
+	var l FreeList[int, int]
+	for k := 0; k < 2*w; k++ {
+		l.Put(k, k)
+	}
+	held := func() int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.items)
+	}
+	// Finalizers run on their own goroutine after a collection, so the
+	// trim shows up some collections later.
+	for i := 0; i < 100 && held() > w; i++ {
+		runtime.GC()
+	}
+	if n := held(); n != w {
+		t.Fatalf("after the collections the list holds %d values, want %d", n, w)
 	}
 }

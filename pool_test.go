@@ -77,12 +77,12 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// freshRun runs the cell on a core of its own from core.New and
+// freshRun runs the cell on a core of its own from NewCore and
 // returns the Result and Telemetry JSON: the reference a pooled run
 // must equal.
 func freshRun(t *testing.T, pc poolCell, insts uint64) (res, tel string) {
 	t.Helper()
-	c, err := core.New(pc.mach, pc.feat, pc.progs)
+	c, err := NewCore(pc.mach, pc.feat, pc.progs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,6 @@ func TestPooledCoreMatchesFreshConcurrent(t *testing.T) {
 // memories and wheel slots, so it allocates almost nothing; building
 // the core anew costs about 580 KB.
 func TestPooledRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	const budget = 64 << 10
 	progs, err := workload.MixPrograms([]string{"compress", "gcc"})
 	if err != nil {
@@ -156,13 +153,7 @@ func TestPooledRunAllocBudget(t *testing.T) {
 	// The siminvariant build's periodic checker allocates by design; a
 	// period no run reaches keeps it off in every build.
 	f.InvariantEvery = math.MaxUint64
-	// A machine value no other test runs has a pool holding only this
-	// test's core, and one P keeps sync.Pool from parking it in another
-	// P's private slot, out of the second run's reach.
-	m := MachineByName("big.2.16")
-	m.Name = "big.2.16 alloc budget"
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	o := Options{Machine: m, Features: f, Programs: progs,
+	o := Options{Machine: MachineByName("big.2.16"), Features: f, Programs: progs,
 		MaxInsts: 20_000, Telemetry: &Telemetry{Hists: true}}
 	if _, err := Run(o); err != nil {
 		t.Fatal(err)

@@ -266,7 +266,7 @@ func Run(o Options) (*Result, error) {
 // or without a context.
 //
 // A run takes an idle core of its machine when one is left from an
-// earlier clean run and resets it in place (see idleCores); the result
+// earlier clean run and loads it in place (see idleCores); the result
 // is byte-identical to a run on a newly built core.
 func RunContext(ctx context.Context, o Options) (*Result, error) {
 	progs, err := prepare(&o)
@@ -311,7 +311,7 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 		if o.SnapshotHook != nil {
 			o.SnapshotHook(coreSnapshot(c))
 		}
-		// res is the core's own Stats, which the next reset clears.
+		// res is the core's own Stats, which the next Load clears.
 		res = copyStats(res)
 		putCore(o.Machine, c)
 		return res, nil
@@ -393,24 +393,39 @@ func copyStats(s *stats.Sim) *stats.Sim {
 	return &st
 }
 
-// idleCores keeps the cores of finished runs for RunContext to reset
-// in place rather than build anew, by machine (a core's machine is
-// fixed; its features and programs are not).  Only a core whose run
-// ended cleanly goes back; one stopped by an error or a panic is
-// dropped.  Cores from NewCore never enter; sampled runs keep their
-// seed cores in a pool of their own (see sample.Run).
-var idleCores sweep.Pools[Machine, *core.Core]
+// idleCores keeps the cores of finished runs for RunContext to load
+// anew rather than build, by machine (a core's machine is fixed; its
+// features and programs are not).  Only a core whose run ended cleanly
+// goes back; one stopped by an error or a panic is dropped.  The list
+// (sweep.FreeList) always keeps the newest core of each worker, and an
+// older one until two garbage collections pass, so a sweep that
+// returns to a machine finds its core while cores of machines no
+// longer run do not pile up.  Cores from NewCore never enter; sampled
+// runs keep their seed cores with the rest of their run state (see
+// sample.Run).
+var idleCores sweep.FreeList[Machine, *core.Core]
 
-// getCore returns a core in the state core.New(m, f, progs) builds: an
-// idle one of m's reset in place, or a new one.
+// getCore returns a core of m loaded with f and progs: an idle one
+// when there is one, else a new one.
 func getCore(m Machine, f Features, progs []*Program) (*core.Core, error) {
-	if c, ok := idleCores.Get(m); ok {
-		if err := c.Reset(f, progs); err != nil {
+	c, _ := idleCores.Get(m)
+	return loadCore(c, m, f, progs)
+}
+
+// loadCore loads c, or a new core of m when c is nil, with f and progs
+// from every program's entry: the one path by which a new and an idle
+// core alike reach their starting state.
+func loadCore(c *core.Core, m Machine, f Features, progs []*Program) (*core.Core, error) {
+	if c == nil {
+		var err error
+		if c, err = core.New(m); err != nil {
 			return nil, err
 		}
-		return c, nil
 	}
-	return core.New(m, f, progs)
+	if err := c.Load(f, progs, nil, core.Models{}); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // putCore keeps the core of a clean run on m for a later getCore,
@@ -429,5 +444,5 @@ func putCore(m Machine, c *core.Core) {
 // full surface used by the test suite).  The core is the caller's: it
 // never enters the pool RunContext reuses.
 func NewCore(m Machine, f Features, progs []*Program) (*core.Core, error) {
-	return core.New(m, f, progs)
+	return loadCore(nil, m, f, progs)
 }
