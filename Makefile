@@ -1,6 +1,8 @@
 # Pre-PR gate for the recyclesim repository.
 #
-#   make check       everything below, in order (run before every PR)
+#   make check       fmt, vet, build, lint, test, fuzz and smoke, in
+#                    order (run before every PR; invariant, results and
+#                    size below are not part of it)
 #   make fmt         fail if any file is not gofmt-clean
 #   make vet         go vet over the whole module
 #   make build       compile everything, including examples

@@ -15,6 +15,8 @@
 package alist
 
 import (
+	"slices"
+
 	"recyclesim/internal/bpred"
 	"recyclesim/internal/isa"
 	"recyclesim/internal/regfile"
@@ -107,18 +109,27 @@ type List struct {
 
 // New returns an empty active list with the given capacity.
 func New(capacity int) *List {
+	l := &List{}
+	l.Reset(capacity)
+	return l
+}
+
+// Reset empties the list and sets its capacity, keeping its ring when
+// it is large enough.  Push overwrites every entry it hands out, so the
+// entries a smaller list leaves behind are never read.
+func (l *List) Reset(capacity int) {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return &List{cap: capacity, ents: make([]Entry, n), mask: uint64(n - 1)}
+	*l = List{cap: capacity, ents: slices.Grow(l.ents[:0], n)[:n], mask: uint64(n - 1)}
 }
 
 // Capacity returns the ring size.
 func (l *List) Capacity() int { return l.cap }
 
-// Reset empties the list completely (context reclaim).
-func (l *List) Reset() {
+// Clear empties the list completely (context reclaim).
+func (l *List) Clear() {
 	l.start, l.cmt, l.tail = 0, 0, 0
 }
 

@@ -11,6 +11,7 @@ package bpred
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"recyclesim/internal/isa"
 )
@@ -69,6 +70,16 @@ type Predictor struct {
 // power of two: configurations are static, and a bad one is a
 // programming error.
 func New(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset sizes p for cfg and puts it into the state New builds, keeping
+// its tables where they are large enough: weakly not-taken counters, an
+// empty BTB and LRU clock, and cleared histories and return stacks.  It
+// panics on the configurations New rejects.
+func (p *Predictor) Reset(cfg Config) {
 	sets := 0
 	if cfg.BTBAssoc > 0 {
 		sets = cfg.BTBEntries / cfg.BTBAssoc
@@ -77,36 +88,25 @@ func New(cfg Config) *Predictor {
 		panic(fmt.Sprintf("bpred: PHT entries (%d) and BTB sets (%d entries / %d ways) must be powers of two",
 			cfg.PHTEntries, cfg.BTBEntries, cfg.BTBAssoc))
 	}
-	p := &Predictor{
+	*p = Predictor{
 		cfg:         cfg,
-		pht:         make([]uint8, cfg.PHTEntries),
-		btb:         make([]btbEntry, cfg.BTBEntries),
+		pht:         slices.Grow(p.pht[:0], cfg.PHTEntries)[:cfg.PHTEntries],
+		btb:         slices.Grow(p.btb[:0], cfg.BTBEntries)[:cfg.BTBEntries],
 		phtMask:     uint64(cfg.PHTEntries - 1),
 		btbSetMask:  uint64(sets - 1),
 		btbTagShift: uint(bits.TrailingZeros(uint(sets))),
-		hist:        make([]uint64, cfg.Contexts),
-		ras:         make([][]uint64, cfg.Contexts),
-		rasTop:      make([]int, cfg.Contexts),
+		hist:        slices.Grow(p.hist[:0], cfg.Contexts)[:cfg.Contexts],
+		ras:         slices.Grow(p.ras[:0], cfg.Contexts)[:cfg.Contexts],
+		rasTop:      slices.Grow(p.rasTop[:0], cfg.Contexts)[:cfg.Contexts],
 	}
-	for c := range p.ras {
-		p.ras[c] = make([]uint64, cfg.RASEntries)
-	}
-	p.Reset()
-	return p
-}
-
-// Reset puts p back into the state New leaves it in, keeping its
-// tables: weakly not-taken counters, an empty BTB and LRU clock, and
-// cleared histories and return stacks.
-func (p *Predictor) Reset() {
 	for i := range p.pht {
 		p.pht[i] = 1 // weakly not-taken
 	}
 	clear(p.btb)
-	p.lruClock = 0
 	clear(p.hist)
-	for _, r := range p.ras {
-		clear(r)
+	for c, r := range p.ras {
+		p.ras[c] = slices.Grow(r[:0], cfg.RASEntries)[:cfg.RASEntries]
+		clear(p.ras[c])
 	}
 	clear(p.rasTop)
 }

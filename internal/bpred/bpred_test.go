@@ -239,17 +239,24 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 }
 
-// Reset after training leaves exactly what New builds: the counters,
-// BTB, LRU clock, histories and return stacks all start over.
+// Reset after training leaves exactly what New builds for the
+// configuration it is given: the counters, BTB, LRU clock, histories
+// and return stacks all start over, sized for a larger or a smaller
+// machine alike.
 func TestResetMatchesNew(t *testing.T) {
 	p := New(Default(4))
 	drive(p, 1, 5_000)
 	if reflect.DeepEqual(p, New(Default(4))) {
 		t.Fatal("training left the predictor as New builds it")
 	}
-	p.Reset()
-	if !reflect.DeepEqual(p, New(Default(4))) {
-		t.Error("Reset after training differs from New")
+	small := Default(2)
+	small.PHTEntries, small.BTBEntries, small.RASEntries = 512, 64, 4
+	for _, cfg := range []Config{Default(4), Default(16), small, Default(4)} {
+		p.Reset(cfg)
+		if !reflect.DeepEqual(p, New(cfg)) {
+			t.Errorf("Reset(%+v) after training differs from New", cfg)
+		}
+		drive(p, 1, 5_000)
 	}
 }
 

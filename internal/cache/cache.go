@@ -75,21 +75,9 @@ type Cache struct {
 // HierarchyParams.Validate would reject, since configurations are
 // static and a bad one is a programming error.
 func New(p Params) *Cache {
-	sets, banks, err := p.geometry()
-	if err != nil {
-		panic(err)
-	}
-	return &Cache{
-		p:         p,
-		sets:      sets,
-		pages:     make([][]line, (sets+1<<pageShift-1)>>pageShift),
-		bankCyc:   make([]uint64, banks),
-		bankCnt:   make([]int, banks),
-		lineShift: uint(bits.TrailingZeros(uint(p.LineBytes))),
-		setShift:  uint(bits.TrailingZeros(uint(sets))),
-		setMask:   uint64(sets - 1),
-		bankMask:  uint64(banks - 1),
-	}
+	c := &Cache{}
+	c.Reset(p)
+	return c
 }
 
 // geometry returns p's set and bank counts.  It fails on
@@ -155,21 +143,40 @@ func (c *Cache) CopyFrom(src *Cache) {
 	c.bankCnt = append(bankCnt[:0], src.bankCnt...)
 }
 
-// Reset empties c as New leaves it: every line invalid, the banks idle,
-// the clock and statistics zero.  It moves the tag pages c holds to the
-// spare list, so a cache reset between runs on the same program
-// allocates none of them again.
-func (c *Cache) Reset() {
-	for i, pg := range c.pages {
+// Reset sizes c for p and empties it as New builds it: every line
+// invalid, the banks idle, the clock and statistics zero.  It moves the
+// tag pages c holds to the spare list, so a cache reset between runs
+// allocates none of them again; spare pages of another page size than
+// p's are dropped.  It panics on the geometries New rejects.
+func (c *Cache) Reset(p Params) {
+	sets, banks, err := p.geometry()
+	if err != nil {
+		panic(err)
+	}
+	pages, spare := c.pages[:cap(c.pages)], c.spare
+	for i, pg := range pages {
 		if pg != nil {
-			c.spare = append(c.spare, pg)
-			c.pages[i] = nil
+			spare = append(spare, pg)
+			pages[i] = nil
 		}
+	}
+	n := (sets + 1<<pageShift - 1) >> pageShift
+	*c = Cache{
+		p:         p,
+		sets:      sets,
+		pages:     slices.Grow(pages[:0], n)[:n],
+		bankCyc:   slices.Grow(c.bankCyc[:0], banks)[:banks],
+		bankCnt:   slices.Grow(c.bankCnt[:0], banks)[:banks],
+		lineShift: uint(bits.TrailingZeros(uint(p.LineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		bankMask:  uint64(banks - 1),
+	}
+	if len(spare) > 0 && len(spare[0]) == c.pageLen() {
+		c.spare = spare
 	}
 	clear(c.bankCyc)
 	clear(c.bankCnt)
-	c.clock = 0
-	c.Stats = Stats{}
 }
 
 // pageLen returns the number of lines in one of c's tag pages.
@@ -321,13 +328,9 @@ type Hierarchy struct {
 
 // NewHierarchy builds the full memory system.
 func NewHierarchy(p HierarchyParams) *Hierarchy {
-	return &Hierarchy{
-		p:   p,
-		IL1: New(p.IL1),
-		DL1: New(p.DL1),
-		L2:  New(p.L2),
-		L3:  New(p.L3),
-	}
+	h := &Hierarchy{}
+	h.Reset(p)
+	return h
 }
 
 // Clone returns a deep copy of the whole hierarchy.
@@ -341,25 +344,28 @@ func (h *Hierarchy) Clone() *Hierarchy {
 // arrays (see Cache.CopyFrom); a nil level gets a fresh cache.
 func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 	h.p = src.p
-	copyLevel(&h.IL1, src.IL1)
-	copyLevel(&h.DL1, src.DL1)
-	copyLevel(&h.L2, src.L2)
-	copyLevel(&h.L3, src.L3)
+	level(&h.IL1).CopyFrom(src.IL1)
+	level(&h.DL1).CopyFrom(src.DL1)
+	level(&h.L2).CopyFrom(src.L2)
+	level(&h.L3).CopyFrom(src.L3)
 }
 
-// Reset empties every level in place (see Cache.Reset).
-func (h *Hierarchy) Reset() {
-	h.IL1.Reset()
-	h.DL1.Reset()
-	h.L2.Reset()
-	h.L3.Reset()
+// Reset sizes h for p and empties every level in place (see
+// Cache.Reset); a nil level gets a fresh cache.
+func (h *Hierarchy) Reset(p HierarchyParams) {
+	h.p = p
+	level(&h.IL1).Reset(p.IL1)
+	level(&h.DL1).Reset(p.DL1)
+	level(&h.L2).Reset(p.L2)
+	level(&h.L3).Reset(p.L3)
 }
 
-func copyLevel(dst **Cache, src *Cache) {
-	if *dst == nil {
-		*dst = &Cache{}
+// level returns *c, building an empty cache there first when it is nil.
+func level(c **Cache) *Cache {
+	if *c == nil {
+		*c = &Cache{}
 	}
-	(*dst).CopyFrom(src)
+	return *c
 }
 
 // fill walks the lower levels after an L1 miss and returns the added

@@ -132,16 +132,21 @@ func fuzzParams(geom uint16) (p Params, addrShift uint) {
 // line the destination held in a page the copy dropped is looked up
 // again, so a spare page refilled with its stale lines shows up as a
 // hit the reference does not make.  Three quarters of the way, the
-// cache under test is Reset, must equal a new cache apart from the
-// spare pages, and must match a fresh reference from cold.  Streams
-// are cut to 4,096 accesses to keep one run cheap.
+// cache under test is Reset to a second geometry, geom2 (the same one
+// or another, with its own address scale), must equal a new cache of
+// that geometry apart from the spare pages, and must match a fresh
+// reference of it from cold.  Streams are cut to 4,096 accesses to
+// keep one run cheap.
 func FuzzCacheLookup(f *testing.F) {
 	// Geometries read, left to right: shift, banks, line, sets, ways.
-	f.Add(uint16(0b0000_00_01_0011_01), []byte{1, 0, 0, 0, 8, 0, 0, 16, 0, 1, 0, 0, 0, 24, 0, 1, 8, 0})
-	f.Add(uint16(0b0110_11_00_1011_00), []byte{1, 1, 0, 0, 1, 2, 1, 0, 128, 1, 1, 0, 2, 0, 64, 0, 1, 0})
-	f.Add(uint16(0b0000_10_11_0011_11), []byte{1, 0, 0, 1, 1, 0, 1, 2, 0, 1, 3, 0, 1, 4, 0, 1, 5, 0, 1, 6, 0, 1, 7, 0, 1, 8, 0, 1, 0, 0})
-	f.Add(uint16(0b1001_01_10_1010_10), []byte{0, 0, 0, 0, 0, 2, 0, 0, 4, 3, 0, 6, 0, 0, 2, 2, 255, 255, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, geom uint16, stream []byte) {
+	f.Add(uint16(0b0000_00_01_0011_01), uint16(0b0000_00_01_0011_01), []byte{1, 0, 0, 0, 8, 0, 0, 16, 0, 1, 0, 0, 0, 24, 0, 1, 8, 0})
+	f.Add(uint16(0b0110_11_00_1011_00), uint16(0b0011_01_10_0101_10), []byte{1, 1, 0, 0, 1, 2, 1, 0, 128, 1, 1, 0, 2, 0, 64, 0, 1, 0})
+	f.Add(uint16(0b0000_10_11_0011_11), uint16(0b0000_10_11_1011_11), []byte{1, 0, 0, 1, 1, 0, 1, 2, 0, 1, 3, 0, 1, 4, 0, 1, 5, 0, 1, 6, 0, 1, 7, 0, 1, 8, 0, 1, 0, 0})
+	f.Add(uint16(0b1001_01_10_1010_10), uint16(0b1001_01_10_1001_10), []byte{0, 0, 0, 0, 0, 2, 0, 0, 4, 3, 0, 6, 0, 0, 2, 2, 255, 255, 0, 0, 0})
+	// One-line pages to 512-line ones: the spare page the Reset makes
+	// is too small for the second geometry.
+	f.Add(uint16(0), uint16(0b0000_00_00_1010_00), []byte{1, 0, 0, 1, 8, 0, 1, 16, 0, 1, 0, 0, 1, 8, 0, 1, 0, 0, 1, 0, 1, 1, 8, 1})
+	f.Fuzz(func(t *testing.T, geom, geom2 uint16, stream []byte) {
 		stream = stream[:min(len(stream), 3*4096)/3*3]
 		p, addrShift := fuzzParams(geom)
 		c, ref := New(p), newRefCache(p)
@@ -174,9 +179,10 @@ func FuzzCacheLookup(f *testing.F) {
 				}
 			}
 			if i == 3*n/4 {
-				c.Reset()
+				p, addrShift = fuzzParams(geom2)
+				c.Reset(p)
 				if !sameState(c, New(p)) {
-					t.Fatalf("access %d: a Reset cache differs from a new one", i)
+					t.Fatalf("access %d: a cache Reset to %+v differs from a new one", i, p)
 				}
 				ref = newRefCache(p)
 			}

@@ -20,6 +20,7 @@ package confidence
 
 import (
 	"fmt"
+	"slices"
 
 	"recyclesim/internal/isa"
 )
@@ -48,10 +49,9 @@ type Estimator struct {
 // It panics when Entries is not a power of two: configurations are
 // static, and a bad one is a programming error.
 func New(cfg Config) *Estimator {
-	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
-		panic(fmt.Sprintf("confidence: table entries (%d) must be a power of two", cfg.Entries))
-	}
-	return &Estimator{cfg: cfg, ctr: make([]uint8, cfg.Entries), mask: uint64(cfg.Entries - 1)}
+	e := &Estimator{}
+	e.Reset(cfg)
+	return e
 }
 
 // Clone returns a deep copy of the estimator (for sampled simulation's
@@ -70,8 +70,16 @@ func (e *Estimator) CopyFrom(src *Estimator) {
 	e.ctr = append(ctr[:0], src.ctr...)
 }
 
-// Reset zeroes every counter, as New leaves them, keeping the table.
-func (e *Estimator) Reset() { clear(e.ctr) }
+// Reset sizes e for cfg and zeroes every counter, as New leaves them,
+// keeping the table when it is large enough.  It panics on the
+// configurations New rejects.
+func (e *Estimator) Reset(cfg Config) {
+	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
+		panic(fmt.Sprintf("confidence: table entries (%d) must be a power of two", cfg.Entries))
+	}
+	*e = Estimator{cfg: cfg, ctr: slices.Grow(e.ctr[:0], cfg.Entries)[:cfg.Entries], mask: uint64(cfg.Entries - 1)}
+	clear(e.ctr)
+}
 
 func (e *Estimator) index(pc uint64) int {
 	return int((pc / isa.InstBytes) & e.mask)

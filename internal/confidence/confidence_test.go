@@ -117,7 +117,7 @@ func TestResetMatchesNew(t *testing.T) {
 	if reflect.DeepEqual(e, New(Default())) {
 		t.Fatal("training left the estimator as New builds it")
 	}
-	e.Reset()
+	e.Reset(Default())
 	if !reflect.DeepEqual(e, New(Default())) {
 		t.Error("Reset after training differs from New")
 	}

@@ -59,7 +59,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
-// TestNewAllocBudget pins what building and loading a core allocates.
+// TestNewAllocBudget pins what loading an idle core allocates.
 // The cache hierarchy allocates a tag page only when a set in it is
 // first filled, so a new core holds none of the L3's 1 MB of tags; with
 // the tags allocated up front building a core allocated about 1.9 MB.
@@ -77,8 +77,8 @@ func TestNewAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("New and Load allocate %d bytes", got)
+	t.Logf("loading an idle core allocates %d bytes", got)
 	if got > budget {
-		t.Errorf("New and Load allocate %d bytes, over the %d-byte budget", got, budget)
+		t.Errorf("loading an idle core allocates %d bytes, over the %d-byte budget", got, budget)
 	}
 }

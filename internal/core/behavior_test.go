@@ -250,7 +250,7 @@ func TestFeatureGatedRecycleState(t *testing.T) {
 				t.Errorf("Recycle=%v but a merge point was recorded: %v", feat.Recycle, sawMerge)
 			}
 			tables("after a run")
-			if err := c.Load(feat, progs, nil, Models{}); err != nil {
+			if err := c.Load(config.Big216(), feat, progs, nil, Models{}); err != nil {
 				t.Fatal(err)
 			}
 			tables("after Load")

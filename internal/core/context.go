@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"recyclesim/internal/alist"
 	"recyclesim/internal/bpred"
 	"recyclesim/internal/isa"
@@ -91,12 +93,14 @@ type storeQueue struct {
 	n    int
 }
 
-func newStoreQueue(capacity int) storeQueue {
+// reset empties q and sizes its ring for capacity stores, keeping the
+// ring when it is large enough: push overwrites every slot it fills.
+func (q *storeQueue) reset(capacity int) {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return storeQueue{ents: make([]sqEntry, n), mask: n - 1}
+	*q = storeQueue{ents: slices.Grow(q.ents[:0], n)[:n], mask: n - 1}
 }
 
 func (q *storeQueue) len() int { return q.n }
@@ -231,7 +235,7 @@ type Context struct {
 	// Rename state.
 	hasMap bool
 	mapTab [isa.NumRegs]regfile.PhysReg
-	al     *alist.List
+	al     alist.List
 	mp     recycle.MergePoints
 
 	// Store queue (program order, uncommitted stores).
@@ -265,23 +269,13 @@ type Context struct {
 	lruTick uint64
 }
 
-// newContext allocates a context's rings; Core.Load gives it its
-// starting state.
-func newContext(id int, alSize int) *Context {
-	return &Context{
-		id:        id,
-		al:        alist.New(alSize),
-		sq:        newStoreQueue(alSize),
-		streamBuf: make([]streamItem, 0, alSize),
-	}
-}
-
-// reset returns the context to idle with no partition, keeping its
-// active list, store queue and stream buffer storage.
-func (t *Context) reset() {
-	t.al.Reset()
-	t.sq.clear()
-	*t = Context{id: t.id, al: t.al, sq: t.sq, streamBuf: t.streamBuf[:0], parentCtx: -1}
+// reset makes t the idle context id with no partition, its active
+// list and store queue sized for alSize entries: storage t holds is
+// kept where it is large enough.
+func (t *Context) reset(id, alSize int) {
+	t.al.Reset(alSize)
+	t.sq.reset(alSize)
+	*t = Context{id: id, al: t.al, sq: t.sq, streamBuf: slices.Grow(t.streamBuf[:0], alSize), parentCtx: -1}
 	for i := range t.mapTab {
 		t.mapTab[i] = regfile.NoReg
 	}

@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"recyclesim/internal/alist"
 	"recyclesim/internal/bpred"
@@ -56,33 +57,42 @@ type CommitInfo struct {
 	Reused  bool
 }
 
-// Core is the simulated processor.
+// Core is the simulated processor.  The zero Core is idle: it runs
+// nothing — Run returns at once, as it does when every program has
+// halted — until Load gives it a machine and programs.  A Core must not
+// be copied.
 type Core struct {
 	mach config.Machine
 	feat config.Features
 
 	cycle uint64
 
-	rf      *regfile.File
+	rf      regfile.File
 	pred    *bpred.Predictor
 	conf    *confidence.Estimator
 	mem     *cache.Hierarchy
-	iqInt   *iq.Queue
-	iqFP    *iq.Queue
-	fus     *fu.Pool
+	iqInt   iq.Queue
+	iqFP    iq.Queue
+	fus     fu.Pool
 	written *recycle.WrittenBits // nil unless Features.Reuse (see mdb)
 	mdb     *recycle.MDB         // nil unless Features.Reuse; uses outside tryReuse test for nil
 
-	// own holds what the core built for itself and keeps across loads
-	// to reuse in place: the default models, the reuse tables (kept
-	// aside while a run without Reuse leaves written and mdb nil), and
-	// the data memories by partition.  Adopted models and seed memories
-	// never enter it: their owner reuses them.
+	// own holds what the core keeps across loads to size and reset in
+	// place: the default models, the reuse tables (kept aside while a
+	// run without Reuse leaves written and mdb nil), every context it
+	// has built, the data memories by partition, and the storage Stats
+	// and Obs point at.  Adopted models and seed memories never enter
+	// it: their owner reuses them.
 	own struct {
-		models  Models
-		written *recycle.WrittenBits
-		mdb     *recycle.MDB
+		pred    bpred.Predictor
+		conf    confidence.Estimator
+		mem     cache.Hierarchy
+		written recycle.WrittenBits
+		mdb     recycle.MDB
+		ctxs    []*Context
 		mems    []*program.Memory
+		stats   stats.Sim
+		obs     obs.Metrics
 	}
 
 	ctxs  []*Context
@@ -103,7 +113,7 @@ type Core struct {
 	// wheel keyed by the cycle their result arrives.  Deletion is lazy:
 	// squashes leave stale items behind, and complete() revalidates
 	// each drained item against the live active list before acting.
-	exec *wheel.Wheel
+	exec wheel.Wheel
 
 	// Stores whose addresses have been generated but whose data has
 	// not arrived yet (second issue phase).
@@ -170,38 +180,12 @@ type Core struct {
 	haltedPrograms int
 }
 
-// New builds an unloaded core for mach: it validates the machine and
-// allocates the machine's buffers.  An unloaded core runs nothing —
-// Run returns at once, as it does when every program has halted —
-// until Load gives it programs.
-func New(mach config.Machine) (*Core, error) {
-	if err := mach.Validate(); err != nil {
-		return nil, err
-	}
-	intRegs := isa.NumIntRegs*mach.Contexts + mach.ExtraRegs
-	fpRegs := isa.NumFPRegs*mach.Contexts + mach.ExtraRegs
-	c := &Core{
-		mach:      mach,
-		rf:        regfile.New(intRegs, fpRegs),
-		iqInt:     iq.New(mach.IQInt),
-		iqFP:      iq.New(mach.IQFP),
-		fus:       fu.New(fu.Config{IntUnits: mach.IntUnits, LSUnits: mach.LSUnits, FPUnits: mach.FPUnits}),
-		exec:      wheel.New(wheelHorizon),
-		pendingSt: make([]*alist.Entry, 0, mach.Contexts*4),
-		due:       make([]*alist.Entry, 0, 64),
-		cands:     make([]ctxCand, 0, mach.Contexts),
-		Stats:     &stats.Sim{},
-		Obs:       &obs.Metrics{},
-	}
-	for i := 0; i < mach.Contexts; i++ {
-		c.ctxs = append(c.ctxs, newContext(i, mach.ActiveList))
-	}
-	return c, nil
-}
-
-// checkRun validates what a core's run adds to its validated machine:
-// the features and one to mach.Contexts valid programs.
+// checkRun validates a core's run: the machine, the features and one
+// to mach.Contexts valid programs.
 func checkRun(mach config.Machine, feat config.Features, progs []*program.Program) error {
+	if err := mach.Validate(); err != nil {
+		return err
+	}
 	if len(progs) == 0 {
 		return fmt.Errorf("core: no programs")
 	}
@@ -219,28 +203,29 @@ func checkRun(mach config.Machine, feat config.Features, progs []*program.Progra
 	return nil
 }
 
-// Load puts c into its starting state for feat and progs, one
-// partition per program; the programs must number one to the
-// machine's context count.  seeds[i], when non-nil, starts progs[i]'s
-// primary context at a mid-program architectural state instead of the
-// program entry; nil seeds or a nil entry mean a fresh start.  The core
-// adopts the non-nil models in m (see Models) and takes its own for the
-// rest, building them on first use and resetting them in place after.
+// Load puts c into its starting state for mach, feat and progs, one
+// partition per program; the programs must number one to the machine's
+// context count.  seeds[i], when non-nil, starts progs[i]'s primary
+// context at a mid-program architectural state instead of the program
+// entry; nil seeds or a nil entry mean a fresh start.  The core adopts
+// the non-nil models in m (see Models) and takes its own for the rest,
+// sized for mach and reset in place.
 //
-// Load is the one way to a starting state, for a new core and for one
-// that has run alike.  It keeps the machine and every buffer c owns —
-// contexts and active lists, register file, queues, completion wheel,
-// recycle tables, and the models and data memories c built for itself
-// — emptied in place, so loading a core that has run allocates next to
-// nothing.  Features and programs equal to the ones c runs were
-// validated when c took them and are not walked again.  Every other
-// field starts from its zero value: the cycle count, the commit hook,
-// the poll hook and attached recorders start over, and Stats and Obs
-// are cleared in place, so values read from them earlier must be
-// copied first.  On error c is unchanged.
-func (c *Core) Load(feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) error {
-	if feat != c.feat || !c.runs(progs) {
-		if err := checkRun(c.mach, feat, progs); err != nil {
+// Load is the one way to a starting state, for an idle core and for
+// one that has run alike, on this machine or another.  It sizes every
+// buffer c owns for mach in place — contexts and active lists, register
+// file, queues, functional units, recycle tables, and the models c
+// keeps for itself — growing only what is too small and re-slicing the
+// rest, so loading a core that has run a machine at least as large
+// allocates next to nothing.  A machine, features and programs equal
+// to the ones c runs were validated when c took them and are not
+// walked again.  Every other field starts from its zero value: the
+// cycle count, the commit hook, the poll hook and attached recorders
+// start over, and Stats and Obs are cleared in place, so values read
+// from them earlier must be copied first.  On error c is unchanged.
+func (c *Core) Load(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) error {
+	if mach != c.mach || feat != c.feat || !c.runs(progs) {
+		if err := checkRun(mach, feat, progs); err != nil {
 			return err
 		}
 	}
@@ -249,54 +234,41 @@ func (c *Core) Load(feat config.Features, progs []*program.Program, seeds []*Arc
 	}
 	own := &c.own
 	if m.Pred == nil {
-		if own.models.Pred == nil {
-			own.models.Pred = bpred.New(bpred.Default(c.mach.Contexts))
-		} else {
-			own.models.Pred.Reset()
-		}
-		m.Pred = own.models.Pred
+		own.pred.Reset(bpred.Default(mach.Contexts))
+		m.Pred = &own.pred
 	}
 	if m.Conf == nil {
-		if own.models.Conf == nil {
-			own.models.Conf = confidence.New(confidence.Default())
-		} else {
-			own.models.Conf.Reset()
-		}
-		m.Conf = own.models.Conf
+		own.conf.Reset(confidence.Default())
+		m.Conf = &own.conf
 	}
 	if m.Mem == nil {
-		if own.models.Mem == nil {
-			own.models.Mem = cache.NewHierarchy(cache.DefaultHierarchy(c.mach.CacheScale))
-		} else {
-			own.models.Mem.Reset()
-		}
-		m.Mem = own.models.Mem
+		own.mem.Reset(cache.DefaultHierarchy(mach.CacheScale))
+		m.Mem = &own.mem
 	}
 	// The reuse tables gate the Reuse feature by being non-nil, so a
 	// run without it leaves them nil and keeps their storage aside.
 	var written *recycle.WrittenBits
 	var mdb *recycle.MDB
 	if feat.Reuse {
-		if own.written == nil {
-			own.written = recycle.NewWrittenBits(c.mach.Contexts)
-			own.mdb = recycle.NewMDB(mdbCapacity)
-		} else {
-			own.written.Reset()
-			own.mdb.Reset()
-		}
-		written, mdb = own.written, own.mdb
+		own.written.Reset(mach.Contexts)
+		own.mdb.Reset(mdbCapacity)
+		written, mdb = &own.written, &own.mdb
 	}
-	c.partition(progs)
+	for len(own.ctxs) < mach.Contexts {
+		own.ctxs = append(own.ctxs, &Context{})
+	}
 	clear(c.pendingSt)
 	clear(c.due)
 	*c = Core{
-		mach: c.mach, feat: feat,
+		mach: mach, feat: feat,
 		invariantEvery: feat.InvariantEvery, watchdogCycles: feat.WatchdogCycles,
 		rf: c.rf, pred: m.Pred, conf: m.Conf, mem: m.Mem,
 		iqInt: c.iqInt, iqFP: c.iqFP, fus: c.fus, written: written, mdb: mdb,
-		ctxs: c.ctxs, parts: c.parts, own: c.own,
-		exec: c.exec, pendingSt: c.pendingSt[:0], due: c.due[:0], cands: c.cands[:0],
-		Stats: c.Stats, Obs: c.Obs,
+		ctxs: own.ctxs[:mach.Contexts], parts: c.parts, own: c.own, exec: c.exec,
+		pendingSt: slices.Grow(c.pendingSt[:0], 4*mach.Contexts),
+		due:       slices.Grow(c.due[:0], 64),
+		cands:     slices.Grow(c.cands[:0], mach.Contexts),
+		Stats:     &own.stats, Obs: &own.obs,
 	}
 	if c.invariantEvery == 0 {
 		c.invariantEvery = defaultInvariantEvery
@@ -306,30 +278,26 @@ func (c *Core) Load(feat config.Features, progs []*program.Program, seeds []*Arc
 	} else if c.watchdogCycles == config.WatchdogOff {
 		c.watchdogCycles = 0
 	}
-	c.rf.Reset()
-	c.iqInt.Reset()
-	c.iqFP.Reset()
-	c.fus.Reset()
-	c.exec.Reset()
-	perProg := c.Stats.PerProgram
-	if cap(perProg) < len(c.parts) {
-		perProg = make([]uint64, len(c.parts))
-	}
-	perProg = perProg[:len(c.parts)]
+	c.rf.Reset(isa.NumIntRegs*mach.Contexts+mach.ExtraRegs, isa.NumFPRegs*mach.Contexts+mach.ExtraRegs)
+	c.iqInt.Reset(mach.IQInt)
+	c.iqFP.Reset(mach.IQFP)
+	c.fus.Reset(fu.Config{IntUnits: mach.IntUnits, LSUnits: mach.LSUnits, FPUnits: mach.FPUnits})
+	c.exec.Reset(wheelHorizon)
+	perProg := slices.Grow(c.Stats.PerProgram[:0], len(progs))[:len(progs)]
 	clear(perProg)
 	*c.Stats = stats.Sim{PerProgram: perProg}
 	*c.Obs = obs.Metrics{}
 
-	for _, t := range c.ctxs {
-		t.reset()
+	for i, t := range c.ctxs {
+		t.reset(i, mach.ActiveList)
 	}
 	c.inState[CtxIdle] = 1<<uint(len(c.ctxs)) - 1
+	c.partition(progs)
 	for pi, part := range c.parts {
 		var seed *ArchState
 		if pi < len(seeds) {
 			seed = seeds[pi]
 		}
-		*part = Partition{id: part.id, prog: part.prog, primary: part.ctxIDs[0], ctxIDs: part.ctxIDs, mask: part.mask}
 		if seed != nil && seed.Mem != nil {
 			part.mem = seed.Mem
 		} else {
@@ -363,7 +331,7 @@ func (c *Core) partition(progs []*program.Program) {
 		if pi < extra {
 			n++
 		}
-		*part = Partition{id: pi, prog: p, ctxIDs: part.ctxIDs[:0]}
+		*part = Partition{id: pi, prog: p, primary: next, ctxIDs: part.ctxIDs[:0]}
 		for k := 0; k < n; k++ {
 			part.ctxIDs = append(part.ctxIDs, next)
 			part.mask |= 1 << uint(next)
@@ -472,7 +440,7 @@ func (c *Core) Cycle() {
 // Run simulates until maxCommits instructions have committed in total,
 // every program has halted, or maxCycles elapses.  It returns the
 // accumulated statistics; the statistics are valid (partial) even when
-// the error is non-nil.
+// the error is non-nil.  An idle core runs nothing and has none.
 //
 // Two fault paths can cut the run short.  The forward-progress
 // watchdog (Features.WatchdogCycles) returns a *LivelockError when no
@@ -485,6 +453,9 @@ func (c *Core) Cycle() {
 // hot path, so a run they do not stop is byte-identical to one without
 // them.
 func (c *Core) Run(maxCommits, maxCycles uint64) (*stats.Sim, error) {
+	if c.Done() {
+		return c.Stats, nil
+	}
 	lastCommitted := c.Stats.Committed
 	lastProgress := c.cycle
 	for c.Stats.Committed < maxCommits && c.cycle < maxCycles &&
@@ -684,7 +655,7 @@ func (c *Core) killContext(t *Context) {
 	c.removeFromBack(t.id, 0)
 	c.releaseMapRefs(t)
 	c.finishPath(t)
-	t.al.Reset()
+	t.al.Clear()
 	if c.feat.Recycle {
 		t.mp.Invalidate()
 	}

@@ -165,7 +165,7 @@ func (c *Core) checkMasks(r *invariant.Report) {
 // store-queue consistency, and partition primary sanity.
 func (c *Core) checkContexts(r *invariant.Report) {
 	for _, t := range c.ctxs {
-		al := t.al
+		al := &t.al
 		if !(al.FirstSeq() <= al.CommitSeq() && al.CommitSeq() <= al.TailSeq()) {
 			r.Failf("alist", "ctx=%d sequence pointers disordered: first=%d commit=%d tail=%d",
 				t.id, al.FirstSeq(), al.CommitSeq(), al.TailSeq())
@@ -269,8 +269,8 @@ func (c *Core) checkQueues(r *invariant.Report) {
 			}
 		})
 	}
-	audit("iqInt", c.iqInt)
-	audit("iqFP", c.iqFP)
+	audit("iqInt", &c.iqInt)
+	audit("iqFP", &c.iqFP)
 
 	for _, t := range c.ctxs {
 		for s := t.al.CommitSeq(); s < t.al.TailSeq(); s++ {

@@ -182,7 +182,7 @@ func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 func TestInvariantDetectsCommitDrift(t *testing.T) {
 	c := invariantCore(t)
 	prim := c.ctxs[c.parts[0].primary]
-	al := prim.al
+	al := &prim.al
 	if al.CommitSeq() == al.TailSeq() {
 		t.Skip("no uncommitted entries after warm-up")
 	}

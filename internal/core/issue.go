@@ -15,8 +15,8 @@ import (
 // the result is published to dependents at ReadyAt, modelling a full
 // bypass network, and branches take effect when they complete.
 func (c *Core) issue() {
-	c.issueQueue(c.iqInt)
-	c.issueQueue(c.iqFP)
+	c.issueQueue(&c.iqInt)
+	c.issueQueue(&c.iqFP)
 }
 
 func (c *Core) issueQueue(q *iq.Queue) {

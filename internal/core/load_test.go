@@ -27,50 +27,63 @@ func midProgramSeeds(progs []*program.Program) []*ArchState {
 	return seeds
 }
 
-// newLoaded is New followed by Load from every program's entry on the
+// newLoaded is Load on an idle core from every program's entry on the
 // core's own models: a core in the state a detailed run starts from.
 func newLoaded(mach config.Machine, feat config.Features, progs []*program.Program) (*Core, error) {
 	return loadedWith(mach, feat, progs, nil, Models{})
 }
 
-// loadedWith is New followed by Load with the given seeds and models.
+// loadedWith is Load on an idle core with the given seeds and models.
 func loadedWith(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState, m Models) (*Core, error) {
-	c, err := New(mach)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Load(feat, progs, seeds, m); err != nil {
+	c := &Core{}
+	if err := c.Load(mach, feat, progs, seeds, m); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
+// reshapeMachine is a machine off the paper's grid whose every sized
+// buffer differs from small.2.8's: fewer contexts, a smaller active
+// list, queues, unit counts and register pool, and caches a quarter of
+// the baseline's.
+func reshapeMachine() config.Machine {
+	m := config.Small28()
+	m.Name = "reshape.4"
+	m.Contexts, m.ActiveList, m.ExtraRegs = 4, 16, 40
+	m.IQInt, m.IQFP, m.IntUnits, m.LSUnits, m.FPUnits = 16, 8, 3, 2, 1
+	m.CacheScale = 4
+	return m
+}
+
 // TestResetMatchesNew: a core that ran one cell and is loaded with
 // another — other features, another number of programs, from program
-// entry or mid-program — runs exactly as a new core loaded with that
-// cell, with the reuse tables present only when the new features ask
-// for reuse.  Sampled mode moves a pooled seed core to the next run's
-// program and preset this way, and a detailed run takes an idle core.
-// Reset loads from program entry, Reseed mid-program.
+// entry or mid-program, on the same machine or after a larger or a
+// smaller one — runs exactly as a new core loaded with that cell, with
+// the reuse tables present only when the new features ask for reuse.
+// Sampled mode moves a pooled seed core to the next run's program and
+// preset this way, and a detailed run takes an idle core of any
+// machine.  Reset loads from program entry, Reseed mid-program.
 func TestResetMatchesNew(t *testing.T) {
 	mixes := [][]string{{"gcc"}, {"compress", "li"}, {"go", "perl", "vortex", "tomcatv"}}
 	presets := []string{"SMT", "TME", "REC", "REC/RS", "REC/RS/RU"}
 	mach := config.Small28()
+	froms := []config.Machine{mach, config.Big216(), reshapeMachine()}
 	for _, how := range []string{"Reset", "Reseed"} {
 		t.Run(how, func(t *testing.T) {
 			for i, from := range []string{"REC/RS/RU", "SMT"} {
 				for j, to := range presets {
-					testLoadMatchesNew(t, mach, from, to, mixes[(i+j)%len(mixes)], mixes[(i+j+1)%len(mixes)], how == "Reseed")
+					fromMach := froms[(i+j)%len(froms)]
+					testLoadMatchesNew(t, fromMach, mach, from, to, mixes[(i+j)%len(mixes)], mixes[(i+j+1)%len(mixes)], how == "Reseed")
 				}
 			}
 		})
 	}
 }
 
-// testLoadMatchesNew runs fromMix under the from preset, loads the
-// core with toMix under the to preset, and checks it against a new
-// core loaded the same way.
-func testLoadMatchesNew(t *testing.T, mach config.Machine, from, to string, fromMix, toMix []string, midProgram bool) {
+// testLoadMatchesNew runs fromMix under the from preset on fromMach,
+// loads the core with toMix under the to preset on mach, and checks it
+// against a new core loaded the same way.
+func testLoadMatchesNew(t *testing.T, fromMach, mach config.Machine, from, to string, fromMix, toMix []string, midProgram bool) {
 	t.Helper()
 	ff, _ := config.PresetByName(from)
 	tf, _ := config.PresetByName(to)
@@ -83,12 +96,12 @@ func testLoadMatchesNew(t *testing.T, mach config.Machine, from, to string, from
 		t.Fatal(err)
 	}
 	seeds := func() []*ArchState { return nil }
-	name := from + " -> " + to + " from entry"
+	name := fromMach.Name + " " + from + " -> " + to + " from entry"
 	if midProgram {
 		seeds = func() []*ArchState { return midProgramSeeds(toProgs) }
-		name = from + " -> " + to + " mid-program"
+		name = fromMach.Name + " " + from + " -> " + to + " mid-program"
 	}
-	used, err := newLoaded(mach, ff, fromProgs)
+	used, err := newLoaded(fromMach, ff, fromProgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +111,7 @@ func testLoadMatchesNew(t *testing.T, mach config.Machine, from, to string, from
 	if _, err := used.Run(3_000, 40*3_000); err != nil {
 		t.Fatal(err)
 	}
-	if err := used.Load(tf, toProgs, seeds(), Models{}); err != nil {
+	if err := used.Load(mach, tf, toProgs, seeds(), Models{}); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := loadedWith(mach, tf, toProgs, seeds(), Models{})
@@ -193,14 +206,14 @@ func TestResetLeavesAdoptedStateAlone(t *testing.T) {
 			t.Errorf("%s: the adopted seed memory changed", when)
 		}
 	}
-	if err := c.Load(config.RECRSRU, progs, nil, Models{}); err != nil {
+	if err := c.Load(mach, config.RECRSRU, progs, nil, Models{}); err != nil {
 		t.Fatal(err)
 	}
 	unchanged("Load on the same features")
 	if _, err := c.Run(3_000, 40*3_000); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(config.SMT, progs, nil, Models{}); err != nil {
+	if err := c.Load(mach, config.SMT, progs, nil, Models{}); err != nil {
 		t.Fatal(err)
 	}
 	unchanged("Load on other features")

@@ -117,9 +117,9 @@ func (c *Core) allocEntry(t *Context, pc uint64, in *isa.Inst) *alist.Entry {
 	// Reserve queue space before allocating anything.
 	needsIQ := in.Class() != isa.ClassNop && !in.IsHalt() && in.Op != isa.OpJ
 	if needsIQ {
-		q := c.iqInt
+		q := &c.iqInt
 		if iq.ForClass(in.Class()) {
-			q = c.iqFP
+			q = &c.iqFP
 		}
 		if q.Full() {
 			c.Stats.IQFullStalls++
@@ -212,9 +212,9 @@ func (c *Core) dispatch(t *Context, e *alist.Entry) {
 	if e.NoIssue {
 		return
 	}
-	q := c.iqInt
+	q := &c.iqInt
 	if iq.ForClass(in.Class()) {
-		q = c.iqFP
+		q = &c.iqFP
 	}
 	if !q.Push(e) {
 		// Capacity was checked in allocEntry within the same cycle.

@@ -35,7 +35,7 @@ type ArchState struct {
 // Models are the long-lived microarchitectural models a core is built
 // around: branch predictor, confidence estimator, and cache hierarchy.
 // A nil field means the core uses its own default model for the
-// machine: built on first use, reset in place by later loads.
+// machine, sized for it and reset in place by every load.
 // Non-nil models must be built with the same configurations Load uses —
 // bpred.Default for the machine's context count, confidence.Default,
 // and the machine's DefaultHierarchy — or the model diverges from the
@@ -47,15 +47,12 @@ type Models struct {
 	Mem  *cache.Hierarchy
 }
 
-// NewSeeded is New followed by Load on the core's own models.  It
+// NewSeeded is Load on a new core with the core's own models.  It
 // stays only for the benchmark's sampled replay (bench/sampled.go),
-// with SeedMicroarch; every other caller takes New and Load.
+// with SeedMicroarch; every other caller loads a Core itself.
 func NewSeeded(mach config.Machine, feat config.Features, progs []*program.Program, seeds []*ArchState) (*Core, error) {
-	c, err := New(mach)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Load(feat, progs, seeds, Models{}); err != nil {
+	c := &Core{}
+	if err := c.Load(mach, feat, progs, seeds, Models{}); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -122,9 +122,10 @@ func TestNewSeededNilSeedsMatchesNew(t *testing.T) {
 	}
 }
 
-// Load refuses bad seeds and runs, on a core that has run and on a new
-// one, and leaves a refused core as it was: the used core keeps its
-// cycle count, and the new core stays unloaded and commits nothing.
+// Load refuses bad seeds, runs and machines, on a core that has run and
+// on an idle one, and leaves a refused core as it was: the used core
+// keeps its machine and cycle count, and the idle core stays unloaded
+// and runs nothing.
 func TestNewSeededValidation(t *testing.T) {
 	p, err := workload.ByName("compress")
 	if err != nil {
@@ -133,34 +134,38 @@ func TestNewSeededValidation(t *testing.T) {
 	progs := []*program.Program{p}
 	bad := &ArchState{PC: p.Entry}
 	bad.Regs[isa.RegZero] = 1
-	used, err := newLoaded(config.Big216(), config.SMT, progs)
+	mach := config.Big216()
+	used, err := newLoaded(mach, config.SMT, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	used.Cycle()
-	fresh, err := New(config.Big216())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, c := range map[string]*Core{"used": used, "new": fresh} {
+	idle := &Core{}
+	for name, c := range map[string]*Core{"used": used, "idle": idle} {
 		for _, seeds := range [][]*ArchState{{nil, nil}, {{PC: 0x3}}, {bad}} {
-			if err := c.Load(config.SMT, progs, seeds, Models{}); err == nil {
+			if err := c.Load(mach, config.SMT, progs, seeds, Models{}); err == nil {
 				t.Errorf("%s core: Load accepted %+v", name, seeds)
 			}
 		}
-		if err := c.Load(config.Features{Recycle: true}, progs, nil, Models{}); err == nil {
+		if err := c.Load(mach, config.Features{Recycle: true}, progs, nil, Models{}); err == nil {
 			t.Errorf("%s core: Load accepted Recycle without TME", name)
 		}
-		if err := c.Load(config.SMT, nil, nil, Models{}); err == nil {
+		if err := c.Load(mach, config.SMT, nil, nil, Models{}); err == nil {
 			t.Errorf("%s core: Load accepted no programs", name)
 		}
+		if err := c.Load(mach, config.SMT, []*program.Program{nil}, nil, Models{}); err == nil {
+			t.Errorf("%s core: Load accepted a nil program", name)
+		}
+		if err := c.Load(config.Machine{}, config.SMT, progs, nil, Models{}); err == nil {
+			t.Errorf("%s core: Load accepted the zero machine", name)
+		}
 	}
-	if used.CycleCount() != 1 {
+	if used.CycleCount() != 1 || used.mach != mach {
 		t.Error("a refused Load reset the used core")
 	}
-	if st, err := fresh.Run(1_000, 40*1_000); err != nil || st.Committed != 0 || fresh.CycleCount() != 0 {
-		t.Errorf("a refused Load started the new core: %d commits in %d cycles, err %v",
-			st.Committed, fresh.CycleCount(), err)
+	if _, err := idle.Run(1_000, 40*1_000); err != nil || idle.CycleCount() != 0 || len(idle.parts) != 0 {
+		t.Errorf("a refused Load started the idle core: %d partitions, %d cycles, err %v",
+			len(idle.parts), idle.CycleCount(), err)
 	}
 }
 
@@ -313,7 +318,7 @@ func TestReseedMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := used.Load(feat, progs, seed(), modelCopies(warm)); err != nil {
+				if err := used.Load(mach, feat, progs, seed(), modelCopies(warm)); err != nil {
 					t.Fatal(err)
 				}
 				if used.CommitHook != nil || used.poll != nil || used.ring != nil || used.ptrace != nil || used.cycle != 0 {

@@ -6,7 +6,11 @@
 // operation latency.
 package fu
 
-import "recyclesim/internal/isa"
+import (
+	"slices"
+
+	"recyclesim/internal/isa"
+)
 
 // Config sizes the pools.
 type Config struct {
@@ -32,16 +36,18 @@ type Pool struct {
 
 // New builds a pool.
 func New(cfg Config) *Pool {
-	return &Pool{
-		cfg:        cfg,
-		intDivBusy: make([]uint64, cfg.IntUnits),
-		fpDivBusy:  make([]uint64, cfg.FPUnits),
-	}
+	p := &Pool{}
+	p.Reset(cfg)
+	return p
 }
 
-// Reset idles every unit, as New leaves them.
-func (p *Pool) Reset() {
+// Reset sizes p for cfg and idles every unit, as New leaves them,
+// growing the divider arrays only when they are too small.
+func (p *Pool) Reset(cfg Config) {
+	p.cfg = cfg
 	p.BeginCycle(0)
+	p.intDivBusy = slices.Grow(p.intDivBusy[:0], cfg.IntUnits)[:cfg.IntUnits]
+	p.fpDivBusy = slices.Grow(p.fpDivBusy[:0], cfg.FPUnits)[:cfg.FPUnits]
 	clear(p.intDivBusy)
 	clear(p.fpDivBusy)
 }

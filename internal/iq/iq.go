@@ -6,6 +6,8 @@
 package iq
 
 import (
+	"slices"
+
 	"recyclesim/internal/alist"
 	"recyclesim/internal/isa"
 	"recyclesim/internal/regfile"
@@ -32,13 +34,17 @@ type Queue struct {
 
 // New returns an empty queue with the given capacity.
 func New(capacity int) *Queue {
-	return &Queue{cap: capacity, slots: make([]slot, 0, capacity)}
+	q := &Queue{}
+	q.Reset(capacity)
+	return q
 }
 
-// Reset empties the queue, keeping its storage.
-func (q *Queue) Reset() {
+// Reset empties the queue and sets its capacity, keeping its storage
+// and growing it only when it is too small.
+func (q *Queue) Reset(capacity int) {
 	clear(q.slots)
-	q.slots = q.slots[:0]
+	q.cap = capacity
+	q.slots = slices.Grow(q.slots[:0], capacity)
 	clear(q.counts)
 }
 

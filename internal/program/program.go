@@ -64,7 +64,11 @@ func (p *Program) EndPC() uint64 {
 
 // Validate checks structural invariants: branch targets inside the text
 // segment and aligned, entry in range.  Workload construction calls it.
+// A nil program is an error, not a panic.
 func (p *Program) Validate() error {
+	if p == nil {
+		return fmt.Errorf("program: nil program")
+	}
 	if _, ok := p.PCToIndex(p.Entry); !ok {
 		return fmt.Errorf("program %s: entry 0x%x outside text", p.Name, p.Entry)
 	}

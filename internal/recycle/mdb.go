@@ -1,5 +1,7 @@
 package recycle
 
+import "slices"
+
 // MDB is the Memory Disambiguation Buffer of §3.5: it records (load PC,
 // effective address) pairs when loads execute.  A store to a matching
 // address removes the pairs for that address.  At recycle time a load
@@ -43,19 +45,23 @@ func mdbKey(pc, addr uint64) uint64 {
 // NewMDB builds a buffer holding up to capacity (at least one) load
 // entries.
 func NewMDB(capacity int) *MDB {
+	m := &MDB{}
+	m.Reset(capacity)
+	return m
+}
+
+// Reset empties the buffer and sizes it for capacity (at least one)
+// entries, as NewMDB builds it, keeping its ring and index storage.
+func (m *MDB) Reset(capacity int) {
 	if capacity < 1 {
 		panic("recycle: MDB capacity must be positive")
 	}
-	return &MDB{
-		ring:  make([]mdbEntry, capacity),
-		index: make(map[uint64]struct{}, capacity),
+	if m.index == nil {
+		m.index = make(map[uint64]struct{}, capacity)
 	}
-}
-
-// Reset empties the buffer, keeping its ring and index storage.
-func (m *MDB) Reset() {
-	clear(m.ring)
 	clear(m.index)
+	m.ring = slices.Grow(m.ring[:0], capacity)[:capacity]
+	clear(m.ring)
 	m.head, m.n = 0, 0
 }
 

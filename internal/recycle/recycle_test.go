@@ -271,7 +271,7 @@ func TestMDBRingMatchesFIFO(t *testing.T) {
 	const pcs, addrs = 6, 10
 	for i := 0; i < 40*capacity; i++ {
 		if i == 20*capacity {
-			m.Reset()
+			m.Reset(capacity)
 			ref = &refMDB{cap: capacity}
 		}
 		if next(4) == 0 {

@@ -13,20 +13,25 @@ import "recyclesim/internal/isa"
 // instructions from ctx that read reg cannot be reused.
 type WrittenBits struct {
 	contexts int
-	bits     []uint16 // one row per logical register; bit c = context c
+	bits     [isa.NumRegs]uint16 // one row per logical register; bit c = context c
 }
 
 // NewWrittenBits builds the array for the given number of hardware
 // contexts (at most 16 with this row representation).
 func NewWrittenBits(contexts int) *WrittenBits {
+	w := &WrittenBits{}
+	w.Reset(contexts)
+	return w
+}
+
+// Reset sizes w for the given number of contexts and clears every bit,
+// as NewWrittenBits leaves them.
+func (w *WrittenBits) Reset(contexts int) {
 	if contexts > 16 {
 		panic("recycle: written bit-array supports at most 16 contexts")
 	}
-	return &WrittenBits{contexts: contexts, bits: make([]uint16, isa.NumRegs)}
+	*w = WrittenBits{contexts: contexts}
 }
-
-// Reset clears every bit, as NewWrittenBits leaves them.
-func (w *WrittenBits) Reset() { clear(w.bits) }
 
 // ResetContext clears the column for ctx: "when a new path is started
 // on a context, the column of register bits for that context is reset."

@@ -12,7 +12,10 @@
 // with its "last reuse" bookkeeping.
 package regfile
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PhysReg names one physical register.  NoReg marks "no mapping".
 type PhysReg int32
@@ -39,29 +42,27 @@ type File struct {
 
 // New builds a register file with all registers free.
 func New(numInt, numFP int) *File {
-	f := &File{
-		NumInt:  numInt,
-		NumFP:   numFP,
-		vals:    make([]uint64, numInt+numFP),
-		ready:   make([]bool, numInt+numFP),
-		refs:    make([]int32, numInt+numFP),
-		freeInt: make([]PhysReg, 0, numInt),
-		freeFP:  make([]PhysReg, 0, numFP),
-	}
-	f.Reset()
+	f := &File{}
+	f.Reset(numInt, numFP)
 	return f
 }
 
-// Reset frees every register and clears the values and AllocFailures,
-// keeping the storage: the file is then exactly as New built it, free
-// lists in the same order.
-func (f *File) Reset() {
+// Reset sizes f for numInt integer and numFP floating-point registers
+// and frees them all, clearing the values and AllocFailures: the file
+// is then exactly as New builds it, free lists in the same order.  It
+// grows only the arrays that are too small and re-slices the rest.
+func (f *File) Reset(numInt, numFP int) {
+	n := numInt + numFP
+	f.NumInt, f.NumFP = numInt, numFP
+	f.vals = slices.Grow(f.vals[:0], n)[:n]
+	f.ready = slices.Grow(f.ready[:0], n)[:n]
+	f.refs = slices.Grow(f.refs[:0], n)[:n]
 	clear(f.vals)
 	clear(f.ready)
 	clear(f.refs)
-	f.freeInt, f.freeFP = f.freeInt[:0], f.freeFP[:0]
-	for r := f.NumInt + f.NumFP - 1; r >= 0; r-- {
-		if r >= f.NumInt {
+	f.freeInt, f.freeFP = slices.Grow(f.freeInt[:0], numInt), slices.Grow(f.freeFP[:0], numFP)
+	for r := n - 1; r >= 0; r-- {
+		if r >= numInt {
 			f.freeFP = append(f.freeFP, PhysReg(r))
 		} else {
 			f.freeInt = append(f.freeInt, PhysReg(r))

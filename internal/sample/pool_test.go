@@ -16,13 +16,14 @@ import (
 
 // pooledCell is one sampled run of the pooled-state matrix.
 type pooledCell struct {
+	mach    config.Machine
 	prog    *program.Program
 	preset  string
 	workers int
 }
 
 func (c pooledCell) String() string {
-	return fmt.Sprintf("%s %s workers=%d", c.prog.Name, c.preset, c.workers)
+	return fmt.Sprintf("%s %s %s workers=%d", c.mach.Name, c.prog.Name, c.preset, c.workers)
 }
 
 // pooledInsts and pooledConfig keep each cell to five short intervals,
@@ -32,20 +33,23 @@ const pooledInsts = 10_000
 
 var pooledConfig = Config{Period: 2_000, IntervalLen: 200, WarmupLen: 200}
 
-// pooledCells returns every kernel × SMT, TME, REC, REC/RS, REC/RS/RU ×
-// 1, 2 and 4 workers, shuffled by seed, so consecutive runs on the
-// machine change program, features and the number of slots in use.
+// pooledCells returns big.2.16 and small.1.8 × every kernel × SMT,
+// TME, REC, REC/RS, REC/RS/RU × 1, 2 and 4 workers, shuffled by seed,
+// so consecutive runs change machine, program, features and the number
+// of slots in use.
 func pooledCells(t *testing.T, seed int64) []pooledCell {
 	t.Helper()
 	var cells []pooledCell
-	for _, name := range workload.Names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, preset := range []string{"SMT", "TME", "REC", "REC/RS", "REC/RS/RU"} {
-			for _, workers := range []int{1, 2, 4} {
-				cells = append(cells, pooledCell{p, preset, workers})
+	for _, mach := range []config.Machine{config.Big216(), config.Small18()} {
+		for _, name := range workload.Names {
+			p, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, preset := range []string{"SMT", "TME", "REC", "REC/RS", "REC/RS/RU"} {
+				for _, workers := range []int{1, 2, 4} {
+					cells = append(cells, pooledCell{mach, p, preset, workers})
+				}
 			}
 		}
 	}
@@ -57,7 +61,7 @@ func pooledCells(t *testing.T, seed int64) []pooledCell {
 // reference a run on pooled state must equal.
 func freshRun(t *testing.T, mach config.Machine, feat config.Features, p *program.Program, insts uint64, cfg Config) *Result {
 	t.Helper()
-	r, err := (&runState{master: NewWarmup(mach)}).run(mach, feat, p, insts, cfg.WithDefaults())
+	r, err := (&runState{}).run(mach, feat, p, insts, cfg.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,23 +70,22 @@ func freshRun(t *testing.T, mach config.Machine, feat config.Features, p *progra
 
 func checkPooledSampledCell(t *testing.T, i int, c pooledCell) {
 	t.Helper()
-	mach := config.Big216()
 	feat, _ := config.PresetByName(c.preset)
 	cfg := pooledConfig
 	cfg.Workers = c.workers
-	got, err := Run(mach, feat, c.prog, pooledInsts, cfg)
+	got, err := Run(c.mach, feat, c.prog, pooledInsts, cfg)
 	if err != nil {
 		t.Fatalf("cell %d (%v): %v", i, c, err)
 	}
-	if want := freshRun(t, mach, feat, c.prog, pooledInsts, cfg); !reflect.DeepEqual(got, want) {
+	if want := freshRun(t, c.mach, feat, c.prog, pooledInsts, cfg); !reflect.DeepEqual(got, want) {
 		t.Errorf("cell %d (%v): Result differs from a run on a fresh state", i, c)
 	}
 }
 
 // TestPooledSampledMatchesFresh: Run resets the state of finished runs
-// in place for later runs on the same machine, across programs,
-// features and worker counts; every Result must equal the same run on
-// a state built for it alone.
+// in place for later runs, across machines, programs, features and
+// worker counts; every Result must equal the same run on a state built
+// for it alone.
 func TestPooledSampledMatchesFresh(t *testing.T) {
 	for i, c := range pooledCells(t, 35) {
 		checkPooledSampledCell(t, i, c)
@@ -99,17 +102,16 @@ func TestPooledSampledMatchesFreshConcurrent(t *testing.T) {
 
 // TestFailedSampledRunDropsItsState: a run stopped by a Poll error in
 // the middle of its checkpoint pass, or by a failed interval (here a
-// watchdog livelock), never leaves its state for the next run on the
-// machine, and that next run equals a run on a fresh state.  A machine
-// value no other test runs keeps other tests' states out of the check
-// that the machine has none idle.
+// watchdog livelock), never leaves its state for the next run, and that
+// next run equals a run on a fresh state.  The failed run takes the
+// state the clean run before it left, the newest idle one, so that
+// state must not be idle after the failure.
 func TestFailedSampledRunDropsItsState(t *testing.T) {
 	p, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := config.Big216()
-	mach.Name = "big.2.16 failed sampled runs"
 	cfg := pooledConfig
 	cfg.Workers = 2
 	want := freshRun(t, mach, config.RECRSRU, p, pooledInsts, cfg)
@@ -135,15 +137,26 @@ func TestFailedSampledRunDropsItsState(t *testing.T) {
 		},
 	}
 	for name, fail := range cases {
-		// A clean run first, so the machine's pool holds a state.
+		// A clean run first, so the list's newest state is its.
 		if _, err := Run(mach, config.RECRSRU, p, pooledInsts, cfg); err != nil {
 			t.Fatal(err)
 		}
+		clean, ok := idleRuns.Get()
+		if !ok {
+			t.Fatalf("%s: the clean run left no state", name)
+		}
+		idleRuns.Put(clean)
 		if err := fail(); err == nil {
 			t.Fatalf("%s: the run did not fail", name)
 		}
-		if _, ok := idleRuns.Get(mach); ok {
-			t.Errorf("%s: the failed run's state was kept for the next run", name)
+		for {
+			st, ok := idleRuns.Get()
+			if !ok {
+				break
+			}
+			if st == clean {
+				t.Errorf("%s: the failed run's state was kept for the next run", name)
+			}
 		}
 		got, err := Run(mach, config.RECRSRU, p, pooledInsts, cfg)
 		if err != nil {

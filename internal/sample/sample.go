@@ -195,11 +195,9 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	st, ok := idleRuns.Get(mach)
-	if ok {
-		st.master.Reset()
-	} else {
-		st = &runState{master: NewWarmup(mach)}
+	st, ok := idleRuns.Get()
+	if !ok {
+		st = &runState{}
 	}
 	res, err := st.run(mach, feat, prog, maxInsts, cfg)
 	if err != nil {
@@ -209,19 +207,19 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 		return nil, err
 	}
 	// The cores let go of this run's poll hook before the state waits
-	// for the next run on the machine.
+	// for the next run.
 	for _, sp := range st.slots {
-		if sp != nil && sp.c != nil {
+		if sp != nil {
 			sp.c.SetPoll(nil)
 		}
 	}
-	idleRuns.Put(mach, st)
+	idleRuns.Put(st)
 	return res, nil
 }
 
-// run is Run on st, whose master must be cold (NewWarmup's state): it
-// loads prog into st's initial image and emulator, then runs the
-// checkpoint pass and the intervals on st's seed slots.
+// run is Run on st: it resets st's master for mach, loads prog into
+// st's initial image and emulator, then runs the checkpoint pass and
+// the intervals on st's seed slots.
 func (st *runState) run(mach config.Machine, feat config.Features, prog *program.Program, maxInsts uint64, cfg Config) (*Result, error) {
 	// Checkpoint pass: one functional sweep over the run with
 	// *continuous* warming — a single master Warmup observes every
@@ -242,17 +240,18 @@ func (st *runState) run(mach config.Machine, feat config.Features, prog *program
 	// interval ends.  A run thus holds a fixed handful of model copies,
 	// data memories and detailed cores however many intervals it has,
 	// and the sequential pass overlaps the parallel intervals instead of
-	// waiting for them.  The machine outlives the run: the master, the
+	// waiting for them.  The state outlives the run: the master, the
 	// emulator, the initial image and the slots come from the last clean
-	// run on the same machine when one left them (see runState), reset
-	// in place.  None of this affects the estimate: the pass is
-	// sequential and starts from a master and an emulator in exactly
-	// their freshly built state, every interval starts from an exact
-	// copy of the master on a core in exactly its freshly built state
-	// (core.Load), and every interval writes its own result slot.
+	// run when one left them (see runState), reset in place for this
+	// run's machine and program.  None of this affects the estimate:
+	// the pass is sequential and starts from a master and an emulator in
+	// exactly their freshly built state, every interval starts from an
+	// exact copy of the master on a core in exactly its freshly built
+	// state (core.Load), and every interval writes its own result slot.
+	st.master.Reset(mach)
 	st.base.Load(prog)
 	st.e.Reset(prog)
-	base, e, master := &st.base, &st.e, st.master
+	base, e, master := &st.base, &st.e, &st.master
 	nMax := int(maxInsts / cfg.Period)
 	ff := cfg.Period - cfg.IntervalLen - cfg.WarmupLen
 	ivals := make([]Interval, nMax)
@@ -344,27 +343,27 @@ func (st *runState) run(mach config.Machine, feat config.Features, prog *program
 	return res, nil
 }
 
-// runState is what a sampled run builds for its machine: the checkpoint
-// pass's master models, the program's initial image, the pass's
-// emulator and the seed slots, each built on first use.  None of it
-// depends on the run's program, features or schedule once reset, so a
-// clean run leaves it in idleRuns and the next run on the same machine
-// resets it in place instead of building it again: the master by
-// Warmup.Reset, the image and the emulator by reloading the program,
-// and each slot's parts by the pass and the interval that use it next
-// (its checkpoint and model copy are overwritten, its data memory
-// copied, its core loaded with the new program and features).
+// runState is what a sampled run builds: the checkpoint pass's master
+// models, the program's initial image, the pass's emulator and the seed
+// slots, each built on first use.  None of it depends on the run's
+// machine, program, features or schedule once reset, so a clean run
+// leaves it in idleRuns and the next run resets it in place instead of
+// building it again: the master by Warmup.Reset, the image and the
+// emulator by reloading the program, and each slot's parts by the pass
+// and the interval that use it next (its checkpoint and model copy are
+// overwritten, its data memory copied, its core loaded with the new
+// machine, program and features).
 type runState struct {
-	master *Warmup
+	master Warmup
 	base   program.Memory
 	e      emu.Emulator
 	slots  [maxSeeds]*seedSlot
 }
 
 // idleRuns keeps the state of clean sampled runs for Run to reset in
-// place rather than build anew, by machine (see sweep.FreeList for how
-// long it keeps them).
-var idleRuns sweep.FreeList[config.Machine, *runState]
+// place rather than build anew (see sweep.FreeList for how many it
+// keeps).
+var idleRuns sweep.FreeList[*runState]
 
 // slot returns seed slot s, adding it on first use.
 func (st *runState) slot(s int) *seedSlot {
@@ -377,7 +376,7 @@ func (st *runState) slot(s int) *seedSlot {
 // seedSlot is one buffer of Run's seed pool: what the checkpoint pass
 // fills for an interval, and what the interval builds from it.  Every
 // part is reused by the slot's next interval, in this run or a later
-// one on the same machine.
+// one.
 type seedSlot struct {
 	k  int        // interval index
 	cp Checkpoint // measurement-start state; its delta buffer is reused
@@ -385,25 +384,25 @@ type seedSlot struct {
 
 	mem  program.Memory // the interval's data memory: base plus cp's delta
 	arch core.ArchState // the core's seed, on mem
-	c    *core.Core     // built by the slot's first interval, loaded by every one
+	c    core.Core      // loaded by every interval
 }
 
 // runInterval restores the slot's checkpoint into its data memory,
-// loads its detailed core — built on the slot's first interval, loaded
-// in place by every one, with this run's program and features — on
-// the slot's private copy of the continuously warmed models (the core
-// trains them in place, so w is spent once this returns), runs the
-// detached warmup, and measures the interval.  A panic inside the core
-// is contained into the interval's error so one bad interval cannot
-// take down a parallel sampled sweep; a failed interval drops the
-// slot's core, so the next one builds afresh.
+// loads its detailed core in place with this run's machine, program
+// and features on the slot's private copy of the continuously warmed
+// models (the core trains them in place, so w is spent once this
+// returns), runs the detached warmup, and measures the interval.  A
+// panic inside the core is contained into the interval's error so one
+// bad interval cannot take down a parallel sampled sweep; a failed
+// interval drops the slot's core, so the next one starts from an idle
+// one.
 func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *program.Program, base *program.Memory, cfg Config) (iv Interval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic in detailed interval: %v", r)
 		}
 		if err != nil {
-			s.c = nil
+			s.c = core.Core{}
 		}
 	}()
 
@@ -413,15 +412,10 @@ func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *
 	}
 	s.arch = core.ArchState{PC: s.cp.PC, Regs: s.cp.Regs, Mem: &s.mem}
 	progs, seeds := []*program.Program{prog}, []*core.ArchState{&s.arch}
-	if s.c == nil {
-		if s.c, err = core.New(mach); err != nil {
-			return iv, err
-		}
-	}
-	if err = s.c.Load(feat, progs, seeds, core.Models{Pred: s.w.Pred, Conf: s.w.Conf, Mem: s.w.Mem}); err != nil {
+	c := &s.c
+	if err = c.Load(mach, feat, progs, seeds, core.Models{Pred: s.w.Pred, Conf: s.w.Conf, Mem: s.w.Mem}); err != nil {
 		return iv, err
 	}
-	c := s.c
 	if cfg.Poll != nil {
 		c.SetPoll(cfg.Poll)
 	}

@@ -17,14 +17,11 @@ import (
 	"recyclesim/internal/workload"
 )
 
-// loadedCore is core.New followed by Load from every program's entry:
-// the core a detailed run starts on.
+// loadedCore is Load on an idle core from every program's entry: the
+// core a detailed run starts on.
 func loadedCore(mach config.Machine, feat config.Features, progs []*program.Program) (*core.Core, error) {
-	c, err := core.New(mach)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Load(feat, progs, nil, core.Models{}); err != nil {
+	c := &core.Core{}
+	if err := c.Load(mach, feat, progs, nil, core.Models{}); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -52,23 +52,23 @@ type Warmup struct {
 // NewWarmup builds fresh default models for the machine, matching the
 // models a core builds for itself.
 func NewWarmup(mach config.Machine) *Warmup {
-	return &Warmup{
-		Pred: bpred.New(bpred.Default(mach.Contexts)),
-		Conf: confidence.New(confidence.Default()),
-		Mem:  cache.NewHierarchy(cache.DefaultHierarchy(mach.CacheScale)),
-	}
+	w := &Warmup{}
+	w.Reset(mach)
+	return w
 }
 
-// Reset puts w back into exactly the state NewWarmup builds for its
-// machine, emptying the models in place (bpred.Predictor.Reset,
-// confidence.Estimator.Reset, cache.Hierarchy.Reset), so a master
-// warmed for one sampled run starts the next run on the machine cold
-// without building its models again.
-func (w *Warmup) Reset() {
-	w.Pred.Reset()
-	w.Conf.Reset()
-	w.Mem.Reset()
-	*w = Warmup{Pred: w.Pred, Conf: w.Conf, Mem: w.Mem}
+// Reset puts w into exactly the state NewWarmup builds for mach, sizing
+// and emptying its models in place (bpred.Predictor.Reset,
+// confidence.Estimator.Reset, cache.Hierarchy.Reset) and building the
+// ones it lacks, so a master warmed for one sampled run starts the next
+// run, on this machine or another, cold without building its models
+// again.
+func (w *Warmup) Reset(mach config.Machine) {
+	pred, conf, mem := w.models()
+	pred.Reset(bpred.Default(mach.Contexts))
+	conf.Reset(confidence.Default())
+	mem.Reset(cache.DefaultHierarchy(mach.CacheScale))
+	*w = Warmup{Pred: pred, Conf: conf, Mem: mem}
 }
 
 // Clone deep-copies the warmup state — models and line-tracking — so a
@@ -80,25 +80,25 @@ func (w *Warmup) Clone() *Warmup { return w.CloneInto(&Warmup{}) }
 
 // CloneInto is Clone into a reused buffer: it overwrites dst with a
 // deep copy of w through the models' CopyFrom, so a dst filled before
-// from the same machine allocates nothing.  Nil models in dst are
-// built fresh.  It returns dst.
+// from the same machine allocates nothing.  A dst without models gets
+// new ones.  It returns dst.
 func (w *Warmup) CloneInto(dst *Warmup) *Warmup {
-	pred, conf, mem := dst.Pred, dst.Conf, dst.Mem
-	if pred == nil {
-		pred = &bpred.Predictor{}
-	}
-	if conf == nil {
-		conf = &confidence.Estimator{}
-	}
-	if mem == nil {
-		mem = &cache.Hierarchy{}
-	}
+	pred, conf, mem := dst.models()
 	pred.CopyFrom(w.Pred)
 	conf.CopyFrom(w.Conf)
 	mem.CopyFrom(w.Mem)
 	*dst = *w
 	dst.Pred, dst.Conf, dst.Mem = pred, conf, mem
 	return dst
+}
+
+// models returns w's models, or new empty ones when w has none: a
+// Warmup holds all three or none.
+func (w *Warmup) models() (*bpred.Predictor, *confidence.Estimator, *cache.Hierarchy) {
+	if w.Pred == nil {
+		return &bpred.Predictor{}, &confidence.Estimator{}, &cache.Hierarchy{}
+	}
+	return w.Pred, w.Conf, w.Mem
 }
 
 // Observe feeds one architecturally executed instruction into the

@@ -144,14 +144,17 @@ func TestWarmupAllocBudget(t *testing.T) {
 }
 
 // TestWarmupResetMatchesNew: a master trained over one run and Reset
-// is in NewWarmup's state.  The predictor, the estimator and the line
-// tracking are deeply equal, and so is the hierarchy apart from the tag
-// pages it keeps spare for later first fills, which a Clone leaves
-// behind.  Warming the same stream again takes every tag page from the
-// spares, and warming another program afterwards leaves the models as
-// a new Warmup's.
+// is in NewWarmup's state for the machine it is Reset to.  The
+// predictor, the estimator and the line tracking are deeply equal, and
+// so is the hierarchy apart from the tag pages it keeps spare for later
+// first fills, which a Clone leaves behind.  Warming the same stream
+// again takes every tag page from the spares, and warming another
+// program afterwards, on a machine with other caches and context count
+// or back on the first, leaves the models as a new Warmup's.
 func TestWarmupResetMatchesNew(t *testing.T) {
 	mach := config.Big216()
+	other := config.Small18()
+	other.Name, other.Contexts, other.CacheScale = "small.1.8/4", 4, 4
 	gcc, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +165,7 @@ func TestWarmupResetMatchesNew(t *testing.T) {
 	}
 	w := NewWarmup(mach)
 	w.fastForward(emu.New(gcc), 200_000)
-	w.Reset()
+	w.Reset(mach)
 	if !reflect.DeepEqual(w.Clone(), NewWarmup(mach)) {
 		t.Fatal("a trained Warmup, Reset, differs from NewWarmup")
 	}
@@ -173,12 +176,17 @@ func TestWarmupResetMatchesNew(t *testing.T) {
 	if got := allocBytes(func() { w.fastForward(e, 200_000) }); got != 0 {
 		t.Errorf("warming the same stream after Reset allocates %d bytes, want 0", got)
 	}
-	w.Reset()
-	fresh := NewWarmup(mach)
-	w.fastForward(emu.New(li), 100_000)
-	fresh.fastForward(emu.New(li), 100_000)
-	if !reflect.DeepEqual(w.Clone(), fresh.Clone()) {
-		t.Error("a Reset Warmup warms another program unlike a new one")
+	for _, m := range []config.Machine{other, mach} {
+		w.Reset(m)
+		if !reflect.DeepEqual(w.Clone(), NewWarmup(m)) {
+			t.Fatalf("a trained Warmup, Reset to %s, differs from NewWarmup", m.Name)
+		}
+		fresh := NewWarmup(m)
+		w.fastForward(emu.New(li), 100_000)
+		fresh.fastForward(emu.New(li), 100_000)
+		if !reflect.DeepEqual(w.Clone(), fresh.Clone()) {
+			t.Errorf("a Warmup Reset to %s warms another program unlike a new one", m.Name)
+		}
 	}
 }
 

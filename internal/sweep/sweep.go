@@ -118,84 +118,34 @@ func Pipeline(slots, workers int, produce func(slot int) bool, consume func(slot
 	wg.Wait()
 }
 
-// FreeList keeps idle values for reuse, each under a key: Get(k) only
-// hands out a value an earlier Put(k, v) kept, so a value built for
-// one machine is never offered to a run on another.  It keeps the
-// newest Workers(0) values until they are taken, enough for each
-// worker to find the value it left, whatever the garbage collector
-// does; any older value it keeps until the second collection after
-// its Put, so a run that comes back to a key soon still finds that
-// key's value, and values for keys no run asks for again are dropped.
-// The zero FreeList is ready to use.
-type FreeList[K comparable, V any] struct {
+// FreeList keeps idle values for reuse: at most the newest Workers(0)
+// of them, enough for each worker to find the value it left, handed
+// out newest first.  A Put beyond that drops the oldest value.  The
+// zero FreeList is ready to use.
+type FreeList[V any] struct {
 	mu    sync.Mutex
-	items []keyed[K, V] // oldest first
-	gcs   uint64        // collections seen since the first Put
+	items []V // oldest first
 }
 
-// keyed is one idle value, its key, and the list's gcs at its Put.
-type keyed[K comparable, V any] struct {
-	k  K
-	v  V
-	gc uint64
-}
-
-// Get takes the newest idle value kept for k; ok is false when there
-// is none.
-func (l *FreeList[K, V]) Get(k K) (v V, ok bool) {
+// Get takes the newest idle value; ok is false when there is none.
+func (l *FreeList[V]) Get() (v V, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := len(l.items) - 1; i >= 0; i-- {
-		if l.items[i].k == k {
-			v = l.items[i].v
-			l.items = slices.Delete(l.items, i, i+1)
-			return v, true
-		}
+	n := len(l.items)
+	if n == 0 {
+		return v, false
 	}
-	return v, false
+	v = l.items[n-1]
+	l.items = slices.Delete(l.items, n-1, n)
+	return v, true
 }
 
-// Put keeps v idle for a later Get(k).
-func (l *FreeList[K, V]) Put(k K, v V) {
+// Put keeps v idle for a later Get.
+func (l *FreeList[V]) Put(v V) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.gcs == 0 {
-		l.gcs = 1
-		l.watch()
+	if drop := len(l.items) + 1 - Workers(0); drop > 0 {
+		l.items = slices.Delete(l.items, 0, drop)
 	}
-	l.items = append(l.items, keyed[K, V]{k, v, l.gcs})
+	l.items = append(l.items, v)
 }
-
-// collected counts a garbage collection and drops every value but the
-// newest Workers(0) that was put before the collection preceding it.
-func (l *FreeList[K, V]) collected() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.gcs++
-	n, newest := 0, len(l.items)-Workers(0)
-	for i, it := range l.items {
-		if i >= newest || it.gc+1 >= l.gcs {
-			l.items[n] = it
-			n++
-		}
-	}
-	clear(l.items[n:])
-	l.items = l.items[:n]
-}
-
-// watch calls collected once the next garbage collection has run: the
-// collector finds the new sentinel unreachable and queues its
-// finalizer, which arms the next one.  The finalizer runs on the
-// runtime's finalizer goroutine and takes the list's mutex like Get
-// and Put; which idle value a run reuses never changes its result.
-func (l *FreeList[K, V]) watch() {
-	runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) {
-		l.collected()
-		l.watch()
-	})
-}
-
-// gcSentinel holds a pointer so that it gets an allocation of its own:
-// the runtime batches pointer-free tiny objects, whose finalizers may
-// never run.
-type gcSentinel struct{ _ *int }

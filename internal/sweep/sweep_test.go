@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -89,91 +88,35 @@ func TestRunResultsMatchSerial(t *testing.T) {
 	}
 }
 
-// A value Put under one key is only ever handed out for that key, and
-// only once.
-func TestPoolsKeepKeysApart(t *testing.T) {
-	var l FreeList[string, *int]
-	if _, ok := l.Get("a"); ok {
-		t.Fatal("an empty FreeList handed out a value")
-	}
-	one := new(int)
-	l.Put("a", one)
-	if v, ok := l.Get("b"); ok {
-		t.Fatalf("Get(b) returned %p, kept for a", v)
-	}
-	if v, ok := l.Get("a"); !ok || v != one {
-		t.Fatalf("Get(a) returned %p, %v; want %p", v, ok, one)
-	}
-	if v, ok := l.Get("a"); ok {
-		t.Fatalf("Get(a) returned %p twice", v)
-	}
-}
-
-// TestFreeListBound: a FreeList keeps every value through one garbage
-// collection and, after the second, only the newest Workers(0) values
-// over all keys, however many keys it saw; Get returns the newest value
-// kept for a key, and a key never put always misses.
+// TestFreeListBound: a FreeList keeps at most the newest Workers(0)
+// values, whatever was put before them, and hands them out newest
+// first, each once; an empty list misses.
 func TestFreeListBound(t *testing.T) {
 	w := Workers(0)
-	// Counted as armed, so only this test's collected calls count.
-	l := FreeList[int, int]{gcs: 1}
-	// One value under each of 2w keys, then a second under the last.
-	type put struct{ k, v int }
-	var puts []put
-	for k := 0; k < 2*w; k++ {
-		puts = append(puts, put{k, k})
+	var l FreeList[*int]
+	if v, ok := l.Get(); ok {
+		t.Fatalf("an empty FreeList handed out %p", v)
 	}
-	puts = append(puts, put{2*w - 1, -1})
-	for _, p := range puts {
-		l.Put(p.k, p.v)
+	puts := make([]*int, 2*w+1)
+	for i := range puts {
+		puts[i] = new(int)
+		l.Put(puts[i])
 	}
-	l.collected()
-	if n := len(l.items); n != len(puts) {
-		t.Fatalf("one collection left %d values, want all %d", n, len(puts))
-	}
-	l.collected()
 	if n := len(l.items); n != w {
-		t.Fatalf("two collections left %d values, want %d", n, w)
+		t.Fatalf("the list keeps %d values, want %d", n, w)
 	}
-	kept := puts[len(puts)-w:]
-	for k := 0; k < 2*w; k++ {
-		// The values kept for k come back newest first, then k misses.
-		for i := len(kept) - 1; i >= 0; i-- {
-			if kept[i].k != k {
-				continue
-			}
-			if v, ok := l.Get(k); !ok || v != kept[i].v {
-				t.Errorf("Get(%d) = %d, %v; want %d", k, v, ok, kept[i].v)
-			}
-		}
-		if v, ok := l.Get(k); ok {
-			t.Errorf("Get(%d) = %d, a value not kept", k, v)
+	for i := len(puts) - 1; i >= len(puts)-w; i-- {
+		if v, ok := l.Get(); !ok || v != puts[i] {
+			t.Errorf("Get = %p, %v; want put %d (%p)", v, ok, i, puts[i])
 		}
 	}
-	if v, ok := l.Get(-1); ok {
-		t.Errorf("Get of a key never put returned %d", v)
+	if v, ok := l.Get(); ok {
+		t.Errorf("Get = %p, a value dropped or handed out before", v)
 	}
-}
-
-// TestFreeListWatchesCollections: real garbage collections, not only
-// calls of collected, trim a FreeList to its newest Workers(0) values.
-func TestFreeListWatchesCollections(t *testing.T) {
-	w := Workers(0)
-	var l FreeList[int, int]
-	for k := 0; k < 2*w; k++ {
-		l.Put(k, k)
-	}
-	held := func() int {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return len(l.items)
-	}
-	// Finalizers run on their own goroutine after a collection, so the
-	// trim shows up some collections later.
-	for i := 0; i < 100 && held() > w; i++ {
-		runtime.GC()
-	}
-	if n := held(); n != w {
-		t.Fatalf("after the collections the list holds %d values, want %d", n, w)
+	// A value handed out and put back is the newest again.
+	l.Put(puts[0])
+	l.Put(puts[1])
+	if v, _ := l.Get(); v != puts[1] {
+		t.Errorf("Get = %p, want the value put last (%p)", v, puts[1])
 	}
 }

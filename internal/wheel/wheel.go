@@ -12,7 +12,11 @@
 // in internal/core/invariant.go for why this is sound.
 package wheel
 
-import "recyclesim/internal/alist"
+import (
+	"slices"
+
+	"recyclesim/internal/alist"
+)
 
 // Item is one scheduled completion: the entry and the cycle its slot
 // drains.  Due is the scheduling cycle, not necessarily the entry's
@@ -36,11 +40,9 @@ type Wheel struct {
 // New returns a wheel whose slot ring covers at least `horizon` future
 // cycles (rounded up to a power of two).
 func New(horizon int) *Wheel {
-	n := 1
-	for n < horizon {
-		n <<= 1
-	}
-	return &Wheel{slots: make([][]Item, n), mask: uint64(n - 1)}
+	w := &Wheel{}
+	w.Reset(horizon)
+	return w
 }
 
 // Horizon returns the slot-ring span in cycles.
@@ -122,14 +124,19 @@ func (w *Wheel) Each(visit func(Item)) {
 	}
 }
 
-// Reset empties the wheel.
-func (w *Wheel) Reset() {
+// Reset empties the wheel and sizes its slot ring for `horizon`
+// cycles as New does, keeping the slots' storage.
+func (w *Wheel) Reset(horizon int) {
+	n := 1
+	for n < horizon {
+		n <<= 1
+	}
+	w.slots = slices.Grow(w.slots[:0], n)[:n]
 	for i := range w.slots {
-		for j := range w.slots[i] {
-			w.slots[i][j] = Item{}
-		}
+		clear(w.slots[i])
 		w.slots[i] = w.slots[i][:0]
 	}
 	w.far = w.far[:0]
+	w.mask = uint64(n - 1)
 	w.count = 0
 }

@@ -86,7 +86,7 @@ func TestEachAndReset(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("Each visited %d, want 2", n)
 	}
-	w.Reset()
+	w.Reset(8)
 	if w.Len() != 0 {
 		t.Fatalf("len = %d after reset", w.Len())
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -32,14 +33,33 @@ func (pc poolCell) String() string {
 	return pc.mach.Name + " " + FeatureName(pc.feat) + " " + strings.Join(pc.names, "+")
 }
 
-// poolCells returns every machine × SMT, TME, REC, REC/RS, REC/RS/RU ×
-// 1, 2 and 4 programs, shuffled by seed, with a REC/RS/RU cell right
-// before a cell without reuse on the same machine: the core that ran
-// with the reuse tables must run the next cell without them.
+// poolMachines returns the four paper machines and two off its grid
+// that change every buffer a core sizes for its machine: one with
+// fewer contexts, a smaller active list and register pool and caches a
+// quarter of the baseline's, and one with 16 contexts and more extra
+// registers.
+func poolMachines() []Machine {
+	var ms []Machine
+	for _, n := range MachineNames() {
+		ms = append(ms, MachineByName(n))
+	}
+	few := MachineByName("small.2.8")
+	few.Name, few.Contexts, few.ActiveList, few.ExtraRegs, few.CacheScale = "few.4", 4, 16, 40, 4
+	many := MachineByName("big.2.16")
+	many.Name, many.Contexts, many.ExtraRegs = "many.16", 16, 160
+	return append(ms, few, many)
+}
+
+// poolCells returns every pool machine × SMT, TME, REC, REC/RS,
+// REC/RS/RU × 1, 2 and 4 programs, shuffled by seed, with a REC/RS/RU
+// cell right before a cell without reuse: the core that ran with the
+// reuse tables must run the next cell without them.  Consecutive cells
+// mostly change machine, so the one idle core a serial run reuses grows
+// and shrinks every buffer.
 func poolCells(t *testing.T, seed int64) []poolCell {
 	t.Helper()
 	var cells []poolCell
-	for mi, mn := range MachineNames() {
+	for mi, m := range poolMachines() {
 		for fi, fn := range []string{"SMT", "TME", "REC", "REC/RS", "REC/RS/RU"} {
 			for k, n := range []int{1, 2, 4} {
 				mixes := Mixes(n)
@@ -48,7 +68,7 @@ func poolCells(t *testing.T, seed int64) []poolCell {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cells = append(cells, poolCell{MachineByName(mn), PresetByName(fn), names, progs})
+				cells = append(cells, poolCell{m, PresetByName(fn), names, progs})
 			}
 		}
 	}
@@ -58,13 +78,13 @@ func poolCells(t *testing.T, seed int64) []poolCell {
 			continue
 		}
 		for j := i + 1; j < len(cells); j++ {
-			if cells[j].mach == cells[i].mach && !cells[j].feat.Reuse {
+			if !cells[j].feat.Reuse {
 				cells[i+1], cells[j] = cells[j], cells[i+1]
 				return cells
 			}
 		}
 	}
-	t.Fatal("no reuse cell is followed by a same-machine cell without reuse")
+	t.Fatal("no reuse cell is followed by a cell without reuse")
 	return nil
 }
 
@@ -95,7 +115,7 @@ func freshRun(t *testing.T, pc poolCell, insts uint64) (res, tel string) {
 }
 
 // pooledRun runs the cell through RunContext, which takes an idle core
-// of the machine when it has one.
+// when it has one.
 func pooledRun(t *testing.T, pc poolCell, insts uint64) (res, tel string) {
 	t.Helper()
 	m := &Telemetry{Hists: true}
@@ -121,10 +141,10 @@ func checkPooledCell(t *testing.T, i int, pc poolCell) {
 	}
 }
 
-// TestPooledCoreMatchesFresh: RunContext resets the cores of finished
-// runs in place for later cells on the same machine, across features
-// and program counts; every cell's Result and Telemetry must equal a
-// run on a core straight from core.New.
+// TestPooledCoreMatchesFresh: RunContext loads the cores of finished
+// runs in place for later cells, across machines, features and program
+// counts; every cell's Result and Telemetry must equal a run on a core
+// of its own.
 func TestPooledCoreMatchesFresh(t *testing.T) {
 	for i, pc := range poolCells(t, 34) {
 		checkPooledCell(t, i, pc)
@@ -142,7 +162,10 @@ func TestPooledCoreMatchesFreshConcurrent(t *testing.T) {
 // TestPooledRunAllocBudget: a second run on the same machine and
 // programs reuses the first run's core, its models, tag pages, data
 // memories and wheel slots, so it allocates almost nothing; building
-// the core anew costs about 580 KB.
+// the core anew costs about 580 KB.  So does every run of a rotation
+// over Workers(0)+1 machines, with a garbage collection between runs,
+// once each machine has run: the idle core fits any machine, and the
+// idle list keeps it whatever the collector does.
 func TestPooledRunAllocBudget(t *testing.T) {
 	const budget = 64 << 10
 	progs, err := workload.MixPrograms([]string{"compress", "gcc"})
@@ -153,29 +176,48 @@ func TestPooledRunAllocBudget(t *testing.T) {
 	// The siminvariant build's periodic checker allocates by design; a
 	// period no run reaches keeps it off in every build.
 	f.InvariantEvery = math.MaxUint64
-	o := Options{Machine: MachineByName("big.2.16"), Features: f, Programs: progs,
-		MaxInsts: 20_000, Telemetry: &Telemetry{Hists: true}}
-	if _, err := Run(o); err != nil {
-		t.Fatal(err)
+	run := func(m Machine) uint64 {
+		t.Helper()
+		o := Options{Machine: m, Features: f, Programs: progs,
+			MaxInsts: 20_000, Telemetry: &Telemetry{Hists: true}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Run(o)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = Run(o)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := after.TotalAlloc - before.TotalAlloc
+	big := MachineByName("big.2.16")
+	run(big)
+	got := run(big)
 	t.Logf("second run allocates %d bytes", got)
 	if got > budget {
 		t.Errorf("second run allocates %d bytes, over the %d-byte budget", got, budget)
+	}
+
+	names := MachineNames()
+	rotation := make([]Machine, sweep.Workers(0)+1)
+	for i := range rotation {
+		rotation[i] = MachineByName(names[i%len(names)])
+		rotation[i].Name = fmt.Sprintf("%s #%d", rotation[i].Name, i)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, m := range rotation {
+			runtime.GC()
+			got := run(m)
+			if pass == 1 && got > budget {
+				t.Errorf("rotation: a run on %s allocates %d bytes, over the %d-byte budget", m.Name, got, budget)
+			}
+		}
 	}
 }
 
 // TestFailedRunDropsItsCore: a run stopped by a SimError — an
 // invariant fire from a corrupted core, or a watchdog livelock — never
-// returns its core to the pool, and the next run on the machine is
-// byte-identical to a run on a fresh core.
+// returns its core to the pool, and the next run is byte-identical to a
+// run on a fresh core.
 func TestFailedRunDropsItsCore(t *testing.T) {
 	progs, err := workload.MixPrograms([]string{"compress"})
 	if err != nil {
@@ -198,7 +240,7 @@ func TestFailedRunDropsItsCore(t *testing.T) {
 		},
 	}
 	for name, tc := range cases {
-		// A clean run first, so the machine's pool holds a core.
+		// A clean run first, so the pool holds a core.
 		pooledRun(t, pc, poolCellInsts)
 		var failed, next *core.Core
 		o := Options{Machine: pc.mach, Features: pc.feat, Programs: pc.progs, MaxInsts: poolCellInsts}

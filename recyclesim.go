@@ -265,9 +265,9 @@ func Run(o Options) (*Result, error) {
 // so an uncancelled run commits the identical instruction stream with
 // or without a context.
 //
-// A run takes an idle core of its machine when one is left from an
-// earlier clean run and loads it in place (see idleCores); the result
-// is byte-identical to a run on a newly built core.
+// A run takes an idle core when one is left from an earlier clean run
+// and loads it in place for its machine (see idleCores); the result is
+// byte-identical to a run on a newly built core.
 func RunContext(ctx context.Context, o Options) (*Result, error) {
 	progs, err := prepare(&o)
 	if err != nil {
@@ -313,7 +313,7 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 		}
 		// res is the core's own Stats, which the next Load clears.
 		res = copyStats(res)
-		putCore(o.Machine, c)
+		putCore(c)
 		return res, nil
 	}
 
@@ -394,49 +394,35 @@ func copyStats(s *stats.Sim) *stats.Sim {
 }
 
 // idleCores keeps the cores of finished runs for RunContext to load
-// anew rather than build, by machine (a core's machine is fixed; its
-// features and programs are not).  Only a core whose run ended cleanly
-// goes back; one stopped by an error or a panic is dropped.  The list
-// (sweep.FreeList) always keeps the newest core of each worker, and an
-// older one until two garbage collections pass, so a sweep that
-// returns to a machine finds its core while cores of machines no
-// longer run do not pile up.  Cores from NewCore never enter; sampled
-// runs keep their seed cores with the rest of their run state (see
-// sample.Run).
-var idleCores sweep.FreeList[Machine, *core.Core]
+// anew rather than build.  A core fits any machine: Load sizes it in
+// place.  Only a core whose run ended cleanly goes back; one stopped by
+// an error or a panic is dropped.  Cores from NewCore never enter;
+// sampled runs keep their seed cores with the rest of their run state
+// (see sample.Run).
+var idleCores sweep.FreeList[*core.Core]
 
-// getCore returns a core of m loaded with f and progs: an idle one
-// when there is one, else a new one.
+// getCore returns a core loaded with m, f and progs from every
+// program's entry: an idle one when there is one, else a new one.
 func getCore(m Machine, f Features, progs []*Program) (*core.Core, error) {
-	c, _ := idleCores.Get(m)
-	return loadCore(c, m, f, progs)
-}
-
-// loadCore loads c, or a new core of m when c is nil, with f and progs
-// from every program's entry: the one path by which a new and an idle
-// core alike reach their starting state.
-func loadCore(c *core.Core, m Machine, f Features, progs []*Program) (*core.Core, error) {
-	if c == nil {
-		var err error
-		if c, err = core.New(m); err != nil {
-			return nil, err
-		}
+	c, ok := idleCores.Get()
+	if !ok {
+		c = &core.Core{}
 	}
-	if err := c.Load(f, progs, nil, core.Models{}); err != nil {
+	if err := c.Load(m, f, progs, nil, core.Models{}); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// putCore keeps the core of a clean run on m for a later getCore,
-// detaching the caller's hooks and recorders so an idle core holds on
-// to none of them.
-func putCore(m Machine, c *core.Core) {
+// putCore keeps the core of a clean run for a later getCore, detaching
+// the caller's hooks and recorders so an idle core holds on to none of
+// them.
+func putCore(c *core.Core) {
 	c.CommitHook = nil
 	c.SetPoll(nil)
 	c.SetRing(nil)
 	c.SetPipeTrace(nil)
-	idleCores.Put(m, c)
+	idleCores.Put(c)
 }
 
 // NewCore builds a core directly for callers that need cycle-stepping,
@@ -444,5 +430,9 @@ func putCore(m Machine, c *core.Core) {
 // full surface used by the test suite).  The core is the caller's: it
 // never enters the pool RunContext reuses.
 func NewCore(m Machine, f Features, progs []*Program) (*core.Core, error) {
-	return loadCore(nil, m, f, progs)
+	c := &core.Core{}
+	if err := c.Load(m, f, progs, nil, core.Models{}); err != nil {
+		return nil, err
+	}
+	return c, nil
 }

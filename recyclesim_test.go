@@ -26,9 +26,21 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// No workloads, and a nil program, are errors on every entry point,
+// not panics.
 func TestRunNoWorkloads(t *testing.T) {
 	if _, err := Run(Options{Machine: MachineByName("big.2.16")}); err == nil {
 		t.Error("expected error")
+	}
+	nilProg := Options{Machine: MachineByName("big.2.16"), Features: PresetByName("SMT"), Programs: []*Program{nil}}
+	if _, err := Run(nilProg); err == nil {
+		t.Error("Run: a nil program: expected error")
+	}
+	if _, err := RunSampled(nilProg); err == nil {
+		t.Error("RunSampled: a nil program: expected error")
+	}
+	if _, err := NewCore(nilProg.Machine, nilProg.Features, nilProg.Programs); err == nil {
+		t.Error("NewCore: a nil program: expected error")
 	}
 }
 
