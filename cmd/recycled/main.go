@@ -15,8 +15,9 @@
 //
 // With -token the job API requires a client bearer token (with
 // optional per-client in-flight cell quotas and request rate limits;
-// violations get typed 401/429 JSON errors), and with -worker-token
-// the fleet API requires a worker bearer token.  Worker processes
+// violations get 401/429 replies), and with -worker-token the fleet
+// API requires a worker bearer token.  Every error reply of either API
+// is one JSON body (error, code, retry_after_ms).  Worker processes
 // (cmd/recycleworker) pull cells under time-bounded leases; a worker
 // that dies or stalls has its cells requeued automatically, and with
 // no workers attached every cell computes in-process — same results
@@ -73,7 +74,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workerToken := fs.String("worker-token", "", "bearer token workers must present on the fleet API (empty = open)")
 	maxInflight := fs.Int("max-inflight-cells", 0, "per-client in-flight cell quota (0 = unlimited)")
 	rateLimit := fs.Float64("rate-limit", 0, "per-client job-API requests per second (0 = unlimited)")
-	rateBurst := fs.Int("rate-burst", 0, "rate-limit burst size (0 = ceil of -rate-limit)")
+	rateBurst := fs.Int("rate-burst", 0, "rate-limit burst size (0 = ceil of -rate-limit; requires -rate-limit)")
 	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "worker lease TTL (heartbeats renew it; an expired lease requeues its cell)")
 	logLevel := fs.String("log-level", "info", "minimum level for the JSON logs on stderr (debug, info, warn, error)")
 	if err := fs.Parse(args); err != nil {
@@ -91,6 +92,24 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fmt.Fprintf(stderr, "recycled: -log-level: %v\n", err)
+		return 2
+	}
+	// A value the service would ignore or silently replace is refused.
+	var bad string
+	switch {
+	case *maxInflight < 0:
+		bad = "-max-inflight-cells must not be negative"
+	case *rateLimit < 0:
+		bad = "-rate-limit must not be negative"
+	case *rateBurst < 0:
+		bad = "-rate-burst must not be negative"
+	case *rateBurst > 0 && *rateLimit == 0:
+		bad = "-rate-burst requires -rate-limit"
+	case *leaseTTL <= 0:
+		bad = "-lease-ttl must be positive"
+	}
+	if bad != "" {
+		fmt.Fprintf(stderr, "recycled: %s\n", bad)
 		return 2
 	}
 	log := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level}))

@@ -47,6 +47,22 @@ func TestBadFlags(t *testing.T) {
 			t.Errorf("runCtx(%q) = %d, want 2", args, got)
 		}
 	}
+	// Flags the service would ignore or silently replace, next to a
+	// valid -store.  The context is already canceled, so a daemon that
+	// accepted them would return at once instead of serving.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, flags := range [][]string{
+		{"-rate-burst", "5"},          // a burst without a rate
+		{"-max-inflight-cells", "-3"}, // negative quota
+		{"-rate-limit", "-1"},         // negative rate
+		{"-lease-ttl", "-1s"},         // would become the 30s default
+	} {
+		args := append([]string{"-listen", "127.0.0.1:0", "-store", t.TempDir()}, flags...)
+		if got := runCtx(canceled, args, &out, &errb); got != 2 {
+			t.Errorf("runCtx(%q) = %d, want 2", flags, got)
+		}
+	}
 }
 
 var servingLine = regexp.MustCompile(`recycled: serving on (http://[^ ]+) \(store `)

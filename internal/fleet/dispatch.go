@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"recyclesim/internal/obs/trace"
@@ -56,7 +55,10 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// Counters is a snapshot of the dispatcher's accounting.
+// Counters is a snapshot of the dispatcher's accounting.  Its field
+// types are its /metrics schema: the int64 fields are gauges, printed
+// as svc_fleet_<tag>, and the uint64 fields count events, printed as
+// svc_fleet_<tag>_total.
 type Counters struct {
 	Workers        int64  `json:"workers"`
 	QueueDepth     int64  `json:"queue_depth"`
@@ -168,18 +170,7 @@ type Dispatcher struct {
 	workerSeq uint64
 	taskSeq   uint64
 	leaseSeq  uint64
-
-	registers      atomic.Uint64
-	departs        atomic.Uint64
-	workersLost    atomic.Uint64
-	leasesGranted  atomic.Uint64
-	leasesExpired  atomic.Uint64
-	requeues       atomic.Uint64
-	staleResults   atomic.Uint64
-	remoteComputes atomic.Uint64
-	remoteErrors   atomic.Uint64
-	localComputes  atomic.Uint64
-	localFallbacks atomic.Uint64
+	count     Counters // the event counts; Counters fills in the two gauges
 }
 
 // NewDispatcher builds a dispatcher; zero cfg fields get defaults.
@@ -211,23 +202,10 @@ func NewDispatcher(cfg Config) *Dispatcher {
 // Counters returns a snapshot of the accounting.
 func (d *Dispatcher) Counters() Counters {
 	d.mu.Lock()
-	nw, nq := int64(len(d.workers)), int64(len(d.queue))
-	d.mu.Unlock()
-	return Counters{
-		Workers:        nw,
-		QueueDepth:     nq,
-		Registers:      d.registers.Load(),
-		Departs:        d.departs.Load(),
-		WorkersLost:    d.workersLost.Load(),
-		LeasesGranted:  d.leasesGranted.Load(),
-		LeasesExpired:  d.leasesExpired.Load(),
-		Requeues:       d.requeues.Load(),
-		StaleResults:   d.staleResults.Load(),
-		RemoteComputes: d.remoteComputes.Load(),
-		RemoteErrors:   d.remoteErrors.Load(),
-		LocalComputes:  d.localComputes.Load(),
-		LocalFallbacks: d.localFallbacks.Load(),
-	}
+	defer d.mu.Unlock()
+	c := d.count
+	c.Workers, c.QueueDepth = int64(len(d.workers)), int64(len(d.queue))
+	return c
 }
 
 // MaxComputeSpans returns the most trace spans one Compute can add
@@ -272,8 +250,8 @@ func (d *Dispatcher) RegisterWorker(name string, parallel int) RegisterInfo {
 		leases:   make(map[uint64]*lease),
 	}
 	d.workers[w.id] = w
+	d.count.Registers++
 	d.mu.Unlock()
-	d.registers.Add(1)
 	d.log.Info("worker registered", "worker", w.id, "name", name, "parallel", parallel)
 	return RegisterInfo{Worker: w.id, HeartbeatMS: (d.cfg.LeaseTTL / 3).Milliseconds()}
 }
@@ -289,7 +267,7 @@ func (d *Dispatcher) Deregister(workerID string) error {
 		return ErrUnknownWorker
 	}
 	d.removeWorkerLocked(w, "worker-departed")
-	d.departs.Add(1)
+	d.count.Departs++
 	d.log.Info("worker departed", "worker", workerID)
 	return nil
 }
@@ -404,7 +382,7 @@ func (d *Dispatcher) grantLocked(w *worker, t *task) *Grant {
 	t.lease = l
 	w.leases[l.id] = l
 	d.leases[l.id] = l
-	d.leasesGranted.Add(1)
+	d.count.LeasesGranted++
 	d.log.Debug("lease granted", "worker", w.id, "lease", l.id, "cell", t.spec.Name())
 	return &Grant{Lease: l.id, Spec: t.spec}
 }
@@ -423,7 +401,7 @@ func (d *Dispatcher) Complete(workerID string, leaseID uint64, rec *store.Record
 	}
 	l := d.leases[leaseID]
 	if l == nil || l.w.id != workerID {
-		d.staleResults.Add(1)
+		d.count.StaleResults++
 		d.log.Debug("stale completion dropped", "worker", workerID, "lease", leaseID)
 		return true
 	}
@@ -431,12 +409,12 @@ func (d *Dispatcher) Complete(workerID string, leaseID uint64, rec *store.Record
 	t := l.t
 	if errMsg != "" {
 		l.span.Str("error", errMsg).End()
-		d.remoteErrors.Add(1)
+		d.count.RemoteErrors++
 		d.deliverLocked(t, roundResult{kind: roundErr, errMsg: errMsg})
 		return false
 	}
 	l.span.End()
-	d.remoteComputes.Add(1)
+	d.count.RemoteComputes++
 	d.deliverLocked(t, roundResult{kind: roundOK, rec: rec})
 	return false
 }
@@ -469,11 +447,11 @@ func (d *Dispatcher) requeueLocked(t *task, reason string) {
 		return
 	}
 	t.requeues++
-	d.requeues.Add(1)
+	d.count.Requeues++
 	t.tc.Start("requeue").Str("reason", reason).Uint("requeues", uint64(t.requeues)).End()
 	d.log.Info("cell requeued", "cell", t.spec.Name(), "reason", reason, "requeues", t.requeues)
 	if t.requeues > d.cfg.MaxRequeues || len(d.workers) == 0 {
-		d.localFallbacks.Add(1)
+		d.count.LocalFallbacks++
 		d.deliverLocked(t, roundResult{kind: roundFallback, errMsg: reason})
 		return
 	}
@@ -511,14 +489,14 @@ func (d *Dispatcher) removeWorkerLocked(w *worker, reason string) {
 			l.t.lease = nil
 		}
 		l.span.Str("end", reason).End()
-		d.leasesExpired.Add(1)
+		d.count.LeasesExpired++
 		d.requeueLocked(l.t, reason)
 	}
 	w.leases = make(map[uint64]*lease)
 	if len(d.workers) == 0 {
 		for _, t := range d.queue {
 			t.queued = false
-			d.localFallbacks.Add(1)
+			d.count.LocalFallbacks++
 			d.deliverLocked(t, roundResult{kind: roundFallback, errMsg: "no workers attached"})
 		}
 		d.queue = nil
@@ -530,7 +508,7 @@ func (d *Dispatcher) removeWorkerLocked(w *worker, reason string) {
 func (d *Dispatcher) expireLeaseLocked(l *lease, reason string) {
 	d.detachLeaseLocked(l)
 	l.span.Str("end", reason).End()
-	d.leasesExpired.Add(1)
+	d.count.LeasesExpired++
 	d.requeueLocked(l.t, reason)
 }
 
@@ -553,7 +531,7 @@ func (d *Dispatcher) Reap() int {
 	}
 	for _, w := range lost {
 		n += len(w.leases)
-		d.workersLost.Add(1)
+		d.count.WorkersLost++
 		d.log.Warn("worker lost", "worker", w.id, "name", w.name, "leases", len(w.leases),
 			"silent", now.Sub(w.lastSeen).String())
 		d.removeWorkerLocked(w, "worker-lost")
@@ -663,7 +641,9 @@ func (d *Dispatcher) Compute(ctx context.Context, spec Spec, tc trace.Ctx) (*sto
 	// No worker attached, or the fleet gave up on the cell: compute it
 	// here under an "attempt" span (the schema the pre-fleet job server
 	// recorded).
-	d.localComputes.Add(1)
+	d.mu.Lock()
+	d.count.LocalComputes++
+	d.mu.Unlock()
 	at := tc.Start("attempt").Uint("attempt", 0)
 	rec, err := d.cfg.Local(ctx, spec)
 	if err != nil {
@@ -678,19 +658,6 @@ func (d *Dispatcher) Compute(ctx context.Context, spec Spec, tc trace.Ctx) (*sto
 // (svc_fleet_* series), meant for obs/server.AppendMetrics alongside
 // the job layer's metrics.
 func (d *Dispatcher) WriteMetrics(w io.Writer) {
-	c := d.Counters()
 	fmt.Fprintf(w, "# fleet (distributed execution) metrics\n")
-	fmt.Fprintf(w, "svc_fleet_workers %d\n", c.Workers)
-	fmt.Fprintf(w, "svc_fleet_queue_depth %d\n", c.QueueDepth)
-	fmt.Fprintf(w, "svc_fleet_registers_total %d\n", c.Registers)
-	fmt.Fprintf(w, "svc_fleet_departs_total %d\n", c.Departs)
-	fmt.Fprintf(w, "svc_fleet_workers_lost_total %d\n", c.WorkersLost)
-	fmt.Fprintf(w, "svc_fleet_leases_granted_total %d\n", c.LeasesGranted)
-	fmt.Fprintf(w, "svc_fleet_leases_expired_total %d\n", c.LeasesExpired)
-	fmt.Fprintf(w, "svc_fleet_requeues_total %d\n", c.Requeues)
-	fmt.Fprintf(w, "svc_fleet_stale_results_total %d\n", c.StaleResults)
-	fmt.Fprintf(w, "svc_fleet_remote_computes_total %d\n", c.RemoteComputes)
-	fmt.Fprintf(w, "svc_fleet_remote_errors_total %d\n", c.RemoteErrors)
-	fmt.Fprintf(w, "svc_fleet_local_computes_total %d\n", c.LocalComputes)
-	fmt.Fprintf(w, "svc_fleet_local_fallbacks_total %d\n", c.LocalFallbacks)
+	writeCounters(w, "svc_fleet_", d.Counters())
 }

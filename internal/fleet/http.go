@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -9,13 +8,6 @@ import (
 
 	"recyclesim/internal/store"
 )
-
-// Registrar is the handler-mounting surface the fleet dispatcher and
-// the job server mount onto; *http.ServeMux and
-// *internal/obs/server.Server both satisfy it.
-type Registrar interface {
-	Handle(pattern string, handler http.Handler)
-}
 
 // Wire types of the worker protocol; RegisterInfo and Grant are the
 // register and lease replies.  Durations travel as milliseconds so the
@@ -59,121 +51,73 @@ const maxLeaseWait = 30 * time.Second
 // <token>" — the fleet side of the service's trust boundary (client
 // auth lives in the jobs package).
 func (d *Dispatcher) Register(mux Registrar, token string) {
-	guard := func(h http.HandlerFunc) http.Handler {
-		if token == "" {
-			return h
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			got := r.Header.Get("Authorization")
-			want := "Bearer " + token
-			if subtle.ConstantTimeCompare([]byte(got), []byte(want)) != 1 {
-				http.Error(w, `{"error":"unauthorized","code":"unauthorized"}`, http.StatusUnauthorized)
-				return
+	var tokens []string
+	if token != "" {
+		tokens = []string{token}
+	}
+	handle := func(pattern string, h http.HandlerFunc) {
+		mux.Handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if _, ok := Authenticate(w, r, tokens); ok {
+				h(w, r)
 			}
-			h(w, r)
-		})
+		}))
 	}
-	mux.Handle("POST /fleet/register", guard(d.handleRegister))
-	mux.Handle("POST /fleet/lease", guard(d.handleLease))
-	mux.Handle("POST /fleet/heartbeat", guard(d.handleHeartbeat))
-	mux.Handle("POST /fleet/complete", guard(d.handleComplete))
-	mux.Handle("POST /fleet/deregister", guard(d.handleDeregister))
-	mux.Handle("GET /fleet/workers", guard(d.handleWorkers))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// workerStatusCode maps dispatcher errors to HTTP: an unknown worker
-// gets 410 Gone, telling the client to re-register (its state was
-// reaped, or it never existed).
-func workerStatusCode(err error) int {
-	if errors.Is(err, ErrUnknownWorker) {
-		return http.StatusGone
-	}
-	return http.StatusInternalServerError
-}
-
-func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad register body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, http.StatusOK, d.RegisterWorker(req.Name, req.Parallel))
-}
-
-func (d *Dispatcher) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad lease body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > maxLeaseWait {
-		wait = maxLeaseWait
-	}
-	g, err := d.Lease(r.Context(), req.Worker, wait)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // client gone; nothing useful to write
+	handle("POST /fleet/register", jsonHandler(func(r *http.Request, req registerRequest) (any, error) {
+		return d.RegisterWorker(req.Name, req.Parallel), nil
+	}))
+	handle("POST /fleet/lease", jsonHandler(func(r *http.Request, req leaseRequest) (any, error) {
+		wait := min(max(time.Duration(req.WaitMS)*time.Millisecond, 0), maxLeaseWait)
+		g, err := d.Lease(r.Context(), req.Worker, wait)
+		if g == nil {
+			return nil, err // nil, nil: the long poll timed out (204)
 		}
-		http.Error(w, err.Error(), workerStatusCode(err))
-		return
-	}
-	if g == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusOK, g)
+		return g, nil
+	}))
+	handle("POST /fleet/heartbeat", jsonHandler(func(r *http.Request, req heartbeatRequest) (any, error) {
+		return struct{}{}, d.Heartbeat(req.Worker, req.Leases)
+	}))
+	handle("POST /fleet/complete", jsonHandler(func(r *http.Request, req completeRequest) (any, error) {
+		if req.Record == nil && req.Error == "" {
+			return nil, &APIError{Status: http.StatusBadRequest, Code: CodeBadRequest,
+				Message: "complete needs a record or an error"}
+		}
+		return completeResponse{Stale: d.Complete(req.Worker, req.Lease, req.Record, req.Error)}, nil
+	}))
+	handle("POST /fleet/deregister", jsonHandler(func(r *http.Request, req deregisterRequest) (any, error) {
+		return struct{}{}, d.Deregister(req.Worker)
+	}))
+	handle("GET /fleet/workers", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, d.Workers())
+	})
 }
 
-func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad heartbeat body: "+err.Error(), http.StatusBadRequest)
-		return
+// jsonHandler adapts one worker-protocol call to HTTP: it decodes the
+// JSON request body, calls f, and writes f's reply as JSON, a nil
+// reply as 204 No Content, and an error as the JSON error body — an
+// unknown worker as 410 Gone, which tells the worker to re-register.
+// A call that failed because its client has gone gets no reply.
+func jsonHandler[Req any](f func(r *http.Request, req Req) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			WriteError(w, &APIError{Status: http.StatusBadRequest, Code: CodeBadRequest,
+				Message: "bad request body: " + err.Error()})
+			return
+		}
+		out, err := f(r, req)
+		var ae *APIError
+		switch {
+		case err != nil && r.Context().Err() != nil:
+		case errors.As(err, &ae):
+			WriteError(w, ae)
+		case errors.Is(err, ErrUnknownWorker):
+			WriteError(w, &APIError{Status: http.StatusGone, Code: CodeUnknownWorker, Message: err.Error()})
+		case err != nil:
+			WriteError(w, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: err.Error()})
+		case out == nil:
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			WriteJSON(w, http.StatusOK, out)
+		}
 	}
-	if err := d.Heartbeat(req.Worker, req.Leases); err != nil {
-		http.Error(w, err.Error(), workerStatusCode(err))
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req completeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad complete body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Record == nil && req.Error == "" {
-		http.Error(w, "complete needs a record or an error", http.StatusBadRequest)
-		return
-	}
-	stale := d.Complete(req.Worker, req.Lease, req.Record, req.Error)
-	writeJSON(w, http.StatusOK, completeResponse{Stale: stale})
-}
-
-func (d *Dispatcher) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	var req deregisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad deregister body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := d.Deregister(req.Worker); err != nil {
-		http.Error(w, err.Error(), workerStatusCode(err))
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func (d *Dispatcher) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, d.Workers())
 }

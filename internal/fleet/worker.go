@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -46,9 +44,8 @@ type WorkerConfig struct {
 // and the daemon requeues every cell it still holds at once instead of
 // waiting out the lease TTL.
 type Worker struct {
-	cfg  WorkerConfig
-	log  *slog.Logger
-	http *http.Client
+	cfg WorkerConfig
+	log *slog.Logger
 
 	mu       sync.Mutex
 	id       string
@@ -72,11 +69,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if log == nil {
 		log = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
-	hc := cfg.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &Worker{cfg: cfg, log: log, http: hc, holding: make(map[uint64]bool)}
+	return &Worker{cfg: cfg, log: log, holding: make(map[uint64]bool)}
 }
 
 // Computes returns how many cells this worker has computed (for tests
@@ -87,52 +80,14 @@ func (w *Worker) Computes() uint64 {
 	return w.computes
 }
 
-// post sends one JSON request; ctx bounds it.  A nil out discards the
-// response body.  Non-2xx statuses come back as *StatusError.
+// post sends one worker-protocol request; ctx bounds it.  A nil out
+// discards the reply body; a non-2xx reply comes back as *APIError.
 func (w *Worker) post(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
+	req, err := NewRequest(ctx, http.MethodPost, w.cfg.BaseURL+path, w.cfg.Token, in)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if w.cfg.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+w.cfg.Token)
-	}
-	resp, err := w.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(msg))}
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
-// StatusError is a non-2xx protocol reply.
-type StatusError struct {
-	Code int
-	Body string
-}
-
-func (e *StatusError) Error() string { return fmt.Sprintf("fleet: status %d: %s", e.Code, e.Body) }
-
-// gone reports whether err is the daemon disowning this worker (410).
-func gone(err error) bool {
-	se, ok := err.(*StatusError)
-	return ok && se.Code == http.StatusGone
+	return Do(w.cfg.HTTP, req, out)
 }
 
 // register joins (or re-joins) the fleet, retrying with backoff until
@@ -172,8 +127,8 @@ func (w *Worker) workerID() string {
 }
 
 // heartbeatLoop renews held leases every beat until ctx is done.  A
-// 410 means the daemon reaped us: re-registration is signalled on
-// reregister (buffered 1) and picked up by the pullers' next lease
+// 410 (ErrUnknownWorker) means the daemon reaped us: re-registration
+// is signalled on goneCh (buffered 1) and picked up by the pullers' next lease
 // failure — here we just keep trying with the current ID until Run
 // swaps it.
 func (w *Worker) heartbeatLoop(ctx context.Context, goneCh chan<- struct{}) {
@@ -193,7 +148,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, goneCh chan<- struct{}) {
 		}
 		w.mu.Unlock()
 		err := w.post(ctx, "/fleet/heartbeat", heartbeatRequest{Worker: id, Leases: leases}, nil)
-		if gone(err) {
+		if errors.Is(err, ErrUnknownWorker) {
 			select {
 			case goneCh <- struct{}{}:
 			default:
@@ -265,7 +220,7 @@ func (w *Worker) pullLoop(ctx context.Context, goneCh <-chan struct{}, reregiste
 			if ctx.Err() != nil {
 				return
 			}
-			if gone(err) {
+			if errors.Is(err, ErrUnknownWorker) {
 				reregister(id)
 				errStreak = 0
 				continue

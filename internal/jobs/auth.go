@@ -2,14 +2,12 @@ package jobs
 
 import (
 	"context"
-	"crypto/subtle"
-	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
+
+	"recyclesim/internal/fleet"
 )
 
 // clientKey carries the authenticated client identity from the gate
@@ -48,35 +46,6 @@ type AuthConfig struct {
 
 	// now is the rate limiter's clock, injectable by tests.
 	now func() time.Time
-}
-
-// API error codes carried in the typed JSON error body.
-const (
-	CodeUnauthorized = "unauthorized"
-	CodeOverQuota    = "over_quota"
-	CodeRateLimited  = "rate_limited"
-)
-
-// apiErrorBody is the JSON error document the guarded endpoints write
-// for 401/429 (and that the Client decodes back into an *APIError).
-type apiErrorBody struct {
-	Error      string `json:"error"`
-	Code       string `json:"code"`
-	RetryAfter int64  `json:"retry_after_ms,omitempty"`
-}
-
-// writeAPIError emits one typed error reply; 429s carry a Retry-After
-// header (seconds, rounded up) alongside the millisecond body field.
-func writeAPIError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	w.Header().Set("Content-Type", "application/json")
-	if retryAfter > 0 {
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(apiErrorBody{
-		Error: msg, Code: code, RetryAfter: retryAfter.Milliseconds(),
-	})
 }
 
 // gate enforces AuthConfig on the job API: it authenticates each
@@ -118,25 +87,14 @@ func newGate(cfg AuthConfig) *gate {
 // the presented token when token auth is on, the remote host
 // otherwise.  ok=false means the 401 has been written.
 func (g *gate) identify(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if len(g.cfg.Tokens) == 0 {
-		host, _, err := net.SplitHostPort(r.RemoteAddr)
-		if err != nil {
-			host = r.RemoteAddr
-		}
-		return host, true
+	if len(g.cfg.Tokens) > 0 {
+		return fleet.Authenticate(w, r, g.cfg.Tokens)
 	}
-	auth := r.Header.Get("Authorization")
-	tok, isBearer := strings.CutPrefix(auth, "Bearer ")
-	if isBearer {
-		for _, want := range g.cfg.Tokens {
-			if subtle.ConstantTimeCompare([]byte(tok), []byte(want)) == 1 {
-				return tok, true
-			}
-		}
+	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		host = r.RemoteAddr
 	}
-	writeAPIError(w, http.StatusUnauthorized, CodeUnauthorized,
-		"missing or invalid bearer token", 0)
-	return "", false
+	return host, true
 }
 
 // state returns (creating if needed) the client's accounting record.
@@ -213,8 +171,8 @@ func (g *gate) wrap(h http.HandlerFunc) http.Handler {
 			return
 		}
 		if ok, wait := g.allowRate(client); !ok {
-			writeAPIError(w, http.StatusTooManyRequests, CodeRateLimited,
-				"request rate limit exceeded", wait)
+			fleet.WriteError(w, &APIError{Status: http.StatusTooManyRequests, Code: CodeRateLimited,
+				Message: "request rate limit exceeded", RetryAfter: wait})
 			return
 		}
 		h(w, r.WithContext(withClient(r.Context(), client)))

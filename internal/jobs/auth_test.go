@@ -53,8 +53,8 @@ func TestAuthBearerToken(t *testing.T) {
 				if resp.StatusCode != http.StatusUnauthorized {
 					t.Fatalf("status = %d, want 401", resp.StatusCode)
 				}
-				var body apiErrorBody
-				if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Code != tc.wantCode {
+				var body struct{ Error, Code string }
+				if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Code != tc.wantCode || body.Error == "" {
 					t.Fatalf("error body = %+v, %v; want code %q", body, err, tc.wantCode)
 				}
 				return
@@ -186,13 +186,7 @@ func TestRateLimit(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	list := func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, client.BaseURL+"/jobs", nil)
-		if err != nil {
-			return err
-		}
-		return client.do(req, nil)
-	}
+	list := func() error { return client.do(ctx, http.MethodGet, "/jobs", nil, nil) }
 	for i := 0; i < 2; i++ {
 		if err := list(); err != nil {
 			t.Fatalf("request %d within burst: %v", i, err)

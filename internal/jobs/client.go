@@ -1,64 +1,40 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"time"
+
+	"recyclesim/internal/fleet"
 )
 
-// Sentinel errors the typed API errors unwrap to, so callers can
-// branch with errors.Is regardless of message wording.
+// The job API's errors are the ones both HTTP APIs share: a non-2xx
+// reply comes back as an *APIError, which errors.Is matches against
+// the sentinel of its code.
+type APIError = fleet.APIError
+
+// Codes of the job API's admission errors (401/429).
+const (
+	CodeUnauthorized = fleet.CodeUnauthorized
+	CodeOverQuota    = fleet.CodeOverQuota
+	CodeRateLimited  = fleet.CodeRateLimited
+)
+
 var (
 	// ErrUnauthorized: the server requires a bearer token and the
 	// client's was missing or wrong (HTTP 401).
-	ErrUnauthorized = errors.New("jobs: unauthorized")
+	ErrUnauthorized = fleet.ErrUnauthorized
 	// ErrOverQuota: the client's in-flight cell quota is exhausted
 	// (HTTP 429, code over_quota); retry after cells finish.
-	ErrOverQuota = errors.New("jobs: in-flight cell quota exceeded")
+	ErrOverQuota = fleet.ErrOverQuota
 	// ErrRateLimited: the client's request rate limit tripped (HTTP
 	// 429, code rate_limited); retry after APIError.RetryAfter.
-	ErrRateLimited = errors.New("jobs: rate limited")
+	ErrRateLimited = fleet.ErrRateLimited
 )
-
-// APIError is a typed non-2xx reply from the job API.  401/429
-// replies carry a machine-readable code (and, for rate limits, the
-// suggested wait); errors.Is matches the sentinels above through it.
-type APIError struct {
-	Status     int           // HTTP status code
-	Code       string        // CodeUnauthorized, CodeOverQuota, CodeRateLimited, or ""
-	Message    string        // server-provided detail
-	RetryAfter time.Duration // suggested wait before retrying (429 only)
-}
-
-func (e *APIError) Error() string {
-	msg := fmt.Sprintf("jobs: server status %d", e.Status)
-	if e.Code != "" {
-		msg += " (" + e.Code + ")"
-	}
-	if e.Message != "" {
-		msg += ": " + e.Message
-	}
-	return msg
-}
-
-// Unwrap maps the error code onto the package sentinels.
-func (e *APIError) Unwrap() error {
-	switch e.Code {
-	case CodeUnauthorized:
-		return ErrUnauthorized
-	case CodeOverQuota:
-		return ErrOverQuota
-	case CodeRateLimited:
-		return ErrRateLimited
-	}
-	return nil
-}
 
 // Client talks to a recycled job server.  The zero HTTP client is
 // http.DefaultClient; results stream over one long-lived GET, so no
@@ -66,10 +42,11 @@ func (e *APIError) Unwrap() error {
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
-	// TraceID, when non-empty, propagates client→server on every
-	// Submit via the Recycle-Trace-Id header, so the server-side job
-	// trace carries an ID the client chose (and can correlate with its
-	// own records).  Malformed values are ignored by the server.
+	// TraceID, when non-empty, is sent in the Recycle-Trace-Id header
+	// of every request, and a Submit adopts it as the job's trace ID,
+	// so the server-side job trace carries an ID the client chose (and
+	// can correlate with its own records).  Malformed values are
+	// ignored by the server.
 	TraceID string
 	// Token, when non-empty, is sent as "Authorization: Bearer" on
 	// every request — required when the server runs with -token.
@@ -82,76 +59,25 @@ func NewClient(base string) *Client {
 	return &Client{BaseURL: strings.TrimRight(base, "/")}
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-// authorize attaches the bearer token when one is configured.
-func (c *Client) authorize(req *http.Request) {
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
-}
-
-// apiError converts a non-2xx reply into an *APIError, preferring the
-// typed JSON body the admission gate writes and falling back to the
-// raw message for plain http.Error replies.
-func apiError(req *http.Request, resp *http.Response) error {
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var body apiErrorBody
-	if json.Unmarshal(msg, &body) == nil && body.Code != "" {
-		return &APIError{
-			Status:     resp.StatusCode,
-			Code:       body.Code,
-			Message:    body.Error,
-			RetryAfter: time.Duration(body.RetryAfter) * time.Millisecond,
-		}
-	}
-	return &APIError{
-		Status:  resp.StatusCode,
-		Message: fmt.Sprintf("%s %s: %s", req.Method, req.URL.Path, strings.TrimSpace(string(msg))),
-	}
-}
-
-// do issues one request and decodes the JSON reply into out, mapping
-// non-2xx statuses onto typed *APIError values.
-func (c *Client) do(req *http.Request, out any) error {
-	c.authorize(req)
-	resp, err := c.http().Do(req)
+// do sends one job-API request through fleet.Do: in, when non-nil,
+// is the JSON body, and out receives the reply as fleet.Do reads it.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	req, err := fleet.NewRequest(ctx, method, c.BaseURL+path, c.Token, in)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return apiError(req, resp)
+	if c.TraceID != "" {
+		req.Header.Set(TraceHeader, c.TraceID)
 	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return fleet.Do(c.HTTP, req, out)
 }
 
 // Submit posts a sweep and returns its job ID.
 func (c *Client) Submit(ctx context.Context, jr JobRequest) (string, error) {
-	body, err := json.Marshal(jr)
-	if err != nil {
-		return "", err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.TraceID != "" {
-		req.Header.Set(TraceHeader, c.TraceID)
-	}
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := c.do(req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/jobs", jr, &out); err != nil {
 		return "", err
 	}
 	if out.ID == "" {
@@ -163,30 +89,18 @@ func (c *Client) Submit(ctx context.Context, jr JobRequest) (string, error) {
 // FetchTrace downloads a job's Chrome trace_event JSON (the document
 // GET /jobs/{id}/trace serves), ready to save and load in Perfetto.
 func (c *Client) FetchTrace(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/jobs/"+id+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	c.authorize(req)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(req, resp)
-	}
-	return io.ReadAll(resp.Body)
+	var raw []byte
+	err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/trace", nil, func(r io.Reader) (err error) {
+		raw, err = io.ReadAll(r)
+		return err
+	})
+	return raw, err
 }
 
 // Status fetches one job's status document.
 func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
 	var st JobStatus
-	if err := c.do(req, &st); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/jobs/"+id, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -194,12 +108,8 @@ func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
 
 // StoreCounters fetches the server's store accounting.
 func (c *Client) StoreCounters(ctx context.Context) (map[string]uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/storestats", nil)
-	if err != nil {
-		return nil, err
-	}
 	var out map[string]uint64
-	if err := c.do(req, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/storestats", nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -209,32 +119,21 @@ func (c *Client) StoreCounters(ctx context.Context) (map[string]uint64, error) {
 // every cell as it arrives; it returns when the server has sent every
 // cell (the job is done), fn returns an error, or ctx is canceled.
 func (c *Client) StreamResults(ctx context.Context, id string, fn func(CellResult) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/jobs/"+id+"/results", nil)
-	if err != nil {
-		return err
-	}
-	c.authorize(req)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return apiError(req, resp)
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var res CellResult
-		if err := dec.Decode(&res); err != nil {
-			if err == io.EOF {
-				return nil
+	return c.do(ctx, http.MethodGet, "/jobs/"+id+"/results", nil, func(r io.Reader) error {
+		dec := json.NewDecoder(r)
+		for {
+			var res CellResult
+			if err := dec.Decode(&res); err != nil {
+				if err == io.EOF {
+					return nil
+				}
+				return fmt.Errorf("results stream: %w", err)
 			}
-			return fmt.Errorf("results stream: %w", err)
+			if err := fn(res); err != nil {
+				return err
+			}
 		}
-		if err := fn(res); err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // Run is the whole client workflow: submit the sweep, stream every

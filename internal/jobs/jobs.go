@@ -19,6 +19,9 @@
 //	                         trace_event JSON (internal/obs/trace)
 //	GET  /storestats         the store's Counters (hits/computes/...)
 //
+// Every non-2xx reply is the JSON error body both HTTP APIs share
+// (fleet.WriteError); the Client reads it back as an *APIError.
+//
 // Every job carries a request-scoped trace (internal/obs/trace): a
 // span buffer bounded at admission records the whole service
 // path — per-cell queue wait, store lookup (hit/corrupt/recheck),
@@ -42,11 +45,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,7 +127,7 @@ type Config struct {
 	Fleet *fleet.Dispatcher
 	// Auth, when non-nil, guards the job API with bearer-token
 	// authentication, per-client in-flight-cell quotas, and request
-	// rate limits (typed 401/429 replies).
+	// rate limits (401/429 replies with the JSON error body).
 	Auth *AuthConfig
 	// Progress, when non-nil, receives per-cell progress across all
 	// jobs (feeding the obs server's /progress endpoint).
@@ -143,8 +149,7 @@ type Server struct {
 	gate  *gate // nil when cfg.Auth is nil (open service)
 
 	mu   sync.Mutex
-	seq  int
-	jobs map[string]*job
+	jobs []*job // in submission order: jobs[i] is "j<i+1>"
 
 	agg sweep.Aggregate
 	lat latencies
@@ -233,7 +238,7 @@ func NewServer(ctx context.Context, st *store.Store, cfg Config) *Server {
 	if cfg.Fleet == nil {
 		cfg.Fleet = fleet.NewDispatcher(fleet.Config{})
 	}
-	s := &Server{ctx: ctx, store: st, cfg: cfg, log: log, jobs: make(map[string]*job),
+	s := &Server{ctx: ctx, store: st, cfg: cfg, log: log,
 		agg: sweep.Aggregate{Name: "recycled running aggregate"}}
 	if cfg.Auth != nil {
 		s.gate = newGate(*cfg.Auth)
@@ -260,20 +265,21 @@ func (s *Server) Register(mux fleet.Registrar) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
+	err := json.NewDecoder(r.Body).Decode(&req)
+	if err == nil && len(req.Cells) == 0 {
+		err = errors.New("no cells")
 	}
-	if len(req.Cells) == 0 {
-		http.Error(w, "bad request: no cells", http.StatusBadRequest)
+	if err != nil {
+		fleet.WriteError(w, &APIError{Status: http.StatusBadRequest, Code: fleet.CodeBadRequest,
+			Message: "bad request: " + err.Error()})
 		return
 	}
 	client := clientFrom(r.Context())
 	if s.gate != nil {
 		if ok, inflight := s.gate.admitCells(client, len(req.Cells)); !ok {
-			writeAPIError(w, http.StatusTooManyRequests, CodeOverQuota,
-				fmt.Sprintf("in-flight cell quota exceeded: %d in flight + %d requested > limit %d",
-					inflight, len(req.Cells), s.gate.cfg.MaxInFlightCells), 0)
+			fleet.WriteError(w, &APIError{Status: http.StatusTooManyRequests, Code: CodeOverQuota,
+				Message: fmt.Sprintf("in-flight cell quota exceeded: %d in flight + %d requested > limit %d",
+					inflight, len(req.Cells), s.gate.cfg.MaxInFlightCells)})
 			return
 		}
 	}
@@ -290,10 +296,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("job submitted", "job", j.id, "trace", tid.String(),
 		"cells", len(req.Cells), "propagated", ok)
 	go s.runJob(j)
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]string{"id": j.id, "trace": tid.String()})
+	fleet.WriteJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "trace": tid.String()})
 }
 
 // newJob registers a job and opens its trace: the span limit is fixed
@@ -307,9 +310,8 @@ func (s *Server) newJob(cells []CellSpec, tid trace.ID) *job {
 	j.trace = trace.New(tid, 2+len(cells)*(7+s.cfg.Fleet.MaxComputeSpans()))
 	j.trace.SetOnEnd(s.lat.observe)
 	s.mu.Lock()
-	s.seq++
-	j.id = fmt.Sprintf("j%d", s.seq)
-	s.jobs[j.id] = j
+	j.id = fmt.Sprintf("j%d", len(s.jobs)+1)
+	s.jobs = append(s.jobs, j)
 	s.mu.Unlock()
 	j.root = j.trace.Root("job").Uint("cells", uint64(len(cells)))
 	j.cellCtx = make([]trace.Ctx, len(cells))
@@ -321,67 +323,48 @@ func (s *Server) newJob(cells []CellSpec, tid trace.ID) *job {
 	return j
 }
 
-func (s *Server) lookup(id string) *job {
+// lookup returns the job the request's {id} names, or answers 404 and
+// returns nil.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[id]
+	if err == nil && n >= 1 && n <= len(s.jobs) && s.jobs[n-1].id == id {
+		return s.jobs[n-1]
+	}
+	fleet.WriteError(w, &APIError{Status: http.StatusNotFound, Code: fleet.CodeNotFound, Message: "no such job"})
+	return nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
+	if j := s.lookup(w, r); j != nil {
+		fleet.WriteJSON(w, http.StatusOK, j.status())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.status())
 }
 
+// handleList lists every job's status in submission order.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.jobs))
-	//simlint:ignore determinism -- ids are sorted by numeric suffix below
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
-	}
+	jobs := s.jobs // append-only: the first len(jobs) entries never change
 	s.mu.Unlock()
-	out := make([]JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.status())
+	out := make([]JobStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.status()
 	}
-	// Jobs are "j<seq>"; sort by submission order for a stable listing.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && jobLess(out[k].ID, out[k-1].ID); k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
-}
-
-func jobLess(a, b string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	return a < b
+	fleet.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStoreStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.store.Counters())
+	fleet.WriteJSON(w, http.StatusOK, s.store.Counters())
 }
 
 // handleTrace exports a job's request trace as Chrome trace_event
 // JSON, loadable in Perfetto.  Traces of running jobs export too —
 // open spans are closed against "now" and flagged.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.lookup(w, r)
 	if j == nil {
-		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -424,9 +407,8 @@ func (s *Server) WriteServiceMetrics(w io.Writer) {
 // Wait cannot miss it) unblocks the cond wait and the handler returns
 // instead of leaking a goroutine parked on a job nobody is reading.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
+	j := s.lookup(w, r)
 	if j == nil {
-		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	ctx := r.Context()
