@@ -10,9 +10,10 @@
 //
 // Exit status is 0 on success and 2 on bad flags or figure/table
 // numbers the paper does not have.  The -sample-* and -confidence flags
-// without -sampled, and a schedule sampled mode would reject (one that
+// without -sampled, a schedule sampled mode would reject (one that
 // does not fit its period, or an -insts budget smaller than one
-// period), are bad flags.
+// period), and -crash-dir when only the sampled sweep runs are bad
+// flags.
 //
 // The independent simulation cells behind the figures run concurrently
 // on a worker pool (-workers, default GOMAXPROCS); each cell is the
@@ -92,7 +93,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	remote := fs.String("remote", "", "run the sweep on a recycled job server at this base URL instead of simulating locally (failed cells print as zeros, like -keep-going)")
 	remoteToken := fs.String("remote-token", "", "bearer token for the job server (required when recycled runs with -token)")
 	traceOut := fs.String("trace-out", "", "save the remote job's request trace (Chrome trace_event JSON, for Perfetto) to this file (requires -remote)")
-	crashDir := fs.String("crash-dir", "", "persist a crash bundle here for any cell that panics or livelocks")
+	crashDir := fs.String("crash-dir", "", "persist a crash bundle here for any detailed cell that panics or livelocks")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -124,6 +125,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *remote != "" && *crashDir != "" {
 		fmt.Fprintln(stderr, "experiments: -remote and -crash-dir are mutually exclusive (cells run on the server, so crash bundles would land there)")
+		return 2
+	}
+	if *crashDir != "" && !*all && *fig == 0 && *table == 0 {
+		fmt.Fprintln(stderr, "experiments: -crash-dir would be ignored: only the sampled sweep runs, and sampled cells write no crash bundle")
 		return 2
 	}
 	if *traceOut != "" && *remote == "" {

@@ -93,6 +93,12 @@ func TestRunArgs(t *testing.T) {
 			wantErr: "budget 10000 smaller than one period 20000",
 		},
 		{
+			name:    "crash dir with only the sampled sweep",
+			args:    []string{"-sampled", "-insts", "20000", "-crash-dir", "crashes"},
+			want:    2,
+			wantErr: "-crash-dir would be ignored",
+		},
+		{
 			name: "bad schedule is refused before a remote submit",
 			args: []string{"-sampled", "-insts", "2000", "-remote", "http://127.0.0.1:1",
 				"-sample-period", "1000", "-sample-interval", "900", "-sample-warmup", "900"},

@@ -203,6 +203,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		feat.WatchdogCycles = n
 	}
+	if err := feat.Validate(); err != nil {
+		fmt.Fprintf(stderr, "recyclesim: %v\n", err)
+		return 2
+	}
 
 	names := strings.Split(*workloads, ",")
 	known := map[string]bool{}

@@ -54,6 +54,24 @@ func TestRunArgs(t *testing.T) {
 			wantErr: `unknown alt policy "sometimes"`,
 		},
 		{
+			name:    "TME without an alternate-path cap",
+			args:    []string{"-features", "TME", "-altlimit", "0"},
+			want:    2,
+			wantErr: "non-positive AltLimit 0",
+		},
+		{
+			name:    "negative alternate-path limit",
+			args:    []string{"-features", "SMT", "-altlimit", "-3"},
+			want:    2,
+			wantErr: "negative alternate-path limit -3",
+		},
+		{
+			name:    "sampled TME without an alternate-path cap",
+			args:    []string{"-sample", "-features", "TME", "-altlimit", "0", "-workloads", "gcc", "-insts", "40000"},
+			want:    2,
+			wantErr: "non-positive AltLimit 0",
+		},
+		{
 			name:    "sampled run succeeds",
 			args:    []string{"-sample", "-workloads", "gcc", "-insts", "50000", "-sample-period", "5000", "-sample-interval", "500", "-sample-warmup", "500"},
 			want:    0,

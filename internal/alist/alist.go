@@ -107,22 +107,16 @@ type List struct {
 	tail  uint64
 }
 
-// New returns an empty active list with the given capacity.
-func New(capacity int) *List {
-	l := &List{}
-	l.Reset(capacity)
-	return l
-}
-
 // Reset empties the list and sets its capacity, keeping its ring when
 // it is large enough.  Push overwrites every entry it hands out, so the
-// entries a smaller list leaves behind are never read.
-func (l *List) Reset(capacity int) {
+// entries a smaller list leaves behind are never read.  It returns l.
+func (l *List) Reset(capacity int) *List {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
 	*l = List{cap: capacity, ents: slices.Grow(l.ents[:0], n)[:n], mask: uint64(n - 1)}
+	return l
 }
 
 // Capacity returns the ring size.

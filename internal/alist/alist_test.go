@@ -19,7 +19,7 @@ func push(t *testing.T, l *List, pc uint64) *Entry {
 }
 
 func TestPushCommitRetain(t *testing.T) {
-	l := New(4)
+	l := new(List).Reset(4)
 	for i := 0; i < 4; i++ {
 		push(t, l, uint64(0x1000+4*i))
 	}
@@ -41,7 +41,7 @@ func TestPushCommitRetain(t *testing.T) {
 }
 
 func TestAtBounds(t *testing.T) {
-	l := New(4)
+	l := new(List).Reset(4)
 	push(t, l, 0x1000)
 	if _, ok := l.At(0); !ok {
 		t.Error("entry 0 should be retained")
@@ -52,7 +52,7 @@ func TestAtBounds(t *testing.T) {
 }
 
 func TestSquashFrom(t *testing.T) {
-	l := New(8)
+	l := new(List).Reset(8)
 	for i := 0; i < 6; i++ {
 		push(t, l, uint64(i))
 	}
@@ -75,7 +75,7 @@ func TestSquashFrom(t *testing.T) {
 }
 
 func TestSquashAll(t *testing.T) {
-	l := New(8)
+	l := new(List).Reset(8)
 	for i := 0; i < 5; i++ {
 		push(t, l, uint64(i))
 	}
@@ -98,7 +98,7 @@ func TestSquashAll(t *testing.T) {
 }
 
 func TestFirstPCAndFindPC(t *testing.T) {
-	l := New(4)
+	l := new(List).Reset(4)
 	if _, ok := l.FirstPC(); ok {
 		t.Error("empty list has no first PC")
 	}
@@ -129,7 +129,7 @@ func TestTraceTaken(t *testing.T) {
 }
 
 func TestHeadAndCommitSeq(t *testing.T) {
-	l := New(4)
+	l := new(List).Reset(4)
 	if _, ok := l.Head(); ok {
 		t.Error("empty list has no head")
 	}
@@ -162,7 +162,7 @@ func mustAt(l *List, seq uint64) *Entry {
 // every retained seq is addressable.
 func TestRingInvariants(t *testing.T) {
 	fn := func(ops []uint8) bool {
-		l := New(8)
+		l := new(List).Reset(8)
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1:
@@ -206,7 +206,7 @@ func TestRingMatchesReferenceFIFO(t *testing.T) {
 		committed bool
 	}
 	for _, capacity := range []int{5, 8, 48} {
-		l := New(capacity)
+		l := new(List).Reset(capacity)
 		var ref []rec // retained entries, oldest first
 		var tail uint64
 		x := uint64(capacity)

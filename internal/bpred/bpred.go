@@ -65,21 +65,13 @@ type Predictor struct {
 	rasTop []int      // per-context stack pointer (index of next push)
 }
 
-// New builds a predictor with weakly not-taken counters.  It panics when
-// the PHT size or the BTB set count (BTBEntries / BTBAssoc) is not a
-// power of two: configurations are static, and a bad one is a
+// Reset sizes p for cfg and empties it, keeping its tables where they
+// are large enough: weakly not-taken counters, an empty BTB and LRU
+// clock, and cleared histories and return stacks.  It returns p.  It
+// panics when the PHT size or the BTB set count (BTBEntries / BTBAssoc)
+// is not a power of two: configurations are static, and a bad one is a
 // programming error.
-func New(cfg Config) *Predictor {
-	p := &Predictor{}
-	p.Reset(cfg)
-	return p
-}
-
-// Reset sizes p for cfg and puts it into the state New builds, keeping
-// its tables where they are large enough: weakly not-taken counters, an
-// empty BTB and LRU clock, and cleared histories and return stacks.  It
-// panics on the configurations New rejects.
-func (p *Predictor) Reset(cfg Config) {
+func (p *Predictor) Reset(cfg Config) *Predictor {
 	sets := 0
 	if cfg.BTBAssoc > 0 {
 		sets = cfg.BTBEntries / cfg.BTBAssoc
@@ -109,16 +101,7 @@ func (p *Predictor) Reset(cfg Config) {
 		clear(p.ras[c])
 	}
 	clear(p.rasTop)
-}
-
-// Clone returns a deep copy of the predictor: tables, per-context
-// history, and return stacks.  Sampled simulation snapshots the
-// functionally warmed predictor at each measurement point so parallel
-// intervals can train private copies without perturbing one another.
-func (p *Predictor) Clone() *Predictor {
-	q := &Predictor{}
-	q.CopyFrom(p)
-	return q
+	return p
 }
 
 // CopyFrom overwrites p with a deep copy of src, reusing p's tables and

@@ -16,7 +16,7 @@ func lookup(p *Predictor, ctx int, pc uint64, in *isa.Inst) Pred {
 }
 
 func TestPHTLearnsBias(t *testing.T) {
-	p := New(Default(1))
+	p := new(Predictor).Reset(Default(1))
 	pc := uint64(0x1000)
 	in := beq(0x2000)
 	// Train strongly taken.  The history register saturates to all
@@ -38,7 +38,7 @@ func TestPHTLearnsBias(t *testing.T) {
 }
 
 func TestPHTAlternatingWithHistory(t *testing.T) {
-	p := New(Default(1))
+	p := new(Predictor).Reset(Default(1))
 	pc := uint64(0x1000)
 	in := beq(0x2000)
 	// Alternating taken/not-taken: gshare should learn it through the
@@ -61,7 +61,7 @@ func TestPHTAlternatingWithHistory(t *testing.T) {
 }
 
 func TestRASPushPop(t *testing.T) {
-	p := New(Default(2))
+	p := new(Predictor).Reset(Default(2))
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
 	ret := isa.Inst{Op: isa.OpJr, Rs1: isa.RegRA}
 
@@ -87,7 +87,7 @@ func TestRASPushPop(t *testing.T) {
 }
 
 func TestRASRecovery(t *testing.T) {
-	p := New(Default(1))
+	p := new(Predictor).Reset(Default(1))
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
 	cond := beq(0x2000)
 
@@ -112,7 +112,7 @@ func TestRASRecovery(t *testing.T) {
 }
 
 func TestHistoryRecovery(t *testing.T) {
-	p := New(Default(1))
+	p := new(Predictor).Reset(Default(1))
 	in := beq(0x2000)
 	p.ForceHist(0, 0b101)
 	pr := lookup(p, 0, 0x1000, &in)
@@ -133,7 +133,7 @@ func TestHistoryRecovery(t *testing.T) {
 }
 
 func TestBTBIndirect(t *testing.T) {
-	p := New(Default(1))
+	p := new(Predictor).Reset(Default(1))
 	jr := isa.Inst{Op: isa.OpJr, Rs1: 5} // indirect, not a return
 	pr := lookup(p, 0, 0x1000, &jr)
 	if pr.Target != 0x1000+isa.InstBytes {
@@ -150,7 +150,7 @@ func TestBTBReplacement(t *testing.T) {
 	cfg := Default(1)
 	cfg.BTBEntries = 8
 	cfg.BTBAssoc = 4 // 2 sets
-	p := New(cfg)
+	p := new(Predictor).Reset(cfg)
 	jr := isa.Inst{Op: isa.OpJr, Rs1: 5}
 	// Fill one set beyond capacity; oldest entries must be evicted, and
 	// the newest must survive.
@@ -169,7 +169,7 @@ func TestBTBReplacement(t *testing.T) {
 }
 
 func TestCopyContext(t *testing.T) {
-	p := New(Default(2))
+	p := new(Predictor).Reset(Default(2))
 	call := isa.Inst{Op: isa.OpJal, Rd: isa.RegRA, Target: 0x3000}
 	pr := lookup(p, 0, 0x1000, &call)
 	p.SpecUpdate(0, &call, 0x1000, &pr)
@@ -218,19 +218,21 @@ func drive(p *Predictor, seed uint64, n int) {
 }
 
 // CopyFrom into a dirty destination — trained on another stream, or
-// built for fewer contexts — equals a Clone of the source, and the copy
-// shares nothing with the source.
+// built for fewer contexts — equals CopyFrom into a zero Predictor, and
+// the copy shares nothing with the source.
 func TestCopyFromMatchesClone(t *testing.T) {
 	// src and want see the same stream, so want is an independent
 	// witness of src's state.
-	src, want := New(Default(4)), New(Default(4))
+	src, want := new(Predictor).Reset(Default(4)), new(Predictor).Reset(Default(4))
 	drive(src, 1, 5_000)
 	drive(want, 1, 5_000)
-	for _, dst := range []*Predictor{New(Default(4)), New(Default(1))} {
+	for _, dst := range []*Predictor{new(Predictor).Reset(Default(4)), new(Predictor).Reset(Default(1))} {
 		drive(dst, 2, 1_000)
 		dst.CopyFrom(src)
-		if !reflect.DeepEqual(dst, src.Clone()) {
-			t.Fatalf("CopyFrom into a %d-context predictor differs from Clone", len(dst.hist))
+		zero := &Predictor{}
+		zero.CopyFrom(src)
+		if !reflect.DeepEqual(dst, zero) {
+			t.Fatalf("CopyFrom into a %d-context predictor differs from one into a zero Predictor", len(dst.hist))
 		}
 		drive(dst, 3, 1_000)
 		if !reflect.DeepEqual(src, want) {
@@ -239,28 +241,28 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 }
 
-// Reset after training leaves exactly what New builds for the
-// configuration it is given: the counters, BTB, LRU clock, histories
+// Reset after training leaves exactly what Reset of a zero Predictor
+// builds for the configuration it is given: the counters, BTB, LRU clock, histories
 // and return stacks all start over, sized for a larger or a smaller
 // machine alike.
 func TestResetMatchesNew(t *testing.T) {
-	p := New(Default(4))
+	p := new(Predictor).Reset(Default(4))
 	drive(p, 1, 5_000)
-	if reflect.DeepEqual(p, New(Default(4))) {
-		t.Fatal("training left the predictor as New builds it")
+	if reflect.DeepEqual(p, new(Predictor).Reset(Default(4))) {
+		t.Fatal("training left the predictor as Reset builds it")
 	}
 	small := Default(2)
 	small.PHTEntries, small.BTBEntries, small.RASEntries = 512, 64, 4
 	for _, cfg := range []Config{Default(4), Default(16), small, Default(4)} {
 		p.Reset(cfg)
-		if !reflect.DeepEqual(p, New(cfg)) {
-			t.Errorf("Reset(%+v) after training differs from New", cfg)
+		if !reflect.DeepEqual(p, new(Predictor).Reset(cfg)) {
+			t.Errorf("Reset(%+v) after training differs from Reset of a zero Predictor", cfg)
 		}
 		drive(p, 1, 5_000)
 	}
 }
 
-// New masks its PHT and BTB indexes, so it refuses a PHT size or a BTB
+// The predictor masks its PHT and BTB indexes, so Reset refuses a PHT size or a BTB
 // set count that is not a power of two.
 func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct {
@@ -281,11 +283,11 @@ func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 		tc.edit(&cfg)
 		got := func() (panicked bool) {
 			defer func() { panicked = recover() != nil }()
-			New(cfg)
+			new(Predictor).Reset(cfg)
 			return false
 		}()
 		if got != tc.panic {
-			t.Errorf("%s: New panicked = %v, want %v", tc.name, got, tc.panic)
+			t.Errorf("%s: Reset panicked = %v, want %v", tc.name, got, tc.panic)
 		}
 	}
 }
@@ -310,7 +312,7 @@ func TestLookupHitRefreshesBTBReplacement(t *testing.T) {
 	}
 
 	// Without a lookup, the oldest insert (pc 0x1000) is the victim.
-	p := New(cfg)
+	p := new(Predictor).Reset(cfg)
 	fill(p)
 	pr := lookup(p, 0, 0x2000, &jr)
 	p.Commit(0x2000, &jr, &pr, true, 0x9000)
@@ -319,7 +321,7 @@ func TestLookupHitRefreshesBTBReplacement(t *testing.T) {
 	}
 
 	// A lookup hit on 0x1000 moves the victim to the next oldest, 0x1004.
-	p = New(cfg)
+	p = new(Predictor).Reset(cfg)
 	fill(p)
 	if got := target(p, 0x1000); got != 0x8000 {
 		t.Fatalf("lookup of 0x1000 missed: target 0x%x", got)
@@ -408,7 +410,7 @@ func TestTrainMatchesLookupSequence(t *testing.T) {
 		t.Fatalf("calls nest only %d deep, not past the %d-entry return stack", maxDepth, cfg.RASEntries)
 	}
 
-	got, want := New(cfg), New(cfg)
+	got, want := new(Predictor).Reset(cfg), new(Predictor).Reset(cfg)
 	var condMiss, retMiss, btbHit, btbMiss int
 	for i := range stream {
 		b := &stream[i]

@@ -71,15 +71,6 @@ type Cache struct {
 	setMask, bankMask   uint64
 }
 
-// New builds a cache from params.  It panics on a geometry that
-// HierarchyParams.Validate would reject, since configurations are
-// static and a bad one is a programming error.
-func New(p Params) *Cache {
-	c := &Cache{}
-	c.Reset(p)
-	return c
-}
-
 // geometry returns p's set and bank counts.  It fails on
 // non-positive geometry, on a size below one full set, and on a line
 // size, set count or bank count that is not a power of two.
@@ -101,15 +92,6 @@ func (p Params) geometry() (sets, banks int, err error) {
 }
 
 func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// Clone returns a deep copy of the cache: tag pages, bank state, and
-// statistics.  Sampled simulation snapshots functionally warmed caches
-// so parallel measurement intervals each mutate a private copy.
-func (c *Cache) Clone() *Cache {
-	q := &Cache{}
-	q.CopyFrom(c)
-	return q
-}
 
 // CopyFrom overwrites c with a deep copy of src, reusing c's arrays
 // and tag pages: a page both hold is copied in place, one only src
@@ -143,12 +125,14 @@ func (c *Cache) CopyFrom(src *Cache) {
 	c.bankCnt = append(bankCnt[:0], src.bankCnt...)
 }
 
-// Reset sizes c for p and empties it as New builds it: every line
-// invalid, the banks idle, the clock and statistics zero.  It moves the
-// tag pages c holds to the spare list, so a cache reset between runs
-// allocates none of them again; spare pages of another page size than
-// p's are dropped.  It panics on the geometries New rejects.
-func (c *Cache) Reset(p Params) {
+// Reset sizes c for p and empties it: every line invalid, the banks
+// idle, the clock and statistics zero.  It moves the tag pages c holds
+// to the spare list, so a cache reset between runs allocates none of
+// them again; spare pages of another page size than p's are dropped.
+// It returns c.  It panics on a geometry that HierarchyParams.Validate
+// would reject, since configurations are static and a bad one is a
+// programming error.
+func (c *Cache) Reset(p Params) *Cache {
 	sets, banks, err := p.geometry()
 	if err != nil {
 		panic(err)
@@ -177,6 +161,7 @@ func (c *Cache) Reset(p Params) {
 	}
 	clear(c.bankCyc)
 	clear(c.bankCnt)
+	return c
 }
 
 // pageLen returns the number of lines in one of c's tag pages.
@@ -306,8 +291,8 @@ func DefaultHierarchy(scale int) HierarchyParams {
 	}
 }
 
-// Validate reports why NewHierarchy would refuse p: a level whose
-// geometry New rejects.
+// Validate reports why Hierarchy.Reset would refuse p: a level whose
+// geometry Cache.Reset rejects.
 func (p HierarchyParams) Validate() error {
 	for _, lp := range []Params{p.IL1, p.DL1, p.L2, p.L3} {
 		if _, _, err := lp.geometry(); err != nil {
@@ -326,20 +311,6 @@ type Hierarchy struct {
 	L3  *Cache
 }
 
-// NewHierarchy builds the full memory system.
-func NewHierarchy(p HierarchyParams) *Hierarchy {
-	h := &Hierarchy{}
-	h.Reset(p)
-	return h
-}
-
-// Clone returns a deep copy of the whole hierarchy.
-func (h *Hierarchy) Clone() *Hierarchy {
-	q := &Hierarchy{}
-	q.CopyFrom(h)
-	return q
-}
-
 // CopyFrom overwrites h with a deep copy of src, reusing the levels'
 // arrays (see Cache.CopyFrom); a nil level gets a fresh cache.
 func (h *Hierarchy) CopyFrom(src *Hierarchy) {
@@ -351,13 +322,14 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 }
 
 // Reset sizes h for p and empties every level in place (see
-// Cache.Reset); a nil level gets a fresh cache.
-func (h *Hierarchy) Reset(p HierarchyParams) {
+// Cache.Reset); a nil level gets a fresh cache.  It returns h.
+func (h *Hierarchy) Reset(p HierarchyParams) *Hierarchy {
 	h.p = p
 	level(&h.IL1).Reset(p.IL1)
 	level(&h.DL1).Reset(p.DL1)
 	level(&h.L2).Reset(p.L2)
 	level(&h.L3).Reset(p.L3)
+	return h
 }
 
 // level returns *c, building an empty cache there first when it is nil.

@@ -12,14 +12,14 @@ func small() Params {
 }
 
 func TestGeometry(t *testing.T) {
-	c := New(small())
+	c := new(Cache).Reset(small())
 	if c.Sets() != 1024/(64*2) {
 		t.Errorf("sets = %d", c.Sets())
 	}
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := New(small())
+	c := new(Cache).Reset(small())
 	if hit, _ := c.Lookup(1, 0x1000); hit {
 		t.Error("cold access should miss")
 	}
@@ -35,7 +35,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestLRUWithinSet(t *testing.T) {
-	c := New(small()) // 8 sets, 2 ways; same-set stride = 8*64 = 512
+	c := new(Cache).Reset(small()) // 8 sets, 2 ways; same-set stride = 8*64 = 512
 	a, b, d := uint64(0), uint64(512), uint64(1024)
 	c.Lookup(1, a)
 	c.Lookup(2, b)
@@ -53,7 +53,7 @@ func TestLRUWithinSet(t *testing.T) {
 }
 
 func TestBankConflictSameCycle(t *testing.T) {
-	c := New(small()) // 2 banks; lines alternate banks
+	c := new(Cache).Reset(small()) // 2 banks; lines alternate banks
 	if _, delay := c.Lookup(5, 0x0); delay != 0 {
 		t.Errorf("first access delayed %d", delay)
 	}
@@ -70,7 +70,7 @@ func TestBankConflictSameCycle(t *testing.T) {
 }
 
 func TestBankDelayBounded(t *testing.T) {
-	c := New(small())
+	c := new(Cache).Reset(small())
 	// Hammer one bank for many cycles from two "threads"; the delay
 	// must never exceed the same-cycle access count.
 	for cyc := uint64(1); cyc < 1000; cyc++ {
@@ -83,7 +83,7 @@ func TestBankDelayBounded(t *testing.T) {
 }
 
 func TestHierarchyLatencyChain(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy(1))
+	h := new(Hierarchy).Reset(DefaultHierarchy(1))
 	// Cold access: L1 miss + L2 miss + L3 miss + memory.
 	lat := h.AccessD(1, 0x10000)
 	want := 1 + 6 + 12 + 62
@@ -97,7 +97,7 @@ func TestHierarchyLatencyChain(t *testing.T) {
 }
 
 func TestHierarchyL2Hit(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy(1))
+	h := new(Hierarchy).Reset(DefaultHierarchy(1))
 	h.AccessD(1, 0x10000) // fill all levels
 	// Evict from the direct-mapped L1 by touching the conflicting line.
 	conflict := uint64(0x10000) + uint64(h.DL1.Sets()*64)
@@ -110,7 +110,7 @@ func TestHierarchyL2Hit(t *testing.T) {
 }
 
 func TestInstructionPathSeparate(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy(1))
+	h := new(Hierarchy).Reset(DefaultHierarchy(1))
 	h.AccessD(1, 0x4000)
 	lat, hit := h.AccessI(2, 0x4000)
 	if hit {
@@ -150,7 +150,7 @@ func TestMissRate(t *testing.T) {
 // Property: a line that was just accessed is always resident
 // immediately afterwards (fill-on-miss), regardless of access sequence.
 func TestFillOnMissProperty(t *testing.T) {
-	c := New(small())
+	c := new(Cache).Reset(small())
 	cycle := uint64(0)
 	fn := func(addrs []uint16) bool {
 		for _, a := range addrs {
@@ -174,7 +174,7 @@ func TestBadGeometryPanics(t *testing.T) {
 			t.Error("expected panic for zero-size cache")
 		}
 	}()
-	New(Params{Name: "bad"})
+	new(Cache).Reset(Params{Name: "bad"})
 }
 
 // train drives a cache hierarchy with a pseudo-random stream of
@@ -224,22 +224,24 @@ func sameState(a, b any) bool {
 }
 
 // CopyFrom into a dirty destination — trained on another stream, with
-// stale bank state, or built with a smaller geometry — equals a Clone
-// of the source, and the copy shares nothing with the source.
+// stale bank state, or built with a smaller geometry — equals CopyFrom
+// into a zero value, and the copy shares nothing with the source.
 func TestCopyFromMatchesClone(t *testing.T) {
 	// src and want see the same stream, so want is an independent
 	// witness of src's state.
-	src, want := NewHierarchy(DefaultHierarchy(1)), NewHierarchy(DefaultHierarchy(1))
+	src, want := new(Hierarchy).Reset(DefaultHierarchy(1)), new(Hierarchy).Reset(DefaultHierarchy(1))
 	train(src, 1, 20_000)
 	train(want, 1, 20_000)
 	for _, dst := range []*Hierarchy{
-		NewHierarchy(DefaultHierarchy(1)),
-		NewHierarchy(DefaultHierarchy(4)),
+		new(Hierarchy).Reset(DefaultHierarchy(1)),
+		new(Hierarchy).Reset(DefaultHierarchy(4)),
 	} {
 		train(dst, 2, 5_000)
 		dst.CopyFrom(src)
-		if !sameState(dst, src.Clone()) {
-			t.Fatal("Hierarchy.CopyFrom differs from Clone")
+		zero := &Hierarchy{}
+		zero.CopyFrom(src)
+		if !sameState(dst, zero) {
+			t.Fatal("Hierarchy.CopyFrom differs from one into a zero Hierarchy")
 		}
 		train(dst, 3, 5_000)
 		if !reflect.DeepEqual(src, want) {
@@ -250,22 +252,23 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	// A same-geometry destination trained on addresses the source never
 	// saw holds lines in sets the source never filled (in the L3 at
 	// least): the copy must drop those pages to its spare list, and then
-	// behave exactly like a clone, hit for hit, as the sets of the
+	// behave exactly like a copy into a zero Hierarchy, hit for hit, as the sets of the
 	// dropped pages fill again from the spares.
-	src = NewHierarchy(DefaultHierarchy(1))
+	src = new(Hierarchy).Reset(DefaultHierarchy(1))
 	sweep(src, 1, 0, 1_000)
-	dst := NewHierarchy(DefaultHierarchy(1))
+	dst := new(Hierarchy).Reset(DefaultHierarchy(1))
 	sweep(dst, 1, 1<<20, 1_000)
 	dst.CopyFrom(src)
-	clone := src.Clone()
+	clone := &Hierarchy{}
+	clone.CopyFrom(src)
 	if !sameState(dst, clone) {
-		t.Fatal("CopyFrom over a disjointly trained hierarchy differs from Clone")
+		t.Fatal("CopyFrom over a disjointly trained hierarchy differs from one into a zero Hierarchy")
 	}
 	if len(dst.L3.spare) == 0 {
 		t.Fatal("CopyFrom over a disjointly trained hierarchy kept no dropped L3 page spare")
 	}
 	if got, want := sweep(dst, 5_000, 1<<20, 2_000), sweep(clone, 5_000, 1<<20, 2_000); !reflect.DeepEqual(got, want) {
-		t.Fatal("a copy over a disjointly trained hierarchy hits and misses unlike a clone")
+		t.Fatal("a copy over a disjointly trained hierarchy hits and misses unlike a copy into a zero Hierarchy")
 	}
 
 	fill := func(c *Cache) *Cache {
@@ -274,13 +277,15 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		}
 		return c
 	}
-	c, cWant := fill(New(small())), fill(New(small()))
-	d := New(small())
+	c, cWant := fill(new(Cache).Reset(small())), fill(new(Cache).Reset(small()))
+	d := new(Cache).Reset(small())
 	d.Lookup(1_000, 0x40)
 	d.Lookup(1_000, 0xc0) // same bank, same cycle: a stale bank count
 	d.CopyFrom(c)
-	if !sameState(d, c.Clone()) {
-		t.Fatal("Cache.CopyFrom differs from Clone")
+	zero := &Cache{}
+	zero.CopyFrom(c)
+	if !sameState(d, zero) {
+		t.Fatal("Cache.CopyFrom differs from one into a zero Cache")
 	}
 	d.Lookup(2_000, 0x9000)
 	d.Lookup(2_000, 0x9080)
@@ -289,8 +294,8 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 }
 
-// New indexes with shifts and masks, so it refuses a line size, set
-// count or bank count that is not a power of two.
+// A cache indexes with shifts and masks, so Reset refuses a line size,
+// set count or bank count that is not a power of two.
 func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 	ok := Params{Name: "t", SizeBytes: 4096, LineBytes: 64, Assoc: 2, Banks: 4}
 	for _, tc := range []struct {
@@ -310,17 +315,17 @@ func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 		tc.edit(&p)
 		got := func() (panicked bool) {
 			defer func() { panicked = recover() != nil }()
-			New(p)
+			new(Cache).Reset(p)
 			return false
 		}()
 		if got != tc.panic {
-			t.Errorf("%s: New panicked = %v, want %v", tc.name, got, tc.panic)
+			t.Errorf("%s: Reset panicked = %v, want %v", tc.name, got, tc.panic)
 		}
 	}
 }
 
 // Validate refuses a hierarchy with a level smaller than one full set,
-// and New panics on such a level rather than build a one-set cache
+// and Reset panics on such a level rather than build a one-set cache
 // larger than its stated size.  At scale 2048 the 64 KB direct-mapped
 // L1s hold 32 bytes, half a line.
 func TestHierarchyValidate(t *testing.T) {
@@ -333,8 +338,8 @@ func TestHierarchyValidate(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("New built a cache smaller than one set")
+			t.Error("Reset built a cache smaller than one set")
 		}
 	}()
-	New(p.IL1)
+	new(Cache).Reset(p.IL1)
 }

@@ -126,15 +126,15 @@ func fuzzParams(geom uint16) (p Params, addrShift uint) {
 // by the geometry's shift.  After every access the hit, bank delay,
 // Stats and Contains on this and the previous address must agree.
 // Midway, a cache of the same geometry trained on a disjoint stream
-// takes a CopyFrom of the one under test, must equal its Clone apart
-// from the spare pages (sameState), and carries on as the cache under
+// takes a CopyFrom of the one under test, must equal a CopyFrom into a
+// zero Cache apart from the spare pages (sameState), and carries on as the cache under
 // test; the source must stay as it was.  Right after the copy, every
 // line the destination held in a page the copy dropped is looked up
 // again, so a spare page refilled with its stale lines shows up as a
 // hit the reference does not make.  Three quarters of the way, the
 // cache under test is Reset to a second geometry, geom2 (the same one
-// or another, with its own address scale), must equal a new cache of
-// that geometry apart from the spare pages, and must match a fresh
+// or another, with its own address scale), must equal a zero Cache
+// Reset to that geometry apart from the spare pages, and must match a fresh
 // reference of it from cold.  Streams are cut to 4,096 accesses to
 // keep one run cheap.
 func FuzzCacheLookup(f *testing.F) {
@@ -149,7 +149,7 @@ func FuzzCacheLookup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, geom, geom2 uint16, stream []byte) {
 		stream = stream[:min(len(stream), 3*4096)/3*3]
 		p, addrShift := fuzzParams(geom)
-		c, ref := New(p), newRefCache(p)
+		c, ref := new(Cache).Reset(p), newRefCache(p)
 		access := func(i int) (step, addr uint64) {
 			return uint64(stream[3*i] & 3), (uint64(stream[3*i+1]) | uint64(stream[3*i+2])<<8) << addrShift
 		}
@@ -158,7 +158,7 @@ func FuzzCacheLookup(f *testing.F) {
 		now, prev := uint64(1), uint64(0)
 		for i := 0; i < n; i++ {
 			if i == n/2 {
-				dst := New(p)
+				dst := new(Cache).Reset(p)
 				for j, at := 0, uint64(1); j < n; j++ {
 					step, addr := access(j)
 					at += step
@@ -166,10 +166,12 @@ func FuzzCacheLookup(f *testing.F) {
 				}
 				dropped := droppedLines(dst, c)
 				dst.CopyFrom(c)
-				if !sameState(dst, c.Clone()) {
-					t.Fatalf("access %d: CopyFrom over a cache trained on another stream differs from Clone", i)
+				srcClone = &Cache{}
+				srcClone.CopyFrom(c)
+				if !sameState(dst, srcClone) {
+					t.Fatalf("access %d: CopyFrom over a cache trained on another stream differs from one into a zero Cache", i)
 				}
-				src, srcClone, c = c, c.Clone(), dst
+				src, c = c, dst
 				for _, a := range dropped {
 					hit, delay := c.Lookup(now, a)
 					wantHit, wantDelay := ref.lookup(now, a)
@@ -181,8 +183,8 @@ func FuzzCacheLookup(f *testing.F) {
 			if i == 3*n/4 {
 				p, addrShift = fuzzParams(geom2)
 				c.Reset(p)
-				if !sameState(c, New(p)) {
-					t.Fatalf("access %d: a cache Reset to %+v differs from a new one", i, p)
+				if !sameState(c, new(Cache).Reset(p)) {
+					t.Fatalf("access %d: a cache Reset to %+v differs from a zero Cache Reset to it", i, p)
 				}
 				ref = newRefCache(p)
 			}

@@ -44,24 +44,6 @@ type Estimator struct {
 	mask uint64 // Entries-1: the table index masks instead of dividing
 }
 
-// New builds an estimator; all counters start at zero (low confidence),
-// so cold branches are fork candidates until they prove predictable.
-// It panics when Entries is not a power of two: configurations are
-// static, and a bad one is a programming error.
-func New(cfg Config) *Estimator {
-	e := &Estimator{}
-	e.Reset(cfg)
-	return e
-}
-
-// Clone returns a deep copy of the estimator (for sampled simulation's
-// per-interval model snapshots).
-func (e *Estimator) Clone() *Estimator {
-	q := &Estimator{}
-	q.CopyFrom(e)
-	return q
-}
-
 // CopyFrom overwrites e with a deep copy of src, reusing e's counter
 // table when it is large enough.
 func (e *Estimator) CopyFrom(src *Estimator) {
@@ -70,15 +52,18 @@ func (e *Estimator) CopyFrom(src *Estimator) {
 	e.ctr = append(ctr[:0], src.ctr...)
 }
 
-// Reset sizes e for cfg and zeroes every counter, as New leaves them,
-// keeping the table when it is large enough.  It panics on the
-// configurations New rejects.
-func (e *Estimator) Reset(cfg Config) {
+// Reset sizes e for cfg and zeroes every counter (low confidence, so
+// cold branches are fork candidates until they prove predictable),
+// keeping the table when it is large enough.  It returns e.  It panics
+// when Entries is not a power of two: configurations are static, and a
+// bad one is a programming error.
+func (e *Estimator) Reset(cfg Config) *Estimator {
 	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
 		panic(fmt.Sprintf("confidence: table entries (%d) must be a power of two", cfg.Entries))
 	}
 	*e = Estimator{cfg: cfg, ctr: slices.Grow(e.ctr[:0], cfg.Entries)[:cfg.Entries], mask: uint64(cfg.Entries - 1)}
 	clear(e.ctr)
+	return e
 }
 
 func (e *Estimator) index(pc uint64) int {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestColdIsLowConfidence(t *testing.T) {
-	e := New(Default())
+	e := new(Estimator).Reset(Default())
 	if e.HighConfidence(0x1000) {
 		t.Error("cold branches must be low confidence (fork candidates)")
 	}
@@ -14,7 +14,7 @@ func TestColdIsLowConfidence(t *testing.T) {
 
 func TestWarmsToHighConfidence(t *testing.T) {
 	cfg := Default()
-	e := New(cfg)
+	e := new(Estimator).Reset(cfg)
 	for i := 0; i < cfg.Threshold; i++ {
 		if e.HighConfidence(0x1000) {
 			t.Fatalf("high confidence after only %d correct predictions", i)
@@ -28,7 +28,7 @@ func TestWarmsToHighConfidence(t *testing.T) {
 
 func TestMispredictResets(t *testing.T) {
 	cfg := Default()
-	e := New(cfg)
+	e := new(Estimator).Reset(cfg)
 	for i := 0; i < cfg.Max; i++ {
 		e.Update(0x1000, true)
 	}
@@ -42,7 +42,7 @@ func TestMispredictResets(t *testing.T) {
 }
 
 func TestPCIndexedNotHistoryIndexed(t *testing.T) {
-	e := New(Default())
+	e := new(Estimator).Reset(Default())
 	for i := 0; i < 10; i++ {
 		e.Update(0x1000, true)
 	}
@@ -53,7 +53,7 @@ func TestPCIndexedNotHistoryIndexed(t *testing.T) {
 }
 
 func TestSeparateBranches(t *testing.T) {
-	e := New(Default())
+	e := new(Estimator).Reset(Default())
 	for i := 0; i < 10; i++ {
 		e.Update(0x1000, true)
 	}
@@ -66,7 +66,7 @@ func TestSeparateBranches(t *testing.T) {
 
 func TestTableAliasing(t *testing.T) {
 	cfg := Config{Entries: 4, Max: 15, Threshold: 4}
-	e := New(cfg)
+	e := new(Estimator).Reset(cfg)
 	// PCs 4 instructions apart land in different entries; PCs
 	// Entries*4 bytes apart alias.
 	for i := 0; i < 10; i++ {
@@ -79,8 +79,8 @@ func TestTableAliasing(t *testing.T) {
 }
 
 // CopyFrom into a dirty destination — trained on another stream —
-// equals a Clone of the source, and the copy shares nothing with the
-// source.
+// equals CopyFrom into a zero Estimator, and the copy shares nothing
+// with the source.
 func TestCopyFromMatchesClone(t *testing.T) {
 	train := func(e *Estimator, seed uint64, n int) {
 		x := seed
@@ -91,14 +91,16 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 	// src and want see the same stream, so want is an independent
 	// witness of src's state.
-	src, want := New(Default()), New(Default())
+	src, want := new(Estimator).Reset(Default()), new(Estimator).Reset(Default())
 	train(src, 1, 20_000)
 	train(want, 1, 20_000)
-	dst := New(Default())
+	dst := new(Estimator).Reset(Default())
 	train(dst, 2, 5_000)
 	dst.CopyFrom(src)
-	if !reflect.DeepEqual(dst, src.Clone()) {
-		t.Fatal("CopyFrom differs from Clone")
+	zero := &Estimator{}
+	zero.CopyFrom(src)
+	if !reflect.DeepEqual(dst, zero) {
+		t.Fatal("CopyFrom into a trained estimator differs from one into a zero Estimator")
 	}
 	train(dst, 3, 5_000)
 	if !reflect.DeepEqual(src, want) {
@@ -106,25 +108,26 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 }
 
-// Reset after training leaves exactly what New builds.
+// Reset after training leaves exactly what Reset of a zero Estimator
+// builds.
 func TestResetMatchesNew(t *testing.T) {
-	e := New(Default())
+	e := new(Estimator).Reset(Default())
 	x := uint64(1)
 	for i := 0; i < 20_000; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 		e.Update(x>>20%8192, x>>60 != 0)
 	}
-	if reflect.DeepEqual(e, New(Default())) {
-		t.Fatal("training left the estimator as New builds it")
+	if reflect.DeepEqual(e, new(Estimator).Reset(Default())) {
+		t.Fatal("training left the estimator as Reset builds it")
 	}
 	e.Reset(Default())
-	if !reflect.DeepEqual(e, New(Default())) {
-		t.Error("Reset after training differs from New")
+	if !reflect.DeepEqual(e, new(Estimator).Reset(Default())) {
+		t.Error("Reset after training differs from Reset of a zero Estimator")
 	}
 }
 
-// New masks its table index, so it refuses a table size that is not a
-// power of two.
+// The estimator masks its table index, so Reset refuses a table size
+// that is not a power of two.
 func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct {
 		entries int
@@ -135,11 +138,11 @@ func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 	} {
 		got := func() (panicked bool) {
 			defer func() { panicked = recover() != nil }()
-			New(Config{Entries: tc.entries, Max: 15, Threshold: 4})
+			new(Estimator).Reset(Config{Entries: tc.entries, Max: 15, Threshold: 4})
 			return false
 		}()
 		if got != tc.panic {
-			t.Errorf("Entries %d: New panicked = %v, want %v", tc.entries, got, tc.panic)
+			t.Errorf("Entries %d: Reset panicked = %v, want %v", tc.entries, got, tc.panic)
 		}
 	}
 }

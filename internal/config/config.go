@@ -76,7 +76,7 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config %s: negative front-end latency (%d)", m.Name, m.FrontEndLat)
 	}
 	// A scale large enough to leave a level less than one set would
-	// make the core's cache.NewHierarchy panic.
+	// make the core's cache.Hierarchy.Reset panic.
 	if err := cache.DefaultHierarchy(m.CacheScale).Validate(); err != nil {
 		return fmt.Errorf("config %s: cache scale %d too large: %w", m.Name, m.CacheScale, err)
 	}

@@ -55,9 +55,9 @@ func FuzzMachineValidate(f *testing.F) {
 		case m.CacheScale < 1 || m.CacheScale&(m.CacheScale-1) != 0:
 			t.Errorf("accepted non-power-of-two cache scale %d", m.CacheScale)
 		}
-		// The core builds this hierarchy; it panics on a geometry it
-		// cannot build.
-		cache.NewHierarchy(cache.DefaultHierarchy(m.CacheScale))
+		// The core resets its hierarchy to this; Reset panics on a
+		// geometry it cannot build.
+		new(cache.Hierarchy).Reset(cache.DefaultHierarchy(m.CacheScale))
 	})
 }
 

@@ -84,9 +84,7 @@ type Core struct {
 	// and Obs point at.  Adopted models and seed memories never enter
 	// it: their owner reuses them.
 	own struct {
-		pred    bpred.Predictor
-		conf    confidence.Estimator
-		mem     cache.Hierarchy
+		models  Models
 		written recycle.WrittenBits
 		mdb     recycle.MDB
 		ctxs    []*Context
@@ -208,8 +206,8 @@ func checkRun(mach config.Machine, feat config.Features, progs []*program.Progra
 // context count.  seeds[i], when non-nil, starts progs[i]'s primary
 // context at a mid-program architectural state instead of the program
 // entry; nil seeds or a nil entry mean a fresh start.  The core adopts
-// the non-nil models in m (see Models) and takes its own for the rest,
-// sized for mach and reset in place.
+// m whole (see Models); the zero Models means the core's own, reset for
+// mach in place.
 //
 // Load is the one way to a starting state, for an idle core and for
 // one that has run alike, on this machine or another.  It sizes every
@@ -233,17 +231,9 @@ func (c *Core) Load(mach config.Machine, feat config.Features, progs []*program.
 		return err
 	}
 	own := &c.own
-	if m.Pred == nil {
-		own.pred.Reset(bpred.Default(mach.Contexts))
-		m.Pred = &own.pred
-	}
-	if m.Conf == nil {
-		own.conf.Reset(confidence.Default())
-		m.Conf = &own.conf
-	}
-	if m.Mem == nil {
-		own.mem.Reset(cache.DefaultHierarchy(mach.CacheScale))
-		m.Mem = &own.mem
+	if m == (Models{}) {
+		own.models.Reset(mach)
+		m = own.models
 	}
 	// The reuse tables gate the Reuse feature by being non-nil, so a
 	// run without it leaves them nil and keeps their storage aside.

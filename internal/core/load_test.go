@@ -4,9 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"recyclesim/internal/bpred"
-	"recyclesim/internal/cache"
-	"recyclesim/internal/confidence"
 	"recyclesim/internal/config"
 	"recyclesim/internal/emu"
 	"recyclesim/internal/obs"
@@ -180,11 +177,8 @@ func TestResetLeavesAdoptedStateAlone(t *testing.T) {
 	progs := []*program.Program{p}
 	e := emu.New(p)
 	e.Run(5_000)
-	m := Models{
-		Pred: bpred.New(bpred.Default(mach.Contexts)),
-		Conf: confidence.New(confidence.Default()),
-		Mem:  cache.NewHierarchy(cache.DefaultHierarchy(mach.CacheScale)),
-	}
+	var m Models
+	m.Reset(mach)
 	seed := &ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem}
 	c, err := loadedWith(mach, config.RECRSRU, progs, []*ArchState{seed}, m)
 	if err != nil {
@@ -193,13 +187,16 @@ func TestResetLeavesAdoptedStateAlone(t *testing.T) {
 	if _, err := c.Run(3_000, 40*3_000); err != nil {
 		t.Fatal(err)
 	}
-	pred, conf, hier, mem := m.Pred.Clone(), m.Conf.Clone(), m.Mem.Clone(), seed.Mem.Clone()
+	var models Models
+	models.CopyFrom(m)
+	mem := &program.Memory{}
+	mem.CopyFrom(seed.Mem)
 	unchanged := func(when string) {
 		t.Helper()
 		if c.pred == m.Pred || c.conf == m.Conf || c.mem == m.Mem || c.parts[0].mem == seed.Mem {
 			t.Errorf("%s: the core still runs on an adopted model or seed memory", when)
 		}
-		if !reflect.DeepEqual(m.Pred, pred) || !reflect.DeepEqual(m.Conf, conf) || !reflect.DeepEqual(m.Mem, hier) {
+		if !reflect.DeepEqual(m, models) {
 			t.Errorf("%s: an adopted model changed", when)
 		}
 		if len(seed.Mem.Delta(mem, nil)) != 0 || len(mem.Delta(seed.Mem, nil)) != 0 {

@@ -34,17 +34,48 @@ type ArchState struct {
 
 // Models are the long-lived microarchitectural models a core is built
 // around: branch predictor, confidence estimator, and cache hierarchy.
-// A nil field means the core uses its own default model for the
-// machine, sized for it and reset in place by every load.
-// Non-nil models must be built with the same configurations Load uses —
-// bpred.Default for the machine's context count, confidence.Default,
-// and the machine's DefaultHierarchy — or the model diverges from the
-// configured machine.  The core adopts them (no copy) and mutates them
-// as it runs.
+// Reset says which models a machine has and how each is sized; it is
+// the only place that does.  Load takes the zero Models to mean the
+// core's own, which it resets for the machine.  Any other Models is
+// adopted whole (no copy) and mutated as the core runs, so it must hold
+// all three, reset for the same machine or copied from such a set.
 type Models struct {
 	Pred *bpred.Predictor
 	Conf *confidence.Estimator
 	Mem  *cache.Hierarchy
+}
+
+// Reset sizes m for mach and empties every model in place, building
+// the ones m lacks: bpred.Default for the machine's context count,
+// confidence.Default, and the machine's DefaultHierarchy.
+func (m *Models) Reset(mach config.Machine) {
+	m.build()
+	m.Pred.Reset(bpred.Default(mach.Contexts))
+	m.Conf.Reset(confidence.Default())
+	m.Mem.Reset(cache.DefaultHierarchy(mach.CacheScale))
+}
+
+// CopyFrom overwrites m with a deep copy of src through each model's
+// CopyFrom, building the models m lacks, so models filled before from
+// the same machine allocate nothing.  src is only read.
+func (m *Models) CopyFrom(src Models) {
+	m.build()
+	m.Pred.CopyFrom(src.Pred)
+	m.Conf.CopyFrom(src.Conf)
+	m.Mem.CopyFrom(src.Mem)
+}
+
+// build gives m an empty model wherever it has none.
+func (m *Models) build() {
+	if m.Pred == nil {
+		m.Pred = &bpred.Predictor{}
+	}
+	if m.Conf == nil {
+		m.Conf = &confidence.Estimator{}
+	}
+	if m.Mem == nil {
+		m.Mem = &cache.Hierarchy{}
+	}
 }
 
 // NewSeeded is Load on a new core with the core's own models.  It

@@ -5,9 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"recyclesim/internal/bpred"
-	"recyclesim/internal/cache"
-	"recyclesim/internal/confidence"
 	"recyclesim/internal/config"
 	"recyclesim/internal/emu"
 	"recyclesim/internal/isa"
@@ -28,9 +25,10 @@ func seededCosim(t *testing.T, mach config.Machine, feat config.Features, p *pro
 	if e.Halted {
 		t.Fatalf("%s halted during fast-forward", p.Name)
 	}
-	// The reference emulator clones the memory because the core adopts
+	// The reference emulator copies the memory because the core adopts
 	// the fast-forwarded image.
-	ref := &emu.Emulator{Prog: p, Mem: e.Mem.Clone(), PC: e.PC, Regs: e.Regs, Retired: e.Retired}
+	ref := &emu.Emulator{Prog: p, Mem: &program.Memory{}, PC: e.PC, Regs: e.Regs, Retired: e.Retired}
+	ref.Mem.CopyFrom(e.Mem)
 	seed := &ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem}
 	c, err := loadedWith(mach, feat, []*program.Program{p}, []*ArchState{seed}, Models{})
 	if err != nil {
@@ -183,9 +181,9 @@ func TestSeedMicroarch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if inject {
-			c.SeedMicroarch(bpred.New(bpred.Default(mach.Contexts)),
-				confidence.New(confidence.Default()),
-				cache.NewHierarchy(cache.DefaultHierarchy(mach.CacheScale)))
+			var m Models
+			m.Reset(mach)
+			c.SeedMicroarch(m.Pred, m.Conf, m.Mem)
 		}
 		if _, err := c.Run(5_000, 40*5_000); err != nil {
 			t.Fatal(err)
@@ -231,7 +229,11 @@ func TestLoadMatchesSeedMicroarch(t *testing.T) {
 	}
 	e := emu.New(p)
 	e.Run(25_000)
-	seed := func() *ArchState { return &ArchState{PC: e.PC, Regs: e.Regs, Mem: e.Mem.Clone()} }
+	seed := func() *ArchState {
+		s := &ArchState{PC: e.PC, Regs: e.Regs, Mem: &program.Memory{}}
+		s.Mem.CopyFrom(e.Mem)
+		return s
+	}
 	run := func(c *Core) *Core {
 		if _, err := c.Run(5_000, 40*5_000); err != nil {
 			t.Fatal(err)
@@ -239,7 +241,9 @@ func TestLoadMatchesSeedMicroarch(t *testing.T) {
 		return c
 	}
 
-	m := Models{Pred: warm.pred.Clone(), Conf: warm.conf.Clone(), Mem: warm.mem.Clone()}
+	warmModels := Models{Pred: warm.pred, Conf: warm.conf, Mem: warm.mem}
+	var m Models
+	m.CopyFrom(warmModels)
 	s := seed()
 	a, err := loadedWith(mach, config.RECRSRU, progs, []*ArchState{s}, m)
 	if err != nil {
@@ -254,16 +258,13 @@ func TestLoadMatchesSeedMicroarch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.SeedMicroarch(warm.pred.Clone(), warm.conf.Clone(), warm.mem.Clone())
+	var bm Models
+	bm.CopyFrom(warmModels)
+	b.SeedMicroarch(bm.Pred, bm.Conf, bm.Mem)
 	run(b)
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Errorf("New + Load run differs from NewSeeded + SeedMicroarch:\n%+v\n%+v", a.Stats, b.Stats)
 	}
-}
-
-// modelCopies returns private copies of w's long-lived models.
-func modelCopies(w *Core) Models {
-	return Models{Pred: w.pred.Clone(), Conf: w.conf.Clone(), Mem: w.mem.Clone()}
 }
 
 // The reload witness: a core that has run one interval and is then
@@ -292,10 +293,21 @@ func TestReseedMatchesFresh(t *testing.T) {
 				if _, err := warm.Run(10_000, 40*10_000); err != nil {
 					t.Fatal(err)
 				}
+				// Every Load takes its own copies of the warm models
+				// and of the emulator's memory.
+				warmModels := Models{Pred: warm.pred, Conf: warm.conf, Mem: warm.mem}
+				var usedModels, freshModels, reloadModels Models
+				for _, m := range []*Models{&usedModels, &freshModels, &reloadModels} {
+					m.CopyFrom(warmModels)
+				}
 				e := emu.New(p)
+				seed := func() []*ArchState {
+					s := &ArchState{PC: e.PC, Regs: e.Regs, Mem: &program.Memory{}}
+					s.Mem.CopyFrom(e.Mem)
+					return []*ArchState{s}
+				}
 				e.Run(12_000)
-				used, err := loadedWith(mach, feat, progs,
-					[]*ArchState{{PC: e.PC, Regs: e.Regs, Mem: e.Mem.Clone()}}, modelCopies(warm))
+				used, err := loadedWith(mach, feat, progs, seed(), usedModels)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -311,14 +323,11 @@ func TestReseedMatchesFresh(t *testing.T) {
 				}
 
 				e.Run(13_000)
-				seed := func() []*ArchState {
-					return []*ArchState{{PC: e.PC, Regs: e.Regs, Mem: e.Mem.Clone()}}
-				}
-				fresh, err := loadedWith(mach, feat, progs, seed(), modelCopies(warm))
+				fresh, err := loadedWith(mach, feat, progs, seed(), freshModels)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := used.Load(mach, feat, progs, seed(), modelCopies(warm)); err != nil {
+				if err := used.Load(mach, feat, progs, seed(), reloadModels); err != nil {
 					t.Fatal(err)
 				}
 				if used.CommitHook != nil || used.poll != nil || used.ring != nil || used.ptrace != nil || used.cycle != 0 {
@@ -346,7 +355,7 @@ func TestReseedMatchesFresh(t *testing.T) {
 				var want, got []CommitInfo
 				fresh.CommitHook = func(ci CommitInfo) { want = append(want, ci) }
 				label := fmt.Sprintf("%s/%s reloaded@%d", p.Name, config.FeatureName(feat), e.Retired)
-				cosim := cosimHook(t, &emu.Emulator{Prog: p, Mem: e.Mem.Clone(), PC: e.PC, Regs: e.Regs, Retired: e.Retired}, label)
+				cosim := cosimHook(t, &emu.Emulator{Prog: p, Mem: seed()[0].Mem, PC: e.PC, Regs: e.Regs, Retired: e.Retired}, label)
 				used.CommitHook = func(ci CommitInfo) {
 					got = append(got, ci)
 					cosim(ci)

@@ -138,13 +138,9 @@ func (e *Emulator) Run(max uint64) uint64 {
 	return n
 }
 
-// Trace executes up to max instructions collecting StepInfo records.
-func (e *Emulator) Trace(max uint64) []StepInfo {
-	return e.TraceInto(make([]StepInfo, 0, max), max)
-}
-
-// TraceInto is Trace appending into a caller-owned buffer (reset to
-// length zero first), so repeated tracing reuses one allocation.
+// TraceInto executes up to max instructions, appending a StepInfo
+// record for each into buf (reset to length zero first), so repeated
+// tracing reuses one allocation; a nil buf grows as needed.
 func (e *Emulator) TraceInto(buf []StepInfo, max uint64) []StepInfo {
 	buf = buf[:0]
 	for uint64(len(buf)) < max && !e.Halted {

@@ -90,7 +90,7 @@ func TestZeroRegisterImmutable(t *testing.T) {
 func TestTraceMatchesRun(t *testing.T) {
 	p := workload.Generate(workload.DefaultGenParams(3))
 	e1 := New(p)
-	tr := e1.Trace(500)
+	tr := e1.TraceInto(nil, 500)
 	if len(tr) != 500 {
 		t.Fatalf("trace length %d", len(tr))
 	}
@@ -162,10 +162,11 @@ func TestStepIntoMatchesStep(t *testing.T) {
 	}
 }
 
-// TraceInto must reuse the caller's buffer and match Trace.
+// TraceInto must reuse the caller's buffer and match a trace into a
+// new one.
 func TestTraceIntoReusesBuffer(t *testing.T) {
 	p := workload.Generate(workload.DefaultGenParams(4))
-	want := New(p).Trace(300)
+	want := New(p).TraceInto(nil, 300)
 	e := New(p)
 	buf := make([]StepInfo, 0, 300)
 	got := e.TraceInto(buf, 300)

@@ -34,22 +34,16 @@ type Pool struct {
 	fpDivBusy  []uint64
 }
 
-// New builds a pool.
-func New(cfg Config) *Pool {
-	p := &Pool{}
-	p.Reset(cfg)
-	return p
-}
-
-// Reset sizes p for cfg and idles every unit, as New leaves them,
-// growing the divider arrays only when they are too small.
-func (p *Pool) Reset(cfg Config) {
+// Reset sizes p for cfg and idles every unit, growing the divider
+// arrays only when they are too small.  It returns p.
+func (p *Pool) Reset(cfg Config) *Pool {
 	p.cfg = cfg
 	p.BeginCycle(0)
 	p.intDivBusy = slices.Grow(p.intDivBusy[:0], cfg.IntUnits)[:cfg.IntUnits]
 	p.fpDivBusy = slices.Grow(p.fpDivBusy[:0], cfg.FPUnits)[:cfg.FPUnits]
 	clear(p.intDivBusy)
 	clear(p.fpDivBusy)
+	return p
 }
 
 // Config returns the pool's configuration.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestIssueLimits(t *testing.T) {
-	p := New(Config{IntUnits: 2, LSUnits: 1, FPUnits: 1})
+	p := new(Pool).Reset(Config{IntUnits: 2, LSUnits: 1, FPUnits: 1})
 	p.BeginCycle(1)
 	if !p.TryIssue(isa.ClassIntALU, 1) || !p.TryIssue(isa.ClassIntALU, 1) {
 		t.Fatal("two int issues should fit")
@@ -31,7 +31,7 @@ func TestIssueLimits(t *testing.T) {
 }
 
 func TestFPSeparate(t *testing.T) {
-	p := New(Config{IntUnits: 1, LSUnits: 1, FPUnits: 2})
+	p := new(Pool).Reset(Config{IntUnits: 1, LSUnits: 1, FPUnits: 2})
 	p.BeginCycle(1)
 	if !p.TryIssue(isa.ClassFPAdd, 4) || !p.TryIssue(isa.ClassFPMul, 4) {
 		t.Fatal("fp issues should fit")
@@ -45,7 +45,7 @@ func TestFPSeparate(t *testing.T) {
 }
 
 func TestDividerOccupancy(t *testing.T) {
-	p := New(Config{IntUnits: 1, LSUnits: 1, FPUnits: 1})
+	p := new(Pool).Reset(Config{IntUnits: 1, LSUnits: 1, FPUnits: 1})
 	p.BeginCycle(1)
 	if !p.TryIssue(isa.ClassIntDiv, 20) {
 		t.Fatal("divide should issue")
@@ -65,7 +65,7 @@ func TestDividerOccupancy(t *testing.T) {
 }
 
 func TestFPDividerOccupancy(t *testing.T) {
-	p := New(Config{IntUnits: 1, LSUnits: 1, FPUnits: 1})
+	p := new(Pool).Reset(Config{IntUnits: 1, LSUnits: 1, FPUnits: 1})
 	p.BeginCycle(1)
 	if !p.TryIssue(isa.ClassFPDiv, 16) {
 		t.Fatal("fp divide should issue")
@@ -77,7 +77,7 @@ func TestFPDividerOccupancy(t *testing.T) {
 }
 
 func TestNopAlwaysIssues(t *testing.T) {
-	p := New(Config{IntUnits: 1, LSUnits: 1, FPUnits: 1})
+	p := new(Pool).Reset(Config{IntUnits: 1, LSUnits: 1, FPUnits: 1})
 	p.BeginCycle(1)
 	p.TryIssue(isa.ClassIntALU, 1)
 	if !p.TryIssue(isa.ClassNop, 1) {

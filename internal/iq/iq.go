@@ -32,20 +32,14 @@ type Queue struct {
 	counts []int
 }
 
-// New returns an empty queue with the given capacity.
-func New(capacity int) *Queue {
-	q := &Queue{}
-	q.Reset(capacity)
-	return q
-}
-
 // Reset empties the queue and sets its capacity, keeping its storage
-// and growing it only when it is too small.
-func (q *Queue) Reset(capacity int) {
+// and growing it only when it is too small.  It returns q.
+func (q *Queue) Reset(capacity int) *Queue {
 	clear(q.slots)
 	q.cap = capacity
 	q.slots = slices.Grow(q.slots[:0], capacity)
 	clear(q.counts)
+	return q
 }
 
 func (q *Queue) bump(ctx, delta int) {

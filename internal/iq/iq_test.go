@@ -22,7 +22,7 @@ func seqs(q *Queue) []uint64 {
 }
 
 func TestPushFull(t *testing.T) {
-	q := New(2)
+	q := new(Queue).Reset(2)
 	if !q.Push(ent(0, 0)) || !q.Push(ent(0, 1)) {
 		t.Fatal("push into non-full queue failed")
 	}
@@ -35,7 +35,7 @@ func TestPushFull(t *testing.T) {
 }
 
 func TestScanOrderAndRemoval(t *testing.T) {
-	q := New(8)
+	q := new(Queue).Reset(8)
 	for i := 0; i < 5; i++ {
 		q.Push(ent(0, uint64(i)))
 	}
@@ -54,7 +54,7 @@ func TestScanOrderAndRemoval(t *testing.T) {
 }
 
 func TestRemoveIfAndCountCtx(t *testing.T) {
-	q := New(8)
+	q := new(Queue).Reset(8)
 	q.Push(ent(0, 0))
 	q.Push(ent(1, 0))
 	q.Push(ent(0, 1))
@@ -73,7 +73,7 @@ func TestRemoveIfAndCountCtx(t *testing.T) {
 // survive the removals.
 func TestIssueSkipsBlockedEntries(t *testing.T) {
 	ready := make([]bool, 8)
-	q := New(8)
+	q := new(Queue).Reset(8)
 	a, b, c, d := ent(0, 0), ent(1, 1), ent(0, 2), ent(1, 3)
 	a.Src1, c.Src2 = 3, 5
 	for _, e := range []*alist.Entry{a, b, c, d} {
@@ -152,7 +152,7 @@ func TestIssueMatchesFullScan(t *testing.T) {
 		return x >> 33 % n
 	}
 	ready := make([]bool, regs)
-	q := New(32)
+	q := new(Queue).Reset(32)
 	var ref []*alist.Entry
 	busy := map[uint64]bool{} // per-pass "no unit free" verdicts, shared by both sides
 	visit := func(issued *[]uint64) func(*alist.Entry) (bool, regfile.PhysReg) {

@@ -57,6 +57,7 @@ type gate struct {
 
 	mu      sync.Mutex
 	clients map[string]*clientState
+	swept   time.Time // when stateLocked last dropped idle entries
 }
 
 // clientState is one client's admission accounting.
@@ -97,15 +98,34 @@ func (g *gate) identify(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return host, true
 }
 
-// state returns (creating if needed) the client's accounting record.
-// Caller holds g.mu.
-func (g *gate) stateLocked(client string) *clientState {
+// stateLocked returns (creating if needed) the client's accounting
+// record.  Before it adds a client, and at most once per time a bucket
+// takes to refill from empty, it drops every idle entry, so the table
+// holds the clients with cells in flight and those seen within about
+// two refill times.  Caller holds g.mu.
+func (g *gate) stateLocked(client string, now time.Time) *clientState {
 	st := g.clients[client]
 	if st == nil {
-		st = &clientState{tokens: float64(g.cfg.Burst), last: g.now()}
+		if g.cfg.RatePerSec > 0 && now.Sub(g.swept).Seconds()*g.cfg.RatePerSec >= float64(g.cfg.Burst) {
+			for c, s := range g.clients {
+				if g.idle(s, now) {
+					delete(g.clients, c)
+				}
+			}
+			g.swept = now
+		}
+		st = &clientState{tokens: float64(g.cfg.Burst), last: now}
 		g.clients[client] = st
 	}
 	return st
+}
+
+// idle reports whether st equals the entry stateLocked would create at
+// now: nothing in flight and its bucket refilled to Burst.  Dropping
+// such an entry changes no admission decision.
+func (g *gate) idle(st *clientState, now time.Time) bool {
+	return st.inflight == 0 &&
+		(g.cfg.RatePerSec <= 0 || st.tokens+now.Sub(st.last).Seconds()*g.cfg.RatePerSec >= float64(g.cfg.Burst))
 }
 
 // allowRate takes one request token from the client's bucket,
@@ -116,8 +136,8 @@ func (g *gate) allowRate(client string) (bool, time.Duration) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := g.stateLocked(client)
 	now := g.now()
+	st := g.stateLocked(client, now)
 	st.tokens += now.Sub(st.last).Seconds() * g.cfg.RatePerSec
 	if max := float64(g.cfg.Burst); st.tokens > max {
 		st.tokens = max
@@ -139,8 +159,12 @@ func (g *gate) admitCells(client string, n int) (bool, int) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := g.stateLocked(client)
+	now := g.now()
+	st := g.stateLocked(client, now)
 	if st.inflight+n > g.cfg.MaxInFlightCells {
+		if g.idle(st, now) {
+			delete(g.clients, client)
+		}
 		return false, st.inflight
 	}
 	st.inflight += n
@@ -154,10 +178,11 @@ func (g *gate) releaseCells(client string, n int) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := g.stateLocked(client)
-	st.inflight -= n
-	if st.inflight < 0 {
-		st.inflight = 0
+	now := g.now()
+	st := g.stateLocked(client, now)
+	st.inflight = max(st.inflight-n, 0)
+	if g.idle(st, now) {
+		delete(g.clients, client)
 	}
 }
 

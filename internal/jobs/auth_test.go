@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -204,6 +206,59 @@ func TestRateLimit(t *testing.T) {
 	advance(time.Second)
 	if err := list(); err != nil {
 		t.Fatalf("request after refill: %v", err)
+	}
+}
+
+// TestGateForgetsIdleClients: without tokens a client is its remote
+// host, so the gate sees one client per address.  After 1,000 distinct
+// addresses pass through a rate-limited gate with a quota, some of them
+// holding cells in flight, and every bucket has had time to refill, the
+// next new client leaves the table holding only the clients with cells
+// in flight and itself.  Releasing a client's last cells, or refusing a
+// submit that holds none, forgets it at once.
+func TestGateForgetsIdleClients(t *testing.T) {
+	clock := time.Unix(1_700_000_000, 0)
+	g := newGate(AuthConfig{RatePerSec: 2, Burst: 3, MaxInFlightCells: 4, now: func() time.Time { return clock }})
+	h := g.wrap(func(http.ResponseWriter, *http.Request) {})
+	pass := func(addr string) {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodGet, "/jobs", nil)
+		r.RemoteAddr = addr + ":4242"
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", addr, w.Code)
+		}
+	}
+	var holding []string
+	for i := 0; i < 1_000; i++ {
+		addr := fmt.Sprintf("10.0.%d.%d", i/250, i%250)
+		pass(addr)
+		if i%100 == 0 {
+			if ok, _ := g.admitCells(addr, 2); !ok {
+				t.Fatalf("%s: 2 cells refused under a quota of 4", addr)
+			}
+			holding = append(holding, addr)
+		}
+		clock = clock.Add(time.Millisecond)
+	}
+	clock = clock.Add(time.Minute)
+	pass("10.9.9.9")
+	if n := len(g.clients); n > len(holding)+1 {
+		t.Fatalf("gate holds %d clients after every bucket refilled, want at most %d in flight plus 1", n, len(holding)+1)
+	}
+	for _, addr := range holding {
+		if g.clients[addr] == nil {
+			t.Fatalf("%s: forgot a client with cells in flight", addr)
+		}
+	}
+
+	g.releaseCells(holding[0], 2)
+	if g.clients[holding[0]] != nil {
+		t.Error("a refilled client whose last cells finished is still tracked")
+	}
+	if ok, _ := g.admitCells("10.9.9.8", 5); ok || g.clients["10.9.9.8"] != nil {
+		t.Errorf("a submit over the whole quota was admitted (%v) or left its client tracked", ok)
 	}
 }
 

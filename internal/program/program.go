@@ -90,7 +90,7 @@ func (p *Program) Validate() error {
 //
 // Words live in 4 KB pages, allocated on the first write to each; a
 // read of a page never written returns zero and allocates nothing.
-// Clone, CopyFrom and Delta cost one page copy or compare per page, and
+// CopyFrom and Delta cost one page copy or compare per page, and
 // the built-in workloads' data images span one to ten pages.  Read and
 // Write remember the last page they touched, so a Memory is not safe
 // for concurrent use, not even by readers only; CopyFrom and Delta only
@@ -217,14 +217,6 @@ func (m *Memory) CopyFrom(src *Memory) {
 	}
 	m.order = append(m.order[:0], src.order...)
 	m.last = nil
-}
-
-// Clone returns an independent copy of the memory (used by the golden
-// emulator when co-simulating against the core).
-func (m *Memory) Clone() *Memory {
-	c := &Memory{}
-	c.CopyFrom(m)
-	return c
 }
 
 // Word is one addressed memory word; checkpoint deltas are slices of

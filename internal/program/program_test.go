@@ -92,10 +92,11 @@ func TestMemoryCloneIndependent(t *testing.T) {
 	p := prog2()
 	m := NewMemory(p)
 	m.Write(0x100, 1)
-	c := m.Clone()
+	c := &Memory{}
+	c.CopyFrom(m)
 	c.Write(0x100, 2)
 	if m.Read(0x100) != 1 || c.Read(0x100) != 2 {
-		t.Error("clone aliases the original")
+		t.Error("a copy into a zero Memory aliases the original")
 	}
 }
 
@@ -274,17 +275,17 @@ func TestNewMemoryMatchesWrites(t *testing.T) {
 var fuzzBases = [...]uint64{0, 0xf80, DataBase, DataBase + 0xf80, StackBase - 0x80, 0xffff_ffff_ffff_ff00}
 
 // FuzzMemory checks Memory against a reference map of aligned words.
-// Each 4-byte op is (kind, base, offset, value): Write, Read, Clone
-// (independent in both directions; the clone may carry on as the
-// memory under test), Delta against the current base followed by Apply
-// onto a clone of it (sorted and exact), taking a new base, CopyFrom an
-// independently written source after writing a page the source may
-// lack (exact, and a spare page taken afterwards reads zero), and Delta
-// appended to the reused buffer of earlier deltas behind a kept prefix,
-// and Load of the program image (the same words and pages as NewMemory,
-// with an empty Delta both ways).  Clone, CopyFrom, Delta and Load
-// check every word written so far, so inputs are cut to 256 ops to
-// keep one run cheap.
+// Each 4-byte op is (kind, base, offset, value): Write, Read, CopyFrom
+// into a zero Memory (independent in both directions; the copy may
+// carry on as the memory under test), Delta against the current base
+// followed by Apply onto a copy of it (sorted and exact), taking a new
+// base, CopyFrom an independently written source after writing a page
+// the source may lack (exact, and a spare page taken afterwards reads
+// zero), and Delta appended to the reused buffer of earlier deltas
+// behind a kept prefix, and Load of the program image (the same words
+// and pages as NewMemory, with an empty Delta both ways).  Both copies,
+// Delta and Load check every word written so far, so inputs are cut to
+// 256 ops to keep one run cheap.
 func FuzzMemory(f *testing.F) {
 	f.Add([]byte{0, 1, 0x78, 5, 0, 1, 0x80, 6, 1, 1, 0x7f, 0, 3, 0, 0, 0})
 	f.Add([]byte{0, 5, 0xf8, 9, 0, 5, 0xff, 1, 1, 5, 0xf9, 0, 2, 5, 0xf8, 3, 3, 2, 0, 0})
@@ -332,7 +333,8 @@ func FuzzMemory(f *testing.F) {
 					t.Fatalf("delta word %+v: memory has %d, base %d", w, ref[w.Addr], baseRef[w.Addr])
 				}
 			}
-			r := base.Clone()
+			r := &Memory{}
+			r.CopyFrom(base)
 			r.Apply(d)
 			check("base+delta", r, ref)
 		}
@@ -348,20 +350,22 @@ func FuzzMemory(f *testing.F) {
 					t.Fatalf("Read(0x%x) = %d, want %d", a, got, ref[a&^7])
 				}
 			case 2:
-				c, cRef := m.Clone(), maps.Clone(ref)
+				c, cRef := &Memory{}, maps.Clone(ref)
+				c.CopyFrom(m)
 				c.Write(a, ^val)
 				cRef[a&^7] = ^val
-				check("original after a write to its clone", m, ref)
+				check("original after a write to its copy", m, ref)
 				m.Write(a, val)
 				ref[a&^7] = val
-				check("clone after a write to its original", c, cRef)
+				check("copy after a write to its original", c, cRef)
 				if val&1 != 0 {
 					m, ref = c, cRef
 				}
 			case 3:
 				checkDelta(m.Delta(base, nil))
 			case 4:
-				base, baseRef = m.Clone(), maps.Clone(ref)
+				base, baseRef = &Memory{}, maps.Clone(ref)
+				base.CopyFrom(m)
 			case 5:
 				// The source starts from the program image and takes
 				// one write; m first writes b, on whatever page the

@@ -42,17 +42,9 @@ func mdbKey(pc, addr uint64) uint64 {
 	return pc*0x9E3779B97F4A7C15 ^ addr
 }
 
-// NewMDB builds a buffer holding up to capacity (at least one) load
-// entries.
-func NewMDB(capacity int) *MDB {
-	m := &MDB{}
-	m.Reset(capacity)
-	return m
-}
-
 // Reset empties the buffer and sizes it for capacity (at least one)
-// entries, as NewMDB builds it, keeping its ring and index storage.
-func (m *MDB) Reset(capacity int) {
+// load entries, keeping its ring and index storage.  It returns m.
+func (m *MDB) Reset(capacity int) *MDB {
 	if capacity < 1 {
 		panic("recycle: MDB capacity must be positive")
 	}
@@ -63,6 +55,7 @@ func (m *MDB) Reset(capacity int) {
 	m.ring = slices.Grow(m.ring[:0], capacity)[:capacity]
 	clear(m.ring)
 	m.head, m.n = 0, 0
+	return m
 }
 
 // InsertLoad records an executed load.  Re-inserting a present (pc,

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWrittenBitsBasics(t *testing.T) {
-	w := NewWrittenBits(4)
+	w := new(WrittenBits).Reset(4)
 	mask := uint16(0b1111)
 	if w.Changed(5, 2) {
 		t.Error("fresh array should report unchanged")
@@ -32,7 +32,7 @@ func TestWrittenBitsBasics(t *testing.T) {
 }
 
 func TestWrittenBitsPartitionMask(t *testing.T) {
-	w := NewWrittenBits(8)
+	w := new(WrittenBits).Reset(8)
 	// Partition A = contexts 0-3, partition B = 4-7.
 	w.MarkWritten(3, 0b00001111)
 	if w.Changed(3, 5) {
@@ -44,7 +44,7 @@ func TestWrittenBitsPartitionMask(t *testing.T) {
 }
 
 func TestWrittenBitsReuseCase(t *testing.T) {
-	w := NewWrittenBits(4)
+	w := new(WrittenBits).Reset(4)
 	mask := uint16(0b1111)
 	// A reused definition re-installs ctx 1's own mapping: its column
 	// stays clear, everyone else's is set.
@@ -64,7 +64,7 @@ func TestWrittenBitsReuseCase(t *testing.T) {
 }
 
 func TestWrittenBitsSetAll(t *testing.T) {
-	w := NewWrittenBits(4)
+	w := new(WrittenBits).Reset(4)
 	w.SetAll(0b0011)
 	if !w.Changed(1, 0) || !w.Changed(31, 1) {
 		t.Error("SetAll should mark every register for masked contexts")
@@ -75,7 +75,7 @@ func TestWrittenBitsSetAll(t *testing.T) {
 }
 
 func TestWrittenBitsZeroRegister(t *testing.T) {
-	w := NewWrittenBits(2)
+	w := new(WrittenBits).Reset(2)
 	w.MarkWritten(isa.RegZero, 0b11)
 	if w.Changed(isa.RegZero, 0) {
 		t.Error("the zero register never changes")
@@ -83,7 +83,7 @@ func TestWrittenBitsZeroRegister(t *testing.T) {
 }
 
 func TestMDBInsertAndInvalidate(t *testing.T) {
-	m := NewMDB(4)
+	m := new(MDB).Reset(4)
 	m.InsertLoad(0x100, 0x8000)
 	if !m.Reusable(0x100, 0x8000) {
 		t.Error("inserted load should be reusable")
@@ -101,7 +101,7 @@ func TestMDBInsertAndInvalidate(t *testing.T) {
 }
 
 func TestMDBStoreOnlyMatchingAddress(t *testing.T) {
-	m := NewMDB(4)
+	m := new(MDB).Reset(4)
 	m.InsertLoad(0x100, 0x8000)
 	m.InsertLoad(0x104, 0x8008)
 	m.StoreTo(0x8000)
@@ -114,7 +114,7 @@ func TestMDBStoreOnlyMatchingAddress(t *testing.T) {
 }
 
 func TestMDBCapacityFIFO(t *testing.T) {
-	m := NewMDB(2)
+	m := new(MDB).Reset(2)
 	m.InsertLoad(0x100, 0x8000)
 	m.InsertLoad(0x104, 0x8008)
 	m.InsertLoad(0x108, 0x8010) // evicts the first
@@ -129,7 +129,7 @@ func TestMDBCapacityFIFO(t *testing.T) {
 // Re-inserting a present pair adds no entry and leaves its FIFO age
 // alone: the oldest pair, inserted again, is still evicted first.
 func TestMDBReinsertKeepsAge(t *testing.T) {
-	m := NewMDB(4)
+	m := new(MDB).Reset(4)
 	m.InsertLoad(0x100, 0x8000)
 	m.InsertLoad(0x100, 0x8000) // duplicate: no double entry
 	if m.Len() != 1 {
@@ -163,7 +163,7 @@ func TestMDBKeyCollisionNotReusable(t *testing.T) {
 	if mdbKey(pc1, addr1) != mdbKey(pc2, addr2) {
 		t.Fatal("constructed pair does not collide")
 	}
-	m := NewMDB(8)
+	m := new(MDB).Reset(8)
 	m.InsertLoad(pc1, addr1)
 	if !m.Reusable(pc1, addr1) {
 		t.Error("inserted pair not reusable")
@@ -182,7 +182,7 @@ func TestMDBSafetyProperty(t *testing.T) {
 		Addr  uint8
 	}
 	fn := func(ops []op) bool {
-		m := NewMDB(8)
+		m := new(MDB).Reset(8)
 		lastStore := map[uint64]int{}
 		lastLoad := map[[2]uint64]int{}
 		for i, o := range ops {
@@ -262,7 +262,7 @@ func (r *refMDB) len() int {
 // A Reset midway must leave a buffer equal to a fresh one.
 func TestMDBRingMatchesFIFO(t *testing.T) {
 	const capacity = 8
-	m, ref := NewMDB(capacity), &refMDB{cap: capacity}
+	m, ref := new(MDB).Reset(capacity), &refMDB{cap: capacity}
 	x := uint32(12345)
 	next := func(n uint32) uint64 { // a fixed LCG stream: reproducible
 		x = x*1664525 + 1013904223
@@ -300,7 +300,7 @@ func TestMDBRingMatchesFIFO(t *testing.T) {
 // never reslices or appends.  (A slice FIFO that evicts by reslicing
 // the front reallocates once per capacity's worth of inserts.)
 func TestMDBSteadyStateAllocs(t *testing.T) {
-	m := NewMDB(64)
+	m := new(MDB).Reset(64)
 	i := uint64(0)
 	steps := func() {
 		for range 1_000 {
@@ -371,5 +371,5 @@ func TestWrittenBitsTooManyContexts(t *testing.T) {
 			t.Error("expected panic for >16 contexts")
 		}
 	}()
-	NewWrittenBits(17)
+	new(WrittenBits).Reset(17)
 }

@@ -16,21 +16,14 @@ type WrittenBits struct {
 	bits     [isa.NumRegs]uint16 // one row per logical register; bit c = context c
 }
 
-// NewWrittenBits builds the array for the given number of hardware
-// contexts (at most 16 with this row representation).
-func NewWrittenBits(contexts int) *WrittenBits {
-	w := &WrittenBits{}
-	w.Reset(contexts)
-	return w
-}
-
-// Reset sizes w for the given number of contexts and clears every bit,
-// as NewWrittenBits leaves them.
-func (w *WrittenBits) Reset(contexts int) {
+// Reset sizes w for the given number of hardware contexts (at most 16
+// with this row representation) and clears every bit.  It returns w.
+func (w *WrittenBits) Reset(contexts int) *WrittenBits {
 	if contexts > 16 {
 		panic("recycle: written bit-array supports at most 16 contexts")
 	}
 	*w = WrittenBits{contexts: contexts}
+	return w
 }
 
 // ResetContext clears the column for ctx: "when a new path is started

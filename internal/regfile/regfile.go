@@ -40,18 +40,11 @@ type File struct {
 	AllocFailures uint64
 }
 
-// New builds a register file with all registers free.
-func New(numInt, numFP int) *File {
-	f := &File{}
-	f.Reset(numInt, numFP)
-	return f
-}
-
 // Reset sizes f for numInt integer and numFP floating-point registers
-// and frees them all, clearing the values and AllocFailures: the file
-// is then exactly as New builds it, free lists in the same order.  It
-// grows only the arrays that are too small and re-slices the rest.
-func (f *File) Reset(numInt, numFP int) {
+// and frees them all, clearing the values and AllocFailures, with the
+// free lists in the same order whatever f held before.  It grows only
+// the arrays that are too small and re-slices the rest.  It returns f.
+func (f *File) Reset(numInt, numFP int) *File {
 	n := numInt + numFP
 	f.NumInt, f.NumFP = numInt, numFP
 	f.vals = slices.Grow(f.vals[:0], n)[:n]
@@ -69,6 +62,7 @@ func (f *File) Reset(numInt, numFP int) {
 		}
 	}
 	f.AllocFailures = 0
+	return f
 }
 
 // IsFP reports which pool the register belongs to.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAllocRelease(t *testing.T) {
-	f := New(4, 2)
+	f := new(File).Reset(4, 2)
 	var regs []PhysReg
 	for i := 0; i < 4; i++ {
 		r, ok := f.Alloc(false)
@@ -28,7 +28,7 @@ func TestAllocRelease(t *testing.T) {
 }
 
 func TestPoolsSeparate(t *testing.T) {
-	f := New(2, 2)
+	f := new(File).Reset(2, 2)
 	r1, _ := f.Alloc(false)
 	r2, _ := f.Alloc(true)
 	if f.IsFP(r1) {
@@ -47,7 +47,7 @@ func TestPoolsSeparate(t *testing.T) {
 }
 
 func TestRefCounting(t *testing.T) {
-	f := New(2, 0)
+	f := new(File).Reset(2, 0)
 	r, _ := f.Alloc(false)
 	f.AddRef(r)
 	if f.Refs(r) != 2 {
@@ -67,7 +67,7 @@ func TestRefCounting(t *testing.T) {
 }
 
 func TestReleaseFreePanics(t *testing.T) {
-	f := New(1, 0)
+	f := new(File).Reset(1, 0)
 	r, _ := f.Alloc(false)
 	f.Release(r)
 	defer func() {
@@ -79,7 +79,7 @@ func TestReleaseFreePanics(t *testing.T) {
 }
 
 func TestAddRefFreePanics(t *testing.T) {
-	f := New(1, 0)
+	f := new(File).Reset(1, 0)
 	r, _ := f.Alloc(false)
 	f.Release(r)
 	defer func() {
@@ -91,7 +91,7 @@ func TestAddRefFreePanics(t *testing.T) {
 }
 
 func TestValuesAndReady(t *testing.T) {
-	f := New(1, 0)
+	f := new(File).Reset(1, 0)
 	r, _ := f.Alloc(false)
 	if f.Ready(r) {
 		t.Error("fresh register should not be ready")
@@ -108,7 +108,7 @@ func TestValuesAndReady(t *testing.T) {
 }
 
 func TestNoRegIsNoop(t *testing.T) {
-	f := New(1, 0)
+	f := new(File).Reset(1, 0)
 	f.AddRef(NoReg)
 	f.Release(NoReg) // must not panic
 }
@@ -117,7 +117,7 @@ func TestNoRegIsNoop(t *testing.T) {
 // register conservation (every register is exactly free or referenced).
 func TestConservationProperty(t *testing.T) {
 	fn := func(ops []uint8) bool {
-		f := New(8, 4)
+		f := new(File).Reset(8, 4)
 		var live []PhysReg
 		for _, op := range ops {
 			switch op % 3 {
@@ -154,7 +154,7 @@ func TestConservationProperty(t *testing.T) {
 // ReleaseAll must free registers in slice order.
 func TestBatchMatchesPerRegister(t *testing.T) {
 	fn := func(picks []uint8) bool {
-		batch, loop := New(8, 6), New(8, 6)
+		batch, loop := new(File).Reset(8, 6), new(File).Reset(8, 6)
 		var held []PhysReg
 		for _, f := range []*File{batch, loop} {
 			held = held[:0]
@@ -223,7 +223,7 @@ func TestBatchFreePanics(t *testing.T) {
 		"ReleaseAll": (*File).ReleaseAll,
 	} {
 		t.Run(name, func(t *testing.T) {
-			f := New(2, 0)
+			f := new(File).Reset(2, 0)
 			r0, _ := f.Alloc(false)
 			r1, _ := f.Alloc(false)
 			f.Release(r1)

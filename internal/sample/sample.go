@@ -413,7 +413,7 @@ func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *
 	s.arch = core.ArchState{PC: s.cp.PC, Regs: s.cp.Regs, Mem: &s.mem}
 	progs, seeds := []*program.Program{prog}, []*core.ArchState{&s.arch}
 	c := &s.c
-	if err = c.Load(mach, feat, progs, seeds, core.Models{Pred: s.w.Pred, Conf: s.w.Conf, Mem: s.w.Mem}); err != nil {
+	if err = c.Load(mach, feat, progs, seeds, s.w.Models); err != nil {
 		return iv, err
 	}
 	if cfg.Poll != nil {

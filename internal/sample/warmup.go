@@ -2,8 +2,6 @@ package sample
 
 import (
 	"recyclesim/internal/bpred"
-	"recyclesim/internal/cache"
-	"recyclesim/internal/confidence"
 	"recyclesim/internal/config"
 	"recyclesim/internal/core"
 	"recyclesim/internal/emu"
@@ -23,10 +21,10 @@ const warmupLine = 64
 // have accumulated over the whole run.  One Warmup instance observes
 // the entire instruction stream (warming is continuous from program
 // start, as in SMARTS functional warming); CloneInto snapshots it into
-// a reused buffer at each measurement point.  The models are built with
-// the same default configurations a core's own models use and are meant
-// to be adopted by a seeded core: Run hands each interval's copy to
-// core.Core.Load as its Models.
+// a reused buffer at each measurement point.  The models are a
+// core.Models reset for the machine, the set a core builds for itself,
+// and are meant to be adopted by a seeded core: Run hands each
+// interval's copy to core.Core.Load.
 //
 // The warmup mirrors the core's primary-path training exactly: Lookup,
 // speculative history update, history repair on a mispredict, and
@@ -39,9 +37,7 @@ const warmupLine = 64
 // not modelled; those stay cold at interval entry, which is the
 // documented bias of sampled mode.
 type Warmup struct {
-	Pred *bpred.Predictor
-	Conf *confidence.Estimator
-	Mem  *cache.Hierarchy
+	core.Models
 
 	progIdx  int
 	now      uint64 // pseudo-cycle driving cache timing/LRU state
@@ -57,18 +53,14 @@ func NewWarmup(mach config.Machine) *Warmup {
 	return w
 }
 
-// Reset puts w into exactly the state NewWarmup builds for mach, sizing
-// and emptying its models in place (bpred.Predictor.Reset,
-// confidence.Estimator.Reset, cache.Hierarchy.Reset) and building the
+// Reset puts w into exactly the state NewWarmup builds for mach,
+// resetting its models in place (core.Models.Reset) and building the
 // ones it lacks, so a master warmed for one sampled run starts the next
 // run, on this machine or another, cold without building its models
 // again.
 func (w *Warmup) Reset(mach config.Machine) {
-	pred, conf, mem := w.models()
-	pred.Reset(bpred.Default(mach.Contexts))
-	conf.Reset(confidence.Default())
-	mem.Reset(cache.DefaultHierarchy(mach.CacheScale))
-	*w = Warmup{Pred: pred, Conf: conf, Mem: mem}
+	w.Models.Reset(mach)
+	*w = Warmup{Models: w.Models}
 }
 
 // Clone deep-copies the warmup state — models and line-tracking — so a
@@ -79,26 +71,15 @@ func (w *Warmup) Reset(mach config.Machine) {
 func (w *Warmup) Clone() *Warmup { return w.CloneInto(&Warmup{}) }
 
 // CloneInto is Clone into a reused buffer: it overwrites dst with a
-// deep copy of w through the models' CopyFrom, so a dst filled before
+// deep copy of w through core.Models.CopyFrom, so a dst filled before
 // from the same machine allocates nothing.  A dst without models gets
 // new ones.  It returns dst.
 func (w *Warmup) CloneInto(dst *Warmup) *Warmup {
-	pred, conf, mem := dst.models()
-	pred.CopyFrom(w.Pred)
-	conf.CopyFrom(w.Conf)
-	mem.CopyFrom(w.Mem)
+	dst.Models.CopyFrom(w.Models)
+	m := dst.Models
 	*dst = *w
-	dst.Pred, dst.Conf, dst.Mem = pred, conf, mem
+	dst.Models = m
 	return dst
-}
-
-// models returns w's models, or new empty ones when w has none: a
-// Warmup holds all three or none.
-func (w *Warmup) models() (*bpred.Predictor, *confidence.Estimator, *cache.Hierarchy) {
-	if w.Pred == nil {
-		return &bpred.Predictor{}, &confidence.Estimator{}, &cache.Hierarchy{}
-	}
-	return w.Pred, w.Conf, w.Mem
 }
 
 // Observe feeds one architecturally executed instruction into the

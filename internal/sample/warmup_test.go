@@ -144,13 +144,14 @@ func TestWarmupAllocBudget(t *testing.T) {
 }
 
 // TestWarmupResetMatchesNew: a master trained over one run and Reset
-// is in NewWarmup's state for the machine it is Reset to.  The
-// predictor, the estimator and the line tracking are deeply equal, and
-// so is the hierarchy apart from the tag pages it keeps spare for later
-// first fills, which a Clone leaves behind.  Warming the same stream
-// again takes every tag page from the spares, and warming another
-// program afterwards, on a machine with other caches and context count
-// or back on the first, leaves the models as a new Warmup's.
+// is in the state Reset leaves a zero Warmup in for the machine it is
+// Reset to.  The predictor, the estimator and the line tracking are
+// deeply equal, and so is the hierarchy apart from the tag pages it
+// keeps spare for later first fills, which a CloneInto a zero Warmup
+// leaves behind.  Warming the same stream again takes every tag page
+// from the spares, and warming another program afterwards, on a
+// machine with other caches and context count or back on the first,
+// leaves the models as a cold Warmup's.
 func TestWarmupResetMatchesNew(t *testing.T) {
 	mach := config.Big216()
 	other := config.Small18()
@@ -163,14 +164,16 @@ func TestWarmupResetMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWarmup(mach)
+	var w, cold Warmup
+	w.Reset(mach)
+	cold.Reset(mach)
 	w.fastForward(emu.New(gcc), 200_000)
 	w.Reset(mach)
-	if !reflect.DeepEqual(w.Clone(), NewWarmup(mach)) {
-		t.Fatal("a trained Warmup, Reset, differs from NewWarmup")
+	if !reflect.DeepEqual(w.CloneInto(&Warmup{}), &cold) {
+		t.Fatal("a trained Warmup, Reset, differs from a zero Warmup Reset")
 	}
-	if !reflect.DeepEqual(w.Pred, NewWarmup(mach).Pred) || !reflect.DeepEqual(w.Conf, NewWarmup(mach).Conf) {
-		t.Fatal("a trained Warmup's predictor or estimator, Reset, differs from NewWarmup's")
+	if !reflect.DeepEqual(w.Pred, cold.Pred) || !reflect.DeepEqual(w.Conf, cold.Conf) {
+		t.Fatal("a trained Warmup's predictor or estimator, Reset, differs from a zero Warmup's")
 	}
 	e := emu.New(gcc)
 	if got := allocBytes(func() { w.fastForward(e, 200_000) }); got != 0 {
@@ -178,14 +181,15 @@ func TestWarmupResetMatchesNew(t *testing.T) {
 	}
 	for _, m := range []config.Machine{other, mach} {
 		w.Reset(m)
-		if !reflect.DeepEqual(w.Clone(), NewWarmup(m)) {
-			t.Fatalf("a trained Warmup, Reset to %s, differs from NewWarmup", m.Name)
+		var fresh Warmup
+		fresh.Reset(m)
+		if !reflect.DeepEqual(w.CloneInto(&Warmup{}), fresh.CloneInto(&Warmup{})) {
+			t.Fatalf("a trained Warmup, Reset to %s, differs from a zero Warmup Reset", m.Name)
 		}
-		fresh := NewWarmup(m)
 		w.fastForward(emu.New(li), 100_000)
 		fresh.fastForward(emu.New(li), 100_000)
-		if !reflect.DeepEqual(w.Clone(), fresh.Clone()) {
-			t.Errorf("a Warmup Reset to %s warms another program unlike a new one", m.Name)
+		if !reflect.DeepEqual(w.CloneInto(&Warmup{}), fresh.CloneInto(&Warmup{})) {
+			t.Errorf("a Warmup Reset to %s warms another program unlike a cold one", m.Name)
 		}
 	}
 }

@@ -37,14 +37,6 @@ type Wheel struct {
 	count int // scheduled, not yet drained (stale items included)
 }
 
-// New returns a wheel whose slot ring covers at least `horizon` future
-// cycles (rounded up to a power of two).
-func New(horizon int) *Wheel {
-	w := &Wheel{}
-	w.Reset(horizon)
-	return w
-}
-
 // Horizon returns the slot-ring span in cycles.
 func (w *Wheel) Horizon() int { return len(w.slots) }
 
@@ -124,9 +116,10 @@ func (w *Wheel) Each(visit func(Item)) {
 	}
 }
 
-// Reset empties the wheel and sizes its slot ring for `horizon`
-// cycles as New does, keeping the slots' storage.
-func (w *Wheel) Reset(horizon int) {
+// Reset empties the wheel and sizes its slot ring to cover at least
+// `horizon` future cycles (rounded up to a power of two), keeping the
+// slots' storage.  It returns w.
+func (w *Wheel) Reset(horizon int) *Wheel {
 	n := 1
 	for n < horizon {
 		n <<= 1
@@ -139,4 +132,5 @@ func (w *Wheel) Reset(horizon int) {
 	w.far = w.far[:0]
 	w.mask = uint64(n - 1)
 	w.count = 0
+	return w
 }

@@ -13,7 +13,7 @@ func drain(w *Wheel, now uint64) []*alist.Entry {
 }
 
 func TestScheduleAndPop(t *testing.T) {
-	w := New(8)
+	w := new(Wheel).Reset(8)
 	if w.Horizon() != 8 {
 		t.Fatalf("horizon = %d, want 8", w.Horizon())
 	}
@@ -40,7 +40,7 @@ func TestScheduleAndPop(t *testing.T) {
 }
 
 func TestPastDueClampsToNextCycle(t *testing.T) {
-	w := New(8)
+	w := new(Wheel).Reset(8)
 	e := &alist.Entry{}
 	w.Schedule(e, 10, 20) // due in the past: completes next cycle
 	if got := drain(w, 21); len(got) != 1 || got[0] != e {
@@ -51,7 +51,7 @@ func TestPastDueClampsToNextCycle(t *testing.T) {
 func TestLapCollision(t *testing.T) {
 	// Two items in the same slot, one ring-lap apart: only the due one
 	// drains, the other is retained for its own cycle.
-	w := New(8)
+	w := new(Wheel).Reset(8)
 	near, farr := &alist.Entry{Seq: 1}, &alist.Entry{Seq: 2}
 	w.Schedule(near, 9, 8)
 	w.Schedule(farr, 17, 16) // 17 & 7 == 9 & 7
@@ -64,7 +64,7 @@ func TestLapCollision(t *testing.T) {
 }
 
 func TestFarSchedule(t *testing.T) {
-	w := New(8)
+	w := new(Wheel).Reset(8)
 	e := &alist.Entry{}
 	w.Schedule(e, 100, 0) // beyond the horizon
 	for now := uint64(1); now < 100; now++ {
@@ -78,7 +78,7 @@ func TestFarSchedule(t *testing.T) {
 }
 
 func TestEachAndReset(t *testing.T) {
-	w := New(8)
+	w := new(Wheel).Reset(8)
 	w.Schedule(&alist.Entry{}, 3, 0)
 	w.Schedule(&alist.Entry{}, 100, 0)
 	n := 0
@@ -98,7 +98,7 @@ func TestEachAndReset(t *testing.T) {
 }
 
 func TestSteadyStateNoAlloc(t *testing.T) {
-	w := New(64)
+	w := new(Wheel).Reset(64)
 	ents := make([]*alist.Entry, 16)
 	for i := range ents {
 		ents[i] = &alist.Entry{Seq: uint64(i)}
