@@ -47,6 +47,8 @@ var goldenDigests = map[string]string{
 	"REC/RS/RU fetch gcc":      "a7831d18cdf1fd8c75b51b2f62d666dd05524123349e0cf05c3f4d623750bdb5",
 	"REC/RS/RU trust gcc":      "f3fc6e5285e31ffc78ef8eec605b038eb4aa72ed8aa87fe3af5a5b4c6ef3ae61",
 	"REC gcc":                  "d39aa6218c3285d39b8dd78aa60f66925e715985b4dbd3dd0893dbc5c4116e75",
+	"REC/RS gcc":               "f6681ba3554935652172af9bec319d3199466f6c1b3beaf4762f954c637e209a",
+	"REC/RU gcc":               "d8f443accedff6bd8b16ff68a8d103b0abf93bcd605137c749c93d00f2321d3a",
 	"SMT go+li":                "85a7c80ea0120598a55ce9e3e5f1b03c1bcedd4a91ba2fe56fdabf7916775823",
 	"SMT small.2.8 mix4":       "9fc749270d5f87c3b76fdff09f58f86f700f59da75b8af0afd5539298111193c",
 	"TME small.2.8 mix4":       "5a7a835982952d7b45e462d22e30704990e7de1719d716420612d7039a2b24f6",
@@ -102,8 +104,9 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	// The other recycle policies: the stop and fetch alternate-path
 	// policies take the Draining and issue-cancel paths differently,
-	// TrustTrace skips the stream's prediction check, and plain REC
-	// runs without respawn or reuse.
+	// TrustTrace skips the stream's prediction check, plain REC runs
+	// without respawn or reuse, REC/RS respawns without reuse and REC/RU
+	// reuses without respawn.
 	stop, fetch, trust := config.RECRSRU, config.RECRSRU, config.RECRSRU
 	stop.AltPolicy = config.AltStop
 	fetch.AltPolicy = config.AltFetch
@@ -116,6 +119,8 @@ func TestGoldenDigests(t *testing.T) {
 		{"REC/RS/RU fetch gcc", fetch},
 		{"REC/RS/RU trust gcc", trust},
 		{"REC gcc", config.REC},
+		{"REC/RS gcc", config.RECRS},
+		{"REC/RU gcc", config.RECRU},
 	} {
 		checkGolden(t, v.name, detailed(t, config.Big216(), v.feat, []string{"gcc"}))
 	}
