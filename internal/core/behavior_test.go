@@ -295,6 +295,7 @@ func TestOwnBackMergeShadowedByFirstPC(t *testing.T) {
 		t.Fatal("no cycle put both merge points of a primary on the loop head")
 	}
 	pc := ctx.mp.BackPC
+	c.probeSpares(ctx)
 	if c.tryMerge(ctx, pc) || ctx.stream != nil {
 		t.Fatal("the backward merge was taken: the first-PC shadowing is fixed, so flip this test and update EXPERIMENTS.md")
 	}

@@ -36,8 +36,11 @@ var defaultInvariantEvery uint64 = 0
 //     self-consistent, committed flags matching the commit pointer;
 //   - idle contexts hold no resources;
 //   - context masks: each context is in exactly its state's mask, the
-//     primary mask matches isPrimary, and no mask has a bit beyond the
-//     last context;
+//     primary mask matches isPrimary, the streaming mask whether it
+//     consumes a recycle stream, the fetched mask whether its fetch
+//     queue holds an instruction, and no mask has a bit beyond the last
+//     context; its instruction-queue occupancy count equals its entries
+//     in both queues;
 //   - child links: each context's kids has bit c set exactly while
 //     context c names it as parentCtx;
 //   - instruction queue membership, both directions: everything queued
@@ -127,8 +130,9 @@ func leakKind(got, want int) string {
 	return "premature release pending"
 }
 
-// checkMasks verifies the per-state and primary context masks and the
-// kids links against the contexts' own fields.
+// checkMasks verifies the per-state, primary, streaming and fetched
+// context masks and the kids links against the contexts' own fields,
+// and the occupancy counts against the instruction queues.
 func (c *Core) checkMasks(r *invariant.Report) {
 	all := uint16(1)<<uint(len(c.ctxs)) - 1
 	for s := CtxState(0); s < numCtxStates; s++ {
@@ -136,8 +140,18 @@ func (c *Core) checkMasks(r *invariant.Report) {
 			r.Failf("ctxmask", "%v mask %016b has bits beyond the %d contexts", s, c.inState[s], len(c.ctxs))
 		}
 	}
-	if extra := c.primary &^ all; extra != 0 {
-		r.Failf("ctxmask", "primary mask %016b has bits beyond the %d contexts", c.primary, len(c.ctxs))
+	for _, m := range []struct {
+		name string
+		bits uint16
+	}{{"primary", c.primary}, {"streaming", c.streaming}, {"fetched", c.fetched}} {
+		if extra := m.bits &^ all; extra != 0 {
+			r.Failf("ctxmask", "%s mask %016b has bits beyond the %d contexts", m.name, m.bits, len(c.ctxs))
+		}
+	}
+	for id := len(c.ctxs); id < len(c.occ); id++ {
+		if c.occ[id] != 0 {
+			r.Failf("ctxmask", "ctx=%d beyond the %d contexts has an occupancy count of %d", id, len(c.ctxs), c.occ[id])
+		}
 	}
 	for _, t := range c.ctxs {
 		bit := uint16(1) << uint(t.id)
@@ -148,6 +162,15 @@ func (c *Core) checkMasks(r *invariant.Report) {
 		}
 		if in := c.primary&bit != 0; in != t.isPrimary {
 			r.Failf("ctxmask", "ctx=%d isPrimary=%v but its primary-mask bit is %v", t.id, t.isPrimary, in)
+		}
+		if in := c.streaming&bit != 0; in != (t.stream != nil) {
+			r.Failf("ctxmask", "ctx=%d stream live=%v but its streaming-mask bit is %v", t.id, t.stream != nil, in)
+		}
+		if in := c.fetched&bit != 0; in != (t.fqLen() != 0) {
+			r.Failf("ctxmask", "ctx=%d holds %d fetched instruction(s) but its fetched-mask bit is %v", t.id, t.fqLen(), in)
+		}
+		if n := c.iqInt.CountCtx(t.id) + c.iqFP.CountCtx(t.id); int(c.occ[t.id]) != n {
+			r.Failf("ctxmask", "ctx=%d has %d instruction-queue entries but an occupancy count of %d", t.id, n, c.occ[t.id])
 		}
 		var kids uint16
 		for _, k := range c.ctxs {

@@ -177,6 +177,67 @@ func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 	})
 }
 
+// TestInvariantDetectsFrontEndMirrorDrift: the streaming and fetched
+// masks pick the rename rounds' threads and the occupancy counts key
+// every thread ordering, so a bit or a count that disagrees with the
+// contexts and the queues must be caught.
+func TestInvariantDetectsFrontEndMirrorDrift(t *testing.T) {
+	primary := func(c *Core) *Context { return c.ctxs[c.parts[0].primary] }
+	t.Run("streaming bit flipped", func(t *testing.T) {
+		c := invariantCore(t)
+		c.streaming ^= 1 << uint(primary(c).id)
+		expectViolation(t, c, "ctxmask")
+	})
+	t.Run("stream without its bit", func(t *testing.T) {
+		c := invariantCore(t)
+		prim := primary(c)
+		if prim.stream != nil {
+			prim.stream = nil
+		} else {
+			prim.stream = &prim.streamStore
+		}
+		expectViolation(t, c, "ctxmask")
+	})
+	t.Run("fetched bit flipped", func(t *testing.T) {
+		c := invariantCore(t)
+		c.fetched ^= 1 << uint(primary(c).id)
+		expectViolation(t, c, "ctxmask")
+	})
+	t.Run("fetch queue without its bit", func(t *testing.T) {
+		c := invariantCore(t)
+		prim := primary(c)
+		if prim.fqN != 0 {
+			prim.fqN = 0
+		} else {
+			prim.fqN = 1
+		}
+		expectViolation(t, c, "ctxmask")
+	})
+	t.Run("occupancy count off", func(t *testing.T) {
+		c := invariantCore(t)
+		c.occ[primary(c).id]++
+		expectViolation(t, c, "ctxmask")
+	})
+	t.Run("queue entry lost", func(t *testing.T) {
+		c := invariantCore(t)
+		if c.iqInt.RemoveIf(func(e *alist.Entry) bool { return true }) == 0 {
+			t.Skip("integer queue empty after warm-up")
+		}
+		expectViolation(t, c, "ctxmask")
+	})
+	t.Run("beyond the last context", func(t *testing.T) {
+		c := invariantCore(t)
+		c.streaming |= 1 << uint(len(c.ctxs))
+		expectViolation(t, c, "ctxmask")
+		c = invariantCore(t)
+		c.fetched |= 1 << uint(len(c.ctxs))
+		expectViolation(t, c, "ctxmask")
+		c = invariantCore(t)
+		c.occ[len(c.ctxs)] = 1
+		expectViolation(t, c, "ctxmask")
+	})
+}
+
 // TestInvariantDetectsCommitDrift: an entry marked committed ahead of
 // the commit pointer corrupts the active-list structure.
 func TestInvariantDetectsCommitDrift(t *testing.T) {

@@ -45,6 +45,7 @@ func (c *Core) tryIssue(e *alist.Entry) (issued bool, wait regfile.PhysReg) {
 	if !c.fus.TryIssue(in.Class(), in.Latency()) {
 		return false, regfile.NoReg
 	}
+	c.occ[e.Ctx]--
 	c.execute(t, e)
 	return true, regfile.NoReg
 }
@@ -207,6 +208,15 @@ func (c *Core) storeCaptureData(t *Context, e *alist.Entry) {
 	}
 }
 
+// dueItem is one completion of a cycle's batch, with its (ctx, seq)
+// sort key copied out of the entry when it was drained, so the sort
+// compares keys without dereferencing entries.
+type dueItem struct {
+	seq uint64
+	e   *alist.Entry
+	ctx int32
+}
+
 // complete retires finished executions: results are written back,
 // loads enter the MDB, stores invalidate it, and branches resolve.
 // The completion wheel yields exactly the executions due this cycle
@@ -230,7 +240,7 @@ func (c *Core) complete() {
 					e.Result = c.srcValue(e.Src2)
 					c.storeCaptureData(t, e)
 					e.ReadyAt = c.cycle
-					due = append(due, e)
+					due = append(due, dueItem{seq: e.Seq, e: e, ctx: int32(e.Ctx)})
 				}
 			} else {
 				rest = append(rest, e)
@@ -252,42 +262,48 @@ func (c *Core) complete() {
 		if !ok || live != e || e.Executed || !e.Issued || e.ReadyAt > c.cycle {
 			return
 		}
-		due = append(due, e)
+		due = append(due, dueItem{seq: e.Seq, e: e, ctx: int32(e.Ctx)})
 	})
 	c.due = due[:0] // retain the grown scratch capacity
 	if len(due) == 0 {
 		return
 	}
-	sortDueByCtxSeq(due)
-	for _, e := range due {
-		// Revalidate: a squash earlier in this cycle may have removed
-		// or recycled this active-list slot, and a stale wheel item can
-		// duplicate an entry drained through its own item this cycle.
-		t := c.ctxs[e.Ctx]
-		live, ok := t.al.At(e.Seq)
-		if !ok || live != e || e.Executed || !e.Issued {
+	sortDue(due)
+	drained := c.squashes
+	for i := range due {
+		// Revalidate: a stale wheel item can duplicate an entry drained
+		// through its own item this cycle, which the flags catch, and a
+		// squash earlier in this cycle may have removed or recycled
+		// this active-list slot.  Only a squash or kill moves a list's
+		// bounds or refills a slot during complete, so the slot is
+		// looked up again only when one ran since the drain.
+		d := &due[i]
+		e := d.e
+		if e.Executed || !e.Issued {
 			continue
+		}
+		t := c.ctxs[d.ctx]
+		if c.squashes != drained {
+			if live, ok := t.al.At(d.seq); !ok || live != e {
+				continue
+			}
 		}
 		c.completeEntry(t, e)
 	}
 }
 
-// sortDueByCtxSeq insertion-sorts a completion batch by (ctx, seq).
+// sortDue insertion-sorts a completion batch by (ctx, seq), stably.
 // Batches are bounded by per-cycle completion counts (a handful), and
 // unlike sort.Slice this allocates nothing.
-func sortDueByCtxSeq(due []*alist.Entry) {
+func sortDue(due []dueItem) {
 	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && dueLess(due[j], due[j-1]); j-- {
-			due[j], due[j-1] = due[j-1], due[j]
+		d := due[i]
+		j := i
+		for ; j > 0 && (d.ctx < due[j-1].ctx || d.ctx == due[j-1].ctx && d.seq < due[j-1].seq); j-- {
+			due[j] = due[j-1]
 		}
+		due[j] = d
 	}
-}
-
-func dueLess(a, b *alist.Entry) bool {
-	if a.Ctx != b.Ctx {
-		return a.Ctx < b.Ctx
-	}
-	return a.Seq < b.Seq
 }
 
 func (c *Core) completeEntry(t *Context, e *alist.Entry) {

@@ -33,7 +33,7 @@ func (c *Core) rename() {
 			if !c.renameFetched(t, fe) {
 				break // structural stall; retry next cycle
 			}
-			t.popFetched()
+			c.popFetched(t)
 			slots--
 			c.slotFetched++
 		}
@@ -68,17 +68,19 @@ func (c *Core) rename() {
 // primary threads ahead of alternates (matching the TME-modified
 // ICOUNT fetch priority — alternates must not steal rename bandwidth
 // from the paths that retire work) and by queue occupancy within each
-// class.  For the recycle round (second pass) only threads with an
-// active stream qualify.  The result lives in the core's reusable
-// candidate scratch (valid until the next ordering is built).
+// class.  The fetch round (first pass) takes threads with a fetched
+// instruction queued, the recycle round (second pass) threads with an
+// active stream.  The result lives in the core's reusable candidate
+// scratch (valid until the next ordering is built).
 func (c *Core) renameOrder(recycleRound bool) []ctxCand {
-	out, nPrim := c.cands[:0], 0
-	for m := c.inState[CtxActive] | c.inState[CtxDraining]; m != 0; m &= m - 1 {
-		t := c.ctxs[bits.TrailingZeros16(m)]
-		if recycleRound && t.stream == nil || !recycleRound && t.fqLen() == 0 {
-			continue
-		}
-		out, nPrim = addCand(out, nPrim, t, int32(c.iqInt.CountCtx(t.id)+c.iqFP.CountCtx(t.id)))
+	out := c.cands[:0]
+	ready := c.fetched
+	if recycleRound {
+		ready = c.streaming
+	}
+	for m := (c.inState[CtxActive] | c.inState[CtxDraining]) & ready; m != 0; m &= m - 1 {
+		id := bits.TrailingZeros16(m)
+		out = addCand(out, id, c.candKey(id, c.occ[id]))
 	}
 	c.cands = out
 	return out
@@ -103,8 +105,8 @@ func (t *Context) nextFetched() (*fqEntry, bool) {
 	return fe, true
 }
 
-func (t *Context) popFetched() {
-	t.fqPop()
+func (c *Core) popFetched(t *Context) {
+	c.fqPop(t)
 	if t.stream != nil && t.stream.preDrain > 0 {
 		t.stream.preDrain--
 	}
@@ -220,6 +222,7 @@ func (c *Core) dispatch(t *Context, e *alist.Entry) {
 		// Capacity was checked in allocEntry within the same cycle.
 		panic("core: instruction queue overflow after reservation")
 	}
+	c.occ[t.id]++
 	e.Dispatched = true
 	if c.ptrace != nil {
 		c.ptrace.OnQueue(e.Trace, c.cycle)
@@ -358,14 +361,8 @@ func (c *Core) tryReuse(t *Context, e *alist.Entry, srcCtx int, it *streamItem) 
 	// physical registers the trace entry originally read (physical
 	// registers are write-once while allocated, so mapping identity
 	// implies value identity).
-	if in.Rs1 != isa.RegZero && in.Rs1 != 0 {
-		switch in.Op {
-		case isa.OpNop, isa.OpHalt, isa.OpLi, isa.OpJ, isa.OpJal:
-		default:
-			if t.mapOf(in.Rs1) != se.Src1 {
-				return false
-			}
-		}
+	if in.ReadsRs1() && in.Rs1 != isa.RegZero && t.mapOf(in.Rs1) != se.Src1 {
+		return false
 	}
 	if in.ReadsRs2() && in.Rs2 != isa.RegZero && t.mapOf(in.Rs2) != se.Src2 {
 		return false
@@ -409,12 +406,12 @@ func (c *Core) endStream(t *Context, abort bool) {
 		return
 	}
 	if abort {
-		t.fqClear()
+		c.fqClear(t)
 		t.fetchHalted = false
 	} else {
 		for i := 0; i < t.fqLen(); i++ {
 			t.fqAt(i).postMerge = false
 		}
 	}
-	t.stream = nil
+	c.setStream(t, nil)
 }

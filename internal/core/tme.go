@@ -120,7 +120,7 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 	a.altCapped = false
 	a.fetchHalted = false
 	a.fetchStallUntil = 0
-	a.stream = stream
+	c.setStream(a, stream)
 	a.path = forkPath{live: true, spawnCycle: c.cycle}
 
 	// Duplicate the register map (the MSB makes this free in hardware:
@@ -152,7 +152,7 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 // requested alternate PC: "it is re-spawned via recycling, without
 // consuming fetch bandwidth."
 func (c *Core) respawn(t *Context, e *alist.Entry, a *Context, altPC uint64) {
-	items := c.snapshotTrace(a, a, a.al.FirstSeq())
+	items := c.snapshotTrace(a, a, a.al.FirstSeq(), a.al.Capacity()) // the whole trace
 	if len(items) == 0 {
 		// Degenerate trace; fall back to a normal spawn on it.
 		c.killContext(a)
@@ -166,7 +166,7 @@ func (c *Core) respawn(t *Context, e *alist.Entry, a *Context, altPC uint64) {
 	// predictions, exactly as a fetch-side merge would.
 	c.activateAlternate(t, e, a, altPC, nil)
 	stream := c.buildStream(a, items, -1 /* re-executing its own trace: no reuse */, false)
-	a.stream = stream
+	c.setStream(a, stream)
 	a.fetchPC = stream.nextPC
 	a.path.respawned = true
 	if c.ring != nil {
@@ -321,8 +321,7 @@ func (c *Core) cancelIssue(a *Context) {
 		e.NoIssue = true
 		return true
 	}
-	c.iqInt.RemoveIf(match)
-	c.iqFP.RemoveIf(match)
+	c.occ[a.id] -= int32(c.iqInt.RemoveIf(match) + c.iqFP.RemoveIf(match))
 	// Never-issuing stores must not block loads; drop their queue slots.
 	a.sq.compact(func(s *sqEntry) bool {
 		if s.addrOK {
@@ -342,8 +341,8 @@ func (c *Core) makeInactive(a *Context) {
 	}
 	c.setState(a, CtxInactive)
 	a.lruTick = c.cycle
-	a.fqClear()
-	a.stream = nil
+	c.fqClear(a)
+	c.setStream(a, nil)
 	a.fetchHalted = false
 	// Issue cancellation is policy-specific and happens in
 	// resolveAlternate; under nostop, already-queued instructions of

@@ -13,58 +13,42 @@ import (
 	"recyclesim/internal/regfile"
 )
 
-// slot is one queued entry plus the source register its last issue
-// visit found not ready (NoReg when it waited on nothing, or on
-// something other than a register).
-type slot struct {
-	e    *alist.Entry
-	wait regfile.PhysReg
-}
-
-// Queue is one instruction queue.
+// Queue is one instruction queue.  It keeps its entries and, for
+// each, the source register its last issue visit found not ready
+// (NoReg when it waited on nothing, or on something other than a
+// register) in two parallel arrays, so the issue pass skips a blocked
+// entry reading only wait and the ready bits.
 type Queue struct {
-	cap   int
-	slots []slot
-
-	// counts caches per-context occupancy so the ICOUNT fetch and
-	// rename priority policies read it in O(1) instead of scanning the
-	// queue (grown on demand to the highest context id seen).
-	counts []int
+	cap  int
+	ents []*alist.Entry
+	wait []regfile.PhysReg
 }
 
 // Reset empties the queue and sets its capacity, keeping its storage
 // and growing it only when it is too small.  It returns q.
 func (q *Queue) Reset(capacity int) *Queue {
-	clear(q.slots)
 	q.cap = capacity
-	q.slots = slices.Grow(q.slots[:0], capacity)
-	clear(q.counts)
+	q.ents = slices.Grow(q.ents[:0], capacity)
+	q.wait = slices.Grow(q.wait[:0], capacity)
 	return q
-}
-
-func (q *Queue) bump(ctx, delta int) {
-	for ctx >= len(q.counts) {
-		q.counts = append(q.counts, 0)
-	}
-	q.counts[ctx] += delta
 }
 
 // Capacity returns the maximum occupancy.
 func (q *Queue) Capacity() int { return q.cap }
 
 // Len returns the current occupancy.
-func (q *Queue) Len() int { return len(q.slots) }
+func (q *Queue) Len() int { return len(q.ents) }
 
 // Full reports whether dispatch must stall.
-func (q *Queue) Full() bool { return len(q.slots) >= q.cap }
+func (q *Queue) Full() bool { return len(q.ents) >= q.cap }
 
 // Push inserts a dispatched entry; it reports false when full.
 func (q *Queue) Push(e *alist.Entry) bool {
 	if q.Full() {
 		return false
 	}
-	q.slots = append(q.slots, slot{e: e, wait: regfile.NoReg})
-	q.bump(e.Ctx, 1)
+	q.ents = append(q.ents, e)
+	q.wait = append(q.wait, regfile.NoReg)
 	return true
 }
 
@@ -80,46 +64,47 @@ func (q *Queue) Push(e *alist.Entry) bool {
 // one has issued; retained entries keep their relative order.  The
 // visitor must not push to or remove from the queue.
 func (q *Queue) Issue(ready []bool, visit func(e *alist.Entry) (issued bool, wait regfile.PhysReg)) {
+	ents, waits := q.ents, q.wait[:len(q.ents)]
 	w := 0
-	for i := range q.slots {
-		s := &q.slots[i]
-		if s.wait == regfile.NoReg || ready[s.wait] {
-			ok, wait := visit(s.e)
+	for i, wr := range waits {
+		if wr == regfile.NoReg || ready[wr] {
+			ok, wait := visit(ents[i])
 			if ok {
-				q.bump(s.e.Ctx, -1)
 				continue
 			}
-			s.wait = wait
+			wr = wait
 		}
 		if w != i {
-			q.slots[w] = *s
+			ents[w] = ents[i]
 		}
+		waits[w] = wr
 		w++
 	}
 	q.truncate(w)
 }
 
-// truncate drops the slots from n on, clearing them so removed entries
-// don't pin memory.
+// truncate drops the entries from n on.  Nothing is cleared: every
+// entry the core queues is a slot of an active-list ring it owns for
+// its life, so a stale pointer past the end pins nothing.
 func (q *Queue) truncate(n int) {
-	clear(q.slots[n:])
-	q.slots = q.slots[:n]
+	q.ents = q.ents[:n]
+	q.wait = q.wait[:n]
 }
 
-// RemoveIf deletes all entries matching the predicate (squash support).
+// RemoveIf deletes all entries matching the predicate (squash support)
+// and returns how many it removed.
 func (q *Queue) RemoveIf(match func(e *alist.Entry) bool) int {
 	w := 0
-	for i, s := range q.slots {
-		if match(s.e) {
-			q.bump(s.e.Ctx, -1)
+	for i, e := range q.ents {
+		if match(e) {
 			continue
 		}
 		if w != i {
-			q.slots[w] = s
+			q.ents[w], q.wait[w] = e, q.wait[i]
 		}
 		w++
 	}
-	removed := len(q.slots) - w
+	removed := len(q.ents) - w
 	q.truncate(w)
 	return removed
 }
@@ -127,18 +112,22 @@ func (q *Queue) RemoveIf(match func(e *alist.Entry) bool) int {
 // Each visits every queued entry oldest-first without removing any;
 // the runtime invariant checker uses it to audit queue membership.
 func (q *Queue) Each(visit func(e *alist.Entry)) {
-	for _, s := range q.slots {
-		visit(s.e)
+	for _, e := range q.ents {
+		visit(e)
 	}
 }
 
-// CountCtx returns the number of queued entries belonging to ctx; the
-// ICOUNT fetch policy and the recycle priority counter use this.
+// CountCtx returns the number of queued entries belonging to ctx, by
+// a scan: the core keeps its own per-context occupancy for the ICOUNT
+// orderings, and audits it against this.
 func (q *Queue) CountCtx(ctx int) int {
-	if ctx < len(q.counts) {
-		return q.counts[ctx]
+	n := 0
+	for _, e := range q.ents {
+		if e.Ctx == ctx {
+			n++
+		}
 	}
-	return 0
+	return n
 }
 
 // ForClass reports which queue an instruction class dispatches to:

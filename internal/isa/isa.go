@@ -239,9 +239,10 @@ func (i *Inst) SrcRegs() (srcs [2]Reg, n int) {
 		srcs[n] = r
 		n++
 	}
-	switch i.Op {
-	case OpNop, OpHalt, OpLi, OpJ, OpJal:
+	if !i.ReadsRs1() {
 		return
+	}
+	switch i.Op {
 	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai,
 		OpSlti, OpLd, OpFld, OpJr, OpFmov, OpFneg, OpCvtIF, OpCvtFI:
 		add(i.Rs1)
@@ -251,6 +252,16 @@ func (i *Inst) SrcRegs() (srcs [2]Reg, n int) {
 		add(i.Rs2)
 		return
 	}
+}
+
+// ReadsRs1 reports whether Rs1 is a source operand: every instruction
+// but the ones that read no register (nop, halt, li, j, jal).
+func (i *Inst) ReadsRs1() bool {
+	switch i.Op {
+	case OpNop, OpHalt, OpLi, OpJ, OpJal:
+		return false
+	}
+	return true
 }
 
 // ReadsRs2 reports whether Rs2 is a live source operand.
