@@ -26,6 +26,12 @@
 #                    table at 200k instructions per cell, a blank line,
 #                    then the sampled Figure 3 at 2M (not part of check;
 #                    CI reruns it and fails if the file changes)
+#   make prof        one CPU profile of the detailed cycle loop: gcc at
+#                    1M instructions under SMT, TME, REC and REC/RS/RU
+#                    (cmd/recyclesim -cpuprofile), merged into
+#                    prof.pb.gz, then its top 50 functions by cumulative
+#                    time (not part of check; BenchmarkPresetCost in
+#                    internal/core gives the per-preset ns/renamed)
 #   make size        non-test, non-blank, non-comment Go lines outside
 #                    bench/ and testdata/, per package directory and in
 #                    total, over the files git tracks or would track
@@ -36,7 +42,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint test fuzz smoke invariant results size
+.PHONY: check fmt vet build lint test fuzz smoke invariant results prof size
 
 check: fmt vet build lint test fuzz smoke
 
@@ -82,6 +88,19 @@ results:
 	{ $(GO) run ./cmd/experiments -all -insts 200000 && echo && \
 	  $(GO) run ./cmd/experiments -sampled -insts 2000000; } > results.txt.tmp
 	mv results.txt.tmp results.txt
+
+PROF_PRESETS = SMT TME REC REC/RS/RU
+
+prof:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/recyclesim" ./cmd/recyclesim && \
+	i=0 && for f in $(PROF_PRESETS); do \
+		i=$$((i + 1)); \
+		"$$dir/recyclesim" -workloads gcc -insts 1000000 -features "$$f" \
+			-cpuprofile "$$dir/$$i.prof" > /dev/null || exit 1; \
+	done && \
+	$(GO) tool pprof -proto "$$dir"/*.prof > prof.pb.gz && \
+	$(GO) tool pprof -top -cum -nodecount 50 prof.pb.gz
 
 size:
 	@git ls-files -co --exclude-standard -- '*.go' | \
