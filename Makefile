@@ -32,6 +32,13 @@
 #                    prof.pb.gz, then its top 50 functions by cumulative
 #                    time (not part of check; BenchmarkPresetCost in
 #                    internal/core gives the per-preset ns/renamed)
+#   make costcmp BASE=<rev> ROUNDS=<n>
+#                    BenchmarkPresetCost built from revision BASE and
+#                    from the working tree, run alternately ROUNDS times
+#                    at -benchtime 1x; prints each preset's median
+#                    ns/renamed on both sides and the median paired
+#                    change (scripts/costcmp.sh; not part of check;
+#                    defaults BASE=HEAD ROUNDS=5)
 #   make size        non-test, non-blank, non-comment Go lines outside
 #                    bench/ and testdata/, per package directory and in
 #                    total, over the files git tracks or would track
@@ -42,7 +49,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint test fuzz smoke invariant results prof size
+.PHONY: check fmt vet build lint test fuzz smoke invariant results prof costcmp size
 
 check: fmt vet build lint test fuzz smoke
 
@@ -101,6 +108,12 @@ prof:
 	done && \
 	$(GO) tool pprof -proto "$$dir"/*.prof > prof.pb.gz && \
 	$(GO) tool pprof -top -cum -nodecount 50 prof.pb.gz
+
+BASE ?= HEAD
+ROUNDS ?= 5
+
+costcmp:
+	GO=$(GO) bash scripts/costcmp.sh $(BASE) $(ROUNDS)
 
 size:
 	@git ls-files -co --exclude-standard -- '*.go' | \

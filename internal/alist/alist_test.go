@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"recyclesim/internal/bpred"
 	"recyclesim/internal/isa"
 )
 
@@ -51,6 +52,15 @@ func TestAtBounds(t *testing.T) {
 	}
 }
 
+// popFrom pops every entry PopBack(seq) yields and returns their
+// sequence numbers in the order they came off.
+func popFrom(l *List, seq uint64) (undone []uint64) {
+	for e, ok := l.PopBack(seq); ok; e, ok = l.PopBack(seq) {
+		undone = append(undone, e.Seq)
+	}
+	return undone
+}
+
 func TestSquashFrom(t *testing.T) {
 	l := new(List).Reset(8)
 	for i := 0; i < 6; i++ {
@@ -58,8 +68,7 @@ func TestSquashFrom(t *testing.T) {
 	}
 	l.CommitHead()
 	l.CommitHead()
-	var undone []uint64
-	l.SquashFrom(3, func(e *Entry) { undone = append(undone, e.Seq) })
+	undone := popFrom(l, 3)
 	if len(undone) != 3 || undone[0] != 5 || undone[2] != 3 {
 		t.Errorf("undone = %v (want youngest-first 5,4,3)", undone)
 	}
@@ -67,8 +76,7 @@ func TestSquashFrom(t *testing.T) {
 		t.Errorf("tail=%d inflight=%d", l.TailSeq(), l.InFlight())
 	}
 	// Squashing below the commit point must not touch committed entries.
-	undone = nil
-	l.SquashFrom(0, func(e *Entry) { undone = append(undone, e.Seq) })
+	undone = popFrom(l, 0)
 	if len(undone) != 1 || undone[0] != 2 {
 		t.Errorf("undone = %v (committed entries must survive)", undone)
 	}
@@ -80,19 +88,21 @@ func TestSquashAll(t *testing.T) {
 		push(t, l, uint64(i))
 	}
 	l.CommitHead()
-	n := 0
-	l.SquashAll(func(*Entry) { n++ })
-	if n != 4 {
+	// A context reclaim pops every uncommitted entry, then clears the
+	// list.
+	if n := len(popFrom(l, 0)); n != 4 {
 		t.Errorf("squashed %d, want 4 (uncommitted only)", n)
 	}
-	if l.Len() != 0 || l.InFlight() != 0 {
-		t.Errorf("list not empty after SquashAll: len=%d", l.Len())
+	if l.Len() != 1 || l.InFlight() != 0 {
+		t.Errorf("committed history must survive the squash: len=%d inflight=%d", l.Len(), l.InFlight())
 	}
-	// Sequence numbering resumes from the squash point (the committed
-	// prefix was dropped from retention, so the tail rewinds to the
-	// oldest squashed sequence).
+	l.Clear()
+	if l.Len() != 0 || l.InFlight() != 0 {
+		t.Errorf("list not empty after Clear: len=%d", l.Len())
+	}
+	// Sequence numbering starts over.
 	e, _, _ := l.Push()
-	if e.Seq != l.TailSeq()-1 || e.Seq != 1 {
+	if e.Seq != l.TailSeq()-1 || e.Seq != 0 {
 		t.Errorf("seq after squash-all = %d", e.Seq)
 	}
 }
@@ -117,7 +127,7 @@ func TestFirstPCAndFindPC(t *testing.T) {
 }
 
 func TestTraceTaken(t *testing.T) {
-	e := Entry{Inst: isa.Inst{Op: isa.OpBeq}, PredTaken: true}
+	e := Entry{Inst: isa.Inst{Op: isa.OpBeq}, Pred: bpred.Pred{Taken: true}}
 	if !e.TraceTaken() {
 		t.Error("unexecuted branch should report its prediction")
 	}
@@ -173,7 +183,7 @@ func TestRingInvariants(t *testing.T) {
 				}
 			case 3:
 				if l.InFlight() > 0 {
-					l.SquashFrom(l.CommitSeq()+uint64(op)%uint64(l.InFlight()), func(*Entry) {})
+					popFrom(l, l.CommitSeq()+uint64(op)%uint64(l.InFlight()))
 				}
 			}
 			if l.FirstSeq() > l.CommitSeq() || l.CommitSeq() > l.TailSeq() {
@@ -255,24 +265,24 @@ func TestRingMatchesReferenceFIFO(t *testing.T) {
 				// later of from and the commit point.
 				from := tail - rnd(uint64(len(ref))+1)
 				newTail := max(from, tail-uint64(inFlight()))
-				var undone, want []uint64
-				l.SquashFrom(from, func(e *Entry) { undone = append(undone, e.Seq) })
+				var want []uint64
+				undone := popFrom(l, from)
 				for len(ref) > 0 && ref[len(ref)-1].seq >= newTail {
 					want = append(want, ref[len(ref)-1].seq)
 					ref = ref[:len(ref)-1]
 				}
 				tail = newTail
 				if !reflect.DeepEqual(undone, want) {
-					t.Fatalf("cap %d step %d: SquashFrom(%d) undid %v, want %v", capacity, step, from, undone, want)
+					t.Fatalf("cap %d step %d: PopBack(%d) undid %v, want %v", capacity, step, from, undone, want)
 				}
 			default:
-				n := 0
-				l.SquashAll(func(*Entry) { n++ })
+				// Every uncommitted entry: the committed history stays.
+				n := len(popFrom(l, 0))
 				if n != inFlight() {
-					t.Fatalf("cap %d step %d: SquashAll undid %d, want %d", capacity, step, n, inFlight())
+					t.Fatalf("cap %d step %d: PopBack(0) undid %d, want %d", capacity, step, n, inFlight())
 				}
 				tail -= uint64(n)
-				ref = ref[:0]
+				ref = ref[:len(ref)-n]
 			}
 
 			if l.TailSeq() != tail || l.Len() != len(ref) || l.InFlight() != inFlight() {

@@ -179,6 +179,10 @@ func (c *Cache) newPage() []line {
 	return make([]line, c.pageLen())
 }
 
+// LineShift returns log2 of the line size: addresses addr and a share
+// a line exactly when addr>>LineShift() == a>>LineShift().
+func (c *Cache) LineShift() uint { return c.lineShift }
+
 // Sets returns the number of sets (exported for tests).
 func (c *Cache) Sets() int { return c.sets }
 

@@ -89,7 +89,7 @@ func (e *Emulator) StepInto(info *StepInfo) {
 		info.Next = e.PC
 		return
 	}
-	info.Inst = in
+	info.Inst = *in
 
 	// The zero register is never written (WritesReg and the load path
 	// both exclude it), so Regs[RegZero] reads as the architectural 0.
@@ -98,26 +98,26 @@ func (e *Emulator) StepInto(info *StepInfo) {
 
 	switch {
 	case in.IsLoad():
-		info.Addr = isa.EffAddr(in, s1)
+		info.Addr = isa.EffAddr(*in, s1)
 		info.Result = e.Mem.Read(info.Addr)
 		if in.Rd != isa.RegZero {
 			e.Regs[in.Rd] = info.Result
 		}
 	case in.IsStore():
-		info.Addr = isa.EffAddr(in, s1)
+		info.Addr = isa.EffAddr(*in, s1)
 		e.Mem.Write(info.Addr, s2)
 	case in.IsBranch():
-		info.Taken = isa.BranchTaken(in, s1, s2)
+		info.Taken = isa.BranchTaken(*in, s1, s2)
 		if in.WritesReg() {
-			info.Result = isa.Eval(in, e.PC, s1, s2)
+			info.Result = isa.Eval(*in, e.PC, s1, s2)
 			e.Regs[in.Rd] = info.Result
 		}
 		if info.Taken {
-			next = isa.BranchTarget(in, s1)
+			next = isa.BranchTarget(*in, s1)
 		}
 	default:
 		if in.WritesReg() {
-			info.Result = isa.Eval(in, e.PC, s1, s2)
+			info.Result = isa.Eval(*in, e.PC, s1, s2)
 			e.Regs[in.Rd] = info.Result
 		}
 	}

@@ -48,13 +48,20 @@ func (p *Program) PCToIndex(pc uint64) (int, bool) {
 	return idx, true
 }
 
-// FetchInst returns the instruction at pc.  Fetching outside the text
-// segment returns a halt so wrong-path execution stays well-defined.
-func (p *Program) FetchInst(pc uint64) isa.Inst {
+// outsideText is what fetching outside the text segment reads.
+var outsideText = isa.Inst{Op: isa.OpHalt}
+
+// FetchInst returns the instruction at pc, in place in the code (or a
+// shared halt for a PC outside the text segment, so wrong-path
+// execution stays well-defined); callers only read through it.  A
+// pointer, not a copy: copying the record out of a returned value
+// stores its narrow fields one by one and reloads them with one wide
+// load, which stalls.
+func (p *Program) FetchInst(pc uint64) *isa.Inst {
 	if idx, ok := p.PCToIndex(pc); ok {
-		return p.Code[idx]
+		return &p.Code[idx]
 	}
-	return isa.Inst{Op: isa.OpHalt}
+	return &outsideText
 }
 
 // EndPC returns the PC one instruction past the last code word.

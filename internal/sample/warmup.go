@@ -8,12 +8,6 @@ import (
 	"recyclesim/internal/isa"
 )
 
-// warmupLine is the I-side granularity of functional warmup: one
-// I-cache touch per 64-byte line change, matching the fetch stage's
-// one-AccessI-per-block behaviour closely enough to warm the same
-// lines.
-const warmupLine = 64
-
 // Warmup functionally warms the long-lived microarchitectural models —
 // branch predictor, confidence estimator, and cache hierarchy — from
 // the emulator's instruction stream during fast-forward, so a detailed
@@ -89,10 +83,14 @@ func (w *Warmup) CloneInto(dst *Warmup) *Warmup {
 // through fastForward instead; Observe is the reference its tests
 // compare against, one StepInfo at a time.
 //
+// The I side is warmed one touch per IL1 line change, the line size
+// the fetch stage's blocks end at, which warms the same lines as its
+// one access per block closely enough.
+//
 //recycle:hotpath
 func (w *Warmup) Observe(si *emu.StepInfo) {
 	w.now++
-	line := si.PC / warmupLine
+	line := si.PC >> w.Mem.IL1.LineShift()
 	if !w.haveLine || line != w.lastLine {
 		w.Mem.AccessI(w.now, core.TagAddr(w.progIdx, si.PC))
 		w.lastLine = line
@@ -133,9 +131,10 @@ func (w *Warmup) fastForward(e *emu.Emulator, n uint64) {
 	}
 	code, mem, regs := e.Prog.Code, e.Mem, &e.Regs
 	pc, retired := e.PC, e.Retired
+	lineShift := w.Mem.IL1.LineShift()
 	for ; n > 0; n-- {
 		w.now++
-		if line := pc / warmupLine; !w.haveLine || line != w.lastLine {
+		if line := pc >> lineShift; !w.haveLine || line != w.lastLine {
 			w.Mem.AccessI(w.now, core.TagAddr(w.progIdx, pc))
 			w.lastLine, w.haveLine = line, true
 		}

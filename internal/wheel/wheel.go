@@ -34,7 +34,8 @@ type Wheel struct {
 	slots [][]Item
 	mask  uint64
 	far   []Item
-	count int // scheduled, not yet drained (stale items included)
+	due   []Item // PopDue's result, reused
+	count int    // scheduled, not yet drained (stale items included)
 }
 
 // Horizon returns the slot-ring span in cycles.
@@ -60,18 +61,20 @@ func (w *Wheel) Schedule(e *alist.Entry, due, now uint64) {
 	w.slots[due&w.mask] = append(w.slots[due&w.mask], Item{E: e, Due: due})
 }
 
-// PopDue drains every item due at cycle `now` into visit.  Items in the
+// PopDue removes every item due at cycle `now` and returns them in the
+// wheel's reused scratch, valid until the next PopDue.  Items in the
 // slot belonging to a later lap of the ring are retained; far items
-// whose cycle has come are drained too.  Visit order within a cycle is
-// insertion order and is NOT a determinism boundary: the core sorts the
-// drained batch by (ctx, seq) before acting on it.
-func (w *Wheel) PopDue(now uint64, visit func(Item)) {
-	slot := w.slots[now&w.mask]
+// whose cycle has come are drained too, after the slot's.  Order
+// within a cycle is insertion order and is NOT a determinism boundary:
+// the core sorts the drained batch by (ctx, seq) before acting on it.
+// Returning the batch, rather than calling back per item, keeps the
+// drain a plain loop in the caller.
+func (w *Wheel) PopDue(now uint64) []Item {
+	slot, due := w.slots[now&w.mask], w.due[:0]
 	keep := slot[:0]
 	for _, it := range slot {
 		if it.Due == now {
-			w.count--
-			visit(it)
+			due = append(due, it)
 		} else {
 			keep = append(keep, it)
 		}
@@ -81,15 +84,22 @@ func (w *Wheel) PopDue(now uint64, visit func(Item)) {
 	// life, so a stale pointer pins nothing.
 	w.slots[now&w.mask] = keep
 
-	if len(w.far) == 0 {
-		return
+	if len(w.far) != 0 {
+		due = w.drainFar(now, due)
 	}
+	w.count -= len(due)
+	w.due = due
+	return due
+}
+
+// drainFar appends the far items due at now to due and files the ones
+// now within the horizon on the ring.
+func (w *Wheel) drainFar(now uint64, due []Item) []Item {
 	far := w.far[:0]
 	for _, it := range w.far {
 		switch {
 		case it.Due == now:
-			w.count--
-			visit(it)
+			due = append(due, it)
 		case it.Due-now < uint64(len(w.slots)):
 			// Close enough to file on the ring now.
 			w.slots[it.Due&w.mask] = append(w.slots[it.Due&w.mask], it)
@@ -101,6 +111,7 @@ func (w *Wheel) PopDue(now uint64, visit func(Item)) {
 		w.far[i] = Item{}
 	}
 	w.far = far
+	return due
 }
 
 // Each visits every scheduled item (stale ones included); the runtime
@@ -130,6 +141,8 @@ func (w *Wheel) Reset(horizon int) *Wheel {
 		w.slots[i] = w.slots[i][:0]
 	}
 	w.far = w.far[:0]
+	clear(w.due)
+	w.due = w.due[:0]
 	w.mask = uint64(n - 1)
 	w.count = 0
 	return w

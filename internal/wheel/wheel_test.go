@@ -8,7 +8,9 @@ import (
 
 func drain(w *Wheel, now uint64) []*alist.Entry {
 	var out []*alist.Entry
-	w.PopDue(now, func(it Item) { out = append(out, it.E) })
+	for _, it := range w.PopDue(now) {
+		out = append(out, it.E)
+	}
 	return out
 }
 
@@ -110,7 +112,7 @@ func TestSteadyStateNoAlloc(t *testing.T) {
 			w.Schedule(e, now+uint64(1+i%7), now)
 		}
 		for d := uint64(1); d <= 8; d++ {
-			w.PopDue(now+d, func(Item) {})
+			w.PopDue(now + d)
 		}
 		now += 8
 	}
