@@ -128,10 +128,17 @@ func (m *MDB) InsertLoad(pc, addr uint64) {
 			m.unindex(old)
 			i, _ = m.find(key) // the deletion may have moved the probe's end
 		}
-		m.head = (m.head + 1) % len(m.ring)
+		// The ring wraps by compare, not %: a division per load
+		// completion is measurable.
+		if m.head++; m.head == len(m.ring) {
+			m.head = 0
+		}
 		m.n--
 	}
-	slot := int32((m.head + m.n) % len(m.ring))
+	slot := int32(m.head + m.n)
+	if int(slot) >= len(m.ring) {
+		slot -= int32(len(m.ring))
+	}
 	m.n++
 	m.keys[i] = keySlot{key: key, slot: slot + 1}
 	first := m.bucket(addr)
