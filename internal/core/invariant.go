@@ -203,7 +203,7 @@ func (c *Core) checkContexts(r *invariant.Report) {
 			if e.Seq != s {
 				r.Failf("alist", "ctx=%d ring slot for seq=%d holds seq=%d", t.id, s, e.Seq)
 			}
-			if e.Ctx != t.id {
+			if int(e.Ctx) != t.id {
 				r.Failf("alist", "ctx=%d seq=%d entry claims ctx=%d", t.id, s, e.Ctx)
 			}
 			if want := s < al.CommitSeq(); e.Committed != want {
@@ -365,7 +365,7 @@ func (c *Core) checkReuse(r *invariant.Report) {
 			if e == nil || !e.Reused {
 				continue
 			}
-			if e.ReuseSrc < 0 || e.ReuseSrc >= len(c.ctxs) {
+			if e.ReuseSrc < 0 || int(e.ReuseSrc) >= len(c.ctxs) {
 				r.Failf("reuse", "ctx=%d seq=%d reused with invalid source %d", t.id, s, e.ReuseSrc)
 				continue
 			}
