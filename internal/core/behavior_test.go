@@ -262,7 +262,7 @@ func TestFeatureGatedRecycleState(t *testing.T) {
 // desired behaviour: when a context's first-PC merge point (its oldest
 // retained entry) has the same PC as its backward (loop) merge point,
 // tryMerge skips the loop merge.  MergePoints.Match prefers the
-// first-PC point, so the `ok && back` test fails.  A fix changes
+// first-PC point, so probeMerges leaves the backward point out.  A fix changes
 // simulated results and must flip this test on purpose (see
 // EXPERIMENTS.md, Table 1).
 func TestOwnBackMergeShadowedByFirstPC(t *testing.T) {
@@ -295,12 +295,13 @@ func TestOwnBackMergeShadowedByFirstPC(t *testing.T) {
 		t.Fatal("no cycle put both merge points of a primary on the loop head")
 	}
 	pc := ctx.mp.BackPC
-	c.probeSpares(ctx)
+	c.probeMerges(ctx)
 	if c.tryMerge(ctx, pc) || ctx.stream != nil {
 		t.Fatal("the backward merge was taken: the first-PC shadowing is fixed, so flip this test and update EXPERIMENTS.md")
 	}
 	// The same state without the first-PC point takes the loop merge.
 	ctx.mp.FirstValid = false
+	c.probeMerges(ctx)
 	if !c.tryMerge(ctx, pc) || ctx.stream == nil {
 		t.Error("without a first-PC point the backward merge was still skipped")
 	}
