@@ -82,6 +82,60 @@ func TestWrittenBitsZeroRegister(t *testing.T) {
 	}
 }
 
+// The array packs four 16-bit rows per word.  Driven through random
+// operations side by side with one plain row per register, it answers
+// Changed as the rows do for every register and context.
+func TestWrittenBitsMatchesRows(t *testing.T) {
+	w := new(WrittenBits).Reset(16)
+	var rows [isa.NumRegs]uint16
+	x := uint64(1)
+	rnd := func(n uint64) uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return x >> 33 % n
+	}
+	for step := 0; step < 5_000; step++ {
+		reg, ctx, mask := isa.Reg(rnd(isa.NumRegs)), int(rnd(16)), uint16(rnd(1<<16))
+		switch rnd(6) {
+		case 0:
+			w.MarkWritten(reg, mask)
+			rows[reg] |= mask
+		case 1:
+			regs := rnd(1<<32) | rnd(1<<32)<<32
+			w.MarkRegs(regs, ctx)
+			for r := range rows {
+				if regs>>r&1 != 0 {
+					rows[r] |= 1 << ctx
+				}
+			}
+		case 2:
+			w.ClearFor(reg, ctx)
+			rows[reg] &^= 1 << ctx
+		case 3:
+			w.MarkWrittenExcept(reg, mask, ctx)
+			rows[reg] |= mask &^ (1 << ctx)
+		case 4:
+			if rnd(50) == 0 {
+				w.SetAll(mask)
+				for r := range rows {
+					rows[r] |= mask
+				}
+			}
+		case 5:
+			w.ResetContext(ctx)
+			for r := range rows {
+				rows[r] &^= 1 << ctx
+			}
+		}
+		for r := 1; r < isa.NumRegs; r++ {
+			for c := 0; c < 16; c++ {
+				if got, want := w.Changed(isa.Reg(r), c), rows[r]>>c&1 != 0; got != want {
+					t.Fatalf("step %d: Changed(%d, %d) = %v, want %v", step, r, c, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMDBInsertAndInvalidate(t *testing.T) {
 	m := new(MDB).Reset(4)
 	m.InsertLoad(0x100, 0x8000)
