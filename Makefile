@@ -44,12 +44,18 @@
 #                    total, over the files git tracks or would track
 #                    (so ignored build output such as .bench_build/
 #                    never counts; not part of check)
+#   make sizecmp BASE=<rev>
+#                    the same counts at revision BASE (exported with git
+#                    archive) and in the working tree, per package and
+#                    in total, with the change (scripts/size.sh, which
+#                    make size runs too; not part of check; defaults
+#                    BASE=HEAD)
 #
 # The benchmark is bench/ (bash bench/run.sh); see bench/README.md.
 
 GO ?= go
 
-.PHONY: check fmt vet build lint test fuzz smoke invariant results prof costcmp size
+.PHONY: check fmt vet build lint test fuzz smoke invariant results prof costcmp size sizecmp
 
 check: fmt vet build lint test fuzz smoke
 
@@ -116,11 +122,7 @@ costcmp:
 	GO=$(GO) bash scripts/costcmp.sh $(BASE) $(ROUNDS)
 
 size:
-	@git ls-files -co --exclude-standard -- '*.go' | \
-	grep -Ev -e '_test\.go$$' -e '^bench/' -e '(^|/)testdata/' | \
-	awk '{ f = $$0; d = f; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
-	       while ((getline line < f) > 0) { sub(/^[ \t]+/, "", line); \
-	         if (line != "" && line !~ /^\/\//) { n[d]++; total++ } } \
-	       close(f) } \
-	     END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; \
-	           close("sort -k2"); printf "%7d  total\n", total }'
+	@bash scripts/size.sh
+
+sizecmp:
+	@bash scripts/size.sh $(BASE)

@@ -119,6 +119,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "experiments: -workers %d is negative (0 = GOMAXPROCS)\n", *workers)
+		return 2
+	}
 	if *remote != "" && *checkpointDir != "" {
 		fmt.Fprintln(stderr, "experiments: -remote and -checkpoint are mutually exclusive (the server's durable store already keeps every cell)")
 		return 2

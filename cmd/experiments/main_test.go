@@ -41,6 +41,12 @@ func TestRunArgs(t *testing.T) {
 			wantErr: "no table 2",
 		},
 		{
+			name:    "negative worker count",
+			args:    []string{"-fig", "3", "-insts", "300", "-workers", "-3"},
+			want:    2,
+			wantErr: "-workers -3 is negative",
+		},
+		{
 			name:    "nothing selected prints usage",
 			args:    nil,
 			want:    2,

@@ -111,6 +111,42 @@ func TestRunArgs(t *testing.T) {
 				"-pipetrace-pc, -pipetrace-sample would be ignored",
 		},
 		{
+			name:    "pipetrace knobs without a pipetrace",
+			args:    []string{"-workloads", "gcc", "-insts", "2000", "-pipetrace-sample", "4", "-pipetrace-max", "8"},
+			want:    2,
+			wantErr: "-pipetrace-max, -pipetrace-sample would be ignored without -pipetrace or -pipetrace-konata",
+		},
+		{
+			name:    "pipetrace PC window without a pipetrace",
+			args:    []string{"-workloads", "gcc", "-insts", "2000", "-pipetrace-pc", "0:64"},
+			want:    2,
+			wantErr: "-pipetrace-pc would be ignored without -pipetrace",
+		},
+		{
+			name:    "pipetrace cycle window without a pipetrace",
+			args:    []string{"-workloads", "gcc", "-insts", "2000", "-pipetrace-cycles", "0:9"},
+			want:    2,
+			wantErr: "-pipetrace-cycles would be ignored without -pipetrace",
+		},
+		{
+			name:    "non-positive pipetrace cap",
+			args:    []string{"-workloads", "gcc", "-insts", "2000", "-pipetrace-konata", "-", "-pipetrace-max", "0"},
+			want:    2,
+			wantErr: "-pipetrace-max 0 is not positive",
+		},
+		{
+			name:    "negative flight recorder size",
+			args:    []string{"-workloads", "gcc", "-insts", "2000", "-flightrec", "-1"},
+			want:    2,
+			wantErr: "-flightrec -1 is negative",
+		},
+		{
+			name:    "negative timeout",
+			args:    []string{"-workloads", "gcc", "-insts", "2000", "-timeout", "-1s"},
+			want:    2,
+			wantErr: "-timeout -1s is negative",
+		},
+		{
 			name:    "detailed run rejects the sampling schedule",
 			args:    []string{"-workloads", "gcc", "-insts", "2000", "-sample-period", "5000"},
 			want:    2,

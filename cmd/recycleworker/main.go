@@ -54,6 +54,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "recycleworker: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "recycleworker: -parallel %d is negative (0 = GOMAXPROCS)\n", *parallel)
+		return 2
+	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		fmt.Fprintf(stderr, "recycleworker: -log-level: %v\n", err)
@@ -68,7 +72,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		*name = host
 	}
-	if *parallel <= 0 {
+	if *parallel == 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
 	base := strings.TrimRight(*daemon, "/")

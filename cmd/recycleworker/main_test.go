@@ -26,6 +26,7 @@ func TestBadFlags(t *testing.T) {
 		{[]string{"extra"}, "unexpected argument"},
 		{[]string{"-nonesuch"}, "flag provided but not defined"},
 		{[]string{"-log-level", "loud"}, "-log-level"},
+		{[]string{"-parallel", "-3"}, "-parallel -3 is negative"},
 		{[]string{"-daemon", closed, "-wait-healthy", "200ms"}, "-daemon: no healthy server"},
 	} {
 		var out, errb bytes.Buffer

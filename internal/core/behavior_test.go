@@ -285,7 +285,7 @@ func TestOwnBackMergeShadowedByFirstPC(t *testing.T) {
 		c.Cycle()
 		for _, x := range c.ctxs {
 			mp := x.mp
-			if x.isPrimary && x.stream == nil && mp.FirstValid && mp.BackValid && mp.FirstPC == mp.BackPC &&
+			if c.isPrimary(x) && x.stream == nil && mp.FirstValid && mp.BackValid && mp.FirstPC == mp.BackPC &&
 				x.part.mask&^c.inState[CtxIdle] == 1<<uint(x.id) {
 				ctx = x
 			}

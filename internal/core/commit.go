@@ -86,7 +86,7 @@ func (c *Core) commitOne(t *Context) bool {
 		// corrupt the fork statistics rather than just a prediction).
 		c.pred.Commit(e.PC, in, &e.Pred, e.Taken, e.NextPC)
 		if in.IsCondBranch() {
-			c.conf.Update(c.tagAddr(part.id, e.PC), e.Taken == e.Pred.Taken)
+			c.conf.Update(TagAddr(part.id, e.PC), e.Taken == e.Pred.Taken)
 		}
 	}
 
@@ -94,11 +94,7 @@ func (c *Core) commitOne(t *Context) bool {
 		c.rf.Release(e.OldMap)
 		e.OldMap = regfile.NoReg
 	}
-	if e.Reused && e.ReuseSrc >= 0 && int(e.ReuseSrc) < len(c.ctxs) {
-		if c.ctxs[e.ReuseSrc].outstandingReuse > 0 {
-			c.ctxs[e.ReuseSrc].outstandingReuse--
-		}
-	}
+	c.unpin(e)
 
 	t.al.CommitHead()
 	c.Stats.Committed++
@@ -148,19 +144,18 @@ func (c *Core) haltProgram(p *Partition) {
 	c.haltedPrograms++
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StageHalt,
-			Ctx: int16(p.primary), Arg: uint64(p.id)})
+			Ctx: int16(c.primaryOf(p).id), Arg: uint64(p.id)})
 	}
-	for _, id := range p.ctxIDs {
-		t := c.ctxs[id]
+	for m := p.mask; m != 0; m &= m - 1 {
+		t := c.ctxs[bits.TrailingZeros16(m)]
 		if t.state == CtxIdle {
 			continue
 		}
-		if t.isPrimary {
+		if c.isPrimary(t) {
 			// Keep the primary parked (its map holds the final
 			// architectural state) but stop all activity.
+			c.dropFrontEnd(t)
 			t.fetchHalted = true
-			c.fqClear(t)
-			c.setStream(t, nil)
 			continue
 		}
 		c.killContext(t)

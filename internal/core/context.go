@@ -222,8 +222,6 @@ type Context struct {
 	part  *Partition
 	state CtxState
 
-	isPrimary bool
-
 	// Fetch state.  The fetch queue (fq, below) is a fixed ring:
 	// pushes at fetch, pops at rename, wholesale clears on squash —
 	// none of it allocates.
@@ -304,6 +302,11 @@ func (t *Context) mapOf(r isa.Reg) regfile.PhysReg {
 // the fetch priority policy orders threads by it (§3.3).
 func (t *Context) icount(inIQ int32) int32 { return int32(t.fqN) + inIQ }
 
+// fetchable reports whether t's own path lets it fetch: its program
+// has not halted, and it has not fetched a halt or hit the
+// alternate-path limit.
+func (t *Context) fetchable() bool { return !t.part.done && !t.fetchHalted && !t.altCapped }
+
 // fqRoom reports how many more fetched instructions fit.
 func (t *Context) fqRoom() int { return fetchQueueCap - t.fqN }
 
@@ -316,13 +319,12 @@ func (t *Context) fqAt(i int) *fqEntry { return &t.fq[(t.fqHead+i)&(fetchQueueCa
 // Partition is one program and the group of contexts serving it: one
 // primary thread plus spare contexts for alternate paths (the MSB
 // partitioning of §2).  id is the program's index in the core's
-// program list.
+// program list; mask has bit i set for each context i it holds, and
+// the core's primary mask says which of them is the primary thread.
 type Partition struct {
-	id      int
-	prog    *program.Program
-	mem     *program.Memory // the program's architectural data memory
-	primary int             // context id of the primary thread
-	ctxIDs  []int           // all contexts in this partition
-	mask    uint16
-	done    bool // the program committed its halt
+	id   int
+	prog *program.Program
+	mem  *program.Memory // the program's architectural data memory
+	mask uint16
+	done bool // the program committed its halt
 }

@@ -82,13 +82,15 @@ type Core struct {
 	parts []*Partition // one per program, in program order
 
 	// inState[s] has bit i set while ctxs[i].state is s, and primary
-	// has bit i set while ctxs[i].isPrimary.  Per-cycle scans walk the
+	// has bit i set while ctxs[i] is its partition's primary thread (the
+	// one record of which context that is).  Per-cycle scans walk the
 	// set bits of the states they can act on, in ascending id, instead
 	// of every context: on SMT all but one context per program stay
 	// idle, and under recycling most of the rest are parked inactive
 	// traces that fetch, rename and commit nothing.  setState and
 	// setPrimary are the only writers, and CheckInvariants audits the
-	// masks against the contexts.
+	// state masks against the contexts and the primary mask against
+	// the partitions.
 	inState [numCtxStates]uint16
 	primary uint16
 
@@ -96,9 +98,9 @@ type Core struct {
 	// and fetched while its fetch queue holds an instruction; occ[i]
 	// counts ctxs[i]'s entries in both instruction queues.  The rename
 	// rounds walk (Active|Draining) & streaming and & fetched, and the
-	// fetch and rename orderings key on occ.  setStream, the fq*
-	// methods and the queue push, issue and removal sites are the only
-	// writers, and CheckInvariants audits all three against the
+	// fetch and rename orderings key on occ.  setStream, fqPush, fqPop,
+	// dropFrontEnd and the queue push, issue and removal sites are the
+	// only writers, and CheckInvariants audits all three against the
 	// contexts and the queues.
 	streaming uint16
 	fetched   uint16
@@ -315,21 +317,23 @@ func (c *Core) Load(mach config.Machine, feat config.Features, progs []*program.
 		} else {
 			part.mem = c.ownMemory(pi, part.prog)
 		}
-		for _, id := range part.ctxIDs {
-			c.ctxs[id].part = part
+		for m := part.mask; m != 0; m &= m - 1 {
+			c.ctxs[bits.TrailingZeros16(m)].part = part
 		}
+		first := c.ctxs[bits.TrailingZeros16(part.mask)]
 		if seed != nil {
-			c.startPrimary(c.ctxs[part.primary], seed.PC, &seed.Regs)
+			c.startPrimary(first, seed.PC, &seed.Regs)
 		} else {
-			c.startPrimary(c.ctxs[part.primary], part.prog.Entry, nil)
+			c.startPrimary(first, part.prog.Entry, nil)
 		}
 	}
 	return nil
 }
 
 // partition divides the contexts evenly among progs, one partition
-// each in program order; leftovers go to the first partitions.  It
-// reuses the Partition records and context lists c already holds.
+// each in program order, as runs of consecutive ids; leftovers go to
+// the first partitions.  It reuses the Partition records c already
+// holds.
 func (c *Core) partition(progs []*program.Program) {
 	per := len(c.ctxs) / len(progs)
 	extra := len(c.ctxs) % len(progs)
@@ -338,17 +342,12 @@ func (c *Core) partition(progs []*program.Program) {
 		if pi == len(c.parts) {
 			c.parts = append(c.parts, &Partition{})
 		}
-		part := c.parts[pi]
 		n := per
 		if pi < extra {
 			n++
 		}
-		*part = Partition{id: pi, prog: p, primary: next, ctxIDs: part.ctxIDs[:0]}
-		for k := 0; k < n; k++ {
-			part.ctxIDs = append(part.ctxIDs, next)
-			part.mask |= 1 << uint(next)
-			next++
-		}
+		*c.parts[pi] = Partition{id: pi, prog: p, mask: (1<<uint(n) - 1) << uint(next)}
+		next += n
 	}
 	c.parts = c.parts[:len(progs)]
 }
@@ -436,14 +435,18 @@ func (c *Core) fqPop(t *Context) {
 	}
 }
 
-// fqClear empties t's fetch queue (squash or context reclaim).
-func (c *Core) fqClear(t *Context) {
+// dropFrontEnd empties t's fetch queue, ends its recycle stream and
+// clears a fetched halt: nothing t queued ahead of rename survives a
+// squash, a kill or parking.
+func (c *Core) dropFrontEnd(t *Context) {
 	t.fqHead, t.fqN = 0, 0
 	c.fetched &^= 1 << uint(t.id)
+	c.setStream(t, nil)
+	t.fetchHalted = false
 }
 
-// setPrimary marks t as its partition's primary thread or not, keeping
-// the primary mask in step.
+// setPrimary marks t as its partition's primary thread or not in the
+// primary mask.
 func (c *Core) setPrimary(t *Context, p bool) {
 	bit := uint16(1) << uint(t.id)
 	if p {
@@ -451,7 +454,18 @@ func (c *Core) setPrimary(t *Context, p bool) {
 	} else {
 		c.primary &^= bit
 	}
-	t.isPrimary = p
+}
+
+// isPrimary reports whether t is its partition's primary thread.
+func (c *Core) isPrimary(t *Context) bool { return c.primary>>uint(t.id)&1 != 0 }
+
+// primaryOf returns partition p's primary thread, or nil unless it has
+// exactly one (invariant rule "primary" requires one while p is live).
+func (c *Core) primaryOf(p *Partition) *Context {
+	if m := c.primary & p.mask; bits.OnesCount16(m) == 1 {
+		return c.ctxs[bits.TrailingZeros16(m)]
+	}
+	return nil
 }
 
 // unlinkParent ends t's commit gate on its parent, clearing t's bit in
@@ -542,12 +556,6 @@ func (c *Core) CycleCount() uint64 { return c.cycle }
 // Done reports whether all programs have halted.
 func (c *Core) Done() bool { return c.haltedPrograms >= len(c.parts) }
 
-// tagAddr disambiguates program address spaces in the shared caches and
-// MDB; see TagAddr (in seed.go) for the scheme.
-func (c *Core) tagAddr(progIdx int, addr uint64) uint64 {
-	return TagAddr(progIdx, addr)
-}
-
 // entrySources returns the physical source registers for inst renamed
 // in context t.
 func (t *Context) entrySources(inst *isa.Inst) (s1, s2 regfile.PhysReg) {
@@ -572,16 +580,22 @@ func (c *Core) undoEntry(t *Context, e *alist.Entry) (mapped bool) {
 		c.rf.Release(e.NewMap)
 		mapped = true
 	}
-	if e.Reused && e.ReuseSrc >= 0 && int(e.ReuseSrc) < len(c.ctxs) {
-		if c.ctxs[e.ReuseSrc].outstandingReuse > 0 {
-			c.ctxs[e.ReuseSrc].outstandingReuse--
-		}
-	}
+	c.unpin(e)
 	if c.ptrace != nil {
 		c.ptrace.OnSquash(e.Trace, c.cycle)
 	}
 	c.Stats.Squashed++
 	return mapped
+}
+
+// unpin drops the pin a reused entry holds on its source context's
+// registers (§3.5's reclaim constraint), at its commit or its squash.
+func (c *Core) unpin(e *alist.Entry) {
+	if e.Reused && e.ReuseSrc >= 0 && int(e.ReuseSrc) < len(c.ctxs) {
+		if src := c.ctxs[e.ReuseSrc]; src.outstandingReuse > 0 {
+			src.outstandingReuse--
+		}
+	}
 }
 
 // removeFromBack removes a squashed range from the instruction queues,
@@ -652,9 +666,7 @@ func (c *Core) squashFrom(ctx int, seq uint64) {
 	}
 	c.removeFromBack(ctx, seq)
 	// Any in-progress recycle stream and queued fetches are stale.
-	c.setStream(t, nil)
-	c.fqClear(t)
-	t.fetchHalted = false
+	c.dropFrontEnd(t)
 }
 
 // releaseMapRefs drops all register references held by the context's
@@ -726,13 +738,11 @@ func (c *Core) killContext(t *Context) {
 	if c.feat.Recycle {
 		t.mp.Invalidate()
 	}
-	c.fqClear(t)
+	c.dropFrontEnd(t)
 	t.sq.clear()
-	c.setStream(t, nil)
 	c.setState(t, CtxIdle)
 	c.setPrimary(t, false)
 	c.unlinkParent(t)
-	t.fetchHalted = false
 	t.altCapped = false
 	t.pathLen = 0
 	t.outstandingReuse = 0

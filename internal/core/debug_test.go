@@ -91,14 +91,14 @@ func TestDebugDeadlock(t *testing.T) {
 		if ok {
 			hdr = e.Inst.String()
 			t.Logf("ctx %d state=%v prim=%v parent=%d/%d inflight=%d fq=%d stream=%v head={seq=%d pc=0x%x %s exec=%v iss=%v disp=%v noiss=%v reused=%v readyAt=%d}",
-				ct.id, ct.state, ct.isPrimary, ct.parentCtx, ct.parentSeq, ct.al.InFlight(), ct.fqLen(), ct.stream != nil,
+				ct.id, ct.state, c.isPrimary(ct), ct.parentCtx, ct.parentSeq, ct.al.InFlight(), ct.fqLen(), ct.stream != nil,
 				e.Seq, e.PC, hdr, e.Executed, e.Issued, e.Dispatched, e.NoIssue, e.Reused, e.ReadyAt)
 			if !e.Executed && e.Dispatched {
 				t.Logf("   src1=%d ready=%v src2=%d ready=%v", e.Src1, e.Src1 < 0 || c.rf.Ready(e.Src1), e.Src2, e.Src2 < 0 || c.rf.Ready(e.Src2))
 			}
 		} else {
 			t.Logf("ctx %d state=%v prim=%v parent=%d/%d inflight=0 fq=%d stream=%v fetchPC=0x%x stall=%d halted=%v capped=%v outReuse=%d",
-				ct.id, ct.state, ct.isPrimary, ct.parentCtx, ct.parentSeq, ct.fqLen(), ct.stream != nil, ct.fetchPC, ct.fetchStallUntil, ct.fetchHalted, ct.altCapped, ct.outstandingReuse)
+				ct.id, ct.state, c.isPrimary(ct), ct.parentCtx, ct.parentSeq, ct.fqLen(), ct.stream != nil, ct.fetchPC, ct.fetchStallUntil, ct.fetchHalted, ct.altCapped, ct.outstandingReuse)
 		}
 		if ct.stream != nil {
 			st := ct.stream
@@ -141,7 +141,7 @@ func TestDebugMultiprogram(t *testing.T) {
 		if e, ok := ct.al.Head(); ok {
 			headInfo = e.Inst.String()
 			t.Logf("ctx %d state=%v prim=%v fq=%d inflight=%d head={pc=0x%x %s exec=%v issued=%v disp=%v noiss=%v src1=%d src2=%d}",
-				ct.id, ct.state, ct.isPrimary, ct.fqLen(), ct.al.InFlight(),
+				ct.id, ct.state, c.isPrimary(ct), ct.fqLen(), ct.al.InFlight(),
 				e.PC, headInfo, e.Executed, e.Issued, e.Dispatched, e.NoIssue, e.Src1, e.Src2)
 			if e.Src1 >= 0 {
 				t.Logf("  src1 ready=%v", c.rf.Ready(e.Src1))
@@ -151,7 +151,7 @@ func TestDebugMultiprogram(t *testing.T) {
 			}
 		} else {
 			t.Logf("ctx %d state=%v prim=%v fq=%d inflight=0 fetchPC=0x%x stall=%d halted=%v",
-				ct.id, ct.state, ct.isPrimary, ct.fqLen(), ct.fetchPC, ct.fetchStallUntil, ct.fetchHalted)
+				ct.id, ct.state, c.isPrimary(ct), ct.fqLen(), ct.fetchPC, ct.fetchStallUntil, ct.fetchHalted)
 		}
 	}
 	t.Logf("iqInt=%d iqFP=%d exec=%d", c.iqInt.Len(), c.iqFP.Len(), c.exec.Len())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"recyclesim/internal/alist"
@@ -36,11 +37,14 @@ var defaultInvariantEvery uint64 = 0
 //     self-consistent, committed flags matching the commit pointer;
 //   - idle contexts hold no resources;
 //   - context masks: each context is in exactly its state's mask, the
-//     primary mask matches isPrimary, the streaming mask whether it
-//     consumes a recycle stream, the fetched mask whether its fetch
-//     queue holds an instruction, and no mask has a bit beyond the last
-//     context; its instruction-queue occupancy count equals its entries
-//     in both queues;
+//     streaming mask whether it consumes a recycle stream, the fetched
+//     mask whether its fetch queue holds an instruction, and no mask
+//     (the primary mask included) has a bit beyond the last context;
+//     its instruction-queue occupancy count equals its entries in both
+//     queues;
+//   - primaries: each live partition has exactly one primary context,
+//     active and holding a register map, and no idle context is
+//     primary;
 //   - child links: each context's kids has bit c set exactly while
 //     context c names it as parentCtx;
 //   - instruction queue membership, both directions: everything queued
@@ -130,9 +134,10 @@ func leakKind(got, want int) string {
 	return "premature release pending"
 }
 
-// checkMasks verifies the per-state, primary, streaming and fetched
-// context masks and the kids links against the contexts' own fields,
-// and the occupancy counts against the instruction queues.
+// checkMasks verifies the per-state, streaming and fetched context
+// masks and the kids links against the contexts' own fields, the
+// primary mask's range, and the occupancy counts against the
+// instruction queues.
 func (c *Core) checkMasks(r *invariant.Report) {
 	all := uint16(1)<<uint(len(c.ctxs)) - 1
 	for s := CtxState(0); s < numCtxStates; s++ {
@@ -159,9 +164,6 @@ func (c *Core) checkMasks(r *invariant.Report) {
 			if in := c.inState[s]&bit != 0; in != (t.state == s) {
 				r.Failf("ctxmask", "ctx=%d in state %v but its %v-mask bit is %v", t.id, t.state, s, in)
 			}
-		}
-		if in := c.primary&bit != 0; in != t.isPrimary {
-			r.Failf("ctxmask", "ctx=%d isPrimary=%v but its primary-mask bit is %v", t.id, t.isPrimary, in)
 		}
 		if in := c.streaming&bit != 0; in != (t.stream != nil) {
 			r.Failf("ctxmask", "ctx=%d stream live=%v but its streaming-mask bit is %v", t.id, t.stream != nil, in)
@@ -221,7 +223,7 @@ func (c *Core) checkContexts(r *invariant.Report) {
 				r.Failf("idle", "ctx=%d idle with outstandingReuse=%d", t.id, t.outstandingReuse)
 			case t.fqLen() != 0 || t.sq.len() != 0 || t.stream != nil:
 				r.Failf("idle", "ctx=%d idle with fetch/store/stream state", t.id)
-			case t.isPrimary:
+			case c.isPrimary(t):
 				r.Failf("idle", "ctx=%d idle but marked primary", t.id)
 			}
 			continue
@@ -257,10 +259,13 @@ func (c *Core) checkContexts(r *invariant.Report) {
 		if p.done {
 			continue
 		}
-		t := c.ctxs[p.primary]
+		t := c.primaryOf(p)
+		if t == nil {
+			r.Failf("primary", "partition %d (contexts %016b) has %d primary contexts",
+				p.id, p.mask, bits.OnesCount16(c.primary&p.mask))
+			continue
+		}
 		switch {
-		case !t.isPrimary:
-			r.Failf("primary", "partition %d primary ctx=%d not marked primary (state=%v)", p.id, t.id, t.state)
 		case t.state != CtxActive:
 			r.Failf("primary", "partition %d primary ctx=%d in state %v", p.id, t.id, t.state)
 		case !t.hasMap:
@@ -389,12 +394,12 @@ func (c *Core) checkReuse(r *invariant.Report) {
 // the trace wrote) are excluded by the preconditions.
 func (c *Core) checkWrittenBits(r *invariant.Report) {
 	for _, p := range c.parts {
-		prim := c.ctxs[p.primary]
-		if !prim.isPrimary || !prim.hasMap {
+		prim := c.primaryOf(p)
+		if prim == nil || !prim.hasMap {
 			continue // reported by checkContexts when unexpected
 		}
-		for _, id := range p.ctxIDs {
-			a := c.ctxs[id]
+		for m := p.mask; m != 0; m &= m - 1 {
+			a := c.ctxs[bits.TrailingZeros16(m)]
 			if a == prim || a.state == CtxIdle || a.state == CtxRetiring || !a.hasMap {
 				continue
 			}
@@ -483,12 +488,12 @@ func (c *Core) dumpState() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  ctx=%d state=%v prim=%v parent=%d/%d al=[%d,%d,%d) fq=%d sq=%d reusePins=%d stream=%v pc=0x%x\n",
-			t.id, t.state, t.isPrimary, t.parentCtx, t.parentSeq,
+			t.id, t.state, c.isPrimary(t), t.parentCtx, t.parentSeq,
 			t.al.FirstSeq(), t.al.CommitSeq(), t.al.TailSeq(),
 			t.fqLen(), t.sq.len(), t.outstandingReuse, t.stream != nil, t.fetchPC)
 	}
 	for _, p := range c.parts {
-		fmt.Fprintf(&b, "  part=%d primary=%d done=%v mask=%04x\n", p.id, p.primary, p.done, p.mask)
+		fmt.Fprintf(&b, "  part=%d done=%v mask=%04x\n", p.id, p.done, p.mask)
 	}
 	b.WriteString(c.ring.Dump())
 	return b.String()

@@ -80,7 +80,7 @@ func expectViolation(t *testing.T, c *Core, rule string) {
 // (a lost Release) must show up as a refcount accounting mismatch.
 func TestInvariantDetectsRefLeak(t *testing.T) {
 	c := invariantCore(t)
-	prim := c.ctxs[c.parts[0].primary]
+	prim := c.primaryOf(c.parts[0])
 	for l := 1; l < len(prim.mapTab); l++ {
 		if prim.mapTab[l] >= 0 {
 			c.rf.AddRef(prim.mapTab[l])
@@ -123,7 +123,7 @@ func TestInvariantDetectsIdleResidue(t *testing.T) {
 func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 	t.Run("live context missing", func(t *testing.T) {
 		c := invariantCore(t)
-		c.inState[CtxActive] &^= 1 << uint(c.parts[0].primary)
+		c.inState[CtxActive] &^= 1 << uint(c.primaryOf(c.parts[0]).id)
 		expectViolation(t, c, "ctxmask")
 	})
 	t.Run("idle context present", func(t *testing.T) {
@@ -139,17 +139,17 @@ func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 	})
 	t.Run("primary missing", func(t *testing.T) {
 		c := invariantCore(t)
-		c.primary &^= 1 << uint(c.parts[0].primary)
-		expectViolation(t, c, "ctxmask")
+		c.primary &^= 1 << uint(c.primaryOf(c.parts[0]).id)
+		expectViolation(t, c, "primary")
 	})
 	t.Run("alternate marked primary", func(t *testing.T) {
 		c := invariantCore(t)
-		c.primary |= 1 << uint((c.parts[0].primary+1)%len(c.ctxs))
-		expectViolation(t, c, "ctxmask")
+		c.primary |= 1 << uint((c.primaryOf(c.parts[0]).id+1)%len(c.ctxs))
+		expectViolation(t, c, "primary")
 	})
 	t.Run("kid missing", func(t *testing.T) {
 		c := invariantCore(t)
-		prim := c.parts[0].primary
+		prim := c.primaryOf(c.parts[0]).id
 		k := c.ctxs[(prim+1)%len(c.ctxs)]
 		c.ctxs[prim].kids &^= 1 << uint(k.id)
 		k.parentCtx = prim
@@ -157,7 +157,7 @@ func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 	})
 	t.Run("stray kid", func(t *testing.T) {
 		c := invariantCore(t)
-		prim := c.ctxs[c.parts[0].primary]
+		prim := c.primaryOf(c.parts[0])
 		prim.kids |= 1 << uint(prim.id)
 		expectViolation(t, c, "kids")
 	})
@@ -182,7 +182,7 @@ func TestInvariantDetectsLiveMaskDrift(t *testing.T) {
 // every thread ordering, so a bit or a count that disagrees with the
 // contexts and the queues must be caught.
 func TestInvariantDetectsFrontEndMirrorDrift(t *testing.T) {
-	primary := func(c *Core) *Context { return c.ctxs[c.parts[0].primary] }
+	primary := func(c *Core) *Context { return c.primaryOf(c.parts[0]) }
 	t.Run("streaming bit flipped", func(t *testing.T) {
 		c := invariantCore(t)
 		c.streaming ^= 1 << uint(primary(c).id)
@@ -220,7 +220,11 @@ func TestInvariantDetectsFrontEndMirrorDrift(t *testing.T) {
 	})
 	t.Run("queue entry lost", func(t *testing.T) {
 		c := invariantCore(t)
-		if c.iqInt.RemoveIf(func(e *alist.Entry) bool { return true }) == 0 {
+		lost := 0
+		for id := range c.ctxs {
+			lost += c.iqInt.RemoveFrom(id, 0)
+		}
+		if lost == 0 {
 			t.Skip("integer queue empty after warm-up")
 		}
 		expectViolation(t, c, "ctxmask")
@@ -242,7 +246,7 @@ func TestInvariantDetectsFrontEndMirrorDrift(t *testing.T) {
 // the commit pointer corrupts the active-list structure.
 func TestInvariantDetectsCommitDrift(t *testing.T) {
 	c := invariantCore(t)
-	prim := c.ctxs[c.parts[0].primary]
+	prim := c.primaryOf(c.parts[0])
 	al := &prim.al
 	if al.CommitSeq() == al.TailSeq() {
 		t.Skip("no uncommitted entries after warm-up")
@@ -283,17 +287,16 @@ func TestInvariantDetectsCommitCountDrift(t *testing.T) {
 // check must flag it.
 func TestInvariantDetectsQueueDrop(t *testing.T) {
 	c := invariantCore(t)
-	dropped := false
-	c.iqInt.RemoveIf(func(e *alist.Entry) bool {
-		if !dropped {
-			dropped = true
-			return true
+	var oldest *alist.Entry
+	c.iqInt.Each(func(e *alist.Entry) {
+		if oldest == nil {
+			oldest = e
 		}
-		return false
 	})
-	if !dropped {
+	if oldest == nil {
 		t.Skip("integer queue empty after warm-up")
 	}
+	c.iqInt.RemoveFrom(int(oldest.Ctx), oldest.Seq)
 	expectViolation(t, c, "iq")
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"recyclesim/internal/alist"
-	"recyclesim/internal/iq"
 	"recyclesim/internal/isa"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/regfile"
@@ -14,12 +13,8 @@ import (
 // the result is published to dependents at ReadyAt, modelling a full
 // bypass network, and branches take effect when they complete.
 func (c *Core) issue() {
-	c.issueQueue(&c.iqInt)
-	c.issueQueue(&c.iqFP)
-}
-
-func (c *Core) issueQueue(q *iq.Queue) {
-	q.Issue(c.rf.ReadyBits(), c.tryIssue)
+	c.iqInt.Issue(c.rf.ReadyBits(), c.tryIssue)
+	c.iqFP.Issue(c.rf.ReadyBits(), c.tryIssue)
 }
 
 // tryIssue issues e when its operands, memory disambiguation and a
@@ -151,7 +146,7 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 		v, forwarded := c.loadValue(t, e.Seq, e.Addr)
 		e.Result = v
 		if !forwarded {
-			lat += c.mem.AccessD(c.cycle, c.tagAddr(t.part.id, e.Addr))
+			lat += c.mem.AccessD(c.cycle, TagAddr(t.part.id, e.Addr))
 		}
 	case in.IsStore():
 		// Phase one: address generation.  The MDB is invalidated here
@@ -163,10 +158,10 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 			s.addrOK = true
 		}
 		if c.mdb != nil {
-			c.mdb.StoreTo(c.tagAddr(t.part.id, e.Addr&^7))
+			c.mdb.StoreTo(TagAddr(t.part.id, e.Addr&^7))
 		}
 		// Stores probe the data cache for timing (write allocate).
-		lat += c.mem.AccessD(c.cycle, c.tagAddr(t.part.id, e.Addr))
+		lat += c.mem.AccessD(c.cycle, TagAddr(t.part.id, e.Addr))
 		if !c.srcReady(e.Src2) {
 			// Data pending: park in phase two; complete() re-arms the
 			// store when the data register arrives.  ReadyAt is pushed to
@@ -329,7 +324,7 @@ func (c *Core) completeEntry(t *Context, e *alist.Entry) {
 	case in.IsLoad():
 		if c.mdb != nil {
 			asid := t.part.id
-			c.mdb.InsertLoad(c.tagAddr(asid, e.PC), c.tagAddr(asid, e.Addr&^7))
+			c.mdb.InsertLoad(TagAddr(asid, e.PC), TagAddr(asid, e.Addr&^7))
 		}
 	case in.IsStore():
 		// MDB invalidation already happened at address generation.

@@ -128,6 +128,7 @@ func testLoadMatchesNew(t *testing.T, fromMach, mach config.Machine, from, to st
 		{"written bits", used.written, fresh.written},
 		{"MDB", used.mdb, fresh.mdb},
 		{"register file", used.rf, fresh.rf},
+		{"primary mask", used.primary, fresh.primary},
 		{"functional units", used.fus, fresh.fus},
 		{"predictor", used.pred, fresh.pred},
 		{"confidence", used.conf, fresh.conf},
@@ -145,8 +146,8 @@ func testLoadMatchesNew(t *testing.T, fromMach, mach config.Machine, from, to st
 	}
 	for k, p := range used.parts {
 		q := fresh.parts[k]
-		if p.id != q.id || p.prog != q.prog || p.primary != q.primary || p.mask != q.mask ||
-			!reflect.DeepEqual(p.ctxIDs, q.ctxIDs) || len(p.mem.Delta(q.mem, nil)) != 0 || len(q.mem.Delta(p.mem, nil)) != 0 {
+		if p.id != q.id || p.prog != q.prog || p.mask != q.mask ||
+			len(p.mem.Delta(q.mem, nil)) != 0 || len(q.mem.Delta(p.mem, nil)) != 0 {
 			t.Errorf("%s: partition %d differs from a fresh core's", name, k)
 		}
 	}

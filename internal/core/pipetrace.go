@@ -2,7 +2,6 @@ package core
 
 import (
 	"recyclesim/internal/invariant"
-	"recyclesim/internal/isa"
 	"recyclesim/internal/obs"
 	"recyclesim/internal/obs/pipetrace"
 )
@@ -27,14 +26,6 @@ func (c *Core) pipeTrace(stage obs.Stage, ctx int, pc, arg uint64) {
 	}
 }
 
-// needsExec reports whether an instruction occupies a functional unit
-// at all: halts, nops, and unconditional direct jumps resolve entirely
-// at dispatch (see dispatch's no-exec early-out) and legitimately
-// commit with no issue or writeback stage.
-func needsExec(in isa.Inst) bool {
-	return !in.IsHalt() && in.Class() != isa.ClassNop && in.Op != isa.OpJ
-}
-
 // checkPipeTrace verifies, when a pipetrace recorder is attached, that
 // every recorded stage timeline is a legal path through the pipeline
 // DAG (rule "pipetrace"):
@@ -47,8 +38,8 @@ func needsExec(in isa.Inst) bool {
 //     bypass adopts the previous result at rename);
 //   - committed ⇒ a retire cycle and not squashed; squashed ⇒ a squash
 //     cycle and not committed (and vice versa);
-//   - committed instructions that execute (not reused, not a no-exec
-//     class) have issue and writeback stages.
+//   - committed instructions that execute (not reused, and
+//     isa.Inst.Executes) have issue and writeback stages.
 func (c *Core) checkPipeTrace(r *invariant.Report) {
 	if c.ptrace != nil {
 		recs := c.ptrace.Records()
@@ -104,7 +95,7 @@ func (c *Core) checkPipeTrace(r *invariant.Report) {
 			if rec.Squash != 0 && rec.Squash < rec.Rename {
 				bad("squashed at %d before rename at %d", rec.Squash, rec.Rename)
 			}
-			if rec.Committed && !rec.Reused && needsExec(rec.Inst) && rec.Writeback == 0 {
+			if rec.Committed && !rec.Reused && rec.Inst.Executes() && rec.Writeback == 0 {
 				bad("committed without executing (op %v needs a functional unit)", rec.Inst.Op)
 			}
 		}

@@ -70,14 +70,9 @@ func (c *Core) noteStall(t *Context, cause obs.Cause, pc uint64) {
 // I-cache-miss attribution predicate).
 func (c *Core) fetchBlockedOnICache() bool {
 	for m := c.inState[CtxActive] | c.inState[CtxDraining]; m != 0; m &= m - 1 {
-		t := c.ctxs[bits.TrailingZeros16(m)]
-		if t.fetchStallUntil <= c.cycle {
-			continue
+		if t := c.ctxs[bits.TrailingZeros16(m)]; t.fetchStallUntil > c.cycle && t.fetchable() {
+			return true
 		}
-		if t.part.done || t.fetchHalted || t.altCapped {
-			continue
-		}
-		return true
 	}
 	return false
 }

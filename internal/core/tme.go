@@ -9,12 +9,21 @@ import (
 	"recyclesim/internal/obs"
 )
 
-// tryFork spawns an alternate path for a low-confidence conditional
-// branch renamed by primary thread t.  The alternate takes the
-// direction the prediction did not: "A TME processor uses idle hardware
-// contexts ... to execute down both paths at conditional branch
-// points."
+// mayFork reports whether entry e, just renamed by t, is a TME fork
+// candidate (§2): a conditional branch of a live program's primary
+// thread.
+func (c *Core) mayFork(t *Context, e *alist.Entry) bool {
+	return c.feat.TME && c.isPrimary(t) && e.Inst.IsCondBranch() && !t.part.done
+}
+
+// tryFork spawns an alternate path for fork candidate e (mayFork) when
+// its branch is low-confidence.  The alternate takes the direction the
+// prediction did not: "A TME processor uses idle hardware contexts ...
+// to execute down both paths at conditional branch points."
 func (c *Core) tryFork(t *Context, e *alist.Entry) {
+	if c.conf.HighConfidence(TagAddr(t.part.id, e.PC)) {
+		return
+	}
 	altPC := e.Inst.Target
 	if e.Pred.Taken {
 		altPC = e.PC + isa.InstBytes
@@ -72,21 +81,30 @@ func (c *Core) findInactiveAt(t *Context, pc uint64) *Context {
 // if one exists, otherwise the least-recently-used inactive context is
 // reclaimed ("the architecture identifies the least-recently-used
 // inactive context and reclaims it, squashing the instructions in the
-// active list and freeing the registers").
+// active list and freeing the registers").  Inactive traces are the
+// normal victims; a draining context (resolved wrong path still
+// extending its trace) is also fair game — a new fork is worth more
+// than the tail of a trace.
 func (c *Core) allocSpare(t *Context) *Context {
 	if m := c.inState[CtxIdle] & t.part.mask; m != 0 {
 		return c.ctxs[bits.TrailingZeros16(m)]
 	}
+	return c.reclaimLRU((c.inState[CtxInactive]|c.inState[CtxDraining])&t.part.mask, true, obs.CauseNone)
+}
+
+// reclaimLRU reclaims the least-recently-used context among cands and
+// returns it, or nil when there is none.  §3.5: a context is not
+// reclaimed while the primary still has uncommitted reuses of its
+// registers; countRefusals counts each such refusal as a failed fork.
+// cause tags the ring event.
+func (c *Core) reclaimLRU(cands uint16, countRefusals bool, cause obs.Cause) *Context {
 	var lru *Context
-	// Inactive traces are the normal victims; a draining context
-	// (resolved wrong path still extending its trace) is also fair
-	// game — a new fork is worth more than the tail of a trace.
-	for m := (c.inState[CtxInactive] | c.inState[CtxDraining]) & t.part.mask; m != 0; m &= m - 1 {
+	for m := cands; m != 0; m &= m - 1 {
 		a := c.ctxs[bits.TrailingZeros16(m)]
-		// §3.5: do not reclaim while the primary still has uncommitted
-		// reuses of this trace's registers.
 		if a.outstandingReuse > 0 {
-			c.Stats.ForkFailReuse++
+			if countRefusals {
+				c.Stats.ForkFailReuse++
+			}
 			continue
 		}
 		if lru == nil || a.lruTick < lru.lruTick {
@@ -97,12 +115,11 @@ func (c *Core) allocSpare(t *Context) *Context {
 		c.Stats.Reclaims++
 		if c.ring != nil {
 			c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StageReclaim,
-				Ctx: int16(lru.id), PC: lru.spawnPC})
+				Ctx: int16(lru.id), PC: lru.spawnPC, Cause: cause})
 		}
 		c.killContext(lru)
-		return lru
 	}
-	return nil
+	return lru
 }
 
 // activateAlternate sets up context a as the alternate path of branch e
@@ -181,31 +198,6 @@ func (c *Core) respawn(t *Context, e *alist.Entry, a *Context, altPC uint64) {
 	c.Stats.Merges++
 }
 
-// reclaimForRegs frees physical registers under rename pressure by
-// reclaiming the globally least-recently-used inactive context.
-// Recycling "puts additional pressure on the renaming registers" (§4.1)
-// and this is the pressure valve.
-func (c *Core) reclaimForRegs() {
-	var lru *Context
-	for m := c.inState[CtxInactive]; m != 0; m &= m - 1 {
-		a := c.ctxs[bits.TrailingZeros16(m)]
-		if a.outstandingReuse > 0 {
-			continue
-		}
-		if lru == nil || a.lruTick < lru.lruTick {
-			lru = a
-		}
-	}
-	if lru != nil {
-		c.Stats.Reclaims++
-		if c.ring != nil {
-			c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StageReclaim,
-				Ctx: int16(lru.id), PC: lru.spawnPC, Cause: obs.CauseRenameRegs})
-		}
-		c.killContext(lru)
-	}
-}
-
 // resolveBranch handles a completed control transfer: misprediction
 // recovery, TME promotion, and the transition of alternates to
 // inactive.
@@ -214,7 +206,7 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 	correct := e.Taken == e.Pred.Taken && (!e.Taken || e.NextPC == e.Pred.Target)
 	if in.IsCondBranch() {
 		correct = e.Taken == e.Pred.Taken
-		if t.isPrimary {
+		if c.isPrimary(t) {
 			c.Stats.CondBranches++
 			if !correct {
 				c.Stats.Mispredicts++
@@ -223,7 +215,7 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 				}
 			}
 		}
-	} else if in.IsReturn() && t.isPrimary {
+	} else if in.IsReturn() && c.isPrimary(t) {
 		if correct {
 			c.Stats.ReturnPredOK++
 		} else {
@@ -258,7 +250,6 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 		c.pred.Restore(t.id, in, &e.Pred, e.Taken)
 		t.fetchPC = e.NextPC
 		t.fetchStallUntil = c.cycle + redirectPenalty
-		t.fetchHalted = false
 		t.altCapped = false
 		switch t.state {
 		case CtxDraining, CtxInactive:
@@ -273,7 +264,6 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 			// resumes as the primary.
 			c.setState(t, CtxActive)
 			c.setPrimary(t, true)
-			t.part.primary = t.id
 			if c.written != nil {
 				c.written.SetAll(t.part.mask)
 			}
@@ -286,42 +276,33 @@ func (c *Core) resolveBranch(t *Context, e *alist.Entry) {
 }
 
 // resolveAlternate transitions a confirmed-wrong alternate path
-// according to the §5.2 policy.
+// according to the §5.2 policy: under stop and fetch nothing more of
+// it issues, and it drains (keeps fetching to the path limit) under
+// fetch and nostop unless it has already stopped.
 func (c *Core) resolveAlternate(a *Context) {
 	a.lruTick = c.cycle
-	switch c.feat.AltPolicy {
-	case config.AltStop:
+	if c.feat.AltPolicy != config.AltNoStop {
 		c.cancelIssue(a)
+	}
+	if c.feat.AltPolicy == config.AltStop || a.pathLen >= c.feat.AltLimit || a.altCapped || a.fetchHalted {
 		c.makeInactive(a)
-	case config.AltFetch:
-		// Fetch may continue to the limit, but nothing more issues.
-		c.cancelIssue(a)
-		if a.pathLen >= c.feat.AltLimit || a.altCapped || a.fetchHalted {
-			c.makeInactive(a)
-		} else {
-			c.setState(a, CtxDraining)
-		}
-	case config.AltNoStop:
-		if a.pathLen >= c.feat.AltLimit || a.altCapped || a.fetchHalted {
-			c.makeInactive(a)
-		} else {
-			c.setState(a, CtxDraining)
-		}
+	} else {
+		c.setState(a, CtxDraining)
 	}
 }
 
 // cancelIssue removes a context's un-issued instructions from the
 // queues; they remain in the active list as recyclable (never-executed)
-// trace entries.
+// trace entries.  A live entry is queued exactly while it is
+// dispatched, not issued and not NoIssue, so marking those NoIssue and
+// dropping all of a's queue entries is the same cut.
 func (c *Core) cancelIssue(a *Context) {
-	match := func(e *alist.Entry) bool {
-		if int(e.Ctx) != a.id || e.Issued {
-			return false
+	for s := a.al.CommitSeq(); s < a.al.TailSeq(); s++ {
+		if e, ok := a.al.At(s); ok && e.Dispatched && !e.Issued {
+			e.NoIssue = true
 		}
-		e.NoIssue = true
-		return true
 	}
-	c.occ[a.id] -= int32(c.iqInt.RemoveIf(match) + c.iqFP.RemoveIf(match))
+	c.occ[a.id] -= int32(c.iqInt.RemoveFrom(a.id, 0) + c.iqFP.RemoveFrom(a.id, 0))
 	// Never-issuing stores must not block loads; drop their queue slots.
 	a.sq.compact(func(s *sqEntry) bool {
 		if s.addrOK {
@@ -341,9 +322,7 @@ func (c *Core) makeInactive(a *Context) {
 	}
 	c.setState(a, CtxInactive)
 	a.lruTick = c.cycle
-	c.fqClear(a)
-	c.setStream(a, nil)
-	a.fetchHalted = false
+	c.dropFrontEnd(a)
 	// Issue cancellation is policy-specific and happens in
 	// resolveAlternate; under nostop, already-queued instructions of
 	// an inactive trace still execute ("send all of those instructions
@@ -371,7 +350,6 @@ func (c *Core) promote(t *Context, e *alist.Entry, a *Context) {
 	}
 	a.path.usedTME = true
 	c.finishPath(a)
-	t.part.primary = a.id
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StagePromote,
 			Ctx: int16(t.id), Seq: e.Seq, PC: e.PC, Arg: uint64(a.id)})

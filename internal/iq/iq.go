@@ -91,27 +91,10 @@ func (q *Queue) truncate(n int) {
 	q.wait = q.wait[:n]
 }
 
-// RemoveIf deletes all entries matching the predicate (issue
-// cancellation) and returns how many it removed.
-func (q *Queue) RemoveIf(match func(e *alist.Entry) bool) int {
-	w := 0
-	for i, e := range q.ents {
-		if match(e) {
-			continue
-		}
-		if w != i {
-			q.ents[w], q.wait[w] = e, q.wait[i]
-		}
-		w++
-	}
-	removed := len(q.ents) - w
-	q.truncate(w)
-	return removed
-}
-
 // RemoveFrom drops context ctx's entries with Seq >= seq (a squashed
-// range), preserving the order of the rest, and returns how many it
-// dropped.
+// range, or with seq 0 every entry of a context whose issue is
+// cancelled), preserving the order of the rest, and returns how many
+// it dropped.
 func (q *Queue) RemoveFrom(ctx int, seq uint64) int {
 	w := 0
 	for i, e := range q.ents {

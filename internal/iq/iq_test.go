@@ -53,7 +53,7 @@ func TestScanOrderAndRemoval(t *testing.T) {
 	}
 }
 
-func TestRemoveIfAndCountCtx(t *testing.T) {
+func TestRemoveFromAndCountCtx(t *testing.T) {
 	q := new(Queue).Reset(8)
 	q.Push(ent(0, 0))
 	q.Push(ent(1, 0))
@@ -61,7 +61,7 @@ func TestRemoveIfAndCountCtx(t *testing.T) {
 	if q.CountCtx(0) != 2 || q.CountCtx(1) != 1 {
 		t.Errorf("counts = %d, %d", q.CountCtx(0), q.CountCtx(1))
 	}
-	removed := q.RemoveIf(func(e *alist.Entry) bool { return e.Ctx == 0 })
+	removed := q.RemoveFrom(0, 0)
 	if removed != 2 || q.Len() != 1 || q.CountCtx(0) != 0 {
 		t.Errorf("removed=%d len=%d", removed, q.Len())
 	}
@@ -130,8 +130,8 @@ func TestIssueSkipsBlockedEntries(t *testing.T) {
 	}
 	// A squash removes the waiting entry; the survivor keeps being
 	// visited and the counts follow.
-	if n := q.RemoveIf(func(e *alist.Entry) bool { return e == c }); n != 1 {
-		t.Fatalf("RemoveIf removed %d", n)
+	if n := q.RemoveFrom(int(c.Ctx), c.Seq); n != 1 {
+		t.Fatalf("RemoveFrom removed %d", n)
 	}
 	pass(3)
 	if q.Len() != 1 || q.CountCtx(0) != 0 || q.CountCtx(1) != 1 {

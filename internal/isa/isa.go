@@ -209,6 +209,11 @@ func (i *Inst) IsMem() bool { return i.IsLoad() || i.IsStore() }
 // IsHalt reports whether the instruction terminates the program.
 func (i *Inst) IsHalt() bool { return i.Op == OpHalt }
 
+// Executes reports whether the instruction occupies a functional unit:
+// nops, halts and direct jumps (resolved at fetch) complete at
+// dispatch, with no issue or writeback.
+func (i *Inst) Executes() bool { return i.Class() != ClassNop && i.Op != OpJ }
+
 // WritesReg reports whether the instruction produces a register result.
 // Writes to the hardwired zero register are discarded but still rename
 // (they allocate and immediately deadlock nothing; the assembler never
@@ -222,36 +227,21 @@ var noDest = [1 << 8]bool{
 	OpJ: true, OpJr: true,
 }
 
-// SrcRegs returns the logical source registers read by the instruction.
-// A register appears at most once even if read twice; RegZero is
-// omitted (it is constant).  The two-element return keeps this
-// allocation free; n is the number of valid entries.
+// SrcRegs returns the logical source registers read by the instruction
+// (ReadsRs1, ReadsRs2), Rs1 first.  A register appears at most once
+// even if read twice; RegZero is omitted (it is constant).  The
+// two-element return keeps this allocation free; n is the number of
+// valid entries.  Every opcode that reads Rs2 also reads Rs1.
 func (i *Inst) SrcRegs() (srcs [2]Reg, n int) {
-	add := func(r Reg) {
-		if r == RegZero {
-			return
-		}
-		for k := 0; k < n; k++ {
-			if srcs[k] == r {
-				return
-			}
-		}
-		srcs[n] = r
+	if i.ReadsRs1() && i.Rs1 != RegZero {
+		srcs[n] = i.Rs1
 		n++
 	}
-	if !i.ReadsRs1() {
-		return
+	if i.ReadsRs2() && i.Rs2 != RegZero && i.Rs2 != i.Rs1 {
+		srcs[n] = i.Rs2
+		n++
 	}
-	switch i.Op {
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai,
-		OpSlti, OpLd, OpFld, OpJr, OpFmov, OpFneg, OpCvtIF, OpCvtFI:
-		add(i.Rs1)
-		return
-	default:
-		add(i.Rs1)
-		add(i.Rs2)
-		return
-	}
+	return srcs, n
 }
 
 // ReadsRs1 reports whether Rs1 is a source operand: every instruction
