@@ -24,7 +24,10 @@ import (
 
 // Entry is one renamed instruction.  It is identified by (context,
 // Seq); Seq increases by one per rename in the owning context and
-// doubles as the ring index.
+// doubles as the ring index.  It is the only home of the instruction's
+// in-flight state: the core's instruction queues, store queue and
+// completion lists hold pointers to it, not copies, and whether it has
+// committed is whether Seq is below its list's CommitSeq.
 //
 // Every active-list slot holds one, and Push clears a slot per
 // rename, so the fields are grouped by width: the words first, then
@@ -74,12 +77,10 @@ type Entry struct {
 	ReuseSrc int8
 
 	// Status flags.
-	Committed  bool
 	Dispatched bool // entered the instruction queue
-	Issued     bool
+	Issued     bool // sent to a functional unit (a store: its address is known)
 	Executed   bool
 	Reused     bool // bypassed issue/execute via instruction reuse
-	Recycled   bool // entered rename through the recycle datapath
 	NoIssue    bool // alternate-path policy cancelled execution
 	Taken      bool // resolved branch direction
 	Forked     bool // a TME fork spawned AltCtx off this branch
@@ -176,13 +177,12 @@ func (l *List) Head() (*Entry, bool) {
 	return l.slot(l.cmt), true
 }
 
-// CommitHead marks the oldest uncommitted entry committed and advances
-// the commit pointer past it (the entry is retained as history).
+// CommitHead commits the oldest uncommitted entry: it advances the
+// commit pointer past it (the entry is retained as history).
 func (l *List) CommitHead() {
 	if l.cmt == l.tail {
 		panic("alist: CommitHead on empty window")
 	}
-	l.slot(l.cmt).Committed = true
 	l.cmt++
 }
 

@@ -154,8 +154,8 @@ func TestHeadAndCommitSeq(t *testing.T) {
 	if h.Seq != 1 || l.CommitSeq() != 1 {
 		t.Errorf("head seq = %d commitSeq = %d", h.Seq, l.CommitSeq())
 	}
-	if !mustAt(l, 0).Committed {
-		t.Error("committed entry should be flagged")
+	if mustAt(l, 0).Seq >= l.CommitSeq() {
+		t.Error("committed entry should sit below the commit pointer")
 	}
 }
 
@@ -298,9 +298,9 @@ func TestRingMatchesReferenceFIFO(t *testing.T) {
 				if ok != (s >= first && s < tail) {
 					t.Fatalf("cap %d step %d: At(%d) ok=%v with window [%d,%d)", capacity, step, s, ok, first, tail)
 				}
-				if ok && (e.Seq != s || e.PC != ref[s-first].pc || e.Committed != ref[s-first].committed) {
+				if committed := s < l.CommitSeq(); ok && (e.Seq != s || e.PC != ref[s-first].pc || committed != ref[s-first].committed) {
 					t.Fatalf("cap %d step %d: At(%d) = seq %d pc %d committed %v, want %+v",
-						capacity, step, s, e.Seq, e.PC, e.Committed, ref[s-first])
+						capacity, step, s, e.Seq, e.PC, committed, ref[s-first])
 				}
 			}
 			if pc, ok := l.FirstPC(); ok != (len(ref) > 0) || ok && pc != ref[0].pc {

@@ -323,6 +323,8 @@ tgt:
     bne r1, r2, tgt
     blt r1, r2, tgt
     bge r1, r2, tgt
+    bltu r1, r2, tgt
+    bgeu r1, r2, tgt
     jal sub1
     j end
 sub1:
@@ -338,6 +340,15 @@ end:
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	var seen [isa.NumOps]bool
+	for _, in := range p.Code {
+		seen[in.Op] = true
+	}
+	for op := range isa.NumOps {
+		if !seen[op] {
+			t.Errorf("no mnemonic in the source assembles to %v", isa.Op(op))
+		}
 	}
 }
 

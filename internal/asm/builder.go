@@ -262,25 +262,29 @@ func (b *Builder) CvtFI(rd, frs1 isa.Reg) {
 // Flt emits rd = (frs1 < frs2).
 func (b *Builder) Flt(rd, frs1, frs2 isa.Reg) { b.rrr(isa.OpFlt, rd, frs1, frs2) }
 
-// Beq emits a branch to label when rs1 == rs2.
-func (b *Builder) Beq(rs1, rs2 isa.Reg, label string) {
-	b.emitBranch(isa.Inst{Op: isa.OpBeq, Rs1: rs1, Rs2: rs2}, label)
+// branch emits the conditional branch op, comparing rs1 with rs2, to
+// label.
+func (b *Builder) branch(op isa.Op, rs1, rs2 isa.Reg, label string) {
+	b.emitBranch(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2}, label)
 }
+
+// Beq emits a branch to label when rs1 == rs2.
+func (b *Builder) Beq(rs1, rs2 isa.Reg, label string) { b.branch(isa.OpBeq, rs1, rs2, label) }
 
 // Bne emits a branch to label when rs1 != rs2.
-func (b *Builder) Bne(rs1, rs2 isa.Reg, label string) {
-	b.emitBranch(isa.Inst{Op: isa.OpBne, Rs1: rs1, Rs2: rs2}, label)
-}
+func (b *Builder) Bne(rs1, rs2 isa.Reg, label string) { b.branch(isa.OpBne, rs1, rs2, label) }
 
 // Blt emits a branch to label when rs1 < rs2 (signed).
-func (b *Builder) Blt(rs1, rs2 isa.Reg, label string) {
-	b.emitBranch(isa.Inst{Op: isa.OpBlt, Rs1: rs1, Rs2: rs2}, label)
-}
+func (b *Builder) Blt(rs1, rs2 isa.Reg, label string) { b.branch(isa.OpBlt, rs1, rs2, label) }
 
 // Bge emits a branch to label when rs1 >= rs2 (signed).
-func (b *Builder) Bge(rs1, rs2 isa.Reg, label string) {
-	b.emitBranch(isa.Inst{Op: isa.OpBge, Rs1: rs1, Rs2: rs2}, label)
-}
+func (b *Builder) Bge(rs1, rs2 isa.Reg, label string) { b.branch(isa.OpBge, rs1, rs2, label) }
+
+// Bltu emits a branch to label when rs1 < rs2 (unsigned).
+func (b *Builder) Bltu(rs1, rs2 isa.Reg, label string) { b.branch(isa.OpBltu, rs1, rs2, label) }
+
+// Bgeu emits a branch to label when rs1 >= rs2 (unsigned).
+func (b *Builder) Bgeu(rs1, rs2 isa.Reg, label string) { b.branch(isa.OpBgeu, rs1, rs2, label) }
 
 // J emits an unconditional jump to label.
 func (b *Builder) J(label string) {

@@ -255,29 +255,6 @@ func instruction(b *Builder, line string) error {
 			b.Fst(rs, base, imm)
 		}
 		return nil
-	case "beq", "bne", "blt", "bge":
-		if err := want(3); err != nil {
-			return err
-		}
-		r1, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		r2, err := parseReg(ops[1])
-		if err != nil {
-			return err
-		}
-		switch mn {
-		case "beq":
-			b.Beq(r1, r2, ops[2])
-		case "bne":
-			b.Bne(r1, r2, ops[2])
-		case "blt":
-			b.Blt(r1, r2, ops[2])
-		case "bge":
-			b.Bge(r1, r2, ops[2])
-		}
-		return nil
 	case "j":
 		if err := want(1); err != nil {
 			return err
@@ -327,6 +304,20 @@ func instruction(b *Builder, line string) error {
 			return err
 		}
 		b.rrr(op, rd, r1, r2)
+		return nil
+	case "beq", "bne", "blt", "bge", "bltu", "bgeu":
+		if err := want(3); err != nil {
+			return err
+		}
+		r1, err := parseReg(ops[0])
+		if err != nil {
+			return err
+		}
+		r2, err := parseReg(ops[1])
+		if err != nil {
+			return err
+		}
+		b.branch(op, r1, r2, ops[2])
 		return nil
 	case "addi", "andi", "ori", "xori", "slli", "srli", "srai", "slti":
 		if err := want(3); err != nil {

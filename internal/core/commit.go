@@ -71,14 +71,10 @@ func (c *Core) commitOne(t *Context) bool {
 	switch {
 	case in.IsStore():
 		part.mem.Write(e.Addr&^7, e.Result)
-		// Retire the store-queue entry.  Stores commit in program order,
-		// so the match is the ring's front and retirement is O(1); the
-		// scan fallback covers a front dropped early by cancelIssue.
-		if t.sq.len() > 0 && t.sq.at(0).seq == e.Seq {
-			t.sq.popFront()
-		} else {
-			t.sq.compact(func(s *sqEntry) bool { return s.seq != e.Seq })
-		}
+		// Retire its store-queue slot.  The queue holds only this
+		// context's uncommitted stores, in program order, and e is
+		// the oldest uncommitted entry, so the slot is the ring's front.
+		t.sq.popFront()
 	case in.IsBranch():
 		// The PHT/BTB are shared and untagged: cross-program aliasing
 		// is part of the modelled hardware (the confidence table is

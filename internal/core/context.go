@@ -65,29 +65,24 @@ type fqEntry struct {
 	postMerge  bool   // fetched beyond an in-progress recycle stream
 }
 
-// sqEntry is one in-flight store in a context's store queue.  Stores
-// issue in two phases like real hardware: address generation as soon as
-// the base register is ready (addrOK), data capture when the data
-// register arrives (valOK).  Loads disambiguate against addrOK stores
-// and forward only from valOK ones.
-type sqEntry struct {
-	seq    uint64
-	addr   uint64
-	val    uint64
-	addrOK bool
-	valOK  bool
-}
-
 // storeQueue holds a context's uncommitted stores in program (sequence)
-// order as a ring: stores enter at the back at rename, retire from the
-// front at commit, and squash from the back.  The ring never grows —
-// uncommitted stores are bounded by the active-list capacity — so
-// steady-state operation is allocation-free and commit is O(1) instead
-// of the tail memmove a slice delete costs.  Its storage is rounded up
-// to a power of two, as the active list's is, so a position maps to
-// its slot with a mask instead of a division.
+// order as a ring of their active-list entries: stores enter at the
+// back at dispatch, retire from the front at commit, and squash from
+// the back.  Stores issue in two phases like real hardware, and both
+// phases' facts live on the entry: address generation (Issued, Addr)
+// as soon as the base register is ready, data capture (Result, and a
+// ReadyAt other than dataPending) when the data register arrives.
+// Loads disambiguate against issued stores and forward only from ones
+// with their data.
+//
+// The ring never grows — uncommitted stores are bounded by the
+// active-list capacity — so steady-state operation is allocation-free
+// and commit is O(1) instead of the tail memmove a slice delete costs.
+// Its storage is rounded up to a power of two, as the active list's
+// is, so a position maps to its slot with a mask instead of a
+// division.
 type storeQueue struct {
-	ents []sqEntry
+	ents []*alist.Entry
 	mask int // len(ents)-1
 	head int
 	n    int
@@ -106,18 +101,18 @@ func (q *storeQueue) reset(capacity int) {
 func (q *storeQueue) len() int { return q.n }
 
 // at returns the i-th store in program order (0 = oldest).
-func (q *storeQueue) at(i int) *sqEntry {
-	return &q.ents[(q.head+i)&q.mask]
+func (q *storeQueue) at(i int) *alist.Entry {
+	return q.ents[(q.head+i)&q.mask]
 }
 
-// push appends a renamed store.  Rename allocates an active-list slot
-// first, so the ring (at least the active list's size) cannot be full
-// here.
-func (q *storeQueue) push(seq uint64) {
+// push appends a dispatched store.  Rename allocates an active-list
+// slot first, so the ring (at least the active list's size) cannot be
+// full here.
+func (q *storeQueue) push(e *alist.Entry) {
 	if q.n == len(q.ents) {
 		panic("core: store queue overflow")
 	}
-	*q.at(q.n) = sqEntry{seq: seq}
+	q.ents[(q.head+q.n)&q.mask] = e
 	q.n++
 }
 
@@ -130,32 +125,21 @@ func (q *storeQueue) popFront() {
 	q.n--
 }
 
-// find returns the store with the given sequence number, or nil.
-func (q *storeQueue) find(seq uint64) *sqEntry {
-	for i := 0; i < q.n; i++ {
-		if s := q.at(i); s.seq == seq {
-			return s
-		}
-	}
-	return nil
-}
-
 // dropFrom removes every store with seq >= from (squash support; the
 // ring is seq-ordered, so this pops from the back).
 func (q *storeQueue) dropFrom(from uint64) {
-	for q.n > 0 && q.at(q.n-1).seq >= from {
+	for q.n > 0 && q.at(q.n-1).Seq >= from {
 		q.n--
 	}
 }
 
 // compact keeps only stores accepted by keep, preserving order
 // (cancelIssue drops never-issuing stores from the middle).
-func (q *storeQueue) compact(keep func(*sqEntry) bool) {
+func (q *storeQueue) compact(keep func(*alist.Entry) bool) {
 	w := 0
 	for i := 0; i < q.n; i++ {
-		s := q.at(i)
-		if keep(s) {
-			*q.at(w) = *s
+		if s := q.at(i); keep(s) {
+			q.ents[(q.head+w)&q.mask] = s
 			w++
 		}
 	}
@@ -232,10 +216,10 @@ type Context struct {
 	fqHead          int
 	fqN             int
 
-	// Rename state (the map table, mapTab, is below).
-	hasMap bool
-	al     alist.List
-	mp     recycle.MergePoints
+	// Rename state.  The map table, mapTab, is below; it holds
+	// registers exactly when it is not noMap.
+	al alist.List
+	mp recycle.MergePoints
 
 	// Store queue (program order, uncommitted stores).
 	sq storeQueue

@@ -166,9 +166,8 @@ type Core struct {
 	// ptrace, when non-nil, records per-instruction stage timelines
 	// (the pipetrace recorder).  Same hot-path contract as ring: every
 	// call site must be guarded with `if c.ptrace != nil` (traceguard
-	// enforces it, for both the Core.pipeTrace helper and direct
-	// pipetrace.Recorder method calls), and the recorder itself never
-	// allocates while recording.
+	// enforces it for every pipetrace.Recorder method), and the
+	// recorder itself never allocates while recording.
 	ptrace *pipetrace.Recorder
 
 	// Per-cycle rename slot attribution, reset by attributeSlots:
@@ -374,7 +373,6 @@ func (c *Core) startPrimary(t *Context, pc uint64, regs *[isa.NumRegs]uint64) {
 	c.setState(t, CtxActive)
 	c.setPrimary(t, true)
 	t.fetchPC = pc
-	t.hasMap = true
 	for l := 1; l < isa.NumRegs; l++ {
 		r, ok := c.rf.Alloc(isa.Reg(l).IsFP())
 		if !ok {
@@ -672,12 +670,8 @@ func (c *Core) squashFrom(ctx int, seq uint64) {
 // releaseMapRefs drops all register references held by the context's
 // current map table.
 func (c *Core) releaseMapRefs(t *Context) {
-	if !t.hasMap {
-		return
-	}
 	c.rf.ReleaseAll(t.mapTab[1:])
 	t.mapTab = noMap
-	t.hasMap = false
 }
 
 // finishPath closes out a fork-path statistics record.

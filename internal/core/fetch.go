@@ -320,7 +320,7 @@ func (c *Core) startStream(t, src *Context, seq uint64, back bool) bool {
 			Arg: uint64(len(t.stream.items))<<16 | uint64(uint16(src.id))})
 	}
 	if c.ptrace != nil {
-		c.pipeTrace(obs.StageMerge, t.id, items[0].pc, uint64(src.id))
+		c.ptrace.Instant(c.cycle, obs.StageMerge, t.id, items[0].pc, uint64(src.id))
 	}
 	// "Fetching immediately continues from where recycling will
 	// complete."

@@ -34,7 +34,7 @@ var defaultInvariantEvery uint64 = 0
 //     uncommitted active-list OldMaps — so nothing leaks or is freed
 //     early;
 //   - active-list structure: sequence pointers ordered, ring slots
-//     self-consistent, committed flags matching the commit pointer;
+//     self-consistent;
 //   - idle contexts hold no resources;
 //   - context masks: each context is in exactly its state's mask, the
 //     streaming mask whether it consumes a recycle stream, the fetched
@@ -54,7 +54,10 @@ var defaultInvariantEvery uint64 = 0
 //     reachable through the completion wheel or the pending-store list
 //     (the wheel's lazy deletion permits stale items, but never a lost
 //     completion), and every wheel item is scheduled in the future;
-//   - store-queue consistency with the active list;
+//     the pending-store list holds exactly the issued stores parked
+//     with ReadyAt == dataPending;
+//   - store queues: each context's slots are its live, dispatched,
+//     issuable stores' own active-list entries, in program order;
 //   - outstanding-reuse conservation: each context's pin count equals
 //     the number of uncommitted reused entries naming it as source;
 //   - written-bit coherence, whenever the core keeps the bit-array
@@ -101,11 +104,9 @@ func (c *Core) checkRegfile(r *invariant.Report) {
 	n := c.rf.NumInt + c.rf.NumFP
 	expected := make([]int32, n)
 	for _, t := range c.ctxs {
-		if t.hasMap {
-			for l := 1; l < isa.NumRegs; l++ {
-				if pr := t.mapTab[l]; pr != regfile.NoReg {
-					expected[pr]++
-				}
+		for l := 1; l < isa.NumRegs; l++ {
+			if pr := t.mapTab[l]; pr != regfile.NoReg {
+				expected[pr]++
 			}
 		}
 		for s := t.al.CommitSeq(); s < t.al.TailSeq(); s++ {
@@ -208,16 +209,13 @@ func (c *Core) checkContexts(r *invariant.Report) {
 			if int(e.Ctx) != t.id {
 				r.Failf("alist", "ctx=%d seq=%d entry claims ctx=%d", t.id, s, e.Ctx)
 			}
-			if want := s < al.CommitSeq(); e.Committed != want {
-				r.Failf("alist", "ctx=%d seq=%d Committed=%v but commit pointer is %d", t.id, s, e.Committed, al.CommitSeq())
-			}
 		}
 
 		if t.state == CtxIdle {
 			switch {
 			case al.Len() != 0:
 				r.Failf("idle", "ctx=%d idle with %d retained active-list entries", t.id, al.Len())
-			case t.hasMap:
+			case t.mapTab != noMap:
 				r.Failf("idle", "ctx=%d idle but still holds a register map", t.id)
 			case t.outstandingReuse != 0:
 				r.Failf("idle", "ctx=%d idle with outstandingReuse=%d", t.id, t.outstandingReuse)
@@ -229,29 +227,22 @@ func (c *Core) checkContexts(r *invariant.Report) {
 			continue
 		}
 
-		// Store queue: ordered, and every slot names a live uncommitted
-		// store.  Conversely every dispatched, issuable, uncommitted
-		// store must have a slot (cancelIssue drops slots only for
-		// NoIssue stores without a generated address).
-		for i := 0; i < t.sq.len(); i++ {
-			s := t.sq.at(i)
-			if i > 0 && t.sq.at(i-1).seq >= s.seq {
-				r.Failf("storeq", "ctx=%d store queue out of order at slot %d (seq %d after %d)",
-					t.id, i, s.seq, t.sq.at(i-1).seq)
-			}
-			e, ok := al.At(s.seq)
-			if !ok || !e.Inst.IsStore() || e.Committed {
-				r.Failf("storeq", "ctx=%d store-queue slot seq=%d has no live uncommitted store entry", t.id, s.seq)
-			}
-		}
-		for s := al.CommitSeq(); s < al.TailSeq(); s++ {
+		// Store queue: its slots are the live uncommitted entries of
+		// the dispatched stores that may issue, in program order
+		// (cancelIssue drops a store only once it is NoIssue).
+		n, inOrder := 0, true
+		for s := al.CommitSeq(); inOrder && s < al.TailSeq(); s++ {
 			e, _ := al.At(s)
-			if e == nil || !e.Inst.IsStore() || !e.Dispatched || e.NoIssue {
+			if !e.Inst.IsStore() || !e.Dispatched || e.NoIssue {
 				continue
 			}
-			if t.sq.find(s) == nil {
-				r.Failf("storeq", "ctx=%d dispatched store seq=%d missing from store queue", t.id, s)
+			if inOrder = n < t.sq.len() && t.sq.at(n) == e; !inOrder {
+				r.Failf("storeq", "ctx=%d dispatched store seq=%d is not in store-queue slot %d", t.id, s, n)
 			}
+			n++
+		}
+		if inOrder && n != t.sq.len() {
+			r.Failf("storeq", "ctx=%d store queue holds %d slot(s) for %d dispatched store(s)", t.id, t.sq.len(), n)
 		}
 	}
 
@@ -268,7 +259,7 @@ func (c *Core) checkContexts(r *invariant.Report) {
 		switch {
 		case t.state != CtxActive:
 			r.Failf("primary", "partition %d primary ctx=%d in state %v", p.id, t.id, t.state)
-		case !t.hasMap:
+		case t.mapTab == noMap:
 			r.Failf("primary", "partition %d primary ctx=%d has no register map", p.id, t.id)
 		}
 	}
@@ -289,7 +280,7 @@ func (c *Core) checkQueues(r *invariant.Report) {
 			switch {
 			case !ok || live != e:
 				r.Failf("iq", "%s holds stale entry ctx=%d seq=%d (squashed or recycled slot)", name, e.Ctx, e.Seq)
-			case e.Committed:
+			case e.Seq < t.al.CommitSeq():
 				r.Failf("iq", "%s holds committed entry ctx=%d seq=%d", name, e.Ctx, e.Seq)
 			case !e.Dispatched || e.Issued || e.Executed || e.NoIssue:
 				r.Failf("iq", "%s entry ctx=%d seq=%d has inconsistent flags (disp=%v issued=%v exec=%v noissue=%v)",
@@ -331,6 +322,7 @@ func (c *Core) checkQueues(r *invariant.Report) {
 			covered[e] = true
 		}
 	})
+	pending := map[*alist.Entry]bool{}
 	for _, e := range c.pendingSt {
 		t := c.ctxs[e.Ctx]
 		live, ok := t.al.At(e.Seq)
@@ -343,6 +335,7 @@ func (c *Core) checkQueues(r *invariant.Report) {
 		case !e.Inst.IsStore():
 			r.Failf("exec", "pendingSt holds non-store ctx=%d seq=%d", e.Ctx, e.Seq)
 		}
+		pending[e] = true
 		covered[e] = true
 	}
 	for _, t := range c.ctxs {
@@ -350,6 +343,11 @@ func (c *Core) checkQueues(r *invariant.Report) {
 			e, _ := t.al.At(s)
 			if e == nil || !e.Issued || e.Executed {
 				continue
+			}
+			// A store parked for its data is in pendingSt, and
+			// everything in pendingSt is parked.
+			if parked := e.ReadyAt == dataPending; parked != pending[e] {
+				r.Failf("exec", "ctx=%d seq=%d parked for data=%v but in pendingSt=%v", t.id, s, parked, pending[e])
 			}
 			if !covered[e] {
 				r.Failf("exec", "ctx=%d seq=%d issued but covered by neither the completion wheel nor pendingSt", t.id, s)
@@ -395,12 +393,12 @@ func (c *Core) checkReuse(r *invariant.Report) {
 func (c *Core) checkWrittenBits(r *invariant.Report) {
 	for _, p := range c.parts {
 		prim := c.primaryOf(p)
-		if prim == nil || !prim.hasMap {
+		if prim == nil || prim.mapTab == noMap {
 			continue // reported by checkContexts when unexpected
 		}
 		for m := p.mask; m != 0; m &= m - 1 {
 			a := c.ctxs[bits.TrailingZeros16(m)]
-			if a == prim || a.state == CtxIdle || a.state == CtxRetiring || !a.hasMap {
+			if a == prim || a.state == CtxIdle || a.state == CtxRetiring || a.mapTab == noMap {
 				continue
 			}
 			wrote := ctxWroteRegs(a)

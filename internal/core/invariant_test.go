@@ -46,9 +46,12 @@ func TestCosimInvariantsMultiprogram(t *testing.T) {
 }
 
 // invariantCore builds a small running machine for corruption tests.
-func invariantCore(t *testing.T) *Core {
+func invariantCore(t *testing.T) *Core { return invariantCoreOn(t, "compress") }
+
+// invariantCoreOn is invariantCore running the named workload.
+func invariantCoreOn(t *testing.T, bench string) *Core {
 	t.Helper()
-	p, err := workload.ByName("compress")
+	p, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestInvariantDetectsReusePinDrift(t *testing.T) {
 }
 
 // TestInvariantDetectsIdleResidue: an idle context still holding a
-// register map is a reclaim bug.
+// register in its map is a reclaim bug.
 func TestInvariantDetectsIdleResidue(t *testing.T) {
 	c := invariantCore(t)
 	var idle *Context
@@ -112,7 +115,7 @@ func TestInvariantDetectsIdleResidue(t *testing.T) {
 	if idle == nil {
 		t.Skip("no idle context after warm-up")
 	}
-	idle.hasMap = true
+	idle.mapTab[1] = c.primaryOf(c.parts[0]).mapTab[1]
 	expectViolation(t, c, "idle")
 }
 
@@ -242,18 +245,44 @@ func TestInvariantDetectsFrontEndMirrorDrift(t *testing.T) {
 	})
 }
 
-// TestInvariantDetectsCommitDrift: an entry marked committed ahead of
-// the commit pointer corrupts the active-list structure.
-func TestInvariantDetectsCommitDrift(t *testing.T) {
-	c := invariantCore(t)
-	prim := c.primaryOf(c.parts[0])
-	al := &prim.al
-	if al.CommitSeq() == al.TailSeq() {
-		t.Skip("no uncommitted entries after warm-up")
+// TestInvariantDetectsStoreQueueDrift: loads forward from the store
+// queue and commit writes memory from the active list, so a dispatched
+// store missing from the queue, or a slot naming anything but the
+// store's live entry, must be caught.  So must a store parked for its
+// data but missing from pendingSt, even while a completion still
+// covers it: only pendingSt re-arms a parked store.
+func TestInvariantDetectsStoreQueueDrift(t *testing.T) {
+	// runUntil runs a healthy machine on bench until cond holds.
+	runUntil := func(t *testing.T, bench string, cond func(c *Core) bool) *Core {
+		c := invariantCoreOn(t, bench)
+		for i := 0; i < 10_000 && !cond(c); i++ {
+			c.Cycle()
+		}
+		if !cond(c) {
+			t.Skip("condition never held")
+		}
+		return c
 	}
-	e, _ := al.At(al.CommitSeq())
-	e.Committed = true
-	expectViolation(t, c, "alist")
+	queued := func(c *Core) bool { return c.primaryOf(c.parts[0]).sq.len() > 0 }
+	t.Run("dispatched store dropped", func(t *testing.T) {
+		c := runUntil(t, "compress", queued)
+		c.primaryOf(c.parts[0]).sq.popFront()
+		expectViolation(t, c, "storeq")
+	})
+	t.Run("slot names a copy", func(t *testing.T) {
+		c := runUntil(t, "compress", queued)
+		sq := &c.primaryOf(c.parts[0]).sq
+		cp := *sq.at(0)
+		sq.ents[sq.head] = &cp
+		expectViolation(t, c, "storeq")
+	})
+	t.Run("parked store missing from pendingSt", func(t *testing.T) {
+		c := runUntil(t, "li", func(c *Core) bool { return len(c.pendingSt) > 0 })
+		e := c.pendingSt[0]
+		c.pendingSt = c.pendingSt[1:]
+		c.exec.Schedule(e, c.cycle+1, c.cycle)
+		expectViolation(t, c, "exec")
+	})
 }
 
 // TestInvariantDetectsCommitCountDrift: a commit counted in the total

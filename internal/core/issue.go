@@ -62,17 +62,19 @@ func (c *Core) srcValue(r regfile.PhysReg) uint64 {
 func (c *Core) loadMayIssue(t *Context, e *alist.Entry) bool {
 	// The address is computable now (Src1 is ready); use it to decide
 	// whether a matching older store's data gates this load.
+	// Store queues are in program order, so each scan stops at the
+	// first store that is not older.
 	addr := isa.EffAddr(e.Inst, c.srcValue(e.Src1)) &^ 7
 	check := func(sq *storeQueue, beforeSeq uint64) bool {
 		for i := 0; i < sq.len(); i++ {
 			s := sq.at(i)
-			if s.seq >= beforeSeq {
-				continue
+			if s.Seq >= beforeSeq {
+				break
 			}
-			if !s.addrOK {
+			if !s.Issued {
 				return false // unknown older address: wait
 			}
-			if s.addr == addr && !s.valOK {
+			if s.Addr&^7 == addr && s.ReadyAt == dataPending {
 				return false // will forward from it: wait for data
 			}
 		}
@@ -97,15 +99,14 @@ func (c *Core) loadMayIssue(t *Context, e *alist.Entry) bool {
 // then architectural memory.
 func (c *Core) loadValue(t *Context, seq uint64, addr uint64) (uint64, bool) {
 	addr &^= 7
-	best := func(sq *storeQueue, beforeSeq uint64) (uint64, bool) {
-		var v uint64
-		found := false
-		var bestSeq uint64
+	best := func(sq *storeQueue, beforeSeq uint64) (v uint64, found bool) {
 		for i := 0; i < sq.len(); i++ {
 			s := sq.at(i)
-			if s.valOK && s.seq < beforeSeq && s.addr == addr &&
-				(!found || s.seq >= bestSeq) {
-				v, found, bestSeq = s.val, true, s.seq
+			if s.Seq >= beforeSeq {
+				break
+			}
+			if s.Issued && s.ReadyAt != dataPending && s.Addr&^7 == addr {
+				v, found = s.Result, true // a younger match replaces an older one
 			}
 		}
 		return v, found
@@ -123,6 +124,13 @@ func (c *Core) loadValue(t *Context, seq uint64, addr uint64) (uint64, bool) {
 	}
 	return t.part.mem.Read(addr), false
 }
+
+// dataPending is the ReadyAt of an issued store parked for its data
+// register (phase two of store issue): so far in the future that a
+// stale wheel item left behind by its slot's previous occupant (lazy
+// deletion) cannot pass the revalidation filter and complete it early.
+// Until complete() re-arms it, younger loads to its address wait.
+const dataPending = ^uint64(0)
 
 // execute computes an issued instruction functionally and schedules its
 // completion.
@@ -153,10 +161,6 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 		// (as soon as the address is known) so no reuse can slip in
 		// between address generation and data arrival.
 		e.Addr = isa.EffAddr(*in, s1)
-		if s := t.sq.find(e.Seq); s != nil {
-			s.addr = e.Addr &^ 7
-			s.addrOK = true
-		}
 		if c.mdb != nil {
 			c.mdb.StoreTo(TagAddr(t.part.id, e.Addr&^7))
 		}
@@ -164,16 +168,12 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 		lat += c.mem.AccessD(c.cycle, TagAddr(t.part.id, e.Addr))
 		if !c.srcReady(e.Src2) {
 			// Data pending: park in phase two; complete() re-arms the
-			// store when the data register arrives.  ReadyAt is pushed to
-			// the far future so a stale wheel item left behind by this
-			// slot's previous occupant (lazy deletion) cannot pass the
-			// revalidation filter and complete the parked store early.
-			e.ReadyAt = ^uint64(0)
+			// store when the data register arrives.
+			e.ReadyAt = dataPending
 			c.pendingSt = append(c.pendingSt, e)
 			return
 		}
 		e.Result = s2
-		c.storeCaptureData(t, e)
 	case in.IsBranch():
 		e.Taken = isa.BranchTaken(*in, s1, s2)
 		if e.Taken {
@@ -191,15 +191,6 @@ func (c *Core) execute(t *Context, e *alist.Entry) {
 
 	e.ReadyAt = c.cycle + uint64(lat)
 	c.exec.Schedule(e, e.ReadyAt, c.cycle)
-}
-
-// storeCaptureData records a store's data in the store queue (phase
-// two of store issue), enabling forwarding to younger loads.
-func (c *Core) storeCaptureData(t *Context, e *alist.Entry) {
-	if s := t.sq.find(e.Seq); s != nil {
-		s.val = e.Result
-		s.valOK = true
-	}
 }
 
 // dueItem is one completion of a cycle's batch, with its (ctx, seq)
@@ -236,10 +227,8 @@ func (c *Core) complete() {
 		rest := c.pendingSt[:0]
 		for _, e := range c.pendingSt {
 			if c.srcReady(e.Src2) {
-				t := c.ctxs[e.Ctx]
-				if live, ok := t.al.At(e.Seq); ok && live == e {
+				if live, ok := c.ctxs[e.Ctx].al.At(e.Seq); ok && live == e {
 					e.Result = c.srcValue(e.Src2)
-					c.storeCaptureData(t, e)
 					e.ReadyAt = c.cycle
 					due = append(due, dueItem{key: dueKey(int(e.Ctx), e.Seq), e: e})
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"recyclesim/internal/invariant"
-	"recyclesim/internal/obs"
 	"recyclesim/internal/obs/pipetrace"
 )
 
@@ -14,17 +13,6 @@ func (c *Core) SetPipeTrace(r *pipetrace.Recorder) { c.ptrace = r }
 
 // PipeTrace returns the attached pipetrace recorder, or nil.
 func (c *Core) PipeTrace() *pipetrace.Recorder { return c.ptrace }
-
-// pipeTrace records a lifecycle instant (fork, merge, respawn) on the
-// pipetrace.  Call sites must still guard with `if c.ptrace != nil`
-// (traceguard enforces it) so argument materialization costs nothing
-// when tracing is off; the inner guard keeps the helper safe on its
-// own.
-func (c *Core) pipeTrace(stage obs.Stage, ctx int, pc, arg uint64) {
-	if c.ptrace != nil {
-		c.ptrace.Instant(c.cycle, stage, ctx, pc, arg)
-	}
-}
 
 // checkPipeTrace verifies, when a pipetrace recorder is attached, that
 // every recorded stage timeline is a legal path through the pipeline

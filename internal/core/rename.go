@@ -233,7 +233,7 @@ func (c *Core) dispatch(t *Context, e *alist.Entry) {
 		c.ptrace.OnQueue(e.Trace, c.cycle)
 	}
 	if in.IsStore() {
-		t.sq.push(e.Seq)
+		t.sq.push(e)
 	}
 }
 
@@ -284,7 +284,6 @@ func (c *Core) renameRecycled(t *Context, it *streamItem) (stall bool) {
 	if e == nil {
 		return true
 	}
-	e.Recycled = true
 	e.Pred = it.pred
 	if c.ptrace != nil {
 		e.Trace = c.ptrace.OnRename(c.cycle, t.id, e.Seq, e.PC, e.Inst, 0, true)
@@ -300,7 +299,7 @@ func (c *Core) renameRecycled(t *Context, it *streamItem) (stall bool) {
 	}
 	if reused {
 		if c.ptrace != nil {
-			c.ptrace.OnReuse(e.Trace, c.cycle)
+			c.ptrace.OnReuse(e.Trace)
 		}
 		c.markWritten(t, e, st.srcCtx)
 	} else {

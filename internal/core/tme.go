@@ -45,13 +45,13 @@ func (c *Core) tryFork(t *Context, e *alist.Entry) {
 		c.Stats.ForkFailNoCtx++
 		return
 	}
-	c.activateAlternate(t, e, a, altPC, nil)
+	c.activateAlternate(t, e, a, altPC)
 	if c.ring != nil {
 		c.ring.Record(obs.Event{Cycle: c.cycle, Stage: obs.StageFork,
 			Ctx: int16(t.id), Seq: e.Seq, PC: e.PC, Arg: uint64(a.id)})
 	}
 	if c.ptrace != nil {
-		c.pipeTrace(obs.StageFork, t.id, e.PC, uint64(a.id))
+		c.ptrace.Instant(c.cycle, obs.StageFork, t.id, e.PC, uint64(a.id))
 	}
 	c.Stats.Forks++
 }
@@ -122,10 +122,9 @@ func (c *Core) reclaimLRU(cands uint16, countRefusals bool, cause obs.Cause) *Co
 	return lru
 }
 
-// activateAlternate sets up context a as the alternate path of branch e
-// in primary t.  stream, when non-nil, re-spawns the context through
-// the recycle datapath instead of fetching.
-func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC uint64, stream *recycleStream) {
+// activateAlternate sets up idle context a as the alternate path of
+// branch e in primary t, fetching from altPC.
+func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC uint64) {
 	c.setState(a, CtxActive)
 	c.setPrimary(a, false)
 	a.parentCtx = t.id
@@ -137,7 +136,6 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 	a.altCapped = false
 	a.fetchHalted = false
 	a.fetchStallUntil = 0
-	c.setStream(a, stream)
 	a.path = forkPath{live: true, spawnCycle: c.cycle}
 
 	// Duplicate the register map (the MSB makes this free in hardware:
@@ -145,7 +143,6 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 	// context's register map").
 	a.mapTab = t.mapTab
 	c.rf.AddRefs(a.mapTab[1:])
-	a.hasMap = true
 
 	// Branch prediction state follows the primary, with the forked
 	// branch's opposite direction shifted into the history.
@@ -170,18 +167,15 @@ func (c *Core) activateAlternate(t *Context, e *alist.Entry, a *Context, altPC u
 // consuming fetch bandwidth."
 func (c *Core) respawn(t *Context, e *alist.Entry, a *Context, altPC uint64) {
 	items := c.snapshotTrace(a, a, a.al.FirstSeq(), a.al.Capacity()) // the whole trace
-	if len(items) == 0 {
-		// Degenerate trace; fall back to a normal spawn on it.
-		c.killContext(a)
-		c.activateAlternate(t, e, a, altPC, nil)
-		c.Stats.Forks++
-		return
-	}
 	c.killContext(a)
 	// Activate first (seeding a's predictor state from the primary),
 	// then run the trace through a's predictor to assign per-branch
 	// predictions, exactly as a fetch-side merge would.
-	c.activateAlternate(t, e, a, altPC, nil)
+	c.activateAlternate(t, e, a, altPC)
+	c.Stats.Forks++
+	if len(items) == 0 {
+		return // a degenerate trace: a is a normal spawn
+	}
 	stream := c.buildStream(a, items, -1 /* re-executing its own trace: no reuse */, false)
 	c.setStream(a, stream)
 	a.fetchPC = stream.nextPC
@@ -191,9 +185,8 @@ func (c *Core) respawn(t *Context, e *alist.Entry, a *Context, altPC uint64) {
 			Ctx: int16(t.id), Seq: e.Seq, PC: e.PC, Arg: uint64(a.id)})
 	}
 	if c.ptrace != nil {
-		c.pipeTrace(obs.StageRespawn, t.id, e.PC, uint64(a.id))
+		c.ptrace.Instant(c.cycle, obs.StageRespawn, t.id, e.PC, uint64(a.id))
 	}
-	c.Stats.Forks++
 	c.Stats.Respawns++
 	c.Stats.Merges++
 }
@@ -304,15 +297,7 @@ func (c *Core) cancelIssue(a *Context) {
 	}
 	c.occ[a.id] -= int32(c.iqInt.RemoveFrom(a.id, 0) + c.iqFP.RemoveFrom(a.id, 0))
 	// Never-issuing stores must not block loads; drop their queue slots.
-	a.sq.compact(func(s *sqEntry) bool {
-		if s.addrOK {
-			return true
-		}
-		if ent, ok := a.al.At(s.seq); ok && ent.NoIssue {
-			return false
-		}
-		return true
-	})
+	a.sq.compact(func(s *alist.Entry) bool { return s.Issued || !s.NoIssue })
 }
 
 // makeInactive parks a finished alternate as recyclable trace storage.

@@ -15,15 +15,6 @@ type Core struct {
 	cycle  uint64
 }
 
-// pipeTrace is itself guarded internally, but the analyzer still
-// requires the guard at each call site so disabled-path argument
-// materialisation stays visible in review.
-func (c *Core) pipeTrace(pc uint64) {
-	if c.ptrace != nil {
-		_ = c.ptrace.OnRename(c.cycle + pc)
-	}
-}
-
 // GuardedSites holds the negative space: calls correctly dominated by
 // their nil checks, including a guard conjoined with another condition
 // and a guard spelled nil-first.
@@ -40,9 +31,6 @@ func (c *Core) GuardedSites(n int) {
 	r := obs.NewRing(16)
 	if r != nil {
 		r.Record(obs.Event{Cycle: c.cycle})
-	}
-	if c.ptrace != nil {
-		c.pipeTrace(uint64(n))
 	}
 	if c.ptrace != nil {
 		c.ptrace.OnCommit(1, c.cycle)
@@ -68,7 +56,6 @@ func (c *Core) UnguardedSites(n int) {
 	} else {
 		c.ring.Record(obs.Event{Cycle: c.cycle}) // want:traceguard
 	}
-	c.pipeTrace(uint64(n))         // want:traceguard
 	_ = c.ptrace.OnRename(c.cycle) // want:traceguard
 	if c.ring != nil {             // wrong guard for the pipe tracer
 		c.ptrace.OnCommit(1, c.cycle) // want:traceguard

@@ -8,28 +8,24 @@ import (
 )
 
 // guardRule names one telemetry entry point that must be nil-guarded at
-// every call site.  recvType is the receiver type relative to the
+// every call site: the receiver expression is the guard (c.ring for
+// c.ring.Record).  recvType is the receiver type relative to the
 // module path ("internal/obs.Ring"), method the method name — or "*"
 // to cover every method of the type (used for the pipetrace recorder,
-// whose whole surface is hot-path hooks).  guardField names the field
-// on the receiver whose nil check enables the call ("ptrace" for
-// c.pipeTrace); the empty string means the receiver expression itself
-// is the guard (c.ring for c.ring.Record).
+// whose whole surface is hot-path hooks).
 //
 // Wildcard rules exempt call sites inside the receiver type's own
 // package: the recorder's methods calling each other are its
 // implementation, not hot-path hook sites.
 type guardRule struct {
-	recvType   string
-	method     string
-	guardField string
+	recvType string
+	method   string
 }
 
 // guardRules are the simulator's optional telemetry hooks.
 var guardRules = []guardRule{
-	{"internal/obs.Ring", "Record", ""},
-	{"internal/core.Core", "pipeTrace", "ptrace"},
-	{"internal/obs/pipetrace.Recorder", "*", ""},
+	{"internal/obs.Ring", "Record"},
+	{"internal/obs/pipetrace.Recorder", "*"},
 }
 
 // TraceGuard flags telemetry calls in simulator packages not dominated
@@ -106,9 +102,6 @@ func (tg *TraceGuard) checkCall(prog *Program, pkg *Package, call *ast.CallExpr,
 			continue
 		}
 		guard := exprPath(sel.X)
-		if r.guardField != "" {
-			guard += "." + r.guardField
-		}
 		if guardDominates(stack, guard) {
 			return nil
 		}

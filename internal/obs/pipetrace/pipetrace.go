@@ -195,13 +195,13 @@ func (r *Recorder) OnQueue(h Handle, cycle uint64) {
 }
 
 // OnReuse marks the reuse bypass: the instruction adopted its old
-// result at rename and will never queue, issue, or write back.
+// result at rename and will never queue, issue, or write back.  The
+// rename cycle is its mark.
 //
 //recycle:hotpath
-func (r *Recorder) OnReuse(h Handle, cycle uint64) {
+func (r *Recorder) OnReuse(h Handle) {
 	if rec := r.rec(h); rec != nil {
 		rec.Reused = true
-		_ = cycle // reuse happens at rename; the Rename cycle is the mark
 	}
 }
 

@@ -121,7 +121,7 @@ func TestUntracedHandleIsNoOp(t *testing.T) {
 	before := r.Records()[0]
 	for _, h := range []Handle{0, -1} {
 		r.OnQueue(h, 5)
-		r.OnReuse(h, 5)
+		r.OnReuse(h)
 		r.OnIssue(h, 5)
 		r.OnWriteback(h, 5)
 		r.OnCommit(h, 5)
@@ -150,7 +150,7 @@ func committedRecorder() *Recorder {
 	r.OnCommit(h, 16)
 
 	h = r.OnRename(14, 1, 1, 0x1008, addInst, 0, true)
-	r.OnReuse(h, 14)
+	r.OnReuse(h)
 	r.OnCommit(h, 17)
 
 	h = r.OnRename(16, 2, 0, 0x100c, addInst, 15, false)

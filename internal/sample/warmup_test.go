@@ -110,13 +110,41 @@ func TestFastForwardAllocBudget(t *testing.T) {
 	}
 }
 
-// allocBytes returns the bytes f allocates.
+// allocBytes returns the bytes f allocates itself.  The process-wide
+// MemStats.TotalAlloc would also count whatever another goroutine
+// allocates while f runs, so instead the memory profile records every
+// allocation meanwhile, and only those whose stack passes through f
+// count.
 func allocBytes(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	fn := runtime.FuncForPC(reflect.ValueOf(f).Pointer()).Name()
+	before := profiledBytes(fn)
 	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return profiledBytes(fn) - before
+}
+
+// profiledBytes returns the bytes the memory profile records as
+// allocated by stacks through the function named fn, once a collection
+// has published every allocation made so far.
+func profiledBytes(fn string) uint64 {
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 1024)
+	n, ok := runtime.MemProfile(recs, true)
+	for ; !ok; n, ok = runtime.MemProfile(recs, true) {
+		recs = make([]runtime.MemProfileRecord, 2*n)
+	}
+	var sum int64
+	for _, r := range recs[:n] {
+		for frames, more := runtime.CallersFrames(r.Stack()), true; more; {
+			var fr runtime.Frame
+			if fr, more = frames.Next(); fr.Function == fn {
+				sum += r.AllocBytes
+				break
+			}
+		}
+	}
+	return uint64(sum)
 }
 
 // TestWarmupAllocBudget pins what fresh and copied models allocate.
