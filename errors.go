@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"recyclesim/internal/config"
 	"recyclesim/internal/core"
 	"recyclesim/internal/obs/pipetrace"
 )
@@ -110,11 +111,7 @@ func fingerprint(o Options) string {
 	if len(o.Workloads) == 0 {
 		names = fmt.Sprintf("%dprogs", len(o.Programs))
 	}
-	feat := FeatureName(o.Features)
-	if feat == "" {
-		feat = "custom"
-	}
-	return fmt.Sprintf("%s/%s/%s/max%d", o.Machine.Name, feat, names, o.MaxInsts)
+	return fmt.Sprintf("%s/%s/%s/max%d", o.Machine.Name, config.FullFeatureName(o.Features), names, o.MaxInsts)
 }
 
 // simError builds the typed failure report for a run that stopped with

@@ -24,6 +24,31 @@ func slotTotal(tel *Telemetry) uint64 {
 	return n
 }
 
+// TestFingerprintFigure5 checks that Figure 5's nine alternate-path
+// policies give nine distinct fingerprints, so two of its cells failing
+// at the same cycle cannot share a crash bundle, and that a preset's
+// own policy keeps the figure-legend name.
+func TestFingerprintFigure5(t *testing.T) {
+	opts := func(f Features) Options {
+		return Options{Machine: config.Big216(), Features: f, Workloads: []string{"go"}, MaxInsts: 1000}
+	}
+	seen := map[string]bool{}
+	for _, p := range []config.AltPolicy{config.AltNoStop, config.AltStop, config.AltFetch} {
+		for _, n := range []int{8, 16, 32} {
+			f := config.RECRSRU
+			f.AltPolicy, f.AltLimit = p, n
+			fp := fingerprint(opts(f))
+			if seen[fp] {
+				t.Errorf("two Figure 5 cells fingerprinted %q", fp)
+			}
+			seen[fp] = true
+		}
+	}
+	if got, want := fingerprint(opts(config.RECRSRU)), "big.2.16/REC/RS/RU/go/max1000"; got != want {
+		t.Errorf("preset fingerprint %q, want %q", got, want)
+	}
+}
+
 func healthyOption(insts uint64) Options {
 	return Options{
 		Machine:  MachineByName("big.2.16"),

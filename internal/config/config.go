@@ -266,6 +266,19 @@ func FeatureName(f Features) string {
 	}
 }
 
+// FullFeatureName is FeatureName with the alternate-path policy and
+// limit appended when they differ from the named preset's
+// ("REC/RS/RU/stop-8"; the presets' own nostop-32 adds nothing), so
+// cells that differ only there, as Figure 5's do, get distinct log,
+// progress and crash-bundle names.
+func FullFeatureName(f Features) string {
+	n := FeatureName(f)
+	if p, _ := PresetByName(n); f.AltPolicy != p.AltPolicy || f.AltLimit != p.AltLimit {
+		n += fmt.Sprintf("/%s-%d", f.AltPolicy, f.AltLimit)
+	}
+	return n
+}
+
 // presets lists the named presets in the paper's order.  FeatureName
 // gives each its figure-legend name.
 var presets = []Features{SMT, TME, REC, RECRU, RECRS, RECRSRU}

@@ -67,7 +67,7 @@ type Spec struct {
 
 // Name renders the spec for logs and progress displays.
 func (s Spec) Name() string {
-	name := s.Machine.Name + "/" + config.FeatureName(s.Features) + "/" + strings.Join(s.Workloads, "+")
+	name := s.Machine.Name + "/" + config.FullFeatureName(s.Features) + "/" + strings.Join(s.Workloads, "+")
 	if s.Sampling != nil {
 		name = "sampled/" + name
 	}

@@ -475,3 +475,33 @@ func TestUnknownWorkerGets410(t *testing.T) {
 		t.Fatalf("unknown worker heartbeat status = %d, want 410", resp.StatusCode)
 	}
 }
+
+// TestSpecNameFigure5 checks that Figure 5's nine alternate-path
+// policies (REC/RS/RU at nostop, stop and fetch, 8, 16 and 32) give
+// nine distinct cell names, and that a preset's own policy keeps the
+// figure-legend name.
+func TestSpecNameFigure5(t *testing.T) {
+	spec := func(f config.Features) Spec {
+		return Spec{Machine: config.Big216(), Features: f, Workloads: []string{"go", "li"}}
+	}
+	seen := map[string]bool{}
+	for _, p := range []config.AltPolicy{config.AltNoStop, config.AltStop, config.AltFetch} {
+		for _, n := range []int{8, 16, 32} {
+			f := config.RECRSRU
+			f.AltPolicy, f.AltLimit = p, n
+			name := spec(f).Name()
+			if seen[name] {
+				t.Errorf("two Figure 5 cells named %q", name)
+			}
+			seen[name] = true
+		}
+	}
+	for f, want := range map[config.Features]string{
+		config.RECRSRU: "big.2.16/REC/RS/RU/go+li",
+		config.SMT:     "big.2.16/SMT/go+li",
+	} {
+		if got := spec(f).Name(); got != want {
+			t.Errorf("preset cell named %q, want %q", got, want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package lint
 
-import "go/ast"
+import (
+	"fmt"
+	"go/ast"
+)
 
 // AtomicPlain flags every use of a sync/atomic package function
 // (atomic.AddInt64, atomic.LoadUint32, ...).  A field handed to those
@@ -28,7 +31,7 @@ func (ap *AtomicPlain) Check(prog *Program) []Diagnostic {
 				if id, ok := n.(*ast.Ident); ok {
 					if path, name := pkgFunc(pkg.Info, id); path == "sync/atomic" {
 						out = append(out, Diagnostic{Pos: prog.Position(id.Pos()), Rule: ap.Name(),
-							Msg: sprintf("atomic.%s on a plain variable invites plain accesses to it elsewhere; use a typed atomic (atomic.Int64, ...)", name)})
+							Msg: fmt.Sprintf("atomic.%s on a plain variable invites plain accesses to it elsewhere; use a typed atomic (atomic.Int64, ...)", name)})
 					}
 				}
 				return true

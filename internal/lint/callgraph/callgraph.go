@@ -42,7 +42,7 @@ import (
 
 // Pkg is one loaded, type-checked package handed to Build.
 type Pkg struct {
-	Path  string
+	Path  string // import path
 	Types *types.Package
 	Info  *types.Info
 	Files []*ast.File
@@ -302,7 +302,7 @@ func (w *bodyWalker) walk(n ast.Node) {
 		w.stack = w.stack[:len(w.stack)-1]
 		return
 	}
-	children(n, func(c ast.Node) { w.walk(c) })
+	Children(n, func(c ast.Node) { w.walk(c) })
 	w.stack = w.stack[:len(w.stack)-1]
 }
 
@@ -321,7 +321,7 @@ func (w *bodyWalker) handleLit(lit *ast.FuncLit) {
 	// passed or stored somewhere and may run: dynamic edge.
 	dynamic := !w.callees[lit]
 	w.owner.Out = append(w.owner.Out, Edge{
-		Callee: n, Pos: lit.Pos(), Dynamic: dynamic, Guarded: w.guarded(),
+		Callee: n, Pos: lit.Pos(), Dynamic: dynamic, Guarded: Guarded(w.stack, ""),
 	})
 
 	inner := &bodyWalker{b: w.b, p: w.p, owner: n, bindings: w.bindings}
@@ -365,7 +365,7 @@ func (w *bodyWalker) handleCall(call *ast.CallExpr) {
 					if iface, ok := recv.Underlying().(*types.Interface); ok {
 						w.b.ifaceCalls = append(w.b.ifaceCalls, ifaceCall{
 							from: w.owner, iface: iface, name: obj.Name(),
-							pos: call.Lparen, guarded: w.guarded(),
+							pos: call.Lparen, guarded: Guarded(w.stack, ""),
 						})
 					}
 					return
@@ -408,7 +408,7 @@ func (w *bodyWalker) handleRef(id *ast.Ident, sel *ast.SelectorExpr) {
 // the module add nothing.
 func (w *bodyWalker) addFuncEdge(fn *types.Func, pos token.Pos, dynamic bool) {
 	if n := w.b.g.byFn[fn]; n != nil {
-		w.owner.Out = append(w.owner.Out, Edge{Callee: n, Pos: pos, Dynamic: dynamic, Guarded: w.guarded()})
+		w.owner.Out = append(w.owner.Out, Edge{Callee: n, Pos: pos, Dynamic: dynamic, Guarded: Guarded(w.stack, "")})
 	}
 }
 
@@ -437,44 +437,56 @@ func (w *bodyWalker) addBoundEdge(bound ast.Expr, pos token.Pos) {
 	}
 }
 
-// guarded reports whether the current visit sits inside the then-block
-// of an ancestor `if` whose condition checks some expression != nil
-// (directly or as an && conjunct).
-func (w *bodyWalker) guarded() bool {
-	for i := len(w.stack) - 2; i >= 0; i-- {
-		ifs, ok := w.stack[i].(*ast.IfStmt)
-		if !ok || i+1 >= len(w.stack) || w.stack[i+1] != ifs.Body {
-			continue
-		}
-		if CondHasNilCheck(ifs.Cond) {
+// Guarded reports whether the last node of stack, the ancestor path
+// root..node, sits in the then-block of an enclosing `if` whose
+// condition tests `<guard> != nil`, directly or as an && conjunct (a
+// disjunct does not count: either side of || can be false while the
+// branch runs).  An empty guard accepts any `x != nil`, the
+// optional-telemetry idiom; a named guard ("c.ring", as ExprPath
+// renders it) accepts only that expression.  Requiring stack[i+1] to
+// be the if's body rejects nodes in its condition, init statement or
+// else branch.
+func Guarded(stack []ast.Node, guard string) bool {
+	for i := len(stack) - 2; i >= 0; i-- {
+		ifs, ok := stack[i].(*ast.IfStmt)
+		if ok && stack[i+1] == ifs.Body && nilChecked(ifs.Cond, guard) {
 			return true
 		}
 	}
 	return false
 }
 
-// CondHasNilCheck reports whether the condition contains an `x != nil`
-// comparison directly or under && / parens — the shape that marks a
-// guarded (optional-telemetry) block.  Exported so analyzers can apply
-// the same convention to constructs inside their own bodies.
-func CondHasNilCheck(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		return CondHasNilCheck(x.X)
-	case *ast.BinaryExpr:
-		if x.Op == token.LAND {
-			return CondHasNilCheck(x.X) || CondHasNilCheck(x.Y)
-		}
-		if x.Op == token.NEQ {
-			return isNil(x.X) || isNil(x.Y)
-		}
+// nilChecked reports whether cond tests `<guard> != nil` (either
+// operand order) directly or as an && conjunct, under any parentheses.
+func nilChecked(cond ast.Expr, guard string) bool {
+	x, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return false
 	}
-	return false
+	if x.Op == token.LAND {
+		return nilChecked(x.X, guard) || nilChecked(x.Y, guard)
+	}
+	is := func(e ast.Expr) bool { return guard == "" || ExprPath(e) == guard }
+	return x.Op == token.NEQ && (isNil(x.Y) && is(x.X) || isNil(x.X) && is(x.Y))
 }
 
 func isNil(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
+}
+
+// ExprPath renders an identifier or selector chain ("c", "c.ring");
+// any other expression shape yields "".
+func ExprPath(e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		if base := ExprPath(x.X); base != "" {
+			return base + "." + x.Sel.Name
+		}
+	}
+	return ""
 }
 
 // resolveInterfaceCalls turns the collected interface-dispatch sites
@@ -524,8 +536,8 @@ func (b *builder) resolveInterfaceCalls(pkgs []*Pkg) {
 	}
 }
 
-// children visits the direct AST children of n in source order.
-func children(n ast.Node, visit func(ast.Node)) {
+// Children visits the direct AST children of n in source order.
+func Children(n ast.Node, visit func(ast.Node)) {
 	var kids []ast.Node
 	ast.Inspect(n, func(c ast.Node) bool {
 		if c == nil {

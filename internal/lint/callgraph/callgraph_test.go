@@ -198,3 +198,59 @@ func ids(g *Graph) []string {
 	}
 	return out
 }
+
+// TestGuarded pins the one nil-guard rule that guarded call-graph
+// edges, hotalloc and traceguard share: the node must sit in the
+// then-block of an if whose condition tests `<guard> != nil` directly
+// or as an && conjunct.  Each body holds one call to mark, the node
+// checked.
+func TestGuarded(t *testing.T) {
+	cases := []struct {
+		body  string
+		guard string
+		want  bool
+	}{
+		{"if c.ring != nil { mark() }", "c.ring", true},
+		{"if c.ring != nil { mark() }", "", true},
+		{"if nil != c.ring { mark() }", "c.ring", true},
+		{"if ok && c.ring != nil { mark() }", "c.ring", true},
+		{"if c.ring != nil && ok { mark() }", "", true},
+		{"if (ok && (c.ring != nil)) { mark() }", "c.ring", true},
+		{"if (c).ring != nil { for { mark() } }", "c.ring", true},
+		{"if c.ptrace != nil { mark() }", "c.ring", false},
+		{"if c.ptrace != nil { mark() }", "", true},
+		{"if ok || c.ring != nil { mark() }", "c.ring", false},
+		{"if ok || c.ring != nil { mark() }", "", false},
+		{"if c.ring == nil { mark() }", "", false},
+		{"if c.ring != nil && mark() {}", "c.ring", false},
+		{"if c.ring != nil && mark() {}", "", false},
+		{"if x := mark(); c.ring != nil {}", "", false},
+		{"if c.ring != nil {} else { mark() }", "c.ring", false},
+		{"if c.ring != nil {} else { mark() }", "", false},
+		{"mark()", "", false},
+	}
+	for _, tc := range cases {
+		f, err := parser.ParseFile(token.NewFileSet(), "g.go", "package p; func f() { "+tc.body+" }", 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		var stack, at []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return false
+			}
+			stack = append(stack, n)
+			if call, ok := n.(*ast.CallExpr); ok && ExprPath(call.Fun) == "mark" {
+				at = append([]ast.Node(nil), stack...)
+			}
+			return true
+		})
+		if at == nil {
+			t.Fatalf("%s: no call to mark", tc.body)
+		}
+		if got := Guarded(at, tc.guard); got != tc.want {
+			t.Errorf("Guarded(%q, guard %q) = %v, want %v", tc.body, tc.guard, got, tc.want)
+		}
+	}
+}

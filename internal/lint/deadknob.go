@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"slices"
@@ -39,7 +40,7 @@ func (dk *DeadKnob) Check(prog *Program) []Diagnostic {
 	fields := map[types.Object]field{}
 	var order []field
 	for _, name := range []string{"Machine", "Features"} {
-		obj := cfgPkg.Pkg.Scope().Lookup(name)
+		obj := cfgPkg.Types.Scope().Lookup(name)
 		if obj == nil {
 			continue
 		}
@@ -100,7 +101,7 @@ func (dk *DeadKnob) Check(prog *Program) []Diagnostic {
 			out = append(out, Diagnostic{
 				Pos:  prog.Position(f.v.Pos()),
 				Rule: dk.Name(),
-				Msg:  sprintf("config knob %s.%s is never read by %s: dead configuration", f.owner, f.v.Name(), strings.Join(knobReaders, " or ")),
+				Msg:  fmt.Sprintf("config knob %s.%s is never read by %s: dead configuration", f.owner, f.v.Name(), strings.Join(knobReaders, " or ")),
 			})
 		}
 	}

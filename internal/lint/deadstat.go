@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -39,12 +40,12 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 	if statsPkg == nil {
 		return nil
 	}
-	obj := statsPkg.Pkg.Scope().Lookup("Sim")
+	obj := statsPkg.Types.Scope().Lookup("Sim")
 	if obj == nil {
 		return []Diagnostic{{
 			Pos:  prog.Position(statsPkg.Files[0].Pos()),
 			Rule: ds.Name(),
-			Msg:  sprintf("stats package %s has no struct Sim", statsPath),
+			Msg:  fmt.Sprintf("stats package %s has no struct Sim", statsPath),
 		}}
 	}
 	st, ok := obj.Type().Underlying().(*types.Struct)
@@ -114,7 +115,7 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 						decremented = append(decremented, Diagnostic{
 							Pos:  prog.Position(n.Pos()),
 							Rule: ds.Name(),
-							Msg:  sprintf("statistics counter Sim.%s is decremented; counters must be monotonic", fobj.Name()),
+							Msg:  fmt.Sprintf("statistics counter Sim.%s is decremented; counters must be monotonic", fobj.Name()),
 						})
 					}
 				case *ast.AssignStmt:
@@ -133,7 +134,7 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 								plainAssigned = append(plainAssigned, Diagnostic{
 									Pos:  prog.Position(n.Pos()),
 									Rule: ds.Name(),
-									Msg:  sprintf("statistics counter Sim.%s overwritten with =; counters must only grow (annotate intentional snapshots)", fobj.Name()),
+									Msg:  fmt.Sprintf("statistics counter Sim.%s overwritten with =; counters must only grow (annotate intentional snapshots)", fobj.Name()),
 								})
 							}
 						default:
@@ -143,7 +144,7 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 							decremented = append(decremented, Diagnostic{
 								Pos:  prog.Position(n.Pos()),
 								Rule: ds.Name(),
-								Msg:  sprintf("statistics counter Sim.%s modified with %s; counters must be monotonic", fobj.Name(), n.Tok),
+								Msg:  fmt.Sprintf("statistics counter Sim.%s modified with %s; counters must be monotonic", fobj.Name(), n.Tok),
 							})
 						}
 					}
@@ -159,14 +160,14 @@ func (ds *DeadStat) Check(prog *Program) []Diagnostic {
 			out = append(out, Diagnostic{
 				Pos:  prog.Position(f.Pos()),
 				Rule: ds.Name(),
-				Msg:  sprintf("statistics field Sim.%s is never written by the simulator: dead counter", f.Name()),
+				Msg:  fmt.Sprintf("statistics field Sim.%s is never written by the simulator: dead counter", f.Name()),
 			})
 		}
 		if isScalar(f) && !inAdd[f] {
 			out = append(out, Diagnostic{
 				Pos:  prog.Position(f.Pos()),
 				Rule: ds.Name(),
-				Msg:  sprintf("statistics field Sim.%s is missing from (*Sim).Add: aggregation drops it", f.Name()),
+				Msg:  fmt.Sprintf("statistics field Sim.%s is missing from (*Sim).Add: aggregation drops it", f.Name()),
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -88,7 +89,7 @@ func (d *Determinism) Check(prog *Program) []Diagnostic {
 	if len(roots) == 0 {
 		out = append(out, Diagnostic{
 			Pos: prog.Position(token.NoPos), Rule: d.Name(),
-			Msg: sprintf("no simulation entry point resolved from %v; the reachable half would silently pass", SimRoots),
+			Msg: fmt.Sprintf("no simulation entry point resolved from %v; the reachable half would silently pass", SimRoots),
 		})
 	}
 	reach := g.Reach(roots, nil)
@@ -120,7 +121,7 @@ func (d *Determinism) Check(prog *Program) []Diagnostic {
 			for _, imp := range f.Imports {
 				if p := impPath(imp); !concOK && (p == "sync" || p == "sync/atomic") {
 					out = append(out, Diagnostic{Pos: prog.Position(imp.Pos()), Rule: d.Name(),
-						Msg: sprintf("import of %s: the simulator is single-threaded and must stay deterministic", p)})
+						Msg: fmt.Sprintf("import of %s: the simulator is single-threaded and must stay deterministic", p)})
 				}
 			}
 			ast.Inspect(f, func(x ast.Node) bool {
@@ -146,7 +147,7 @@ func hazard(info *types.Info, n ast.Node, concOK bool) string {
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap || mapRangeOrderIndependent(info, n) {
 			return ""
 		}
-		return sprintf("range over map %s: iteration order is randomized; sort the keys, or annotate if provably order-independent", types.TypeString(tv.Type, nil))
+		return fmt.Sprintf("range over map %s: iteration order is randomized; sort the keys, or annotate if provably order-independent", types.TypeString(tv.Type, nil))
 	case *ast.GoStmt:
 		if !concOK {
 			return "go statement: scheduling order is nondeterministic"
@@ -162,11 +163,11 @@ func hazard(info *types.Info, n ast.Node, concOK bool) string {
 	case *ast.Ident:
 		switch pkg, name := pkgFunc(info, n); {
 		case pkg == "time" && timeFuncs[name]:
-			return sprintf("time.%s reads the wall clock; simulated time is the cycle counter", name)
+			return fmt.Sprintf("time.%s reads the wall clock; simulated time is the cycle counter", name)
 		case (pkg == "math/rand" || pkg == "math/rand/v2") && !randConstructors[name]:
-			return sprintf("rand.%s uses the global random source; use a seeded rand.New(rand.NewSource(...))", name)
+			return fmt.Sprintf("rand.%s uses the global random source; use a seeded rand.New(rand.NewSource(...))", name)
 		case pkg == "os" && envFuncs[name]:
-			return sprintf("os.%s reads ambient process state", name)
+			return fmt.Sprintf("os.%s reads ambient process state", name)
 		}
 	}
 	return ""

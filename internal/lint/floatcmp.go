@@ -7,8 +7,6 @@ import (
 	"go/types"
 )
 
-func sprintf(format string, args ...interface{}) string { return fmt.Sprintf(format, args...) }
-
 // FloatCmp flags == and != between floating-point operands in the
 // simulator packages.  Exact float equality is almost always a rounding
 // bug waiting to diverge the core from the golden emulator; the few
@@ -41,7 +39,7 @@ func (fc *FloatCmp) Check(prog *Program) []Diagnostic {
 					out = append(out, Diagnostic{
 						Pos:  prog.Position(be.OpPos),
 						Rule: fc.Name(),
-						Msg:  sprintf("%s on floating-point operands; compare with an epsilon or annotate exact-semantics sites", be.Op),
+						Msg:  fmt.Sprintf("%s on floating-point operands; compare with an epsilon or annotate exact-semantics sites", be.Op),
 					})
 				}
 				return true

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -82,7 +83,7 @@ func (h *HotAlloc) Check(prog *Program) []Diagnostic {
 		diag := func(pos token.Pos, format string, args ...interface{}) {
 			out = append(out, Diagnostic{
 				Pos: prog.Position(pos), Rule: h.Name(),
-				Msg: sprintf(format, args...) + " (hot via " + chain + ")",
+				Msg: fmt.Sprintf(format, args...) + " (hot via " + chain + ")",
 			})
 		}
 		h.checkNode(n, diag)
@@ -116,16 +117,9 @@ type hotWalker struct {
 // already prunes guarded edges, so constructs materialising arguments
 // for guarded calls are likewise off the steady-state path.
 func (w *hotWalker) diag(pos token.Pos, format string, args ...interface{}) {
-	for i := len(w.stack) - 2; i >= 0; i-- {
-		ifs, ok := w.stack[i].(*ast.IfStmt)
-		if !ok || i+1 >= len(w.stack) || w.stack[i+1] != ifs.Body {
-			continue
-		}
-		if callgraph.CondHasNilCheck(ifs.Cond) {
-			return
-		}
+	if !callgraph.Guarded(w.stack, "") {
+		w.emit(pos, format, args...)
 	}
-	w.emit(pos, format, args...)
 }
 
 func (w *hotWalker) walkStmts(stmts []ast.Stmt) {
@@ -173,7 +167,7 @@ func (w *hotWalker) walk(n ast.Node) {
 			return // panic args walked with the exemption set
 		}
 	}
-	children(n, func(c ast.Node) { w.walk(c) })
+	callgraph.Children(n, func(c ast.Node) { w.walk(c) })
 }
 
 // checkCall handles the call-site rules (fmt, append discipline,
@@ -364,25 +358,6 @@ func (w *hotWalker) inLoop() bool {
 		}
 	}
 	return false
-}
-
-// children visits direct AST children in source order (mirror of the
-// callgraph package's helper; kept local to avoid exporting it).
-func children(n ast.Node, visit func(ast.Node)) {
-	var kids []ast.Node
-	ast.Inspect(n, func(c ast.Node) bool {
-		if c == nil {
-			return false
-		}
-		if c == n {
-			return true
-		}
-		kids = append(kids, c)
-		return false
-	})
-	for _, k := range kids {
-		visit(k)
-	}
 }
 
 func litType(p *callgraph.Pkg, cl *ast.CompositeLit) string {

@@ -17,9 +17,7 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"slices"
 	"sort"
 	"strings"
@@ -49,13 +47,9 @@ type Analyzer interface {
 	Check(prog *Program) []Diagnostic
 }
 
-// Package is one loaded, type-checked package.
-type Package struct {
-	Path  string // import path
-	Pkg   *types.Package
-	Info  *types.Info
-	Files []*ast.File
-}
+// Package is one loaded, type-checked package; the call graph is built
+// over the same values.
+type Package = callgraph.Pkg
 
 // Program is the whole loaded module, packages sorted by import path so
 // every run visits them in the same order.
@@ -78,13 +72,7 @@ type Program struct {
 // call graph over the loaded packages.
 func (p *Program) Callgraph() *callgraph.Graph {
 	if p.cg == nil {
-		pkgs := make([]*callgraph.Pkg, 0, len(p.Pkgs))
-		for _, pkg := range p.Pkgs {
-			pkgs = append(pkgs, &callgraph.Pkg{
-				Path: pkg.Path, Types: pkg.Pkg, Info: pkg.Info, Files: pkg.Files,
-			})
-		}
-		p.cg = callgraph.Build(pkgs)
+		p.cg = callgraph.Build(p.Pkgs)
 	}
 	return p.cg
 }

@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -68,10 +70,8 @@ func markers(t *testing.T, tag string) []string {
 }
 
 func key(file string, line int, rule string) string {
-	return file + ":" + itoa(line) + ":" + rule
+	return file + ":" + strconv.Itoa(line) + ":" + rule
 }
-
-func itoa(n int) string { return sprintf("%d", n) }
 
 func diagKeys(diags []Diagnostic) []string {
 	out := make([]string, 0, len(diags))
@@ -189,7 +189,7 @@ func TestCatchMatrix(t *testing.T) {
 	for _, a := range Default() {
 		sites[a.Name()] = map[string]bool{}
 		for _, d := range Run(prog, []Analyzer{a}) {
-			sites[a.Name()][filepath.Base(d.Pos.Filename)+":"+itoa(d.Pos.Line)] = true
+			sites[a.Name()][filepath.Base(d.Pos.Filename)+":"+strconv.Itoa(d.Pos.Line)] = true
 			if a.Name() != "determinism" {
 				continue
 			}
@@ -213,7 +213,7 @@ func TestCatchMatrix(t *testing.T) {
 			}
 		}
 		sort.Strings(unique)
-		rows = append(rows, sprintf("%-12s %2d unique of %2d: %s", a.Name(), len(unique), len(sites[a.Name()]), strings.Join(unique, " ")))
+		rows = append(rows, fmt.Sprintf("%-12s %2d unique of %2d: %s", a.Name(), len(unique), len(sites[a.Name()]), strings.Join(unique, " ")))
 		if len(unique) == 0 {
 			t.Errorf("%s flags no site another analyzer misses", a.Name())
 		}

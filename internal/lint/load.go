@@ -158,7 +158,7 @@ func (l *loader) load(path string) (*types.Package, error) {
 		return nil, err
 	}
 	l.cache[path] = pkg
-	l.pkgs[path] = &Package{Path: path, Pkg: pkg, Info: info, Files: files}
+	l.pkgs[path] = &Package{Path: path, Types: pkg, Info: info, Files: files}
 	return pkg, nil
 }
 

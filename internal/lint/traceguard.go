@@ -1,31 +1,24 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
+
+	"recyclesim/internal/lint/callgraph"
 )
 
-// guardRule names one telemetry entry point that must be nil-guarded at
-// every call site: the receiver expression is the guard (c.ring for
-// c.ring.Record).  recvType is the receiver type relative to the
-// module path ("internal/obs.Ring"), method the method name — or "*"
-// to cover every method of the type (used for the pipetrace recorder,
-// whose whole surface is hot-path hooks).
-//
-// Wildcard rules exempt call sites inside the receiver type's own
-// package: the recorder's methods calling each other are its
-// implementation, not hot-path hook sites.
-type guardRule struct {
-	recvType string
-	method   string
-}
-
-// guardRules are the simulator's optional telemetry hooks.
-var guardRules = []guardRule{
-	{"internal/obs.Ring", "Record"},
-	{"internal/obs/pipetrace.Recorder", "*"},
+// guardedHooks are the simulator's optional telemetry hooks, as
+// callgraph FuncIDs relative to the module path.  Every call site must
+// be nil-guarded on the hook's receiver expression (c.ring for
+// c.ring.Record).  An ID ending in a dot covers every method of the
+// type (the pipetrace recorder's whole surface is hot-path hooks) and
+// exempts call sites inside the type's own package: the recorder's
+// methods calling each other are its implementation, not hook sites.
+var guardedHooks = []string{
+	"internal/obs.(Ring).Record",
+	"internal/obs/pipetrace.(Recorder).",
 }
 
 // TraceGuard flags telemetry calls in simulator packages not dominated
@@ -75,8 +68,8 @@ func (tg *TraceGuard) Check(prog *Program) []Diagnostic {
 	return out
 }
 
-// checkCall matches one call expression against the rules and verifies
-// guard dominance using the current ancestor stack (root .. call).
+// checkCall matches one call expression against guardedHooks and
+// checks its guard using the current ancestor stack (root .. call).
 func (tg *TraceGuard) checkCall(prog *Program, pkg *Package, call *ast.CallExpr, stack []ast.Node) *Diagnostic {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -86,30 +79,24 @@ func (tg *TraceGuard) checkCall(prog *Program, pkg *Package, call *ast.CallExpr,
 	if fn == nil {
 		return nil
 	}
-	recv := recvTypeName(fn)
-	for _, r := range guardRules {
-		recvType := prog.ModPath + "/" + r.recvType
-		if recv != recvType {
-			continue
-		}
-		if r.method == "*" {
-			// Wildcard rules guard the type's whole surface but exempt
-			// its defining package (implementation, not hook sites).
-			if pkg.Path == recvType[:strings.LastIndex(recvType, ".")] {
+	id := callgraph.FuncID(fn)
+	for _, h := range guardedHooks {
+		h = prog.ModPath + "/" + h
+		if strings.HasSuffix(h, ".") {
+			if !strings.HasPrefix(id, h) || pkg.Path == fn.Pkg().Path() {
 				continue
 			}
-		} else if fn.Name() != r.method {
+		} else if id != h {
 			continue
 		}
-		guard := exprPath(sel.X)
-		if guardDominates(stack, guard) {
+		guard := callgraph.ExprPath(sel.X)
+		if guard != "" && callgraph.Guarded(stack, guard) {
 			return nil
 		}
 		return &Diagnostic{
 			Pos:  prog.Position(call.Lparen),
 			Rule: tg.Name(),
-			Msg: sprintf("call to %s.%s not dominated by an enclosing \"if %s != nil\" guard",
-				recvType, fn.Name(), guard),
+			Msg:  fmt.Sprintf("call to %s not dominated by an enclosing \"if %s != nil\" guard", id, guard),
 		}
 	}
 	return nil
@@ -131,92 +118,4 @@ func methodOf(pkg *Package, sel *ast.SelectorExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// recvTypeName renders a method's receiver as "pkgpath.Type".
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// guardDominates reports whether some ancestor if statement both
-// contains the call in its body and tests "<guard> != nil" in its
-// condition.  stack holds the ancestor path root..call; requiring
-// stack[i+1] == ifStmt.Body rejects calls sitting in the condition,
-// init statement, or else branch.
-func guardDominates(stack []ast.Node, guard string) bool {
-	if guard == "" {
-		return false
-	}
-	for i := len(stack) - 2; i >= 0; i-- {
-		ifs, ok := stack[i].(*ast.IfStmt)
-		if !ok || i+1 >= len(stack) || stack[i+1] != ifs.Body {
-			continue
-		}
-		if condChecksNil(ifs.Cond, guard) {
-			return true
-		}
-	}
-	return false
-}
-
-// condChecksNil reports whether the condition contains "<guard> != nil"
-// directly or as a conjunct of &&.  Disjunctions do not count: either
-// side of || can be false while the branch runs.
-func condChecksNil(e ast.Expr, guard string) bool {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		return condChecksNil(x.X, guard)
-	case *ast.BinaryExpr:
-		if x.Op == token.LAND {
-			return condChecksNil(x.X, guard) || condChecksNil(x.Y, guard)
-		}
-		if x.Op == token.NEQ {
-			if exprPath(x.X) == guard && isNilIdent(x.Y) {
-				return true
-			}
-			if exprPath(x.Y) == guard && isNilIdent(x.X) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// exprPath renders an ident or selector chain ("c", "c.ring"); any
-// other expression shape yields "" and never matches a guard.
-func exprPath(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		base := exprPath(x.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + x.Sel.Name
-	case *ast.ParenExpr:
-		return exprPath(x.X)
-	}
-	return ""
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
 }

@@ -20,7 +20,10 @@
 // taxonomy.
 package obs
 
-import "math/bits"
+import (
+	"math/bits"
+	"strconv"
+)
 
 // Stage identifies the pipeline stage (or lifecycle transition) an
 // Event describes.
@@ -161,50 +164,12 @@ type Event struct {
 
 // String renders the event as a single debug line.
 func (e Event) String() string {
-	s := "cyc=" + utoa(e.Cycle) + " " + e.Stage.String() + " ctx=" + itoa(int64(e.Ctx))
+	s := "cyc=" + strconv.FormatUint(e.Cycle, 10) + " " + e.Stage.String() + " ctx=" + strconv.Itoa(int(e.Ctx))
 	if e.Cause != CauseNone {
 		s += " cause=" + e.Cause.String()
 	}
-	s += " seq=" + utoa(e.Seq) + " pc=0x" + htoa(e.PC) + " arg=" + utoa(e.Arg)
+	s += " seq=" + strconv.FormatUint(e.Seq, 10) + " pc=0x" + strconv.FormatUint(e.PC, 16) + " arg=" + strconv.FormatUint(e.Arg, 10)
 	return s
-}
-
-// utoa/itoa/htoa format integers without fmt so Event.String stays off
-// the reflection path (dumps render thousands of events).
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
-func itoa(v int64) string {
-	if v < 0 {
-		return "-" + utoa(uint64(-v))
-	}
-	return utoa(uint64(v))
-}
-
-func htoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = digits[v&0xF]
-		v >>= 4
-	}
-	return string(b[i:])
 }
 
 // Ring is the flight recorder: a fixed-size ring of the most recent

@@ -217,41 +217,41 @@ func Run(mach config.Machine, feat config.Features, prog *program.Program, maxIn
 	return res, nil
 }
 
-// run is Run on st: it resets st's master for mach, loads prog into
-// st's initial image and emulator, then runs the checkpoint pass and
-// the intervals on st's seed slots.
+// run is Run on st: it resets st's master for mach and loads prog into
+// st's emulator, then runs the checkpoint pass and the intervals on
+// st's seed slots.
 func (st *runState) run(mach config.Machine, feat config.Features, prog *program.Program, maxInsts uint64, cfg Config) (*Result, error) {
 	// Checkpoint pass: one functional sweep over the run with
 	// *continuous* warming — a single master Warmup observes every
 	// instruction, so at each measurement point the models carry the
 	// state they would have accumulated since program start (SMARTS
-	// functional warming).  At each measurement start the pass captures
-	// an architectural checkpoint and copies the warm models into a
-	// pooled buffer; the detailed intervals consume those snapshots in
-	// parallel without re-executing any fast-forward work, each core
-	// adopting its buffer's models as its own.
+	// functional warming).  At each measurement start the pass copies
+	// the architectural state and the warm models into a pooled slot;
+	// the detailed intervals consume those snapshots in parallel without
+	// re-executing any fast-forward work, each core adopting its slot's
+	// models as its own.
 	//
 	// The pass and the intervals run as a pipeline over a pool of
 	// seedsPerWorker seed slots per resolved worker (sweep.Pipeline):
-	// the pass fills a free slot, capturing the checkpoint into the
-	// slot's reused delta buffer and copying the master into its model
-	// buffer in place (Warmup.CloneInto), and moves on while a worker
+	// the pass fills a free slot, copying the emulator's memory into the
+	// slot's data memory (Memory.CopyFrom), its PC and registers into
+	// the slot's core seed, and the master into its model buffer
+	// (Warmup.CloneInto), all in place, and moves on while a worker
 	// simulates the interval; the slot returns to the pool when its
 	// interval ends.  A run thus holds a fixed handful of model copies,
 	// data memories and detailed cores however many intervals it has,
 	// and the sequential pass overlaps the parallel intervals instead of
 	// waiting for them.  The state outlives the run: the master, the
-	// emulator, the initial image and the slots come from the last clean
-	// run when one left them (see runState), reset in place for this
-	// run's machine and program.  None of this affects the estimate:
+	// emulator and the slots come from the last clean run when one left
+	// them (see runState), reset in place for this run's machine and
+	// program.  None of this affects the estimate:
 	// the pass is sequential and starts from a master and an emulator in
 	// exactly their freshly built state, every interval starts from an
 	// exact copy of the master on a core in exactly its freshly built
 	// state (core.Load), and every interval writes its own result slot.
 	st.master.Reset(mach)
-	st.base.Load(prog)
 	st.e.Reset(prog)
-	base, e, master := &st.base, &st.e, &st.master
+	e, master := &st.e, &st.master
 	nMax := int(maxInsts / cfg.Period)
 	ff := cfg.Period - cfg.IntervalLen - cfg.WarmupLen
 	ivals := make([]Interval, nMax)
@@ -272,8 +272,9 @@ func (st *runState) run(mach config.Machine, feat config.Features, prog *program
 			return false
 		}
 		sp := st.slot(s)
-		sp.k = n
-		sp.cp.capture(e, base)
+		sp.k, sp.retired = n, e.Retired
+		sp.mem.CopyFrom(e.Mem)
+		sp.arch = core.ArchState{PC: e.PC, Regs: e.Regs, Mem: &sp.mem}
 		master.CloneInto(&sp.w)
 		master.fastForward(e, cfg.WarmupLen+cfg.IntervalLen)
 		if e.Halted {
@@ -292,7 +293,7 @@ func (st *runState) run(mach config.Machine, feat config.Features, prog *program
 				return
 			}
 		}
-		ivals[sp.k], errs[sp.k] = sp.runInterval(mach, feat, prog, base, cfg)
+		ivals[sp.k], errs[sp.k] = sp.runInterval(mach, feat, prog, cfg)
 		ivals[sp.k].Index = sp.k
 	}
 	sweep.Pipeline(min(seedsPerWorker*sweep.Workers(cfg.Workers), maxSeeds), cfg.Workers, produce, consume)
@@ -344,18 +345,16 @@ func (st *runState) run(mach config.Machine, feat config.Features, prog *program
 }
 
 // runState is what a sampled run builds: the checkpoint pass's master
-// models, the program's initial image, the pass's emulator and the seed
-// slots, each built on first use.  None of it depends on the run's
-// machine, program, features or schedule once reset, so a clean run
-// leaves it in idleRuns and the next run resets it in place instead of
-// building it again: the master by Warmup.Reset, the image and the
-// emulator by reloading the program, and each slot's parts by the pass
-// and the interval that use it next (its checkpoint and model copy are
-// overwritten, its data memory copied, its core loaded with the new
-// machine, program and features).
+// models, the pass's emulator and the seed slots, each built on first
+// use.  None of it depends on the run's machine, program, features or
+// schedule once reset, so a clean run leaves it in idleRuns and the
+// next run resets it in place instead of building it again: the master by Warmup.Reset, the emulator by
+// reloading the program, and each slot's parts by the pass and the
+// interval that use it next (its seed and model copy are overwritten,
+// its data memory copied, its core loaded with the new machine, program
+// and features).
 type runState struct {
 	master Warmup
-	base   program.Memory
 	e      emu.Emulator
 	slots  [maxSeeds]*seedSlot
 }
@@ -378,25 +377,25 @@ func (st *runState) slot(s int) *seedSlot {
 // part is reused by the slot's next interval, in this run or a later
 // one.
 type seedSlot struct {
-	k  int        // interval index
-	cp Checkpoint // measurement-start state; its delta buffer is reused
-	w  Warmup     // copy of the master models, adopted by the core
+	k       int    // interval index
+	retired uint64 // instructions the pass retired before the interval
+	w       Warmup // copy of the master models, adopted by the core
 
-	mem  program.Memory // the interval's data memory: base plus cp's delta
-	arch core.ArchState // the core's seed, on mem
+	mem  program.Memory // the interval's data memory, copied from the pass's
+	arch core.ArchState // the core's seed (PC, registers), on mem
 	c    core.Core      // loaded by every interval
 }
 
-// runInterval restores the slot's checkpoint into its data memory,
-// loads its detailed core in place with this run's machine, program
-// and features on the slot's private copy of the continuously warmed
-// models (the core trains them in place, so w is spent once this
-// returns), runs the detached warmup, and measures the interval.  A
+// runInterval loads the slot's detailed core in place with this run's
+// machine, program and features on the slot's seed and its private
+// copy of the continuously warmed models (the core trains them in
+// place, so w is spent once this returns), runs the detached warmup,
+// and measures the interval.  A
 // panic inside the core is contained into the interval's error so one
 // bad interval cannot take down a parallel sampled sweep; a failed
 // interval drops the slot's core, so the next one starts from an idle
 // one.
-func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *program.Program, base *program.Memory, cfg Config) (iv Interval, err error) {
+func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *program.Program, cfg Config) (iv Interval, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic in detailed interval: %v", r)
@@ -406,11 +405,6 @@ func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *
 		}
 	}()
 
-	s.mem.CopyFrom(base)
-	if err := s.cp.restore(prog, &s.mem); err != nil {
-		return iv, err
-	}
-	s.arch = core.ArchState{PC: s.cp.PC, Regs: s.cp.Regs, Mem: &s.mem}
 	progs, seeds := []*program.Program{prog}, []*core.ArchState{&s.arch}
 	c := &s.c
 	if err = c.Load(mach, feat, progs, seeds, s.w.Models); err != nil {
@@ -438,7 +432,7 @@ func (s *seedSlot) runInterval(mach config.Machine, feat config.Features, prog *
 	if delta.Committed == 0 {
 		return iv, fmt.Errorf("nothing committed in measured region (cycles %d..%d)", snap.Cycles, c.Stats.Cycles)
 	}
-	iv.StartInst = s.cp.Retired + snap.Committed
+	iv.StartInst = s.retired + snap.Committed
 	iv.Insts = delta.Committed
 	iv.Cycles = delta.Cycles
 	iv.CPI = float64(delta.Cycles) / float64(delta.Committed)

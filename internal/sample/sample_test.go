@@ -195,17 +195,17 @@ func TestSampledDeterminism(t *testing.T) {
 }
 
 // The allocation guard: a sampled interval allocates next to nothing.
-// Each seed slot keeps its checkpoint's delta buffer, its data memory
-// and its detailed core, and reloads them in place (core.Core.Load), so
-// what is left is the interval's result (its Stats' per-program
-// counts) and the slots' buffers growing to the program's footprint:
+// Each seed slot keeps its data memory and its detailed core, and
+// reloads them in place (core.Core.Load), so what is left is the
+// interval's result (its Stats' per-program counts) and the slots'
+// buffers growing to the program's footprint:
 // about 340 bytes for gcc on Big216, give or take a few hundred with
 // four workers, whose eight slots each grow their own.  The marginal
 // cost per interval is measured between a 48- and a 96-interval run.
 // Both reuse the state a first 96-interval run left (runState), so
 // their fixed costs cancel; without that run the 48-interval run would
 // pay for building the state and the difference would go negative.
-// The smallest regression it guards against is a restored memory
+// The smallest regression it guards against is a slot's data memory
 // built afresh (gcc's data image spans nine 4 KB pages, ~37 KB); a
 // fresh core is ~300 KB and a model copy ~150 KB.  The bound of two
 // pages leaves room for drift in the growth.
