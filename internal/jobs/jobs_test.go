@@ -103,9 +103,9 @@ func TestConcurrentClientsShareCells(t *testing.T) {
 	if c.Computes != 3 {
 		t.Errorf("store computes = %d, want 3 (each distinct cell exactly once)", c.Computes)
 	}
-	if c.DiskHits+c.FlightShares != 2 {
-		t.Errorf("hits %d + flight shares %d = %d, want 2 (client B's overlap)",
-			c.DiskHits, c.FlightShares, c.DiskHits+c.FlightShares)
+	if c.MemHits+c.DiskHits+c.FlightShares != 2 {
+		t.Errorf("memory hits %d + disk hits %d + flight shares %d = %d, want 2 (client B's overlap)",
+			c.MemHits, c.DiskHits, c.FlightShares, c.MemHits+c.DiskHits+c.FlightShares)
 	}
 	if got := stA.Computes + stB.Computes; got != 3 {
 		t.Errorf("job computes sum to %d, want 3 (statuses %+v / %+v)", got, stA, stB)

@@ -17,8 +17,13 @@
 //   - GetOrCompute deduplicates concurrent computations of one key
 //     process-wide (single-flight): with many clients submitting
 //     overlapping sweeps, each distinct cell is simulated exactly
-//     once, and the Counters expose the proof (DiskHits +
+//     once, and the Counters expose the proof (MemHits + DiskHits +
 //     FlightShares + Computes accounts for every request).
+//   - A bounded in-memory tier sits in front of the directory: every
+//     record the Store has validated on a read or made durable with
+//     Put is kept, up to memBudget encoded bytes, oldest-inserted
+//     evicted first, so a hot cell costs neither a file read nor a
+//     decode.  Records are shared between callers and read-only.
 //
 // The store holds simulation *results*, not simulation state, and is
 // deliberately dumb about them: the byte-identity guarantee (a record
@@ -28,6 +33,7 @@
 package store
 
 import (
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -46,9 +52,18 @@ import (
 // foreign versions as misses.
 const recordVersion = 1
 
+// memBudget bounds the in-memory tier by the records' encoded size.
+// A full `experiments -all` sweep at 200k instructions (552 records,
+// 0.53 MiB) and the sampled sweep at 2M (40 records, 2.2 MiB) fit six
+// times over.  Sampled records at 2M instructions are the largest, up
+// to 57 KiB, since each interval carries a stats.Sim.
+const memBudget = 16 << 20
+
 // Record is one cell's persisted result: exactly one of Stats (a
 // detailed run, with its telemetry) or Sampled (a sampled estimate) is
-// set.
+// set.  A Record the Store returns is shared with its in-memory tier
+// and every other caller of that key: it is read-only, and nothing may
+// write through it or the values it points to.
 type Record struct {
 	Version int    `json:"v"`
 	Key     string `json:"key"`
@@ -64,11 +79,13 @@ func (r *Record) valid(key string) bool {
 }
 
 // Counters is a snapshot of the store's accounting: every successful
-// GetOrCompute is exactly one of a disk hit, a single-flight share, or
-// a compute.  Corrupt counts records that were found but refused;
-// PutErrors counts results that were computed and served but could not
-// be persisted.
+// GetOrCompute is exactly one of a memory hit, a disk hit (the record
+// was read from the directory), a single-flight share, or a compute.
+// Corrupt counts records that were found but refused, once per
+// request; PutErrors counts results that were computed and served but
+// could not be persisted.
 type Counters struct {
+	MemHits      uint64 `json:"mem_hits"`
 	DiskHits     uint64 `json:"disk_hits"`
 	FlightShares uint64 `json:"flight_shares"`
 	Computes     uint64 `json:"computes"`
@@ -83,14 +100,27 @@ type Counters struct {
 type Store struct {
 	dir string
 
+	// mu guards the flight table and the in-memory tier; it is never
+	// held across a file operation or a compute.
 	mu     sync.Mutex
 	flight map[string]*flightCall
+	mem    map[string]*list.Element // key -> element of order
+	order  list.List                // *memEntry, oldest-inserted first
+	bytes  int                      // encoded size of the kept records
 
+	memHits      atomic.Uint64
 	diskHits     atomic.Uint64
 	flightShares atomic.Uint64
 	computes     atomic.Uint64
 	corrupt      atomic.Uint64
 	putErrors    atomic.Uint64
+}
+
+// memEntry is one record kept in memory with its encoded size.
+type memEntry struct {
+	key  string
+	rec  *Record
+	size int
 }
 
 // flightCall is one in-progress computation; followers block on done.
@@ -110,7 +140,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{dir: dir, flight: make(map[string]*flightCall)}, nil
+	return &Store{dir: dir, flight: make(map[string]*flightCall), mem: make(map[string]*list.Element)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -119,6 +149,7 @@ func (s *Store) Dir() string { return s.dir }
 // Counters returns a snapshot of the accounting counters.
 func (s *Store) Counters() Counters {
 	return Counters{
+		MemHits:      s.memHits.Load(),
 		DiskHits:     s.diskHits.Load(),
 		FlightShares: s.flightShares.Load(),
 		Computes:     s.computes.Load(),
@@ -133,30 +164,78 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
-// Get returns the record stored for key, if a valid one exists.
-// Unreadable, unparseable, mis-keyed, or foreign-version records count
-// as misses (and bump the Corrupt counter), never errors.
+// Get returns the record stored for key, if a valid one exists, from
+// memory when it is kept there.  Unreadable, unparseable, mis-keyed, or
+// foreign-version records count as misses (and bump the Corrupt
+// counter), never errors.  The record is shared and read-only.
 func (s *Store) Get(key string) (*Record, bool) {
-	rec, ok, _ := s.get(key)
-	return rec, ok
+	rec, src := s.get(key)
+	if src == refused {
+		s.corrupt.Add(1)
+	}
+	return rec, rec != nil
 }
 
-// get is Get plus the corrupt verdict, so the traced lookup path can
-// attribute a refused record without re-reading the counters.
-func (s *Store) get(key string) (rec *Record, ok, corrupt bool) {
+// source says where get found a key's record, or why it found none.
+type source uint8
+
+const (
+	absent   source = iota // no readable record file
+	refused                // a record file decode refused
+	inMemory               // kept in the in-memory tier
+	onDisk                 // read from the directory and now kept
+)
+
+// get looks in memory, then in the directory, and keeps a record it
+// validated there.  It counts nothing: its callers decide what a
+// request's lookups add to the Counters.
+func (s *Store) get(key string) (*Record, source) {
 	if len(key) < 3 {
-		return nil, false, false
+		return nil, absent
+	}
+	s.mu.Lock()
+	e, ok := s.mem[key]
+	s.mu.Unlock()
+	if ok {
+		return e.Value.(*memEntry).rec, inMemory
 	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
-		return nil, false, false
+		return nil, absent
 	}
-	rec, ok = decode(data, key)
+	rec, ok := decode(data, key)
 	if !ok {
-		s.corrupt.Add(1)
-		return nil, false, true
+		return nil, refused
 	}
-	return rec, true, false
+	s.keep(key, rec, len(data))
+	return rec, onDisk
+}
+
+// keep puts rec, whose encoded size is size bytes, in the in-memory
+// tier in place of any record held for key, evicting the
+// oldest-inserted records until it fits within memBudget.  A record
+// larger than the whole budget is not kept.
+func (s *Store) keep(key string, rec *Record, size int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.mem[key]; ok {
+		s.drop(e)
+	}
+	if size > memBudget {
+		return
+	}
+	for s.bytes+size > memBudget {
+		s.drop(s.order.Front())
+	}
+	s.mem[key] = s.order.PushBack(&memEntry{key: key, rec: rec, size: size})
+	s.bytes += size
+}
+
+// drop removes one entry from the in-memory tier.  Caller holds s.mu.
+func (s *Store) drop(e *list.Element) {
+	m := s.order.Remove(e).(*memEntry)
+	delete(s.mem, m.key)
+	s.bytes -= m.size
 }
 
 // decode parses one on-disk record for key.  Any defect — unparseable
@@ -174,7 +253,9 @@ func decode(data []byte, key string) (*Record, bool) {
 // Put persists rec under key atomically: the record is written to a
 // temp file in the destination directory and renamed into place, so a
 // reader (or a crash) can never observe a partial record.  Put stamps
-// the record's Version and Key.
+// the record's Version and Key, and once the record is durable keeps it
+// in memory, where later lookups share it: the caller must not modify
+// it afterwards.
 func (s *Store) Put(key string, rec *Record) error {
 	if len(key) < 3 {
 		return fmt.Errorf("store: malformed key %q", key)
@@ -206,21 +287,24 @@ func (s *Store) Put(key string, rec *Record) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: rename %s: %w", key, err)
 	}
+	s.keep(key, rec, len(data))
 	return nil
 }
 
 // GetOrCompute returns the record for key, computing and persisting it
 // on a miss.  Concurrent callers for the same key are deduplicated:
 // exactly one runs compute, the rest block and share its result.
-// cached reports whether the caller avoided a compute (disk hit or
-// single-flight share).  A compute whose Put fails is still served —
-// only durability is lost, and the PutErrors counter records it; a
-// compute that itself fails propagates its error to every waiter and
-// leaves no record behind.
+// cached reports whether the caller avoided a compute (memory or disk
+// hit, or single-flight share).  The record is shared with the
+// in-memory tier and every other caller of key, so it is read-only.  A
+// compute whose Put fails is still served — only durability is lost,
+// the PutErrors counter records it, and the record is not kept, so a
+// later request computes it again; a compute that itself fails
+// propagates its error to every waiter and leaves no record behind.
 //
-// Every phase the request actually passes through — "lookup" (disk
-// read, with hit/corrupt/recheck attributes), "flight-wait" (blocking
-// on another caller's in-progress computation), "compute" (the
+// Every phase the request actually passes through — "lookup" (memory,
+// then disk, with hit/mem/corrupt/recheck attributes), "flight-wait"
+// (blocking on another caller's in-progress computation), "compute" (the
 // caller's compute body, which receives its span handle so it can
 // record per-attempt children), and "put" (persisting the fresh
 // record) — lands as a distinct span under tc.  With the zero Ctx the
@@ -228,14 +312,14 @@ func (s *Store) Put(key string, rec *Record) error {
 // TestTracedHitPathAllocParity).
 func (s *Store) GetOrCompute(key string, tc trace.Ctx, compute func(trace.Ctx) (*Record, error)) (rec *Record, cached bool, err error) {
 	lk := tc.Start("lookup")
-	rec, ok, corrupt := s.get(key)
-	if corrupt {
-		lk.Uint("corrupt", 1)
-	}
-	if ok {
-		lk.Uint("hit", 1).End()
-		s.diskHits.Add(1)
+	rec, src := s.get(key)
+	if rec != nil {
+		s.hit(lk, src)
 		return rec, true, nil
+	}
+	if src == refused {
+		s.corrupt.Add(1)
+		lk.Uint("corrupt", 1)
 	}
 	lk.End()
 
@@ -263,15 +347,20 @@ func (s *Store) GetOrCompute(key string, tc trace.Ctx, compute func(trace.Ctx) (
 		close(c.done)
 	}()
 
-	// Re-check the disk under flight ownership: a previous leader (or
-	// another process sharing the directory) may have landed the record
-	// between our miss and winning the flight slot.
+	// Re-check under flight ownership: a previous leader (or another
+	// process sharing the directory) may have landed the record between
+	// our miss and winning the flight slot.  A refused record counts
+	// once per request: here only when the first lookup found none.
 	lk = tc.Start("lookup").Uint("recheck", 1)
-	if rec, ok := s.Get(key); ok {
-		lk.Uint("hit", 1).End()
-		s.diskHits.Add(1)
+	rec, again := s.get(key)
+	if rec != nil {
+		s.hit(lk, again)
 		c.rec = rec
 		return rec, true, nil
+	}
+	if again == refused && src != refused {
+		s.corrupt.Add(1)
+		lk.Uint("corrupt", 1)
 	}
 	lk.End()
 
@@ -292,4 +381,17 @@ func (s *Store) GetOrCompute(key string, tc trace.Ctx, compute func(trace.Ctx) (
 	ps.End()
 	c.rec = rec
 	return rec, false, nil
+}
+
+// hit counts a lookup that found key's record, by where it found it,
+// and ends the lookup's span.
+func (s *Store) hit(lk trace.Ctx, src source) {
+	lk.Uint("hit", 1)
+	if src == inMemory {
+		s.memHits.Add(1)
+		lk.Uint("mem", 1)
+	} else {
+		s.diskHits.Add(1)
+	}
+	lk.End()
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -290,8 +292,8 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 	if c.Computes != 1 {
 		t.Errorf("Computes = %d, want 1", c.Computes)
 	}
-	if c.DiskHits+c.FlightShares != n-1 {
-		t.Errorf("hits %d + shares %d != %d", c.DiskHits, c.FlightShares, n-1)
+	if c.MemHits+c.DiskHits+c.FlightShares != n-1 {
+		t.Errorf("memory hits %d + disk hits %d + shares %d != %d", c.MemHits, c.DiskHits, c.FlightShares, n-1)
 	}
 	for i, rec := range recs {
 		if rec == nil || rec.Stats.Cycles != 42 {
@@ -322,9 +324,14 @@ func TestGetOrComputeErrorPropagates(t *testing.T) {
 }
 
 // TestGetOrComputeDiskHitAfterCompute: the second request for a key
-// lands as a disk hit (cached = true) without recomputing.
+// lands as a memory hit (cached = true) without recomputing, and a
+// fresh Store over the same directory lands it as a disk hit.
 func TestGetOrComputeDiskHitAfterCompute(t *testing.T) {
-	s := testStore(t)
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	key := testKey(t, nil)
 	compute := func(trace.Ctx) (*Record, error) { return &Record{Stats: &stats.Sim{Cycles: 9}}, nil }
 	if _, cached, err := s.GetOrCompute(key, trace.Ctx{}, compute); err != nil || cached {
@@ -337,8 +344,23 @@ func TestGetOrComputeDiskHitAfterCompute(t *testing.T) {
 	if err != nil || !cached || rec.Stats.Cycles != 9 {
 		t.Fatalf("second call: rec=%+v cached=%v err=%v", rec, cached, err)
 	}
-	if c := s.Counters(); c.DiskHits != 1 || c.Computes != 1 {
+	if c := s.Counters(); c.MemHits != 1 || c.DiskHits != 0 || c.Computes != 1 {
 		t.Errorf("counters %+v", c)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, cached, err = s2.GetOrCompute(key, trace.Ctx{}, func(trace.Ctx) (*Record, error) {
+		t.Error("fresh store recomputed")
+		return nil, nil
+	})
+	if err != nil || !cached || rec.Stats.Cycles != 9 {
+		t.Fatalf("fresh store: rec=%+v cached=%v err=%v", rec, cached, err)
+	}
+	if c := s2.Counters(); c != (Counters{DiskHits: 1}) {
+		t.Errorf("fresh store counters %+v", c)
 	}
 }
 
@@ -393,7 +415,7 @@ func TestTracedComputePath(t *testing.T) {
 		t.Error("attempt span not parented under compute")
 	}
 
-	// The follow-up request is a disk hit with exactly one lookup span.
+	// The follow-up request is a memory hit with exactly one lookup span.
 	tr2 := trace.New(2, 32)
 	cell2 := tr2.Root("cell")
 	_, cached, err = s.GetOrCompute(key, cell2, func(trace.Ctx) (*Record, error) {
@@ -408,6 +430,9 @@ func TestTracedComputePath(t *testing.T) {
 	}
 	if a, ok := tr2.Spans()[1].Attr("hit"); !ok || a.U != 1 {
 		t.Errorf("hit lookup attr = %+v, %v", a, ok)
+	}
+	if a, ok := tr2.Spans()[1].Attr("mem"); !ok || a.U != 1 {
+		t.Errorf("memory hit lookup attr = %+v, %v", a, ok)
 	}
 }
 
@@ -454,14 +479,19 @@ func TestTracedFlightShare(t *testing.T) {
 }
 
 // TestTracedCorruptLookup: a refused record is attributed on the
-// lookup span.
+// lookup span.  The record is damaged behind the writer's back, so a
+// second Store over the directory is the one that reads it.
 func TestTracedCorruptLookup(t *testing.T) {
-	s := testStore(t)
+	w := testStore(t)
 	key := testKey(t, nil)
-	if err := s.Put(key, &Record{Stats: &stats.Sim{Cycles: 1}}); err != nil {
+	if err := w.Put(key, &Record{Stats: &stats.Sim{Cycles: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(key), []byte("{broken"), 0o644); err != nil {
+	if err := os.WriteFile(w.path(key), []byte("{broken"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(w.Dir())
+	if err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.New(4, 32)
@@ -499,5 +529,249 @@ func TestTracedHitPathAllocParity(t *testing.T) {
 	})
 	if traced > plain {
 		t.Errorf("disabled tracing costs %.1f allocs/hit vs %.1f for Get", traced, plain)
+	}
+}
+
+// writeCorrupt damages key's record file in s's directory.
+func writeCorrupt(t *testing.T, s *Store, key string) {
+	t.Helper()
+	path := s.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(`{"v":1,"key":"`+key+`","stats":{"Cyc`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptCountedOncePerRequest: one request over one corrupt
+// record counts Corrupt once, although the flight owner looks again
+// before it computes, and the first lookup span carries the verdict.
+func TestCorruptCountedOncePerRequest(t *testing.T) {
+	s := testStore(t)
+	key := testKey(t, nil)
+	writeCorrupt(t, s, key)
+	tr := trace.New(5, 32)
+	_, cached, err := s.GetOrCompute(key, tr.Root("cell"), func(trace.Ctx) (*Record, error) {
+		return &Record{Stats: &stats.Sim{Cycles: 2}}, nil
+	})
+	if err != nil || cached {
+		t.Fatalf("cached=%v err=%v", cached, err)
+	}
+	if c := s.Counters(); c != (Counters{Computes: 1, Corrupt: 1}) {
+		t.Errorf("counters %+v, want one compute and one corrupt record", c)
+	}
+	spans := tr.Spans()
+	if a, ok := spans[1].Attr("corrupt"); !ok || a.U != 1 {
+		t.Errorf("first lookup corrupt attr = %+v, %v (spans %v)", a, ok, spanNames(tr))
+	}
+	if a, ok := spans[2].Attr("corrupt"); ok {
+		t.Errorf("recheck counted the same corrupt record again: %+v", a)
+	}
+}
+
+// memKeys lists the keys the in-memory tier holds, oldest first, and
+// checks the tier's byte total against its entries and the budget.
+func memKeys(t *testing.T, s *Store) []string {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var keys []string
+	sum := 0
+	for e := s.order.Front(); e != nil; e = e.Next() {
+		m := e.Value.(*memEntry)
+		if s.mem[m.key] != e {
+			t.Errorf("key %s: map and order disagree", m.key)
+		}
+		keys = append(keys, m.key)
+		sum += m.size
+	}
+	if len(s.mem) != len(keys) || sum != s.bytes {
+		t.Errorf("tier holds %d keys and %d bytes; its entries are %d keys and %d bytes", len(s.mem), s.bytes, len(keys), sum)
+	}
+	if s.bytes > memBudget {
+		t.Errorf("tier holds %d bytes, over the %d-byte budget", s.bytes, memBudget)
+	}
+	return keys
+}
+
+// TestMemoryTierServesValidatedRecords: once a Store has validated a
+// record, on a read or with Put, it serves it from memory even after
+// the file is damaged or deleted; a second Store over the directory
+// sees only the file, refuses the damage and recomputes.
+func TestMemoryTierServesValidatedRecords(t *testing.T) {
+	for _, damage := range []string{"corrupt", "delete"} {
+		t.Run(damage, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := testKey(t, nil)
+			if err := w.Put(key, &Record{Stats: &stats.Sim{Cycles: 5}}); err != nil {
+				t.Fatal(err)
+			}
+			// s validates the file on its first request and keeps it.
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, cached, err := s.GetOrCompute(key, trace.Ctx{}, nil)
+			if err != nil || !cached {
+				t.Fatalf("first request: cached=%v err=%v", cached, err)
+			}
+			if damage == "corrupt" {
+				writeCorrupt(t, s, key)
+			} else if err := os.Remove(s.path(key)); err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range []*Store{w, s} {
+				rec, cached, err := st.GetOrCompute(key, trace.Ctx{}, nil)
+				if err != nil || !cached || rec.Stats.Cycles != 5 {
+					t.Fatalf("after the damage: rec=%+v cached=%v err=%v", rec, cached, err)
+				}
+			}
+			if rec, ok := s.Get(key); !ok || rec != first {
+				t.Error("Get did not serve the kept record")
+			}
+			if c := w.Counters(); c != (Counters{MemHits: 1}) {
+				t.Errorf("writer's counters %+v, want one memory hit", c)
+			}
+			if c := s.Counters(); c != (Counters{DiskHits: 1, MemHits: 1}) {
+				t.Errorf("reader's counters %+v, want one disk hit, then one memory hit", c)
+			}
+
+			fresh, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, cached, err := fresh.GetOrCompute(key, trace.Ctx{}, func(trace.Ctx) (*Record, error) {
+				return &Record{Stats: &stats.Sim{Cycles: 5}}, nil
+			})
+			if err != nil || cached || rec.Stats.Cycles != 5 {
+				t.Fatalf("fresh store: rec=%+v cached=%v err=%v", rec, cached, err)
+			}
+			want := Counters{Computes: 1}
+			if damage == "corrupt" {
+				want.Corrupt = 1
+			}
+			if c := fresh.Counters(); c != want {
+				t.Errorf("fresh store counters %+v, want %+v", c, want)
+			}
+		})
+	}
+}
+
+// bigRecord returns a record tagged tag whose encoding is about kib
+// KiB.
+func bigRecord(tag uint64, kib int) *Record {
+	return &Record{Sampled: &sample.Result{MeasuredInsts: tag, Program: strings.Repeat("x", kib<<10)}}
+}
+
+// TestMemoryTierBound: records whose encoded sizes add up to more than
+// memBudget leave the tier within the budget, holding the newest
+// records; the oldest were evicted first and are still served, from
+// disk.  A key is held once, and a record over the whole budget is not
+// kept.
+func TestMemoryTierBound(t *testing.T) {
+	s := testStore(t)
+	var keys []string
+	written := 0
+	for i := 0; written <= memBudget+memBudget/4; i++ {
+		key := fmt.Sprintf("%064x", i)
+		if err := s.Put(key, bigRecord(uint64(i), 900+50*i)); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(s.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		written += int(info.Size())
+		keys = append(keys, key)
+		kept := memKeys(t, s)
+		// The tier is the newest records, in insertion order.
+		if !reflect.DeepEqual(kept, keys[len(keys)-len(kept):]) {
+			t.Fatalf("after %d puts the tier holds %d records that are not the newest in order", len(keys), len(kept))
+		}
+	}
+	kept := memKeys(t, s)
+	if len(kept) == len(keys) {
+		t.Fatalf("%d bytes written, nothing evicted", written)
+	}
+
+	// An evicted key is served from the directory and kept again,
+	// evicting the oldest record now held.
+	oldest := kept[0]
+	rec, cached, err := s.GetOrCompute(keys[0], trace.Ctx{}, nil)
+	if err != nil || !cached || rec.Sampled.MeasuredInsts != 0 {
+		t.Fatalf("evicted key: cached=%v err=%v", cached, err)
+	}
+	if c := s.Counters(); c != (Counters{DiskHits: 1}) {
+		t.Errorf("counters %+v, want one disk hit", c)
+	}
+	kept = memKeys(t, s)
+	if kept[len(kept)-1] != keys[0] || kept[0] == oldest {
+		t.Errorf("rereading %s did not keep it newest and evict the oldest", keys[0])
+	}
+
+	// A second Put of a key replaces its entry.
+	last := keys[len(keys)-1]
+	n := len(kept)
+	if err := s.Put(last, bigRecord(99, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if kept = memKeys(t, s); len(kept) != n || kept[n-1] != last {
+		t.Errorf("re-put of %s: tier %d records, newest %s", last, len(kept), kept[len(kept)-1])
+	}
+	if rec, _ := s.Get(last); rec.Sampled.MeasuredInsts != 99 {
+		t.Errorf("re-put key serves tag %d, want the new record's 99", rec.Sampled.MeasuredInsts)
+	}
+
+	// A record over the whole budget is not kept, and drops the one
+	// its key held.
+	s.keep(last, bigRecord(100, 1), memBudget+1)
+	if kept = memKeys(t, s); len(kept) != n-1 || slices.Contains(kept, last) {
+		t.Errorf("a record over the budget was kept under %s", last)
+	}
+}
+
+// TestMemoryHitsShareReadOnlyRecords: concurrent hits on one key and a
+// reader encoding the shared record do not race (run under -race).
+func TestMemoryHitsShareReadOnlyRecords(t *testing.T) {
+	s := testStore(t)
+	key := testKey(t, nil)
+	shared, _, err := s.GetOrCompute(key, trace.Ctx{}, func(trace.Ctx) (*Record, error) {
+		return &Record{Stats: &stats.Sim{Cycles: 11, PerProgram: []uint64{11}}}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hitters, rounds = 8, 200
+	var wg sync.WaitGroup
+	wg.Add(hitters + 1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := json.Marshal(shared); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < hitters; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rec, cached, err := s.GetOrCompute(key, trace.Ctx{}, nil)
+				if err != nil || !cached || rec != shared {
+					t.Errorf("hit %d: cached=%v err=%v shared=%v", i, cached, err, rec == shared)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c := s.Counters(); c != (Counters{MemHits: hitters * rounds, Computes: 1}) {
+		t.Errorf("counters %+v", c)
 	}
 }
