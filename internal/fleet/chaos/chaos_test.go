@@ -202,16 +202,23 @@ func TestStalledComputeRequeuedAndStaleDropped(t *testing.T) {
 	if !h.WaitWorkers(2, 5*time.Second) {
 		t.Fatal("worker b never registered")
 	}
-	var res []jobs.CellResult
+	// Advance the fake clock past the TTL until the stalled lease is
+	// taken back, and no further: heartbeats run on wall time, so more
+	// fake seconds would also reap the healthy worker's lease.
 	deadline := time.After(30 * time.Second)
-	for res == nil {
+	for h.Dispatcher.Counters().LeasesExpired == 0 {
 		select {
-		case res = <-done:
 		case <-deadline:
-			t.Fatal("sweep never completed around the stalled worker")
+			t.Fatal("stalled lease never taken back")
 		case <-time.After(50 * time.Millisecond):
 			h.Reap(11 * time.Second)
 		}
+	}
+	var res []jobs.CellResult
+	select {
+	case res = <-done:
+	case <-deadline:
+		t.Fatal("sweep never completed around the stalled worker")
 	}
 	assertStats(t, res, want, "stall-requeued sweep")
 	if b.Computes() != 1 {

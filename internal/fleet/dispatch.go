@@ -125,12 +125,6 @@ type worker struct {
 	leases   map[uint64]*lease
 }
 
-// waiter is one long-polling Lease call parked until work arrives.
-type waiter struct {
-	workerID string
-	ch       chan *Grant // buffered 1
-}
-
 // Grant is the reply to a successful Lease: one cell under one lease.
 // It is also the /fleet/lease reply body.
 type Grant struct {
@@ -156,8 +150,9 @@ type RegisterInfo struct {
 }
 
 // Dispatcher owns the fleet: registered workers, the queue of
-// unleased cells, and every outstanding lease.  All methods are safe
-// for concurrent use.
+// unleased cells, and every outstanding lease.  A cell reaches a worker
+// only from the queue: a parked Lease call wakes when a cell is queued
+// and takes the head itself.  All methods are safe for concurrent use.
 type Dispatcher struct {
 	cfg Config
 	log *slog.Logger
@@ -166,7 +161,7 @@ type Dispatcher struct {
 	workers   map[string]*worker
 	leases    map[uint64]*lease
 	queue     []*task
-	waiters   []*waiter
+	wake      chan struct{} // closed and replaced when a cell is queued
 	workerSeq uint64
 	taskSeq   uint64
 	leaseSeq  uint64
@@ -196,6 +191,7 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		log:     log,
 		workers: make(map[string]*worker),
 		leases:  make(map[uint64]*lease),
+		wake:    make(chan struct{}),
 	}
 }
 
@@ -299,72 +295,50 @@ func (d *Dispatcher) Heartbeat(workerID string, leaseIDs []uint64) error {
 	return nil
 }
 
-// Lease hands the worker one queued cell under a fresh lease,
+// Lease hands the worker the queue's head cell under a fresh lease,
 // long-polling up to wait when the queue is empty (nil Grant on
-// timeout).  The worker must Complete the lease or keep it renewed by
+// timeout, the context's error when it ends first; either way nothing
+// was taken).  The worker must Complete the lease or keep it renewed by
 // heartbeat; otherwise the cell is requeued at the deadline.
 func (d *Dispatcher) Lease(ctx context.Context, workerID string, wait time.Duration) (*Grant, error) {
-	d.mu.Lock()
-	w := d.workers[workerID]
-	if w == nil {
-		d.mu.Unlock()
-		return nil, ErrUnknownWorker
+	var timeout <-chan time.Time
+	if wait > 0 {
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		timeout = timer.C
 	}
-	w.lastSeen = d.cfg.Now()
-	if len(d.queue) > 0 {
-		t := d.queue[0]
-		d.queue = d.queue[1:]
-		t.queued = false
-		g := d.grantLocked(w, t)
-		d.mu.Unlock()
-		return g, nil
-	}
-	if wait <= 0 {
-		d.mu.Unlock()
-		return nil, nil
-	}
-	wt := &waiter{workerID: workerID, ch: make(chan *Grant, 1)}
-	d.waiters = append(d.waiters, wt)
-	d.mu.Unlock()
-
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	var timedOut bool
-	select {
-	case g := <-wt.ch:
-		return g, nil
-	case <-ctx.Done():
-	case <-timer.C:
-		timedOut = true
-	}
-	d.mu.Lock()
-	for i, o := range d.waiters {
-		if o == wt {
-			d.waiters = append(d.waiters[:i], d.waiters[i+1:]...)
-			break
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	}
-	// A grant may have raced the timeout; on a plain timeout the
-	// handler is still alive and can use it, but a dead request
-	// context means nobody will compute it — requeue.
-	select {
-	case g := <-wt.ch:
-		if timedOut {
+		d.mu.Lock()
+		w := d.workers[workerID]
+		if w == nil {
+			d.mu.Unlock()
+			return nil, ErrUnknownWorker
+		}
+		w.lastSeen = d.cfg.Now()
+		if len(d.queue) > 0 {
+			t := d.queue[0]
+			d.queue = d.queue[1:]
+			t.queued = false
+			g := d.grantLocked(w, t)
 			d.mu.Unlock()
 			return g, nil
 		}
-		if l := d.leases[g.Lease]; l != nil {
-			d.expireLeaseLocked(l, "lease-request-died")
-		}
+		wake := d.wake
 		d.mu.Unlock()
-		return nil, ctx.Err()
-	default:
+		if wait <= 0 {
+			return nil, nil
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-timeout:
+			return nil, nil
+		}
 	}
-	d.mu.Unlock()
-	if !timedOut && ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	return nil, nil
 }
 
 // grantLocked creates a lease of t to w.  Caller holds d.mu.
@@ -439,9 +413,9 @@ func (d *Dispatcher) deliverLocked(t *task, r roundResult) {
 }
 
 // requeueLocked returns a task to service after an infrastructure
-// failure: back onto the queue head (or straight to a parked waiter)
-// while its requeue budget lasts, otherwise — or when no workers
-// remain — delivered as a local-compute fallback.  Caller holds d.mu.
+// failure: back onto the queue head while its requeue budget lasts,
+// otherwise — or when no workers remain — delivered as a local-compute
+// fallback.  Caller holds d.mu.
 func (d *Dispatcher) requeueLocked(t *task, reason string) {
 	if t.abandoned {
 		return
@@ -455,27 +429,16 @@ func (d *Dispatcher) requeueLocked(t *task, reason string) {
 		d.deliverLocked(t, roundResult{kind: roundFallback, errMsg: reason})
 		return
 	}
-	if d.handToWaiterLocked(t) {
-		return
-	}
 	d.queue = append([]*task{t}, d.queue...)
-	t.queued = true
+	d.queuedLocked(t)
 }
 
-// handToWaiterLocked grants t to the first parked Lease call whose
-// worker is still alive.  Caller holds d.mu.
-func (d *Dispatcher) handToWaiterLocked(t *task) bool {
-	for len(d.waiters) > 0 {
-		wt := d.waiters[0]
-		d.waiters = d.waiters[1:]
-		w := d.workers[wt.workerID]
-		if w == nil {
-			continue
-		}
-		wt.ch <- d.grantLocked(w, t)
-		return true
-	}
-	return false
+// queuedLocked marks t queued and wakes every parked Lease call.
+// Caller holds d.mu.
+func (d *Dispatcher) queuedLocked(t *task) {
+	t.queued = true
+	close(d.wake)
+	d.wake = make(chan struct{})
 }
 
 // removeWorkerLocked drops a worker and requeues everything it held.
@@ -571,9 +534,8 @@ func (d *Dispatcher) StartReaper(ctx context.Context, interval time.Duration) {
 	}()
 }
 
-// enqueue admits a cell to the fleet, granting it straight to a parked
-// Lease call when one is waiting.  ok is false when no workers are
-// attached (the caller computes locally).
+// enqueue admits a cell to the fleet at the queue's tail.  ok is false
+// when no workers are attached (the caller computes locally).
 func (d *Dispatcher) enqueue(spec Spec, tc trace.Ctx) (*task, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -582,10 +544,8 @@ func (d *Dispatcher) enqueue(spec Spec, tc trace.Ctx) (*task, bool) {
 	}
 	d.taskSeq++
 	t := &task{seq: d.taskSeq, spec: spec, tc: tc, ch: make(chan roundResult, 1)}
-	if !d.handToWaiterLocked(t) {
-		d.queue = append(d.queue, t)
-		t.queued = true
-	}
+	d.queue = append(d.queue, t)
+	d.queuedLocked(t)
 	return t, true
 }
 

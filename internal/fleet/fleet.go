@@ -207,8 +207,12 @@ func ExecuteWithCrashDir(ctx context.Context, spec Spec, crashDir string) (*stor
 		CrashDir:  crashDir,
 	}
 	if spec.Sampling != nil {
-		// Cell-level Workers is pinned to 1 so sampled estimates are
-		// worker-count invariant; the sweep above already fans cells out.
+		// Cell-level Workers is pinned to 1 for memory, not for the
+		// result, which is byte-identical at every worker count: the
+		// sweep above already runs cells in parallel, and each interval
+		// worker holds seedsPerWorker = 2 seed slots with a warm-model
+		// buffer of about 1.7 MB each, so GOMAXPROCS workers per cell
+		// would multiply a sweep's memory.
 		s := *spec.Sampling
 		s.Workers = 1
 		o.Sampling = &s

@@ -387,6 +387,119 @@ func TestLongPollHandsOffDirectly(t *testing.T) {
 	}
 }
 
+// leaseOutcome is what one Lease call returned.
+type leaseOutcome struct {
+	g   *Grant
+	err error
+}
+
+// parkPoll starts a long-polling Lease call for workerID and returns
+// the channel its outcome arrives on; the short sleep lets it park.
+func parkPoll(ctx context.Context, d *Dispatcher, workerID string, wait time.Duration) <-chan leaseOutcome {
+	out := make(chan leaseOutcome, 1)
+	go func() {
+		g, err := d.Lease(ctx, workerID, wait)
+		out <- leaseOutcome{g, err}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	return out
+}
+
+// TestReapRequeueReachesParkedPoll: a cell the reaper takes back from
+// one worker goes to a poll another worker has already parked, within
+// that poll's wait.
+func TestReapRequeueReachesParkedPoll(t *testing.T) {
+	clk := newFakeClock()
+	d := newTestDispatcher(clk, nil)
+	a := d.RegisterWorker("a", 1)
+	b := d.RegisterWorker("b", 1)
+	done := make(chan *store.Record, 1)
+	go func() {
+		rec, _ := d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
+		done <- rec
+	}()
+	first := waitLease(t, d, a.Worker)
+	parked := parkPoll(context.Background(), d, b.Worker, 5*time.Second)
+	clk.Advance(11 * time.Second)
+	if n := d.Reap(); n != 1 {
+		t.Fatalf("Reap requeued %d leases, want 1", n)
+	}
+	r := <-parked
+	if r.err != nil || r.g == nil || r.g.Lease == first.Lease {
+		t.Fatalf("parked poll got %+v, %v; want the requeued cell under a new lease", r.g, r.err)
+	}
+	if stale := d.Complete(b.Worker, r.g.Lease, testRecord(), ""); stale {
+		t.Fatal("parked poll's completion flagged stale")
+	}
+	if rec := <-done; rec == nil {
+		t.Fatal("Compute returned nil record")
+	}
+	if c := d.Counters(); c.LeasesGranted != 2 || c.LeasesExpired != 1 || c.Requeues != 1 {
+		t.Fatalf("counters = %+v", c)
+	}
+}
+
+// TestParkedPollsShareOneCell: two parked polls and one queued cell —
+// exactly one poll is granted it, and the other times out with nothing.
+func TestParkedPollsShareOneCell(t *testing.T) {
+	d := newTestDispatcher(nil, nil)
+	info := d.RegisterWorker("w", 2)
+	polls := []<-chan leaseOutcome{
+		parkPoll(context.Background(), d, info.Worker, 200*time.Millisecond),
+		parkPoll(context.Background(), d, info.Worker, 200*time.Millisecond),
+	}
+	go func() {
+		_, _ = d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
+	}()
+	var grants []*Grant
+	for _, p := range polls {
+		r := <-p
+		if r.err != nil {
+			t.Fatalf("Lease: %v", r.err)
+		}
+		if r.g != nil {
+			grants = append(grants, r.g)
+		}
+	}
+	if len(grants) != 1 {
+		t.Fatalf("%d parked polls were granted the one cell, want 1", len(grants))
+	}
+	if c := d.Counters(); c.LeasesGranted != 1 {
+		t.Fatalf("counters = %+v, want one lease granted", c)
+	}
+	d.Complete(info.Worker, grants[0].Lease, testRecord(), "")
+}
+
+// TestParkedPollCancelTakesNothing: a parked poll whose context ends
+// returns the context's error and takes nothing, even with a cell
+// queued right after the cancel; that cell goes to the next poll, and
+// no lease is taken back.
+func TestParkedPollCancelTakesNothing(t *testing.T) {
+	d := newTestDispatcher(nil, nil)
+	info := d.RegisterWorker("w", 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	parked := parkPoll(ctx, d, info.Worker, 5*time.Second)
+	cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Compute(context.Background(), testSpec("m"), trace.Ctx{})
+		done <- err
+	}()
+	if r := <-parked; !errors.Is(r.err, context.Canceled) || r.g != nil {
+		t.Fatalf("cancelled poll = %+v, %v; want nothing taken and context.Canceled", r.g, r.err)
+	}
+	g := waitLease(t, d, info.Worker)
+	if stale := d.Complete(info.Worker, g.Lease, testRecord(), ""); stale {
+		t.Fatal("next poll's completion flagged stale")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Compute: %v", err)
+	}
+	if c := d.Counters(); c.LeasesGranted != 1 || c.LeasesExpired != 0 || c.Requeues != 0 {
+		t.Fatalf("counters = %+v, want one lease and nothing taken back", c)
+	}
+}
+
 func TestLongPollTimeout(t *testing.T) {
 	d := newTestDispatcher(nil, nil)
 	info := d.RegisterWorker("w", 1)

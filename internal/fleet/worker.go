@@ -126,12 +126,11 @@ func (w *Worker) workerID() string {
 	return w.id
 }
 
-// heartbeatLoop renews held leases every beat until ctx is done.  A
-// 410 (ErrUnknownWorker) means the daemon reaped us: re-registration
-// is signalled on goneCh (buffered 1) and picked up by the pullers' next lease
-// failure — here we just keep trying with the current ID until Run
-// swaps it.
-func (w *Worker) heartbeatLoop(ctx context.Context, goneCh chan<- struct{}) {
+// heartbeatLoop renews held leases every beat until ctx is done.  It
+// ignores a 410 (ErrUnknownWorker): the pullers' next lease call gets
+// the same reply and re-registers, and the loop beats with the new ID
+// from then on.
+func (w *Worker) heartbeatLoop(ctx context.Context) {
 	for {
 		w.mu.Lock()
 		beat := w.beat
@@ -147,13 +146,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, goneCh chan<- struct{}) {
 			leases = append(leases, l)
 		}
 		w.mu.Unlock()
-		err := w.post(ctx, "/fleet/heartbeat", heartbeatRequest{Worker: id, Leases: leases}, nil)
-		if errors.Is(err, ErrUnknownWorker) {
-			select {
-			case goneCh <- struct{}{}:
-			default:
-			}
-		}
+		_ = w.post(ctx, "/fleet/heartbeat", heartbeatRequest{Worker: id, Leases: leases}, nil)
 	}
 }
 
@@ -166,8 +159,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
-	goneCh := make(chan struct{}, 1)
-	go w.heartbeatLoop(ctx, goneCh)
+	go w.heartbeatLoop(ctx)
 
 	var regMu sync.Mutex // serializes re-registration across pullers
 	reregister := func(oldID string) {
@@ -185,7 +177,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.pullLoop(ctx, goneCh, reregister)
+			w.pullLoop(ctx, reregister)
 		}()
 	}
 	wg.Wait()
@@ -201,17 +193,12 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // pullLoop is one puller: long-poll a lease, compute, complete.
-func (w *Worker) pullLoop(ctx context.Context, goneCh <-chan struct{}, reregister func(oldID string)) {
+func (w *Worker) pullLoop(ctx context.Context, reregister func(oldID string)) {
 	rnd := backoff.Rand(2)
 	errStreak := 0
 	for {
 		if ctx.Err() != nil {
 			return
-		}
-		select {
-		case <-goneCh:
-			reregister(w.workerID())
-		default:
 		}
 		id := w.workerID()
 		var g Grant

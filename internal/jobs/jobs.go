@@ -24,7 +24,7 @@
 //
 // Every job carries a request-scoped trace (internal/obs/trace): a
 // span buffer bounded at admission records the whole service
-// path — per-cell queue wait, store lookup (hit/corrupt/recheck),
+// path — per-cell queue wait, store lookup (hit/mem/corrupt),
 // single-flight waits, the compute with its leases, requeues, and
 // local attempt, and NDJSON stream delivery — and clients propagate
 // their own trace IDs with the Recycle-Trace-Id header.  Completed spans feed the per-stage
@@ -300,14 +300,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // newJob registers a job and opens its trace: the span limit is fixed
-// at admission (root + per-cell worst case of cell, queue, two
-// lookups, compute, put, and stream delivery, plus the most spans the
+// at admission (root + per-cell worst case of cell, queue, one
+// lookup, compute, put, and stream delivery, plus the most spans the
 // dispatcher's Compute adds under compute), so no span a job records
 // is dropped, while the buffer grows only to the spans it records.
 func (s *Server) newJob(cells []CellSpec, tid trace.ID) *job {
 	j := &job{cells: cells, state: "running"}
 	j.cond = sync.NewCond(&j.mu)
-	j.trace = trace.New(tid, 2+len(cells)*(7+s.cfg.Fleet.MaxComputeSpans()))
+	j.trace = trace.New(tid, 2+len(cells)*(6+s.cfg.Fleet.MaxComputeSpans()))
 	j.trace.SetOnEnd(s.lat.observe)
 	s.mu.Lock()
 	j.id = fmt.Sprintf("j%d", len(s.jobs)+1)

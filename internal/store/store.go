@@ -100,13 +100,12 @@ type Counters struct {
 type Store struct {
 	dir string
 
-	// mu guards the flight table and the in-memory tier; it is never
-	// held across a file operation or a compute.
-	mu     sync.Mutex
-	flight map[string]*flightCall
-	mem    map[string]*list.Element // key -> element of order
-	order  list.List                // *memEntry, oldest-inserted first
-	bytes  int                      // encoded size of the kept records
+	// mu guards the cell table and the FIFO order of the kept cells; it
+	// is never held across a file operation or a compute.
+	mu    sync.Mutex
+	cells map[string]*cell
+	order list.List // the kept cells, oldest-inserted first
+	bytes int       // encoded size of the kept records
 
 	memHits      atomic.Uint64
 	diskHits     atomic.Uint64
@@ -116,18 +115,16 @@ type Store struct {
 	putErrors    atomic.Uint64
 }
 
-// memEntry is one record kept in memory with its encoded size.
-type memEntry struct {
+// cell is one key's entry in the table: either a lookup or compute in
+// progress, whose one owner closes done once rec or err is set, or a
+// record kept in memory, which alone has a place in the FIFO order.
+type cell struct {
 	key  string
-	rec  *Record
-	size int
-}
-
-// flightCall is one in-progress computation; followers block on done.
-type flightCall struct {
 	done chan struct{}
 	rec  *Record
 	err  error
+	size int           // encoded size of a kept record
+	elem *list.Element // place in Store.order; nil until kept
 }
 
 // Open creates (if needed) and opens the store rooted at dir.  Opening
@@ -140,7 +137,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{dir: dir, flight: make(map[string]*flightCall), mem: make(map[string]*list.Element)}, nil
+	return &Store{dir: dir, cells: make(map[string]*cell)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -169,73 +166,65 @@ func (s *Store) path(key string) string {
 // foreign-version records count as misses (and bump the Corrupt
 // counter), never errors.  The record is shared and read-only.
 func (s *Store) Get(key string) (*Record, bool) {
-	rec, src := s.get(key)
-	if src == refused {
-		s.corrupt.Add(1)
+	s.mu.Lock()
+	c := s.cells[key]
+	if c != nil && c.elem != nil {
+		s.mu.Unlock()
+		return c.rec, true
 	}
+	s.mu.Unlock()
+	rec, _ := s.load(key)
 	return rec, rec != nil
 }
 
-// source says where get found a key's record, or why it found none.
-type source uint8
-
-const (
-	absent   source = iota // no readable record file
-	refused                // a record file decode refused
-	inMemory               // kept in the in-memory tier
-	onDisk                 // read from the directory and now kept
-)
-
-// get looks in memory, then in the directory, and keeps a record it
-// validated there.  It counts nothing: its callers decide what a
-// request's lookups add to the Counters.
-func (s *Store) get(key string) (*Record, source) {
+// load reads key's record file and keeps a record decode accepts.  A
+// file decode refuses counts Corrupt and reports refused.
+func (s *Store) load(key string) (rec *Record, refused bool) {
 	if len(key) < 3 {
-		return nil, absent
-	}
-	s.mu.Lock()
-	e, ok := s.mem[key]
-	s.mu.Unlock()
-	if ok {
-		return e.Value.(*memEntry).rec, inMemory
+		return nil, false
 	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
-		return nil, absent
+		return nil, false
 	}
 	rec, ok := decode(data, key)
 	if !ok {
-		return nil, refused
+		s.corrupt.Add(1)
+		return nil, true
 	}
 	s.keep(key, rec, len(data))
-	return rec, onDisk
+	return rec, false
 }
 
-// keep puts rec, whose encoded size is size bytes, in the in-memory
-// tier in place of any record held for key, evicting the
-// oldest-inserted records until it fits within memBudget.  A record
-// larger than the whole budget is not kept.
+// keep makes rec, whose encoded size is size bytes, key's kept cell in
+// place of any record held for key, evicting the oldest-inserted cells
+// until it fits within memBudget.  A record larger than the whole
+// budget is not kept.  A lookup or compute in progress for key is
+// displaced from the table; its owner still settles it for the callers
+// waiting on it.
 func (s *Store) keep(key string, rec *Record, size int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.mem[key]; ok {
-		s.drop(e)
+	if c := s.cells[key]; c != nil && c.elem != nil {
+		s.drop(c)
 	}
 	if size > memBudget {
 		return
 	}
 	for s.bytes+size > memBudget {
-		s.drop(s.order.Front())
+		s.drop(s.order.Front().Value.(*cell))
 	}
-	s.mem[key] = s.order.PushBack(&memEntry{key: key, rec: rec, size: size})
+	c := &cell{key: key, rec: rec, size: size}
+	c.elem = s.order.PushBack(c)
+	s.cells[key] = c
 	s.bytes += size
 }
 
-// drop removes one entry from the in-memory tier.  Caller holds s.mu.
-func (s *Store) drop(e *list.Element) {
-	m := s.order.Remove(e).(*memEntry)
-	delete(s.mem, m.key)
-	s.bytes -= m.size
+// drop removes one kept cell from memory.  Caller holds s.mu.
+func (s *Store) drop(c *cell) {
+	s.order.Remove(c.elem)
+	delete(s.cells, c.key)
+	s.bytes -= c.size
 }
 
 // decode parses one on-disk record for key.  Any defect — unparseable
@@ -293,39 +282,37 @@ func (s *Store) Put(key string, rec *Record) error {
 
 // GetOrCompute returns the record for key, computing and persisting it
 // on a miss.  Concurrent callers for the same key are deduplicated:
-// exactly one runs compute, the rest block and share its result.
-// cached reports whether the caller avoided a compute (memory or disk
-// hit, or single-flight share).  The record is shared with the
-// in-memory tier and every other caller of key, so it is read-only.  A
-// compute whose Put fails is still served — only durability is lost,
-// the PutErrors counter records it, and the record is not kept, so a
-// later request computes it again; a compute that itself fails
-// propagates its error to every waiter and leaves no record behind.
+// exactly one owns the key, reads the directory once and, on a miss,
+// runs compute; the rest block and share its result.  cached reports
+// whether the caller avoided a compute (memory or disk hit, or
+// single-flight share).  The record is shared with the in-memory tier
+// and every other caller of key, so it is read-only.  A compute whose
+// Put fails is still served — only durability is lost, the PutErrors
+// counter records it, and the record is not kept, so a later request
+// computes it again; a compute that itself fails propagates its error
+// to every waiter and leaves no record behind.
 //
 // Every phase the request actually passes through — "lookup" (memory,
-// then disk, with hit/mem/corrupt/recheck attributes), "flight-wait"
-// (blocking on another caller's in-progress computation), "compute" (the
-// caller's compute body, which receives its span handle so it can
-// record per-attempt children), and "put" (persisting the fresh
-// record) — lands as a distinct span under tc.  With the zero Ctx the
-// hit path costs zero extra allocations over Get (witnessed by
+// then the owner's directory read, with hit/mem/corrupt attributes),
+// "flight-wait" (blocking on another caller's lookup or compute),
+// "compute" (the caller's compute body, which receives its span handle
+// so it can record per-attempt children), and "put" (persisting the
+// fresh record) — lands as a distinct span under tc.  With the zero Ctx
+// the hit path costs zero extra allocations over Get (witnessed by
 // TestTracedHitPathAllocParity).
 func (s *Store) GetOrCompute(key string, tc trace.Ctx, compute func(trace.Ctx) (*Record, error)) (rec *Record, cached bool, err error) {
 	lk := tc.Start("lookup")
-	rec, src := s.get(key)
-	if rec != nil {
-		s.hit(lk, src)
-		return rec, true, nil
-	}
-	if src == refused {
-		s.corrupt.Add(1)
-		lk.Uint("corrupt", 1)
-	}
-	lk.End()
-
 	s.mu.Lock()
-	if c, ok := s.flight[key]; ok {
+	c := s.cells[key]
+	if c != nil && c.elem != nil {
 		s.mu.Unlock()
+		s.memHits.Add(1)
+		lk.Uint("hit", 1).Uint("mem", 1).End()
+		return c.rec, true, nil
+	}
+	if c != nil {
+		s.mu.Unlock()
+		lk.End()
 		fw := tc.Start("flight-wait")
 		<-c.done
 		if c.err != nil {
@@ -336,30 +323,30 @@ func (s *Store) GetOrCompute(key string, tc trace.Ctx, compute func(trace.Ctx) (
 		s.flightShares.Add(1)
 		return c.rec, true, nil
 	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[key] = c
+	// Own the key before reading the directory: concurrent requests
+	// then share this one read, and a record another process landed
+	// before it is a disk hit rather than a second compute.
+	c = &cell{key: key, done: make(chan struct{})}
+	s.cells[key] = c
 	s.mu.Unlock()
 
 	defer func() {
 		s.mu.Lock()
-		delete(s.flight, key)
+		if s.cells[key] == c {
+			delete(s.cells, key)
+		}
 		s.mu.Unlock()
 		close(c.done)
 	}()
 
-	// Re-check under flight ownership: a previous leader (or another
-	// process sharing the directory) may have landed the record between
-	// our miss and winning the flight slot.  A refused record counts
-	// once per request: here only when the first lookup found none.
-	lk = tc.Start("lookup").Uint("recheck", 1)
-	rec, again := s.get(key)
+	rec, refused := s.load(key)
 	if rec != nil {
-		s.hit(lk, again)
+		s.diskHits.Add(1)
+		lk.Uint("hit", 1).End()
 		c.rec = rec
 		return rec, true, nil
 	}
-	if again == refused && src != refused {
-		s.corrupt.Add(1)
+	if refused {
 		lk.Uint("corrupt", 1)
 	}
 	lk.End()
@@ -381,17 +368,4 @@ func (s *Store) GetOrCompute(key string, tc trace.Ctx, compute func(trace.Ctx) (
 	ps.End()
 	c.rec = rec
 	return rec, false, nil
-}
-
-// hit counts a lookup that found key's record, by where it found it,
-// and ends the lookup's span.
-func (s *Store) hit(lk trace.Ctx, src source) {
-	lk.Uint("hit", 1)
-	if src == inMemory {
-		s.memHits.Add(1)
-		lk.Uint("mem", 1)
-	} else {
-		s.diskHits.Add(1)
-	}
-	lk.End()
 }

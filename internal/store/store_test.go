@@ -302,6 +302,45 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 	}
 }
 
+// TestSingleFlightDiskOnlyRecord: N concurrent requests for a record
+// that is on disk but not yet in memory read the directory once: the
+// key's owner counts the one disk hit, and every other request shares
+// its lookup or hits the record it kept.
+func TestSingleFlightDiskOnlyRecord(t *testing.T) {
+	w := testStore(t)
+	key := testKey(t, nil)
+	if err := w.Put(key, &Record{Stats: &stats.Sim{Cycles: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(w.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			<-gate
+			rec, cached, err := s.GetOrCompute(key, trace.Ctx{}, func(trace.Ctx) (*Record, error) {
+				t.Error("a record on disk was computed")
+				return nil, fmt.Errorf("computed")
+			})
+			if err != nil || !cached || rec.Stats.Cycles != 8 {
+				t.Errorf("rec=%+v cached=%v err=%v", rec, cached, err)
+			}
+		}()
+	}
+	close(gate)
+	wg.Wait()
+	c := s.Counters()
+	if c.Computes != 0 || c.DiskHits != 1 || c.MemHits+c.FlightShares != n-1 {
+		t.Errorf("counters %+v, want one disk hit and %d memory hits or shares", c, n-1)
+	}
+}
+
 // TestGetOrComputeErrorPropagates: a failed compute reaches every
 // concurrent waiter and leaves no record on disk, so a later call
 // retries.
@@ -382,7 +421,7 @@ func spanNames(tr *trace.Trace) []string {
 	return out
 }
 
-// TestTracedComputePath: a miss records lookup (miss), the compute
+// TestTracedComputePath: a miss records one lookup (miss), the compute
 // body (handed its own span ctx for per-attempt children), and the
 // put, all under the caller's parent span.
 func TestTracedComputePath(t *testing.T) {
@@ -398,9 +437,8 @@ func TestTracedComputePath(t *testing.T) {
 		t.Fatalf("cached=%v err=%v", cached, err)
 	}
 	cell.End()
-	// First lookup misses, then the flight leader re-checks the disk
-	// before computing: two lookup spans, the second marked recheck.
-	want := []string{"cell", "lookup", "lookup", "compute", "attempt", "put"}
+	// The owner's one lookup covers memory and its one directory read.
+	want := []string{"cell", "lookup", "compute", "attempt", "put"}
 	if got := spanNames(tr); !reflect.DeepEqual(got, want) {
 		t.Errorf("span sequence %v, want %v", got, want)
 	}
@@ -408,10 +446,7 @@ func TestTracedComputePath(t *testing.T) {
 	if _, ok := spans[1].Attr("hit"); ok {
 		t.Error("miss lookup carries a hit attribute")
 	}
-	if a, ok := spans[2].Attr("recheck"); !ok || a.U != 1 {
-		t.Errorf("second lookup recheck attr = %+v, %v", a, ok)
-	}
-	if spans[4].Parent != spans[3].ID {
+	if spans[3].Parent != spans[2].ID {
 		t.Error("attempt span not parented under compute")
 	}
 
@@ -545,8 +580,8 @@ func writeCorrupt(t *testing.T, s *Store, key string) {
 }
 
 // TestCorruptCountedOncePerRequest: one request over one corrupt
-// record counts Corrupt once, although the flight owner looks again
-// before it computes, and the first lookup span carries the verdict.
+// record counts Corrupt once, and its one lookup span carries the
+// verdict.
 func TestCorruptCountedOncePerRequest(t *testing.T) {
 	s := testStore(t)
 	key := testKey(t, nil)
@@ -561,17 +596,18 @@ func TestCorruptCountedOncePerRequest(t *testing.T) {
 	if c := s.Counters(); c != (Counters{Computes: 1, Corrupt: 1}) {
 		t.Errorf("counters %+v, want one compute and one corrupt record", c)
 	}
-	spans := tr.Spans()
-	if a, ok := spans[1].Attr("corrupt"); !ok || a.U != 1 {
-		t.Errorf("first lookup corrupt attr = %+v, %v (spans %v)", a, ok, spanNames(tr))
+	if a, ok := tr.Spans()[1].Attr("corrupt"); !ok || a.U != 1 {
+		t.Errorf("lookup corrupt attr = %+v, %v (spans %v)", a, ok, spanNames(tr))
 	}
-	if a, ok := spans[2].Attr("corrupt"); ok {
-		t.Errorf("recheck counted the same corrupt record again: %+v", a)
+	if got := spanNames(tr); !reflect.DeepEqual(got, []string{"cell", "lookup", "compute", "put"}) {
+		t.Errorf("span sequence %v, want one lookup before the compute", got)
 	}
 }
 
 // memKeys lists the keys the in-memory tier holds, oldest first, and
-// checks the tier's byte total against its entries and the budget.
+// checks the tier's byte total against its cells and the budget.  It
+// is called while no lookup or compute is in progress, so every cell
+// in the table is kept.
 func memKeys(t *testing.T, s *Store) []string {
 	t.Helper()
 	s.mu.Lock()
@@ -579,15 +615,15 @@ func memKeys(t *testing.T, s *Store) []string {
 	var keys []string
 	sum := 0
 	for e := s.order.Front(); e != nil; e = e.Next() {
-		m := e.Value.(*memEntry)
-		if s.mem[m.key] != e {
-			t.Errorf("key %s: map and order disagree", m.key)
+		c := e.Value.(*cell)
+		if s.cells[c.key] != c || c.elem != e {
+			t.Errorf("key %s: table and order disagree", c.key)
 		}
-		keys = append(keys, m.key)
-		sum += m.size
+		keys = append(keys, c.key)
+		sum += c.size
 	}
-	if len(s.mem) != len(keys) || sum != s.bytes {
-		t.Errorf("tier holds %d keys and %d bytes; its entries are %d keys and %d bytes", len(s.mem), s.bytes, len(keys), sum)
+	if len(s.cells) != len(keys) || sum != s.bytes {
+		t.Errorf("tier holds %d keys and %d bytes; its cells are %d keys and %d bytes", len(s.cells), s.bytes, len(keys), sum)
 	}
 	if s.bytes > memBudget {
 		t.Errorf("tier holds %d bytes, over the %d-byte budget", s.bytes, memBudget)
