@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -235,10 +236,47 @@ func TestAssembleErrors(t *testing.T) {
 		".array a 0",
 		".array big 1000000",
 		"li r99, 1",
+		"ret r5",
+		"nop r1",
+		"halt r9",
+		"add r1, r2",
+		"addi r1, r2",
+		"fmov f1, f2, f3",
+		"ld r1",
+		"st r1, 0(r2), r3",
+		"j",
+		"jal r31, f",
+		"jr",
 	}
 	for _, src := range cases {
 		if _, err := Assemble("bad", src); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+	const want = "bad:1: ret wants 0 operands, got 1"
+	if _, err := Assemble("bad", "ret r5"); err == nil || err.Error() != want {
+		t.Errorf("ret r5: error %v, want %q", err, want)
+	}
+}
+
+// TestAssembleFullWidthLiterals: a data word, an li immediate and a
+// displacement take any 64-bit pattern, written signed or unsigned;
+// one bit more is refused.
+func TestAssembleFullWidthLiterals(t *testing.T) {
+	p, err := Assemble("wide", ".word m 0xffffffffffffffff\n"+
+		"li r1, 0x8000000000000000\nld r2, 18446744073709551615(r1)\nhalt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Data[0] != math.MaxUint64 {
+		t.Errorf(".word m 0xffffffffffffffff: data %d, want %d", p.Data[0], uint64(math.MaxUint64))
+	}
+	if p.Code[0].Imm != math.MinInt64 || p.Code[1].Imm != -1 {
+		t.Errorf("immediates %d and %d, want %d and -1", p.Code[0].Imm, p.Code[1].Imm, int64(math.MinInt64))
+	}
+	for _, src := range []string{".word m 0x10000000000000000\n", "li r1, 0x10000000000000000\n", "li r1, -0x8000000000000001\n"} {
+		if _, err := Assemble("wide", src); err == nil || !strings.Contains(err.Error(), "bad immediate") {
+			t.Errorf("%q: error %v, want a bad immediate", src, err)
 		}
 	}
 }
@@ -308,10 +346,10 @@ func TestAssembleAllMnemonics(t *testing.T) {
     st r6, 8(r5)
     fld f1, 0(r5)
     fst f1, 8(r5)
-    fadd f3, f1, f1
-    fsub f3, f1, f1
-    fmul f3, f1, f1
-    fdiv f3, f1, f1
+    fadd f3, f1, f2
+    fsub f3, f1, f2
+    fmul f3, f1, f2
+    fdiv f3, f1, f2
     fmov f4, f3
     fneg f4, f3
     cvtif f5, r1
@@ -328,7 +366,7 @@ tgt:
     jal sub1
     j end
 sub1:
-    jr ra
+    jr r31
 end:
     nop
     ret
@@ -348,6 +386,25 @@ end:
 	for op := range isa.NumOps {
 		if !seen[op] {
 			t.Errorf("no mnemonic in the source assembles to %v", isa.Op(op))
+		}
+	}
+	// Each real opcode without a label operand assembles to the
+	// instruction its line spells, every operand in its place.
+	code := p.Code
+	for _, line := range strings.Split(src, "\n") {
+		line = strings.Join(strings.Fields(line), " ")
+		if line == "" || strings.HasPrefix(line, ".") || strings.HasSuffix(line, ":") {
+			continue
+		}
+		in := code[0]
+		code = code[1:]
+		mn, _, _ := strings.Cut(line, " ")
+		op, ok := isa.OpByName(mn)
+		if !ok || op.Form() == isa.FormBranch || op.Form() == isa.FormJ || op.Form() == isa.FormJal {
+			continue // a pseudo-instruction or a label operand
+		}
+		if in.String() != line {
+			t.Errorf("%q assembles to %q", line, in.String())
 		}
 	}
 }

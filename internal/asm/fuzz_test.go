@@ -2,14 +2,18 @@ package asm
 
 import (
 	"testing"
+
+	"recyclesim/internal/isa"
 )
 
 // FuzzAssemble drives the .ras parser with arbitrary source text.  The
 // properties: Assemble never panics, an accepted source yields a
 // program whose control flow passes program.Validate (entry and every
-// direct branch target land inside the text), and assembly is
-// deterministic — the same source assembles to the same image twice.
-// Seed corpus: testdata/fuzz/FuzzAssemble plus the inline shapes below
+// direct branch target land inside the text), every instruction sets
+// only the fields its isa.Form uses, and assembly is deterministic —
+// the same source assembles to the same image twice.  Seed corpus:
+// testdata/fuzz/FuzzAssemble (every form, the pseudo-instructions, and
+// one wrong operand count per form) plus the inline shapes below
 // (plain ALU code, data directives, labels and branches, every comment
 // marker, and a few malformed lines the parser must reject cleanly).
 func FuzzAssemble(f *testing.F) {
@@ -38,6 +42,11 @@ func FuzzAssemble(f *testing.F) {
 		if verr := p.Validate(); verr != nil {
 			t.Errorf("accepted program fails validation: %v\nsource:\n%s", verr, src)
 		}
+		for _, in := range p.Code {
+			if rest := unusedFields(in); rest != (isa.Inst{Op: in.Op}) {
+				t.Errorf("%v sets fields its form does not use: %#v", in, rest)
+			}
+		}
 		p2, err2 := Assemble("fuzz", src)
 		if err2 != nil {
 			t.Fatalf("second assembly of accepted source failed: %v", err2)
@@ -53,4 +62,30 @@ func FuzzAssemble(f *testing.F) {
 			}
 		}
 	})
+}
+
+// unusedFields clears the fields in's form uses, leaving those an
+// assembled instruction must have zero.
+func unusedFields(in isa.Inst) isa.Inst {
+	switch in.Op.Form() {
+	case isa.FormRRR:
+		in.Rd, in.Rs1, in.Rs2 = 0, 0, 0
+	case isa.FormRRI, isa.FormLoad:
+		in.Rd, in.Rs1, in.Imm = 0, 0, 0
+	case isa.FormRR:
+		in.Rd, in.Rs1 = 0, 0
+	case isa.FormLi:
+		in.Rd, in.Imm = 0, 0
+	case isa.FormStore:
+		in.Rs2, in.Rs1, in.Imm = 0, 0, 0
+	case isa.FormBranch:
+		in.Rs1, in.Rs2, in.Target = 0, 0, 0
+	case isa.FormJ:
+		in.Target = 0
+	case isa.FormJal:
+		in.Rd, in.Target = 0, 0
+	case isa.FormJr:
+		in.Rs1 = 0
+	}
+	return in
 }

@@ -25,7 +25,11 @@ import (
 //	    jr   ra
 //	    halt
 //
-// Registers: r0..r31 (aliases zero, ra, sp), f0..f31.
+// Registers: r0..r31 (aliases zero, ra, sp), f0..f31.  Each opcode
+// takes exactly the operands its isa.Form spells, and a line with more
+// or fewer (`ret r5`, say) is an error.  Immediates,
+// displacements and data values take the full 64-bit range: a signed
+// literal, or an unsigned one up to 2^64-1 (0xffffffffffffffff is -1).
 func Assemble(name, src string) (*program.Program, error) {
 	b := NewBuilder(name)
 	lines := strings.Split(src, "\n")
@@ -129,12 +133,16 @@ func parseReg(tok string) (isa.Reg, error) {
 	return 0, fmt.Errorf("bad register %q", tok)
 }
 
+// parseImm parses a signed 64-bit literal, or an unsigned one up to
+// 2^64-1 as its two's-complement bit pattern.
 func parseImm(tok string) (int64, error) {
-	v, err := strconv.ParseInt(tok, 0, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad immediate %q", tok)
+	if v, err := strconv.ParseInt(tok, 0, 64); err == nil {
+		return v, nil
 	}
-	return v, nil
+	if v, err := strconv.ParseUint(tok, 0, 64); err == nil {
+		return int64(v), nil
+	}
+	return 0, fmt.Errorf("bad immediate %q", tok)
 }
 
 // parseMem parses "imm(reg)" operands.
@@ -155,202 +163,126 @@ func parseMem(tok string) (int64, isa.Reg, error) {
 	return imm, reg, err
 }
 
+// formOperands is the number of operands each form's spelling takes.
+var formOperands = [...]int{
+	isa.FormNone: 0, isa.FormJ: 1, isa.FormJal: 1, isa.FormJr: 1,
+	isa.FormRR: 2, isa.FormLi: 2, isa.FormLoad: 2, isa.FormStore: 2,
+	isa.FormRRR: 3, isa.FormRRI: 3, isa.FormBranch: 3,
+}
+
+// operands reads one instruction's operands.  It keeps the first error:
+// after a wrong count or a bad operand, every read returns zero.
+type operands struct {
+	mn   string
+	toks []string
+	err  error
+}
+
+// want checks the operand count.
+func (o *operands) want(n int) {
+	if len(o.toks) != n {
+		o.err = fmt.Errorf("%s wants %d operands, got %d", o.mn, n, len(o.toks))
+	}
+}
+
+// tok returns operand i as written, for label and symbol operands.
+func (o *operands) tok(i int) string {
+	if o.err != nil {
+		return ""
+	}
+	return o.toks[i]
+}
+
+func (o *operands) reg(i int) isa.Reg { return read(o, i, parseReg) }
+
+func (o *operands) imm(i int) int64 { return read(o, i, parseImm) }
+
+// read parses operand i unless an earlier read failed.
+func read[T any](o *operands, i int, parse func(string) (T, error)) T {
+	var v T
+	if o.err == nil {
+		v, o.err = parse(o.toks[i])
+	}
+	return v
+}
+
+func (o *operands) mem(i int) (int64, isa.Reg) {
+	if o.err != nil {
+		return 0, 0
+	}
+	imm, r, err := parseMem(o.toks[i])
+	o.err = err
+	return imm, r
+}
+
+// instruction assembles one line: one of the pseudo-instructions la,
+// mov and ret, or a real opcode, whose form gives its operand count and
+// where each operand goes.
 func instruction(b *Builder, line string) error {
 	mn, rest, _ := strings.Cut(line, " ")
-	mn = strings.TrimSpace(mn)
-	var ops []string
-	for _, o := range strings.Split(rest, ",") {
-		if o = strings.TrimSpace(o); o != "" {
-			ops = append(ops, o)
+	o := operands{mn: mn}
+	for _, t := range strings.Split(rest, ",") {
+		if t = strings.TrimSpace(t); t != "" {
+			o.toks = append(o.toks, t)
 		}
 	}
-	want := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s wants %d operands, got %d", mn, n, len(ops))
-		}
-		return nil
-	}
-
 	switch mn {
-	case "nop":
-		b.Nop()
-		return nil
-	case "halt":
-		b.Halt()
-		return nil
-	case "ret":
-		b.Ret()
-		return nil
-	case "li":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, err := parseImm(ops[1])
-		if err != nil {
-			return err
-		}
-		b.Li(rd, imm)
-		return nil
 	case "la":
-		if err := want(2); err != nil {
-			return err
+		o.want(2)
+		if rd, sym := o.reg(0), o.tok(1); o.err == nil {
+			b.La(rd, sym)
 		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		b.La(rd, ops[1])
-		return nil
+		return o.err
 	case "mov":
-		if err := want(2); err != nil {
-			return err
+		o.want(2)
+		if rd, rs := o.reg(0), o.reg(1); o.err == nil {
+			b.Mov(rd, rs)
 		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
+		return o.err
+	case "ret":
+		o.want(0)
+		if o.err == nil {
+			b.Ret()
 		}
-		rs, err := parseReg(ops[1])
-		if err != nil {
-			return err
-		}
-		b.Mov(rd, rs)
-		return nil
-	case "ld", "fld":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, base, err := parseMem(ops[1])
-		if err != nil {
-			return err
-		}
-		if mn == "ld" {
-			b.Ld(rd, base, imm)
-		} else {
-			b.Fld(rd, base, imm)
-		}
-		return nil
-	case "st", "fst":
-		if err := want(2); err != nil {
-			return err
-		}
-		rs, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, base, err := parseMem(ops[1])
-		if err != nil {
-			return err
-		}
-		if mn == "st" {
-			b.St(rs, base, imm)
-		} else {
-			b.Fst(rs, base, imm)
-		}
-		return nil
-	case "j":
-		if err := want(1); err != nil {
-			return err
-		}
-		b.J(ops[0])
-		return nil
-	case "jal":
-		if err := want(1); err != nil {
-			return err
-		}
-		b.Jal(ops[0])
-		return nil
-	case "jr":
-		if err := want(1); err != nil {
-			return err
-		}
-		rs, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		b.Jr(rs)
-		return nil
+		return o.err
 	}
-
 	op, ok := isa.OpByName(mn)
 	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mn)
 	}
-	switch op.String() {
-	// Three-register ALU / FP forms share one shape.
-	case "add", "sub", "mul", "div", "rem", "and", "or", "xor",
-		"sll", "srl", "sra", "slt", "sltu",
-		"fadd", "fsub", "fmul", "fdiv", "flt", "feq":
-		if err := want(3); err != nil {
-			return err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		r1, err := parseReg(ops[1])
-		if err != nil {
-			return err
-		}
-		r2, err := parseReg(ops[2])
-		if err != nil {
-			return err
-		}
-		b.rrr(op, rd, r1, r2)
-		return nil
-	case "beq", "bne", "blt", "bge", "bltu", "bgeu":
-		if err := want(3); err != nil {
-			return err
-		}
-		r1, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		r2, err := parseReg(ops[1])
-		if err != nil {
-			return err
-		}
-		b.branch(op, r1, r2, ops[2])
-		return nil
-	case "addi", "andi", "ori", "xori", "slli", "srli", "srai", "slti":
-		if err := want(3); err != nil {
-			return err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		r1, err := parseReg(ops[1])
-		if err != nil {
-			return err
-		}
-		imm, err := parseImm(ops[2])
-		if err != nil {
-			return err
-		}
-		b.rri(op, rd, r1, imm)
-		return nil
-	case "fmov", "fneg", "cvtif", "cvtfi":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		r1, err := parseReg(ops[1])
-		if err != nil {
-			return err
-		}
-		b.emit(isa.Inst{Op: op, Rd: rd, Rs1: r1})
-		return nil
+	o.want(formOperands[op.Form()])
+	in, label := isa.Inst{Op: op}, ""
+	switch op.Form() {
+	case isa.FormRRR:
+		in.Rd, in.Rs1, in.Rs2 = o.reg(0), o.reg(1), o.reg(2)
+	case isa.FormRRI:
+		in.Rd, in.Rs1, in.Imm = o.reg(0), o.reg(1), o.imm(2)
+	case isa.FormRR:
+		in.Rd, in.Rs1 = o.reg(0), o.reg(1)
+	case isa.FormLi:
+		in.Rd, in.Imm = o.reg(0), o.imm(1)
+	case isa.FormLoad:
+		in.Rd = o.reg(0)
+		in.Imm, in.Rs1 = o.mem(1)
+	case isa.FormStore:
+		in.Rs2 = o.reg(0)
+		in.Imm, in.Rs1 = o.mem(1)
+	case isa.FormBranch:
+		in.Rs1, in.Rs2, label = o.reg(0), o.reg(1), o.tok(2)
+	case isa.FormJ:
+		label = o.tok(0)
+	case isa.FormJal:
+		in.Rd, label = isa.RegRA, o.tok(0)
+	case isa.FormJr:
+		in.Rs1 = o.reg(0)
 	}
-	return fmt.Errorf("unsupported mnemonic %q", mn)
+	switch {
+	case o.err != nil:
+		return o.err
+	case label != "":
+		b.emitBranch(in, label)
+	default:
+		b.emit(in)
+	}
+	return nil
 }

@@ -170,6 +170,62 @@ var opClass = [1 << 8]Class{
 	OpFlt: ClassFPAdd, OpFeq: ClassFPAdd,
 }
 
+// Form is an opcode's operand form: which of an Inst's fields it uses
+// and how the assembler spells them.  opForm is the one place an
+// opcode's operands are stated; the operand predicates, Inst.String
+// and the text assembler all read it.  The zero Form marks an
+// undefined opcode.
+type Form uint8
+
+// Operand forms, each with its assembler spelling.
+const (
+	FormNone   Form = iota + 1 // op, no operands
+	FormRRR                    // op rd, rs1, rs2
+	FormRRI                    // op rd, rs1, imm
+	FormRR                     // op rd, rs1
+	FormLi                     // li rd, imm
+	FormLoad                   // op rd, imm(rs1)
+	FormStore                  // op rs2, imm(rs1)
+	FormBranch                 // op rs1, rs2, target
+	FormJ                      // j target
+	FormJal                    // jal target (rd is RegRA)
+	FormJr                     // jr rs1
+)
+
+var opForm = [1 << 8]Form{
+	OpNop: FormNone, OpHalt: FormNone,
+	OpAdd: FormRRR, OpSub: FormRRR, OpMul: FormRRR, OpDiv: FormRRR, OpRem: FormRRR,
+	OpAnd: FormRRR, OpOr: FormRRR, OpXor: FormRRR, OpSll: FormRRR, OpSrl: FormRRR,
+	OpSra: FormRRR, OpSlt: FormRRR, OpSltu: FormRRR, OpFadd: FormRRR, OpFsub: FormRRR,
+	OpFmul: FormRRR, OpFdiv: FormRRR, OpFlt: FormRRR, OpFeq: FormRRR,
+	OpAddi: FormRRI, OpAndi: FormRRI, OpOri: FormRRI, OpXori: FormRRI,
+	OpSlli: FormRRI, OpSrli: FormRRI, OpSrai: FormRRI, OpSlti: FormRRI,
+	OpFmov: FormRR, OpFneg: FormRR, OpCvtIF: FormRR, OpCvtFI: FormRR,
+	OpLi: FormLi, OpLd: FormLoad, OpFld: FormLoad, OpSt: FormStore, OpFst: FormStore,
+	OpBeq: FormBranch, OpBne: FormBranch, OpBlt: FormBranch,
+	OpBge: FormBranch, OpBltu: FormBranch, OpBgeu: FormBranch,
+	OpJ: FormJ, OpJal: FormJal, OpJr: FormJr,
+}
+
+// Form returns the opcode's operand form.
+func (o Op) Form() Form { return opForm[o] }
+
+// noDest, noRs1 and readsRs2 restate opForm per opcode, so each
+// operand predicate is one lookup: the opcodes of the forms with no
+// destination, with no register source, and with a second register
+// source.
+var noDest, noRs1, readsRs2 = operandTables()
+
+func operandTables() (noDest, noRs1, readsRs2 [1 << 8]bool) {
+	for op, f := range opForm {
+		bit := 1 << f
+		noDest[op] = bit&(1<<FormNone|1<<FormStore|1<<FormBranch|1<<FormJ|1<<FormJr) != 0
+		noRs1[op] = bit&(1<<FormNone|1<<FormLi|1<<FormJ|1<<FormJal) != 0
+		readsRs2[op] = bit&(1<<FormRRR|1<<FormStore|1<<FormBranch) != 0
+	}
+	return noDest, noRs1, readsRs2
+}
+
 // Class returns the functional-unit class of the instruction.
 func (i *Inst) Class() Class { return opClass[i.Op] }
 
@@ -178,13 +234,7 @@ func (i *Inst) IsBranch() bool { return i.Class() == ClassBranch }
 
 // IsCondBranch reports whether the instruction is a conditional branch
 // (the only kind TME forks on).
-func (i *Inst) IsCondBranch() bool {
-	switch i.Op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return true
-	}
-	return false
-}
+func (i *Inst) IsCondBranch() bool { return opForm[i.Op] == FormBranch }
 
 // IsIndirect reports whether the control transfer target comes from a
 // register rather than the instruction encoding.
@@ -198,10 +248,10 @@ func (i *Inst) IsCall() bool { return i.Op == OpJal }
 func (i *Inst) IsReturn() bool { return i.Op == OpJr && i.Rs1 == RegRA }
 
 // IsLoad reports whether the instruction reads memory.
-func (i *Inst) IsLoad() bool { return i.Op == OpLd || i.Op == OpFld }
+func (i *Inst) IsLoad() bool { return i.Class() == ClassLoad }
 
 // IsStore reports whether the instruction writes memory.
-func (i *Inst) IsStore() bool { return i.Op == OpSt || i.Op == OpFst }
+func (i *Inst) IsStore() bool { return i.Class() == ClassStore }
 
 // IsMem reports whether the instruction accesses memory.
 func (i *Inst) IsMem() bool { return i.IsLoad() || i.IsStore() }
@@ -219,13 +269,6 @@ func (i *Inst) Executes() bool { return i.Class() != ClassNop && i.Op != OpJ }
 // (they allocate and immediately deadlock nothing; the assembler never
 // emits them, and the core treats Rd==RegZero as no destination).
 func (i *Inst) WritesReg() bool { return !noDest[i.Op] && i.Rd != RegZero }
-
-// noDest marks the opcodes that produce no register result.
-var noDest = [1 << 8]bool{
-	OpNop: true, OpHalt: true, OpSt: true, OpFst: true,
-	OpBeq: true, OpBne: true, OpBlt: true, OpBge: true, OpBltu: true, OpBgeu: true,
-	OpJ: true, OpJr: true,
-}
 
 // SrcRegs returns the logical source registers read by the instruction
 // (ReadsRs1, ReadsRs2), Rs1 first.  A register appears at most once
@@ -245,21 +288,8 @@ func (i *Inst) SrcRegs() (srcs [2]Reg, n int) {
 }
 
 // ReadsRs1 reports whether Rs1 is a source operand: every instruction
-// but the ones that read no register (nop, halt, li, j, jal).
+// but those whose form reads no register (None, Li, J, Jal).
 func (i *Inst) ReadsRs1() bool { return !noRs1[i.Op] }
-
-// noRs1 marks the opcodes that read no register.
-var noRs1 = [1 << 8]bool{OpNop: true, OpHalt: true, OpLi: true, OpJ: true, OpJal: true}
 
 // ReadsRs2 reports whether Rs2 is a live source operand.
 func (i *Inst) ReadsRs2() bool { return readsRs2[i.Op] }
-
-// readsRs2 marks the opcodes with a second register source.
-var readsRs2 = [1 << 8]bool{
-	OpAdd: true, OpSub: true, OpMul: true, OpDiv: true, OpRem: true,
-	OpAnd: true, OpOr: true, OpXor: true, OpSll: true, OpSrl: true, OpSra: true,
-	OpSlt: true, OpSltu: true,
-	OpSt: true, OpFst: true,
-	OpBeq: true, OpBne: true, OpBlt: true, OpBge: true, OpBltu: true, OpBgeu: true,
-	OpFadd: true, OpFsub: true, OpFmul: true, OpFdiv: true, OpFlt: true, OpFeq: true,
-}

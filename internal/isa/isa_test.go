@@ -231,7 +231,8 @@ func TestSrcRegs(t *testing.T) {
 }
 
 // TestOperandPredicates pins, for every opcode, which register
-// operands it reads, whether it executes on a functional unit, and the
+// operands it reads (and that its form reads as many), whether it
+// executes on a functional unit, and the
 // source list SrcRegs derives from its operands: with distinct
 // sources, with equal sources, and with RegZero in each source
 // position.
@@ -256,6 +257,11 @@ func TestOperandPredicates(t *testing.T) {
 		OpFlt: two, OpFeq: two,
 	}
 	noExec := map[Op]bool{OpNop: true, OpHalt: true, OpJ: true}
+	formSources := map[Form]int{
+		FormNone: none, FormLi: none, FormJ: none, FormJal: none,
+		FormRRI: one, FormRR: one, FormLoad: one, FormJr: one,
+		FormRRR: two, FormStore: two, FormBranch: two,
+	}
 	if len(shape) != NumOps {
 		t.Fatalf("table covers %d opcodes, want %d", len(shape), NumOps)
 	}
@@ -263,6 +269,9 @@ func TestOperandPredicates(t *testing.T) {
 		n, ok := shape[op]
 		if !ok {
 			t.Fatalf("op %v missing from the table", op)
+		}
+		if s, ok := formSources[op.Form()]; !ok || s != n {
+			t.Errorf("%v: form %d, want one with %d register sources", op, op.Form(), n)
 		}
 		in := Inst{Op: op}
 		if in.ReadsRs1() != (n >= one) || in.ReadsRs2() != (n == two) {

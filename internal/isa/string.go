@@ -47,30 +47,30 @@ func RegName(r Reg) string {
 	return fmt.Sprintf("r%d", r)
 }
 
-// String renders the instruction in assembler-like syntax.
+// String renders the instruction in assembler-like syntax, its
+// operands placed by its form.
 func (i Inst) String() string {
-	switch {
-	case i.Op == OpNop || i.Op == OpHalt:
-		return i.Op.String()
-	case i.Op == OpLi:
-		return fmt.Sprintf("%s %s, %d", i.Op, RegName(i.Rd), i.Imm)
-	case i.IsLoad():
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, RegName(i.Rd), i.Imm, RegName(i.Rs1))
-	case i.IsStore():
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, RegName(i.Rs2), i.Imm, RegName(i.Rs1))
-	case i.IsCondBranch():
-		return fmt.Sprintf("%s %s, %s, 0x%x", i.Op, RegName(i.Rs1), RegName(i.Rs2), i.Target)
-	case i.Op == OpJ:
-		return fmt.Sprintf("j 0x%x", i.Target)
-	case i.Op == OpJal:
-		return fmt.Sprintf("jal %s, 0x%x", RegName(i.Rd), i.Target)
-	case i.Op == OpJr:
-		return fmt.Sprintf("jr %s", RegName(i.Rs1))
-	case i.ReadsRs2():
+	switch opForm[i.Op] {
+	case FormRRR:
 		return fmt.Sprintf("%s %s, %s, %s", i.Op, RegName(i.Rd), RegName(i.Rs1), RegName(i.Rs2))
-	case i.Op == OpFmov || i.Op == OpFneg || i.Op == OpCvtIF || i.Op == OpCvtFI:
-		return fmt.Sprintf("%s %s, %s", i.Op, RegName(i.Rd), RegName(i.Rs1))
-	default:
+	case FormRRI:
 		return fmt.Sprintf("%s %s, %s, %d", i.Op, RegName(i.Rd), RegName(i.Rs1), i.Imm)
+	case FormRR:
+		return fmt.Sprintf("%s %s, %s", i.Op, RegName(i.Rd), RegName(i.Rs1))
+	case FormLi:
+		return fmt.Sprintf("%s %s, %d", i.Op, RegName(i.Rd), i.Imm)
+	case FormLoad:
+		return fmt.Sprintf("%s %s, %d(%s)", i.Op, RegName(i.Rd), i.Imm, RegName(i.Rs1))
+	case FormStore:
+		return fmt.Sprintf("%s %s, %d(%s)", i.Op, RegName(i.Rs2), i.Imm, RegName(i.Rs1))
+	case FormBranch:
+		return fmt.Sprintf("%s %s, %s, 0x%x", i.Op, RegName(i.Rs1), RegName(i.Rs2), i.Target)
+	case FormJ:
+		return fmt.Sprintf("%s 0x%x", i.Op, i.Target)
+	case FormJal:
+		return fmt.Sprintf("%s %s, 0x%x", i.Op, RegName(i.Rd), i.Target)
+	case FormJr:
+		return fmt.Sprintf("%s %s", i.Op, RegName(i.Rs1))
 	}
+	return i.Op.String()
 }
